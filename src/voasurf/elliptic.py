@@ -176,9 +176,6 @@ class KernelForm:
     denominator: MultiSeries
     expansion: MultiSeries
 
-    def as_text(self) -> str:
-        return f"({self.numerator}) / ({self.denominator})"
-
 
 def _poly(varz: str, varw: str, entries: dict) -> MultiSeries:
     window = {varz: (min((k[0] for k in entries), default=0), None),

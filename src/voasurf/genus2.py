@@ -22,16 +22,15 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .elliptic import eisenstein, weierstrass_p
-from .reduction import Insertion, genus1_onepoint
-from .series import MultiSeries, binomial_expand
+from .reduction import Insertion, _trace_word, genus1_onepoint
+from .series import MultiSeries, TruncatedSeries, binomial_expand
 from .voa import (
     GradedVector,
     VACUUM,
-    basis,
     conformal_vector_tilde,
     dual_basis,
     square_bracket_mode,
-    zero_mode,
+    weight,
 )
 
 _EVARS = ("q1", "q2", "se")
@@ -175,14 +174,6 @@ def lambda_tilde(a: int, p: int, moduli: SewingModuli) -> KernelMatrix:
             if not e.is_zero():
                 entries[(m, n)] = e
     return KernelMatrix(N, entries)
-
-
-def delta_matrix(p: int, size: int) -> KernelMatrix:
-    one = MultiSeries.constant(1).extended_to(_EVARS)
-    return KernelMatrix(size, {
-        (m, n): one
-        for m in range(1, size + 1) for n in range(1, size + 1)
-        if m == n + 2 * p - 2})
 
 
 def gamma_matrix(p: int, size: int) -> KernelMatrix:
@@ -429,16 +420,12 @@ def _double_zero_mode_trace(v: GradedVector, u: GradedVector, chart: int,
                             moduli: SewingModuli) -> MultiSeries:
     """Tr(o(v) o(u) q^L(0)) over the Fock space, level by level."""
     order = _q_order(chart, moduli)
-    coeffs = {}
-    for m in range(order + 1):
-        tr = Fraction(0)
-        for s in basis(m):
-            b = GradedVector.basis_state(s)
-            tr += zero_mode(v, zero_mode(u, b)).coefficient(s)
-        if tr:
-            coeffs[(m,)] = tr
-    ms = MultiSeries((_qvar(chart),), {_qvar(chart): (0, order)}, coeffs)
-    return ms.extended_to(_EVARS)
+    ts = TruncatedSeries.zero("q", 0, order)
+    for vs, vc in v.t.items():
+        for us, uc in u.t.items():
+            word = ((vs, weight(vs) - 1), (us, weight(us) - 1))
+            ts = ts + _trace_word(word, order) * (vc * uc)
+    return MultiSeries.from_single(ts.rename(_qvar(chart))).extended_to(_EVARS)
 
 
 def _sq_dual_pairs(r: int):

@@ -88,7 +88,3 @@ def inverse(matrix):
         raise ValueError("matrix is singular")
     return [row[n:] for row in ech[:n]]
 
-
-def mat_mul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]

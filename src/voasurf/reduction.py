@@ -42,6 +42,7 @@ from .series import MultiSeries, TruncatedSeries
 from .voa import (
     CENTRAL_CHARGE,
     GradedVector,
+    _vertex_mode_basis,
     adjoint_boundary_state,
     basis,
     bilinear_form,
@@ -145,6 +146,16 @@ def _check_distinct(insertions):
         raise ValueError(f"point symbols must be pairwise distinct: {points}")
 
 
+def _apply_basis_mode(s: tuple, k: int, vec: dict) -> dict:
+    """The mode s(k) of a basis state s on a sparse {state: coeff}
+    vector, read off the integral mode table."""
+    out = {}
+    for vs, vc in vec.items():
+        for ts, tc in _vertex_mode_basis(s, k, vs):
+            out[ts] = out.get(ts, 0) + vc * tc
+    return {ts: c for ts, c in out.items() if c}
+
+
 # -- genus 0: brute-force oracle ----------------------------------------
 
 
@@ -187,16 +198,16 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
             pre_hi[i + 1] = pre_hi[i] + hi_shift[i]
 
         def rec(i, vec, exps):
-            if vec.is_zero():
+            if not vec:
                 return
             if i < 0:
-                val = coef * bilinear_form(uprime, vec, alpha)
+                val = coef * bilinear_form(uprime, GradedVector(vec), alpha)
                 if val:
                     key = tuple(exps)
                     acc[key] = acc.get(key, Fraction(0)) + val
                 return
             s, _ = row[i]
-            wts_vec = vec.weights()
+            wts_vec = {weight(t) for t in vec}
             for exp in ranges[i]:
                 shift = exp + weight(s)
                 # slots 0..i-1 must still reach a weight of u'
@@ -211,10 +222,10 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
                         break
                 if not ok:
                     continue
-                nxt = vertex_mode(GradedVector.basis_state(s), -exp - 1, vec)
+                nxt = _apply_basis_mode(s, -exp - 1, vec)
                 rec(i - 1, nxt, [exp] + exps)
 
-        rec(n - 1, u, [])
+        rec(n - 1, u.t, [])
 
     return _assemble_genus0(insertions, acc, box, default, uprime, u, alpha)
 
@@ -317,12 +328,12 @@ def _g0_value(row, uprime, u, window, alpha, memo) -> MultiSeries:
     jmax = -lo_z - 1
     for k, (ws, zk) in enumerate(rest):
         for m in range(0, min(wv + weight(ws), jmax + 1)):
-            repl = vertex_mode(v, m, GradedVector.basis_state(ws))
-            if repl.is_zero():
+            repl = _vertex_mode_basis(vs, m, ws)
+            if not repl:
                 continue
             lo_k, hi_k = window[zk]
             wk = sub_window({zk: (lo_k - (jmax - m), hi_k)})
-            for bs, bc in repl.t.items():
+            for bs, bc in repl:
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
                 sib = _g0_value(sib_row, uprime, u, wk, alpha, memo)
                 if sib.is_zero():
@@ -374,15 +385,6 @@ def genus0_reduce(direction: ReductionDirection,
 # -- genus 1: brute-force oracle ----------------------------------------
 
 
-def _apply_word(word, vec: GradedVector) -> GradedVector:
-    """Apply a front word (right to left) to a vector."""
-    for s, k in reversed(word):
-        vec = vertex_mode(GradedVector.basis_state(s), k, vec)
-        if vec.is_zero():
-            break
-    return vec
-
-
 def _front_shift(word) -> int:
     return sum(weight(s) - k - 1 for s, k in word)
 
@@ -396,9 +398,14 @@ def _trace_word(word, q_order: int, memo=None) -> TruncatedSeries:
     coeffs = {}
     if _front_shift(word) == 0:
         for m in range(0, q_order + 1):
-            t = Fraction(0)
+            t = 0
             for b in basis(m):
-                t += _apply_word(word, GradedVector.basis_state(b)).coefficient(b)
+                vec = {b: 1}
+                for s, k in reversed(word):
+                    vec = _apply_basis_mode(s, k, vec)
+                    if not vec:
+                        break
+                t += vec.get(b, 0)
             if t:
                 coeffs[m] = t
     out = TruncatedSeries("q", 0, q_order, coeffs)
@@ -570,10 +577,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
                 c = gbinom(big_k, i)
                 if c == 0:
                     continue
-                repl = vertex_mode(v, i, GradedVector.basis_state(fs))
-                if repl.is_zero():
-                    continue
-                for bs, bc in repl.t.items():
+                for bs, bc in _vertex_mode_basis(vs, i, fs):
                     nf = front[:t] + ((bs, big_k + fk - i),) + front[t + 1:]
                     sib = _g1_value(nf, rest, sub_window(), q_order, memo)
                     if sib.is_zero():

@@ -134,6 +134,9 @@ class SchottkyData:
             raise ValueError("need exactly 2*genus coordinates")
         if len(set(coords)) != len(coords):
             raise ValueError("handle coordinates must be pairwise distinct")
+        if 0 in coords:
+            raise ValueError("handle coordinates must be nonzero; the "
+                             "pole expansions are around each coordinate")
         if self.matrix_cutoff < 2 * self.rho_order:
             raise ValueError(
                 "matrix_cutoff must be at least 2 * rho_order; row m of the "

@@ -22,6 +22,13 @@ Everything here is closed-form mode algebra:
 
 The module is deliberately free of series objects: modes act on graded
 vectors, and the series machinery consumes the resulting coefficients.
+
+Integrality: in the round basis every mode matrix is integral.  The
+table ``_vertex_mode_basis`` of u(k) v on basis states u, v holds
+Python ints only, and the graded traces built on it sum ints.
+Fractions enter only at the boundaries: the coefficients of a
+``GradedVector`` (user states, dual bases, Gram inverses) and the
+square-bracket coefficients of ``_cyl_coeff``.
 """
 
 from __future__ import annotations
@@ -189,17 +196,19 @@ def heisenberg_mode(m: int, v: GradedVector) -> GradedVector:
 
 @lru_cache(maxsize=None)
 def _vertex_mode_basis(u: tuple, k: int, v: tuple):
-    """u(k) v on basis states; returns a tuple of (state, coeff) pairs."""
+    """u(k) v on basis states; returns a sorted tuple of (state, int)
+    pairs.  Every coefficient of the derivative field and of a(m) on a
+    round basis state is an integer, so the table is integral."""
     if u == VACUUM:
-        return ((v, Fraction(1)),) if k == -1 else ()
+        return ((v, 1),) if k == -1 else ()
     n, w = u[0], u[1:]
     acc = {}
 
-    def add_terms(gv, scale):
-        for s, c in gv.items():
-            c = c * scale
-            if c:
-                acc[s] = acc.get(s, Fraction(0)) + c
+    def add_terms(pairs, scale, part=None):
+        for s, c in pairs:
+            if part is not None:
+                s = tuple(sorted(s + (part,), reverse=True))
+            acc[s] = acc.get(s, 0) + scale * c
 
     # creation part of the derivative field, applied after w modes
     m = -n
@@ -207,22 +216,15 @@ def _vertex_mode_basis(u: tuple, k: int, v: tuple):
     while m >= m_lo:
         coef = gbinom(-m - 1, n - 1)
         if coef:
-            inner = dict(_vertex_mode_basis(w, k - m - n, v))
-            if inner:
-                shifted = {}
-                for s, c in inner.items():
-                    shifted[tuple(sorted(s + (-m,), reverse=True))] = \
-                        shifted.get(tuple(sorted(s + (-m,), reverse=True)), Fraction(0)) + c
-                add_terms(shifted, coef)
+            add_terms(_vertex_mode_basis(w, k - m - n, v), coef, -m)
         m -= 1
 
-    # annihilation part, applied before w modes
-    for m in range(1, weight(v) + 1):
-        coef = gbinom(-m - 1, n - 1)
-        av = heisenberg_mode(m, GradedVector.basis_state(v))
-        for s_mid, c_mid in av.t.items():
-            inner = dict(_vertex_mode_basis(w, k - m - n, s_mid))
-            add_terms(inner, coef * c_mid)
+    # annihilation part, applied before w modes: a(m) removes one part
+    # m from v with factor m times its multiplicity
+    for m in set(v):
+        idx = v.index(m)
+        add_terms(_vertex_mode_basis(w, k - m - n, v[:idx] + v[idx + 1:]),
+                  gbinom(-m - 1, n - 1) * m * v.count(m))
 
     return tuple(sorted((s, c) for s, c in acc.items() if c))
 
@@ -477,7 +479,8 @@ def parse_state(text: str) -> GradedVector:
     """Parse a state literal like ``a[-2]a[-1]^2|1 - 1/2*|1``.
 
     Shorthands: ``1``/``vac`` (vacuum), ``a``, ``omega``,
-    ``omegatilde``.  Rational prefactors attach with ``*``.
+    ``omegatilde``.  Rational prefactors attach with ``*``.  Every
+    factor must be a creation mode a[-n] with n >= 1.
     """
     text = text.replace(" ", "")
     if not text:
@@ -507,7 +510,10 @@ def parse_state(text: str) -> GradedVector:
         coeff = Fraction(1)
         if "*" in term:
             pre, term = term.split("*", 1)
-            coeff = Fraction(pre)
+            try:
+                coeff = Fraction(pre)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {pre!r}")
         if term in _SHORTHAND:
             out = out + sign * coeff * _SHORTHAND[term]()
             continue
@@ -521,6 +527,9 @@ def parse_state(text: str) -> GradedVector:
             if not m:
                 raise ValueError(f"cannot parse state term {term!r}")
             k = -int(m.group(1))
+            if k < 1:
+                raise ValueError(
+                    f"a[{m.group(1)}] is not a creation mode a[-n], n >= 1")
             parts.extend([k] * int(m.group(2) or 1))
             pos = m.end()
         state = tuple(sorted(parts, reverse=True))

@@ -1,0 +1,122 @@
+"""The integral round-basis mode table and the integer trace kernel.
+
+In the round Fock basis every mode matrix is integral.  These tests pin
+that invariant on the cached table, check that the public GradedVector
+layer still hands out Fractions, and compare the integer graded traces
+with a GradedVector/zero_mode trace written here, independently of the
+kernel in the library.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from voasurf.genus2 import SewingModuli, _double_zero_mode_trace
+from voasurf.reduction import _trace_word
+from voasurf.series import MultiSeries, TruncatedSeries
+from voasurf.voa import (
+    GradedVector,
+    _vertex_mode_basis,
+    basis,
+    conformal_vector,
+    generator,
+    heisenberg_mode,
+    parse_state,
+    vertex_mode,
+    weight,
+    zero_mode,
+)
+
+LOW_STATES = [s for m in range(5) for s in basis(m)]
+
+
+def oracle_trace(word, q_order):
+    """Tr(word q^L(0)) through GradedVector and vertex_mode."""
+    coeffs = {}
+    for m in range(q_order + 1):
+        t = Fraction(0)
+        for b in basis(m):
+            vec = GradedVector.basis_state(b)
+            for s, k in reversed(word):
+                vec = vertex_mode(GradedVector.basis_state(s), k, vec)
+            t += vec.coefficient(b)
+        coeffs[m] = t
+    return TruncatedSeries("q", 0, q_order, coeffs)
+
+
+def oracle_double_trace(v, u, q_order):
+    """Tr(o(v) o(u) q^L(0)) through zero_mode, level by level."""
+    coeffs = {}
+    for m in range(q_order + 1):
+        coeffs[m] = sum((zero_mode(v, zero_mode(u, GradedVector.basis_state(s)))
+                         .coefficient(s) for s in basis(m)), Fraction(0))
+    return TruncatedSeries("q", 0, q_order, coeffs)
+
+
+class TestModeTable:
+    def test_every_table_entry_is_an_int(self):
+        for u in LOW_STATES:
+            for v in LOW_STATES:
+                for k in range(-6, 7):
+                    for s, c in _vertex_mode_basis(u, k, v):
+                        assert type(c) is int, (u, k, v, s, c)
+                        assert c != 0
+
+    def test_generator_rows_match_heisenberg_modes(self):
+        for v in LOW_STATES:
+            for k in range(-6, 7):
+                expected = heisenberg_mode(k, GradedVector.basis_state(v))
+                assert dict(_vertex_mode_basis((1,), k, v)) == expected.t
+
+    def test_vertex_mode_keeps_fractions(self):
+        out = vertex_mode(generator(), -1, generator())
+        assert out.t == {(1, 1): Fraction(1)}
+        assert all(type(c) is Fraction for c in out.t.values())
+        half = vertex_mode(conformal_vector(), 1, parse_state("a[-2]|1"))
+        assert half.t == {(2,): Fraction(2)}
+        assert all(type(c) is Fraction for c in half.t.values())
+
+
+class TestTraceKernel:
+    @pytest.mark.parametrize("word", [
+        (),
+        (((1,), 0),),
+        (((1, 1), 1),),
+        (((2,), 0), ((1,), 1)),
+        (((1,), 1), ((1,), -1)),
+        (((2,), 2), ((1, 1), 0)),
+        (((2, 1), 2), ((3,), 2)),
+        (((1,), 2), ((1,), -1), ((1,), -1)),
+    ])
+    def test_matches_graded_vector_trace(self, word):
+        assert _trace_word(word, 6) == oracle_trace(word, 6)
+
+    def test_conformal_zero_mode_counts_weight(self):
+        # o(a(-1)^2|1>) = 2 L(0), so the trace is 2 sum_m m p(m) q^m
+        tr = _trace_word((((1, 1), 1),), 6)
+        assert tr.c == {m: Fraction(2 * m * len(basis(m)))
+                        for m in range(1, 7)}
+
+    def test_commutator_word_counts_ones(self):
+        # a(1) a(-1) acts on a basis state lam as 1 + (number of parts 1)
+        tr = _trace_word((((1,), 1), ((1,), -1)), 6)
+        assert tr.c == {m: Fraction(sum(1 + lam.count(1) for lam in basis(m)))
+                        for m in range(7)}
+
+    def test_coefficients_leave_as_fractions(self):
+        tr = _trace_word((((1,), 1), ((1,), -1)), 4)
+        assert tr.c and all(type(c) is Fraction for c in tr.c.values())
+
+    @pytest.mark.parametrize("v,u", [
+        ("a[-2]|1", "a[-1]^2|1 + a[-2]|1"),
+        ("omega", "a[-2]|1 - 1/3*a[-1]^2|1"),
+        ("omegatilde", "2/5*a[-3]|1 + a[-2]a[-1]|1 - 7*|1"),
+    ])
+    def test_double_zero_mode_trace(self, v, u):
+        v, u = parse_state(v), parse_state(u)
+        moduli = SewingModuli(6, 5, 1, 2)
+        for chart, var, order in ((1, "q1", 6), (2, "q2", 5)):
+            expected = oracle_double_trace(v, u, order).rename(var)
+            got = _double_zero_mode_trace(v, u, chart, moduli)
+            assert got == MultiSeries.from_single(expected)
+            assert got.window[var] == (0, order)
