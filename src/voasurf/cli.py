@@ -40,13 +40,13 @@ from .cohomology import (ClusterSetting, as_direction, cohomology_rank,
                          describe_direction, euler_poincare, involution_check,
                          make_seed)
 from .elliptic import CACHE_ENV, eisenstein, weierstrass_p
-from .genus2 import SewingModuli, gen_weierstrass, require_integer_eps, \
-    z2_partition
+from .genus2 import HALF_POWERS, SewingModuli, gen_weierstrass, z2_partition
 from .reduction import (Insertion, ReductionDirection, cocycle_residual,
                         genus0_direct, genus0_partition, genus1_direct,
                         genus1_partition, unwind_to_partition)
-from .schottky import SchottkyData, genus_g_partition, psi_full, rho_series
-from .series import MultiSeries, TruncatedSeries
+from .schottky import SchottkyData, genus_g_partition, psi_full
+from .series import TruncatedSeries
+from .sewing import renamed
 from .voa import GradedVector, basis, parse_state, render_state, vacuum
 
 # Truncation orders recognised across subcommands; every one must be a
@@ -407,33 +407,6 @@ def _pretty(ts: TruncatedSeries) -> str:
     return text
 
 
-def _eps_series(ms: MultiSeries) -> MultiSeries:
-    """Rename the formal half-power variable se (se^2 = eps) to eps.
-
-    Exported genus-two series must already be even in se; the exponents
-    are halved on the way out.
-    """
-    require_integer_eps(ms)
-    if "se" not in ms.vars:
-        return ms
-    variables = tuple("eps" if v == "se" else v for v in ms.vars)
-    window = {}
-    for v in ms.vars:
-        lo, hi = ms.window[v]
-        if v == "se":
-            window["eps"] = (max(0, lo) // 2, None if hi is None else hi // 2)
-        else:
-            window[v] = (lo, hi)
-    order = sorted(range(len(variables)), key=lambda i: variables[i])
-    out = MultiSeries(variables, window)
-    for key, c in ms.c.items():
-        if not c:
-            continue
-        out.c[tuple(key[i] // 2 if ms.vars[i] == "se" else key[i]
-                    for i in order)] = c
-    return out
-
-
 def _render_insertion(ins: Insertion) -> str:
     return f"{render_state(ins.state)}@{ins.point}"
 
@@ -561,7 +534,7 @@ def _run_g2_partition(cfg: RunConfig):
     moduli = SewingModuli(cfg.orders["q1_order"], cfg.orders["q2_order"],
                           cfg.orders["eps_order"],
                           cfg.orders["matrix_cutoff"])
-    ms = _eps_series(z2_partition(moduli))
+    ms = renamed(z2_partition(moduli), HALF_POWERS)
     return {"command": "genus2 partition",
             "eps_order": cfg.orders["eps_order"],
             "matrix_cutoff": cfg.orders["matrix_cutoff"],
@@ -575,8 +548,8 @@ def _run_g2_pweier(cfg: RunConfig):
     moduli = SewingModuli(cfg.orders["q1_order"], cfg.orders["q2_order"],
                           eps_order, cutoff)
     x_chart, y_chart = cfg.options["charts"]
-    ms = _eps_series(gen_weierstrass(cfg.options["p"], cfg.options["j"],
-                                     x_chart, y_chart, moduli))
+    ms = renamed(gen_weierstrass(cfg.options["p"], cfg.options["j"],
+                                 x_chart, y_chart, moduli), HALF_POWERS)
     return {"command": "genus2 pweier", "p": cfg.options["p"],
             "j": cfg.options["j"], "charts": [x_chart, y_chart],
             "eps_order": eps_order, "matrix_cutoff": cutoff,
@@ -600,7 +573,7 @@ def _run_schottky_psi(cfg: RunConfig):
     cutoff = cfg.orders.get("matrix_cutoff",
                             max(2 * rho_order, 2 * p - 1))
     data = _schottky_data(cfg, rho_order, cutoff)
-    ms = rho_series(psi_full(p, data), data)
+    ms = renamed(psi_full(p, data), data.half_powers)
     return {"command": "schottky psi", "p": p, "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
             "rho_order": rho_order, "matrix_cutoff": cutoff,
@@ -612,7 +585,8 @@ def _run_schottky_partition(cfg: RunConfig):
     rho_order = cfg.orders.get("rho_order", weight_cutoff)
     cutoff = cfg.orders.get("matrix_cutoff", 2 * rho_order)
     data = _schottky_data(cfg, rho_order, cutoff)
-    ms = rho_series(genus_g_partition(data, weight_cutoff), data)
+    ms = renamed(genus_g_partition(data, weight_cutoff),
+                 data.half_powers)
     return {"command": "schottky partition", "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
             "weight_cutoff": weight_cutoff, "rho_order": rho_order,

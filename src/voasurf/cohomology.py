@@ -259,11 +259,11 @@ class CoboundaryMatrix:
 
     @cached_property
     def kernel(self) -> tuple:
-        return _kernel_of(self.matrix, len(self.columns))
+        return _kernel_of(self.matrix)
 
     @property
     def kernel_dim(self) -> int:
-        return len(self.kernel)
+        return len(self.columns) - self.rank
 
     def is_zero(self) -> bool:
         return not self.row_keys
@@ -291,9 +291,7 @@ def _densify(columns, row_keys) -> list:
             for key in row_keys]
 
 
-def _kernel_of(matrix, ncols) -> tuple:
-    if ncols == 0:
-        return ()
+def _kernel_of(matrix) -> tuple:
     return tuple(tuple(v) for v in kernel_basis(matrix))
 
 
@@ -383,7 +381,7 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     for col in columns:
         keys.update(col)
     matrix = _densify(columns, tuple(sorted(keys)))
-    kernel = _kernel_of(matrix, len(columns))
+    kernel = _kernel_of(matrix)
     return ChainReport(dir1, dir2, src, tgt, columns, kernel)
 
 
@@ -418,13 +416,12 @@ def _combined_columns(family, src: GradedSlice, combine: str) -> list:
     return columns
 
 
-def _rank_and_kernel(columns):
+def _rank_and_nullity(columns):
     keys = set()
     for col in columns:
         keys.update(col)
-    matrix = _densify(columns, tuple(sorted(keys)))
-    ker = _kernel_of(matrix, len(columns))
-    return len(columns) - len(ker), len(ker)
+    r = rank(_densify(columns, tuple(sorted(keys))))
+    return r, len(columns) - r
 
 
 class RankResult(NamedTuple):
@@ -453,13 +450,13 @@ def cohomology_rank(n: int, m: int, genus: int, direction_family, *,
     src = GradedSlice(genus, n, m, **kw)
     for d in family:
         _check_fresh(d, src.points)
-    im_up, ker_up = _rank_and_kernel(_combined_columns(family, src, combine))
+    im_up, ker_up = _rank_and_nullity(_combined_columns(family, src, combine))
     if n == 0:
         im_below = 0
     else:
         below = GradedSlice(genus, n - 1, m - w, **kw)
-        im_below, _ = _rank_and_kernel(_combined_columns(family, below,
-                                                         combine))
+        im_below, _ = _rank_and_nullity(_combined_columns(family, below,
+                                                          combine))
     return RankResult(q=src.dim, p=ker_up - im_below,
                       kernel_rank=ker_up, image_rank=im_up)
 
@@ -491,7 +488,7 @@ def euler_poincare(m: int, N: int, genus: int, direction_family, *,
         _check_fresh(d, levels[-1].points)
     ranks = []
     for k in range(N):
-        im, ker = _rank_and_kernel(
+        im, ker = _rank_and_nullity(
             _combined_columns(family, levels[k], combine))
         ranks.append((im, ker))
     ranks.append((0, levels[N].dim))  # image into level N+1 := 0

@@ -30,13 +30,17 @@ Conventions (all rational, all truncated explicitly):
   long-division expansion in |z| > |w|.
 
 If the environment variable VOASURF_CACHE names a directory, Eisenstein
-q-expansions are persisted there as JSON.
+q-expansions are persisted there as JSON.  A file is replaced
+atomically, and on load its constant term and last coefficient are
+recomputed; a file that does not parse or fails that check is treated
+as missing, so its series is recomputed and written again.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,6 +76,43 @@ def _cache_path(k: int):
     return os.path.join(root, f"eisenstein_{k}.json")
 
 
+def _eis_coefficient(k: int, n: int) -> Fraction:
+    """The q^n coefficient of E_k, k even."""
+    if n == 0:
+        return -bernoulli(k) / factorial(k)
+    return Fraction(2 * _sigma(k - 1, n), factorial(k - 1))
+
+
+def _read_cache(path: str, k: int):
+    """The stored coefficients of E_k, or None when the file is
+    missing, does not parse, or its constant term or last coefficient
+    disagrees with a recomputation."""
+    try:
+        with open(path) as fh:
+            coeffs = [Fraction(c) for c in json.load(fh)]
+    except (OSError, ValueError, TypeError, ZeroDivisionError):
+        return None
+    ends = {0, len(coeffs) - 1}
+    if coeffs and all(coeffs[n] == _eis_coefficient(k, n) for n in ends):
+        return coeffs
+    return None
+
+
+def _write_cache(path: str, coeffs) -> None:
+    """Replace the file atomically: a reader sees the old or the new
+    contents, never a partial write."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump([f"{c.numerator}/{c.denominator}" for c in coeffs], fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def eisenstein(k: int, q_order: int, qvar: str = "q") -> TruncatedSeries:
     """E_k(q) truncated at q^q_order; identically zero for odd k."""
     if k < 2:
@@ -81,19 +122,13 @@ def eisenstein(k: int, q_order: int, qvar: str = "q") -> TruncatedSeries:
     coeffs = _eis_memory.get(k)
     if coeffs is None or len(coeffs) <= q_order:
         path = _cache_path(k)
-        if coeffs is None and path and os.path.exists(path):
-            with open(path) as fh:
-                coeffs = [Fraction(c) for c in json.load(fh)]
         if coeffs is None:
-            coeffs = [-bernoulli(k) / factorial(k)]
+            coeffs = (path and _read_cache(path, k)) or []
         while len(coeffs) <= q_order:
-            n = len(coeffs)
-            coeffs.append(Fraction(2 * _sigma(k - 1, n), factorial(k - 1)))
+            coeffs.append(_eis_coefficient(k, len(coeffs)))
         _eis_memory[k] = coeffs
         if path:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            with open(path, "w") as fh:
-                json.dump([f"{c.numerator}/{c.denominator}" for c in coeffs], fh)
+            _write_cache(path, coeffs)
     return TruncatedSeries(qvar, 0, q_order,
                            {i: c for i, c in enumerate(coeffs[:q_order + 1])})
 

@@ -2,9 +2,11 @@
 
 The moduli are two nomes q1, q2 and a sewing parameter eps.  The
 kernel matrices that mediate between the tori carry half-integer
-eps-weights, so eps is tracked through its square root: the variable
-"se" with se^2 = eps.  Every exported quantity is checked to land back
-on integer eps-powers; intermediate rows and columns need not.
+eps-weights, so eps is tracked through its square root, the variable
+"se" with se^2 = eps (``HALF_POWERS``).  The matrix arithmetic, the
+Neumann inverse, the se-clip of every product and the integer-eps check
+on exported quantities live in the sewing module; this one holds the
+genus-two mathematics.
 
 Trace normalization follows the one-point helpers of the reduction
 module: the overall (q1 q2)^(-c/24) prefactor is left off the stored
@@ -19,11 +21,16 @@ the moduli, not assumed.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
+from . import sewing
 from .elliptic import eisenstein, weierstrass_p
 from .reduction import Insertion, _trace_word, genus1_onepoint
 from .series import MultiSeries, TruncatedSeries, binomial_expand
+from .sewing import SeriesMatrix, require_integer, row_dot_column, \
+    row_times_matrix
+from .sewing import add as kernel_add
 from .voa import (
     GradedVector,
     VACUUM,
@@ -34,6 +41,7 @@ from .voa import (
 )
 
 _EVARS = ("q1", "q2", "se")
+HALF_POWERS = {"se": "eps"}
 
 
 @dataclass(frozen=True)
@@ -59,19 +67,9 @@ class SewingModuli:
         return 2 * self.eps_order
 
 
-@dataclass
-class KernelMatrix:
+def KernelMatrix(size: int, entries: dict) -> SeriesMatrix:
     """A truncated moment matrix: indices 1..size, absent entry = 0."""
-
-    size: int
-    entries: dict
-
-    def entry(self, m: int, n: int) -> MultiSeries:
-        e = self.entries.get((m, n))
-        return e if e is not None else MultiSeries.constant(0)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.entries.values())
+    return SeriesMatrix(tuple(range(1, size + 1)), entries)
 
 
 @dataclass
@@ -107,22 +105,11 @@ def _se_monomial(e: int, moduli: SewingModuli, coeff=1) -> MultiSeries:
         {"se": e}, coeff, window={"se": (min(e, 0), moduli.se_order)})
 
 
-def _clip_se(ms: MultiSeries, moduli: SewingModuli) -> MultiSeries:
-    lo = ms.window["se"][0] if "se" in ms.vars else 0
-    return ms.extended_to(_EVARS).clip("se", lo, moduli.se_order)
-
-
-def require_integer_eps(ms: MultiSeries):
-    """Exported genus-two data must carry eps to integer powers only."""
-    if "se" not in ms.vars:
-        return ms
-    i = ms.vars.index("se")
-    for key, c in ms.c.items():
-        if c and key[i] % 2:
-            raise AssertionError(
-                f"half-integer eps power se^{key[i]} survived to an "
-                "exported quantity")
-    return ms
+def _clip(moduli: SewingModuli):
+    """The clip of every kernel product: over (q1, q2, se), se cut at
+    the se-order of ``moduli`` (not cut without moduli)."""
+    return partial(sewing.clip, base=_EVARS, names=HALF_POWERS,
+                   hi=None if moduli is None else moduli.se_order)
 
 
 # -- the kernel matrices --------------------------------------------------
@@ -137,15 +124,9 @@ def lambda_entry(a: int, m: int, n: int, moduli: SewingModuli) -> MultiSeries:
     return _eis(k, a, moduli) * _se_monomial(k, moduli, coeff)
 
 
-def lambda_matrix(a: int, moduli: SewingModuli) -> KernelMatrix:
-    N = moduli.matrix_cutoff
-    entries = {}
-    for m in range(1, N + 1):
-        for n in range(1, N + 1):
-            e = lambda_entry(a, m, n, moduli)
-            if not e.is_zero():
-                entries[(m, n)] = e
-    return KernelMatrix(N, entries)
+def lambda_matrix(a: int, moduli: SewingModuli) -> SeriesMatrix:
+    """Lambda_a: Lambda_a Delta without the shift (p = 1)."""
+    return lambda_tilde(a, 1, moduli)
 
 
 def s_conjugated_a_entry(a: int, m: int, n: int,
@@ -164,7 +145,7 @@ def s_conjugated_a_entry(a: int, m: int, n: int,
     return _eis(k, a, moduli) * _se_monomial(k, moduli, coeff)
 
 
-def lambda_tilde(a: int, p: int, moduli: SewingModuli) -> KernelMatrix:
+def lambda_tilde(a: int, p: int, moduli: SewingModuli) -> SeriesMatrix:
     """Lambda_a Delta, i.e. entry (m, n) -> Lambda_a(m, n + 2p - 2)."""
     N = moduli.matrix_cutoff
     entries = {}
@@ -176,7 +157,7 @@ def lambda_tilde(a: int, p: int, moduli: SewingModuli) -> KernelMatrix:
     return KernelMatrix(N, entries)
 
 
-def gamma_matrix(p: int, size: int) -> KernelMatrix:
+def gamma_matrix(p: int, size: int) -> SeriesMatrix:
     one = MultiSeries.constant(1).extended_to(_EVARS)
     return KernelMatrix(size, {
         (m, n): one
@@ -184,69 +165,25 @@ def gamma_matrix(p: int, size: int) -> KernelMatrix:
         if m + n == 2 * p - 2})
 
 
-def pi_matrix(p: int, size: int) -> KernelMatrix:
+def pi_matrix(p: int, size: int) -> SeriesMatrix:
     """Gamma^2: the identity on indices up to 2p - 3, zero beyond."""
     return kernel_mul(gamma_matrix(p, size), gamma_matrix(p, size))
 
 
-def kernel_identity(size: int) -> KernelMatrix:
-    one = MultiSeries.constant(1).extended_to(_EVARS)
-    return KernelMatrix(size, {(m, m): one for m in range(1, size + 1)})
+def kernel_identity(size: int) -> SeriesMatrix:
+    return sewing.identity(range(1, size + 1))
 
 
-def kernel_add(A: KernelMatrix, B: KernelMatrix) -> KernelMatrix:
-    if A.size != B.size:
-        raise ValueError("size mismatch")
-    entries = dict(A.entries)
-    for key, e in B.entries.items():
-        entries[key] = entries[key] + e if key in entries else e
-    return KernelMatrix(A.size, {k: v for k, v in entries.items()})
+def kernel_mul(A: SeriesMatrix, B: SeriesMatrix,
+               moduli: SewingModuli = None) -> SeriesMatrix:
+    return sewing.mul(A, B, _clip(moduli))
 
 
-def kernel_mul(A: KernelMatrix, B: KernelMatrix,
-               moduli: SewingModuli = None) -> KernelMatrix:
-    if A.size != B.size:
-        raise ValueError("size mismatch")
-    entries = {}
-    for (i, k), ea in A.entries.items():
-        for j in range(1, B.size + 1):
-            eb = B.entries.get((k, j))
-            if eb is None:
-                continue
-            prod = ea * eb
-            if moduli is not None:
-                prod = _clip_se(prod, moduli)
-            if prod.is_zero():
-                continue
-            key = (i, j)
-            entries[key] = entries[key] + prod if key in entries else prod
-    return KernelMatrix(A.size, entries)
-
-
-def neumann_inverse(M: KernelMatrix, moduli: SewingModuli) -> KernelMatrix:
-    """(1 - M)^-1 = sum_k M^k, terminating because every entry of M
-    starts at se-order 1 or higher."""
-    for (m, n), e in M.entries.items():
-        if "se" not in e.vars:
-            if not e.is_zero():
-                raise ValueError(
-                    f"entry ({m}, {n}) has an eps-independent part; the "
-                    "Neumann series does not terminate")
-            continue
-        i = e.vars.index("se")
-        for key, c in e.c.items():
-            if c and key[i] < 1:
-                raise ValueError(
-                    f"entry ({m}, {n}) carries se^{key[i]}; the Neumann "
-                    "series does not terminate")
-    out = kernel_identity(M.size)
-    power = kernel_identity(M.size)
-    for _ in range(moduli.se_order + 1):
-        power = kernel_mul(power, M, moduli)
-        if power.is_zero():
-            break
-        out = kernel_add(out, power)
-    return out
+def neumann_inverse(M: SeriesMatrix, moduli: SewingModuli) -> SeriesMatrix:
+    """(1 - M)^-1, terminating because every entry of M starts at
+    se-order 1 or higher."""
+    return sewing.neumann_inverse(M, HALF_POWERS, moduli.se_order,
+                                  lambda A, B: kernel_mul(A, B, moduli))
 
 
 # -- rows and columns of elliptic data ------------------------------------
@@ -319,30 +256,6 @@ def p_column(j: int, y_chart: int, yvar: str, moduli: SewingModuli,
     return out
 
 
-def _row_times_matrix(row: dict, M: KernelMatrix,
-                      moduli: SewingModuli) -> dict:
-    out = {}
-    for k, r in row.items():
-        for n in range(1, M.size + 1):
-            e = M.entries.get((k, n))
-            if e is None:
-                continue
-            prod = _clip_se(r * e, moduli)
-            if prod.is_zero():
-                continue
-            out[n] = out[n] + prod if n in out else prod
-    return out
-
-
-def _row_dot_column(row: dict, col: dict, moduli: SewingModuli):
-    out = MultiSeries.constant(0).extended_to(_EVARS)
-    for k, r in row.items():
-        c = col.get(k)
-        if c is not None:
-            out = out + _clip_se(r * c, moduli)
-    return out
-
-
 def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli,
           x_order: int = 6) -> dict:
     """Q(p; x) = R(x) Delta (1 - Ltilde_abar Ltilde_a)^-1 for x on
@@ -357,7 +270,8 @@ def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli,
             _se_monomial(m, moduli)
     prod = kernel_mul(lambda_tilde(abar, p, moduli),
                       lambda_tilde(x_chart, p, moduli), moduli)
-    return _row_times_matrix(shifted, neumann_inverse(prod, moduli), moduli)
+    return row_times_matrix(shifted, neumann_inverse(prod, moduli),
+                            _clip(moduli))
 
 
 def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
@@ -378,34 +292,35 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
     if j < 0:
         raise ValueError("j must be nonnegative")
     a, abar = x_chart, 3 - x_chart
+    clip = _clip(moduli)
     Q = q_row(p, x_chart, xvar, moduli, x_order)
     col = p_column(j, y_chart, yvar, moduli, y_order)
     if y_chart == a:
         lt = lambda_tilde(abar, p, moduli)
         lead = _pm_difference(j + 1, a, xvar, yvar, x_lo,
                               max(x_order, y_order), moduli)
-        tail = _row_dot_column(_row_times_matrix(Q, lt, moduli), col, moduli)
+        tail = row_dot_column(row_times_matrix(Q, lt, clip), col, clip)
         out = lead + tail * Fraction((-1) ** (j + 1))
         if j == 0:
             out = out + _pm(1, a, xvar, x_order, moduli) * Fraction(-1)
             if p != 1:
-                corr = _row_times_matrix(Q, lambda_matrix(abar, moduli),
-                                         moduli).get(2 * p - 2)
+                corr = row_times_matrix(Q, lambda_matrix(abar, moduli),
+                                        clip).get(2 * p - 2)
                 if corr is not None:
                     out = out + corr * Fraction(-1)
         return out.extended_to(sorted(set(out.vars) | {yvar}))
     sign = Fraction((-1) ** (p + 1) * (-1) ** j)
-    out = _row_dot_column(Q, col, moduli) * sign
+    out = row_dot_column(Q, col, clip) * sign
     if j == 0 and p != 1:
         psign = Fraction((-1) ** (p + 1))
         out = out + _pm(2 * p - 1, a, xvar, x_order, moduli) * \
             _se_monomial(2 * p - 2, moduli, psign)
-        corr = _row_times_matrix(
-            _row_times_matrix(Q, lambda_tilde(abar, p, moduli), moduli),
-            lambda_matrix(a, moduli), moduli).get(2 * p - 2)
+        corr = row_times_matrix(
+            row_times_matrix(Q, lambda_tilde(abar, p, moduli), clip),
+            lambda_matrix(a, moduli), clip).get(2 * p - 2)
         if corr is not None:
             out = out + corr * psign
-    return out.extended_to(sorted(set(out.vars) | {xvar, yvar}))
+    return out.extended_to(_EVARS + (xvar, yvar))
 
 
 # -- sewing sums -----------------------------------------------------------
@@ -449,7 +364,7 @@ def z2_partition(moduli: SewingModuli, pairs_for_weight=None) -> MultiSeries:
             if t2.is_zero():
                 continue
             out = out + t1 * t2 * _se_monomial(2 * r, moduli)
-    return require_integer_eps(out)
+    return require_integer(out, HALF_POWERS)
 
 
 def sq_weight(v: GradedVector) -> int:
@@ -525,29 +440,30 @@ def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
                 if not t.is_zero():
                     F2 = F2 + left * t * _se_monomial(2 * r, moduli)
 
+    clip = _clip(moduli)
     Q = q_row(p, 1, xvar, moduli)
     lt2 = lambda_tilde(2, p, moduli)
-    f1_tail = _row_times_matrix(Q, lt2, moduli).get(1)
+    f1_tail = row_times_matrix(Q, lt2, clip).get(1)
     out = F1
     if f1_tail is not None:
-        out = out + _clip_se(f1_tail * _se_monomial(1, moduli) * F1, moduli)
+        out = out + clip(f1_tail * _se_monomial(1, moduli) * F1)
     if 1 in Q:
         f2 = Q[1] * _se_monomial(1, moduli, Fraction((-1) ** p))
-        out = out + _clip_se(f2 * F2, moduli)
+        out = out + clip(f2 * F2)
     if X:
         row = dict(r_row(1, xvar, moduli))
         mixed = kernel_add(
             kernel_mul(lt2, lambda_matrix(1, moduli), moduli),
             kernel_mul(lambda_matrix(2, moduli), gamma_matrix(p, moduli.matrix_cutoff), moduli))
-        for n, e in _row_times_matrix(Q, mixed, moduli).items():
+        for n, e in row_times_matrix(Q, mixed, clip).items():
             row[n] = row[n] + e if n in row else e
         for m, xm in X.items():
             f3m = row.get(m)
             if f3m is None or xm.is_zero():
                 continue
-            out = out + _clip_se(f3m * xm, moduli)
+            out = out + clip(f3m * xm)
 
-    out = _clip_se(out, moduli)
-    require_integer_eps(out)
+    out = clip(out)
+    require_integer(out, HALF_POWERS)
     return Genus2Fn((direction,),
                     out.extended_to(sorted(set(out.vars) | {xvar})), moduli)

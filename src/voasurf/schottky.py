@@ -10,10 +10,12 @@ the weight decomposition of the states in the channel.
 
 The kernel layer (the moment matrix R, its Neumann inverse, the psi
 and theta functions) carries half-integer rho-weights, tracked through
-the variables "sr1", "sr2", ... with sr_a^2 = rho_a, exactly as the
-genus-two module tracks eps through "se".  Assembled public quantities
-must land back on nonnegative integer rho-powers; intermediate rows,
-columns and the theta components need not, and their windows do the
+the variables "sr1", "sr2", ... with sr_a^2 = rho_a
+(``SchottkyData.half_powers``).  The matrix arithmetic, the Neumann
+inverse, the sr-clip of every product and the integer-rho check on
+assembled public quantities live in the sewing module, shared with
+genus two.  Intermediate rows, columns and the theta components may
+carry odd or negative half-powers, and their windows do the
 bookkeeping: every monomial is built with a sharp lower bound, so the
 product horizons stay tight enough to certify results through
 rho_order without ever expanding past the matrix cutoff.
@@ -28,11 +30,14 @@ of in yet another formal variable.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import factorial
 
+from . import sewing
 from .series import MultiSeries, rat
+from .sewing import SeriesMatrix, require_integer, row_dot_column, \
+    row_times_matrix
 from .voa import VACUUM, dual_basis, gbinom, vertex_mode, virasoro
 
 
@@ -155,7 +160,12 @@ class SchottkyData:
 
     @property
     def sr_vars(self) -> tuple:
-        return tuple(f"sr{a}" for a in range(1, self.genus + 1))
+        return tuple(self.half_powers)
+
+    @property
+    def half_powers(self) -> dict:
+        """sr_a -> rho_a for every handle."""
+        return _half_powers(self.genus)
 
     def sr_var(self, a: int) -> str:
         return f"sr{abs(a)}"
@@ -184,52 +194,15 @@ def _sr_monomial(data: SchottkyData, exps: dict, coeff) -> MultiSeries:
     return MultiSeries.monomial(merged, coeff)
 
 
-def _clip_sr(ms: MultiSeries, data: SchottkyData, hi: int) -> MultiSeries:
-    out = ms.extended_to(data.sr_vars)
-    for v in data.sr_vars:
-        out = out.clip(v, out.window[v][0], hi)
-    return out
+def _half_powers(genus: int) -> dict:
+    return {f"sr{a}": f"rho{a}" for a in range(1, genus + 1)}
 
 
-def require_integer_rho(ms: MultiSeries) -> MultiSeries:
-    """Exported handle-sum data must carry rho to nonnegative integer
-    powers only; sr exponents are twice the rho ones."""
-    for i, v in enumerate(ms.vars):
-        if not v.startswith("sr"):
-            continue
-        for key, c in ms.c.items():
-            if not c:
-                continue
-            if key[i] % 2:
-                raise AssertionError(
-                    f"half-integer rho power {v}^{key[i]} survived to an "
-                    "exported quantity")
-            if key[i] < 0:
-                raise AssertionError(
-                    f"negative rho power {v}^{key[i]} survived to an "
-                    "exported quantity")
-    return ms
-
-
-def rho_series(ms: MultiSeries, data: SchottkyData) -> MultiSeries:
-    """Rewrite an sr-series over rho1..rhog with halved exponents."""
-    require_integer_rho(ms)
-    ms = ms.extended_to(data.sr_vars)
-    names = {f"sr{a}": f"rho{a}" for a in range(1, data.genus + 1)}
-    variables = tuple(names.get(v, v) for v in ms.vars)
-    window = {}
-    for v in ms.vars:
-        lo, hi = ms.window[v]
-        if v in names:
-            window[names[v]] = (max(0, lo) // 2, None if hi is None else hi // 2)
-        else:
-            window[v] = (lo, hi)
-    order = sorted(range(len(variables)), key=lambda i: variables[i])
-    out = MultiSeries(variables, window)
-    for key, c in ms.c.items():
-        out.c[tuple(key[i] // 2 if ms.vars[i] in names else key[i]
-                    for i in order)] = c
-    return out
+def _clip(half_powers: dict, hi: int):
+    """The clip of every handle product: over the sr variables, each
+    cut at sr-order hi."""
+    return partial(sewing.clip, base=tuple(half_powers), names=half_powers,
+                   hi=hi)
 
 
 # -- the kernel seed and its derivatives -----------------------------------
@@ -330,58 +303,23 @@ def psi0(p: int, f_choice, window) -> MultiSeries:
 # -- the moment matrix and its Neumann inverse ------------------------------
 
 
-@dataclass
-class HandleMatrix:
-    """A truncated matrix indexed by (handle, order) pairs, the handle
-    running over the full signed index set and the order below the
-    cutoff; absent entries are zero."""
-
-    data: SchottkyData
-    entries: dict
-
-    def entry(self, a: int, m: int, b: int, n: int) -> MultiSeries:
-        e = self.entries.get(((a, m), (b, n)))
-        return e if e is not None else MultiSeries.constant(0)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.entries.values())
-
-
 def handle_indices(data: SchottkyData) -> tuple:
     return tuple((a, m) for a in data.index_set
                  for m in range(data.matrix_cutoff))
 
 
-def handle_identity(data: SchottkyData) -> HandleMatrix:
-    one = MultiSeries.constant(1)
-    return HandleMatrix(data, {(i, i): one for i in handle_indices(data)})
+def _matrix_half_powers(M: SeriesMatrix) -> dict:
+    """The half-power variables of a handle matrix: its index set runs
+    over every handle."""
+    return _half_powers(max(a for a, _ in M.indices))
 
 
-def handle_add(A: HandleMatrix, B: HandleMatrix) -> HandleMatrix:
-    entries = dict(A.entries)
-    for key, e in B.entries.items():
-        entries[key] = entries[key] + e if key in entries else e
-    return HandleMatrix(A.data, entries)
-
-
-def handle_mul(A: HandleMatrix, B: HandleMatrix, hi: int) -> HandleMatrix:
+def handle_mul(A: SeriesMatrix, B: SeriesMatrix, hi: int) -> SeriesMatrix:
     """Matrix product with every entry clipped to sr-order hi."""
-    data = A.data
-    by_row = {}
-    for (i, k), e in B.entries.items():
-        by_row.setdefault(i, []).append((k, e))
-    entries = {}
-    for (i, k), ea in A.entries.items():
-        for j, eb in by_row.get(k, ()):
-            prod = _clip_sr(ea * eb, data, hi)
-            if prod.is_zero():
-                continue
-            key = (i, j)
-            entries[key] = entries[key] + prod if key in entries else prod
-    return HandleMatrix(data, entries)
+    return sewing.mul(A, B, _clip(_matrix_half_powers(A), hi))
 
 
-def schottky_R(p: int, data: SchottkyData) -> HandleMatrix:
+def schottky_R(p: int, data: SchottkyData) -> SeriesMatrix:
     """The moment matrix: derivative values of the kernel seed between
     paired handle points, weighted by half-integer amplitude powers.
     The pair b = -a keeps only the f-part of the seed, the pole there
@@ -406,13 +344,13 @@ def schottky_R(p: int, data: SchottkyData) -> HandleMatrix:
                             ms = ms.shift(data.sr_var(b), n)
                     if not ms.is_zero():
                         entries[((a, m), (b, n))] = ms
-    return HandleMatrix(data, entries)
+    return SeriesMatrix(handle_indices(data), entries)
 
 
-def schottky_delta(p: int, data: SchottkyData) -> HandleMatrix:
+def schottky_delta(p: int, data: SchottkyData) -> SeriesMatrix:
     """The half-order pairing: delta_{m, n + 2p - 1} on each handle."""
     one = MultiSeries.constant(1)
-    return HandleMatrix(data, {
+    return SeriesMatrix(handle_indices(data), {
         ((a, m), (a, n)): one
         for a in data.index_set
         for m in range(data.matrix_cutoff)
@@ -420,38 +358,20 @@ def schottky_delta(p: int, data: SchottkyData) -> HandleMatrix:
         if m == n + 2 * p - 1})
 
 
-def shifted_columns(R: HandleMatrix, p: int) -> HandleMatrix:
+def shifted_columns(R: SeriesMatrix, p: int) -> SeriesMatrix:
     """R composed with the pairing: column n reads entry n + 2p - 1."""
     entries = {}
     for ((a, m), (b, n)), e in R.entries.items():
         if n - (2 * p - 1) >= 0:
             entries[((a, m), (b, n - (2 * p - 1)))] = e
-    return HandleMatrix(R.data, entries)
+    return SeriesMatrix(R.indices, entries)
 
 
-def neumann_inverse(M: HandleMatrix, hi: int) -> HandleMatrix:
-    """(1 - M)^-1 as the terminating geometric sum over powers of M.
-
-    Every entry of M must carry a strictly positive amplitude order,
-    otherwise the series would not terminate inside the window.
-    """
-    for key, e in M.entries.items():
-        if e.is_zero():
-            continue
-        degrees = [sum(k[i] for i, v in enumerate(e.vars) if v.startswith("sr"))
-                   for k in e.c]
-        if not degrees or min(degrees) < 1:
-            raise ValueError(
-                f"matrix entry {key} carries no amplitude power; the "
-                "Neumann series would not terminate")
-    out = handle_identity(M.data)
-    power = handle_identity(M.data)
-    for _ in range(hi + 1):
-        power = handle_mul(M, power, hi)
-        if power.is_zero():
-            break
-        out = handle_add(out, power)
-    return out
+def neumann_inverse(M: SeriesMatrix, hi: int) -> SeriesMatrix:
+    """(1 - M)^-1, terminating because every entry of M carries a
+    strictly positive amplitude order."""
+    return sewing.neumann_inverse(M, _matrix_half_powers(M), hi,
+                                  lambda A, B: handle_mul(A, B, hi))
 
 
 # -- rows, columns, and the assembled kernels -------------------------------
@@ -491,29 +411,6 @@ def q_column(p: int, data: SchottkyData, y, j: int = 0) -> dict:
             if not ms.is_zero():
                 col[(a, m)] = ms
     return col
-
-
-def _row_times_matrix(row: dict, M: HandleMatrix, hi: int) -> dict:
-    data = M.data
-    out = {}
-    for i, e in row.items():
-        for ((i2, j), em) in M.entries.items():
-            if i2 != i:
-                continue
-            prod = _clip_sr(e * em, data, hi)
-            if prod.is_zero():
-                continue
-            out[j] = out[j] + prod if j in out else prod
-    return out
-
-
-def _row_dot_column(row: dict, col: dict, data: SchottkyData,
-                    hi: int) -> MultiSeries:
-    total = MultiSeries.constant(0).extended_to(data.sr_vars)
-    for i, e in row.items():
-        if i in col:
-            total = total + _clip_sr(e * col[i], data, hi)
-    return total
 
 
 def _p_row_formal(p: int, data: SchottkyData, x_lo: int, tilde=False) -> dict:
@@ -567,7 +464,7 @@ class SchottkyKernel:
 
     p_weight: int
     psi0: MultiSeries
-    R: HandleMatrix
+    R: SeriesMatrix
     p_vec: dict
     q_vec: dict
     psi: MultiSeries
@@ -587,18 +484,16 @@ def build_kernel(p: int, data: SchottkyData, x_lo: int = -6,
     if len(data.f_choice) > 2 * p - 1:
         raise ValueError("f_choice may have at most 2p - 1 components")
     hi = 2 * data.rho_order
+    clip = _clip(data.half_powers, hi)
     seed = psi0(p, data.f_choice, {"x": (x_lo, None), "y": (0, y_hi)})
     R = schottky_R(p, data)
     neumann = neumann_inverse(shifted_columns(R, p), hi)
-    row = _row_times_matrix(_p_row_formal(p, data, x_lo, tilde=True),
-                            neumann, hi)
+    row = row_times_matrix(_p_row_formal(p, data, x_lo, tilde=True),
+                           neumann, clip)
     qcol = _q_column_formal(p, data, y_hi)
-    psi = seed.extended_to(("x", "y") + data.sr_vars)
-    for i, e in row.items():
-        if i in qcol:
-            psi = psi + _clip_sr(e * qcol[i], data, hi)
-    psi = _clip_sr(psi, data, hi)
-    require_integer_rho(psi)
+    psi = clip(row_dot_column(row, qcol, clip,
+                              seed.extended_to(("x", "y") + data.sr_vars)))
+    require_integer(psi, data.half_powers)
     return SchottkyKernel(p, seed, R, _p_row_formal(p, data, x_lo), qcol,
                           psi, form=f"dx^{p} dy^{1 - p}")
 
@@ -617,12 +512,13 @@ def psi_deriv_value(p: int, data: SchottkyData, j: int, x, y) -> MultiSeries:
     if data.matrix_cutoff < 2 * p - 1:
         raise ValueError("matrix_cutoff too small for this kernel degree")
     hi = 2 * data.rho_order
+    clip = _clip(data.half_powers, hi)
     neumann = neumann_inverse(shifted_columns(schottky_R(p, data), p), hi)
-    row = _row_times_matrix(p_row(p, data, x, tilde=True), neumann, hi)
+    row = row_times_matrix(p_row(p, data, x, tilde=True), neumann, clip)
     out = MultiSeries.constant(_psi0_deriv(p, data, 0, j, x, y))
     out = out.extended_to(data.sr_vars) + \
-        _row_dot_column(row, q_column(p, data, y, j), data, hi)
-    return require_integer_rho(_clip_sr(out, data, hi))
+        row_dot_column(row, q_column(p, data, y, j), clip)
+    return require_integer(clip(out), data.half_powers)
 
 
 # -- the theta vector -------------------------------------------------------
@@ -637,16 +533,18 @@ class FormVector:
     form: str
 
 
-def _chi_row(p: int, data: SchottkyData, x, hi: int) -> dict:
-    """The row p(x) + ptilde(x) (1 - R Delta)^-1 R, before the
-    amplitude division that defines chi."""
+def _dressed_rows(p: int, data: SchottkyData, x, hi: int) -> tuple:
+    """The rows ptilde(x) (1 - R Delta)^-1 and p(x) + ptilde(x)
+    (1 - R Delta)^-1 R, the second before the amplitude division that
+    defines chi."""
+    clip = _clip(data.half_powers, hi)
     R = schottky_R(p, data)
     neumann = neumann_inverse(shifted_columns(R, p), hi)
-    row = _row_times_matrix(p_row(p, data, x, tilde=True), neumann, hi)
+    row = row_times_matrix(p_row(p, data, x, tilde=True), neumann, clip)
     out = dict(p_row(p, data, x))
-    for j, e in _row_times_matrix(row, R, hi).items():
+    for j, e in row_times_matrix(row, R, clip).items():
         out[j] = out[j] + e if j in out else e
-    return out
+    return row, out
 
 
 def chi(p: int, data: SchottkyData, a: int, ell: int, x) -> MultiSeries:
@@ -658,7 +556,7 @@ def chi(p: int, data: SchottkyData, a: int, ell: int, x) -> MultiSeries:
     if data.matrix_cutoff < 2 * p - 1:
         raise ValueError("matrix_cutoff too small for this kernel degree")
     hi = 2 * data.rho_order
-    entry = _chi_row(p, data, x, hi).get((a, ell))
+    entry = _dressed_rows(p, data, x, hi)[1].get((a, ell))
     if entry is None:
         return MultiSeries.constant(0).extended_to(data.sr_vars)
     var = data.sr_var(a)
@@ -760,7 +658,7 @@ def genus_g_npoint(insertions, data: SchottkyData,
         raise ValueError("insertion points must be pairwise distinct")
     caps = {a: cap for a in range(1, data.genus + 1)}
     value = _handle_sum(data, ins, caps)
-    return SchottkyFn(ins, require_integer_rho(value), data)
+    return SchottkyFn(ins, require_integer(value, data.half_powers), data)
 
 
 def genus_g_partition(data: SchottkyData,
@@ -803,15 +701,9 @@ def genus_g_reduce(direction, F: SchottkyFn, data: SchottkyData) -> SchottkyFn:
 
     order = data.rho_order
     hi = 2 * order
-    hi_work = hi + max(0, p - 2)
+    clip = _clip(data.half_powers, hi)
     total = MultiSeries.constant(0).extended_to(data.sr_vars)
-
-    R = schottky_R(p, data)
-    neumann = neumann_inverse(shifted_columns(R, p), hi_work)
-    ptrow = _row_times_matrix(p_row(p, data, y, tilde=True), neumann, hi_work)
-    vrow = dict(p_row(p, data, y))
-    for idx, e in _row_times_matrix(ptrow, R, hi_work).items():
-        vrow[idx] = vrow[idx] + e if idx in vrow else e
+    ptrow, vrow = _dressed_rows(p, data, y, hi + max(0, p - 2))
 
     for a in range(1, data.genus + 1):
         var = data.sr_var(a)
@@ -843,13 +735,13 @@ def genus_g_reduce(direction, F: SchottkyFn, data: SchottkyData) -> SchottkyFn:
                 continue
             if (yk, j) not in kernels:
                 kern = MultiSeries.constant(_psi0_deriv(p, data, 0, j, y, yk))
-                kern = kern.extended_to(data.sr_vars) + _row_dot_column(
-                    ptrow, q_column(p, data, yk, j), data, hi)
-                kernels[(yk, j)] = _clip_sr(kern, data, hi)
+                kern = kern.extended_to(data.sr_vars) + row_dot_column(
+                    ptrow, q_column(p, data, yk, j), clip)
+                kernels[(yk, j)] = clip(kern)
             modified = list(F.insertions)
             modified[k] = (uv, yk)
             inner = _handle_sum(data, modified, caps)
-            total = total + _clip_sr(kernels[(yk, j)] * inner, data, hi)
+            total = total + clip(kernels[(yk, j)] * inner)
 
-    value = require_integer_rho(_clip_sr(total, data, hi))
+    value = require_integer(clip(total), data.half_powers)
     return SchottkyFn(((u, y),) + F.insertions, value, data)

@@ -509,8 +509,8 @@ class MultiSeries:
     def agrees_with(self, other: "MultiSeries") -> bool:
         """Coefficientwise equality on the intersection of the windows."""
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self.extended_to(allvars)
-        b = other.extended_to(allvars)
+        a = self if self.vars == allvars else self.extended_to(allvars)
+        b = other if other.vars == allvars else other.extended_to(allvars)
 
         def inside(key, window):
             for v, e in zip(allvars, key):
@@ -540,8 +540,8 @@ class MultiSeries:
         if isinstance(other, (int, Fraction)):
             other = MultiSeries.constant(other)
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self.extended_to(allvars)
-        b = other.extended_to(allvars)
+        a = self if self.vars == allvars else self.extended_to(allvars)
+        b = other if other.vars == allvars else other.extended_to(allvars)
         window = {}
         for v in allvars:
             window[v] = (min(a.window[v][0], b.window[v][0]),
@@ -582,8 +582,8 @@ class MultiSeries:
                 out.c = {k: v * s for k, v in self.c.items()}
             return out
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self.extended_to(allvars)
-        b = other.extended_to(allvars)
+        a = self if self.vars == allvars else self.extended_to(allvars)
+        b = other if other.vars == allvars else other.extended_to(allvars)
         window = {}
         for v in allvars:
             (la, ha), (lb, hb) = a.window[v], b.window[v]

@@ -1,0 +1,184 @@
+"""The sewing-matrix layer shared by genus two and Schottky genus g.
+
+Both sewn surfaces reach their reduction kernels as row . (1 - M)^-1 .
+column, with M a moment matrix (Lambda_a at genus two, R for Schottky
+handles) truncated at a matrix cutoff.  Matrices are sparse: a flat
+``{(row, col): MultiSeries}`` dict over an ordered index set of opaque
+hashables (``int`` at genus two, ``(handle, order)`` for Schottky); an
+absent entry is zero.
+
+The entries carry half-integer powers of the sewing parameters, so each
+parameter is tracked through its square root, named by a mapping to the
+parameter: ``{"se": "eps"}`` (se^2 = eps), ``{"sr1": "rho1", ...}``
+(sr_a^2 = rho_a).  Every product is clipped by a one-argument callable
+the module supplies, built on ``clip``.  Intermediate rows and matrices
+may carry odd half-powers; exported quantities must land on nonnegative
+integer powers of the parameters and are renamed to them.
+"""
+
+from dataclasses import dataclass
+
+from .series import MultiSeries
+
+
+@dataclass
+class SeriesMatrix:
+    """A truncated matrix of series over an ordered index set; absent
+    entries are zero."""
+
+    indices: tuple
+    entries: dict
+
+    def entry(self, i, j) -> MultiSeries:
+        e = self.entries.get((i, j))
+        return e if e is not None else MultiSeries.constant(0)
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for v in self.entries.values())
+
+
+def _rows(M: SeriesMatrix) -> dict:
+    """row -> [(col, entry)], so a product reads each row once."""
+    rows = {}
+    for (i, j), e in M.entries.items():
+        rows.setdefault(i, []).append((j, e))
+    return rows
+
+
+def _same_indices(A: SeriesMatrix, B: SeriesMatrix):
+    if A.indices != B.indices:
+        raise ValueError("index set mismatch")
+
+
+def identity(indices) -> SeriesMatrix:
+    one = MultiSeries.constant(1)
+    indices = tuple(indices)
+    return SeriesMatrix(indices, {(i, i): one for i in indices})
+
+
+def add(A: SeriesMatrix, B: SeriesMatrix) -> SeriesMatrix:
+    _same_indices(A, B)
+    entries = dict(A.entries)
+    for key, e in B.entries.items():
+        entries[key] = entries[key] + e if key in entries else e
+    return SeriesMatrix(A.indices, entries)
+
+
+def mul(A: SeriesMatrix, B: SeriesMatrix, clip) -> SeriesMatrix:
+    """A B with every term clipped."""
+    _same_indices(A, B)
+    rows = _rows(B)
+    entries = {}
+    for (i, k), ea in A.entries.items():
+        for j, eb in rows.get(k, ()):
+            prod = clip(ea * eb)
+            if prod.is_zero():
+                continue
+            key = (i, j)
+            entries[key] = entries[key] + prod if key in entries else prod
+    return SeriesMatrix(A.indices, entries)
+
+
+def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
+                    product) -> SeriesMatrix:
+    """(1 - M)^-1 as the terminating geometric sum of the powers M^k.
+
+    Every term of every entry of M must have positive total order in
+    the half-power variables ``names``, otherwise the series would not
+    terminate inside the window.  ``product(A, B)`` is the module's
+    product, clipping each of those variables at ``order``; powers are
+    formed as M . M^k, so M^k has total order k or more and vanishes
+    once k exceeds len(names) * order.
+    """
+    for key, e in M.entries.items():
+        half = [i for i, v in enumerate(e.vars) if v in names]
+        for exps, c in e.c.items():
+            if c and sum(exps[i] for i in half) < 1:
+                raise ValueError(
+                    f"matrix entry {key} has a term free of the half-power "
+                    "variables; the Neumann series would not terminate")
+    out = power = identity(M.indices)
+    for _ in range(len(names) * order + 1):
+        power = product(M, power)
+        if power.is_zero():
+            break
+        out = add(out, power)
+    return out
+
+
+def row_times_matrix(row: dict, M: SeriesMatrix, clip) -> dict:
+    """The row vector ``row`` (index -> series) times M, clipped."""
+    rows = _rows(M)
+    out = {}
+    for i, r in row.items():
+        for j, e in rows.get(i, ()):
+            prod = clip(r * e)
+            if prod.is_zero():
+                continue
+            out[j] = out[j] + prod if j in out else prod
+    return out
+
+
+def row_dot_column(row: dict, col: dict, clip, total=None) -> MultiSeries:
+    """``total`` (zero if not given) plus the clipped products of the
+    matching row and column entries, added on in row order."""
+    if total is None:
+        total = MultiSeries.constant(0)
+    for i, r in row.items():
+        c = col.get(i)
+        if c is not None:
+            total = total + clip(r * c)
+    return total
+
+
+def clip(ms: MultiSeries, base, names: dict, hi) -> MultiSeries:
+    """ms over the variables ``base``, each half-power variable of
+    ``names`` cut to [its own lo, hi]; ``hi`` None cuts nothing."""
+    out = ms.extended_to(base)
+    for v in names:
+        out = out.clip(v, out.window[v][0], hi)
+    return out
+
+
+def require_integer(ms: MultiSeries, names: dict) -> MultiSeries:
+    """Exported data must carry every sewing parameter to nonnegative
+    integer powers only: even, nonnegative half-power exponents."""
+    for i, v in enumerate(ms.vars):
+        if v not in names:
+            continue
+        for key, c in ms.c.items():
+            if not c:
+                continue
+            if key[i] % 2:
+                raise AssertionError(
+                    f"half-integer {names[v]} power {v}^{key[i]} survived "
+                    "to an exported quantity")
+            if key[i] < 0:
+                raise AssertionError(
+                    f"negative {names[v]} power {v}^{key[i]} survived to "
+                    "an exported quantity")
+    return ms
+
+
+def renamed(ms: MultiSeries, names: dict) -> MultiSeries:
+    """Rewrite an exported half-power series over the parameters:
+    each variable of ``names`` becomes its parameter, with exponents
+    and windows halved."""
+    require_integer(ms, names)
+    ms = ms.extended_to(tuple(names))
+    variables = tuple(names.get(v, v) for v in ms.vars)
+    window = {}
+    for v in ms.vars:
+        lo, hi = ms.window[v]
+        if v in names:
+            window[names[v]] = (max(0, lo) // 2,
+                                None if hi is None else hi // 2)
+        else:
+            window[v] = (lo, hi)
+    order = sorted(range(len(variables)), key=lambda i: variables[i])
+    out = MultiSeries(variables, window)
+    for key, c in ms.c.items():
+        if c:
+            out.c[tuple(key[i] // 2 if ms.vars[i] in names else key[i]
+                        for i in order)] = c
+    return out

@@ -33,10 +33,11 @@ from voasurf.reduction import (Insertion, ReductionDirection,
                                genus1_direct, genus1_partition,
                                unwind_to_partition)
 from voasurf.schottky import (SchottkyData, build_kernel, genus_g_npoint,
-                              genus_g_reduce, handle_add, handle_identity,
-                              handle_mul, schottky_R, shifted_columns)
+                              genus_g_reduce, handle_indices, handle_mul,
+                              schottky_R, shifted_columns)
 from voasurf.schottky import neumann_inverse as handle_neumann
 from voasurf.series import MultiSeries, binomial_expand
+from voasurf.sewing import add as handle_add, identity
 from voasurf.voa import (GradedVector, basis, bilinear_form,
                          conformal_vector, generator, jacobi_check, vacuum,
                          vertex_mode, weight)
@@ -340,12 +341,13 @@ def test_7_schottky_layer():
         hi = 2 * data.rho_order
         M = shifted_columns(schottky_R(p, data), p)
         neu = handle_neumann(M, hi)
-        minus = type(M)(data, {k: v * F(-1) for k, v in M.entries.items()})
-        prod = handle_mul(handle_add(handle_identity(data), minus), neu, hi)
-        ident = handle_identity(data)
+        minus = type(M)(M.indices,
+                        {k: v * F(-1) for k, v in M.entries.items()})
+        prod = handle_mul(handle_add(identity(handle_indices(data)), minus),
+                          neu, hi)
+        ident = identity(handle_indices(data))
         for key in set(prod.entries) | set(ident.entries):
-            assert prod.entry(*key[0], *key[1]).agrees_with(
-                ident.entry(*key[0], *key[1]))
+            assert prod.entry(*key).agrees_with(ident.entry(*key))
 
     for p, data in ((1, D1), (2, D2)):
         kern = build_kernel(p, data, x_lo=-5, y_hi=3)

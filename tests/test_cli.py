@@ -17,9 +17,13 @@ from voasurf import cli
 from voasurf.cli import (GOLDEN_CASES, RunConfig, build_parser,
                          capture_output, golden_name, parse_and_dispatch)
 from voasurf.elliptic import eisenstein
+from voasurf.genus2 import HALF_POWERS
+from voasurf.schottky import SchottkyData
 from voasurf.series import MultiSeries
+from voasurf.sewing import renamed
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+SCHOTTKY_HALF_POWERS = SchottkyData(1, (3, 1), 1, 2).half_powers
 
 
 def run(argv, capsys):
@@ -183,19 +187,25 @@ class TestSerialization:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["k"] == 2
 
-    def test_eps_renaming_halves_exponents(self):
-        raw = MultiSeries(("q1", "se"), {"q1": (0, 2), "se": (0, 4)})
+    @pytest.mark.parametrize("half,names,variables", [
+        ("se", HALF_POWERS, ("eps", "q1")),
+        ("sr1", SCHOTTKY_HALF_POWERS, ("q1", "rho1"))], ids=["eps", "rho"])
+    def test_eps_renaming_halves_exponents(self, half, names, variables):
+        raw = MultiSeries(("q1", half), {"q1": (0, 2), half: (0, 4)})
         raw.c[(1, 2)] = Fraction(5)
-        out = cli._eps_series(raw)
-        assert out.vars == ("eps", "q1")
-        assert out.window["eps"] == (0, 2)
+        out = renamed(raw, names)
+        assert out.vars == variables
+        assert out.window[names[half]] == (0, 2)
         assert out.c[(1, 1)] == Fraction(5)
 
-    def test_eps_renaming_rejects_odd_powers(self):
-        raw = MultiSeries(("se",), {"se": (0, 3)})
+    @pytest.mark.parametrize("half,names", [
+        ("se", HALF_POWERS), ("sr1", SCHOTTKY_HALF_POWERS)],
+        ids=["eps", "rho"])
+    def test_eps_renaming_rejects_odd_powers(self, half, names):
+        raw = MultiSeries((half,), {half: (0, 3)})
         raw.c[(1,)] = Fraction(1)
         with pytest.raises(AssertionError):
-            cli._eps_series(raw)
+            renamed(raw, names)
 
 
 class TestCommandContent:

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voasurf.genus2 import HALF_POWERS
 from voasurf.series import MultiSeries
 from voasurf.voa import (
     GradedVector,
@@ -32,7 +33,6 @@ from voasurf.voa import (
 )
 from voasurf.schottky import (
     FormVector,
-    HandleMatrix,
     SchottkyData,
     SchottkyFn,
     SchottkyKernel,
@@ -42,8 +42,6 @@ from voasurf.schottky import (
     genus_g_npoint,
     genus_g_partition,
     genus_g_reduce,
-    handle_add,
-    handle_identity,
     handle_indices,
     handle_mul,
     neumann_inverse,
@@ -52,12 +50,17 @@ from voasurf.schottky import (
     psi_deriv_value,
     psi_full,
     q_column,
-    require_integer_rho,
-    rho_series,
     schottky_R,
     schottky_delta,
     shifted_columns,
     theta,
+)
+from voasurf.sewing import (
+    SeriesMatrix,
+    add as handle_add,
+    identity,
+    renamed,
+    require_integer,
 )
 
 F = Fraction
@@ -189,6 +192,7 @@ class TestKernelSeed:
 DATA1 = SchottkyData(1, (3, 1), 2, 4)
 DATA1F = SchottkyData(1, (3, 1), 2, 4, f_choice=({0: F(1, 2)},))
 DATA2 = SchottkyData(2, (3, 1, -2, 6), 2, 4)
+DATA3 = SchottkyData(3, (3, 1, -2, 6, 10, -7), 2, 4)
 
 
 class TestMomentMatrix:
@@ -210,20 +214,20 @@ class TestMomentMatrix:
         # ((a,m),(b,n)) entry for b != -a is
         # (-1)^p (-1)^m C(m+n, m) (w_{-a} - w_b)^(-1-m-n) sr_a^(m+1) sr_b^n
         R = schottky_R(1, DATA1)
-        e = R.entry(1, 0, 1, 0)
+        e = R.entry((1, 0), (1, 0))
         assert e.coefficient({"sr1": 1}) == -(F(3) - F(1)) ** -1
-        e = R.entry(1, 1, 1, 2)
+        e = R.entry((1, 1), (1, 2))
         assert e.coefficient({"sr1": 4}) == -(-1) * 3 * (F(3) - F(1)) ** -4
-        e = R.entry(-1, 0, -1, 1)
+        e = R.entry((-1, 0), (-1, 1))
         assert e.coefficient({"sr1": 2}) == -(F(1) - F(3)) ** -2
 
     def test_constant_f_diagonal(self):
         # f_0 = c: the f-only coefficient is c at m = n = 0 and nothing else
         R = schottky_R(1, DATA1F)
-        e = R.entry(1, 0, -1, 0)
+        e = R.entry((1, 0), (-1, 0))
         assert e.coefficient({"sr1": 1}) == -F(1, 2)
-        assert R.entry(1, 1, -1, 0).is_zero()
-        assert R.entry(1, 0, -1, 1).is_zero()
+        assert R.entry((1, 1), (-1, 0)).is_zero()
+        assert R.entry((1, 0), (-1, 1)).is_zero()
 
     def test_shifted_columns_is_delta_composition(self):
         for p, data in ((1, DATA1F), (2, DATA2)):
@@ -232,12 +236,11 @@ class TestMomentMatrix:
             direct = shifted_columns(R, p)
             keys = set(via_mul.entries) | set(direct.entries)
             for k in keys:
-                assert via_mul.entry(*k[0], *k[1]).agrees_with(
-                    direct.entry(*k[0], *k[1]))
+                assert via_mul.entry(*k).agrees_with(direct.entry(*k))
 
     def test_cross_handle_entries_carry_both_amplitudes(self):
         R = schottky_R(1, DATA2)
-        e = R.entry(1, 0, 2, 1)
+        e = R.entry((1, 0), (2, 1))
         assert sorted(e.c) == [(1, 1)]  # sr1^1 sr2^1
 
 
@@ -246,7 +249,7 @@ class TestMomentMatrix:
 
 def dense(M, data):
     idx = handle_indices(data)
-    return [[M.entry(*i, *j) for j in idx] for i in idx]
+    return [[M.entry(i, j) for j in idx] for i in idx]
 
 
 def genus0_seed_value(p, data, x, y):
@@ -257,8 +260,8 @@ def genus0_seed_value(p, data, x, y):
 
 def dense_geometric_sum(p, data, hi):
     M = dense(shifted_columns(schottky_R(p, data), p), data)
-    acc = dense(handle_identity(data), data)
-    power = dense(handle_identity(data), data)
+    acc = dense(identity(handle_indices(data)), data)
+    power = dense(identity(handle_indices(data)), data)
     for _ in range(hi + 1):
         power = dense_mul(M, power, data, hi)
         for i in range(len(M)):
@@ -287,9 +290,9 @@ def dense_mul(X, Y, data, hi):
 
 class TestNeumann:
     def test_zero_matrix_inverts_to_identity(self):
-        M = HandleMatrix(DATA1, {})
+        M = SeriesMatrix(handle_indices(DATA1), {})
         neu = neumann_inverse(M, 4)
-        ident = handle_identity(DATA1)
+        ident = identity(handle_indices(DATA1))
         assert set(neu.entries) == set(ident.entries)
         assert all(v.agrees_with(MultiSeries.constant(1))
                    for v in neu.entries.values())
@@ -302,23 +305,26 @@ class TestNeumann:
         acc = dense_geometric_sum(p, data, hi)
         for i, ki in enumerate(idx):
             for j, kj in enumerate(idx):
-                assert neu.entry(*ki, *kj).agrees_with(acc[i][j])
+                assert neu.entry(ki, kj).agrees_with(acc[i][j])
 
-    @pytest.mark.parametrize("p,data", [(1, DATA1), (1, DATA1F), (2, DATA2)])
+    # at genus 3 the powers M^k reach past k = 2 rho_order + 1
+    @pytest.mark.parametrize("p,data", [(1, DATA1), (1, DATA1F), (2, DATA2),
+                                        (1, DATA3)])
     def test_inverse_identity_is_exact(self, p, data):
         hi = 2 * data.rho_order
         M = shifted_columns(schottky_R(p, data), p)
         neu = neumann_inverse(M, hi)
-        minus = HandleMatrix(data, {k: v * F(-1) for k, v in M.entries.items()})
-        prod = handle_mul(handle_add(handle_identity(data), minus), neu, hi)
-        ident = handle_identity(data)
+        minus = SeriesMatrix(handle_indices(data),
+                             {k: v * F(-1) for k, v in M.entries.items()})
+        prod = handle_mul(handle_add(identity(handle_indices(data)), minus),
+                          neu, hi)
+        ident = identity(handle_indices(data))
         for key in set(prod.entries) | set(ident.entries):
-            assert prod.entry(*key[0], *key[1]).agrees_with(
-                ident.entry(*key[0], *key[1]))
+            assert prod.entry(*key).agrees_with(ident.entry(*key))
 
     def test_rejects_amplitude_free_entries(self):
         with pytest.raises(ValueError):
-            neumann_inverse(handle_identity(DATA1), 4)
+            neumann_inverse(identity(handle_indices(DATA1)), 4)
 
 
 # -- dressed kernels ---------------------------------------------------------
@@ -483,19 +489,21 @@ class TestHandleSums:
 
     def test_integer_rho_on_exports(self):
         Z = genus_g_npoint([(A, F(7)), (A, F(5))], DATA2).value
-        require_integer_rho(Z)
-        r = rho_series(Z, DATA2)
+        require_integer(Z, DATA2.half_powers)
+        r = renamed(Z, DATA2.half_powers)
         assert set(r.vars) == {"rho1", "rho2"}
         assert r.coefficient({"rho1": 1, "rho2": 0}) == \
             Z.coefficient({"sr1": 2, "sr2": 0})
 
-    def test_require_integer_rho_failures(self):
-        odd = MultiSeries.monomial({"sr1": 1}, 1)
+    @pytest.mark.parametrize("half,names", [
+        ("se", HALF_POWERS), ("sr1", DATA1.half_powers)], ids=["eps", "rho"])
+    def test_require_integer_rho_failures(self, half, names):
+        odd = MultiSeries.monomial({half: 1}, 1)
         with pytest.raises(AssertionError):
-            require_integer_rho(odd)
-        neg = MultiSeries.monomial({"sr1": -2}, 1)
+            require_integer(odd, names)
+        neg = MultiSeries.monomial({half: -2}, 1)
         with pytest.raises(AssertionError):
-            require_integer_rho(neg)
+            require_integer(neg, names)
 
 
 # -- the reduction step ------------------------------------------------------
