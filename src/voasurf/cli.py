@@ -45,7 +45,7 @@ from .reduction import (Insertion, ReductionDirection, cocycle_residual,
                         genus0_direct, genus0_partition, genus1_direct,
                         genus1_partition, unwind_to_partition)
 from .schottky import SchottkyData, genus_g_partition, psi_full
-from .series import TruncatedSeries
+from .series import MultiSeries
 from .sewing import renamed
 from .voa import GradedVector, basis, parse_state, render_state, vacuum
 
@@ -364,47 +364,18 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
 # -- serialization ---------------------------------------------------------
 
 
-def _series_payload(s, approx: bool) -> dict:
-    """JSON shape shared by TruncatedSeries and MultiSeries."""
-    if isinstance(s, TruncatedSeries):
-        variables = (s.var,)
-        window = {s.var: (s.lo, s.hi)}
-        items = {(e,): c for e, c in s.c.items()}
-    else:
-        variables = s.vars
-        window = s.window
-        items = s.c
+def _series_payload(s: MultiSeries, approx: bool) -> dict:
+    """The JSON shape of a series: variables, windows and the nonzero
+    terms in exponent order."""
     terms = []
-    for key in sorted(k for k, c in items.items() if c):
-        entry = {"exponents": list(key), "value": str(items[key])}
+    for key in sorted(k for k, c in s.c.items() if c):
+        entry = {"exponents": list(key), "value": str(s.c[key])}
         if approx:
-            entry["approx"] = float(items[key])
+            entry["approx"] = float(s.c[key])
         terms.append(entry)
-    return {"variables": list(variables),
-            "window": {v: [window[v][0], window[v][1]] for v in variables},
+    return {"variables": list(s.vars),
+            "window": {v: [s.window[v][0], s.window[v][1]] for v in s.vars},
             "terms": terms}
-
-
-def _pretty(ts: TruncatedSeries) -> str:
-    parts = []
-    for e in sorted(ts.c):
-        c = ts.c[e]
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            power = ts.var if e == 1 else f"{ts.var}^{e}"
-            body = power if mag == 1 else f"{mag}{power}"
-        parts.append((c < 0, body))
-    if not parts:
-        return "0"
-    neg, body = parts[0]
-    text = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        text += (" - " if neg else " + ") + body
-    return text
 
 
 def _render_insertion(ins: Insertion) -> str:
@@ -469,7 +440,7 @@ def _run_eisenstein(cfg: RunConfig):
     order = cfg.orders["order"]
     ts = eisenstein(k, order)
     return {"command": "elliptic eisenstein", "k": k, "order": order,
-            "pretty": _pretty(ts),
+            "pretty": ts.pretty(sep=""),
             "series": _series_payload(ts, cfg.approx)}, 0
 
 

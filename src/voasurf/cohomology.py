@@ -24,12 +24,12 @@ cluster construction uses) or stacked (simultaneous conditions, one
 block row per direction).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import kernel_basis, rank, row_echelon
+from .linalg import kernel_basis, rank
 from .reduction import (
     CorrelationFn,
     Insertion,
@@ -42,7 +42,7 @@ from .reduction import (
     genus1_reduce,
     point_var,
 )
-from .voa import GradedVector, basis, render_state, vacuum, weight
+from .voa import GradedVector, basis, render_state, vacuum
 
 DEFAULT_WINDOW = (-4, 4)
 DEFAULT_Q_ORDER = 4

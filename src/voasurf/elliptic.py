@@ -113,12 +113,12 @@ def _write_cache(path: str, coeffs) -> None:
         raise
 
 
-def eisenstein(k: int, q_order: int, qvar: str = "q") -> TruncatedSeries:
+def eisenstein(k: int, q_order: int, qvar: str = "q") -> MultiSeries:
     """E_k(q) truncated at q^q_order; identically zero for odd k."""
     if k < 2:
         raise ValueError("Eisenstein index starts at 2")
     if k % 2 == 1:
-        return TruncatedSeries.zero(qvar, 0, q_order)
+        return TruncatedSeries(qvar, 0, q_order)
     coeffs = _eis_memory.get(k)
     if coeffs is None or len(coeffs) <= q_order:
         path = _cache_path(k)
@@ -148,7 +148,7 @@ def weierstrass_p(m: int, z_order: int, q_order: int,
     coeffs[key(-1, 0)] = Fraction(1)
     for k in range(2, hi + 2):
         ek = eisenstein(k, q_order, qvar)
-        for qe, c in ek.c.items():
+        for (qe,), c in ek.c.items():
             coeffs[key(k - 1, qe)] = -c
     p1 = MultiSeries((zvar, qvar), window, coeffs)
     out = p1

@@ -96,8 +96,8 @@ def _eis(k: int, chart: int, moduli: SewingModuli) -> MultiSeries:
     out-of-range k."""
     if k < 2 or k % 2 == 1:
         return MultiSeries.constant(0).extended_to(_EVARS)
-    ts = eisenstein(k, _q_order(chart, moduli), _qvar(chart))
-    return MultiSeries.from_single(ts).extended_to(_EVARS)
+    ek = eisenstein(k, _q_order(chart, moduli), _qvar(chart))
+    return ek.extended_to(_EVARS)
 
 
 def _se_monomial(e: int, moduli: SewingModuli, coeff=1) -> MultiSeries:
@@ -285,7 +285,9 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
     component (Q Lambda_abar)(2p-2).
     Cross chart:  (-1)^(p+1) (-1)^j Q PP_{j+1}(y) plus j = 0, p = 2
     corrections.  The j > 0 cases are the y-derivatives of j = 0, which
-    is a separate test, not an assumption.
+    is a separate test, not an assumption.  Either kernel is cut at the
+    se-order of ``moduli``, so its eps window claims no more than was
+    summed.
     """
     if p not in (1, 2):
         raise ValueError("kernels are tabulated for weights p = 1 and 2")
@@ -308,10 +310,11 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
                                         clip).get(2 * p - 2)
                 if corr is not None:
                     out = out + corr * Fraction(-1)
+        out = clip(out)
         return out.extended_to(sorted(set(out.vars) | {yvar}))
     sign = Fraction((-1) ** (p + 1) * (-1) ** j)
     out = row_dot_column(Q, col, clip) * sign
-    if j == 0 and p != 1:
+    if j == 0 and p != 1 and 2 * p - 2 <= moduli.se_order:
         psign = Fraction((-1) ** (p + 1))
         out = out + _pm(2 * p - 1, a, xvar, x_order, moduli) * \
             _se_monomial(2 * p - 2, moduli, psign)
@@ -320,27 +323,27 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
             lambda_matrix(a, moduli), clip).get(2 * p - 2)
         if corr is not None:
             out = out + corr * psign
-    return out.extended_to(_EVARS + (xvar, yvar))
+    return clip(out).extended_to(_EVARS + (xvar, yvar))
 
 
 # -- sewing sums -----------------------------------------------------------
 
 
 def _onepoint_ms(v: GradedVector, chart: int, moduli: SewingModuli):
-    ts = genus1_onepoint(v, _q_order(chart, moduli))
-    return MultiSeries.from_single(ts.rename(_qvar(chart))).extended_to(_EVARS)
+    return genus1_onepoint(v, _q_order(chart, moduli),
+                           _qvar(chart)).extended_to(_EVARS)
 
 
 def _double_zero_mode_trace(v: GradedVector, u: GradedVector, chart: int,
                             moduli: SewingModuli) -> MultiSeries:
     """Tr(o(v) o(u) q^L(0)) over the Fock space, level by level."""
-    order = _q_order(chart, moduli)
-    ts = TruncatedSeries.zero("q", 0, order)
+    order, qvar = _q_order(chart, moduli), _qvar(chart)
+    ts = TruncatedSeries(qvar, 0, order)
     for vs, vc in v.t.items():
         for us, uc in u.t.items():
             word = ((vs, weight(vs) - 1), (us, weight(us) - 1))
-            ts = ts + _trace_word(word, order) * (vc * uc)
-    return MultiSeries.from_single(ts.rename(_qvar(chart))).extended_to(_EVARS)
+            ts = ts + _trace_word(word, order, qvar=qvar) * (vc * uc)
+    return ts.extended_to(_EVARS)
 
 
 def _sq_dual_pairs(r: int):

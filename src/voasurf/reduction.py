@@ -389,12 +389,14 @@ def _front_shift(word) -> int:
     return sum(weight(s) - k - 1 for s, k in word)
 
 
-def _trace_word(word, q_order: int, memo=None) -> TruncatedSeries:
-    """Tr_V(word q^{L(0)}) as a q-series: the word acts inside each
-    weight space when its total shift vanishes, so the coefficient of
-    q^m is an exact finite trace over the basis of V_m."""
-    if memo is not None and ("tr", word, q_order) in memo:
-        return memo[("tr", word, q_order)]
+def _trace_word(word, q_order: int, memo=None,
+                qvar: str = "q") -> MultiSeries:
+    """Tr_V(word q^{L(0)}) as a series in ``qvar``: the word acts inside
+    each weight space when its total shift vanishes, so the coefficient
+    of q^m is an exact finite trace over the basis of V_m."""
+    key = ("tr", word, q_order, qvar)
+    if memo is not None and key in memo:
+        return memo[key]
     coeffs = {}
     if _front_shift(word) == 0:
         for m in range(0, q_order + 1):
@@ -408,9 +410,9 @@ def _trace_word(word, q_order: int, memo=None) -> TruncatedSeries:
                 t += vec.get(b, 0)
             if t:
                 coeffs[m] = t
-    out = TruncatedSeries("q", 0, q_order, coeffs)
+    out = TruncatedSeries(qvar, 0, q_order, coeffs)
     if memo is not None:
-        memo[("tr", word, q_order)] = out
+        memo[key] = out
     return out
 
 
@@ -464,7 +466,7 @@ def genus1_direct(insertions, q_order: int, mode_window,
     qpos = all_vars.index("q")
     coeffs = {}
     for key, tr in acc.items():
-        for qe, c in tr.c.items():
+        for (qe,), c in tr.c.items():
             if c:
                 coeffs[key[:qpos] + (qe,) + key[qpos:]] = c
     window = {point_var(1, p): box[p] for p in points}
@@ -480,7 +482,7 @@ def genus1_direct(insertions, q_order: int, mode_window,
 # -- genus 1: the reduction recursion -----------------------------------
 
 
-def _geom_inv(d: int, q_order: int) -> TruncatedSeries:
+def _geom_inv(d: int, q_order: int) -> MultiSeries:
     """1/(1 - q^{-d}) as a q-series with nonnegative exponents."""
     coeffs = {}
     if d > 0:
@@ -507,7 +509,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     if key in memo:
         return memo[key]
     if not row:
-        out = MultiSeries.from_single(_trace_word(front, q_order, memo))
+        out = _trace_word(front, q_order, memo)
         memo[key] = out
         return out
 
@@ -572,7 +574,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
             if d == 0:
                 continue
             big_k = wv - 1 - d
-            geom = MultiSeries.from_single(_geom_inv(d, q_order))
+            geom = _geom_inv(d, q_order)
             for i in range(0, wv + weight(fs)):
                 c = gbinom(big_k, i)
                 if c == 0:
@@ -641,8 +643,7 @@ def genus0_partition(uprime: GradedVector, u: GradedVector,
 def genus1_partition(q_order: int, window=(-8, 8)) -> CorrelationFn:
     """Z^{(1)} = Tr q^{L(0) - c/24}: the graded dimension with -c/24
     carried as the exponent tag."""
-    tr = _trace_word((), int(q_order))
-    value = MultiSeries.from_single(tr)
+    value = _trace_word((), int(q_order))
     _, default = _normalize_window([], window)
     return CorrelationFn(
         genus=1, insertions=(), value=value, window={},
@@ -650,13 +651,14 @@ def genus1_partition(q_order: int, window=(-8, 8)) -> CorrelationFn:
         q_shift=-CENTRAL_CHARGE / 24)
 
 
-def genus1_onepoint(v: GradedVector, q_order: int) -> TruncatedSeries:
-    """Tr(o(v) q^{L(0)}) as a plain q-series (no c/24 tag); the
-    genus-2 sewing sums consume these wholesale."""
-    out = TruncatedSeries.zero("q", 0, int(q_order))
+def genus1_onepoint(v: GradedVector, q_order: int,
+                    qvar: str = "q") -> MultiSeries:
+    """Tr(o(v) q^{L(0)}) as a plain series in ``qvar`` (no c/24 tag);
+    the genus-2 sewing sums consume these wholesale."""
+    out = TruncatedSeries(qvar, 0, int(q_order))
     for s, c in v.t.items():
         word = ((s, weight(s) - 1),)
-        out = out + _trace_word(word, int(q_order)) * c
+        out = out + _trace_word(word, int(q_order), qvar=qvar) * c
     return out
 
 

@@ -1,15 +1,12 @@
 """Exact truncated Laurent series over the rationals.
 
 Everything downstream (vertex algebra modes, elliptic kernels, the
-reduction engines) is built on two containers defined here:
-
-``TruncatedSeries``
-    a Laurent series in one variable, stored sparsely as a map
-    exponent -> Fraction together with a window ``[lo, hi]``.
-
-``MultiSeries``
-    the same idea for finitely many variables at once, with one window
-    per variable and exponent tuples as keys.
+reduction engines) is built on one series type defined here:
+``MultiSeries``, a sparse Laurent series in finitely many ordered
+variables, with exponent tuples as keys and one window per variable.
+A one-variable series is a ``MultiSeries`` over that variable;
+``TruncatedSeries(var, lo, hi, coeffs)`` builds one from a map
+exponent -> rational.
 
 Window semantics.  ``lo`` is a support bound: the series is guaranteed
 to have no terms below ``lo``.  ``hi`` is a knowledge horizon: terms
@@ -55,10 +52,6 @@ def _add_hi(h, k):
     return None if h is None else h + k
 
 
-def format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def _format_terms(terms, sep=""):
     """Render ``[(monomial_str, coeff), ...]`` as `` a + b - c`` text."""
     if not terms:
@@ -71,335 +64,21 @@ def _format_terms(terms, sep=""):
         else:
             sign = "" if not parts else " + "
         if mono == "":
-            body = format_coeff(c)
+            body = str(c)
         elif c == 1:
             body = mono
         else:
-            body = format_coeff(c) + sep + mono
+            body = str(c) + sep + mono
         parts.append(sign + body)
     return "".join(parts)
-
-
-class TruncatedSeries:
-    """A sparse Laurent series in one variable with an explicit window.
-
-    Coefficients are ``Fraction``s keyed by integer exponent.  The
-    window ``[lo, hi]`` follows the semantics in the module docstring;
-    all stored keys satisfy ``lo <= e`` and, when ``hi`` is finite,
-    ``e <= hi``.
-    """
-
-    __slots__ = ("var", "lo", "hi", "c")
-
-    def __init__(self, var: str, lo: int, hi, coeffs=None):
-        if hi is not None and hi < lo - 1:
-            raise ValueError(f"empty window [{lo}, {hi}]")
-        self.var = var
-        self.lo = lo
-        self.hi = hi
-        self.c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = rat(v)
-                if v == 0:
-                    continue
-                if e < lo or (hi is not None and e > hi):
-                    raise ValueError(f"exponent {e} outside window [{lo}, {hi}]")
-                self.c[e] = v
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, var: str, lo: int = 0, hi=None) -> "TruncatedSeries":
-        return cls(var, lo, hi)
-
-    @classmethod
-    def one(cls, var: str, hi=None) -> "TruncatedSeries":
-        return cls(var, 0, hi, {0: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, var: str, exp: int, coeff=1, hi=None) -> "TruncatedSeries":
-        return cls(var, exp, hi, {exp: rat(coeff)})
-
-    @classmethod
-    def exponential(cls, var: str, scale, hi: int) -> "TruncatedSeries":
-        """exp(scale * var) truncated at order ``hi``."""
-        s = rat(scale)
-        return cls(var, 0, hi, {k: s ** k / factorial(k) for k in range(hi + 1)})
-
-    # -- inspection ---------------------------------------------------
-
-    def coefficient(self, e: int) -> Fraction:
-        """Exact coefficient of ``var**e``; raises above the horizon."""
-        if self.hi is not None and e > self.hi:
-            raise ValueError(f"exponent {e} above truncation horizon {self.hi}")
-        return self.c.get(e, Fraction(0))
-
-    def support(self):
-        return sorted(self.c)
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def valuation(self):
-        """Smallest stored exponent, or None for the (truncated) zero series."""
-        return min(self.c) if self.c else None
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.var == other.var and self.c == other.c
-        return NotImplemented
-
-    __hash__ = None
-
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Equality of coefficients on the intersection of the windows."""
-        if self.var != other.var:
-            raise ValueError("different variables")
-        lo = max(self.lo, other.lo)
-        hi = _min_hi(self.hi, other.hi)
-        es = {e for e in list(self.c) + list(other.c) if e >= lo and (hi is None or e <= hi)}
-        return all(self.c.get(e, 0) == other.c.get(e, 0) for e in es)
-
-    # -- ring operations ----------------------------------------------
-
-    def _check_var(self, other):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.monomial(self.var, 0, other)
-        self._check_var(other)
-        lo = min(self.lo, other.lo)
-        hi = _min_hi(self.hi, other.hi)
-        c = dict(self.c)
-        for e, v in other.c.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        c = {e: v for e, v in c.items() if v != 0 and (hi is None or e <= hi)}
-        return TruncatedSeries(self.var, lo, hi, c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.var, self.lo, self.hi, {e: -v for e, v in self.c.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.monomial(self.var, 0, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = rat(other)
-            if s == 0:
-                return TruncatedSeries(self.var, self.lo, self.hi)
-            return TruncatedSeries(self.var, self.lo, self.hi,
-                                   {e: v * s for e, v in self.c.items()})
-        self._check_var(other)
-        lo = self.lo + other.lo
-        hi = _min_hi(_add_hi(self.hi, other.lo), _add_hi(other.hi, self.lo))
-        c = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                if hi is not None and e > hi:
-                    continue
-                c[e] = c.get(e, Fraction(0)) + v1 * v2
-        return TruncatedSeries(self.var, lo, hi, c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncatedSeries.one(self.var, self.hi if n else None)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def inverse(self, hi=None) -> "TruncatedSeries":
-        """Multiplicative inverse.
-
-        The leading stored term c * var**m must be present and nonzero.
-        If the series is exact (``self.hi is None``) and has more than
-        one term, a finite output horizon ``hi`` must be supplied since
-        the inverse is an infinite series.
-        """
-        if not self.c:
-            raise ZeroDivisionError("inverse of zero series")
-        m = min(self.c)
-        lead = self.c[m]
-        rest = {e - m: v / lead for e, v in self.c.items() if e != m}
-        if self.hi is None:
-            if not rest:
-                return TruncatedSeries.monomial(self.var, -m, 1 / lead)
-            if hi is None:
-                raise ValueError("exact non-monomial series: give a horizon for the inverse")
-            order = hi + m
-        else:
-            # relative knowledge of the unit part is hi - m
-            order = self.hi - m if hi is None else hi + m
-            if hi is not None and hi > self.hi - 2 * m:
-                raise ValueError("requested horizon exceeds what the input determines")
-        # invert 1 + t by the geometric series, t = rest
-        out = {0: Fraction(1)}
-        t_pow = {0: Fraction(1)}
-        for _ in range(order):
-            nxt = {}
-            for e1, v1 in t_pow.items():
-                for e2, v2 in rest.items():
-                    e = e1 + e2
-                    if e > order:
-                        continue
-                    nxt[e] = nxt.get(e, Fraction(0)) - v1 * v2
-            t_pow = nxt
-            if not t_pow:
-                break
-            for e, v in t_pow.items():
-                out[e] = out.get(e, Fraction(0)) + v
-        return TruncatedSeries(self.var, -m, order - m,
-                               {e - m: v / lead for e, v in out.items()})
-
-    def derivative(self) -> "TruncatedSeries":
-        c = {e - 1: e * v for e, v in self.c.items() if e != 0}
-        return TruncatedSeries(self.var, self.lo - 1, _add_hi(self.hi, -1), c)
-
-    def truncate(self, hi) -> "TruncatedSeries":
-        """Restrict the knowledge horizon (may only shrink)."""
-        new_hi = _min_hi(self.hi, hi)
-        c = {e: v for e, v in self.c.items() if new_hi is None or e <= new_hi}
-        return TruncatedSeries(self.var, self.lo, new_hi, c)
-
-    def tighten_lo(self, lo: int) -> "TruncatedSeries":
-        """Raise the support bound after verifying the vacated region.
-
-        Sound only when the window actually covers [self.lo, lo): the
-        stored data then proves the coefficients there vanish.
-        """
-        if lo <= self.lo:
-            return self
-        if self.hi is not None and self.hi < lo - 1:
-            raise ValueError("window too short to certify the support bound")
-        if any(e < lo for e in self.c):
-            raise ValueError("nonzero coefficient below the claimed support bound")
-        return TruncatedSeries(self.var, lo, self.hi, self.c)
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by var**k."""
-        return TruncatedSeries(self.var, self.lo + k, _add_hi(self.hi, k),
-                               {e + k: v for e, v in self.c.items()})
-
-    def rename(self, var: str) -> "TruncatedSeries":
-        return TruncatedSeries(var, self.lo, self.hi, self.c)
-
-    # -- composition --------------------------------------------------
-
-    def compose(self, g: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute ``g`` for the variable of ``self``.
-
-        Requires ``g`` to have valuation >= 1 (so the substitution is
-        well defined on truncated data).  Negative powers of the outer
-        variable are handled through ``g.inverse()``.
-        """
-        if g.lo < 1 and (g.valuation() or 0) < 1:
-            raise ValueError("substitution needs a series of valuation >= 1")
-        out_hi = g.hi
-        if self.hi is not None:
-            out_hi = _min_hi(out_hi, (self.hi + 1) * max(g.lo, 1) - 1)
-        if out_hi is None:
-            raise ValueError("composition of two exact series needs finite data; truncate first")
-        acc = TruncatedSeries.zero(g.var, 0, out_hi)
-        pos = sorted(e for e in self.c if e >= 0)
-        neg = sorted((e for e in self.c if e < 0), reverse=True)
-        if pos:
-            power = TruncatedSeries.one(g.var, out_hi)
-            k = 0
-            for e in pos:
-                while k < e:
-                    power = (power * g).truncate(out_hi)
-                    k += 1
-                acc = acc + self.c[e] * power
-        if neg:
-            ginv = g.inverse(hi=out_hi - 2 * g.valuation())
-            power = TruncatedSeries.one(g.var, None)
-            k = 0
-            for e in neg:
-                while k > e:
-                    power = power * ginv
-                    k -= 1
-                acc = acc + self.c[e] * power
-        return acc
-
-    def compose_exp(self, out_var: str) -> "TruncatedSeries":
-        """Rewrite a series in z as a series in u = q_z - 1 via z = log(1+u).
-
-        The substitution z = log(1+u) has valuation 1, so a window
-        [lo, hi] in z turns into the same window in u.
-        """
-        if self.hi is None:
-            raise ValueError("give the series a finite horizon before composing")
-        log1p = TruncatedSeries(out_var, 1, self.hi + max(0, -self.lo) + 1,
-                                {k: Fraction((-1) ** (k + 1), k)
-                                 for k in range(1, self.hi + max(0, -self.lo) + 2)})
-        return self.compose(log1p).truncate(self.hi)
-
-    def expand_exp(self, out_var: str, hi: int) -> "TruncatedSeries":
-        """Substitute q_z = e**z: each power q_z**k becomes exp(k z).
-
-        The input is treated as exact on its stored support; the output
-        is a power series in z truncated at ``hi``.
-        """
-        acc = TruncatedSeries.zero(out_var, 0, hi)
-        for e, v in self.c.items():
-            acc = acc + v * TruncatedSeries.exponential(out_var, e, hi)
-        return acc
-
-    # -- io -------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "var": self.var,
-            "window": [self.lo, self.hi],
-            "coeffs": {str(e): f"{v.numerator}/{v.denominator}"
-                       for e, v in sorted(self.c.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TruncatedSeries":
-        lo, hi = data["window"]
-        return cls(data["var"], lo, hi,
-                   {int(e): Fraction(v) for e, v in data["coeffs"].items()})
-
-    def __str__(self):
-        terms = []
-        for e in sorted(self.c):
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = self.var
-            else:
-                mono = f"{self.var}^{e}"
-            terms.append((mono, self.c[e]))
-        return _format_terms(terms)
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.var!r}, [{self.lo}, {self.hi}], {self})"
 
 
 class MultiSeries:
     """A sparse exact Laurent series in several ordered variables.
 
     ``window`` maps each variable to its ``(lo, hi)`` pair with the
-    same semantics as for ``TruncatedSeries``.  Exponent keys are
-    tuples aligned with the sorted variable tuple.
+    semantics of the module docstring.  Exponent keys are tuples
+    aligned with the sorted variable tuple.
     """
 
     __slots__ = ("vars", "window", "c")
@@ -424,32 +103,27 @@ class MultiSeries:
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def constant(cls, value) -> "MultiSeries":
+    @staticmethod
+    def constant(value) -> "MultiSeries":
         value = rat(value)
-        ms = cls((), {})
+        ms = MultiSeries((), {})
         if value != 0:
             ms.c[()] = value
         return ms
 
-    @classmethod
-    def monomial(cls, exps: dict, coeff=1, window=None) -> "MultiSeries":
+    @staticmethod
+    def monomial(exps: dict, coeff=1, window=None) -> "MultiSeries":
         if window is None:
             window = {v: (e, None) for v, e in exps.items()}
         key = tuple(exps[v] for v in sorted(exps))
-        return cls(tuple(exps), window, {key: rat(coeff)})
+        return MultiSeries(tuple(exps), window, {key: rat(coeff)})
 
-    @classmethod
-    def from_single(cls, ts: TruncatedSeries) -> "MultiSeries":
-        return cls((ts.var,), {ts.var: (ts.lo, ts.hi)},
-                   {(e,): v for e, v in ts.c.items()})
-
-    def to_single(self) -> TruncatedSeries:
-        if len(self.vars) != 1:
-            raise ValueError("not a one-variable series")
-        v = self.vars[0]
-        lo, hi = self.window[v]
-        return TruncatedSeries(v, lo, hi, {k[0]: c for k, c in self.c.items()})
+    @staticmethod
+    def exponential(var: str, scale, hi: int) -> "MultiSeries":
+        """exp(scale * var) truncated at order ``hi``."""
+        s = rat(scale)
+        return MultiSeries((var,), {var: (0, hi)},
+                           {(k,): s ** k / factorial(k) for k in range(hi + 1)})
 
     # -- alignment -----------------------------------------------------
 
@@ -603,12 +277,66 @@ class MultiSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Binary exponentiation; a negative power inverts first, so it
+        needs a one-variable series."""
         if n < 0:
-            raise ValueError("negative powers not supported on MultiSeries")
+            return self.inverse() ** (-n)
         result = MultiSeries.constant(1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
+
+    def inverse(self, hi=None) -> "MultiSeries":
+        """Multiplicative inverse of a one-variable series.
+
+        The leading stored term c * var**m must be present and nonzero.
+        If the series is exact (its horizon is None) and has more than
+        one term, a finite output horizon ``hi`` must be supplied since
+        the inverse is an infinite series.
+        """
+        if len(self.vars) != 1:
+            raise ValueError("inverse needs a one-variable series")
+        if not self.c:
+            raise ZeroDivisionError("inverse of zero series")
+        var = self.vars[0]
+        own_hi = self.window[var][1]
+        (m,) = min(self.c)
+        lead = self.c[(m,)]
+        rest = {e - m: v / lead for (e,), v in self.c.items() if e != m}
+        if own_hi is None:
+            if not rest:
+                return MultiSeries.monomial({var: -m}, 1 / lead)
+            if hi is None:
+                raise ValueError("exact non-monomial series: give a horizon for the inverse")
+            order = hi + m
+        else:
+            # relative knowledge of the unit part is own_hi - m
+            order = own_hi - m if hi is None else hi + m
+            if hi is not None and hi > own_hi - 2 * m:
+                raise ValueError("requested horizon exceeds what the input determines")
+        # invert 1 + t by the geometric series, t = rest
+        out = {0: Fraction(1)}
+        t_pow = {0: Fraction(1)}
+        for _ in range(order):
+            nxt = {}
+            for e1, v1 in t_pow.items():
+                for e2, v2 in rest.items():
+                    e = e1 + e2
+                    if e > order:
+                        continue
+                    nxt[e] = nxt.get(e, Fraction(0)) - v1 * v2
+            t_pow = nxt
+            if not t_pow:
+                break
+            for e, v in t_pow.items():
+                out[e] = out.get(e, Fraction(0)) + v
+        return MultiSeries((var,), {var: (-m, order - m)},
+                           {(e - m,): v / lead for e, v in out.items()})
 
     # -- reshaping -------------------------------------------------------
 
@@ -627,13 +355,17 @@ class MultiSeries:
     def clip(self, var: str, lo: int, hi) -> "MultiSeries":
         """Shrink the window of one variable, discarding outside terms.
 
-        Raising ``lo`` above stored support would silently claim terms
-        are zero, so it is rejected.
+        Raising ``lo`` claims that the vacated exponents vanish, so it
+        is accepted only when the window covers them and no stored term
+        lies there.
         """
         i = self.vars.index(var)
         olo, ohi = self.window[var]
         new_lo = max(lo, olo)
         new_hi = _min_hi(hi, ohi)
+        if new_lo > olo and ohi is not None and ohi < new_lo - 1:
+            raise ValueError(f"window of {var} too short to certify the "
+                             f"support bound {new_lo}")
         if any(key[i] < new_lo for key in self.c):
             raise ValueError(f"stored support of {var} extends below {new_lo}")
         window = dict(self.window)
@@ -667,63 +399,9 @@ class MultiSeries:
         out.c = {key[:i] + key[i + 1:]: v for key, v in self.c.items()}
         return out
 
-    def substitute(self, var: str, series: "MultiSeries", horizons: dict) -> "MultiSeries":
-        """Substitute an exact series for ``var``.
-
-        ``series`` must have finite stored support and is treated as
-        exact on it; negative powers require an invertible leading
-        structure only in the one-variable case, so here powers are
-        formed term by term (positive n by multiplication, negative n
-        via the one-variable inverse when ``series`` has one variable).
-        ``horizons`` gives output windows for the variables of
-        ``series``.
-        """
-        i = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        groups = {}
-        for key, val in self.c.items():
-            groups.setdefault(key[i], {})[key[:i] + key[i + 1:]] = val
-        acc = None
-        for e, part in sorted(groups.items()):
-            ms_part = MultiSeries(rest, {v: self.window[v] for v in rest})
-            ms_part.c = dict(part)
-            if e >= 0:
-                powed = series ** e
-            else:
-                powed = MultiSeries.from_single(series.to_single().inverse(
-                    hi=horizons[series.to_single().var]) ** (-e))
-            for v, h in horizons.items():
-                if v in powed.window:
-                    powed = powed.clip(v, powed.window[v][0], h)
-            term = ms_part * powed
-            acc = term if acc is None else acc + term
-        if acc is None:
-            win = {v: self.window[v] for v in rest}
-            for v, h in horizons.items():
-                win.setdefault(v, (0, h))
-            return MultiSeries(tuple(win), win)
-        return acc
-
-    # -- io ----------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "window": {v: [self.window[v][0], self.window[v][1]] for v in self.vars},
-            "coeffs": {",".join(map(str, k)): f"{v.numerator}/{v.denominator}"
-                       for k, v in sorted(self.c.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiSeries":
-        window = {v: (lo, hi) for v, (lo, hi) in data["window"].items()}
-        coeffs = {}
-        for key, val in data["coeffs"].items():
-            exps = tuple(int(e) for e in key.split(",")) if key else ()
-            coeffs[exps] = Fraction(val)
-        return cls(tuple(data["vars"]), window, coeffs)
-
-    def __str__(self):
+    def pretty(self, sep: str = "*") -> str:
+        """The terms in exponent order, e.g. ``-1/12 + 2*q``; ``sep``
+        joins a coefficient to its monomial."""
         terms = []
         for key in sorted(self.c):
             factors = []
@@ -733,10 +411,26 @@ class MultiSeries:
                 factors.append(v if e == 1 else f"{v}^{e}")
             mono = "*".join(factors)
             terms.append((mono, self.c[key]))
-        return _format_terms(terms, sep="*")
+        return _format_terms(terms, sep)
+
+    __str__ = pretty
 
     def __repr__(self):
         return f"MultiSeries({self.vars!r}, {self.window!r}, {len(self.c)} terms)"
+
+
+class TruncatedSeries(MultiSeries):
+    """A one-variable series from integer exponents: ``coeffs`` maps
+    each exponent of ``var`` inside the window ``[lo, hi]`` to a
+    rational.  Arithmetic on it returns plain ``MultiSeries``."""
+
+    __slots__ = ()
+
+    def __init__(self, var: str, lo: int, hi, coeffs=None):
+        if hi is not None and hi < lo - 1:
+            raise ValueError(f"empty window [{lo}, {hi}]")
+        super().__init__((var,), {var: (lo, hi)},
+                         {(e,): v for e, v in (coeffs or {}).items()})
 
 
 def iota_expand(n: int, m: int, outer: str, inner: str, window) -> MultiSeries:

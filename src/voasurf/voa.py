@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb
 
 from .linalg import inverse as mat_inverse, solve as linear_solve
-from .series import TruncatedSeries
+from .series import MultiSeries
 
 VACUUM = ()
 A = (1,)
@@ -265,14 +265,14 @@ def _cyl_coeff(r: int, j: int, m: int) -> Fraction:
         return Fraction(0)
     rel = target + j + 1  # relative order above the leading z^(-j-1)
     if j >= 0:
-        em1 = (TruncatedSeries.exponential("z", 1, rel + j + 2) - 1).tighten_lo(1)
+        em1 = (MultiSeries.exponential("z", 1, rel + j + 2) - 1).clip("z", 1, None)
         base = (em1 ** (j + 1)).inverse(hi=target)
     else:
         # here target >= -j-1 >= 0, so plain positive powers suffice
-        em1 = (TruncatedSeries.exponential("z", 1, target + 1) - 1).tighten_lo(1)
+        em1 = (MultiSeries.exponential("z", 1, target + 1) - 1).clip("z", 1, None)
         base = em1 ** (-j - 1)
-    full = TruncatedSeries.exponential("z", r, max(rel, 0)) * base
-    return full.coefficient(target)
+    full = MultiSeries.exponential("z", r, max(rel, 0)) * base
+    return full.coefficient({"z": target})
 
 
 def square_bracket_mode(v: GradedVector, m: int, target: GradedVector) -> GradedVector:

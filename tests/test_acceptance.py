@@ -223,9 +223,9 @@ def test_5_elliptic_layer():
         fact = 1
         for i in range(2, k + 1):
             fact *= i
-        assert ts.c[0] == -_bernoulli(k) / fact
+        assert ts.c[(0,)] == -_bernoulli(k) / fact
         for n in range(1, 21):
-            assert ts.c.get(n, F(0)) == F(2 * _sigma(k - 1, n) * k, fact)
+            assert ts.c.get((n,), F(0)) == F(2 * _sigma(k - 1, n) * k, fact)
 
     for m in range(1, 5):
         lhs = _z_derivative(weierstrass_p(m, 8, 6))

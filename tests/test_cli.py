@@ -140,9 +140,9 @@ class TestSerialization:
 
     def test_pretty_renderer_signs_and_powers(self):
         ts = eisenstein(2, 2)
-        assert cli._pretty(ts) == "-1/12 + 2q + 6q^2"
+        assert ts.pretty(sep="") == "-1/12 + 2q + 6q^2"
         zero = eisenstein(3, 4)
-        assert cli._pretty(zero) == "0"
+        assert zero.pretty(sep="") == "0"
 
     def test_json_terms_sorted_and_exact(self, capsys):
         code, out, err = run(

@@ -97,7 +97,7 @@ class TestModuliAndMatrices:
         e2 = eisenstein(2, 6, "q1")
         for i in range(7):
             assert L.entry(1, 1).coefficient(
-                {"q1": i, "q2": 0, "se": 2}) == e2.coefficient(i)
+                {"q1": i, "q2": 0, "se": 2}) == e2.coefficient({"q1": i})
         assert L.entry(1, 2).is_zero()
 
     def test_lambda_parity(self):
@@ -158,12 +158,12 @@ class TestModuliAndMatrices:
 class TestPartitionFunction:
     def test_eps0_is_the_product_of_torus_partitions(self):
         Z2 = z2_partition(MOD)
-        Z1 = genus1_partition(6).value.to_single()
+        Z1 = genus1_partition(6).value
         e0 = Z2.coefficient_of("se", 0)
         for i in range(7):
             for j in range(7):
                 assert e0.coefficient({"q1": i, "q2": j}) == \
-                    Z1.coefficient(i) * Z1.coefficient(j)
+                    Z1.coefficient({"q": i}) * Z1.coefficient({"q": j})
 
     def test_eps1_vanishes(self):
         Z2 = z2_partition(MOD)
@@ -182,13 +182,11 @@ class TestPartitionFunction:
         ginv = mat_inverse(gram)
         oracle = MultiSeries.constant(0).extended_to(("q1", "q2"))
         for i, bi in enumerate(vecs):
-            ti = MultiSeries.from_single(
-                genus1_onepoint(bi, 6).rename("q1"))
+            ti = genus1_onepoint(bi, 6, "q1")
             for j, bj in enumerate(vecs):
                 if not ginv[i][j]:
                     continue
-                tj = MultiSeries.from_single(
-                    genus1_onepoint(bj, 6).rename("q2"))
+                tj = genus1_onepoint(bj, 6, "q2")
                 oracle = oracle + (ti.extended_to(("q1", "q2")) *
                                    tj.extended_to(("q1", "q2"))) * ginv[i][j]
         assert e2.agrees_with(oracle)
@@ -269,6 +267,20 @@ class TestGenWeierstrass:
         with pytest.raises(ValueError):
             gen_weierstrass(3, 0, 1, 1, MOD)
 
+    def test_eps_truncations_agree(self):
+        """Each eps truncation of a kernel claims no se-order past its
+        own and agrees with every deeper one."""
+        for p in (1, 2):
+            for j in (0, 1):
+                for charts in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                    kernels = [gen_weierstrass(p, j, *charts,
+                                               SewingModuli(4, 4, e, 4))
+                               for e in range(3)]
+                    for e, k in enumerate(kernels):
+                        assert k.window["se"][1] == 2 * e, (p, j, charts, e)
+                        for deeper in kernels[e + 1:]:
+                            assert k.agrees_with(deeper), (p, j, charts, e)
+
 
 class TestReduce:
     def test_vacuum_direction_is_the_identity(self):
@@ -290,12 +302,12 @@ class TestReduce:
         e0 = out.value.coefficient_of("se", 0)
         res = cocycle_residual(ReductionDirection(Insertion(wt, "z1")),
                                genus1_partition(6))
-        s = res.coefficient_of("q_z1", 0).to_single()
-        Z1 = genus1_partition(6).value.to_single()
+        s = res.coefficient_of("q_z1", 0)
+        Z1 = genus1_partition(6).value
         for i in range(7):
             for j in range(7):
                 assert e0.coefficient({"q1": i, "q2": j, "x": 0}) == \
-                    s.coefficient(i) * Z1.coefficient(j)
+                    s.coefficient({"q": i}) * Z1.coefficient({"q": j})
         xi = e0.vars.index("x")
         assert all(k[xi] == 0 for k, v in e0.c.items() if v)
         xi = out.value.vars.index("x")
