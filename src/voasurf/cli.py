@@ -32,9 +32,8 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .cohomology import (ClusterSetting, as_direction, cohomology_rank,
                          describe_direction, euler_poincare, involution_check,
@@ -49,40 +48,9 @@ from .series import MultiSeries
 from .sewing import renamed
 from .voa import GradedVector, basis, parse_state, render_state, vacuum
 
-# Truncation orders recognised across subcommands; every one must be a
-# positive integer.
-_ORDER_KEYS = ("eps_order", "matrix_cutoff", "order", "q1_order", "q2_order",
-               "qorder", "rho_order", "weight_cutoff", "window", "zorder")
-
 # Reference Schottky coordinate tuples (w_-1, w_1, ..., w_-g, w_g) used
 # when --coordinates is not given.
 DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation.
-
-    ``orders`` holds the truncation orders by flag name, ``insertions``
-    the parsed ``state@point`` list, and ``options`` every remaining
-    command-specific value.
-    """
-    command: str
-    orders: Mapping[str, int] = field(default_factory=dict)
-    insertions: tuple = ()
-    options: Mapping[str, Any] = field(default_factory=dict)
-    output: str = None
-    fmt: str = "json"
-    approx: bool = False
-
-    def __post_init__(self):
-        for name, value in self.orders.items():
-            if value < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be a "
-                                 f"positive integer, got {value}")
-        for ins in self.insertions:
-            if not isinstance(ins.state, GradedVector):
-                raise ValueError(f"insertion at {ins.point} is not a state")
 
 
 # -- flag grammar ----------------------------------------------------------
@@ -345,22 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    data = vars(ns).copy()
-    data.pop("group", None)
-    data.pop("sub", None)
-    command = data.pop("command")
-    fmt = data.pop("format")
-    output = data.pop("output")
-    approx = data.pop("approx")
-    insertions = data.pop("insertions", ()) or ()
-    orders = {k: data.pop(k) for k in _ORDER_KEYS
-              if data.get(k) is not None}
-    return RunConfig(command=command, orders=orders,
-                     insertions=tuple(insertions), options=data,
-                     output=output, fmt=fmt, approx=approx)
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -420,13 +372,13 @@ def _csv_text(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: dict, cfg: RunConfig):
-    if cfg.fmt == "csv":
+def _emit(payload: dict, ns: argparse.Namespace):
+    if ns.format == "csv":
         text = _csv_text(payload)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if ns.output:
+        with open(ns.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -435,175 +387,158 @@ def _emit(payload: dict, cfg: RunConfig):
 # -- handlers --------------------------------------------------------------
 
 
-def _run_eisenstein(cfg: RunConfig):
-    k = cfg.options["k"]
-    order = cfg.orders["order"]
-    ts = eisenstein(k, order)
-    return {"command": "elliptic eisenstein", "k": k, "order": order,
+def _run_eisenstein(ns: argparse.Namespace):
+    ts = eisenstein(ns.k, ns.order)
+    return {"command": "elliptic eisenstein", "k": ns.k, "order": ns.order,
             "pretty": ts.pretty(sep=""),
-            "series": _series_payload(ts, cfg.approx)}, 0
+            "series": _series_payload(ts, ns.approx)}, 0
 
 
-def _run_pm(cfg: RunConfig):
-    m = cfg.options["m"]
-    ms = weierstrass_p(m, cfg.orders["zorder"], cfg.orders["qorder"])
-    return {"command": "elliptic pm", "m": m,
-            "series": _series_payload(ms, cfg.approx)}, 0
+def _run_pm(ns: argparse.Namespace):
+    ms = weierstrass_p(ns.m, ns.zorder, ns.qorder)
+    return {"command": "elliptic pm", "m": ns.m,
+            "series": _series_payload(ms, ns.approx)}, 0
 
 
-def _run_npoint(cfg: RunConfig):
-    genus = cfg.options["genus"]
-    window = (-cfg.orders["zorder"], cfg.orders["zorder"])
-    q_order = cfg.orders["qorder"]
-    if cfg.options["path"] == "oracle":
+def _run_npoint(ns: argparse.Namespace):
+    genus = ns.genus
+    window = (-ns.zorder, ns.zorder)
+    q_order = ns.qorder
+    if ns.path == "oracle":
         if genus == 0:
-            F = genus0_direct(cfg.insertions, vacuum(), vacuum(), window)
+            F = genus0_direct(ns.insertions, vacuum(), vacuum(), window)
         else:
-            F = genus1_direct(cfg.insertions, q_order, window)
+            F = genus1_direct(ns.insertions, q_order, window)
     else:
         directions = tuple(ReductionDirection(i)
-                           for i in reversed(cfg.insertions))
+                           for i in reversed(ns.insertions))
         F = unwind_to_partition(directions, genus, window=window,
                                 q_order=q_order)
     payload = {"command": "npoint", "genus": genus,
-               "path": cfg.options["path"],
-               "insertions": [_render_insertion(i) for i in cfg.insertions],
-               "value": _series_payload(F.value, cfg.approx)}
+               "path": ns.path,
+               "insertions": [_render_insertion(i) for i in ns.insertions],
+               "value": _series_payload(F.value, ns.approx)}
     if genus == 0:
         payload["boundary"] = [render_state(s) for s in F.boundary_states]
     else:
         payload["qorder"] = q_order
         payload["q_shift"] = str(F.q_shift)
-    if cfg.options["path"] == "reduce":
+    if ns.path == "reduce":
         payload["degenerate_steps"] = list(F.degenerate_steps)
     return payload, 0
 
 
-def _run_residual(cfg: RunConfig):
-    genus = cfg.options["genus"]
-    window = (-cfg.orders["zorder"], cfg.orders["zorder"])
-    q_order = cfg.orders["qorder"]
-    if cfg.insertions:
+def _run_residual(ns: argparse.Namespace):
+    genus = ns.genus
+    window = (-ns.zorder, ns.zorder)
+    q_order = ns.qorder
+    if ns.insertions:
         if genus == 0:
-            F = genus0_direct(cfg.insertions, vacuum(), vacuum(), window)
+            F = genus0_direct(ns.insertions, vacuum(), vacuum(), window)
         else:
-            F = genus1_direct(cfg.insertions, q_order, window)
+            F = genus1_direct(ns.insertions, q_order, window)
     elif genus == 0:
         F = genus0_partition(vacuum(), vacuum(), window=window)
     else:
         F = genus1_partition(q_order, window=window)
-    direction = ReductionDirection(cfg.options["direction"])
+    direction = ReductionDirection(ns.direction)
     res = cocycle_residual(direction, F)
     return {"command": "residual", "genus": genus,
             "direction": _render_insertion(direction.insertion),
-            "insertions": [_render_insertion(i) for i in cfg.insertions],
+            "insertions": [_render_insertion(i) for i in ns.insertions],
             "is_zero": res.is_zero(),
-            "residual": _series_payload(res, cfg.approx)}, 0
+            "residual": _series_payload(res, ns.approx)}, 0
 
 
-def _run_g2_partition(cfg: RunConfig):
-    moduli = SewingModuli(cfg.orders["q1_order"], cfg.orders["q2_order"],
-                          cfg.orders["eps_order"],
-                          cfg.orders["matrix_cutoff"])
+def _run_g2_partition(ns: argparse.Namespace):
+    moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order,
+                          ns.matrix_cutoff)
     ms = renamed(z2_partition(moduli), HALF_POWERS)
-    return {"command": "genus2 partition",
-            "eps_order": cfg.orders["eps_order"],
-            "matrix_cutoff": cfg.orders["matrix_cutoff"],
+    return {"command": "genus2 partition", "eps_order": ns.eps_order,
+            "matrix_cutoff": ns.matrix_cutoff,
             "q_shift": {"q1": "-1/24", "q2": "-1/24"},
-            "series": _series_payload(ms, cfg.approx)}, 0
+            "series": _series_payload(ms, ns.approx)}, 0
 
 
-def _run_g2_pweier(cfg: RunConfig):
-    eps_order = cfg.orders["eps_order"]
-    cutoff = cfg.orders.get("matrix_cutoff", 2 * eps_order)
-    moduli = SewingModuli(cfg.orders["q1_order"], cfg.orders["q2_order"],
-                          eps_order, cutoff)
-    x_chart, y_chart = cfg.options["charts"]
-    ms = renamed(gen_weierstrass(cfg.options["p"], cfg.options["j"],
-                                 x_chart, y_chart, moduli), HALF_POWERS)
-    return {"command": "genus2 pweier", "p": cfg.options["p"],
-            "j": cfg.options["j"], "charts": [x_chart, y_chart],
-            "eps_order": eps_order, "matrix_cutoff": cutoff,
-            "series": _series_payload(ms, cfg.approx)}, 0
+def _run_g2_pweier(ns: argparse.Namespace):
+    cutoff = ns.matrix_cutoff or 2 * ns.eps_order
+    moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order, cutoff)
+    x_chart, y_chart = ns.charts
+    ms = renamed(gen_weierstrass(ns.p, ns.j, x_chart, y_chart, moduli),
+                 HALF_POWERS)
+    return {"command": "genus2 pweier", "p": ns.p, "j": ns.j,
+            "charts": [x_chart, y_chart],
+            "eps_order": ns.eps_order, "matrix_cutoff": cutoff,
+            "series": _series_payload(ms, ns.approx)}, 0
 
 
-def _schottky_data(cfg: RunConfig, rho_order: int, cutoff: int):
-    genus = cfg.options["genus"]
-    coordinates = cfg.options.get("coordinates")
+def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
+    coordinates = ns.coordinates
     if coordinates is None:
-        coordinates = DEFAULT_COORDINATES.get(genus)
+        coordinates = DEFAULT_COORDINATES.get(ns.genus)
         if coordinates is None:
-            raise ValueError(f"no default coordinates at genus {genus}; "
+            raise ValueError(f"no default coordinates at genus {ns.genus}; "
                              "pass --coordinates")
-    return SchottkyData(genus, coordinates, rho_order, cutoff)
+    return SchottkyData(ns.genus, coordinates, rho_order, cutoff)
 
 
-def _run_schottky_psi(cfg: RunConfig):
-    p = cfg.options["p"]
-    rho_order = cfg.orders["rho_order"]
-    cutoff = cfg.orders.get("matrix_cutoff",
-                            max(2 * rho_order, 2 * p - 1))
-    data = _schottky_data(cfg, rho_order, cutoff)
-    ms = renamed(psi_full(p, data), data.half_powers)
-    return {"command": "schottky psi", "p": p, "genus": data.genus,
+def _run_schottky_psi(ns: argparse.Namespace):
+    cutoff = ns.matrix_cutoff or max(2 * ns.rho_order, 2 * ns.p - 1)
+    data = _schottky_data(ns, ns.rho_order, cutoff)
+    ms = renamed(psi_full(ns.p, data), data.half_powers)
+    return {"command": "schottky psi", "p": ns.p, "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
-            "rho_order": rho_order, "matrix_cutoff": cutoff,
-            "series": _series_payload(ms, cfg.approx)}, 0
+            "rho_order": ns.rho_order, "matrix_cutoff": cutoff,
+            "series": _series_payload(ms, ns.approx)}, 0
 
 
-def _run_schottky_partition(cfg: RunConfig):
-    weight_cutoff = cfg.orders["weight_cutoff"]
-    rho_order = cfg.orders.get("rho_order", weight_cutoff)
-    cutoff = cfg.orders.get("matrix_cutoff", 2 * rho_order)
-    data = _schottky_data(cfg, rho_order, cutoff)
-    ms = renamed(genus_g_partition(data, weight_cutoff),
+def _run_schottky_partition(ns: argparse.Namespace):
+    rho_order = ns.rho_order or ns.weight_cutoff
+    cutoff = ns.matrix_cutoff or 2 * rho_order
+    data = _schottky_data(ns, rho_order, cutoff)
+    ms = renamed(genus_g_partition(data, ns.weight_cutoff),
                  data.half_powers)
     return {"command": "schottky partition", "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
-            "weight_cutoff": weight_cutoff, "rho_order": rho_order,
+            "weight_cutoff": ns.weight_cutoff, "rho_order": rho_order,
             "matrix_cutoff": cutoff,
-            "series": _series_payload(ms, cfg.approx)}, 0
+            "series": _series_payload(ms, ns.approx)}, 0
 
 
-def _direction_args(cfg: RunConfig):
-    directions = cfg.options.get("direction") or [_insertion("a@w")]
+def _direction_args(ns: argparse.Namespace):
+    directions = ns.direction or [_insertion("a@w")]
     family = directions[0] if len(directions) == 1 else tuple(directions)
-    half = cfg.orders["window"]
-    return family, directions, (-half, half)
+    return family, directions, (-ns.window, ns.window)
 
 
-def _run_cohomology_rank(cfg: RunConfig):
-    family, directions, window = _direction_args(cfg)
-    result = cohomology_rank(cfg.options["n"], cfg.options["m"],
-                             cfg.options["genus"], family,
-                             window=window, q_order=cfg.orders["qorder"],
-                             boundary=cfg.options.get("boundary"),
-                             combine=cfg.options["combine"])
-    return {"command": "cohomology rank", "genus": cfg.options["genus"],
-            "n": cfg.options["n"], "m": cfg.options["m"],
+def _run_cohomology_rank(ns: argparse.Namespace):
+    family, directions, window = _direction_args(ns)
+    result = cohomology_rank(ns.n, ns.m, ns.genus, family, window=window,
+                             q_order=ns.qorder, boundary=ns.boundary,
+                             combine=ns.combine)
+    return {"command": "cohomology rank", "genus": ns.genus,
+            "n": ns.n, "m": ns.m,
             "direction": [describe_direction(as_direction(d))
                           for d in directions],
-            "combine": cfg.options["combine"],
-            "window": list(window), "qorder": cfg.orders["qorder"],
+            "combine": ns.combine,
+            "window": list(window), "qorder": ns.qorder,
             "q": result.q, "p": result.p,
             "kernel_rank": result.kernel_rank,
             "image_rank": result.image_rank,
             "certified": "within window"}, 0
 
 
-def _run_cohomology_euler(cfg: RunConfig):
-    family, directions, window = _direction_args(cfg)
-    result = euler_poincare(cfg.options["m"], cfg.options["levels"],
-                            cfg.options["genus"], family,
-                            window=window, q_order=cfg.orders["qorder"],
-                            boundary=cfg.options.get("boundary"),
-                            combine=cfg.options["combine"])
-    return {"command": "cohomology euler", "genus": cfg.options["genus"],
-            "m": cfg.options["m"], "N": cfg.options["levels"],
+def _run_cohomology_euler(ns: argparse.Namespace):
+    family, directions, window = _direction_args(ns)
+    result = euler_poincare(ns.m, ns.levels, ns.genus, family,
+                            window=window, q_order=ns.qorder,
+                            boundary=ns.boundary, combine=ns.combine)
+    return {"command": "cohomology euler", "genus": ns.genus,
+            "m": ns.m, "N": ns.levels,
             "direction": [describe_direction(as_direction(d))
                           for d in directions],
-            "combine": cfg.options["combine"],
-            "window": list(window), "qorder": cfg.orders["qorder"],
+            "combine": ns.combine,
+            "window": list(window), "qorder": ns.qorder,
             "total": result.total,
             "ledger": [dict(row) for row in result.ledger],
             "certified": "within window"}, 0
@@ -622,16 +557,15 @@ def _random_state(rng: random.Random) -> GradedVector:
     return v
 
 
-def _run_cluster_check(cfg: RunConfig):
-    rng = random.Random(cfg.options["seed"])
-    genera = (cfg.options["genus"],) if cfg.options.get("genus") is not None \
-        else (0, 1)
+def _run_cluster_check(ns: argparse.Namespace):
+    rng = random.Random(ns.seed)
+    genera = (ns.genus,) if ns.genus is not None else (0, 1)
     failures = 0
     sample = []
     # A small window keeps the batch quick; involutivity is coefficient
     # by coefficient, so any window that admits the seed exercises it.
     window, q_order = (-2, 2), 2
-    for i in range(cfg.options["trials"]):
+    for i in range(ns.trials):
         genus = genera[i % len(genera)]
         n = rng.randint(1, 3)
         states = tuple(_random_state(rng) for _ in range(n))
@@ -651,8 +585,8 @@ def _run_cluster_check(cfg: RunConfig):
                            "states": [render_state(v) for v in states],
                            "xi": "support signs" if xi else "trivial",
                            "ok": ok})
-    payload = {"command": "cluster check", "trials": cfg.options["trials"],
-               "seed": cfg.options["seed"], "failures": failures,
+    payload = {"command": "cluster check", "trials": ns.trials,
+               "seed": ns.seed, "failures": failures,
                "involutive": failures == 0, "sample": sample}
     return payload, 0 if failures == 0 else 1
 
@@ -711,9 +645,9 @@ def capture_output(argv) -> str:
     return buffer.getvalue()
 
 
-def _run_golden(cfg: RunConfig):
-    directory = cfg.options["dir"]
-    checking = cfg.options["check"]
+def _run_golden(ns: argparse.Namespace):
+    directory = ns.dir
+    checking = ns.check
     drifted, files = [], []
     for name, argv in GOLDEN_CASES:
         text = capture_output(argv)
@@ -762,9 +696,8 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
-        cfg = _config_from(ns)
-        payload, code = _HANDLERS[cfg.command](cfg)
-        _emit(payload, cfg)
+        payload, code = _HANDLERS[ns.command](ns)
+        _emit(payload, ns)
         return code
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

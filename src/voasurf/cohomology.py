@@ -145,6 +145,11 @@ class GradedSlice:
         if genus == 0:
             self.boundary = (vacuum(), vacuum()) if boundary is None \
                 else tuple(boundary)
+            if len(self.boundary) != 2:
+                raise ValueError("the genus-0 boundary is two states "
+                                 f"(u', u), got {len(self.boundary)}")
+        elif boundary is not None:
+            raise ValueError("boundary states exist only at genus 0")
         else:
             self.boundary = None
         self.alpha = Fraction(alpha)

@@ -10,13 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _copy(m):
-    return [[Fraction(x) for x in row] for row in m]
-
-
 def row_echelon(matrix):
     """Return (echelon form, pivot column list, rank)."""
-    m = _copy(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -60,22 +56,6 @@ def kernel_basis(matrix):
             vec[p] = -ech[r][f]
         basis.append(vec)
     return basis
-
-
-def solve(matrix, rhs):
-    """Solve M x = rhs exactly; raises if inconsistent or underdetermined."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs)]
-    ech, pivots, r = row_echelon(aug)
-    if cols in pivots:
-        raise ValueError("inconsistent linear system")
-    if r < cols:
-        raise ValueError("underdetermined linear system")
-    x = [Fraction(0)] * cols
-    for i, p in enumerate(pivots):
-        x[p] = ech[i][cols]
-    return x
 
 
 def inverse(matrix):

@@ -26,9 +26,11 @@ vectors, and the series machinery consumes the resulting coefficients.
 Integrality: in the round basis every mode matrix is integral.  The
 table ``_vertex_mode_basis`` of u(k) v on basis states u, v holds
 Python ints only, and the graded traces built on it sum ints.
-Fractions enter only at the boundaries: the coefficients of a
-``GradedVector`` (user states, dual bases, Gram inverses) and the
-square-bracket coefficients of ``_cyl_coeff``.
+Both the round and the square-bracket Fock bases are orthogonal for
+the form, with the same norms <lam, lam> (``_norm``).  Fractions enter
+only at the boundaries: the coefficients of a ``GradedVector`` (user
+states and the dual-basis norms 1/<lam, lam>) and the square-bracket
+coefficients of ``_cyl_coeff``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from .linalg import inverse as mat_inverse, solve as linear_solve
 from .series import MultiSeries
 
 VACUUM = ()
@@ -339,23 +340,23 @@ def square_weight_components(v: GradedVector) -> dict:
 # -- invariant bilinear forms -------------------------------------------
 
 
-def _form_state(state: tuple, y: GradedVector, alpha: Fraction) -> Fraction:
-    if state == VACUUM:
-        return y.coefficient(VACUUM)
-    k, rest = state[0], state[1:]
-    moved = heisenberg_mode(k, y)
-    if moved.is_zero():
-        return Fraction(0)
-    return -(alpha ** -k) * _form_state(rest, moved, alpha)
+@lru_cache(maxsize=None)
+def _norm(state: tuple, alpha=1):
+    """<lam, lam> = prod_k (-k alpha^-k)^(m_k) m_k!, with m_k the
+    multiplicity of the part k; an int at alpha = 1."""
+    n = 1
+    for k in set(state):
+        m = state.count(k)
+        n *= (-k) ** m * factorial(m)
+    return n if alpha == 1 else n / Fraction(alpha) ** weight(state)
 
 
 def bilinear_form(x: GradedVector, y: GradedVector, alpha=1) -> Fraction:
-    """The invariant pairing with <|1>,|1>> = 1 and a(k)^+ = -alpha^k a(-k)."""
+    """The invariant pairing with <|1>,|1>> = 1 and a(k)^+ = -alpha^k a(-k);
+    the round basis is orthogonal, so it is a sum of norms."""
     alpha = Fraction(alpha)
-    total = Fraction(0)
-    for s, c in x.t.items():
-        total += c * _form_state(s, y, alpha)
-    return total
+    return sum((c * y.t[s] * _norm(s, alpha)
+                for s, c in x.t.items() if s in y.t), Fraction(0))
 
 
 def bilinear_form_sq(x: GradedVector, y: GradedVector, alpha=1) -> Fraction:
@@ -378,60 +379,35 @@ def bilinear_form_sq(x: GradedVector, y: GradedVector, alpha=1) -> Fraction:
     return total
 
 
-def gram_matrix(m: int, alpha=1, bracket="round"):
-    states = basis(m)
+def dual_basis(m: int, alpha=1, bracket="round"):
+    """Pairs (v, v / <v, v>) with <v_bar_i, v_j> = delta_ij at weight m,
+    v a round basis state or its ``square_fock`` counterpart: both bases
+    are orthogonal, with the norms ``_norm``."""
     if bracket == "round":
-        vecs = [GradedVector.basis_state(s) for s in states]
-        form = bilinear_form
+        vec = GradedVector.basis_state
     elif bracket == "square":
-        vecs = [square_fock(s) for s in states]
-        form = bilinear_form_sq
+        vec = square_fock
     else:
         raise ValueError(f"unknown bracket {bracket!r}")
-    return [[form(u, v, alpha) for v in vecs] for u in vecs], vecs
-
-
-def dual_basis(m: int, alpha=1, bracket="round"):
-    """Pairs (u, u_bar) with <u_bar_i, u_j> = delta_ij at weight m."""
-    gram, vecs = gram_matrix(m, alpha, bracket)
-    ginv = mat_inverse(gram)
-    duals = []
-    for i in range(len(vecs)):
-        d = GradedVector()
-        for j, vj in enumerate(vecs):
-            d = d + ginv[i][j] * vj
-        duals.append(d)
-    return list(zip(vecs, duals))
+    alpha = Fraction(alpha)
+    return [(vec(s), vec(s) * Fraction(1, _norm(s, alpha))) for s in basis(m)]
 
 
 def adjoint_boundary_state(v: GradedVector, j: int, uprime: GradedVector,
                            alpha=1) -> GradedVector:
-    """The state w' with <w', y> = <u', v(j) y> for all y.
-
-    Solved weight by weight through the Gram matrix; the form is
-    nondegenerate in every weight, so w' exists and is unique.
-    """
+    """The state w' with <w', y> = <u', v(j) y> for all y.  The round
+    basis is orthogonal, so the coefficient of w' at a basis state b is
+    <u', v(j) b> / <b, b>."""
     alpha = Fraction(alpha)
     out = GradedVector()
     for r in v.weights():
         vr = v.weight_component(r)
         for wu in uprime.weights():
-            upr = uprime.weight_component(wu)
-            s = wu - (r - j - 1)
-            if s < 0:
-                continue
-            states = basis(s)
-            if not states:
-                continue
-            rhs = [bilinear_form(upr, vertex_mode(vr, j, GradedVector.basis_state(b)), alpha)
-                   for b in states]
-            if all(x == 0 for x in rhs):
-                continue
-            gram, _ = gram_matrix(s, alpha)
-            coords = linear_solve(gram, rhs)
-            for c, b in zip(coords, states):
+            for b in basis(wu - r + j + 1):
+                y = vertex_mode(vr, j, GradedVector.basis_state(b))
+                c = bilinear_form(uprime, y, alpha)
                 if c:
-                    out.accumulate(b, c)
+                    out.accumulate(b, c / _norm(b, alpha))
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 from fractions import Fraction
 
 from voasurf import cli
-from voasurf.cli import (GOLDEN_CASES, RunConfig, build_parser,
+from voasurf.cli import (GOLDEN_CASES, build_parser,
                          capture_output, golden_name, parse_and_dispatch)
 from voasurf.elliptic import eisenstein
 from voasurf.genus2 import HALF_POWERS
@@ -94,10 +94,24 @@ class TestExitCodes:
         assert code == 2
         assert "state@point" in err
 
-    def test_nonpositive_order_rejected(self, capsys):
-        code, out, err = run(
-            ["elliptic", "eisenstein", "--k", "2", "--order", "0"], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["elliptic", "eisenstein", "--k", "2", "--order", "0"],
+        ["elliptic", "pm", "--m", "2", "--zorder", "0"],
+        ["elliptic", "pm", "--m", "2", "--qorder", "0"],
+        ["genus2", "partition", "--eps-order", "0"],
+        ["genus2", "partition", "--q1-order", "0"],
+        ["genus2", "partition", "--q2-order", "0"],
+        ["genus2", "partition", "-N", "0"],
+        ["schottky", "psi", "--p", "1", "-g", "1", "--rho-order", "0"],
+        ["schottky", "partition", "-g", "1", "--weight-cutoff", "0"],
+        ["cohomology", "rank", "-n", "1", "-m", "1", "--direction", "a@w",
+         "--window", "0"],
+    ], ids=lambda argv: argv[-2].lstrip("-"))
+    def test_nonpositive_order_rejected(self, argv, capsys):
+        code, out, err = run(argv, capsys)
         assert code == 2
+        assert "positive integer" in err
+        assert "Traceback" not in err
 
     def test_order_conflict_is_domain_error(self, capsys):
         code, out, err = run(
@@ -121,10 +135,6 @@ class TestExitCodes:
 
 
 class TestConfig:
-
-    def test_orders_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="npoint", orders={"qorder": 0})
 
     def test_help_documents_cache_variable(self):
         assert "VOASURF_CACHE" in build_parser().format_help()

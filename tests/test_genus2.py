@@ -43,10 +43,12 @@ from voasurf.reduction import (
 from voasurf.series import MultiSeries, binomial_expand
 from voasurf.voa import (
     GradedVector,
+    basis,
+    bilinear_form_sq,
     conformal_vector_tilde,
     generator,
-    gram_matrix,
     parse_state,
+    square_fock,
     vacuum,
 )
 
@@ -178,8 +180,8 @@ class TestPartitionFunction:
         module, bypassing dual_basis."""
         Z2 = z2_partition(MOD)
         e2 = Z2.coefficient_of("se", 4)
-        gram, vecs = gram_matrix(2, bracket="square")
-        ginv = mat_inverse(gram)
+        vecs = [square_fock(s) for s in basis(2)]
+        ginv = mat_inverse([[bilinear_form_sq(u, v) for v in vecs] for u in vecs])
         oracle = MultiSeries.constant(0).extended_to(("q1", "q2"))
         for i, bi in enumerate(vecs):
             ti = genus1_onepoint(bi, 6, "q1")

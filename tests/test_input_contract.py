@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
+from voasurf.cohomology import cohomology_rank, euler_poincare
 from voasurf.schottky import SchottkyData
-from voasurf.voa import parse_state
+from voasurf.voa import generator, parse_state
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -66,6 +67,40 @@ class TestSchottkyCoordinates:
         assert proc.stderr.startswith("error:")
         assert "nonzero" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestBoundaryStates:
+    """A genus-0 slice takes exactly two boundary states (u', u); a
+    genus-1 slice takes none."""
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_genus0_needs_two_states(self, count):
+        boundary = (generator(),) * count
+        with pytest.raises(ValueError, match="two states"):
+            cohomology_rank(1, 1, 0, (generator(), "w"), boundary=boundary)
+        with pytest.raises(ValueError, match="two states"):
+            euler_poincare(1, 1, 0, (generator(), "w"), boundary=boundary)
+
+    def test_genus1_refuses_a_boundary(self):
+        with pytest.raises(ValueError, match="only at genus 0"):
+            cohomology_rank(1, 1, 1, (generator(), "w"),
+                            boundary=(generator(), generator()))
+
+    @pytest.mark.parametrize("argv", [
+        ("euler", "-m", "1", "-N", "1", "--genus", "0", "--boundary", "a"),
+        ("euler", "-m", "1", "-N", "1", "--genus", "0",
+         "--boundary", "a,a,a"),
+        ("rank", "-n", "1", "-m", "1", "--genus", "0", "--boundary", "a",
+         "--direction", "a@w"),
+        ("rank", "-n", "1", "-m", "1", "--genus", "1", "--boundary", "a,a",
+         "--direction", "a@w"),
+    ], ids=["euler_one", "euler_three", "rank_one", "rank_genus1"])
+    def test_cli_refuses_without_traceback(self, argv):
+        proc = run_cli("cohomology", *argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "boundary" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 def _truncate(path):

@@ -26,7 +26,6 @@ from voasurf.voa import (
     bilinear_form,
     conformal_vector,
     generator,
-    gram_matrix,
     heisenberg_mode,
     vacuum,
     vertex_mode,

@@ -17,7 +17,6 @@ from voasurf.voa import (
     conformal_vector_tilde,
     dual_basis,
     generator,
-    gram_matrix,
     heisenberg_mode,
     jacobi_check,
     parse_state,
@@ -203,15 +202,44 @@ class TestSquareBrackets:
         assert total == v
 
 
+def defining_form(state, y, alpha):
+    """<state, y> from the definition: move each a(-k) of ``state`` to
+    the right as its adjoint -alpha^(-k) a(k), pairing vacua at the end."""
+    if state == VACUUM:
+        return y.coefficient(VACUUM)
+    k, rest = state[0], state[1:]
+    return -(alpha ** -k) * defining_form(rest, heisenberg_mode(k, y), alpha)
+
+
 class TestBilinearForm:
     def test_generator_norm(self):
         assert bilinear_form(generator(), generator()) == -1
         assert bilinear_form(generator(), generator(), alpha=3) == Fraction(-1, 3)
 
     def test_weight_two_gram(self):
-        gram, _ = gram_matrix(2, alpha=2)
+        vecs = [GradedVector.basis_state(s) for s in basis(2)]
+        gram = [[bilinear_form(u, v, alpha=2) for v in vecs] for u in vecs]
         # basis order: (2,), (1,1)
         assert gram == [[Fraction(-2, 4), 0], [0, Fraction(2, 4)]]
+
+    @pytest.mark.parametrize("alpha", [1, 2, Fraction(1, 3), -1],
+                             ids=["1", "2", "1_3", "-1"])
+    def test_norms_match_definition(self, alpha):
+        """Both Fock bases are orthogonal with the closed-form norms that
+        ``bilinear_form`` sums: the round Gram matrix built from the
+        adjoint a(k)^+ = -alpha^k a(-k), and the square pairing of the
+        square-bracket states, agree with it entry by entry."""
+        alpha = Fraction(alpha)
+        for m in range(6):
+            states = basis(m)
+            rounds = [GradedVector.basis_state(s) for s in states]
+            squares = [square_fock(s) for s in states]
+            for i, s in enumerate(states):
+                for j in range(len(states)):
+                    entry = bilinear_form(rounds[i], rounds[j], alpha)
+                    assert entry == defining_form(s, rounds[j], alpha)
+                    assert (entry != 0) == (i == j)
+                    assert bilinear_form_sq(squares[i], squares[j], alpha) == entry
 
     @given(states, states)
     @settings(max_examples=40)
