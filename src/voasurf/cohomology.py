@@ -125,8 +125,7 @@ class GradedSlice:
     """
 
     def __init__(self, genus: int, n: int, m: int, *, points=None,
-                 window=DEFAULT_WINDOW, q_order=None, boundary=None,
-                 alpha=1):
+                 window=DEFAULT_WINDOW, q_order=None, boundary=None):
         if genus not in (0, 1):
             raise ValueError("graded slices exist at genus 0 and 1")
         self.genus = genus
@@ -152,7 +151,6 @@ class GradedSlice:
             raise ValueError("boundary states exist only at genus 0")
         else:
             self.boundary = None
-        self.alpha = Fraction(alpha)
 
     @cached_property
     def basis(self) -> tuple:
@@ -177,10 +175,8 @@ class GradedSlice:
         if self.genus == 0:
             up, u = self.boundary
             if not insertions:
-                return genus0_partition(up, u, window=self.window,
-                                        alpha=self.alpha)
-            return genus0_direct(insertions, up, u, self.window,
-                                 alpha=self.alpha)
+                return genus0_partition(up, u, window=self.window)
+            return genus0_direct(insertions, up, u, self.window)
         if not insertions:
             return genus1_partition(self.q_order, window=self.window)
         return genus1_direct(insertions, self.q_order, self.window)
@@ -300,13 +296,13 @@ def _kernel_of(matrix) -> tuple:
     return tuple(tuple(v) for v in kernel_basis(matrix))
 
 
-def target_slice(direction: ReductionDirection, src: GradedSlice,
-                 w: int = None) -> GradedSlice:
-    w = direction_weight(direction) if w is None else w
-    return GradedSlice(src.genus, src.n + 1, src.m + w,
+def target_slice(direction: ReductionDirection,
+                 src: GradedSlice) -> GradedSlice:
+    return GradedSlice(src.genus, src.n + 1,
+                       src.m + direction_weight(direction),
                        points=(direction.insertion.point,) + src.points,
                        window=src.window, q_order=src.q_order,
-                       boundary=src.boundary, alpha=src.alpha)
+                       boundary=src.boundary)
 
 
 def build_coboundary(direction, src: GradedSlice) -> CoboundaryMatrix:
@@ -442,7 +438,7 @@ class RankResult(NamedTuple):
 
 def cohomology_rank(n: int, m: int, genus: int, direction_family, *,
                     window=DEFAULT_WINDOW, q_order=None, boundary=None,
-                    alpha=1, combine="sum") -> RankResult:
+                    combine="sum") -> RankResult:
     """Rank data of the reduction complex at level n, weight m.
 
     The level-(n-1) slice feeding the image sits at weight m minus the
@@ -451,7 +447,7 @@ def cohomology_rank(n: int, m: int, genus: int, direction_family, *,
     move p, never q.
     """
     family, w = _direction_family(direction_family)
-    kw = dict(window=window, q_order=q_order, boundary=boundary, alpha=alpha)
+    kw = dict(window=window, q_order=q_order, boundary=boundary)
     src = GradedSlice(genus, n, m, **kw)
     for d in family:
         _check_fresh(d, src.points)
@@ -473,7 +469,7 @@ class EulerResult(NamedTuple):
 
 def euler_poincare(m: int, N: int, genus: int, direction_family, *,
                    window=DEFAULT_WINDOW, q_order=None, boundary=None,
-                   alpha=1, combine="sum") -> EulerResult:
+                   combine="sum") -> EulerResult:
     """Alternating sum of q_{n} - p_{n} over the ladder 0..N.
 
     The ladder anchors weight m at level 0 and climbs by the family
@@ -484,7 +480,7 @@ def euler_poincare(m: int, N: int, genus: int, direction_family, *,
     matrices is the regression.
     """
     family, w = _direction_family(direction_family)
-    kw = dict(window=window, q_order=q_order, boundary=boundary, alpha=alpha)
+    kw = dict(window=window, q_order=q_order, boundary=boundary)
     N = int(N)
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -534,12 +530,11 @@ class ClusterSeed:
                 "genus": self.fn.genus}
 
 
-def make_seed(states, genus: int, *, window=DEFAULT_WINDOW, q_order=None,
-              boundary=None, alpha=1) -> ClusterSeed:
+def make_seed(states, genus: int, *, window=DEFAULT_WINDOW,
+              q_order=None) -> ClusterSeed:
     states = tuple(states)
     src = GradedSlice(genus, len(states), 0, points=canonical_points(
-        len(states)), window=window, q_order=q_order, boundary=boundary,
-        alpha=alpha)
+        len(states)), window=window, q_order=q_order)
     ins = tuple(Insertion(v, p) for v, p in zip(states, src.points))
     return ClusterSeed(states, src.points, src.build(ins))
 

@@ -172,19 +172,20 @@ def _z_derivative(ms: MultiSeries, var: str) -> MultiSeries:
 
 
 def weierstrass_p_qz(m: int, qz_window, q_order: int,
-                     qzvar: str = "qz", qvar: str = "q") -> MultiSeries:
-    """P_m in the q_z Laurent form on the region |q| < |q_z| < 1.
+                     qzvar: str = "qz") -> MultiSeries:
+    """P_m in the q_z Laurent form on the region |q| < |q_z| < 1, as a
+    series in ``qzvar`` and q.
 
     ``qz_window`` is the (lo, hi) viewing box for q_z; see the module
     docstring for the support caveat.
     """
     lo, hi = qz_window
-    window = {qzvar: (lo, hi), qvar: (0, q_order)}
+    window = {qzvar: (lo, hi), "q": (0, q_order)}
     sign = Fraction((-1) ** m, factorial(m - 1))
     coeffs = {}
 
     def key(ze, qe):
-        return (qe, ze) if qvar < qzvar else (ze, qe)
+        return (qe, ze) if "q" < qzvar else (ze, qe)
 
     for n in range(lo, hi + 1):
         if n == 0:
@@ -196,7 +197,7 @@ def weierstrass_p_qz(m: int, qz_window, q_order: int,
         else:
             for i in range(1, q_order // (-n) + 1):
                 coeffs[key(n, i * -n)] = coeffs.get(key(n, i * -n), Fraction(0)) - base
-    return MultiSeries((qzvar, qvar), window, coeffs)
+    return MultiSeries((qzvar, "q"), window, coeffs)
 
 
 # -- the genus-zero kernel ------------------------------------------------
@@ -204,27 +205,27 @@ def weierstrass_p_qz(m: int, qz_window, q_order: int,
 
 @dataclass
 class KernelForm:
-    """A rational kernel: normalized numerator/denominator polynomials
-    plus the expansion in |outer| > |inner|."""
+    """A rational kernel in z and w: normalized numerator/denominator
+    polynomials plus the expansion in |z| > |w|."""
 
     numerator: MultiSeries
     denominator: MultiSeries
     expansion: MultiSeries
 
 
-def _poly(varz: str, varw: str, entries: dict) -> MultiSeries:
-    window = {varz: (min((k[0] for k in entries), default=0), None),
-              varw: (min((k[1] for k in entries), default=0), None)}
-    ms = MultiSeries((varz, varw), {v: window[v] for v in (varz, varw)})
+def _poly(entries: dict) -> MultiSeries:
+    """The polynomial sum c z^ez w^ew over the entries (ez, ew) -> c."""
+    window = {"z": (min((k[0] for k in entries), default=0), None),
+              "w": (min((k[1] for k in entries), default=0), None)}
+    ms = MultiSeries(("z", "w"), window)
     for (ez, ew), c in entries.items():
-        key = (ez, ew) if varz < varw else (ew, ez)
-        ms.c[tuple(key)] = Fraction(c)
+        ms.c[(ew, ez)] = Fraction(c)  # keys follow the sorted vars (w, z)
     return ms
 
 
-def _normalize_ratio(num: MultiSeries, den: MultiSeries, outer: str):
+def _normalize_ratio(num: MultiSeries, den: MultiSeries):
     """Scale a ratio so both polys have coprime integer coefficients
-    and the denominator's leading term in ``outer`` has a positive
+    and the denominator's leading term in z has a positive
     coefficient."""
     def content(ms):
         nums = [abs(c.numerator) for c in ms.c.values()]
@@ -241,7 +242,7 @@ def _normalize_ratio(num: MultiSeries, den: MultiSeries, outer: str):
     if scale:
         num = num * (1 / scale)
         den = den * (1 / scale)
-    oi = den.vars.index(outer)
+    oi = den.vars.index("z")
     lead = den.c[max(den.c, key=lambda k: (k[oi], k))]
     if lead < 0:
         num, den = -1 * num, -1 * den
@@ -290,25 +291,24 @@ def iota_long_division(num: MultiSeries, den: MultiSeries, outer: str,
     return (num * inv).cut_below(outer, outer_lo)
 
 
-def genus0_kernel(n: int, m: int, outer: str = "z", inner: str = "w",
-                  outer_lo: int = -9) -> KernelForm:
+def genus0_kernel(n: int, m: int, outer_lo: int = -9) -> KernelForm:
     """The kernel f0_{n,m} = sum_{N>=n} C(N,m) z^(-N-1) w^(N-m).
 
     Returns the normalized closed rational form together with its
-    long-division expansion down to outer exponent ``outer_lo``.
+    long-division expansion down to z exponent ``outer_lo``.
     """
     if m < 0 or n < 0:
         raise ValueError("kernel indices must be nonnegative")
     # common denominator z^h (z-w)^(m+1) with h = n when the head sum
     # is nonempty (n > m), else just (z-w)^(m+1)
     h = n if n > m else 0
-    zw = _poly(outer, inner, {(1, 0): 1, (0, 1): -1})
-    den = _poly(outer, inner, {(h, 0): 1}) * zw ** (m + 1)
-    num = _poly(outer, inner, {(h, 0): 1})
+    zw = _poly({(1, 0): 1, (0, 1): -1})
+    den = _poly({(h, 0): 1}) * zw ** (m + 1)
+    num = _poly({(h, 0): 1})
     for big_n in range(m, n):
-        head = _poly(outer, inner, {(h - big_n - 1, big_n - m): comb(big_n, m)}) \
+        head = _poly({(h - big_n - 1, big_n - m): comb(big_n, m)}) \
             * zw ** (m + 1)
         num = num - head
-    num, den = _normalize_ratio(num, den, outer)
-    expansion = iota_long_division(num, den, outer, outer_lo)
+    num, den = _normalize_ratio(num, den)
+    expansion = iota_long_division(num, den, "z", outer_lo)
     return KernelForm(num, den, expansion)

@@ -42,6 +42,11 @@ from .voa import (
 
 _EVARS = ("q1", "q2", "se")
 HALF_POWERS = {"se": "eps"}
+# gen_weierstrass's point variables, the z-order of every P_m row and
+# column, and the x cut of its pole expansion
+_XVAR, _YVAR = "x", "y"
+_Z_ORDER = 6
+_X_LO = -8
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,6 @@ class Genus2Fn:
 
     insertions: tuple
     value: MultiSeries
-    moduli: SewingModuli
 
 
 def _qvar(chart: int) -> str:
@@ -189,22 +193,20 @@ def neumann_inverse(M: SeriesMatrix, moduli: SewingModuli) -> SeriesMatrix:
 # -- rows and columns of elliptic data ------------------------------------
 
 
-def _pm(m: int, chart: int, var: str, z_order: int,
-        moduli: SewingModuli) -> MultiSeries:
+def _pm(m: int, chart: int, var: str, moduli: SewingModuli) -> MultiSeries:
     """P_m(z, tau_chart) in the point variable ``var``."""
-    ms = weierstrass_p(m, z_order, _q_order(chart, moduli),
+    ms = weierstrass_p(m, _Z_ORDER, _q_order(chart, moduli),
                        zvar=var, qvar=_qvar(chart))
     return ms.extended_to(sorted(set(_EVARS) | {var}))
 
 
-def _pm_difference(m: int, chart: int, xvar: str, yvar: str, x_lo: int,
-                   z_order: int, moduli: SewingModuli) -> MultiSeries:
+def _pm_difference(m: int, chart: int, moduli: SewingModuli) -> MultiSeries:
     """P_m(x - y, tau_chart) expanded in |x| > |y|.
 
-    The pole 1/(x-y)^m becomes a binomial series cut at x^x_lo; the
-    regular part is a genuine polynomial in x - y.
+    The pole 1/(x-y)^m becomes a binomial series cut at x^_X_LO;
+    the regular part is a genuine polynomial in x - y.
     """
-    base = weierstrass_p(m, z_order, _q_order(chart, moduli),
+    base = weierstrass_p(m, _Z_ORDER, _q_order(chart, moduli),
                          zvar="_z", qvar=_qvar(chart))
     zi = base.vars.index("_z")
     qi = base.vars.index(_qvar(chart))
@@ -217,47 +219,43 @@ def _pm_difference(m: int, chart: int, xvar: str, yvar: str, x_lo: int,
             {_qvar(chart): key[qi]}, c,
             window={_qvar(chart): (0, _q_order(chart, moduli))})
         if k < 0:
-            piece = binomial_expand(-k - 1, xvar, yvar, x_lo) * qmono
+            piece = binomial_expand(-k - 1, _XVAR, _YVAR, _X_LO) * qmono
         else:
-            poly = {}
-            for i in range(k + 1):
-                poly[(i, k - i) if yvar < xvar else (k - i, i)] = \
-                    Fraction((-1) ** i * comb(k, i))
-            vs = tuple(sorted((xvar, yvar)))
-            piece = MultiSeries(
-                vs, {xvar: (0, None), yvar: (0, None)}, poly) * qmono
+            # exponent keys are ordered (x, y)
+            poly = {(k - i, i): Fraction((-1) ** i * comb(k, i))
+                    for i in range(k + 1)}
+            piece = MultiSeries((_XVAR, _YVAR),
+                                {_XVAR: (0, None), _YVAR: (0, None)},
+                                poly) * qmono
         out = piece if out is None else out + piece
-    return out.extended_to(sorted(set(_EVARS) | {xvar, yvar}))
+    return out.extended_to(sorted(set(_EVARS) | {_XVAR, _YVAR}))
 
 
-def r_row(x_chart: int, xvar: str, moduli: SewingModuli,
-          x_order: int = 6) -> dict:
+def r_row(x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     """R(x; m) = eps^(m/2) P_{m+1}(x, tau_a), components 1..N."""
     out = {}
     for m in range(1, moduli.matrix_cutoff + 1):
         if m > moduli.se_order:
             break
-        out[m] = _pm(m + 1, x_chart, xvar, x_order, moduli) * \
+        out[m] = _pm(m + 1, x_chart, xvar, moduli) * \
             _se_monomial(m, moduli)
     return out
 
 
-def p_column(j: int, y_chart: int, yvar: str, moduli: SewingModuli,
-             y_order: int = 6) -> dict:
+def p_column(j: int, y_chart: int, moduli: SewingModuli) -> dict:
     """PP_{j+1}(y; m) = eps^(m/2) C(m+j-1, j) (P_{j+m}(y) - d_{j0} E_m)."""
     out = {}
     for m in range(1, moduli.matrix_cutoff + 1):
         if m > moduli.se_order:
             break
-        body = _pm(j + m, y_chart, yvar, y_order, moduli)
+        body = _pm(j + m, y_chart, _YVAR, moduli)
         if j == 0:
             body = body + _eis(m, y_chart, moduli) * Fraction(-1)
         out[m] = body * _se_monomial(m, moduli, comb(m + j - 1, j))
     return out
 
 
-def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli,
-          x_order: int = 6) -> dict:
+def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     """Q(p; x) = R(x) Delta (1 - Ltilde_abar Ltilde_a)^-1 for x on
     chart a."""
     abar = 3 - x_chart
@@ -266,7 +264,7 @@ def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli,
         m = n + 2 * p - 2
         if m < 1 or m > moduli.se_order:
             continue
-        shifted[n] = _pm(m + 1, x_chart, xvar, x_order, moduli) * \
+        shifted[n] = _pm(m + 1, x_chart, xvar, moduli) * \
             _se_monomial(m, moduli)
     prod = kernel_mul(lambda_tilde(abar, p, moduli),
                       lambda_tilde(x_chart, p, moduli), moduli)
@@ -275,9 +273,7 @@ def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli,
 
 
 def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
-                    moduli: SewingModuli, xvar: str = "x", yvar: str = "y",
-                    x_order: int = 6, y_order: int = 6,
-                    x_lo: int = -8) -> MultiSeries:
+                    moduli: SewingModuli) -> MultiSeries:
     """The genus-two Weierstrass kernel replacing P_{j+1}(x - y).
 
     Same chart:   P_{j+1}(x-y) + (-1)^(j+1) Q Ltilde_abar PP_{j+1}(y),
@@ -295,35 +291,34 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
         raise ValueError("j must be nonnegative")
     a, abar = x_chart, 3 - x_chart
     clip = _clip(moduli)
-    Q = q_row(p, x_chart, xvar, moduli, x_order)
-    col = p_column(j, y_chart, yvar, moduli, y_order)
+    Q = q_row(p, x_chart, _XVAR, moduli)
+    col = p_column(j, y_chart, moduli)
     if y_chart == a:
         lt = lambda_tilde(abar, p, moduli)
-        lead = _pm_difference(j + 1, a, xvar, yvar, x_lo,
-                              max(x_order, y_order), moduli)
+        lead = _pm_difference(j + 1, a, moduli)
         tail = row_dot_column(row_times_matrix(Q, lt, clip), col, clip)
         out = lead + tail * Fraction((-1) ** (j + 1))
         if j == 0:
-            out = out + _pm(1, a, xvar, x_order, moduli) * Fraction(-1)
+            out = out + _pm(1, a, _XVAR, moduli) * Fraction(-1)
             if p != 1:
                 corr = row_times_matrix(Q, lambda_matrix(abar, moduli),
                                         clip).get(2 * p - 2)
                 if corr is not None:
                     out = out + corr * Fraction(-1)
         out = clip(out)
-        return out.extended_to(sorted(set(out.vars) | {yvar}))
+        return out.extended_to(sorted(set(out.vars) | {_YVAR}))
     sign = Fraction((-1) ** (p + 1) * (-1) ** j)
     out = row_dot_column(Q, col, clip) * sign
     if j == 0 and p != 1 and 2 * p - 2 <= moduli.se_order:
         psign = Fraction((-1) ** (p + 1))
-        out = out + _pm(2 * p - 1, a, xvar, x_order, moduli) * \
+        out = out + _pm(2 * p - 1, a, _XVAR, moduli) * \
             _se_monomial(2 * p - 2, moduli, psign)
         corr = row_times_matrix(
             row_times_matrix(Q, lambda_tilde(abar, p, moduli), clip),
             lambda_matrix(a, moduli), clip).get(2 * p - 2)
         if corr is not None:
             out = out + corr * psign
-    return clip(out).extended_to(_EVARS + (xvar, yvar))
+    return clip(out).extended_to(_EVARS + (_XVAR, _YVAR))
 
 
 # -- sewing sums -----------------------------------------------------------
@@ -414,7 +409,7 @@ def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
         # Y(1, x) is the identity
         scaled = value * v.coefficient(VACUUM)
         return Genus2Fn((direction,), scaled.extended_to(
-            sorted(set(scaled.vars) | {xvar})), moduli)
+            sorted(set(scaled.vars) | {xvar})))
 
     _check_quasi_primary(v)
     p = sq_weight(v)
@@ -469,4 +464,4 @@ def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
     out = clip(out)
     require_integer(out, HALF_POWERS)
     return Genus2Fn((direction,),
-                    out.extended_to(sorted(set(out.vars) | {xvar})), moduli)
+                    out.extended_to(sorted(set(out.vars) | {xvar})))

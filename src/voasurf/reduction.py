@@ -81,10 +81,8 @@ class CorrelationFn:
     """An n-point function together with the data that determines it.
 
     ``value`` is exact on the stored per-point windows.  At genus 0
-    ``boundary_states`` holds (u', u); at genus 1 ``front_word`` holds
-    point-independent modes multiplying the trace from the left, which
-    appear when reduction steps are iterated.  ``q_shift`` is the
-    exact exponent of the q-prefactor (0 at genus 0, -c/24 at genus 1).
+    ``boundary_states`` holds (u', u).  ``q_shift`` is the exact
+    exponent of the q-prefactor (0 at genus 0, -c/24 at genus 1).
     """
 
     genus: int
@@ -96,7 +94,6 @@ class CorrelationFn:
     alpha: Fraction = Fraction(1)
     q_order: int = None
     q_shift: Fraction = Fraction(0)
-    front_word: tuple = ()
     operator_word: tuple = ()
     degenerate_steps: tuple = ()
 
@@ -416,14 +413,13 @@ def _trace_word(word, q_order: int, memo=None,
     return out
 
 
-def genus1_direct(insertions, q_order: int, mode_window,
-                  front_word=()) -> CorrelationFn:
+def genus1_direct(insertions, q_order: int, mode_window) -> CorrelationFn:
     """Tr_V(Y(q_1^{L(0)} v_1, q_1) ... q^{L(0) - c/24}) in the
     variables q_{z_i} and q, by enumerating exponent tuples in the box.
 
-    The grading forces the exponents (plus the shift of any front
-    word) to sum to zero, so each box coefficient is one finite trace;
-    every cut is a viewing cut and no sentinel applies.
+    The grading forces the exponents to sum to zero, so each box
+    coefficient is one finite trace; every cut is a viewing cut and no
+    sentinel applies.
     """
     insertions = tuple(insertions)
     _check_distinct(insertions)
@@ -434,15 +430,14 @@ def genus1_direct(insertions, q_order: int, mode_window,
     var_order = sorted(point_var(1, p) for p in points)
     acc = {}
     memo = {}
-    fshift = _front_shift(tuple(front_word))
     for coef, row in _basis_expansions(insertions):
 
         def rec(i, exps, shift):
             if i == len(row):
-                if shift + fshift != 0:
+                if shift != 0:
                     return
-                word = tuple(front_word) + tuple(
-                    (s, weight(s) - e - 1) for (s, _), e in zip(row, exps))
+                word = tuple((s, weight(s) - e - 1)
+                             for (s, _), e in zip(row, exps))
                 tr = _trace_word(word, q_order, memo)
                 if tr.is_zero():
                     return
@@ -457,7 +452,7 @@ def genus1_direct(insertions, q_order: int, mode_window,
             rem_lo = sum(box[q][0] for _, q in row[i + 1:])
             rem_hi = sum(box[q][1] for _, q in row[i + 1:])
             for e in range(box[p][0], box[p][1] + 1):
-                if rem_lo <= -(shift + fshift + e) <= rem_hi:
+                if rem_lo <= -(shift + e) <= rem_hi:
                     rec(i + 1, exps + [e], shift + e)
 
         rec(0, [], 0)
@@ -475,8 +470,7 @@ def genus1_direct(insertions, q_order: int, mode_window,
     return CorrelationFn(
         genus=1, insertions=insertions, value=value,
         window={p: box[p] for p in points}, default_window=default,
-        q_order=q_order, q_shift=-CENTRAL_CHARGE / 24,
-        front_word=tuple(front_word))
+        q_order=q_order, q_shift=-CENTRAL_CHARGE / 24)
 
 
 # -- genus 1: the reduction recursion -----------------------------------
@@ -592,8 +586,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
 
 def genus1_reduce(direction: ReductionDirection,
                   F: CorrelationFn) -> CorrelationFn:
-    """One reduction step at genus 1; the fresh point goes outermost,
-    to the left even of any front word."""
+    """One reduction step at genus 1; the fresh point goes outermost."""
     if F.genus != 1:
         raise ValueError("genus1_reduce needs a genus-1 correlation function")
     ins = direction.insertion
@@ -606,8 +599,8 @@ def genus1_reduce(direction: ReductionDirection,
     acc = MultiSeries((), {})
     memo = {}
     for coef, row in _basis_expansions(insertions):
-        val = _g1_value(tuple(F.front_word), row,
-                        {p: box[p] for _, p in row}, q_order, memo)
+        val = _g1_value((), row, {p: box[p] for _, p in row}, q_order,
+                        memo)
         acc = acc + val * coef
 
     var_order = sorted(point_var(1, p) for p in box)
@@ -622,22 +615,20 @@ def genus1_reduce(direction: ReductionDirection,
     return CorrelationFn(
         genus=1, insertions=insertions, value=value,
         window={p: box[p] for p in box}, default_window=F.default_window,
-        q_order=q_order, q_shift=F.q_shift, front_word=F.front_word,
-        operator_word=word)
+        q_order=q_order, q_shift=F.q_shift, operator_word=word)
 
 
 # -- partition functions, residuals, unwinding ---------------------------
 
 
 def genus0_partition(uprime: GradedVector, u: GradedVector,
-                     window=(-8, 8), alpha=1) -> CorrelationFn:
+                     window=(-8, 8)) -> CorrelationFn:
     """F_0 = <u', u>."""
     _, default = _normalize_window([], window)
-    value = MultiSeries.constant(bilinear_form(uprime, u, Fraction(alpha)))
+    value = MultiSeries.constant(bilinear_form(uprime, u))
     return CorrelationFn(
         genus=0, insertions=(), value=value, window={},
-        default_window=default, boundary_states=(uprime, u),
-        alpha=Fraction(alpha))
+        default_window=default, boundary_states=(uprime, u))
 
 
 def genus1_partition(q_order: int, window=(-8, 8)) -> CorrelationFn:
@@ -672,8 +663,7 @@ def cocycle_residual(direction: ReductionDirection,
 
 
 def unwind_to_partition(directions, genus: int, *, uprime=None, u=None,
-                        window=(-8, 8), q_order: int = 6,
-                        alpha=1) -> CorrelationFn:
+                        window=(-8, 8), q_order: int = 6) -> CorrelationFn:
     """Apply reduction steps in order starting from the partition
     function, recording the operator word and flagging every step
     whose output is identically zero on the box (a degenerate
@@ -681,7 +671,7 @@ def unwind_to_partition(directions, genus: int, *, uprime=None, u=None,
     if genus == 0:
         uprime = vacuum() if uprime is None else uprime
         u = vacuum() if u is None else u
-        F = genus0_partition(uprime, u, window=window, alpha=alpha)
+        F = genus0_partition(uprime, u, window=window)
         step = genus0_reduce
     elif genus == 1:
         F = genus1_partition(q_order, window=window)

@@ -218,15 +218,17 @@ def _f_deriv(poly: dict, m: int, x: Fraction) -> Fraction:
     return total
 
 
-def _e_value(p: int, data: SchottkyData, m: int, n: int, y: Fraction) -> Fraction:
-    """The f-only diagonal coefficient sum_l f_l^(m)(y) C(l, n) y^(l-n);
-    this is what survives of the seed between a point and its own
-    partner, where the pole term must not be counted."""
+def _f_part(p: int, data: SchottkyData, m: int, n: int,
+            x: Fraction, y: Fraction) -> Fraction:
+    """The f-part sum_l f_l^(m)(x) C(l, n) y^(l-n) of the normalized
+    mixed seed derivative.  At x = y it is what survives of the seed
+    between a point and its own partner, where the pole term must not
+    be counted."""
     total = Fraction(0)
     for ell in range(2 * p - 1):
         b = gbinom(ell, n)
         if b:
-            total += _f_deriv(data.f_poly(ell), m, y) * b * y ** (ell - n)
+            total += _f_deriv(data.f_poly(ell), m, x) * b * y ** (ell - n)
     return total
 
 
@@ -234,12 +236,8 @@ def _psi0_deriv(p: int, data: SchottkyData, m: int, n: int,
                 x: Fraction, y: Fraction) -> Fraction:
     """Normalized mixed derivative of the kernel seed at a rational
     point pair off the diagonal."""
-    total = Fraction((-1) ** m * gbinom(m + n, m)) * (x - y) ** (-1 - m - n)
-    for ell in range(2 * p - 1):
-        b = gbinom(ell, n)
-        if b:
-            total += _f_deriv(data.f_poly(ell), m, x) * b * y ** (ell - n)
-    return total
+    pole = Fraction((-1) ** m * gbinom(m + n, m)) * (x - y) ** (-1 - m - n)
+    return pole + _f_part(p, data, m, n, x, y)
 
 
 def _upper_pole(var: str, c: Fraction, k: int, lo: int) -> MultiSeries:
@@ -334,7 +332,8 @@ def schottky_R(p: int, data: SchottkyData) -> SeriesMatrix:
             for m in range(N):
                 for n in range(N):
                     if b == -a:
-                        val = sign * _e_value(p, data, m, n, data.w(-a))
+                        val = sign * _f_part(p, data, m, n, data.w(-a),
+                                             data.w(-a))
                         ms = _sr_monomial(data, {a: m + n + 1}, val)
                     else:
                         val = sign * _psi0_deriv(p, data, m, n,
@@ -413,11 +412,13 @@ def q_column(p: int, data: SchottkyData, y, j: int = 0) -> dict:
     return col
 
 
-def _p_row_formal(p: int, data: SchottkyData, x_lo: int, tilde=False) -> dict:
+def _p_row_formal(p: int, data: SchottkyData, x_lo: int) -> dict:
+    """The ptilde row of seed derivatives at a formal x, expanded for
+    |x| larger than every handle point and viewed down to x^x_lo."""
     row = {}
     for b in data.index_set:
         for n in range(data.matrix_cutoff):
-            idx = n + (2 * p - 1 if tilde else 0)
+            idx = n + 2 * p - 1
             ms = _upper_pole("x", data.w(b), -1 - idx, x_lo)
             fpart = {}
             for ell in range(2 * p - 1):
@@ -456,17 +457,50 @@ def _q_column_formal(p: int, data: SchottkyData, y_hi: int) -> dict:
     return col
 
 
+def _check_degree(p: int, data: SchottkyData):
+    if p < 1:
+        raise ValueError("kernel degree p must be at least 1")
+    if data.matrix_cutoff < 2 * p - 1:
+        raise ValueError("matrix_cutoff too small for this kernel degree")
+
+
+def _tilde_row(p: int, data: SchottkyData, R: SeriesMatrix, row: dict,
+               hi: int) -> dict:
+    """The dressed row ptilde (1 - R Delta)^-1 of a ptilde row, formal
+    or at a rational point, with every product cut at sr-order hi."""
+    neumann = neumann_inverse(shifted_columns(R, p), hi)
+    return row_times_matrix(row, neumann, _clip(data.half_powers, hi))
+
+
+def _dressed_rows(p: int, data: SchottkyData, x, hi: int) -> tuple:
+    """The rows ptilde(x) (1 - R Delta)^-1 and p(x) + ptilde(x)
+    (1 - R Delta)^-1 R, the second before the amplitude division that
+    defines chi."""
+    R = schottky_R(p, data)
+    row = _tilde_row(p, data, R, p_row(p, data, x, tilde=True), hi)
+    out = dict(p_row(p, data, x))
+    for j, e in row_times_matrix(row, R, _clip(data.half_powers, hi)).items():
+        out[j] = out[j] + e if j in out else e
+    return row, out
+
+
+def _psi_value(p: int, data: SchottkyData, row: dict, j: int,
+               x: Fraction, y: Fraction) -> MultiSeries:
+    """psi's j-th normalized y-derivative at (x, y), from the dressed
+    row ptilde(x) (1 - R Delta)^-1, cut at the amplitude order."""
+    clip = _clip(data.half_powers, 2 * data.rho_order)
+    seed = MultiSeries.constant(_psi0_deriv(p, data, 0, j, x, y))
+    return clip(row_dot_column(row, q_column(p, data, y, j), clip,
+                               seed.extended_to(data.sr_vars)))
+
+
 @dataclass
 class SchottkyKernel:
-    """The assembled kernel package for one degree p: the seed, the
-    moment matrix, the formal row and column vectors, and the dressed
-    kernel, with its differential-form type carried as metadata."""
+    """The assembled kernel package for one degree p: the seed and the
+    dressed kernel, with its differential-form type carried as
+    metadata."""
 
-    p_weight: int
     psi0: MultiSeries
-    R: SeriesMatrix
-    p_vec: dict
-    q_vec: dict
     psi: MultiSeries
     form: str
 
@@ -475,32 +509,22 @@ def build_kernel(p: int, data: SchottkyData, x_lo: int = -6,
                  y_hi: int = 4) -> SchottkyKernel:
     """Assemble psi = psi0 + ptilde (1 - R Delta)^-1 q as a formal
     expansion in |x| > |y| with the amplitude corrections attached."""
-    if p < 1:
-        raise ValueError("kernel degree p must be at least 1")
-    if data.matrix_cutoff < 2 * p - 1:
-        raise ValueError("matrix_cutoff too small for this kernel degree")
+    _check_degree(p, data)
     if y_hi < 2 * p - 2:
         raise ValueError("y horizon must cover the f-polynomial degrees")
-    if len(data.f_choice) > 2 * p - 1:
-        raise ValueError("f_choice may have at most 2p - 1 components")
     hi = 2 * data.rho_order
     clip = _clip(data.half_powers, hi)
     seed = psi0(p, data.f_choice, {"x": (x_lo, None), "y": (0, y_hi)})
-    R = schottky_R(p, data)
-    neumann = neumann_inverse(shifted_columns(R, p), hi)
-    row = row_times_matrix(_p_row_formal(p, data, x_lo, tilde=True),
-                           neumann, clip)
-    qcol = _q_column_formal(p, data, y_hi)
-    psi = clip(row_dot_column(row, qcol, clip,
+    row = _tilde_row(p, data, schottky_R(p, data),
+                     _p_row_formal(p, data, x_lo), hi)
+    psi = clip(row_dot_column(row, _q_column_formal(p, data, y_hi), clip,
                               seed.extended_to(("x", "y") + data.sr_vars)))
     require_integer(psi, data.half_powers)
-    return SchottkyKernel(p, seed, R, _p_row_formal(p, data, x_lo), qcol,
-                          psi, form=f"dx^{p} dy^{1 - p}")
+    return SchottkyKernel(seed, psi, form=f"dx^{p} dy^{1 - p}")
 
 
-def psi_full(p: int, data: SchottkyData, x_lo: int = -6,
-             y_hi: int = 4) -> MultiSeries:
-    return build_kernel(p, data, x_lo, y_hi).psi
+def psi_full(p: int, data: SchottkyData) -> MultiSeries:
+    return build_kernel(p, data).psi
 
 
 def psi_deriv_value(p: int, data: SchottkyData, j: int, x, y) -> MultiSeries:
@@ -509,16 +533,11 @@ def psi_deriv_value(p: int, data: SchottkyData, j: int, x, y) -> MultiSeries:
     x, y = rat(x), rat(y)
     if x == y:
         raise ValueError("kernel evaluation needs x != y")
-    if data.matrix_cutoff < 2 * p - 1:
-        raise ValueError("matrix_cutoff too small for this kernel degree")
-    hi = 2 * data.rho_order
-    clip = _clip(data.half_powers, hi)
-    neumann = neumann_inverse(shifted_columns(schottky_R(p, data), p), hi)
-    row = row_times_matrix(p_row(p, data, x, tilde=True), neumann, clip)
-    out = MultiSeries.constant(_psi0_deriv(p, data, 0, j, x, y))
-    out = out.extended_to(data.sr_vars) + \
-        row_dot_column(row, q_column(p, data, y, j), clip)
-    return require_integer(clip(out), data.half_powers)
+    _check_degree(p, data)
+    row = _tilde_row(p, data, schottky_R(p, data),
+                     p_row(p, data, x, tilde=True), 2 * data.rho_order)
+    return require_integer(_psi_value(p, data, row, j, x, y),
+                           data.half_powers)
 
 
 # -- the theta vector -------------------------------------------------------
@@ -533,36 +552,39 @@ class FormVector:
     form: str
 
 
-def _dressed_rows(p: int, data: SchottkyData, x, hi: int) -> tuple:
-    """The rows ptilde(x) (1 - R Delta)^-1 and p(x) + ptilde(x)
-    (1 - R Delta)^-1 R, the second before the amplitude division that
-    defines chi."""
-    clip = _clip(data.half_powers, hi)
-    R = schottky_R(p, data)
-    neumann = neumann_inverse(shifted_columns(R, p), hi)
-    row = row_times_matrix(p_row(p, data, x, tilde=True), neumann, clip)
-    out = dict(p_row(p, data, x))
-    for j, e in row_times_matrix(row, R, clip).items():
-        out[j] = out[j] + e if j in out else e
-    return row, out
-
-
-def chi(p: int, data: SchottkyData, a: int, ell: int, x) -> MultiSeries:
-    """chi_a(x; ell): the ell-th dressed row entry divided by its
-    guaranteed sr_a^ell content; the division is validated against the
-    stored support."""
-    if not 0 <= ell <= 2 * p - 2:
-        raise ValueError("component index out of range")
-    if data.matrix_cutoff < 2 * p - 1:
-        raise ValueError("matrix_cutoff too small for this kernel degree")
-    hi = 2 * data.rho_order
-    entry = _dressed_rows(p, data, x, hi)[1].get((a, ell))
+def _chi(data: SchottkyData, row: dict, a: int, ell: int) -> MultiSeries:
+    """The (a, ell) entry of the chi row divided by its guaranteed
+    sr_a^ell content; the division is validated against the stored
+    support."""
+    entry = row.get((a, ell))
     if entry is None:
         return MultiSeries.constant(0).extended_to(data.sr_vars)
     var = data.sr_var(a)
     entry = entry.extended_to((var,))
     entry = entry.clip(var, ell, entry.window[var][1])
     return entry.shift(var, -ell).extended_to(data.sr_vars)
+
+
+def _theta(p: int, data: SchottkyData, row: dict, a: int) -> dict:
+    """The theta components of positive handle a from the chi row: each
+    chi of the handle plus the partner's mirrored chi, shifted by
+    sr_a^(2(p - 1 - ell))."""
+    sign = Fraction((-1) ** p)
+    var = data.sr_var(a)
+    return {ell: _chi(data, row, a, ell)
+            + _chi(data, row, -a, 2 * p - 2 - ell).shift(
+                var, 2 * (p - 1 - ell)) * sign
+            for ell in range(2 * p - 1)}
+
+
+def chi(p: int, data: SchottkyData, a: int, ell: int, x) -> MultiSeries:
+    """chi_a(x; ell): the ell-th entry of the row p(x) + ptilde(x)
+    (1 - R Delta)^-1 R divided by its guaranteed sr_a^ell content."""
+    if not 0 <= ell <= 2 * p - 2:
+        raise ValueError("component index out of range")
+    _check_degree(p, data)
+    row = _dressed_rows(p, data, x, 2 * data.rho_order)[1]
+    return _chi(data, row, a, ell)
 
 
 def theta(p: int, data: SchottkyData, a: int, x) -> FormVector:
@@ -572,14 +594,9 @@ def theta(p: int, data: SchottkyData, a: int, x) -> FormVector:
     sums, which is why the integer-rho check does not apply here."""
     if a < 1 or a > data.genus:
         raise ValueError("theta is indexed by positive handles")
-    sign = Fraction((-1) ** p)
-    var = data.sr_var(a)
-    comps = {}
-    for ell in range(2 * p - 1):
-        partner = chi(p, data, -a, 2 * p - 2 - ell, x)
-        comps[ell] = chi(p, data, a, ell, x) + \
-            partner.shift(var, 2 * (p - 1 - ell)) * sign
-    return FormVector(comps, form=f"dx^{p}")
+    _check_degree(p, data)
+    row = _dressed_rows(p, data, x, 2 * data.rho_order)[1]
+    return FormVector(_theta(p, data, row, a), form=f"dx^{p}")
 
 
 # -- handle sums: partition, n-point, and the reduction step ----------------
@@ -665,11 +682,10 @@ def genus_g_partition(data: SchottkyData,
                       weight_cutoff: int = None) -> MultiSeries:
     """The genus-g partition handle sum.
 
-    Under the dictionary q = -rho (w_{-1} - w_1)^(-2) the g = 1 series
-    matches the graded dimension at amplitude orders 0 and 1; from
-    order 2 on the plain handle sum deviates (the coefficient is 4,
-    not 2), since this scheme carries no local-coordinate adjustments
-    at the handle points.
+    At g = 1, under the dictionary q / (1 + q)^2 = -rho (w_{-1} - w_1)^(-2),
+    the handle sum is the graded dimension prod_n (1 - q^n)^(-1).  The
+    map q = -rho (w_{-1} - w_1)^(-2) is only its first-order term, so
+    in that variable the rho^2 coefficient reads 4, not 2.
     """
     return genus_g_npoint((), data, weight_cap=weight_cutoff).value
 
@@ -694,8 +710,7 @@ def genus_g_reduce(direction, F: SchottkyFn, data: SchottkyData) -> SchottkyFn:
         return SchottkyFn(((u, y),) + F.insertions, value, data)
     if not virasoro(1, u).is_zero():
         raise ValueError("direction state must be quasi-primary")
-    if data.matrix_cutoff < 2 * p - 1:
-        raise ValueError("matrix_cutoff too small for this direction weight")
+    _check_degree(p, data)
     if y in data.coordinates or any(y == yk for _, yk in F.insertions):
         raise ValueError("new insertion point collides with an existing one")
 
@@ -706,25 +721,15 @@ def genus_g_reduce(direction, F: SchottkyFn, data: SchottkyData) -> SchottkyFn:
     ptrow, vrow = _dressed_rows(p, data, y, hi + max(0, p - 2))
 
     for a in range(1, data.genus + 1):
-        var = data.sr_var(a)
+        th = _theta(p, data, vrow, a)
         caps = {c: order for c in range(1, data.genus + 1)}
         caps[a] = order + p - 1
         for ell in range(2 * p - 1):
             osum = _handle_sum(data, F.insertions, caps, mod_handle=a,
                                mod=lambda b: vertex_mode(u, ell, b),
                                mod_lo=max(1, ell - p + 1))
-            if osum.is_zero():
-                continue
-            term = MultiSeries.constant(0).extended_to(data.sr_vars)
-            for idx, sign in (((a, ell), 1),
-                              ((-a, 2 * p - 2 - ell), Fraction((-1) ** p))):
-                e = vrow.get(idx)
-                if e is None:
-                    continue
-                e = e.extended_to((var,))
-                e = e.clip(var, idx[1], e.window[var][1])
-                term = term + (e * osum) * sign
-            total = total + term.shift(var, -ell)
+            if not osum.is_zero():
+                total = total + th[ell] * osum
 
     caps = {c: order for c in range(1, data.genus + 1)}
     kernels = {}
@@ -734,10 +739,7 @@ def genus_g_reduce(direction, F: SchottkyFn, data: SchottkyData) -> SchottkyFn:
             if uv.is_zero():
                 continue
             if (yk, j) not in kernels:
-                kern = MultiSeries.constant(_psi0_deriv(p, data, 0, j, y, yk))
-                kern = kern.extended_to(data.sr_vars) + row_dot_column(
-                    ptrow, q_column(p, data, yk, j), clip)
-                kernels[(yk, j)] = clip(kern)
+                kernels[(yk, j)] = _psi_value(p, data, ptrow, j, y, yk)
             modified = list(F.insertions)
             modified[k] = (uv, yk)
             inner = _handle_sum(data, modified, caps)

@@ -127,18 +127,17 @@ class MultiSeries:
 
     # -- alignment -----------------------------------------------------
 
-    def extended_to(self, variables, extra_window=None) -> "MultiSeries":
+    def extended_to(self, variables) -> "MultiSeries":
         """View of self over a larger variable set (new exponents 0).
 
         A variable absent from a factor is constant there: support {0},
-        complete knowledge, so its window is (0, None) unless the
-        caller supplies one.
+        complete knowledge, so its window is (0, None).
         """
         variables = tuple(sorted(set(variables) | set(self.vars)))
         window = dict(self.window)
         for v in variables:
             if v not in window:
-                window[v] = (extra_window or {}).get(v, (0, None))
+                window[v] = (0, None)
         pos = {v: i for i, v in enumerate(self.vars)}
         coeffs = {}
         for key, val in self.c.items():
@@ -451,16 +450,16 @@ def iota_expand(n: int, m: int, outer: str, inner: str, window) -> MultiSeries:
                        coeffs)
 
 
-def binomial_expand(m: int, outer: str, inner: str, outer_lo: int, sign=1) -> MultiSeries:
-    """Exact expansion of 1/(outer - sign*inner)^(m+1) in |outer| > |inner|.
+def binomial_expand(m: int, outer: str, inner: str, outer_lo: int) -> MultiSeries:
+    """Exact expansion of 1/(outer - inner)^(m+1) in |outer| > |inner|.
 
-    Terms sum_{j>=0} C(m+j, m) sign^j outer^(-m-1-j) inner^j, generated
-    while the outer exponent stays >= outer_lo.
+    Terms sum_{j>=0} C(m+j, m) outer^(-m-1-j) inner^j, generated while
+    the outer exponent stays >= outer_lo.
     """
     coeffs = {}
     j = 0
     while -m - 1 - j >= outer_lo:
-        val = Fraction(comb(m + j, m) * (sign ** j))
+        val = Fraction(comb(m + j, m))
         coeffs[(-m - 1 - j, j) if outer < inner else (j, -m - 1 - j)] = val
         j += 1
     jmax = -m - 1 - outer_lo

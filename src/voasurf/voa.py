@@ -379,7 +379,7 @@ def bilinear_form_sq(x: GradedVector, y: GradedVector, alpha=1) -> Fraction:
     return total
 
 
-def dual_basis(m: int, alpha=1, bracket="round"):
+def dual_basis(m: int, bracket="round"):
     """Pairs (v, v / <v, v>) with <v_bar_i, v_j> = delta_ij at weight m,
     v a round basis state or its ``square_fock`` counterpart: both bases
     are orthogonal, with the norms ``_norm``."""
@@ -389,8 +389,7 @@ def dual_basis(m: int, alpha=1, bracket="round"):
         vec = square_fock
     else:
         raise ValueError(f"unknown bracket {bracket!r}")
-    alpha = Fraction(alpha)
-    return [(vec(s), vec(s) * Fraction(1, _norm(s, alpha))) for s in basis(m)]
+    return [(vec(s), vec(s) * Fraction(1, _norm(s))) for s in basis(m)]
 
 
 def adjoint_boundary_state(v: GradedVector, j: int, uprime: GradedVector,

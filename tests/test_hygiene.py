@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never
-uses, and no module-level definition lacks a caller.  Stdlib ``ast``
-scans and word matching, so it needs no linter."""
+uses, no module-level definition lacks a caller, no defaulted parameter
+keeps its default at every call, and no record field goes unread.
+Stdlib ``ast`` scans and word matching, so it needs no linter."""
 
 import ast
 import re
@@ -77,3 +78,105 @@ def dead_definitions() -> list:
 
 def test_every_definition_has_a_caller():
     assert dead_definitions() == []
+
+
+def _trees(*tops):
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _name(node):
+    """The bare or attribute name of a call's callee, a decorator or a
+    base class."""
+    node = node.func if isinstance(node, ast.Call) else node
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _functions(node, cls=None):
+    """(enclosing class or None, def) for every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield cls, child
+            yield from _functions(child)
+        else:
+            yield from _functions(
+                child, child if isinstance(child, ast.ClassDef) else cls)
+
+
+def _defaulted(fn, bound: bool) -> list:
+    """(name, positional index or None) of each defaulted parameter;
+    the index of a bound method does not count self."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(pos) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _sets(call: ast.Call, name: str, index) -> bool:
+    """Whether the call can set the parameter: by keyword, by enough
+    positional arguments, or through * or ** unpacking."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unset_parameters() -> list:
+    """Defaulted parameters of package functions that no call in the
+    package, the tests or the benchmark sets; calls match by bare or
+    attribute name, and a class call counts as a call of __init__."""
+    calls = defaultdict(list)
+    for _, tree in _trees("src", "tests", "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls[_name(node)].append(node)
+    unset = []
+    for path, tree in _trees("src"):
+        for cls, fn in _functions(tree):
+            static = any(_name(d) == "staticmethod"
+                         for d in fn.decorator_list)
+            names = {fn.name}
+            if cls is not None and fn.name == "__init__":
+                names.add(cls.name)
+            found = [c for n in names for c in calls[n]]
+            for name, index in _defaulted(fn, cls is not None and not static):
+                if not any(_sets(c, name, index) for c in found):
+                    unset.append(f"{path.name}:{fn.lineno} {fn.name}({name}=)")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set():
+    assert unset_parameters() == []
+
+
+def unread_fields() -> list:
+    """Fields of package dataclasses and NamedTuples that nothing in
+    the package, the tests or the benchmark reads as ``.field``."""
+    read = {node.attr for _, tree in _trees("src", "tests", "bench")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in _trees("src"):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not (
+                    any(_name(d) == "dataclass" for d in cls.decorator_list)
+                    or any(_name(b) == "NamedTuple" for b in cls.bases)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(
+                        stmt.target, ast.Name) and stmt.target.id not in read:
+                    unread.append(f"{path.name}:{stmt.lineno} "
+                                  f"{cls.name}.{stmt.target.id}")
+    return unread
+
+
+def test_every_record_field_is_read():
+    assert unread_fields() == []

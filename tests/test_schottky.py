@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voasurf import schottky
 from voasurf.genus2 import HALF_POWERS
 from voasurf.series import MultiSeries
 from voasurf.voa import (
@@ -341,7 +342,7 @@ class TestDressedKernel:
             kern.psi0.extended_to(kern.psi.vars))
 
     def test_psi_full_matches_package(self):
-        assert psi_full(1, DATA1F, x_lo=-5, y_hi=3).agrees_with(
+        assert psi_full(1, DATA1F).agrees_with(
             build_kernel(1, DATA1F, x_lo=-5, y_hi=3).psi)
 
     def test_form_tags(self):
@@ -399,6 +400,27 @@ class TestDressedKernel:
         with pytest.raises(ValueError):
             q_column(1, DATA1, F(3))
 
+    @pytest.mark.parametrize("call", [
+        lambda: theta(2, DATA1, 1, F(5)),
+        lambda: chi(2, DATA1, -1, 0, F(5)),
+        lambda: build_kernel(1, DATA1F),
+        lambda: psi_deriv_value(2, DATA2, 1, F(9), F(2)),
+        lambda: genus_g_reduce((OMEGA, F(5)),
+                               genus_g_npoint([(A, F(7))], DATA1), DATA1),
+    ], ids=["theta", "chi", "build_kernel", "psi_deriv_value",
+            "genus_g_reduce"])
+    def test_one_neumann_inverse_per_call(self, monkeypatch, call):
+        calls = []
+        real = schottky.neumann_inverse
+
+        def counting(M, hi):
+            calls.append(hi)
+            return real(M, hi)
+
+        monkeypatch.setattr(schottky, "neumann_inverse", counting)
+        call()
+        assert len(calls) == 1
+
     def test_theta_components_and_negative_powers(self):
         th = theta(2, DATA1, 1, F(5))
         assert sorted(th.components) == [0, 1, 2]
@@ -445,13 +467,22 @@ def dense_channel_sum(data, m):
 class TestHandleSums:
     def test_partition_dictionary_values(self):
         # with d = w_{-1} - w_1: 1 - d^-2 rho + 4 d^-4 rho^2; the
-        # order-2 coefficient is 4 rather than the graded dimension 2,
-        # the scheme having no local-coordinate adjustments
+        # graded dimension 1 + q + 2 q^2 in q = t + 2 t^2 + ..., where
+        # q / (1 + q)^2 = t = -rho d^-2, has t^2 coefficient 2 + 2 = 4
         Z = genus_g_partition(DATA1)
         d = F(3) - F(1)
         assert Z.coefficient({"sr1": 0}) == 1
         assert Z.coefficient({"sr1": 2}) == -d ** -2
         assert Z.coefficient({"sr1": 4}) == 4 * d ** -4
+
+    def test_partition_is_graded_dimension_under_dictionary(self):
+        # prod_n (1 - q^n)^-1 with q = t + 2t^2 + 5t^3 + 14t^4 + 42t^5
+        # the inverse of t = q / (1 + q)^2, and t = -rho d^-2
+        Z = genus_g_partition(SchottkyData(1, (3, 1), 5, 10))
+        d = F(3) - F(1)
+        got = [d ** (2 * m) * Z.coefficient({"sr1": 2 * m})
+               for m in range(6)]
+        assert got == [1, -1, 4, -16, 65, -266]
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_partition_against_raw_gram_inversion(self, m):
