@@ -35,14 +35,13 @@ import sys
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .cohomology import (ClusterSetting, as_direction, cohomology_rank,
+from .cohomology import (ClusterSetting, _direction_family, cohomology_rank,
                          describe_direction, euler_poincare, involution_check,
                          make_seed)
 from .elliptic import CACHE_ENV, eisenstein, weierstrass_p
 from .genus2 import HALF_POWERS, SewingModuli, gen_weierstrass, z2_partition
 from .reduction import (Insertion, ReductionDirection, cocycle_residual,
-                        genus0_direct, genus0_partition, genus1_direct,
-                        genus1_partition, unwind_to_partition)
+                        genus0_direct, genus1_direct, unwind_to_partition)
 from .schottky import SchottkyData, genus_g_partition, psi_full
 from .series import MultiSeries
 from .sewing import renamed
@@ -400,15 +399,22 @@ def _run_pm(ns: argparse.Namespace):
             "series": _series_payload(ms, ns.approx)}, 0
 
 
+def _oracle(ns: argparse.Namespace):
+    """The brute-force correlation function of ``--insertions`` between
+    vacua (genus 0) or traced (genus 1); no insertions give the
+    partition function."""
+    window = (-ns.zorder, ns.zorder)
+    if ns.genus == 0:
+        return genus0_direct(ns.insertions, vacuum(), vacuum(), window)
+    return genus1_direct(ns.insertions, ns.qorder, window)
+
+
 def _run_npoint(ns: argparse.Namespace):
     genus = ns.genus
     window = (-ns.zorder, ns.zorder)
     q_order = ns.qorder
     if ns.path == "oracle":
-        if genus == 0:
-            F = genus0_direct(ns.insertions, vacuum(), vacuum(), window)
-        else:
-            F = genus1_direct(ns.insertions, q_order, window)
+        F = _oracle(ns)
     else:
         directions = tuple(ReductionDirection(i)
                            for i in reversed(ns.insertions))
@@ -429,21 +435,9 @@ def _run_npoint(ns: argparse.Namespace):
 
 
 def _run_residual(ns: argparse.Namespace):
-    genus = ns.genus
-    window = (-ns.zorder, ns.zorder)
-    q_order = ns.qorder
-    if ns.insertions:
-        if genus == 0:
-            F = genus0_direct(ns.insertions, vacuum(), vacuum(), window)
-        else:
-            F = genus1_direct(ns.insertions, q_order, window)
-    elif genus == 0:
-        F = genus0_partition(vacuum(), vacuum(), window=window)
-    else:
-        F = genus1_partition(q_order, window=window)
     direction = ReductionDirection(ns.direction)
-    res = cocycle_residual(direction, F)
-    return {"command": "residual", "genus": genus,
+    res = cocycle_residual(direction, _oracle(ns))
+    return {"command": "residual", "genus": ns.genus,
             "direction": _render_insertion(direction.insertion),
             "insertions": [_render_insertion(i) for i in ns.insertions],
             "is_zero": res.is_zero(),
@@ -506,20 +500,21 @@ def _run_schottky_partition(ns: argparse.Namespace):
 
 
 def _direction_args(ns: argparse.Namespace):
-    directions = ns.direction or [_insertion("a@w")]
-    family = directions[0] if len(directions) == 1 else tuple(directions)
-    return family, directions, (-ns.window, ns.window)
+    """The direction family as the computation uses it (every member
+    moved to the first member's point) and the mode window."""
+    family, _ = _direction_family(ns.direction or [_insertion("a@w")],
+                                  ns.combine)
+    return family, (-ns.window, ns.window)
 
 
 def _run_cohomology_rank(ns: argparse.Namespace):
-    family, directions, window = _direction_args(ns)
+    family, window = _direction_args(ns)
     result = cohomology_rank(ns.n, ns.m, ns.genus, family, window=window,
                              q_order=ns.qorder, boundary=ns.boundary,
                              combine=ns.combine)
     return {"command": "cohomology rank", "genus": ns.genus,
             "n": ns.n, "m": ns.m,
-            "direction": [describe_direction(as_direction(d))
-                          for d in directions],
+            "direction": [describe_direction(d) for d in family],
             "combine": ns.combine,
             "window": list(window), "qorder": ns.qorder,
             "q": result.q, "p": result.p,
@@ -529,14 +524,13 @@ def _run_cohomology_rank(ns: argparse.Namespace):
 
 
 def _run_cohomology_euler(ns: argparse.Namespace):
-    family, directions, window = _direction_args(ns)
+    family, window = _direction_args(ns)
     result = euler_poincare(ns.m, ns.levels, ns.genus, family,
                             window=window, q_order=ns.qorder,
                             boundary=ns.boundary, combine=ns.combine)
     return {"command": "cohomology euler", "genus": ns.genus,
             "m": ns.m, "N": ns.levels,
-            "direction": [describe_direction(as_direction(d))
-                          for d in directions],
+            "direction": [describe_direction(d) for d in family],
             "combine": ns.combine,
             "window": list(window), "qorder": ns.qorder,
             "total": result.total,

@@ -21,7 +21,9 @@ leaves open.  Every operation here takes it explicitly, either as a
 single direction or as a finite family, and a family can enter as the
 sum of its per-direction matrices (one operator, the convention the
 cluster construction uses) or stacked (simultaneous conditions, one
-block row per direction).
+block row per direction).  ``build_coboundary`` is the one place that
+turns a slice into coboundary columns; the ranks and the Euler ledger
+read theirs off the matrices it returns.
 """
 
 from dataclasses import dataclass
@@ -35,12 +37,9 @@ from .reduction import (
     Insertion,
     ReductionDirection,
     genus0_direct,
-    genus0_partition,
-    genus0_reduce,
     genus1_direct,
-    genus1_partition,
-    genus1_reduce,
     point_var,
+    reduce_step,
 )
 from .voa import GradedVector, basis, render_state, vacuum
 
@@ -89,9 +88,12 @@ def direction_weight(direction: ReductionDirection) -> int:
     return state.weights()[0]
 
 
-def _direction_family(family):
+def _direction_family(family, combine: str):
     """Normalize to a nonempty tuple of directions sharing one fresh
-    point symbol (the first member's) and one state weight."""
+    point symbol (the first member's) and one state weight; ``combine``
+    must name how the family acts, 'sum' or 'stack'."""
+    if combine not in ("sum", "stack"):
+        raise ValueError("combine must be 'sum' or 'stack'")
     if isinstance(family, (ReductionDirection, Insertion, GradedVector)):
         family = [family]
     elif isinstance(family, tuple) and len(family) == 2 and \
@@ -173,12 +175,7 @@ class GradedSlice:
         """The correlation function of an explicit insertion tuple on
         this slice's window (the tuple need not come from ``basis``)."""
         if self.genus == 0:
-            up, u = self.boundary
-            if not insertions:
-                return genus0_partition(up, u, window=self.window)
-            return genus0_direct(insertions, up, u, self.window)
-        if not insertions:
-            return genus1_partition(self.q_order, window=self.window)
+            return genus0_direct(insertions, *self.boundary, self.window)
         return genus1_direct(insertions, self.q_order, self.window)
 
     @cached_property
@@ -219,10 +216,6 @@ class GradedSlice:
         return out
 
 
-def _reduce_step(genus: int):
-    return genus0_reduce if genus == 0 else genus1_reduce
-
-
 def _check_fresh(direction: ReductionDirection, points) -> None:
     if direction.insertion.point in points:
         raise ValueError(f"direction point {direction.insertion.point!r} "
@@ -231,24 +224,23 @@ def _check_fresh(direction: ReductionDirection, points) -> None:
 
 @dataclass
 class CoboundaryMatrix:
-    """The reduction step on a slice, one column per basis tuple.
+    """The reduction step of a direction family on a slice, one column
+    per basis tuple.
 
-    Columns are sparse monomial vectors on the target slice's window.
+    Columns are sparse monomial vectors on the target slice's window
+    (keys tagged by the member index when the family is stacked).
     ``matrix`` densifies them over the nonzero row support, in sorted
     monomial order, so ranks and kernels never see all-zero rows.
     """
 
-    direction: ReductionDirection
+    directions: tuple
     source: GradedSlice
     target: GradedSlice
     columns: list
 
     @cached_property
     def row_keys(self) -> tuple:
-        keys = set()
-        for col in self.columns:
-            keys.update(col)
-        return tuple(sorted(keys))
+        return _row_keys(self.columns)
 
     @cached_property
     def matrix(self) -> list:
@@ -271,13 +263,18 @@ class CoboundaryMatrix:
 
     def describe(self) -> dict:
         return {
-            "direction": describe_direction(self.direction),
+            "direction": [describe_direction(d) for d in self.directions],
             "source": self.source.describe(),
             "target": self.target.describe(),
             "shape": [len(self.row_keys), len(self.columns)],
             "rank": self.rank,
             "kernel_dim": self.kernel_dim,
         }
+
+
+def _row_keys(columns) -> tuple:
+    """The sorted union of the columns' monomial keys."""
+    return tuple(sorted(set().union(*columns)))
 
 
 def _densify(columns, row_keys) -> list:
@@ -305,19 +302,34 @@ def target_slice(direction: ReductionDirection,
                        boundary=src.boundary)
 
 
-def build_coboundary(direction, src: GradedSlice) -> CoboundaryMatrix:
+def build_coboundary(direction_family, src: GradedSlice,
+                     combine="sum") -> CoboundaryMatrix:
     """The matrix of the reduction step on a graded slice.
 
+    A single direction or a family; the family acts as the entrywise
+    sum of its members' images (one operator) or stacked, one block of
+    rows per member with keys tagged by the member index.  Members
+    share the anchored point and weight, hence one target slice.
     Exact on the slice's window; window problems inside the reduction
     (an intrinsically finite direction that does not fit) propagate as
     WindowError rather than being absorbed.
     """
-    direction = as_direction(direction)
-    _check_fresh(direction, src.points)
-    tgt = target_slice(direction, src)
-    step = _reduce_step(src.genus)
-    columns = [tgt.vectorize(step(direction, fn)) for fn in src.functions]
-    return CoboundaryMatrix(direction, src, tgt, columns)
+    family, _ = _direction_family(direction_family, combine)
+    _check_fresh(family[0], src.points)
+    tgt = target_slice(family[0], src)
+    columns = []
+    for fn in src.functions:
+        images = [tgt.vectorize(reduce_step(d, fn)) for d in family]
+        if combine == "stack":
+            columns.append({(i,) + k: v for i, image in enumerate(images)
+                            for k, v in image.items()})
+            continue
+        acc = {}
+        for image in images:
+            for k, v in image.items():
+                acc[k] = acc.get(k, 0) + v
+        columns.append({k: v for k, v in acc.items() if v})
+    return CoboundaryMatrix(family, src, tgt, columns)
 
 
 @dataclass
@@ -373,56 +385,13 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     _check_fresh(dir2, src.points + (dir1.insertion.point,))
     mid = target_slice(dir1, src)
     tgt = target_slice(dir2, mid)
-    step = _reduce_step(src.genus)
     columns = []
     for fn in src.functions:
-        g = step(dir1, fn)
-        columns.append({} if g.is_zero() else tgt.vectorize(step(dir2, g)))
-    keys = set()
-    for col in columns:
-        keys.update(col)
-    matrix = _densify(columns, tuple(sorted(keys)))
-    kernel = _kernel_of(matrix)
+        g = reduce_step(dir1, fn)
+        columns.append({} if g.is_zero()
+                       else tgt.vectorize(reduce_step(dir2, g)))
+    kernel = _kernel_of(_densify(columns, _row_keys(columns)))
     return ChainReport(dir1, dir2, src, tgt, columns, kernel)
-
-
-def _combined_columns(family, src: GradedSlice, combine: str) -> list:
-    """Vectorized images of the slice basis under a direction family.
-
-    sum: entrywise sum of the per-direction images (one operator).
-    stack: block rows, keys tagged by the direction index.
-    """
-    step = _reduce_step(src.genus)
-    targets = [target_slice(d, src) for d in family]
-    columns = []
-    for fn in src.functions:
-        if combine == "sum":
-            acc = {}
-            for d, tgt in zip(family, targets):
-                for k, v in tgt.vectorize(step(d, fn)).items():
-                    s = acc.get(k, Fraction(0)) + v
-                    if s:
-                        acc[k] = s
-                    else:
-                        acc.pop(k, None)
-            columns.append(acc)
-        elif combine == "stack":
-            acc = {}
-            for i, (d, tgt) in enumerate(zip(family, targets)):
-                for k, v in tgt.vectorize(step(d, fn)).items():
-                    acc[(i,) + k] = v
-            columns.append(acc)
-        else:
-            raise ValueError("combine must be 'sum' or 'stack'")
-    return columns
-
-
-def _rank_and_nullity(columns):
-    keys = set()
-    for col in columns:
-        keys.update(col)
-    r = rank(_densify(columns, tuple(sorted(keys))))
-    return r, len(columns) - r
 
 
 class RankResult(NamedTuple):
@@ -446,20 +415,15 @@ def cohomology_rank(n: int, m: int, genus: int, direction_family, *,
     four numbers are certified within the window: a larger window can
     move p, never q.
     """
-    family, w = _direction_family(direction_family)
+    family, w = _direction_family(direction_family, combine)
     kw = dict(window=window, q_order=q_order, boundary=boundary)
-    src = GradedSlice(genus, n, m, **kw)
-    for d in family:
-        _check_fresh(d, src.points)
-    im_up, ker_up = _rank_and_nullity(_combined_columns(family, src, combine))
-    if n == 0:
-        im_below = 0
-    else:
+    up = build_coboundary(family, GradedSlice(genus, n, m, **kw), combine)
+    im_below = 0
+    if n > 0:
         below = GradedSlice(genus, n - 1, m - w, **kw)
-        im_below, _ = _rank_and_nullity(_combined_columns(family, below,
-                                                          combine))
-    return RankResult(q=src.dim, p=ker_up - im_below,
-                      kernel_rank=ker_up, image_rank=im_up)
+        im_below = build_coboundary(family, below, combine).rank
+    return RankResult(q=up.source.dim, p=up.kernel_dim - im_below,
+                      kernel_rank=up.kernel_dim, image_rank=up.rank)
 
 
 class EulerResult(NamedTuple):
@@ -479,19 +443,18 @@ def euler_poincare(m: int, N: int, genus: int, direction_family, *,
     plus nullity at every level, and computing it from the actual
     matrices is the regression.
     """
-    family, w = _direction_family(direction_family)
+    family, w = _direction_family(direction_family, combine)
     kw = dict(window=window, q_order=q_order, boundary=boundary)
     N = int(N)
     if N < 0:
         raise ValueError("N must be >= 0")
     levels = [GradedSlice(genus, k, m + k * w, **kw) for k in range(N + 1)]
-    for d in family:
-        _check_fresh(d, levels[-1].points)
+    # no coboundary leaves the top level, so check its points here
+    _check_fresh(family[0], levels[-1].points)
     ranks = []
     for k in range(N):
-        im, ker = _rank_and_nullity(
-            _combined_columns(family, levels[k], combine))
-        ranks.append((im, ker))
+        cb = build_coboundary(family, levels[k], combine)
+        ranks.append((cb.rank, cb.kernel_dim))
     ranks.append((0, levels[N].dim))  # image into level N+1 := 0
     ledger = []
     total = 0
@@ -586,7 +549,7 @@ def cluster_mutate(seed: ClusterSeed, direction: int, m: int, *,
     states[k - 1] = xi_sign(xi, states[k - 1]) * states[k - 1]
     used = {ins.point for ins in seed.fn.insertions} | set(seed.points)
     d = ReductionDirection(Insertion(vacuum(), _fresh_point(used)))
-    fn = _reduce_step(seed.fn.genus)(d, seed.fn)
+    fn = reduce_step(d, seed.fn)
     return ClusterSeed(tuple(states), seed.points, fn)
 
 

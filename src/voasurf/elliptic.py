@@ -249,10 +249,11 @@ def _normalize_ratio(num: MultiSeries, den: MultiSeries):
     return num, den
 
 
-def iota_long_division(num: MultiSeries, den: MultiSeries, outer: str,
+def iota_long_division(num: MultiSeries, den: MultiSeries,
                        outer_lo: int) -> MultiSeries:
-    """Expand num/den in the region where ``outer`` dominates, by
-    explicit long division down to outer exponent ``outer_lo``."""
+    """Expand num/den in the region where z dominates, by explicit long
+    division down to z exponent ``outer_lo``."""
+    outer = "z"
     oi = den.vars.index(outer)
     lead_key = max(den.c, key=lambda k: (k[oi], [-e for j, e in enumerate(k) if j != oi]))
     lead = den.c[lead_key]
@@ -310,5 +311,5 @@ def genus0_kernel(n: int, m: int, outer_lo: int = -9) -> KernelForm:
             * zw ** (m + 1)
         num = num - head
     num, den = _normalize_ratio(num, den)
-    expansion = iota_long_division(num, den, "z", outer_lo)
+    expansion = iota_long_division(num, den, outer_lo)
     return KernelForm(num, den, expansion)

@@ -91,7 +91,6 @@ class CorrelationFn:
     window: dict
     default_window: tuple
     boundary_states: tuple = None
-    alpha: Fraction = Fraction(1)
     q_order: int = None
     q_shift: Fraction = Fraction(0)
     operator_word: tuple = ()
@@ -157,7 +156,7 @@ def _apply_basis_mode(s: tuple, k: int, vec: dict) -> dict:
 
 
 def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
-                  window, alpha=1) -> CorrelationFn:
+                  window) -> CorrelationFn:
     """<u', Y(v_1, z_1) ... Y(v_n, z_n) u> expanded in |z_1| > ... > |z_n|.
 
     Pure mode-tuple enumeration: z_i carries exponent -k_i - 1 from
@@ -168,7 +167,6 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
     """
     insertions = tuple(insertions)
     _check_distinct(insertions)
-    alpha = Fraction(alpha)
     points = [ins.point for ins in insertions]
     box, default = _normalize_window(points, window)
 
@@ -198,7 +196,7 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
             if not vec:
                 return
             if i < 0:
-                val = coef * bilinear_form(uprime, GradedVector(vec), alpha)
+                val = coef * bilinear_form(uprime, GradedVector(vec))
                 if val:
                     key = tuple(exps)
                     acc[key] = acc.get(key, Fraction(0)) + val
@@ -224,10 +222,10 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
 
         rec(n - 1, u.t, [])
 
-    return _assemble_genus0(insertions, acc, box, default, uprime, u, alpha)
+    return _assemble_genus0(insertions, acc, box, default, uprime, u)
 
 
-def _assemble_genus0(insertions, acc, box, default, uprime, u, alpha,
+def _assemble_genus0(insertions, acc, box, default, uprime, u,
                      operator_word=()):
     """Window-check the accumulated coefficients and build the result.
 
@@ -265,14 +263,13 @@ def _assemble_genus0(insertions, acc, box, default, uprime, u, alpha,
     return CorrelationFn(
         genus=0, insertions=insertions, value=value,
         window={p: box[p] for p in points}, default_window=default,
-        boundary_states=(uprime, u), alpha=alpha,
-        operator_word=operator_word)
+        boundary_states=(uprime, u), operator_word=operator_word)
 
 
 # -- genus 0: the reduction recursion -----------------------------------
 
 
-def _g0_value(row, uprime, u, window, alpha, memo) -> MultiSeries:
+def _g0_value(row, uprime, u, window, memo) -> MultiSeries:
     """The recursion on basis-state insertion rows.
 
     The head operator Y(v, z) = sum_j v(j) z^{-j-1} is split three
@@ -287,9 +284,8 @@ def _g0_value(row, uprime, u, window, alpha, memo) -> MultiSeries:
     if uprime.is_zero() or u.is_zero():
         return MultiSeries((), {})
     if not row:
-        return MultiSeries.constant(bilinear_form(uprime, u, alpha))
-    key = (row, uprime.key(), u.key(),
-           tuple(sorted(window.items())), alpha)
+        return MultiSeries.constant(bilinear_form(uprime, u))
+    key = (row, uprime.key(), u.key(), tuple(sorted(window.items())))
     if key in memo:
         return memo[key]
 
@@ -310,15 +306,15 @@ def _g0_value(row, uprime, u, window, alpha, memo) -> MultiSeries:
         nxt = vertex_mode(v, j, u)
         if nxt.is_zero():
             continue
-        sib = _g0_value(rest, uprime, nxt, sub_window(), alpha, memo)
+        sib = _g0_value(rest, uprime, nxt, sub_window(), memo)
         out = out + sib.shift(z, -j - 1)
 
     # v(j) carried through to u', j < 0
     for j in range(-1, wv - max(uprime.weights()) - 2, -1):
-        adj = adjoint_boundary_state(v, j, uprime, alpha)
+        adj = adjoint_boundary_state(v, j, uprime)
         if adj.is_zero():
             continue
-        sib = _g0_value(rest, adj, u, sub_window(), alpha, memo)
+        sib = _g0_value(rest, adj, u, sub_window(), memo)
         out = out + sib.shift(z, -j - 1)
 
     # commutators against each remaining insertion
@@ -332,7 +328,7 @@ def _g0_value(row, uprime, u, window, alpha, memo) -> MultiSeries:
             wk = sub_window({zk: (lo_k - (jmax - m), hi_k)})
             for bs, bc in repl:
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
-                sib = _g0_value(sib_row, uprime, u, wk, alpha, memo)
+                sib = _g0_value(sib_row, uprime, u, wk, memo)
                 if sib.is_zero():
                     continue
                 for j in range(m, jmax + 1):
@@ -367,7 +363,7 @@ def genus0_reduce(direction: ReductionDirection,
     memo = {}
     for coef, row in _basis_expansions(insertions):
         val = _g0_value(row, uprime, u,
-                        {p: inner[p] for _, p in row}, F.alpha, memo)
+                        {p: inner[p] for _, p in row}, memo)
         ext = val.extended_to([p for _, p in row])
         for exps, c in ext.c.items():
             keyed = dict(zip(ext.vars, exps))
@@ -376,7 +372,7 @@ def genus0_reduce(direction: ReductionDirection,
 
     word = (f"H({render_state(ins.state)}@{ins.point})",) + F.operator_word
     return _assemble_genus0(insertions, acc, box, F.default_window,
-                            uprime, u, F.alpha, operator_word=word)
+                            uprime, u, operator_word=word)
 
 
 # -- genus 1: brute-force oracle ----------------------------------------
@@ -653,13 +649,24 @@ def genus1_onepoint(v: GradedVector, q_order: int,
     return out
 
 
+_GENUS_ERROR = "unwinding is defined at genus 0 and 1"
+
+
+def reduce_step(direction: ReductionDirection,
+                F: CorrelationFn) -> CorrelationFn:
+    """One reduction step, by the recursion of F's genus."""
+    if F.genus == 0:
+        return genus0_reduce(direction, F)
+    if F.genus == 1:
+        return genus1_reduce(direction, F)
+    raise ValueError(_GENUS_ERROR)
+
+
 def cocycle_residual(direction: ReductionDirection,
                      F: CorrelationFn) -> MultiSeries:
     """H(x_{n+1}) F: identically zero on the box iff F is a cocycle in
     this direction."""
-    if F.genus == 0:
-        return genus0_reduce(direction, F).value
-    return genus1_reduce(direction, F).value
+    return reduce_step(direction, F).value
 
 
 def unwind_to_partition(directions, genus: int, *, uprime=None, u=None,
@@ -672,15 +679,13 @@ def unwind_to_partition(directions, genus: int, *, uprime=None, u=None,
         uprime = vacuum() if uprime is None else uprime
         u = vacuum() if u is None else u
         F = genus0_partition(uprime, u, window=window)
-        step = genus0_reduce
     elif genus == 1:
         F = genus1_partition(q_order, window=window)
-        step = genus1_reduce
     else:
-        raise ValueError("unwinding is defined at genus 0 and 1")
+        raise ValueError(_GENUS_ERROR)
     degenerate = []
     for i, d in enumerate(directions):
-        F = step(d, F)
+        F = reduce_step(d, F)
         if F.is_zero():
             degenerate.append(i)
     F.degenerate_steps = tuple(degenerate)

@@ -392,21 +392,20 @@ def dual_basis(m: int, bracket="round"):
     return [(vec(s), vec(s) * Fraction(1, _norm(s))) for s in basis(m)]
 
 
-def adjoint_boundary_state(v: GradedVector, j: int, uprime: GradedVector,
-                           alpha=1) -> GradedVector:
+def adjoint_boundary_state(v: GradedVector, j: int,
+                           uprime: GradedVector) -> GradedVector:
     """The state w' with <w', y> = <u', v(j) y> for all y.  The round
     basis is orthogonal, so the coefficient of w' at a basis state b is
     <u', v(j) b> / <b, b>."""
-    alpha = Fraction(alpha)
     out = GradedVector()
     for r in v.weights():
         vr = v.weight_component(r)
         for wu in uprime.weights():
             for b in basis(wu - r + j + 1):
                 y = vertex_mode(vr, j, GradedVector.basis_state(b))
-                c = bilinear_form(uprime, y, alpha)
+                c = bilinear_form(uprime, y)
                 if c:
-                    out.accumulate(b, c / _norm(b, alpha))
+                    out.accumulate(b, c / _norm(b))
     return out
 
 

@@ -13,7 +13,6 @@ import os
 import pytest
 from fractions import Fraction
 
-from voasurf import cli
 from voasurf.cli import (GOLDEN_CASES, build_parser,
                          capture_output, golden_name, parse_and_dispatch)
 from voasurf.elliptic import eisenstein
@@ -288,6 +287,16 @@ class TestCommandContent:
         payload = json.loads(out)
         assert code == 0
         assert len(payload["direction"]) == 2
+
+    def test_rank_reports_the_directions_it_used(self, capsys):
+        # a family shares its first member's point; the report must
+        # name the directions the ranks were computed with
+        code, out, err = run(
+            ["cohomology", "rank", "--genus", "1", "-n", "1", "-m", "2",
+             "--direction", "a@w", "--direction", "2*a@v"], capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["direction"] == ["a[-1]|1@w", "2*a[-1]|1@w"]
 
     def test_cluster_check_batch_involutive(self, capsys):
         code, out, err = run(

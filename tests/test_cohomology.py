@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voasurf.cohomology import (
-    ChainReport,
     ClusterSetting,
     GradedSlice,
     RankResult,
@@ -33,11 +32,13 @@ from voasurf.cohomology import (
     weighted_tuples,
     xi_sign,
 )
+from voasurf import linalg
 from voasurf.reduction import (
     Insertion,
     ReductionDirection,
     WindowError,
     genus1_onepoint,
+    reduce_step,
 )
 from voasurf.series import binomial_expand
 from voasurf.voa import GradedVector, basis, parse_state, vacuum
@@ -244,8 +245,7 @@ class TestCoboundary:
 
 
 def _reduce(src, d, insertions):
-    from voasurf.cohomology import _reduce_step
-    return _reduce_step(src.genus)(d, src.build(insertions))
+    return reduce_step(d, src.build(insertions))
 
 
 # -- chain condition ------------------------------------------------------
@@ -338,6 +338,32 @@ class TestCohomologyRank:
             cohomology_rank(1, 2, 1, [(A, "w"), (OMEGA, "w")])
         with pytest.raises(ValueError, match="combine"):
             cohomology_rank(1, 2, 1, (A, "w"), combine="direct")
+        # rejected even where no column is built: an empty slice, and
+        # a ladder with no coboundary
+        with pytest.raises(ValueError, match="combine"):
+            cohomology_rank(1, -1, 1, (A, "w"), combine="bogus")
+        with pytest.raises(ValueError, match="combine"):
+            euler_poincare(0, 0, 1, (A, "w"), combine="bogus")
+
+    def test_one_elimination_per_coboundary(self, monkeypatch):
+        # ranks and nullities come from one echelon form per nonempty
+        # coboundary, and no kernel vectors are built for a count
+        calls = []
+        echelon = linalg.row_echelon
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return echelon(matrix)
+
+        monkeypatch.setattr(linalg, "row_echelon", counted)
+        kw = dict(window=(-3, 3), q_order=3)
+        cohomology_rank(2, 2, 1, (A, "w"), **kw)
+        assert len(calls) == 2
+        calls.clear()
+        # the level-0 slice at weight 2 is empty, so three coboundaries
+        # take two eliminations
+        euler_poincare(2, 3, 1, (A, "w"), **kw)
+        assert len(calls) == 2
 
     def test_boundary_states_thread_through(self):
         # m=0 puts the vacuum at z1; the image <a, Y(a,w)Y(1,z1) 1> is

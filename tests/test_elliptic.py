@@ -192,4 +192,4 @@ class TestGenus0Kernel:
         den = MultiSeries(("w", "z"), {"z": (0, None), "w": (0, None)},
                           {(1, 1): 1, (2, 1): -1})
         with pytest.raises(AssertionError):
-            iota_long_division(num, den, "z", -6)
+            iota_long_division(num, den, -6)

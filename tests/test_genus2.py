@@ -15,10 +15,8 @@ import pytest
 
 from voasurf.elliptic import eisenstein, weierstrass_p
 from voasurf.genus2 import (
-    Genus2Fn,
     KernelMatrix,
     SewingModuli,
-    gamma_matrix,
     gen_weierstrass,
     genus2_reduce,
     kernel_add,

@@ -1,7 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never
-uses, no module-level definition lacks a caller, no defaulted parameter
-keeps its default at every call, and no record field goes unread.
-Stdlib ``ast`` scans and word matching, so it needs no linter."""
+"""Source hygiene: no module of the package or the tests imports a
+name it never uses, no module-level definition lacks a caller, no
+defaulted parameter keeps its default at every call, and no record
+field goes unread.  Stdlib ``ast`` scans and word matching, so it
+needs no linter."""
 
 import ast
 import re
@@ -36,7 +37,8 @@ def unused_imports(path: Path) -> list:
                   for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted((ROOT / "tests").glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []

@@ -23,7 +23,6 @@ from voasurf.voa import (
     heisenberg_mode,
     parse_state,
     vertex_mode,
-    weight,
     zero_mode,
 )
 

@@ -28,7 +28,7 @@ from voasurf.reduction import (
     genus1_reduce,
     unwind_to_partition,
 )
-from voasurf.series import MultiSeries, TruncatedSeries, binomial_expand
+from voasurf.series import MultiSeries, binomial_expand
 from voasurf.voa import (
     CENTRAL_CHARGE,
     GradedVector,
@@ -116,11 +116,6 @@ class TestGenus0Direct:
     def test_weight_mismatch_vanishes(self):
         F = genus0_direct([ins(A, "z1")], vacuum(), vacuum(), {"z1": (-4, 4)})
         assert F.is_zero()
-
-    def test_pairing_normalization_enters_through_alpha(self):
-        F = genus0_direct([ins(A, "z1")], A, vacuum(), {"z1": (-4, 4)},
-                          alpha=2)
-        assert F.value.coefficient({"z1": 0}) == Fraction(-1, 2)
 
     def test_orderings_agree_after_clearing_the_pole(self):
         """Expansions in |z1| > |z2| and |z2| > |z1| are different

@@ -12,7 +12,6 @@ amplitudes, which is the identity the whole construction exists to
 realize.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -32,10 +31,7 @@ from voasurf.voa import (
     vertex_mode,
 )
 from voasurf.schottky import (
-    FormVector,
     SchottkyData,
-    SchottkyFn,
-    SchottkyKernel,
     build_kernel,
     chi,
     genus0_rational_value,
