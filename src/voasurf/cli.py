@@ -55,18 +55,22 @@ DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
 # -- flag grammar ----------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+def _int_at_least(text: str, low: int, message: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < low:
+        raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "must be a positive integer")
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+    return _int_at_least(text, 0, "must be a non-negative integer")
 
 
 def _insertion(text: str) -> Insertion:

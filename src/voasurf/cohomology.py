@@ -8,8 +8,9 @@ tuples with the same value need not reduce to the same value), the
 chain space at level n and weight m is the free vector space on the
 canonical tuples of total weight m, and q_{n,m} counts those tuples.
 Everything downstream is matrix algebra over the rationals: columns
-are vectorized images on a fixed monomial window, kernels and ranks
-come from deterministic Gaussian elimination.
+are vectorized images on a fixed monomial window, ranks come from
+exact integer elimination on the sparse columns, and kernels from
+deterministic Gaussian elimination on the densified matrix.
 
 All dimension claims are certified within the window only.  A kernel
 vector says "the image vanishes on every monomial we can see"; a
@@ -228,9 +229,10 @@ class CoboundaryMatrix:
     per basis tuple.
 
     Columns are sparse monomial vectors on the target slice's window
-    (keys tagged by the member index when the family is stacked).
-    ``matrix`` densifies them over the nonzero row support, in sorted
-    monomial order, so ranks and kernels never see all-zero rows.
+    (keys tagged by the member index when the family is stacked), and
+    ``rank`` eliminates on them directly.  ``matrix`` densifies them
+    over the nonzero row support, in sorted monomial order, so kernels
+    never see all-zero rows.
     """
 
     directions: tuple
@@ -248,7 +250,7 @@ class CoboundaryMatrix:
 
     @cached_property
     def rank(self) -> int:
-        return rank(self.matrix)
+        return rank(self.columns)
 
     @cached_property
     def kernel(self) -> tuple:

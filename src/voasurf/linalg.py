@@ -1,13 +1,18 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra: sparse integer ranks and dense Fraction RREF.
 
-Matrices are lists of row lists of Fractions.  Pivoting is
-deterministic (first nonzero entry in column order) so that ranks,
-kernels and echelon forms are reproducible across runs.
+``rank`` takes sparse columns, dicts ``{row_key: rational}``, and
+eliminates fraction-free over the integers without densifying: every
+step is an integer operation invertible over Q, so the rank is exact.
+``row_echelon``, ``kernel_basis`` and ``inverse`` work on dense
+matrices, lists of row lists of Fractions.  Pivoting is deterministic
+everywhere (the first candidate in column order), so ranks, kernels
+and echelon forms are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def row_echelon(matrix):
@@ -35,10 +40,56 @@ def row_echelon(matrix):
     return m, pivots, len(pivots)
 
 
-def rank(matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return row_echelon(matrix)[2]
+def _primitive(vec: dict) -> dict:
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return {k: x // g for k, x in vec.items()} if g > 1 else vec
+
+
+def rank(columns) -> int:
+    """Exact rank of sparse rational columns ``{row_key: value}``.
+
+    Each column is scaled by the lcm of its denominators (the rank does
+    not change).  Row keys are taken in sorted order; at each key the
+    first remaining vector holding it is the pivot, and every other
+    holder r becomes (p/g)*r - (a/g)*pivot with g = gcd(p, a), divided
+    by the gcd of its entries.
+    """
+    vectors = []
+    for col in columns:
+        den = lcm(*(x.denominator for x in col.values()))
+        vec = {k: x.numerator * (den // x.denominator)
+               for k, x in col.items() if x}
+        if vec:
+            vectors.append(_primitive(vec))
+    count = 0
+    for key in sorted(set().union(*vectors)):
+        pivot = next((v for v in vectors if key in v), None)
+        if pivot is None:
+            continue
+        count += 1
+        p = pivot[key]
+        rest = []
+        for vec in vectors:
+            if vec is pivot:
+                continue
+            a = vec.get(key)
+            if a is not None:
+                g = gcd(p, a)
+                s, t = p // g, a // g
+                vec = {k: s * x for k, x in vec.items()}
+                for k, y in pivot.items():
+                    x = vec.get(k, 0) - t * y
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+                if not vec:
+                    continue
+                vec = _primitive(vec)
+            rest.append(vec)
+        vectors = rest
+    return count
 
 
 def kernel_basis(matrix):

@@ -32,7 +32,7 @@ from voasurf.cohomology import (
     weighted_tuples,
     xi_sign,
 )
-from voasurf import linalg
+from voasurf import cohomology, linalg
 from voasurf.reduction import (
     Insertion,
     ReductionDirection,
@@ -248,6 +248,69 @@ def _reduce(src, d, insertions):
     return reduce_step(d, src.build(insertions))
 
 
+# -- sparse integer rank --------------------------------------------------
+
+
+_ROW_KEYS = st.tuples(st.integers(-2, 2), st.integers(0, 2))
+_ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def sparse_columns(draw):
+    """Sparse rational columns with denominators, explicit zero entries,
+    empty and all-zero columns, and rational combinations of earlier
+    columns, shuffled."""
+    base = draw(st.lists(st.dictionaries(_ROW_KEYS, _ENTRIES, max_size=6),
+                         max_size=6))
+    cols = list(base)
+    cols += [{}] * draw(st.integers(0, 1))
+    cols += [{(0, 0): Fraction(0)}] * draw(st.integers(0, 1))
+    if base:
+        coeffs = st.lists(_ENTRIES, min_size=len(base), max_size=len(base))
+        for cs in draw(st.lists(coeffs, max_size=3)):
+            acc = {}
+            for c, col in zip(cs, base):
+                for k, v in col.items():
+                    acc[k] = acc.get(k, Fraction(0)) + c * v
+            cols.append(acc)
+    return draw(st.permutations(cols))
+
+
+class TestSparseRank:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_columns())
+    def test_agrees_with_row_echelon(self, columns):
+        dense = dense_from_columns(columns)
+        assert linalg.rank(columns) == linalg.row_echelon(dense)[2]
+
+    def test_integer_and_rational_entries(self):
+        assert linalg.rank([]) == 0
+        assert linalg.rank([{}, {(0,): 0}]) == 0
+        # an integer column, a rational multiple of it, and a new row
+        cols = [{(0,): 1, (1,): 2},
+                {(0,): Fraction(1, 3), (1,): Fraction(2, 3)},
+                {(1,): Fraction(-5, 7)}]
+        assert linalg.rank(cols) == 2
+
+    @pytest.mark.parametrize("slice_kw,family,combine", [
+        (dict(genus=0, n=2, m=2), (A, "w"), "sum"),
+        (dict(genus=0, n=3, m=3), (A, "w"), "sum"),
+        (dict(genus=0, n=2, m=3), [(A2, "w"), (AA, "w")], "stack"),
+        (dict(genus=0, n=2, m=2, boundary=(A, A)), (A, "w"), "sum"),
+        (dict(genus=0, n=2, m=1, boundary=(A2, A)),
+         [(A2, "w"), (AA, "w")], "stack"),
+        (dict(genus=1, n=2, m=2, q_order=3), (A, "w"), "sum"),
+        (dict(genus=1, n=1, m=3, q_order=3), [(A2, "w"), (AA, "w")], "sum"),
+        (dict(genus=1, n=2, m=2, q_order=3),
+         [(A2, "w"), (AA, "w")], "stack"),
+        (dict(genus=1, n=2, m=3, q_order=3), (OMEGA, "w"), "sum"),
+    ])
+    def test_coboundary_rank_matches_oracle(self, slice_kw, family, combine):
+        s = GradedSlice(window=(-3, 3), **slice_kw)
+        cb = build_coboundary(family, s, combine)
+        assert cb.rank == oracle_rank(cb.matrix)
+
+
 # -- chain condition ------------------------------------------------------
 
 
@@ -346,24 +409,33 @@ class TestCohomologyRank:
             euler_poincare(0, 0, 1, (A, "w"), combine="bogus")
 
     def test_one_elimination_per_coboundary(self, monkeypatch):
-        # ranks and nullities come from one echelon form per nonempty
-        # coboundary, and no kernel vectors are built for a count
-        calls = []
+        # ranks and nullities come from one sparse rank elimination per
+        # nonempty coboundary, and no kernel vectors are built for a
+        # count (no dense echelon form at all)
+        calls, echelons = [], []
+        sparse_rank = cohomology.rank
         echelon = linalg.row_echelon
 
-        def counted(matrix):
-            calls.append(len(matrix))
+        def counted(columns):
+            calls.append(len(columns))
+            return sparse_rank(columns)
+
+        def counted_echelon(matrix):
+            echelons.append(len(matrix))
             return echelon(matrix)
 
-        monkeypatch.setattr(linalg, "row_echelon", counted)
+        monkeypatch.setattr(cohomology, "rank", counted)
+        monkeypatch.setattr(linalg, "row_echelon", counted_echelon)
         kw = dict(window=(-3, 3), q_order=3)
         cohomology_rank(2, 2, 1, (A, "w"), **kw)
-        assert len(calls) == 2
+        assert len(calls) == 2 and all(calls)
         calls.clear()
         # the level-0 slice at weight 2 is empty, so three coboundaries
-        # take two eliminations
+        # take two eliminations (the empty one has no columns to rank)
         euler_poincare(2, 3, 1, (A, "w"), **kw)
-        assert len(calls) == 2
+        assert len(calls) == 3
+        assert len([n for n in calls if n]) == 2
+        assert echelons == []
 
     def test_boundary_states_thread_through(self):
         # m=0 puts the vacuum at z1; the image <a, Y(a,w)Y(1,z1) 1> is

@@ -54,6 +54,23 @@ class TestStateLiterals:
         assert proc.stdout == ""
 
 
+class TestIntegerFlags:
+    @pytest.mark.parametrize("argv,message", [
+        (("elliptic", "eisenstein", "--k", "abc"),
+         "argument --k: must be a positive integer"),
+        (("cohomology", "euler", "-m", "x", "-N", "1"),
+         "argument -m: must be a non-negative integer"),
+    ], ids=["positive", "nonneg"])
+    def test_non_integer_is_a_grammar_error(self, argv, message):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        # the parser's private type names stay out of the message
+        assert "_int" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestSchottkyCoordinates:
     @pytest.mark.parametrize("coords", [(0, 1), (3, 1, 0, 2), ("0/5", 2)])
     def test_zero_coordinate_rejected(self, coords):
