@@ -183,11 +183,13 @@ def kernel_mul(A: SeriesMatrix, B: SeriesMatrix,
     return sewing.mul(A, B, _clip(moduli))
 
 
-def neumann_inverse(M: SeriesMatrix, moduli: SewingModuli) -> SeriesMatrix:
-    """(1 - M)^-1, terminating because every entry of M starts at
-    se-order 1 or higher."""
+def neumann_inverse(M: SeriesMatrix, moduli: SewingModuli,
+                    rows: SeriesMatrix = None) -> SeriesMatrix:
+    """rows (1 - M)^-1, or (1 - M)^-1 itself without rows, terminating
+    because every entry of M starts at se-order 1 or higher."""
     return sewing.neumann_inverse(M, HALF_POWERS, moduli.se_order,
-                                  lambda A, B: kernel_mul(A, B, moduli))
+                                  lambda A, B: kernel_mul(A, B, moduli),
+                                  rows)
 
 
 # -- rows and columns of elliptic data ------------------------------------
@@ -259,17 +261,19 @@ def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     """Q(p; x) = R(x) Delta (1 - Ltilde_abar Ltilde_a)^-1 for x on
     chart a."""
     abar = 3 - x_chart
+    clip = _clip(moduli)
     shifted = {}
     for n in range(1, moduli.matrix_cutoff + 1):
         m = n + 2 * p - 2
         if m < 1 or m > moduli.se_order:
             continue
-        shifted[n] = _pm(m + 1, x_chart, xvar, moduli) * \
-            _se_monomial(m, moduli)
+        shifted[(0, n)] = clip(_pm(m + 1, x_chart, xvar, moduli) *
+                               _se_monomial(m, moduli))
     prod = kernel_mul(lambda_tilde(abar, p, moduli),
                       lambda_tilde(x_chart, p, moduli), moduli)
-    return row_times_matrix(shifted, neumann_inverse(prod, moduli),
-                            _clip(moduli))
+    dressed = neumann_inverse(prod, moduli,
+                              SeriesMatrix(prod.indices, shifted))
+    return {n: e for (_, n), e in dressed.entries.items()}
 
 
 def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,

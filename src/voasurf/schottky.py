@@ -12,13 +12,16 @@ The kernel layer (the moment matrix R, its Neumann inverse, the psi
 and theta functions) carries half-integer rho-weights, tracked through
 the variables "sr1", "sr2", ... with sr_a^2 = rho_a
 (``SchottkyData.half_powers``).  The matrix arithmetic, the Neumann
-inverse, the sr-clip of every product and the integer-rho check on
+sum, the sr-clip of every product and the integer-rho check on
 assembled public quantities live in the sewing module, shared with
-genus two.  Intermediate rows, columns and the theta components may
-carry odd or negative half-powers, and their windows do the
-bookkeeping: every monomial is built with a sharp lower bound, so the
-product horizons stay tight enough to certify results through
-rho_order without ever expanding past the matrix cutoff.
+genus two.  The ptilde rows are dressed by (1 - R Delta)^-1 through
+vector-matrix products, one per Neumann term; the full inverse is only
+the no-rows case of ``neumann_inverse``.  Intermediate rows, columns
+and the theta components may carry odd or negative half-powers, and
+their windows do the bookkeeping: every monomial is built with a sharp
+lower bound, so the product horizons stay tight enough to certify
+results through rho_order without ever expanding past the matrix
+cutoff.
 
 Genus-zero values are computed by pairing free-field legs: the vertex
 operator of a basis monomial is a normally ordered product of
@@ -51,7 +54,12 @@ def _pair_weight(k: int, kp: int) -> Fraction:
                     factorial(k - 1) * factorial(kp - 1))
 
 
+@lru_cache(maxsize=None)
 def _matchings(legs: tuple, points: tuple) -> Fraction:
+    """The sum over complete matchings of the legs (point, derivative)
+    that pair distinct points.  Memoized: the same leftover legs recur
+    across the matchings of one monomial and across the channels of a
+    handle sum."""
     if not legs:
         return Fraction(1)
     i, k = legs[0]
@@ -366,11 +374,13 @@ def shifted_columns(R: SeriesMatrix, p: int) -> SeriesMatrix:
     return SeriesMatrix(R.indices, entries)
 
 
-def neumann_inverse(M: SeriesMatrix, hi: int) -> SeriesMatrix:
-    """(1 - M)^-1, terminating because every entry of M carries a
-    strictly positive amplitude order."""
+def neumann_inverse(M: SeriesMatrix, hi: int,
+                    rows: SeriesMatrix = None) -> SeriesMatrix:
+    """rows (1 - M)^-1, or (1 - M)^-1 itself without rows, terminating
+    because every entry of M carries a strictly positive amplitude
+    order."""
     return sewing.neumann_inverse(M, _matrix_half_powers(M), hi,
-                                  lambda A, B: handle_mul(A, B, hi))
+                                  lambda A, B: handle_mul(A, B, hi), rows)
 
 
 # -- rows, columns, and the assembled kernels -------------------------------
@@ -468,8 +478,12 @@ def _tilde_row(p: int, data: SchottkyData, R: SeriesMatrix, row: dict,
                hi: int) -> dict:
     """The dressed row ptilde (1 - R Delta)^-1 of a ptilde row, formal
     or at a rational point, with every product cut at sr-order hi."""
-    neumann = neumann_inverse(shifted_columns(R, p), hi)
-    return row_times_matrix(row, neumann, _clip(data.half_powers, hi))
+    M = shifted_columns(R, p)
+    clip = _clip(data.half_powers, hi)
+    start = {(0, j): clip(e) for j, e in row.items()}
+    dressed = neumann_inverse(M, hi, SeriesMatrix(M.indices, {
+        k: e for k, e in start.items() if not e.is_zero()}))
+    return {j: e for (_, j), e in dressed.entries.items()}
 
 
 def _dressed_rows(p: int, data: SchottkyData, x, hi: int) -> tuple:

@@ -2,10 +2,12 @@
 
 Both sewn surfaces reach their reduction kernels as row . (1 - M)^-1 .
 column, with M a moment matrix (Lambda_a at genus two, R for Schottky
-handles) truncated at a matrix cutoff.  Matrices are sparse: a flat
-``{(row, col): MultiSeries}`` dict over an ordered index set of opaque
-hashables (``int`` at genus two, ``(handle, order)`` for Schottky); an
-absent entry is zero.
+handles) truncated at a matrix cutoff.  The row is dressed by the
+Neumann sum row + row . M + row . M^2 + ..., one vector-matrix product
+per term; the full inverse is formed only when no rows are given.
+Matrices are sparse: a flat ``{(row, col): MultiSeries}`` dict over an
+ordered index set of opaque hashables (``int`` at genus two,
+``(handle, order)`` for Schottky); an absent entry is zero.
 
 The entries carry half-integer powers of the sewing parameters, so each
 parameter is tracked through its square root, named by a mapping to the
@@ -80,15 +82,19 @@ def mul(A: SeriesMatrix, B: SeriesMatrix, clip) -> SeriesMatrix:
 
 
 def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
-                    product) -> SeriesMatrix:
-    """(1 - M)^-1 as the terminating geometric sum of the powers M^k.
+                    product, rows: SeriesMatrix = None) -> SeriesMatrix:
+    """rows . (1 - M)^-1 as the terminating geometric sum of the terms
+    rows . M^k; ``rows`` None is the identity, giving the full inverse.
 
     Every term of every entry of M must have positive total order in
     the half-power variables ``names``, otherwise the series would not
     terminate inside the window.  ``product(A, B)`` is the module's
-    product, clipping each of those variables at ``order``; powers are
-    formed as M . M^k, so M^k has total order k or more and vanishes
-    once k exceeds len(names) * order.
+    product, clipping each of those variables at ``order``.  Each term
+    is formed as (rows . M^k) . M, so dressing a few rows takes
+    vector-matrix products only; the columns of ``rows`` are M's
+    indices and its row keys are free.  For rows at nonnegative orders,
+    as every caller's are, the term k has total order k or more, so it
+    vanishes once k exceeds len(names) * order.
     """
     for key, e in M.entries.items():
         half = [i for i, v in enumerate(e.vars) if v in names]
@@ -97,9 +103,9 @@ def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
                 raise ValueError(
                     f"matrix entry {key} has a term free of the half-power "
                     "variables; the Neumann series would not terminate")
-    out = power = identity(M.indices)
+    out = power = identity(M.indices) if rows is None else rows
     for _ in range(len(names) * order + 1):
-        power = product(M, power)
+        power = product(power, M)
         if power.is_zero():
             break
         out = add(out, power)

@@ -9,12 +9,15 @@ Gram inversion, independently of the dual-basis plumbing.
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 
+from voasurf import sewing
 from voasurf.elliptic import eisenstein, weierstrass_p
 from voasurf.genus2 import (
+    HALF_POWERS,
     KernelMatrix,
     SewingModuli,
     gen_weierstrass,
@@ -26,6 +29,8 @@ from voasurf.genus2 import (
     lambda_tilde,
     neumann_inverse,
     pi_matrix,
+    q_row,
+    r_row,
     s_conjugated_a_entry,
     sq_weight,
     z2_partition,
@@ -39,6 +44,7 @@ from voasurf.reduction import (
     genus1_partition,
 )
 from voasurf.series import MultiSeries, binomial_expand
+from voasurf.sewing import row_times_matrix
 from voasurf.voa import (
     GradedVector,
     basis,
@@ -153,6 +159,53 @@ class TestModuliAndMatrices:
             (m, m): MultiSeries.constant(-1).extended_to(EV)
             for m in range(1, 9)}))
         assert residue.is_zero()
+
+
+QROW_MODULI = [SewingModuli(6, 6, 2, 4), SewingModuli(4, 4, 4, 8),
+               SewingModuli(3, 5, 2, 5)]
+
+
+def _shifted_r_row(p, chart, moduli):
+    """R(x) Delta as a row: component n reads R(x; n + 2p - 2)."""
+    r = r_row(chart, "x", moduli)
+    return {n: r[n + 2 * p - 2]
+            for n in range(1, moduli.matrix_cutoff + 1)
+            if n + 2 * p - 2 in r}
+
+
+class TestQRow:
+    """q_row dresses R(x) Delta through neumann_inverse(M, moduli, rows)
+    with vector-matrix products only."""
+
+    @pytest.mark.parametrize("moduli", QROW_MODULI, ids=str)
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("chart", [1, 2])
+    def test_equals_row_times_full_inverse(self, moduli, p, chart):
+        M = kernel_mul(lambda_tilde(3 - chart, p, moduli),
+                       lambda_tilde(chart, p, moduli), moduli)
+        clip = partial(sewing.clip, base=EV, names=HALF_POWERS,
+                       hi=moduli.se_order)
+        want = row_times_matrix(_shifted_r_row(p, chart, moduli),
+                                neumann_inverse(M, moduli), clip)
+        got = q_row(p, chart, "x", moduli)
+        assert set(got) == set(want)
+        for n, e in want.items():
+            assert got[n] == e, n
+
+    @pytest.mark.parametrize("moduli", QROW_MODULI, ids=str)
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("chart", [1, 2])
+    def test_windows_certified_by_deeper_q_orders(self, moduli, p, chart):
+        # an entry whose Neumann terms all clip away in se is exact in
+        # the other chart's nome, and its window says so
+        got = q_row(p, chart, "x", moduli)
+        for extra in (1, 2):
+            deeper = q_row(p, chart, "x", SewingModuli(
+                moduli.tau1_order + extra, moduli.tau2_order + extra,
+                moduli.eps_order, moduli.matrix_cutoff))
+            assert set(deeper) == set(got)
+            for n, e in got.items():
+                assert e.agrees_with(deeper[n]), (n, extra)
 
 
 class TestPartitionFunction:

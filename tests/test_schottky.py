@@ -13,11 +13,12 @@ realize.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voasurf import schottky
+from voasurf import schottky, sewing
 from voasurf.genus2 import HALF_POWERS
 from voasurf.series import MultiSeries
 from voasurf.voa import (
@@ -57,6 +58,7 @@ from voasurf.sewing import (
     identity,
     renamed,
     require_integer,
+    row_times_matrix,
 )
 
 F = Fraction
@@ -409,9 +411,9 @@ class TestDressedKernel:
         calls = []
         real = schottky.neumann_inverse
 
-        def counting(M, hi):
+        def counting(M, hi, *rows):
             calls.append(hi)
-            return real(M, hi)
+            return real(M, hi, *rows)
 
         monkeypatch.setattr(schottky, "neumann_inverse", counting)
         call()
@@ -426,6 +428,36 @@ class TestDressedKernel:
         assert t2.coefficient({"sr1": -2}) == (F(5) - F(3)) ** -1
         with pytest.raises(ValueError):
             theta(2, DATA1, -1, F(5))
+
+
+DATA3S = SchottkyData(3, (3, 1, -2, 6, 10, -7), 1, 3)
+
+
+class TestDressedRow:
+    """The production rows are dressed through neumann_inverse(M, hi,
+    rows), one vector-matrix product per Neumann term; they must equal
+    the row times the full inverse coefficient for coefficient."""
+
+    @pytest.mark.parametrize("p,data", [
+        (1, DATA1), (2, DATA1), (1, DATA1F), (1, DATA2), (2, DATA2),
+        (1, DATA3), (2, DATA3S)],
+        ids=["g1-p1", "g1-p2", "g1f-p1", "g2-p1", "g2-p2", "g3-p1", "g3-p2"])
+    @pytest.mark.parametrize("kind", ["formal", "rational"])
+    def test_equals_row_times_full_inverse(self, p, data, kind):
+        hi = 2 * data.rho_order
+        if kind == "formal":
+            row = schottky._p_row_formal(p, data, -5)
+        else:
+            row = p_row(p, data, F(9), tilde=True)
+        R = schottky_R(p, data)
+        full = neumann_inverse(shifted_columns(R, p), hi)
+        clip = partial(sewing.clip, base=data.sr_vars,
+                       names=data.half_powers, hi=hi)
+        want = row_times_matrix(row, full, clip)
+        got = schottky._tilde_row(p, data, R, row, hi)
+        assert set(got) == set(want)
+        for j, e in want.items():
+            assert got[j] == e and got[j].window == e.window, j
 
 
 # -- handle sums -------------------------------------------------------------
@@ -496,6 +528,20 @@ class TestHandleSums:
         for m in range(0, 5):
             assert slice2.coefficient({"sr2": m}) == \
                 Z1b.coefficient({"sr1": m})
+
+    def test_handle_removal_at_genus_two(self):
+        # the sr2^0 slice drops the second handle: what is left is the
+        # genus-1 handle sum on the first pair of points
+        Z2 = genus_g_partition(SchottkyData(2, (3, 1, -2, 6), 4, 8), 4)
+        Z1 = genus_g_partition(SchottkyData(1, (3, 1), 4, 8), 4)
+        assert Z2.coefficient_of("sr2", 0) == Z1
+        assert not Z2.coefficient_of("sr2", 2).is_zero()
+
+    def test_handle_removal_at_genus_three(self):
+        Z3 = genus_g_partition(
+            SchottkyData(3, (3, 1, -2, 6, 10, -7), 3, 6), 3)
+        Z2 = genus_g_partition(SchottkyData(2, (3, 1, -2, 6), 3, 6), 3)
+        assert Z3.coefficient_of("sr3", 0) == Z2
 
     def test_vacuum_insertion_is_neutral(self):
         with_vac = genus_g_npoint([(vacuum(), F(7))], DATA1).value
