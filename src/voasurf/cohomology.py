@@ -41,6 +41,7 @@ from .reduction import (
     genus1_direct,
     point_var,
     reduce_step,
+    window_pair,
 )
 from .voa import GradedVector, basis, render_state, vacuum
 
@@ -140,8 +141,7 @@ class GradedSlice:
             else tuple(points)
         if len(self.points) != self.n:
             raise ValueError("need one point symbol per insertion")
-        lo, hi = window
-        self.window = (int(lo), int(hi))
+        self.window = window_pair(window)
         self.q_order = DEFAULT_Q_ORDER if genus == 1 and q_order is None \
             else (int(q_order) if q_order is not None else None)
         if genus == 0:
@@ -194,12 +194,11 @@ class GradedSlice:
         more."""
         if fn.genus != self.genus:
             raise ValueError("genus mismatch in vectorization")
-        if set(fn.window) != set(self.points):
+        if {i.point for i in fn.insertions} != set(self.points):
             raise ValueError("inconsistent windows: point sets differ")
-        for p, box in fn.window.items():
-            if tuple(box) != self.window:
-                raise ValueError(f"inconsistent windows at {p}: "
-                                 f"{box} vs {self.window}")
+        if fn.window != self.window:
+            raise ValueError(f"inconsistent windows: {fn.window} vs "
+                             f"{self.window}")
         if self.genus == 1 and fn.q_order != self.q_order:
             raise ValueError("inconsistent windows: q-order differs")
         ext = fn.value.extended_to(self.var_order)

@@ -111,9 +111,9 @@ def _se_monomial(e: int, moduli: SewingModuli, coeff=1) -> MultiSeries:
 
 def _clip(moduli: SewingModuli):
     """The clip of every kernel product: over (q1, q2, se), se cut at
-    the se-order of ``moduli`` (not cut without moduli)."""
+    the se-order of ``moduli``."""
     return partial(sewing.clip, base=_EVARS, names=HALF_POWERS,
-                   hi=None if moduli is None else moduli.se_order)
+                   hi=moduli.se_order)
 
 
 # -- the kernel matrices --------------------------------------------------
@@ -169,17 +169,12 @@ def gamma_matrix(p: int, size: int) -> SeriesMatrix:
         if m + n == 2 * p - 2})
 
 
-def pi_matrix(p: int, size: int) -> SeriesMatrix:
-    """Gamma^2: the identity on indices up to 2p - 3, zero beyond."""
-    return kernel_mul(gamma_matrix(p, size), gamma_matrix(p, size))
-
-
 def kernel_identity(size: int) -> SeriesMatrix:
     return sewing.identity(range(1, size + 1))
 
 
 def kernel_mul(A: SeriesMatrix, B: SeriesMatrix,
-               moduli: SewingModuli = None) -> SeriesMatrix:
+               moduli: SewingModuli) -> SeriesMatrix:
     return sewing.mul(A, B, _clip(moduli))
 
 
@@ -262,13 +257,10 @@ def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     chart a."""
     abar = 3 - x_chart
     clip = _clip(moduli)
-    shifted = {}
-    for n in range(1, moduli.matrix_cutoff + 1):
-        m = n + 2 * p - 2
-        if m < 1 or m > moduli.se_order:
-            continue
-        shifted[(0, n)] = clip(_pm(m + 1, x_chart, xvar, moduli) *
-                               _se_monomial(m, moduli))
+    R = r_row(x_chart, xvar, moduli)
+    shifted = {(0, n): clip(R[n + 2 * p - 2])
+               for n in range(1, moduli.matrix_cutoff + 1)
+               if n + 2 * p - 2 in R}
     prod = kernel_mul(lambda_tilde(abar, p, moduli),
                       lambda_tilde(x_chart, p, moduli), moduli)
     dressed = neumann_inverse(prod, moduli,

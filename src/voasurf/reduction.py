@@ -19,8 +19,11 @@ Conventions:
 * Genus-1 values live in the variables q_{z_i} = e^{z_i} (named
   ``q_<point>``) and q, with the overall q^{-c/24} prefactor kept as
   an exact exponent tag on the result, never as a series.
-* Windows are viewing boxes.  Correlation functions are honest
-  Laurent series whose support is usually infinite in several
+* Windows are viewing boxes.  One (lo, hi) pair bounds the exponent
+  of every point variable alike, so all n-point functions of a
+  reduction chain are compared on one common box; a reduction step
+  gives its fresh point the same pair.  Correlation functions are
+  honest Laurent series whose support is usually infinite in several
   directions; values are exact on the requested box and silently cut
   outside it.  The exceptions are the directions that are finite for
   intrinsic weight reasons: with a single sphere insertion the whole
@@ -80,21 +83,25 @@ class ReductionDirection:
 class CorrelationFn:
     """An n-point function together with the data that determines it.
 
-    ``value`` is exact on the stored per-point windows.  At genus 0
+    ``value`` is exact on the box where every point variable's exponent
+    lies in the one pair ``window`` = (lo, hi).  At genus 0
     ``boundary_states`` holds (u', u).  ``q_shift`` is the exact
-    exponent of the q-prefactor (0 at genus 0, -c/24 at genus 1).
+    exponent of the q-prefactor, fixed by the genus.
     """
 
     genus: int
     insertions: tuple
     value: MultiSeries
-    window: dict
-    default_window: tuple
+    window: tuple
     boundary_states: tuple = None
     q_order: int = None
-    q_shift: Fraction = Fraction(0)
     operator_word: tuple = ()
     degenerate_steps: tuple = ()
+
+    @property
+    def q_shift(self) -> Fraction:
+        """0 at genus 0, -c/24 at genus 1."""
+        return -CENTRAL_CHARGE / 24 if self.genus == 1 else Fraction(0)
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
@@ -104,23 +111,17 @@ def point_var(genus: int, point: str) -> str:
     return point if genus == 0 else "q_" + point
 
 
-def _normalize_window(points, window):
-    """Accept a single (lo, hi) pair or a per-point dict; return the
-    per-point dict plus the pair to reuse for fresh points."""
-    if isinstance(window, dict):
-        box = {p: (int(lo), int(hi)) for p, (lo, hi) in window.items()}
-        missing = [p for p in points if p not in box]
-        if missing:
-            raise ValueError(f"window missing points {missing}")
-        if box:
-            default = (min(lo for lo, _ in box.values()),
-                       max(hi for _, hi in box.values()))
-        else:
-            default = (-8, 8)
-        return box, default
-    lo, hi = window
-    pair = (int(lo), int(hi))
-    return {p: pair for p in points}, pair
+def window_pair(window) -> tuple:
+    """The viewing window as an (lo, hi) pair of ints; an inverted pair
+    (lo > hi) would show an empty box and is refused."""
+    try:
+        lo, hi = map(int, window)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"a window is one (lo, hi) pair, got {window!r}") from None
+    if lo > hi:
+        raise ValueError(f"inverted window ({lo}, {hi}): need lo <= hi")
+    return lo, hi
 
 
 def _basis_expansions(insertions):
@@ -167,8 +168,8 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
     """
     insertions = tuple(insertions)
     _check_distinct(insertions)
-    points = [ins.point for ins in insertions]
-    box, default = _normalize_window(points, window)
+    window = window_pair(window)
+    lo, hi = window
 
     acc = {}
     wts_uprime = set(uprime.weights())
@@ -182,8 +183,7 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
             exp_hi = max(wts_uprime) - wv - min(wts_u)
             ranges = [range(exp_lo, exp_hi + 1)]
         else:
-            ranges = [range(box[p][0] - _MARGIN, box[p][1] + _MARGIN + 1)
-                      for _, p in row]
+            ranges = [range(lo - _MARGIN, hi + _MARGIN + 1)] * n
         lo_shift = [r[0] + weight(s) for r, (s, _) in zip(ranges, row)]
         hi_shift = [r[-1] + weight(s) for r, (s, _) in zip(ranges, row)]
         pre_lo = [0] * (n + 1)
@@ -222,11 +222,10 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
 
         rec(n - 1, u.t, [])
 
-    return _assemble_genus0(insertions, acc, box, default, uprime, u)
+    return _assemble_genus0(insertions, acc, window, uprime, u)
 
 
-def _assemble_genus0(insertions, acc, box, default, uprime, u,
-                     operator_word=()):
+def _assemble_genus0(insertions, acc, window, uprime, u, operator_word=()):
     """Window-check the accumulated coefficients and build the result.
 
     Raises WindowError when nonzero data falls on an intrinsically
@@ -239,30 +238,29 @@ def _assemble_genus0(insertions, acc, box, default, uprime, u,
     head = points[0] if points else None
     tail = points[-1] if points else None
     strict = len(points) == 1
+    lo, hi = window
 
     coeffs = {}
     for key, val in acc.items():
         if val == 0:
             continue
         exps = dict(zip(points, key))
-        inside = all(box[p][0] <= exps[p] <= box[p][1] for p in points)
-        if not inside:
+        if not all(lo <= e <= hi for e in key):
             if strict:
                 raise WindowError(
                     f"window too small: support at {exps}")
-            if exps[head] > box[head][1]:
+            if exps[head] > hi:
                 raise WindowError(
                     f"window too small: {head} needs exponent {exps[head]}")
-            if box[tail][0] - _MARGIN <= exps[tail] < box[tail][0]:
+            if lo - _MARGIN <= exps[tail] < lo:
                 raise WindowError(
                     f"window too small: {tail} needs exponent {exps[tail]}")
             continue
         coeffs[tuple(exps[p] for p in var_order)] = val
-    value = MultiSeries(tuple(var_order), {p: box[p] for p in var_order},
+    value = MultiSeries(tuple(var_order), dict.fromkeys(var_order, window),
                         coeffs)
     return CorrelationFn(
-        genus=0, insertions=insertions, value=value,
-        window={p: box[p] for p in points}, default_window=default,
+        genus=0, insertions=insertions, value=value, window=window,
         boundary_states=(uprime, u), operator_word=operator_word)
 
 
@@ -350,14 +348,12 @@ def genus0_reduce(direction: ReductionDirection,
     insertions = (ins,) + F.insertions
     _check_distinct(insertions)
     uprime, u = F.boundary_states
-    box = dict(F.window)
-    box[ins.point] = F.default_window
     # widen the innermost variable so the margin band below the box is
     # exact and usable by the window check
-    inner = dict(box)
-    tail = insertions[-1].point
+    inner = {i.point: F.window for i in insertions}
     if len(insertions) > 1:
-        inner[tail] = (box[tail][0] - _MARGIN, box[tail][1])
+        lo, hi = F.window
+        inner[insertions[-1].point] = (lo - _MARGIN, hi)
 
     acc = {}
     memo = {}
@@ -371,8 +367,8 @@ def genus0_reduce(direction: ReductionDirection,
             acc[key] = acc.get(key, Fraction(0)) + coef * c
 
     word = (f"H({render_state(ins.state)}@{ins.point})",) + F.operator_word
-    return _assemble_genus0(insertions, acc, box, F.default_window,
-                            uprime, u, operator_word=word)
+    return _assemble_genus0(insertions, acc, F.window, uprime, u,
+                            operator_word=word)
 
 
 # -- genus 1: brute-force oracle ----------------------------------------
@@ -409,7 +405,7 @@ def _trace_word(word, q_order: int, memo=None,
     return out
 
 
-def genus1_direct(insertions, q_order: int, mode_window) -> CorrelationFn:
+def genus1_direct(insertions, q_order: int, window) -> CorrelationFn:
     """Tr_V(Y(q_1^{L(0)} v_1, q_1) ... q^{L(0) - c/24}) in the
     variables q_{z_i} and q, by enumerating exponent tuples in the box.
 
@@ -420,7 +416,8 @@ def genus1_direct(insertions, q_order: int, mode_window) -> CorrelationFn:
     insertions = tuple(insertions)
     _check_distinct(insertions)
     points = [ins.point for ins in insertions]
-    box, default = _normalize_window(points, mode_window)
+    window = window_pair(window)
+    lo, hi = window
     q_order = int(q_order)
 
     var_order = sorted(point_var(1, p) for p in points)
@@ -444,11 +441,9 @@ def genus1_direct(insertions, q_order: int, mode_window) -> CorrelationFn:
                 else:
                     acc[key] = tr * coef
                 return
-            p = row[i][1]
-            rem_lo = sum(box[q][0] for _, q in row[i + 1:])
-            rem_hi = sum(box[q][1] for _, q in row[i + 1:])
-            for e in range(box[p][0], box[p][1] + 1):
-                if rem_lo <= -(shift + e) <= rem_hi:
+            rest = len(row) - i - 1
+            for e in range(lo, hi + 1):
+                if rest * lo <= -(shift + e) <= rest * hi:
                     rec(i + 1, exps + [e], shift + e)
 
         rec(0, [], 0)
@@ -460,13 +455,16 @@ def genus1_direct(insertions, q_order: int, mode_window) -> CorrelationFn:
         for (qe,), c in tr.c.items():
             if c:
                 coeffs[key[:qpos] + (qe,) + key[qpos:]] = c
-    window = {point_var(1, p): box[p] for p in points}
-    window["q"] = (0, q_order)
-    value = MultiSeries(all_vars, window, coeffs)
-    return CorrelationFn(
-        genus=1, insertions=insertions, value=value,
-        window={p: box[p] for p in points}, default_window=default,
-        q_order=q_order, q_shift=-CENTRAL_CHARGE / 24)
+    value = MultiSeries(all_vars, _genus1_box(var_order, window, q_order),
+                        coeffs)
+    return CorrelationFn(genus=1, insertions=insertions, value=value,
+                         window=window, q_order=q_order)
+
+
+def _genus1_box(var_order, window, q_order) -> dict:
+    """The series window of a genus-1 value: ``window`` on every q_z
+    variable and (0, q_order) on q."""
+    return {**dict.fromkeys(var_order, window), "q": (0, q_order)}
 
 
 # -- genus 1: the reduction recursion -----------------------------------
@@ -588,54 +586,29 @@ def genus1_reduce(direction: ReductionDirection,
     ins = direction.insertion
     insertions = (ins,) + F.insertions
     _check_distinct(insertions)
-    box = dict(F.window)
-    box[ins.point] = F.default_window
     q_order = F.q_order
+    lo, hi = F.window
 
     acc = MultiSeries((), {})
     memo = {}
     for coef, row in _basis_expansions(insertions):
-        val = _g1_value((), row, {p: box[p] for _, p in row}, q_order,
+        val = _g1_value((), row, {p: F.window for _, p in row}, q_order,
                         memo)
         acc = acc + val * coef
 
-    var_order = sorted(point_var(1, p) for p in box)
+    var_order = sorted(point_var(1, i.point) for i in insertions)
     acc = acc.extended_to(tuple(var_order) + ("q",))
-    for p, (lo, hi) in box.items():
-        qv = point_var(1, p)
+    for qv in var_order:
         acc = acc.cut_below(qv, lo).clip(qv, lo, hi)
-    window = {point_var(1, p): box[p] for p in box}
-    window["q"] = (0, q_order)
-    value = MultiSeries(acc.vars, window, dict(acc.c))
+    value = MultiSeries(acc.vars, _genus1_box(var_order, F.window, q_order),
+                        dict(acc.c))
     word = (f"H({render_state(ins.state)}@{ins.point})",) + F.operator_word
-    return CorrelationFn(
-        genus=1, insertions=insertions, value=value,
-        window={p: box[p] for p in box}, default_window=F.default_window,
-        q_order=q_order, q_shift=F.q_shift, operator_word=word)
+    return CorrelationFn(genus=1, insertions=insertions, value=value,
+                         window=F.window, q_order=q_order,
+                         operator_word=word)
 
 
 # -- partition functions, residuals, unwinding ---------------------------
-
-
-def genus0_partition(uprime: GradedVector, u: GradedVector,
-                     window=(-8, 8)) -> CorrelationFn:
-    """F_0 = <u', u>."""
-    _, default = _normalize_window([], window)
-    value = MultiSeries.constant(bilinear_form(uprime, u))
-    return CorrelationFn(
-        genus=0, insertions=(), value=value, window={},
-        default_window=default, boundary_states=(uprime, u))
-
-
-def genus1_partition(q_order: int, window=(-8, 8)) -> CorrelationFn:
-    """Z^{(1)} = Tr q^{L(0) - c/24}: the graded dimension with -c/24
-    carried as the exponent tag."""
-    value = _trace_word((), int(q_order))
-    _, default = _normalize_window([], window)
-    return CorrelationFn(
-        genus=1, insertions=(), value=value, window={},
-        default_window=default, q_order=int(q_order),
-        q_shift=-CENTRAL_CHARGE / 24)
 
 
 def genus1_onepoint(v: GradedVector, q_order: int,
@@ -672,15 +645,15 @@ def cocycle_residual(direction: ReductionDirection,
 def unwind_to_partition(directions, genus: int, *, uprime=None, u=None,
                         window=(-8, 8), q_order: int = 6) -> CorrelationFn:
     """Apply reduction steps in order starting from the partition
-    function, recording the operator word and flagging every step
-    whose output is identically zero on the box (a degenerate
-    direction)."""
+    function (the zero-insertion oracle value), recording the operator
+    word and flagging every step whose output is identically zero on
+    the box (a degenerate direction)."""
     if genus == 0:
         uprime = vacuum() if uprime is None else uprime
         u = vacuum() if u is None else u
-        F = genus0_partition(uprime, u, window=window)
+        F = genus0_direct((), uprime, u, window)
     elif genus == 1:
-        F = genus1_partition(q_order, window=window)
+        F = genus1_direct((), q_order, window)
     else:
         raise ValueError(_GENUS_ERROR)
     degenerate = []

@@ -30,7 +30,7 @@ from voasurf.genus2 import (KernelMatrix, SewingModuli, gen_weierstrass,
 from voasurf.linalg import inverse as mat_inverse
 from voasurf.reduction import (Insertion, ReductionDirection,
                                cocycle_residual, genus0_direct,
-                               genus1_direct, genus1_partition,
+                               genus1_direct,
                                unwind_to_partition)
 from voasurf.schottky import (SchottkyData, build_kernel, genus_g_npoint,
                               genus_g_reduce, handle_indices, handle_mul,
@@ -105,7 +105,7 @@ def test_2_genus1_reduction_equals_direct_oracle():
 
     QO, W = 8, 3
     F2 = genus1_direct([Insertion(A, "w"), Insertion(A, "y")], QO,
-                       {"w": (-W, W), "y": (-W, W)})
+                       (-W, W))
     p2 = weierstrass_p_qz(2, (-W, W), QO)
     qi, zi = p2.vars.index("q"), p2.vars.index("qz")
     coeffs = {}
@@ -114,14 +114,14 @@ def test_2_genus1_reduction_equals_direct_oracle():
     expected = MultiSeries(("q", "q_w", "q_y"),
                            {"q": (0, QO), "q_w": (-W, W), "q_y": (-W, W)},
                            coeffs)
-    expected = expected * genus1_partition(QO).value.extended_to(
+    expected = expected * genus1_direct((), QO, (-8, 8)).value.extended_to(
         ("q", "q_w", "q_y"))
     assert F2.value.agrees_with(expected)
     assert F2.value.coefficient({"q": 1, "q_w": -1, "q_y": 1}) != 0
 
 
 def test_3_graded_dimension_counts_partitions():
-    Z = genus1_partition(6)
+    Z = genus1_direct((), 6, (-8, 8))
     assert Z.q_shift == F(-1, 24)
     for m in range(7):
         assert Z.value.coefficient({"q": m}) == PARTITION_NUMBERS[m]
@@ -384,7 +384,7 @@ def test_8_cohomology_identities():
                                         window=(-3, 3), q_order=3)
                 assert result.total == 0, (genus, m, N)
 
-    Z = genus1_partition(6, window=(-6, 6))
+    Z = genus1_direct((), 6, (-6, 6))
     assert cocycle_residual(ReductionDirection(Insertion(A, "z")),
                             Z).is_zero()
 

@@ -137,6 +137,15 @@ class TestSlices:
         with pytest.raises(ValueError, match="q-order"):
             c.vectorize(a.functions[0])
 
+    def test_inverted_window_is_refused(self):
+        # an inverted window shows an empty box, which used to pass
+        # through every slice as a silently wrong rank
+        with pytest.raises(ValueError, match="inverted window"):
+            GradedSlice(1, 1, 2, window=(3, -3), q_order=3)
+        with pytest.raises(ValueError, match="inverted window"):
+            cohomology_rank(1, 2, 1, Insertion(A, "w"), window=(3, -3),
+                            q_order=3)
+
     def test_slice_validation(self):
         with pytest.raises(ValueError):
             GradedSlice(2, 1, 1)

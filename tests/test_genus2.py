@@ -20,6 +20,7 @@ from voasurf.genus2 import (
     HALF_POWERS,
     KernelMatrix,
     SewingModuli,
+    gamma_matrix,
     gen_weierstrass,
     genus2_reduce,
     kernel_add,
@@ -28,7 +29,6 @@ from voasurf.genus2 import (
     lambda_matrix,
     lambda_tilde,
     neumann_inverse,
-    pi_matrix,
     q_row,
     r_row,
     s_conjugated_a_entry,
@@ -41,7 +41,7 @@ from voasurf.reduction import (
     ReductionDirection,
     cocycle_residual,
     genus1_onepoint,
-    genus1_partition,
+    genus1_direct,
 )
 from voasurf.series import MultiSeries, binomial_expand
 from voasurf.sewing import row_times_matrix
@@ -126,10 +126,11 @@ class TestModuliAndMatrices:
         assert found >= 4
 
     def test_pi_is_a_short_projection(self):
-        P = pi_matrix(2, 4)
+        P = kernel_mul(gamma_matrix(2, 4), gamma_matrix(2, 4), MOD)
         assert list(P.entries) == [(1, 1)]
         assert P.entry(1, 1).coefficient({"q1": 0, "q2": 0, "se": 0}) == 1
-        assert not pi_matrix(1, 4).entries
+        assert not kernel_mul(gamma_matrix(1, 4), gamma_matrix(1, 4),
+                              MOD).entries
 
     def test_neumann_of_zero_is_identity(self):
         out = neumann_inverse(KernelMatrix(3, {}), MOD)
@@ -211,7 +212,7 @@ class TestQRow:
 class TestPartitionFunction:
     def test_eps0_is_the_product_of_torus_partitions(self):
         Z2 = z2_partition(MOD)
-        Z1 = genus1_partition(6).value
+        Z1 = genus1_direct((), 6, (-8, 8)).value
         e0 = Z2.coefficient_of("se", 0)
         for i in range(7):
             for j in range(7):
@@ -354,9 +355,9 @@ class TestReduce:
         out = genus2_reduce(Insertion(wt, "x"), Z2, MOD)
         e0 = out.value.coefficient_of("se", 0)
         res = cocycle_residual(ReductionDirection(Insertion(wt, "z1")),
-                               genus1_partition(6))
+                               genus1_direct((), 6, (-8, 8)))
         s = res.coefficient_of("q_z1", 0)
-        Z1 = genus1_partition(6).value
+        Z1 = genus1_direct((), 6, (-8, 8)).value
         for i in range(7):
             for j in range(7):
                 assert e0.coefficient({"q1": i, "q2": j, "x": 0}) == \

@@ -20,11 +20,9 @@ from voasurf.reduction import (
     WindowError,
     cocycle_residual,
     genus0_direct,
-    genus0_partition,
     genus0_reduce,
     genus1_direct,
     genus1_onepoint,
-    genus1_partition,
     genus1_reduce,
     unwind_to_partition,
 )
@@ -61,19 +59,19 @@ class TestGenus0Direct:
     def test_two_point_current(self):
         """<1, a(z1) a(z2) 1> = sum_{m>=0} (m+1) z1^{-m-2} z2^m."""
         F = genus0_direct([ins(A, "z1"), ins(A, "z2")], vacuum(), vacuum(),
-                          {"z1": (-8, 4), "z2": (-4, 6)})
+                          (-8, 6))
         for m in range(7):
             assert F.value.coefficient({"z1": -m - 2, "z2": m}) == m + 1
         assert F.value.coefficient({"z1": -3, "z2": 2}) == 0
         assert F.value.coefficient({"z1": 0, "z2": 0}) == 0
 
     def test_one_point_support_forced_by_weights(self):
-        F = genus0_direct([ins(A, "z1")], A, vacuum(), {"z1": (-4, 4)})
+        F = genus0_direct([ins(A, "z1")], A, vacuum(), (-4, 4))
         assert F.value.coefficient({"z1": 0}) == -1
         assert sum(1 for v in F.value.c.values() if v) == 1
 
     def test_one_point_stress_tensor(self):
-        F = genus0_direct([ins(OMEGA, "z1")], A, A, {"z1": (-4, 4)})
+        F = genus0_direct([ins(OMEGA, "z1")], A, A, (-4, 4))
         assert F.value.coefficient({"z1": -2}) == -1
         assert sum(1 for v in F.value.c.values() if v) == 1
 
@@ -100,9 +98,8 @@ class TestGenus0Direct:
                 term = term * propagator(f"z{i}", f"z{j}")
             oracle = term if oracle is None else oracle + term
 
-        box = {"z1": (-8, 2), "z2": (-5, 3), "z3": (-5, 3), "z4": (-2, 4)}
         F = genus0_direct([ins(A, f"z{i}") for i in (1, 2, 3, 4)],
-                          vacuum(), vacuum(), box)
+                          vacuum(), vacuum(), (-8, 4))
         assert F.value.agrees_with(oracle)
         # make sure the overlap is not vacuous
         assert F.value.coefficient({"z1": -2, "z2": -2, "z3": 0, "z4": 0}) == 2
@@ -110,22 +107,20 @@ class TestGenus0Direct:
     def test_odd_number_of_currents_vanishes(self):
         F = genus0_direct([ins(A, "z1"), ins(A, "z2"), ins(A, "z3")],
                           vacuum(), vacuum(),
-                          {"z1": (-6, 2), "z2": (-4, 2), "z3": (-2, 4)})
+                          (-6, 4))
         assert F.is_zero()
 
     def test_weight_mismatch_vanishes(self):
-        F = genus0_direct([ins(A, "z1")], vacuum(), vacuum(), {"z1": (-4, 4)})
+        F = genus0_direct([ins(A, "z1")], vacuum(), vacuum(), (-4, 4))
         assert F.is_zero()
 
     def test_orderings_agree_after_clearing_the_pole(self):
         """Expansions in |z1| > |z2| and |z2| > |z1| are different
         series, but (z1-z2)^2 times either is the same polynomial."""
-        box12 = {"z1": (-8, 4), "z2": (-4, 6)}
-        box21 = {"z2": (-8, 4), "z1": (-4, 6)}
         F12 = genus0_direct([ins(A, "z1"), ins(A, "z2")],
-                            vacuum(), vacuum(), box12)
+                            vacuum(), vacuum(), (-8, 6))
         F21 = genus0_direct([ins(A, "z2"), ins(A, "z1")],
-                            vacuum(), vacuum(), box21)
+                            vacuum(), vacuum(), (-8, 6))
         poly = MultiSeries(("z1", "z2"),
                            {"z1": (0, None), "z2": (0, None)},
                            {(2, 0): Fraction(1), (1, 1): Fraction(-2),
@@ -137,25 +132,25 @@ class TestGenus0Direct:
 
     def test_vacuum_insertion_is_neutral(self):
         F = genus0_direct([ins(vacuum(), "z1"), ins(A, "z2")],
-                          A, vacuum(), {"z1": (-4, 4), "z2": (-4, 4)})
+                          A, vacuum(), (-4, 4))
         assert F.value.coefficient({"z1": 0, "z2": 0}) == -1
         assert sum(1 for v in F.value.c.values() if v) == 1
 
     def test_window_cutting_forced_support_is_an_error(self):
         # the single-insertion support here is exactly {z1^0}
         with pytest.raises(WindowError):
-            genus0_direct([ins(A, "z1")], A, vacuum(), {"z1": (1, 5)})
+            genus0_direct([ins(A, "z1")], A, vacuum(), (1, 5))
         with pytest.raises(WindowError):
-            genus0_direct([ins(A, "z1")], A, vacuum(), {"z1": (-5, -1)})
+            genus0_direct([ins(A, "z1")], A, vacuum(), (-5, -1))
 
     def test_window_cutting_the_outermost_pole_order_is_an_error(self):
         # <a(-2)a(-1)1, a(k1) a(k2) 1> reaches z1^1 via k1 = -2
         u = parse_state("a[-2]a[-1]|1")
         with pytest.raises(WindowError):
             genus0_direct([ins(A, "z1"), ins(A, "z2")], u, vacuum(),
-                          {"z1": (-8, 0), "z2": (-4, 4)})
+                          (-8, 0))
         F = genus0_direct([ins(A, "z1"), ins(A, "z2")], u, vacuum(),
-                          {"z1": (-8, 1), "z2": (-4, 4)})
+                          (-8, 1))
         assert F.value.coefficient({"z1": 1, "z2": 0}) != 0
 
 
@@ -184,14 +179,12 @@ INSERTION_ROWS = [
 class TestGenus0Reduce:
     def test_matches_direct_on_a_grid(self):
         # boundary states reach weight 3, which pushes the innermost
-        # support down to exponent -5; the boxes must contain that
-        boxes = {"z1": (-6, 2), "z2": (-6, 2), "z3": (-6, 3)}
+        # support down to exponent -5; the box must contain that
         for uprime, u in BOUNDARY_PAIRS:
             for row in INSERTION_ROWS:
-                box = {p: boxes[p] for _, p in row}
                 direct = genus0_direct([ins(s, p) for s, p in row],
-                                       uprime, u, box)
-                F = genus0_partition(uprime, u, window=(-6, 3))
+                                       uprime, u, (-6, 3))
+                F = genus0_direct((), uprime, u, (-6, 3))
                 for s, p in reversed(row):
                     F = genus0_reduce(direction(s, p), F)
                 got = F.value.extended_to(direct.value.vars)
@@ -204,7 +197,7 @@ class TestGenus0Reduce:
         # <a, 1> = 0, yet the one-point function built on top of it is
         # not: the step must recompute from the recursion, not rescale
         # the stored value.
-        F0 = genus0_partition(A, vacuum(), window=(-4, 4))
+        F0 = genus0_direct((), A, vacuum(), (-4, 4))
         assert F0.is_zero()
         F1 = genus0_reduce(direction(A, "z1"), F0)
         assert F1.value.coefficient({"z1": 0}) == -1
@@ -213,13 +206,13 @@ class TestGenus0Reduce:
         """o(omega) acts as L(0) = wt on the boundary state, so a
         zero-mode-only step would produce the constant -1; the actual
         one-point function is -z^{-2}."""
-        F0 = genus0_partition(A, A, window=(-4, 4))
+        F0 = genus0_direct((), A, A, (-4, 4))
         res = cocycle_residual(direction(OMEGA, "z1"), F0)
         assert res.coefficient({"z1": 0}) == 0
         assert res.coefficient({"z1": -2}) == -1
 
     def test_zero_mode_direction_kills_the_vacuum_partition(self):
-        F0 = genus0_partition(vacuum(), vacuum(), window=(-4, 4))
+        F0 = genus0_direct((), vacuum(), vacuum(), (-4, 4))
         assert cocycle_residual(direction(A, "z1"), F0).is_zero()
 
     @settings(max_examples=20, deadline=None)
@@ -232,10 +225,10 @@ class TestGenus0Reduce:
                     sup = GradedVector.basis_state(up)
                     su = GradedVector.basis_state(u)
                     direct = genus0_direct([ins(sv, "z1")], sup, su,
-                                           {"z1": (-6, 6)})
+                                           (-6, 6))
                     F = genus0_reduce(
                         direction(sv, "z1"),
-                        genus0_partition(sup, su, window=(-6, 6)))
+                        genus0_direct((), sup, su, (-6, 6)))
                     assert F.value.agrees_with(direct.value)
 
 
@@ -244,20 +237,20 @@ class TestGenus0Reduce:
 
 class TestGenus1Direct:
     def test_partition_function_counts_partitions(self):
-        Z = genus1_partition(8)
+        Z = genus1_direct((), 8, (-8, 8))
         q = Z.value
         for m, pm in enumerate(PARTITIONS[:9]):
             assert q.coefficient({"q": m}) == pm
         assert Z.q_shift == -CENTRAL_CHARGE / 24
 
     def test_one_point_current_vanishes(self):
-        F = genus1_direct([ins(A, "z1")], 6, {"z1": (-3, 3)})
+        F = genus1_direct([ins(A, "z1")], 6, (-3, 3))
         assert F.is_zero()
 
     def test_one_point_stress_tensor(self):
         """Tr(o(omega) q^{L(0)}) has coefficients m p(m); the grading
         confines the q_{z1} exponent to zero."""
-        F = genus1_direct([ins(OMEGA, "z1")], 7, {"z1": (-3, 3)})
+        F = genus1_direct([ins(OMEGA, "z1")], 7, (-3, 3))
         q = F.value.coefficient_of("q_z1", 0)
         for m in range(8):
             assert q.coefficient({"q": m}) == m * PARTITIONS[m]
@@ -265,7 +258,7 @@ class TestGenus1Direct:
             assert F.value.coefficient_of("q_z1", e).is_zero()
 
     def test_onepoint_helper_matches_direct(self):
-        F = genus1_direct([ins(OMEGA, "z1")], 6, {"z1": (-2, 2)})
+        F = genus1_direct([ins(OMEGA, "z1")], 6, (-2, 2))
         helper = genus1_onepoint(OMEGA, 6)
         assert helper.agrees_with(F.value.coefficient_of("q_z1", 0))
         assert genus1_onepoint(A, 6).is_zero()
@@ -277,7 +270,7 @@ class TestGenus1Direct:
         of any trace."""
         QO, W = 6, 3
         F2 = genus1_direct([ins(A, "w"), ins(A, "y")], QO,
-                           {"w": (-W, W), "y": (-W, W)})
+                           (-W, W))
         p2 = weierstrass_p_qz(2, (-W, W), QO)
         qi = p2.vars.index("q")
         zi = p2.vars.index("qz")
@@ -288,15 +281,15 @@ class TestGenus1Direct:
         expected = MultiSeries(
             ("q", "q_w", "q_y"),
             {"q": (0, QO), "q_w": (-W, W), "q_y": (-W, W)}, coeffs)
-        expected = expected * genus1_partition(QO).value.extended_to(
-            ("q", "q_w", "q_y"))
+        Z = genus1_direct((), QO, (-8, 8)).value
+        expected = expected * Z.extended_to(("q", "q_w", "q_y"))
         assert F2.value.agrees_with(expected)
         assert F2.value.coefficient({"q": 1, "q_w": -1, "q_y": 1}) != 0
 
     def test_two_point_odd_parity_vanishes(self):
         # omega is even and a is odd under a -> -a, so the trace dies
         F = genus1_direct([ins(OMEGA, "z1"), ins(A, "z2")], 5,
-                          {"z1": (-2, 2), "z2": (-2, 2)})
+                          (-2, 2))
         assert F.is_zero()
 
 
@@ -319,9 +312,9 @@ class TestGenus1Reduce:
         for row in G1_ROWS:
             qo = 5 if len(row) < 3 else 4
             wdw = 3 if len(row) < 3 else 2
-            box = {p: (-wdw, wdw) for _, p in row}
-            direct = genus1_direct([ins(s, p) for s, p in row], qo, box)
-            F = genus1_partition(qo, window=(-wdw, wdw))
+            direct = genus1_direct([ins(s, p) for s, p in row], qo,
+                                   (-wdw, wdw))
+            F = genus1_direct((), qo, (-wdw, wdw))
             for s, p in reversed(row):
                 F = genus1_reduce(direction(s, p), F)
             assert F.value.agrees_with(direct.value), row
@@ -329,14 +322,51 @@ class TestGenus1Reduce:
 
     def test_two_point_heavy_states(self):
         v = parse_state("a[-2]a[-1]|1")
-        box = {"z1": (-2, 2), "z2": (-2, 2)}
-        direct = genus1_direct([ins(v, "z1"), ins(v, "z2")], 5, box)
+        direct = genus1_direct([ins(v, "z1"), ins(v, "z2")], 5, (-2, 2))
         F = genus1_reduce(
             direction(v, "z1"),
             genus1_reduce(direction(v, "z2"),
-                          genus1_partition(5, window=(-2, 2))))
+                          genus1_direct((), 5, (-2, 2))))
         assert F.value.agrees_with(direct.value)
         assert not direct.is_zero()
+
+
+# -- windows -------------------------------------------------------------
+
+
+WINDOW_ENTRY_POINTS = {
+    "genus0_direct": lambda w: genus0_direct(
+        [ins(A, "z1"), ins(A, "z2")], vacuum(), vacuum(), w),
+    "genus1_direct": lambda w: genus1_direct(
+        [ins(A, "z1"), ins(A, "z2")], 3, w),
+    "unwind_genus0": lambda w: unwind_to_partition(
+        [direction(A, "z1")], genus=0, window=w),
+    "unwind_genus1": lambda w: unwind_to_partition(
+        [direction(A, "z1")], genus=1, window=w, q_order=3),
+}
+
+
+class TestWindows:
+    @pytest.mark.parametrize("entry", sorted(WINDOW_ENTRY_POINTS))
+    def test_inverted_window_is_refused(self, entry):
+        with pytest.raises(ValueError, match="inverted window"):
+            WINDOW_ENTRY_POINTS[entry]((2, -2))
+
+    @pytest.mark.parametrize("entry", sorted(WINDOW_ENTRY_POINTS))
+    def test_per_point_dict_window_is_refused(self, entry):
+        with pytest.raises(ValueError, match="one \\(lo, hi\\) pair"):
+            WINDOW_ENTRY_POINTS[entry]({"z1": (-2, 2), "z2": (-2, 2)})
+
+    def test_every_point_and_the_fresh_one_share_the_window(self):
+        F = genus0_direct([ins(A, "z2")], A, vacuum(), (-3, 2))
+        out = genus0_reduce(direction(A, "z1"), F)
+        assert out.window == (-3, 2)
+        assert out.value.window == {"z1": (-3, 2), "z2": (-3, 2)}
+        assert out.q_shift == 0
+        G = genus1_reduce(direction(A, "z1"), genus1_direct((), 3, (-2, 1)))
+        assert G.window == (-2, 1)
+        assert G.value.window == {"q": (0, 3), "q_z1": (-2, 1)}
+        assert G.q_shift == -CENTRAL_CHARGE / 24
 
 
 # -- residuals and unwinding ---------------------------------------------
@@ -344,23 +374,23 @@ class TestGenus1Reduce:
 
 class TestResidualsAndUnwinding:
     def test_partition_is_a_cocycle_along_the_current(self):
-        Z = genus1_partition(6)
+        Z = genus1_direct((), 6, (-8, 8))
         assert cocycle_residual(direction(A, "z1"), Z).is_zero()
 
     def test_partition_is_not_a_cocycle_along_the_stress_tensor(self):
-        Z = genus1_partition(7)
+        Z = genus1_direct((), 7, (-8, 8))
         res = cocycle_residual(direction(OMEGA, "z1"), Z)
         q = res.coefficient_of("q_z1", 0)
         for m in range(8):
             assert q.coefficient({"q": m}) == m * PARTITIONS[m]
 
     def test_vacuum_direction_reproduces_the_function(self):
-        F0 = genus0_partition(A, A, window=(-4, 4))
+        F0 = genus0_direct((), A, A, (-4, 4))
         res = cocycle_residual(direction(vacuum(), "z1"), F0)
         assert res.coefficient({"z1": 0}) == -1
         assert sum(1 for v in res.c.values() if v) == 1
 
-        Z = genus1_partition(6)
+        Z = genus1_direct((), 6, (-8, 8))
         res = cocycle_residual(direction(vacuum(), "z1"), Z)
         assert res.coefficient_of("q_z1", 0).agrees_with(Z.value)
 
@@ -372,7 +402,7 @@ class TestResidualsAndUnwinding:
         assert out.degenerate_steps == (0,)
         direct = genus0_direct([ins(A, "z1"), ins(A, "z2")],
                                vacuum(), vacuum(),
-                               {"z1": (-6, 4), "z2": (-6, 4)})
+                               (-6, 4))
         assert out.value.agrees_with(direct.value)
 
     def test_unwind_at_genus_one(self):
@@ -381,7 +411,7 @@ class TestResidualsAndUnwinding:
             q_order=5, window=(-2, 2))
         assert out.degenerate_steps == (0,)
         direct = genus1_direct([ins(A, "z2"), ins(A, "z1")], 5,
-                               {"z1": (-2, 2), "z2": (-2, 2)})
+                               (-2, 2))
         assert out.value.agrees_with(direct.value)
         assert not out.is_zero()
 
