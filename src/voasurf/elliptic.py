@@ -284,7 +284,7 @@ def iota_long_division(num: MultiSeries, den: MultiSeries,
     window = {v: (0, depth) for v in den.vars}
     window[outer] = (-depth, 0)
     inv = MultiSeries(den.vars, window)
-    inv.c = {k: v / lead for k, v in inv_entries.items()}
+    inv.c = {k: v / lead for k, v in inv_entries.items() if v}
     inv = inv.shift(outer, -lead_key[oi])
     for v, l in zip(den.vars, lead_key):
         if v != outer and l:

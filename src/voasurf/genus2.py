@@ -440,10 +440,11 @@ def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
     f1_tail = row_times_matrix(Q, lt2, clip).get(1)
     out = F1
     if f1_tail is not None:
-        out = out + clip(f1_tail * _se_monomial(1, moduli) * F1)
+        f1 = f1_tail * _se_monomial(1, moduli)
+        out = out + clip(f1, F1)
     if 1 in Q:
         f2 = Q[1] * _se_monomial(1, moduli, Fraction((-1) ** p))
-        out = out + clip(f2 * F2)
+        out = out + clip(f2, F2)
     if X:
         row = dict(r_row(1, xvar, moduli))
         mixed = kernel_add(
@@ -455,7 +456,7 @@ def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
             f3m = row.get(m)
             if f3m is None or xm.is_zero():
                 continue
-            out = out + clip(f3m * xm)
+            out = out + clip(f3m, xm)
 
     out = clip(out)
     require_integer(out, HALF_POWERS)

@@ -38,6 +38,7 @@ Conventions:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .elliptic import weierstrass_p_qz
@@ -470,6 +471,7 @@ def _genus1_box(var_order, window, q_order) -> dict:
 # -- genus 1: the reduction recursion -----------------------------------
 
 
+@lru_cache(maxsize=None)
 def _geom_inv(d: int, q_order: int) -> MultiSeries:
     """1/(1 - q^{-d}) as a q-series with nonnegative exponents."""
     coeffs = {}

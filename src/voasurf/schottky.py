@@ -757,7 +757,7 @@ def genus_g_reduce(direction, F: SchottkyFn, data: SchottkyData) -> SchottkyFn:
             modified = list(F.insertions)
             modified[k] = (uv, yk)
             inner = _handle_sum(data, modified, caps)
-            total = total + clip(kernels[(yk, j)] * inner)
+            total = total + clip(kernels[(yk, j)], inner)
 
     value = require_integer(clip(total), data.half_powers)
     return SchottkyFn(((u, y),) + F.insertions, value, data)

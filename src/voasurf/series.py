@@ -17,6 +17,10 @@ every stored coefficient of a result is exact:
 
     add:  lo = min(lo_a, lo_b),   hi = min(hi_a, hi_b)
     mul:  lo = lo_a + lo_b,       hi = min(hi_a + lo_b, hi_b + lo_a)
+    capped mul:                   hi = min(natural hi, cap)
+
+A capped product never builds a term above a cap, and no zero
+coefficient is ever stored.
 
 No floating point number appears anywhere in this module.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 
 def rat(x) -> Fraction:
@@ -50,6 +55,22 @@ def _min_hi(a, b):
 def _add_hi(h, k):
     """h + k where h may be None (+infinity)."""
     return None if h is None else h + k
+
+
+def _merge(c: dict, terms: dict) -> dict:
+    """Add ``terms`` into the coefficient dict ``c``, dropping every key
+    that cancels."""
+    for key, val in terms.items():
+        s = c.get(key)
+        if s is None:
+            c[key] = val
+        else:
+            s += val
+            if s:
+                c[key] = s
+            else:
+                del c[key]
+    return c
 
 
 def _format_terms(terms, sep=""):
@@ -128,12 +149,15 @@ class MultiSeries:
     # -- alignment -----------------------------------------------------
 
     def extended_to(self, variables) -> "MultiSeries":
-        """View of self over a larger variable set (new exponents 0).
+        """View of self over a larger variable set (new exponents 0);
+        self itself when it already has every variable.
 
         A variable absent from a factor is constant there: support {0},
         complete knowledge, so its window is (0, None).
         """
         variables = tuple(sorted(set(variables) | set(self.vars)))
+        if variables == self.vars:
+            return self
         window = dict(self.window)
         for v in variables:
             if v not in window:
@@ -182,8 +206,7 @@ class MultiSeries:
     def agrees_with(self, other: "MultiSeries") -> bool:
         """Coefficientwise equality on the intersection of the windows."""
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self if self.vars == allvars else self.extended_to(allvars)
-        b = other if other.vars == allvars else other.extended_to(allvars)
+        a, b = self.extended_to(allvars), other.extended_to(allvars)
 
         def inside(key, window):
             for v, e in zip(allvars, key):
@@ -213,23 +236,22 @@ class MultiSeries:
         if isinstance(other, (int, Fraction)):
             other = MultiSeries.constant(other)
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self if self.vars == allvars else self.extended_to(allvars)
-        b = other if other.vars == allvars else other.extended_to(allvars)
-        window = {}
-        for v in allvars:
-            window[v] = (min(a.window[v][0], b.window[v][0]),
-                         _min_hi(a.window[v][1], b.window[v][1]))
-        c = dict(a.c)
-        for key, val in b.c.items():
-            c[key] = c.get(key, Fraction(0)) + val
+        a, b = self.extended_to(allvars), other.extended_to(allvars)
+        window = {v: (min(a.window[v][0], b.window[v][0]),
+                      _min_hi(a.window[v][1], b.window[v][1]))
+                  for v in allvars}
 
-        def inside(key):
-            return all((hi is None or e <= hi)
-                       for e, (lo, hi) in ((k, window[v]) for k, v in zip(key, allvars)))
+        def under(ms):
+            """The terms of ms at or below the result's horizons, checked
+            only where that horizon lies below ms's own."""
+            cut = [(i, window[v][1]) for i, v in enumerate(allvars)
+                   if window[v][1] not in (None, ms.window[v][1])]
+            return {k: x for k, x in ms.c.items()
+                    if all(k[i] <= h for i, h in cut)} if cut else ms.c
 
-        c = {k: v for k, v in c.items() if v != 0 and inside(k)}
+        small, big = sorted((under(a), under(b)), key=len)
         out = MultiSeries(allvars, window)
-        out.c = c
+        out.c = _merge(dict(big), small)
         return out
 
     __radd__ = __add__
@@ -247,30 +269,34 @@ class MultiSeries:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
+    def __mul__(self, other, caps=None):
+        """The product; ``caps`` maps variables to a cap on the result's
+        horizon (None caps nothing), and the result covers them too."""
         if isinstance(other, (int, Fraction)):
             s = rat(other)
             out = MultiSeries(self.vars, self.window)
             if s != 0:
                 out.c = {k: v * s for k, v in self.c.items()}
             return out
-        allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self if self.vars == allvars else self.extended_to(allvars)
-        b = other if other.vars == allvars else other.extended_to(allvars)
+        caps = caps or {}
+        allvars = tuple(sorted(set(self.vars) | set(other.vars) | set(caps)))
+        a, b = self.extended_to(allvars), other.extended_to(allvars)
         window = {}
         for v in allvars:
             (la, ha), (lb, hb) = a.window[v], b.window[v]
-            window[v] = (la + lb, _min_hi(_add_hi(ha, lb), _add_hi(hb, la)))
+            hi = _min_hi(_add_hi(ha, lb), _add_hi(hb, la))
+            window[v] = (la + lb, _min_hi(hi, caps.get(v)))
         out = MultiSeries(allvars, window)
-        c = {}
-        his = [window[v][1] for v in allvars]
+        his = [(i, window[v][1]) for i, v in enumerate(allvars)
+               if window[v][1] is not None]
+        if len(a.c) > len(b.c):
+            a, b = b, a
         for k1, v1 in a.c.items():
-            for k2, v2 in b.c.items():
-                key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                if any(h is not None and e > h for e, h in zip(key, his)):
-                    continue
-                c[key] = c.get(key, Fraction(0)) + v1 * v2
-        out.c = {k: v for k, v in c.items() if v != 0}
+            # one left term scales and shifts b, its keys staying distinct
+            room = [(i, h - k1[i]) for i, h in his]
+            terms = {tuple(map(add, k1, k2)): v1 * v2 for k2, v2 in b.c.items()
+                     if all(k2[i] <= r for i, r in room)}
+            out.c = _merge(out.c, terms) if out.c else terms
         return out
 
     __rmul__ = __mul__
@@ -319,23 +345,15 @@ class MultiSeries:
             if hi is not None and hi > own_hi - 2 * m:
                 raise ValueError("requested horizon exceeds what the input determines")
         # invert 1 + t by the geometric series, t = rest
-        out = {0: Fraction(1)}
-        t_pow = {0: Fraction(1)}
+        minus_t = MultiSeries((var,), {var: (0, None)},
+                              {(e,): -v for e, v in rest.items()})
+        out = power = MultiSeries((var,), {var: (0, order)}, {(0,): 1})
         for _ in range(order):
-            nxt = {}
-            for e1, v1 in t_pow.items():
-                for e2, v2 in rest.items():
-                    e = e1 + e2
-                    if e > order:
-                        continue
-                    nxt[e] = nxt.get(e, Fraction(0)) - v1 * v2
-            t_pow = nxt
-            if not t_pow:
+            power = power * minus_t
+            if power.is_zero():
                 break
-            for e, v in t_pow.items():
-                out[e] = out.get(e, Fraction(0)) + v
-        return MultiSeries((var,), {var: (-m, order - m)},
-                           {(e - m,): v / lead for e, v in out.items()})
+            out = out + power
+        return out.shift(var, -m) * (1 / lead)
 
     # -- reshaping -------------------------------------------------------
 

@@ -12,10 +12,12 @@ ordered index set of opaque hashables (``int`` at genus two,
 The entries carry half-integer powers of the sewing parameters, so each
 parameter is tracked through its square root, named by a mapping to the
 parameter: ``{"se": "eps"}`` (se^2 = eps), ``{"sr1": "rho1", ...}``
-(sr_a^2 = rho_a).  Every product is clipped by a one-argument callable
-the module supplies, built on ``clip``.  Intermediate rows and matrices
-may carry odd half-powers; exported quantities must land on nonnegative
-integer powers of the parameters and are renamed to them.
+(sr_a^2 = rho_a).  Each module supplies a callable built on ``clip``:
+``clip(a)`` clips one series, and ``clip(a, b)`` forms a * b as one
+capped product, never building a term above the cut.  Intermediate
+rows and matrices may carry odd half-powers; exported quantities must
+land on nonnegative integer powers of the parameters and are renamed
+to them.
 """
 
 from dataclasses import dataclass
@@ -67,18 +69,11 @@ def add(A: SeriesMatrix, B: SeriesMatrix) -> SeriesMatrix:
 
 
 def mul(A: SeriesMatrix, B: SeriesMatrix, clip) -> SeriesMatrix:
-    """A B with every term clipped."""
+    """A B, each row of A times B by ``row_times_matrix``."""
     _same_indices(A, B)
-    rows = _rows(B)
-    entries = {}
-    for (i, k), ea in A.entries.items():
-        for j, eb in rows.get(k, ()):
-            prod = clip(ea * eb)
-            if prod.is_zero():
-                continue
-            key = (i, j)
-            entries[key] = entries[key] + prod if key in entries else prod
-    return SeriesMatrix(A.indices, entries)
+    return SeriesMatrix(A.indices, {
+        (i, j): e for i, row in _rows(A).items()
+        for j, e in row_times_matrix(dict(row), B, clip).items()})
 
 
 def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
@@ -89,12 +84,12 @@ def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
     Every term of every entry of M must have positive total order in
     the half-power variables ``names``, otherwise the series would not
     terminate inside the window.  ``product(A, B)`` is the module's
-    product, clipping each of those variables at ``order``.  Each term
-    is formed as (rows . M^k) . M, so dressing a few rows takes
-    vector-matrix products only; the columns of ``rows`` are M's
-    indices and its row keys are free.  For rows at nonnegative orders,
-    as every caller's are, the term k has total order k or more, so it
-    vanishes once k exceeds len(names) * order.
+    matrix product, each entry product capped at ``order`` in each of
+    those variables.  Each term is formed as (rows . M^k) . M, so
+    dressing a few rows takes vector-matrix products only; the columns
+    of ``rows`` are M's indices and its row keys are free.  For rows at
+    nonnegative orders, as every caller's are, the term k has total
+    order k or more, so it vanishes once k exceeds len(names) * order.
     """
     for key, e in M.entries.items():
         half = [i for i, v in enumerate(e.vars) if v in names]
@@ -118,7 +113,7 @@ def row_times_matrix(row: dict, M: SeriesMatrix, clip) -> dict:
     out = {}
     for i, r in row.items():
         for j, e in rows.get(i, ()):
-            prod = clip(r * e)
+            prod = clip(r, e)
             if prod.is_zero():
                 continue
             out[j] = out[j] + prod if j in out else prod
@@ -133,13 +128,19 @@ def row_dot_column(row: dict, col: dict, clip, total=None) -> MultiSeries:
     for i, r in row.items():
         c = col.get(i)
         if c is not None:
-            total = total + clip(r * c)
+            total = total + clip(r, c)
     return total
 
 
-def clip(ms: MultiSeries, base, names: dict, hi) -> MultiSeries:
+def clip(ms: MultiSeries, factor: MultiSeries = None, *, base, names: dict,
+         hi) -> MultiSeries:
     """ms over the variables ``base``, each half-power variable of
-    ``names`` cut to [its own lo, hi]; ``hi`` None cuts nothing."""
+    ``names`` cut to [its own lo, hi]; ``hi`` None cuts nothing.  Given
+    a ``factor``, the product ms * factor clipped the same way, formed
+    as one capped product so that no term above hi is built."""
+    if factor is not None:
+        return ms.__mul__(factor, {v: hi if v in names else None
+                                   for v in base})
     out = ms.extended_to(base)
     for v in names:
         out = out.clip(v, out.window[v][0], hi)

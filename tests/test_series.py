@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voasurf import sewing
 from voasurf.series import (
     MultiSeries,
     TruncatedSeries,
@@ -159,6 +160,128 @@ class TestSeriesProperties:
         b = TruncatedSeries("q", lo, 3, {e: v for (e,), v in a.c.items() if e <= 3})
         wide = (a * a).clip("q", 2 * lo, (b * b).window["q"][1])
         assert wide.agrees_with(b * b)
+
+
+VARS = ("x", "y", "z")
+
+
+@st.composite
+def multiseries(draw, max_terms=5):
+    """A series over a few of VARS, each with a window whose lo may be
+    negative and whose hi may be None; possibly empty or one-term."""
+    variables = sorted(draw(st.sets(st.sampled_from(VARS), max_size=3)))
+    window = {}
+    for v in variables:
+        lo = draw(st.integers(-3, 2))
+        window[v] = (lo, draw(st.one_of(st.none(), st.integers(lo, lo + 5))))
+    keys = st.tuples(*(st.integers(lo, lo + 5 if hi is None else hi)
+                       for lo, hi in (window[v] for v in variables)))
+    coeffs = draw(st.dictionaries(keys, rational, max_size=max_terms))
+    return MultiSeries(variables, window, coeffs)
+
+
+def _min_hi(*his):
+    finite = [h for h in his if h is not None]
+    return min(finite) if finite else None
+
+
+def _aligned(ms, variables):
+    """The window and coefficients of ms over ``variables``; an absent
+    variable has exponent 0 and the window (0, None)."""
+    window = {v: ms.window.get(v, (0, None)) for v in variables}
+    coeffs = {tuple(dict(zip(ms.vars, key)).get(v, 0) for v in variables): c
+              for key, c in ms.c.items()}
+    return window, coeffs
+
+
+def _within(coeffs, variables, window):
+    """The nonzero coefficients at or below every horizon of window."""
+    return {k: c for k, c in coeffs.items() if c != 0 and all(
+        window[v][1] is None or e <= window[v][1]
+        for v, e in zip(variables, k))}
+
+
+def naive_add(a, b):
+    variables = tuple(sorted(set(a.vars) | set(b.vars)))
+    (wa, ca), (wb, cb) = _aligned(a, variables), _aligned(b, variables)
+    window = {v: (min(wa[v][0], wb[v][0]), _min_hi(wa[v][1], wb[v][1]))
+              for v in variables}
+    coeffs = dict(ca)
+    for k, c in cb.items():
+        coeffs[k] = coeffs.get(k, 0) + c
+    return MultiSeries(variables, window, _within(coeffs, variables, window))
+
+
+def naive_mul(a, b, caps=None):
+    """The full double loop, the horizon filter, the zeros dropped, and
+    then each capped variable clipped."""
+    caps = caps or {}
+    variables = tuple(sorted(set(a.vars) | set(b.vars) | set(caps)))
+    (wa, ca), (wb, cb) = _aligned(a, variables), _aligned(b, variables)
+    window = {}
+    for v in variables:
+        (la, ha), (lb, hb) = wa[v], wb[v]
+        window[v] = (la + lb, _min_hi(None if ha is None else ha + lb,
+                                      None if hb is None else hb + la))
+    coeffs = {}
+    for k1, c1 in ca.items():
+        for k2, c2 in cb.items():
+            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            coeffs[k] = coeffs.get(k, 0) + c1 * c2
+    out = MultiSeries(variables, window, _within(coeffs, variables, window))
+    for v, cap in caps.items():
+        out = out.clip(v, out.window[v][0], cap)
+    return out
+
+
+def assert_same(got, want):
+    assert got.vars == want.vars
+    assert got.window == want.window
+    assert got.c == want.c
+    assert all(c != 0 for c in got.c.values())
+
+
+caps_strategy = st.dictionaries(st.sampled_from(VARS),
+                                st.one_of(st.none(), st.integers(-6, 8)))
+
+
+class TestProductsAgainstTheDoubleLoop:
+    @given(multiseries(), multiseries())
+    def test_add(self, a, b):
+        assert_same(a + b, naive_add(a, b))
+
+    @given(multiseries(), multiseries())
+    def test_sums_that_cancel(self, a, b):
+        assert_same(a + (-a), naive_add(a, -a))
+        assert (a + (-a)).is_zero()
+        assert_same((a + b) + (-b), naive_add(naive_add(a, b), -b))
+
+    @given(multiseries(), multiseries())
+    def test_mul(self, a, b):
+        assert_same(a * b, naive_mul(a, b))
+
+    @given(multiseries(max_terms=1), multiseries())
+    def test_one_term_factor(self, a, b):
+        assert_same(a * b, naive_mul(a, b))
+        assert_same(b * a, naive_mul(b, a))
+
+    @given(multiseries(), multiseries(), caps_strategy)
+    def test_capped(self, a, b, caps):
+        assert_same(a.__mul__(b, caps), naive_mul(a, b, caps))
+
+    @given(multiseries(), multiseries(), st.integers(-2, 2))
+    def test_caps_around_the_natural_horizon(self, a, b, delta):
+        natural = (a * b).window
+        caps = {v: hi + delta for v, (lo, hi) in natural.items()
+                if hi is not None}
+        assert_same(a.__mul__(b, caps), naive_mul(a, b, caps))
+
+    @given(multiseries(), multiseries(),
+           st.one_of(st.none(), st.integers(-4, 6)))
+    def test_sewing_clip_of_a_product(self, a, b, hi):
+        spec = {"base": ("x", "y", "z"), "names": {"x": "X", "z": "Z"},
+                "hi": hi}
+        assert_same(sewing.clip(a, b, **spec), sewing.clip(a * b, **spec))
 
 
 class TestMultiSeries:
