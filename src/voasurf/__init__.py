@@ -8,12 +8,11 @@ and every stored coefficient is exact.
 
 __version__ = "0.1.0"
 
-from .series import TruncatedSeries, MultiSeries, iota_expand, rat
+from .series import TruncatedSeries, MultiSeries, rat
 
 __all__ = [
     "TruncatedSeries",
     "MultiSeries",
-    "iota_expand",
     "rat",
     "__version__",
 ]

@@ -19,8 +19,7 @@ partition literal syntax understood by ``parse_state``, for example
 
 Exit codes: 0 on success, 1 when a module rejects the request (window
 too small, order constraints violated, a failed batch check), 2 on
-flag grammar errors.  Setting the VOASURF_CACHE environment variable
-points the Eisenstein tables at a persistent disk cache.
+flag grammar errors.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 from .cohomology import (ClusterSetting, _direction_family, cohomology_rank,
                          describe_direction, euler_poincare, involution_check,
                          make_seed)
-from .elliptic import CACHE_ENV, eisenstein, weierstrass_p
+from .elliptic import eisenstein, weierstrass_p
 from .genus2 import HALF_POWERS, SewingModuli, gen_weierstrass, z2_partition
 from .reduction import (Insertion, ReductionDirection, cocycle_residual,
                         genus0_direct, genus1_direct, unwind_to_partition)
@@ -119,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="voasurf",
         description="Exact correlation function computations for the rank "
                     "one Heisenberg vertex operator algebra on genus 0, 1, "
-                    "2 and Schottky surfaces.",
-        epilog=f"Set {CACHE_ENV} to cache Eisenstein tables on disk.")
+                    "2 and Schottky surfaces.")
     groups = parser.add_subparsers(dest="group", metavar="COMMAND",
                                    required=True)
 

@@ -450,24 +450,6 @@ class TruncatedSeries(MultiSeries):
                          {(e,): v for e, v in (coeffs or {}).items()})
 
 
-def iota_expand(n: int, m: int, outer: str, inner: str, window) -> MultiSeries:
-    """The rational kernel expansion sum_j C(n+j, m) z^(-n-j-1) w^(n+j-1).
-
-    ``outer`` and ``inner`` name z and w; ``window`` is the pair
-    (outer_lo, inner_hi) bounding how many j terms are generated.
-    The expansion region is |z| > |w|.
-    """
-    outer_lo, inner_hi = window
-    coeffs = {}
-    j = 0
-    while -n - j - 1 >= outer_lo and n + j - 1 <= inner_hi:
-        coeffs[(-n - j - 1, n + j - 1) if outer < inner else (n + j - 1, -n - j - 1)] = comb(n + j, m)
-        j += 1
-    return MultiSeries((outer, inner),
-                       {outer: (outer_lo, -n - 1), inner: (n - 1, inner_hi)},
-                       coeffs)
-
-
 def binomial_expand(m: int, outer: str, inner: str, outer_lo: int) -> MultiSeries:
     """Exact expansion of 1/(outer - inner)^(m+1) in |outer| > |inner|.
 

@@ -327,16 +327,6 @@ def to_square_coords(v: GradedVector) -> dict:
     return coords
 
 
-def square_weight_components(v: GradedVector) -> dict:
-    """Decompose v into L[0] eigencomponents, keyed by square weight."""
-    out = {}
-    for lam, c in to_square_coords(v).items():
-        r = weight(lam)
-        out.setdefault(r, GradedVector())
-        out[r] = out[r] + c * square_fock(lam)
-    return out
-
-
 # -- invariant bilinear forms -------------------------------------------
 
 

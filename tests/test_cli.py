@@ -13,8 +13,8 @@ import os
 import pytest
 from fractions import Fraction
 
-from voasurf.cli import (GOLDEN_CASES, build_parser,
-                         capture_output, golden_name, parse_and_dispatch)
+from voasurf.cli import (GOLDEN_CASES, capture_output, golden_name,
+                         parse_and_dispatch)
 from voasurf.elliptic import eisenstein
 from voasurf.genus2 import HALF_POWERS
 from voasurf.schottky import SchottkyData
@@ -131,12 +131,6 @@ class TestExitCodes:
         code, out, err = run(
             ["golden", "--check", "--dir", "/nonexistent/golden"], capsys)
         assert code == 1
-
-
-class TestConfig:
-
-    def test_help_documents_cache_variable(self):
-        assert "VOASURF_CACHE" in build_parser().format_help()
 
 
 class TestSerialization:

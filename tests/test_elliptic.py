@@ -2,15 +2,11 @@
 reference values."""
 
 from fractions import Fraction
-from math import comb, factorial
-
-import pytest
+from math import factorial
 
 from voasurf.elliptic import (
     bernoulli,
     eisenstein,
-    genus0_kernel,
-    iota_long_division,
     weierstrass_p,
     weierstrass_p_qz,
 )
@@ -62,11 +58,14 @@ class TestEisenstein:
         assert e6.coefficient({"q": 2}) == Fraction(11, 20)
 
     def test_orders_to_twenty(self):
-        for k in (2, 4, 6):
-            ek = eisenstein(k, 20)
-            for n in range(1, 21):
-                assert ek.coefficient({"q": n}) == \
-                    Fraction(2 * sigma_ref(k - 1, n), factorial(k - 1))
+        # order 20 and then 300 in one process: each order's table is
+        # its own memo entry, and the sieve reaches large n
+        for order in (20, 300):
+            for k in (2, 4, 6, 12):
+                ek = eisenstein(k, order)
+                for n in range(1, order + 1):
+                    assert ek.coefficient({"q": n}) == \
+                        Fraction(2 * sigma_ref(k - 1, n), factorial(k - 1))
 
     def test_odd_index_zero(self):
         assert eisenstein(3, 10).is_zero()
@@ -149,47 +148,3 @@ class TestWeierstrass:
             zed = expand_exp(sl, "z", 6)
             ref = weierstrass_p(m, 6, 3).coefficient_of("q", 2)
             assert zed.agrees_with(ref), m
-
-
-class TestGenus0Kernel:
-    def mode_sum(self, n, m, lo):
-        entries = {}
-        big_n = n
-        while -big_n - 1 >= lo:
-            entries[(big_n - m, -big_n - 1)] = comb(big_n, m)
-            big_n += 1
-        return MultiSeries(("w", "z"), {"z": (lo, -n - 1), "w": (n - m, max(n - m, big_n - m))},
-                           entries)
-
-    def test_expansion_matches_mode_sum(self):
-        for n in range(0, 4):
-            for m in range(0, 4):
-                form = genus0_kernel(n, m, outer_lo=-9)
-                ref = self.mode_sum(n, m, -9)
-                assert form.expansion.agrees_with(ref), (n, m)
-
-    def test_closed_form_cross_multiplication(self):
-        # denominator * expansion == numerator, checked to total degree 8
-        for n, m in [(0, 0), (1, 1), (2, 1), (3, 2), (2, 0)]:
-            form = genus0_kernel(n, m, outer_lo=-10)
-            prod = form.denominator * form.expansion
-            assert prod.agrees_with(form.numerator), (n, m)
-
-    def test_simple_pole(self):
-        form = genus0_kernel(0, 0, outer_lo=-5)
-        assert str(form.denominator) in ("z - w", "-w + z")
-        # expansion of 1/(z-w): sum w^j z^(-j-1)
-        for j in range(4):
-            assert form.expansion.coefficient({"z": -j - 1, "w": j}) == 1
-
-    def test_normalization_integer_coprime(self):
-        form = genus0_kernel(3, 1, outer_lo=-8)
-        vals = list(form.numerator.c.values()) + list(form.denominator.c.values())
-        assert all(v.denominator == 1 for v in vals)
-
-    def test_long_division_rejects_bad_leading_term(self):
-        num = MultiSeries(("w", "z"), {"z": (0, None), "w": (0, None)}, {(0, 0): 1})
-        den = MultiSeries(("w", "z"), {"z": (0, None), "w": (0, None)},
-                          {(1, 1): 1, (2, 1): -1})
-        with pytest.raises(AssertionError):
-            iota_long_division(num, den, -6)

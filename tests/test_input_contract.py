@@ -4,7 +4,6 @@ The CLI runs in a subprocess here, so an exception escaping
 ``parse_and_dispatch`` shows up as a traceback on stderr.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -18,8 +17,8 @@ from voasurf.voa import generator, parse_state
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
-def run_cli(*argv, cache=""):
-    env = dict(os.environ, VOASURF_CACHE=cache)
+def run_cli(*argv):
+    env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "voasurf.cli", *argv],
                           capture_output=True, text=True, env=env,
@@ -118,37 +117,3 @@ class TestBoundaryStates:
         assert proc.stderr.startswith("error:") and "boundary" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
-
-
-def _truncate(path):
-    text = path.read_text()
-    path.write_text(text[:len(text) // 2])
-
-
-def _edit_constant_term(path):
-    coeffs = json.loads(path.read_text())
-    coeffs[0] = "5/1"
-    path.write_text(json.dumps(coeffs))
-
-
-class TestEisensteinCache:
-    """A damaged VOASURF_CACHE file is recomputed and rewritten, never
-    trusted and never fatal."""
-
-    ARGV = ("elliptic", "eisenstein", "--k", "4", "--order", "5")
-
-    @pytest.mark.parametrize("damage", [_truncate, _edit_constant_term],
-                             ids=["truncated", "edited_constant_term"])
-    def test_damaged_file_gives_the_correct_series(self, tmp_path, damage):
-        clean = run_cli(*self.ARGV)
-        assert clean.returncode == 0
-        assert run_cli(*self.ARGV, cache=str(tmp_path)).stdout == clean.stdout
-        path = tmp_path / "eisenstein_4.json"
-        good = path.read_text()
-        damage(path)
-        proc = run_cli(*self.ARGV, cache=str(tmp_path))
-        assert proc.returncode == 0
-        assert proc.stdout == clean.stdout
-        assert "Traceback" not in proc.stderr
-        assert path.read_text() == good
-        assert [p.name for p in tmp_path.iterdir()] == ["eisenstein_4.json"]

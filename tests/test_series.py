@@ -10,7 +10,6 @@ from voasurf.series import (
     MultiSeries,
     TruncatedSeries,
     binomial_expand,
-    iota_expand,
 )
 
 from test_elliptic import expand_exp
@@ -321,25 +320,6 @@ class TestMultiSeries:
 
 
 class TestIotaExpand:
-    def test_printed_kernel_at_m_one(self):
-        # at m = 1 the printed kernel is the honest expansion of
-        # 1/(z-w)^2 in |z| > |w|
-        ker = iota_expand(1, 1, "z", "w", (-8, 8))
-        ref = binomial_expand(1, "z", "w", -8)
-        assert ker.agrees_with(ref)
-
-    def test_printed_kernel_inner_exponent_discrepancy(self):
-        # for m != 1 the printed inner exponent n+j-1 differs from the
-        # long-division expansion's n+j-m by a shift of m-1
-        ker = iota_expand(2, 2, "z", "w", (-8, 8))
-        ref = binomial_expand(2, "z", "w", -8)
-        shifted = ker.shift("w", -1)  # m - 1 = 1
-        assert not ker.agrees_with(ref) or ker.is_zero()
-        # same coefficients C(n+j, m), displaced inner exponents
-        for j in range(4):
-            assert shifted.coefficient({"z": -3 - j, "w": 1 + j}) == \
-                ref.coefficient({"z": -3 - j, "w": 1 + j})
-
     def test_binomial_expand_against_cross_multiplication(self):
         # (z - w)^(m+1) * expansion == 1 on the window
         for m in range(3):

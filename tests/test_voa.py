@@ -23,7 +23,6 @@ from voasurf.voa import (
     render_state,
     square_bracket_mode,
     square_fock,
-    square_weight_components,
     to_square_coords,
     vacuum,
     vertex_mode,
@@ -192,14 +191,6 @@ class TestSquareBrackets:
         for lam, c in coords.items():
             rebuilt = rebuilt + c * square_fock(lam)
         assert rebuilt == v
-
-    def test_square_weight_components_sum(self):
-        v = parse_state("a[-2]a[-1]|1 + a[-1]|1")
-        comps = square_weight_components(v)
-        total = GradedVector()
-        for gv in comps.values():
-            total = total + gv
-        assert total == v
 
 
 def defining_form(state, y, alpha):
