@@ -7,10 +7,11 @@ insertion prepended.  Since the step acts on insertion *tuples* (two
 tuples with the same value need not reduce to the same value), the
 chain space at level n and weight m is the free vector space on the
 canonical tuples of total weight m, and q_{n,m} counts those tuples.
-Everything downstream is matrix algebra over the rationals: columns
-are vectorized images on a fixed monomial window, ranks come from
-exact integer elimination on the sparse columns, and kernels from
-deterministic Gaussian elimination on the densified matrix.
+A source is therefore a tuple, not a value: the rank path runs tuples
+-> recursion images -> sparse columns -> exact integer elimination,
+and never evaluates the brute-force oracle.  Columns are vectorized
+images on a fixed monomial window; the one dense step left is the
+chain-condition kernel, by Gaussian elimination on its columns.
 
 All dimension claims are certified within the window only.  A kernel
 vector says "the image vanishes on every monomial we can see"; a
@@ -122,10 +123,11 @@ def describe_direction(direction: ReductionDirection) -> str:
 class GradedSlice:
     """The weight-m slice of the level-n chain space.
 
-    ``basis`` is the canonical tuple list, ``functions`` the matching
-    correlation functions (built lazily: targets of a coboundary only
-    ever need the vectorization data).  Genus 0 carries boundary
-    states, vacuum by default; genus 1 carries the q-order.
+    ``basis`` is the canonical tuple list and ``sources`` the matching
+    value-free coboundary sources; ``build`` evaluates the brute-force
+    oracle of a tuple, which only checks and seeds ever need.  Genus 0
+    carries boundary states, vacuum by default; genus 1 carries the
+    q-order.
     """
 
     def __init__(self, genus: int, n: int, m: int, *, points=None,
@@ -167,10 +169,13 @@ class GradedSlice:
         return tuple(Insertion(GradedVector.basis_state(s), p)
                      for s, p in zip(states, self.points))
 
-    @cached_property
-    def functions(self) -> tuple:
-        return tuple(self.build(self.insertions(states))
-                     for states in self.basis)
+    def sources(self):
+        """One value-free CorrelationFn per basis tuple: what a
+        reduction step reads (insertions, window, boundary, q-order)
+        and no oracle value."""
+        for states in self.basis:
+            yield CorrelationFn(self.genus, self.insertions(states), None,
+                                self.window, self.boundary, self.q_order)
 
     def build(self, insertions) -> CorrelationFn:
         """The correlation function of an explicit insertion tuple on
@@ -229,69 +234,35 @@ class CoboundaryMatrix:
 
     Columns are sparse monomial vectors on the target slice's window
     (keys tagged by the member index when the family is stacked), and
-    ``rank`` eliminates on them directly.  ``matrix`` densifies them
-    over the nonzero row support, in sorted monomial order, so kernels
-    never see all-zero rows.
+    ``rank`` eliminates on them directly.
     """
 
-    directions: tuple
     source: GradedSlice
     target: GradedSlice
     columns: list
 
     @cached_property
-    def row_keys(self) -> tuple:
-        return _row_keys(self.columns)
-
-    @cached_property
-    def matrix(self) -> list:
-        return _densify(self.columns, self.row_keys)
-
-    @cached_property
     def rank(self) -> int:
         return rank(self.columns)
-
-    @cached_property
-    def kernel(self) -> tuple:
-        return _kernel_of(self.matrix)
 
     @property
     def kernel_dim(self) -> int:
         return len(self.columns) - self.rank
 
-    def is_zero(self) -> bool:
-        return not self.row_keys
 
-    def describe(self) -> dict:
-        return {
-            "direction": [describe_direction(d) for d in self.directions],
-            "source": self.source.describe(),
-            "target": self.target.describe(),
-            "shape": [len(self.row_keys), len(self.columns)],
-            "rank": self.rank,
-            "kernel_dim": self.kernel_dim,
-        }
-
-
-def _row_keys(columns) -> tuple:
-    """The sorted union of the columns' monomial keys."""
-    return tuple(sorted(set().union(*columns)))
-
-
-def _densify(columns, row_keys) -> list:
+def _densify(columns) -> list:
+    """The columns as dense rows over their nonzero row support, in
+    sorted monomial order, so kernels never see all-zero rows."""
     ncols = len(columns)
     if ncols == 0:
         return []
+    row_keys = sorted(set().union(*columns))
     if not row_keys:
         # no visible constraints at all: one zero row keeps the
         # column count (and hence kernels) intact
         return [[Fraction(0)] * ncols]
     return [[col.get(key, Fraction(0)) for col in columns]
             for key in row_keys]
-
-
-def _kernel_of(matrix) -> tuple:
-    return tuple(tuple(v) for v in kernel_basis(matrix))
 
 
 def target_slice(direction: ReductionDirection,
@@ -311,15 +282,17 @@ def build_coboundary(direction_family, src: GradedSlice,
     sum of its members' images (one operator) or stacked, one block of
     rows per member with keys tagged by the member index.  Members
     share the anchored point and weight, hence one target slice.
-    Exact on the slice's window; window problems inside the reduction
-    (an intrinsically finite direction that does not fit) propagate as
-    WindowError rather than being absorbed.
+    The sources are the slice's value-free tuples, so no oracle runs
+    and no source-side window check applies.  Exact on the target
+    slice's window; window problems inside the reduction (an
+    intrinsically finite direction that does not fit the target box)
+    propagate as WindowError rather than being absorbed.
     """
     family, _ = _direction_family(direction_family, combine)
     _check_fresh(family[0], src.points)
     tgt = target_slice(family[0], src)
     columns = []
-    for fn in src.functions:
+    for fn in src.sources():
         images = [tgt.vectorize(reduce_step(d, fn)) for d in family]
         if combine == "stack":
             columns.append({(i,) + k: v for i, image in enumerate(images)
@@ -330,7 +303,7 @@ def build_coboundary(direction_family, src: GradedSlice,
             for k, v in image.items():
                 acc[k] = acc.get(k, 0) + v
         columns.append({k: v for k, v in acc.items() if v})
-    return CoboundaryMatrix(family, src, tgt, columns)
+    return CoboundaryMatrix(src, tgt, columns)
 
 
 @dataclass
@@ -387,11 +360,11 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     mid = target_slice(dir1, src)
     tgt = target_slice(dir2, mid)
     columns = []
-    for fn in src.functions:
+    for fn in src.sources():
         g = reduce_step(dir1, fn)
         columns.append({} if g.is_zero()
                        else tgt.vectorize(reduce_step(dir2, g)))
-    kernel = _kernel_of(_densify(columns, _row_keys(columns)))
+    kernel = tuple(tuple(v) for v in kernel_basis(_densify(columns)))
     return ChainReport(dir1, dir2, src, tgt, columns, kernel)
 
 

@@ -28,20 +28,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .series import MultiSeries, TruncatedSeries
 
 
+def _tangent_number(h: int) -> int:
+    """T_h of tan x = sum T_h x^(2h-1)/(2h-1)! (1, 2, 16, 272, ...),
+    by the Brent-Harvey integer recurrence over T_1 .. T_h."""
+    t = [0, 1] + [0] * (h - 1)
+    for k in range(2, h + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, h + 1):
+        for j in range(k, h + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[h]
+
+
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30)."""
+    """B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30), from integer
+    tangent numbers: B_2h = (-1)^(h-1) 2h T_h / (4^h (4^h - 1))."""
     if n == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        total += comb(n + 1, j) * bernoulli(j)
-    return -total / (n + 1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    h = n // 2
+    return Fraction((-1) ** (h - 1) * n * _tangent_number(h),
+                    4 ** h * (4 ** h - 1))
 
 
 @lru_cache(maxsize=None)

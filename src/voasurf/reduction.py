@@ -88,6 +88,10 @@ class CorrelationFn:
     lies in the one pair ``window`` = (lo, hi).  At genus 0
     ``boundary_states`` holds (u', u).  ``q_shift`` is the exact
     exponent of the q-prefactor, fixed by the genus.
+
+    A coboundary source carries ``value=None``: no reduction step reads
+    a value, since each rebuilds its image from the insertions, window,
+    boundary and q-order alone.
     """
 
     genus: int

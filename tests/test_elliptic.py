@@ -2,7 +2,7 @@
 reference values."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from voasurf.elliptic import (
     bernoulli,
@@ -36,12 +36,25 @@ def sigma_ref(k, n):
     return total
 
 
+def bernoulli_ref(n_max):
+    """B_0 .. B_n_max by the defining recurrence
+    sum_{j<=n} C(n+1, j) B_j = 0 (independent of the tangent numbers
+    the implementation uses)."""
+    row = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        row.append(-sum(comb(n + 1, j) * row[j] for j in range(n)) / (n + 1))
+    return row
+
+
 class TestEisenstein:
     def test_bernoulli(self):
         assert bernoulli(2) == Fraction(1, 6)
         assert bernoulli(4) == Fraction(-1, 30)
         assert bernoulli(6) == Fraction(1, 42)
         assert bernoulli(12) == Fraction(-691, 2730)
+
+    def test_bernoulli_matches_recurrence(self):
+        assert [bernoulli(n) for n in range(81)] == bernoulli_ref(80)
 
     def test_e2_printed(self):
         e2 = eisenstein(2, 3)

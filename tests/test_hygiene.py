@@ -2,8 +2,8 @@
 name it never uses, no module-level definition lacks a caller in the
 package or the benchmark (bar the few listed in KEPT_FOR_TESTS), no
 defaulted parameter keeps its default at every call, and no record
-field goes unread.  Stdlib ``ast`` scans and word matching, so it
-needs no linter."""
+field goes unread.  Stdlib ``ast`` scans (and word matching for the
+benchmark's string targets), so it needs no linter."""
 
 import ast
 import re
@@ -45,16 +45,6 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
 
 
-def word_lines(paths) -> dict:
-    """Each identifier-like word -> the set of (path, line) naming it."""
-    found = defaultdict(set)
-    for path in paths:
-        for i, line in enumerate(path.read_text().splitlines(), 1):
-            for word in re.findall(r"\w+", line):
-                found[word].add((path, i))
-    return found
-
-
 # Public definitions that only the tests call, each with the reason it
 # stays in the package.
 KEPT_FOR_TESTS = {
@@ -66,28 +56,61 @@ KEPT_FOR_TESTS = {
     "chain_condition_check": "library API the CLI does not expose",
     "genus2_reduce": "library API the CLI does not expose",
     "psi_deriv_value": "library API the CLI does not expose",
+    "chi": "library API; genus_g_reduce reaches the same code through _chi",
+    "theta": "library API; genus_g_reduce reaches the same code through "
+             "_theta",
+    "heisenberg_mode": "reference oracle for the integral mode table",
 }
 
 
+def package_references() -> tuple:
+    """What the package's modules reach of each other: the set of
+    (module, name) that some module imports from ``module`` or reads
+    as ``module.name``, and per module the (name, line) of every bare
+    name it loads or stores."""
+    reached, named = set(), defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                source = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    if source:
+                        reached.add((source, alias.name))
+                    else:  # from . import module
+                        modules[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name) and node.value.id in modules:
+                reached.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.Name):
+                named[path.stem].add((node.id, node.lineno))
+    return reached, named
+
+
 def dead_definitions() -> tuple:
-    """Module-level functions and classes of the package that nothing
-    in the package outside their own body, and nothing in the
-    benchmark, names; and the KEPT_FOR_TESTS names that such a rule
-    actually spares.  A test's use never counts as a caller."""
-    sources = sorted(SRC.glob("*.py"))
-    in_src = word_lines(sources)
+    """Module-level functions and classes of the package that no other
+    module imports or reads as ``module.name``, that their own module
+    names nowhere outside their body, and that the benchmark does not
+    name as a word (its tracer targets are strings); and the
+    KEPT_FOR_TESTS names that such a rule actually spares.  A test's
+    use never counts as a caller."""
+    reached, named = package_references()
     in_bench = {word for path in (ROOT / "bench").rglob("*.py")
                 for word in re.findall(r"\w+", path.read_text())}
     dead, kept = [], set()
-    for path in sources:
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
-            body = {(path, i) for i in range(node.lineno, node.end_lineno + 1)}
+            body = range(node.lineno, node.end_lineno + 1)
             public = not node.name.startswith("_")
-            if in_src[node.name] - body or (public
-                                            and node.name in in_bench):
+            if (path.stem, node.name) in reached or any(
+                    name == node.name and line not in body
+                    for name, line in named[path.stem]) or (
+                    public and node.name in in_bench):
                 continue
             if node.name in KEPT_FOR_TESTS:
                 kept.add(node.name)
