@@ -331,10 +331,6 @@ def _series_payload(s: MultiSeries, approx: bool) -> dict:
             "terms": terms}
 
 
-def _render_insertion(ins: Insertion) -> str:
-    return f"{render_state(ins.state)}@{ins.point}"
-
-
 def _flatten(value, prefix: str, rows: list):
     if isinstance(value, dict):
         for k in sorted(value):
@@ -424,7 +420,7 @@ def _run_npoint(ns: argparse.Namespace):
                                 q_order=q_order)
     payload = {"command": "npoint", "genus": genus,
                "path": ns.path,
-               "insertions": [_render_insertion(i) for i in ns.insertions],
+               "insertions": [str(i) for i in ns.insertions],
                "value": _series_payload(F.value, ns.approx)}
     if genus == 0:
         payload["boundary"] = [render_state(s) for s in F.boundary_states]
@@ -440,8 +436,8 @@ def _run_residual(ns: argparse.Namespace):
     direction = ReductionDirection(ns.direction)
     res = cocycle_residual(direction, _oracle(ns))
     return {"command": "residual", "genus": ns.genus,
-            "direction": _render_insertion(direction.insertion),
-            "insertions": [_render_insertion(i) for i in ns.insertions],
+            "direction": str(direction.insertion),
+            "insertions": [str(i) for i in ns.insertions],
             "is_zero": res.is_zero(),
             "residual": _series_payload(res, ns.approx)}, 0
 

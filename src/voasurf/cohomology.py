@@ -116,8 +116,7 @@ def _direction_family(family, combine: str):
 
 
 def describe_direction(direction: ReductionDirection) -> str:
-    ins = direction.insertion
-    return f"{render_state(ins.state)}@{ins.point}"
+    return str(direction.insertion)
 
 
 class GradedSlice:
@@ -460,11 +459,6 @@ class ClusterSeed:
     states: tuple
     points: tuple
     fn: CorrelationFn
-
-    def describe(self) -> dict:
-        return {"states": [render_state(v) for v in self.states],
-                "points": list(self.points),
-                "genus": self.fn.genus}
 
 
 def make_seed(states, genus: int, *, window=DEFAULT_WINDOW,

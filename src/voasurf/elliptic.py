@@ -20,8 +20,11 @@ Conventions (all rational, all truncated explicitly):
   expanded here with (1-q^n)^-1 = sum_{i>=0} q^(i n) for n > 0 and
   -sum_{i>=1} q^(i|n|) for n < 0.  The q_z window of the result is a
   viewing box: the true support extends beyond it in both directions,
-  so never multiply two of these in the same q_z variable; the
-  reduction engines assemble such products slice by slice instead.
+  so never multiply two of these in the same q_z variable.  The
+  genus-1 reduction does not build this form: it applies each q_z^n
+  slice as a raw-mode commutator times 1/(1 - q^n) (see
+  ``reduction``); the tests hold it as the oracle for Zhu's kernel,
+  and the benchmark tracer still times it.
 """
 
 from __future__ import annotations
@@ -122,30 +125,25 @@ def _z_derivative(ms: MultiSeries, var: str) -> MultiSeries:
     return out
 
 
-def weierstrass_p_qz(m: int, qz_window, q_order: int,
-                     qzvar: str = "qz") -> MultiSeries:
+def weierstrass_p_qz(m: int, qz_window, q_order: int) -> MultiSeries:
     """P_m in the q_z Laurent form on the region |q| < |q_z| < 1, as a
-    series in ``qzvar`` and q.
+    series in ``qz`` and q.
 
     ``qz_window`` is the (lo, hi) viewing box for q_z; see the module
     docstring for the support caveat.
     """
     lo, hi = qz_window
-    window = {qzvar: (lo, hi), "q": (0, q_order)}
+    window = {"qz": (lo, hi), "q": (0, q_order)}
     sign = Fraction((-1) ** m, factorial(m - 1))
     coeffs = {}
-
-    def key(ze, qe):
-        return (qe, ze) if "q" < qzvar else (ze, qe)
-
     for n in range(lo, hi + 1):
         if n == 0:
             continue
         base = sign * n ** (m - 1)
         if n > 0:
             for i in range(0, q_order // n + 1):
-                coeffs[key(n, i * n)] = coeffs.get(key(n, i * n), Fraction(0)) + base
+                coeffs[(i * n, n)] = base
         else:
             for i in range(1, q_order // (-n) + 1):
-                coeffs[key(n, i * -n)] = coeffs.get(key(n, i * -n), Fraction(0)) - base
-    return MultiSeries((qzvar, "q"), window, coeffs)
+                coeffs[(i * -n, n)] = -base
+    return MultiSeries(("qz", "q"), window, coeffs)

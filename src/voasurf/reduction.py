@@ -11,6 +11,13 @@ shorter correlation functions are computed by the same recursion down
 to the zero-insertion base case.  Equality of the two paths is an
 acceptance invariant, not an assumption.
 
+The genus-1 recursion is Zhu's, written in raw modes: both commutator
+families (against the remaining insertions and against the front word
+of zero modes) apply C(wt v - 1 - d, i) v(i) from the integral mode
+table with the resummation 1/(1 - q^{-d}).  The identity
+sum_m v[m] x^m/m! = sum_i C(wt v - 1 + x, i) v(i) at x = -d turns the
+insertion family into Zhu's square-bracket v[m] P_{m+1} term.
+
 Conventions:
 
 * Insertion lists are ordered outermost first.  At genus 0 the value
@@ -41,7 +48,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .elliptic import weierstrass_p_qz
 from .series import MultiSeries, TruncatedSeries
 from .voa import (
     CENTRAL_CHARGE,
@@ -52,7 +58,6 @@ from .voa import (
     bilinear_form,
     gbinom,
     render_state,
-    square_bracket_mode,
     vacuum,
     vertex_mode,
     weight,
@@ -71,6 +76,9 @@ class Insertion:
 
     state: GradedVector
     point: str
+
+    def __str__(self) -> str:
+        return f"{render_state(self.state)}@{self.point}"
 
 
 @dataclass(frozen=True)
@@ -371,7 +379,7 @@ def genus0_reduce(direction: ReductionDirection,
             key = tuple(keyed[p] for _, p in row)
             acc[key] = acc.get(key, Fraction(0)) + coef * c
 
-    word = (f"H({render_state(ins.state)}@{ins.point})",) + F.operator_word
+    word = (f"H({ins})",) + F.operator_word
     return _assemble_genus0(insertions, acc, F.window, uprime, u,
                             operator_word=word)
 
@@ -494,10 +502,14 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
 
     The head mode v(wt v - 1 - d) at q_z-exponent d is cycled around
     the trace; the factor 1/(1 - q^{-d}) resums the cycling for d != 0
-    and the d = 0 mode o(v) joins the front word.  Commutators against
-    the dressed insertions rebundle into square-bracket replacements
-    under P_{m+1} kernels; commutators against the front word keep
-    their raw mode form.
+    and the d = 0 mode o(v) joins the front word.  Its commutator with
+    a dressed insertion w or a front factor is sum_i C(K, i) v(i)w,
+    K = wt v - 1 - d, read off the integral mode table; a dressed one
+    also moves q_k^{-d} onto w's point.  Summed over d this is Zhu's
+    sum_m v[m]w P_{m+1}(z_k - z) term, by
+    sum_m v[m] x^m/m! = sum_i C(wt v - 1 + x, i) v(i) at x = -d and
+    P_{m+1}(u) = ((-1)^{m+1}/m!) sum_{n != 0} n^m q_u^n / (1 - q^n)
+    at n = -d.
     """
     key = (front, row, tuple(sorted(window.items())), q_order)
     if key in memo:
@@ -519,7 +531,6 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
 
     (vs, z), rest = row[0], row[1:]
     wv = weight(vs)
-    v = GradedVector.basis_state(vs)
     qz = point_var(1, z)
     lo_z, hi_z = window[z]
     out = MultiSeries((), {})
@@ -535,34 +546,27 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
                    q_order, memo)
     out = out + t0.extended_to(t0.vars + (qz,))
 
-    # square-bracket replacements against each remaining insertion
+    # commutators with each remaining insertion: the sibling carries
+    # v(i)w at z_k on a box inflated by the largest shift
     shift_max = max(-lo_z, hi_z, 0)
     for k, (ws, zk) in enumerate(rest):
         qk = point_var(1, zk)
         lo_k, hi_k = window[zk]
         wk = sub_window({zk: (lo_k - shift_max, hi_k + shift_max)})
-        for m in range(0, wv + weight(ws)):
-            repl = square_bracket_mode(v, m, GradedVector.basis_state(ws))
-            if repl.is_zero():
-                continue
-            kernel = weierstrass_p_qz(m + 1, (-hi_z, -lo_z), q_order,
-                                      qzvar="_u")
-            sign = Fraction((-1) ** (m + 1))
-            for bs, bc in repl.t.items():
+        for i in range(0, wv + weight(ws)):
+            for bs, bc in _vertex_mode_basis(vs, i, ws):
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
                 sib = _g1_value(front, sib_row, wk, q_order, memo)
                 if sib.is_zero():
                     continue
-                for e in range(-hi_z, -lo_z + 1):
-                    if e == 0:
+                for d in range(lo_z, hi_z + 1):
+                    c = gbinom(wv - 1 - d, i)
+                    if d == 0 or c == 0:
                         continue
-                    qpart = kernel.coefficient_of("_u", e)
-                    if qpart.is_zero():
-                        continue
-                    term = (sib * qpart) * (sign * bc)
-                    out = out + term.shift(qz, -e).shift(qk, e)
+                    term = (sib * _geom_inv(d, q_order)) * (c * bc)
+                    out = out + term.shift(qz, d).shift(qk, -d)
 
-    # commutators with the front word keep their raw mode form
+    # commutators with the front word
     for t, (fs, fk) in enumerate(front):
         for d in range(lo_z, hi_z + 1):
             if d == 0:
@@ -608,7 +612,7 @@ def genus1_reduce(direction: ReductionDirection,
         acc = acc.cut_below(qv, lo).clip(qv, lo, hi)
     value = MultiSeries(acc.vars, _genus1_box(var_order, F.window, q_order),
                         dict(acc.c))
-    word = (f"H({render_state(ins.state)}@{ins.point})",) + F.operator_word
+    word = (f"H({ins})",) + F.operator_word
     return CorrelationFn(genus=1, insertions=insertions, value=value,
                          window=F.window, q_order=q_order,
                          operator_word=word)

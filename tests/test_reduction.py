@@ -9,6 +9,7 @@ here as literal coefficients.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from voasurf.reduction import (
     Insertion,
     ReductionDirection,
     WindowError,
+    _geom_inv,
     cocycle_residual,
     genus0_direct,
     genus0_reduce,
@@ -329,6 +331,24 @@ class TestGenus1Reduce:
                           genus1_direct((), 5, (-2, 2))))
         assert F.value.agrees_with(direct.value)
         assert not direct.is_zero()
+
+    @pytest.mark.parametrize("q_order", [0, 3, 8])
+    @pytest.mark.parametrize("box", [(-4, 4), (-6, 3), (-2, 5)])
+    def test_zhu_kernel_slices_are_geometric_inverses(self, box, q_order):
+        """The q_z^e slice of P_{m+1} is (-1)^{m+1} e^m/m! / (1 - q^e),
+        windows included: the recursion's raw-mode term C(K, i) v(i)w
+        times _geom_inv(d) at d = -e is Zhu's v[m]w P_{m+1} term."""
+        lo, hi = box
+        for m in range(0, 7):
+            kernel = weierstrass_p_qz(m + 1, box, q_order)
+            for e in range(lo, hi + 1):
+                if e == 0:
+                    continue
+                got = kernel.coefficient_of("qz", e)
+                want = _geom_inv(-e, q_order) * Fraction(
+                    (-1) ** (m + 1) * e ** m, factorial(m))
+                assert got == want, (m, e)
+                assert (got.vars, got.window) == (want.vars, want.window)
 
 
 # -- windows -------------------------------------------------------------

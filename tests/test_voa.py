@@ -172,17 +172,21 @@ class TestSquareBrackets:
                 return Fraction(0)
             return coeffs[m] / factorial(i)
 
-        target = GradedVector.basis_state((2, 1))
-        for v in [generator(), conformal_vector()]:
-            wt = v.weights()[0]
-            for m in range(0, 4):
-                direct = square_bracket_mode(v, m, target)
-                expanded = GradedVector()
-                for i in range(m, wt + weight((2, 1))):
-                    c = poly_coeff(wt, i, m)
-                    if c:
-                        expanded = expanded + factorial(m) * c * vertex_mode(v, i, target)
-                assert direct == expanded
+        states = [s for w in range(1, 4) for s in basis(w)]
+        for vs in states:
+            v = GradedVector.basis_state(vs)
+            wt = weight(vs)
+            for ts in states:
+                target = GradedVector.basis_state(ts)
+                # both sides vanish from m = wt v + wt target on
+                for m in range(0, wt + weight(ts) + 1):
+                    direct = square_bracket_mode(v, m, target)
+                    expanded = GradedVector()
+                    for i in range(m, wt + weight(ts)):
+                        c = poly_coeff(wt, i, m)
+                        if c:
+                            expanded = expanded + factorial(m) * c * vertex_mode(v, i, target)
+                    assert direct == expanded, (vs, ts, m)
 
     def test_square_coords_round_trip(self):
         v = parse_state("a[-3]|1 + 2*a[-2]a[-1]|1 - 1/3*a[-1]|1")
