@@ -25,13 +25,19 @@ Conventions (all rational, all truncated explicitly):
   slice as a raw-mode commutator times 1/(1 - q^n) (see
   ``reduction``); the tests hold it as the oracle for Zhu's kernel,
   and the benchmark tracer still times it.
+
+* The genus-1 one-point function of a square-bracket Fock state
+  a[-k1]...a[-kn]1 is Z(q) times a Hafnian of Eisenstein series
+  (Mason-Tuite; see ``onepoint_hafnian``), with Z(q) = sum p(n) q^n
+  from an integer partition-count table.  The genus-2 sewing sums
+  consume it in place of a trace over the Fock basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .series import MultiSeries, TruncatedSeries
 
@@ -85,6 +91,47 @@ def eisenstein(k: int, q_order: int, qvar: str = "q") -> MultiSeries:
         return TruncatedSeries(qvar, 0, q_order)
     return TruncatedSeries(qvar, 0, q_order,
                            dict(enumerate(_eis_coefficients(k, q_order))))
+
+
+@lru_cache(maxsize=None)
+def _hafnian(parts: tuple, q_order: int, qvar: str) -> MultiSeries:
+    """Z(q) sum_{perfect matchings} prod C(k_r, k_s) for sorted
+    ``parts``, expanded along the pairings of the first part; equal
+    partners give equal terms, counted once with their multiplicity."""
+    if not parts:
+        # Z(q): p(n) counts partitions of n, one part size at a time
+        p = [1] + [0] * q_order
+        for k in range(1, q_order + 1):
+            for n in range(k, q_order + 1):
+                p[n] += p[n - k]
+        return TruncatedSeries(qvar, 0, q_order, dict(enumerate(p)))
+    out = TruncatedSeries(qvar, 0, q_order)
+    if len(parts) % 2:
+        return out
+    k, rest = parts[0], parts[1:]
+    for l in sorted(set(rest)):
+        if (k + l) % 2:
+            continue
+        i = rest.index(l)
+        coeff = (-1) ** (l + 1) * rest.count(l) * (k + l - 1) * \
+            comb(k + l - 2, k - 1)
+        out = out + eisenstein(k + l, q_order, qvar) * coeff * \
+            _hafnian(rest[:i] + rest[i + 1:], q_order, qvar)
+    return out
+
+
+def onepoint_hafnian(parts, q_order: int, qvar: str) -> MultiSeries:
+    """Tr(o(a[-k1]...a[-kn]1) q^L(0)) for the square-bracket Fock state
+    with parts k1..kn, by Mason-Tuite ("Torus chiral n-point functions
+    for free boson and lattice vertex operator algebras", CMP 2003):
+
+        Z(q) sum_{perfect matchings} prod C(k_r, k_s),
+        C(k, l) = (-1)^(l+1) (k+l-1)!/((k-1)!(l-1)!) E_{k+l}(q),
+
+    with Z(q) = sum p(n) q^n, the q^(-1/24) left off as in the genus-1
+    one-point helper.  Zero for an odd number of parts; memoized on the
+    sorted parts."""
+    return _hafnian(tuple(sorted(parts)), q_order, qvar)
 
 
 def weierstrass_p(m: int, z_order: int, q_order: int,

@@ -12,6 +12,13 @@ Trace normalization follows the one-point helpers of the reduction
 module: the overall (q1 q2)^(-c/24) prefactor is left off the stored
 series and reported separately by consumers that need it.
 
+The sewn partition function sums channels over the square-bracket
+Fock basis, each the product of two closed-form (Mason-Tuite Hafnian)
+one-point functions from the elliptic module over the basis norm; no
+Fock vector is built.  The one-step reduction ``genus2_reduce`` still
+runs over a square-bracket dual basis and traces zero modes level by
+level through the reduction module.
+
 Infinite matrices are truncated at ``matrix_cutoff`` rows and columns.
 Every entry of the moment matrix at index (m, n) carries se-order
 m + n at least, so with matrix_cutoff >= 2 * eps_order no discarded
@@ -25,7 +32,7 @@ from functools import partial
 from math import comb, factorial
 
 from . import sewing
-from .elliptic import eisenstein, weierstrass_p
+from .elliptic import eisenstein, onepoint_hafnian, weierstrass_p
 from .reduction import Insertion, _trace_word, genus1_onepoint
 from .series import MultiSeries, TruncatedSeries, binomial_expand
 from .sewing import SeriesMatrix, require_integer, row_dot_column, \
@@ -34,6 +41,8 @@ from .sewing import add as kernel_add
 from .voa import (
     GradedVector,
     VACUUM,
+    _norm,
+    basis,
     conformal_vector_tilde,
     dual_basis,
     square_bracket_mode,
@@ -341,23 +350,19 @@ def _sq_dual_pairs(r: int):
     return dual_basis(r, bracket="square")
 
 
-def z2_partition(moduli: SewingModuli, pairs_for_weight=None) -> MultiSeries:
+def z2_partition(moduli: SewingModuli) -> MultiSeries:
     """The sewn two-torus partition function as a series in q1, q2 and
-    se^2 = eps.  The internal sum runs over a square-bracket dual basis
-    at each weight; any other choice of ``pairs_for_weight`` producing
-    valid dual pairs must give the same answer.
+    se^2 = eps: sum_r sum_{lam |- r} H_lam(q1) H_lam(q2) eps^r / <lam, lam>,
+    the channel sum over the square-bracket Fock basis, which is
+    orthogonal with the norms ``_norm``, and H_lam its Mason-Tuite
+    one-point function ``onepoint_hafnian``.  No Fock vector is built.
     """
-    pairs = pairs_for_weight or _sq_dual_pairs
     out = MultiSeries.constant(0).extended_to(_EVARS)
     for r in range(moduli.eps_order + 1):
-        for u, ubar in pairs(r):
-            t1 = _onepoint_ms(u, 1, moduli)
-            if t1.is_zero():
-                continue
-            t2 = _onepoint_ms(ubar, 2, moduli)
-            if t2.is_zero():
-                continue
-            out = out + t1 * t2 * _se_monomial(2 * r, moduli)
+        for lam in basis(r):
+            out = out + onepoint_hafnian(lam, moduli.tau1_order, "q1") * \
+                onepoint_hafnian(lam, moduli.tau2_order, "q2") * \
+                _se_monomial(2 * r, moduli, Fraction(1, _norm(lam)))
     return require_integer(out, HALF_POWERS)
 
 

@@ -30,7 +30,7 @@ from voasurf.genus2 import (KernelMatrix, SewingModuli, gen_weierstrass,
 from voasurf.linalg import inverse as mat_inverse
 from voasurf.reduction import (Insertion, ReductionDirection,
                                cocycle_residual, genus0_direct,
-                               genus1_direct,
+                               genus1_direct, genus1_onepoint,
                                unwind_to_partition)
 from voasurf.schottky import (SchottkyData, build_kernel, genus_g_npoint,
                               genus_g_reduce, handle_indices, handle_mul,
@@ -284,8 +284,16 @@ def test_6_genus2_sewing():
             new.append((u, dv))
         return new
 
+    # the channel sum over the rotated dual pairs, traced by the genus-1
+    # oracle, against the library's Hafnian sum
     plain = z2_partition(mod)
-    turned = z2_partition(mod, pairs_for_weight=rotated)
+    turned = MultiSeries.constant(0).extended_to(("q1", "q2", "se"))
+    for r in range(mod.eps_order + 1):
+        for u, ubar in rotated(r):
+            turned = turned + genus1_onepoint(u, mod.tau1_order, "q1") * \
+                genus1_onepoint(ubar, mod.tau2_order, "q2") * \
+                MultiSeries.monomial({"se": 2 * r},
+                                     window={"se": (0, mod.se_order)})
     assert _same_series(turned.coefficient_of("se", 4),
                         plain.coefficient_of("se", 4))
     assert _same_series(turned, plain)

@@ -4,13 +4,18 @@ reference values."""
 from fractions import Fraction
 from math import comb, factorial
 
+import pytest
+
 from voasurf.elliptic import (
     bernoulli,
     eisenstein,
+    onepoint_hafnian,
     weierstrass_p,
     weierstrass_p_qz,
 )
+from voasurf.reduction import genus1_onepoint
 from voasurf.series import MultiSeries
+from voasurf.voa import basis, square_fock
 
 
 def expand_exp(series, out_var, hi):
@@ -83,6 +88,25 @@ class TestEisenstein:
     def test_odd_index_zero(self):
         assert eisenstein(3, 10).is_zero()
         assert eisenstein(7, 10).is_zero()
+
+
+class TestOnepointHafnian:
+    @pytest.mark.parametrize("q_order", [6, 8])
+    def test_matches_the_trace_oracle(self, q_order):
+        # every square-bracket Fock state of weight 0-10, traced basis
+        # vector by basis vector
+        for w in range(11):
+            for lam in basis(w):
+                got = onepoint_hafnian(lam, q_order, "q1")
+                want = genus1_onepoint(square_fock(lam), q_order, "q1")
+                assert (got.vars, got.window) == (want.vars, want.window)
+                assert got == want, lam
+
+    def test_odd_number_of_parts_is_zero(self):
+        for parts in ((1,), (2,), (1, 1, 2), (3, 1, 2), (1, 1, 1, 1, 1)):
+            got = onepoint_hafnian(parts, 6, "q")
+            assert got.is_zero()
+            assert (got.vars, got.window) == (("q",), {"q": (0, 6)})
 
 
 class TestWeierstrass:

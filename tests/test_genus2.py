@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from voasurf import sewing
+from voasurf import genus2, reduction, sewing, voa
 from voasurf.elliptic import eisenstein, weierstrass_p
 from voasurf.genus2 import (
     HALF_POWERS,
@@ -280,7 +280,37 @@ class TestPartitionFunction:
                 new_ds.append(dvec)
             return list(zip(new_us, new_ds))
 
-        assert z2_partition(MOD, pairs_for_weight=rotated) == z2_partition(MOD)
+        # the channel sum over the rotated dual pairs, traced by the
+        # genus-1 oracle, against the library's Hafnian sum
+        turned = MultiSeries.constant(0).extended_to(EV)
+        for r in range(MOD.eps_order + 1):
+            for u, ubar in rotated(r):
+                t1 = genus1_onepoint(u, MOD.tau1_order, "q1").extended_to(EV)
+                t2 = genus1_onepoint(ubar, MOD.tau2_order, "q2")
+                turned = turned + t1 * t2 * MultiSeries.monomial(
+                    {"se": 2 * r}, window={"se": (0, MOD.se_order)})
+        z2 = z2_partition(MOD)
+        assert turned == z2
+        assert turned.window == z2.window
+
+    def test_channel_sum_never_builds_a_fock_vector(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("z2_partition built a Fock state or trace")
+
+        for module, name in ((voa, "dual_basis"), (voa, "square_fock"),
+                             (genus2, "_sq_dual_pairs"),
+                             (genus2, "_trace_word"),
+                             (reduction, "_trace_word")):
+            monkeypatch.setattr(module, name, refuse)
+        moduli = SewingModuli(8, 8, 6, 12)
+        z2 = z2_partition(moduli)
+        eps0 = z2.coefficient_of("se", 0)
+        counts = [1, 1, 2, 3, 5, 7, 11, 15, 22]  # p(0) .. p(8)
+        for i in range(9):
+            for j in range(9):
+                assert eps0.coefficient({"q1": i, "q2": j}) == \
+                    counts[i] * counts[j]
+        assert z2.coefficient_of("se", 2).is_zero()
 
 
 class TestGenWeierstrass:
