@@ -18,37 +18,32 @@ partition literal syntax understood by ``parse_state``, for example
 ``a[-2]a[-1]^2|1@z1`` or ``1/2*a@z``; lists are comma separated.
 
 Exit codes: 0 on success, 1 when a module rejects the request (window
-too small, order constraints violated, a failed batch check), 2 on
-flag grammar errors.
+too small, order constraints violated, an order over a stated budget,
+a failed batch check), 2 on flag grammar errors.  Exact values print
+in full, however many digits they have.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
-import random
 import sys
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
-from .cohomology import (ClusterSetting, _direction_family, cohomology_rank,
-                         describe_direction, euler_poincare, involution_check,
-                         make_seed)
-from .elliptic import eisenstein, weierstrass_p
-from .genus2 import HALF_POWERS, SewingModuli, gen_weierstrass, z2_partition
-from .reduction import (Insertion, ReductionDirection, cocycle_residual,
-                        genus0_direct, genus1_direct, unwind_to_partition)
-from .schottky import SchottkyData, genus_g_partition, psi_full
+# The library layers load inside the handlers that run them, so a
+# command pays only for its own layers' import.
 from .series import MultiSeries
-from .sewing import renamed
-from .voa import GradedVector, basis, parse_state, render_state, vacuum
 
 # Reference Schottky coordinate tuples (w_-1, w_1, ..., w_-g, w_g) used
 # when --coordinates is not given.
 DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
+
+# Largest --zorder + --qorder that elliptic pm accepts.  The kernel
+# needs E_k up to k = zorder + m, each to q-order, so work and output
+# grow with both: on a 2-core machine (Python 3.11) the worst split at
+# the budget, (250, 250), prints 17 MB in 1.5 s, while zorder 1000
+# alone takes 15 s.
+PM_ORDER_BUDGET = 500
 
 
 # -- flag grammar ----------------------------------------------------------
@@ -72,7 +67,10 @@ def _nonneg_int(text: str) -> int:
     return _int_at_least(text, 0, "must be a non-negative integer")
 
 
-def _insertion(text: str) -> Insertion:
+def _insertion(text: str):
+    from .reduction import Insertion
+    from .voa import parse_state
+
     state, sep, point = text.partition("@")
     if not sep or not point.strip() or not state.strip():
         raise argparse.ArgumentTypeError(
@@ -90,6 +88,8 @@ def _insertion_list(text: str) -> tuple:
 
 
 def _state_list(text: str) -> tuple:
+    from .voa import parse_state
+
     try:
         return tuple(parse_state(part) for part in text.split(","))
     except ValueError as exc:
@@ -139,9 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--m", type=_positive_int, required=True,
                     help="kernel index m >= 1")
     pm.add_argument("--zorder", type=_positive_int, default=6,
-                    help="z truncation order (default 6)")
+                    help="z truncation order (default 6; with --qorder at "
+                         f"most {PM_ORDER_BUDGET})")
     pm.add_argument("--qorder", type=_positive_int, default=8,
-                    help="q truncation order (default 8)")
+                    help="q truncation order (default 8; with --zorder at "
+                         f"most {PM_ORDER_BUDGET})")
     pm.set_defaults(command="elliptic pm")
 
     npoint = groups.add_parser(
@@ -343,6 +345,9 @@ def _flatten(value, prefix: str, rows: list):
 
 
 def _csv_text(payload: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     series_keys = [k for k in sorted(payload)
@@ -385,6 +390,8 @@ def _emit(payload: dict, ns: argparse.Namespace):
 
 
 def _run_eisenstein(ns: argparse.Namespace):
+    from .elliptic import eisenstein
+
     ts = eisenstein(ns.k, ns.order)
     return {"command": "elliptic eisenstein", "k": ns.k, "order": ns.order,
             "pretty": ts.pretty(sep=""),
@@ -392,6 +399,12 @@ def _run_eisenstein(ns: argparse.Namespace):
 
 
 def _run_pm(ns: argparse.Namespace):
+    if ns.zorder + ns.qorder > PM_ORDER_BUDGET:
+        raise ValueError(f"--zorder + --qorder is {ns.zorder + ns.qorder}, "
+                         f"over the order budget {PM_ORDER_BUDGET} of "
+                         "elliptic pm")
+    from .elliptic import weierstrass_p
+
     ms = weierstrass_p(ns.m, ns.zorder, ns.qorder)
     return {"command": "elliptic pm", "m": ns.m,
             "series": _series_payload(ms, ns.approx)}, 0
@@ -401,6 +414,9 @@ def _oracle(ns: argparse.Namespace):
     """The brute-force correlation function of ``--insertions`` between
     vacua (genus 0) or traced (genus 1); no insertions give the
     partition function."""
+    from .reduction import genus0_direct, genus1_direct
+    from .voa import vacuum
+
     window = (-ns.zorder, ns.zorder)
     if ns.genus == 0:
         return genus0_direct(ns.insertions, vacuum(), vacuum(), window)
@@ -408,6 +424,9 @@ def _oracle(ns: argparse.Namespace):
 
 
 def _run_npoint(ns: argparse.Namespace):
+    from .reduction import ReductionDirection, unwind_to_partition
+    from .voa import render_state
+
     genus = ns.genus
     window = (-ns.zorder, ns.zorder)
     q_order = ns.qorder
@@ -433,6 +452,8 @@ def _run_npoint(ns: argparse.Namespace):
 
 
 def _run_residual(ns: argparse.Namespace):
+    from .reduction import ReductionDirection, cocycle_residual
+
     direction = ReductionDirection(ns.direction)
     res = cocycle_residual(direction, _oracle(ns))
     return {"command": "residual", "genus": ns.genus,
@@ -443,6 +464,9 @@ def _run_residual(ns: argparse.Namespace):
 
 
 def _run_g2_partition(ns: argparse.Namespace):
+    from .genus2 import HALF_POWERS, SewingModuli, z2_partition
+    from .sewing import renamed
+
     moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order,
                           ns.matrix_cutoff)
     ms = renamed(z2_partition(moduli), HALF_POWERS)
@@ -453,6 +477,9 @@ def _run_g2_partition(ns: argparse.Namespace):
 
 
 def _run_g2_pweier(ns: argparse.Namespace):
+    from .genus2 import HALF_POWERS, SewingModuli, gen_weierstrass
+    from .sewing import renamed
+
     cutoff = ns.matrix_cutoff or 2 * ns.eps_order
     moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order, cutoff)
     x_chart, y_chart = ns.charts
@@ -465,6 +492,8 @@ def _run_g2_pweier(ns: argparse.Namespace):
 
 
 def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
+    from .schottky import SchottkyData
+
     coordinates = ns.coordinates
     if coordinates is None:
         coordinates = DEFAULT_COORDINATES.get(ns.genus)
@@ -475,6 +504,9 @@ def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
 
 
 def _run_schottky_psi(ns: argparse.Namespace):
+    from .schottky import psi_full
+    from .sewing import renamed
+
     cutoff = ns.matrix_cutoff or max(2 * ns.rho_order, 2 * ns.p - 1)
     data = _schottky_data(ns, ns.rho_order, cutoff)
     ms = renamed(psi_full(ns.p, data), data.half_powers)
@@ -485,6 +517,9 @@ def _run_schottky_psi(ns: argparse.Namespace):
 
 
 def _run_schottky_partition(ns: argparse.Namespace):
+    from .schottky import genus_g_partition
+    from .sewing import renamed
+
     rho_order = ns.rho_order or ns.weight_cutoff
     cutoff = ns.matrix_cutoff or 2 * rho_order
     data = _schottky_data(ns, rho_order, cutoff)
@@ -500,12 +535,16 @@ def _run_schottky_partition(ns: argparse.Namespace):
 def _direction_args(ns: argparse.Namespace):
     """The direction family as the computation uses it (every member
     moved to the first member's point) and the mode window."""
+    from .cohomology import _direction_family
+
     family, _ = _direction_family(ns.direction or [_insertion("a@w")],
                                   ns.combine)
     return family, (-ns.window, ns.window)
 
 
 def _run_cohomology_rank(ns: argparse.Namespace):
+    from .cohomology import cohomology_rank, describe_direction
+
     family, window = _direction_args(ns)
     result = cohomology_rank(ns.n, ns.m, ns.genus, family, window=window,
                              q_order=ns.qorder, boundary=ns.boundary,
@@ -522,6 +561,8 @@ def _run_cohomology_rank(ns: argparse.Namespace):
 
 
 def _run_cohomology_euler(ns: argparse.Namespace):
+    from .cohomology import describe_direction, euler_poincare
+
     family, window = _direction_args(ns)
     result = euler_poincare(ns.m, ns.levels, ns.genus, family,
                             window=window, q_order=ns.qorder,
@@ -536,7 +577,13 @@ def _run_cohomology_euler(ns: argparse.Namespace):
             "certified": "within window"}, 0
 
 
-def _random_state(rng: random.Random) -> GradedVector:
+def _random_state(rng):
+    """A random state of weight at most 3 drawn from ``rng``, a
+    ``random.Random``."""
+    from fractions import Fraction
+
+    from .voa import GradedVector, basis, vacuum
+
     coeffs = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2),
               Fraction(3, 7))
     v = GradedVector({})
@@ -550,6 +597,11 @@ def _random_state(rng: random.Random) -> GradedVector:
 
 
 def _run_cluster_check(ns: argparse.Namespace):
+    import random
+
+    from .cohomology import ClusterSetting, involution_check, make_seed
+    from .voa import render_state
+
     rng = random.Random(ns.seed)
     genera = (ns.genus,) if ns.genus is not None else (0, 1)
     failures = 0
@@ -626,6 +678,8 @@ def golden_name(name: str) -> str:
 def capture_output(argv) -> str:
     """Run one command and return its stdout text; the command must
     succeed."""
+    import io
+
     buffer = io.StringIO()
     stdout, sys.stdout = sys.stdout, buffer
     try:
@@ -660,7 +714,7 @@ def _run_golden(ns: argparse.Namespace):
     return payload, 0 if not drifted else 1
 
 
-_HANDLERS: Mapping[str, Callable] = {
+_HANDLERS = {
     "elliptic eisenstein": _run_eisenstein,
     "elliptic pm": _run_pm,
     "npoint": _run_npoint,
@@ -676,7 +730,7 @@ _HANDLERS: Mapping[str, Callable] = {
 }
 
 
-def parse_and_dispatch(argv: Sequence[str]) -> int:
+def parse_and_dispatch(argv: list[str]) -> int:
     """Run one subcommand.  Returns 0 on success, 1 on a domain error
     or failed batch check, 2 on flag grammar errors."""
     parser = build_parser()
@@ -687,6 +741,13 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
         ns = parser.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if not exc.code else 2
+    # Exact values print in full: the interpreter's cap on int/str
+    # conversion (Python 3.11 and later) is lifted while the command
+    # runs and renders.
+    limit = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         payload, code = _HANDLERS[ns.command](ns)
         _emit(payload, ns)
@@ -694,6 +755,9 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

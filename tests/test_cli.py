@@ -4,17 +4,21 @@ The files under tests/golden hold the exact bytes of every documented
 example invocation.  Each golden test runs its command twice and
 compares both runs to the stored file, so nondeterminism and content
 drift fail the same assertion.  The remaining tests pin the exit code
-policy, the flag grammar, and the serialization formats.
+policy, the flag grammar, the serialization formats, and which library
+layers a command loads.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from fractions import Fraction
 
-from voasurf.cli import (GOLDEN_CASES, capture_output, golden_name,
-                         parse_and_dispatch)
+from voasurf import elliptic
+from voasurf.cli import (GOLDEN_CASES, PM_ORDER_BUDGET, capture_output,
+                         golden_name, parse_and_dispatch)
 from voasurf.elliptic import eisenstein
 from voasurf.genus2 import HALF_POWERS
 from voasurf.schottky import SchottkyData
@@ -22,6 +26,7 @@ from voasurf.series import MultiSeries
 from voasurf.sewing import renamed
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 SCHOTTKY_HALF_POWERS = SchottkyData(1, (3, 1), 1, 2).half_powers
 
 
@@ -112,6 +117,21 @@ class TestExitCodes:
         assert "positive integer" in err
         assert "Traceback" not in err
 
+    def test_pm_order_budget_refused_before_any_work(self, capsys,
+                                                     monkeypatch):
+        def kernel(*args):
+            raise RuntimeError("the kernel ran")
+
+        monkeypatch.setattr(elliptic, "weierstrass_p", kernel)
+        code, out, err = run(
+            ["elliptic", "pm", "--m", "2", "--zorder", str(PM_ORDER_BUDGET),
+             "--qorder", "1"], capsys)
+        assert code == 1 and out == ""
+        assert f"order budget {PM_ORDER_BUDGET}" in err
+        with pytest.raises(RuntimeError, match="the kernel ran"):
+            parse_and_dispatch(["elliptic", "pm", "--m", "2", "--zorder",
+                                str(PM_ORDER_BUDGET - 1), "--qorder", "1"])
+
     def test_order_conflict_is_domain_error(self, capsys):
         code, out, err = run(
             ["genus2", "partition", "--eps-order", "4", "-N", "2"], capsys)
@@ -181,6 +201,26 @@ class TestSerialization:
         code, out, err = run(
             ["elliptic", "eisenstein", "--k", "2", "--order", "1"], capsys)
         assert "approx" not in json.loads(out)["series"]["terms"][0]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str digit cap before Python 3.11")
+    def test_exact_value_past_the_digit_cap(self, capsys):
+        # At the cap's minimum, 640 digits, the constant term of E_400
+        # is already too long to print without lifting the cap.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(
+                ["elliptic", "eisenstein", "--k", "400", "--order", "1"],
+                capsys)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0, err
+        exact = eisenstein(400, 1).c
+        assert len(str(exact[(0,)].denominator)) > 640
+        assert [t["value"] for t in json.loads(out)["series"]["terms"]] == \
+            [str(exact[(0,)]), str(exact[(1,)])]
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -331,3 +371,49 @@ class TestCommandContent:
         payload = json.loads(out)
         assert payload["q_shift"] == {"q1": "-1/24", "q2": "-1/24"}
         assert payload["series"]["variables"] == ["eps", "q1", "q2"]
+
+
+# Run in a fresh interpreter: the modules that importing the CLI, and
+# then running the command given in argv, add to sys.modules.
+PROBE = """
+import json, os, sys
+before = set(sys.modules)
+from voasurf.cli import parse_and_dispatch
+if sys.argv[1:]:
+    stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
+    code = parse_and_dispatch(sys.argv[1:])
+    sys.stdout = stdout
+    assert code == 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def loaded_by(*argv) -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+class TestImportIsolation:
+
+    def test_import_loads_no_library_layer(self):
+        assert {m for m in loaded_by() if m.startswith("voasurf")} == {
+            "voasurf", "voasurf.cli", "voasurf.series"}
+
+    def test_eisenstein_loads_only_the_elliptic_layer(self):
+        loaded = loaded_by("elliptic", "eisenstein", "--k", "4",
+                           "--order", "3")
+        assert "voasurf.elliptic" in loaded
+        assert not loaded & {"voasurf.reduction", "voasurf.cohomology",
+                             "voasurf.genus2", "voasurf.schottky",
+                             "voasurf.sewing", "dataclasses"}
+
+    def test_schottky_partition_skips_cohomology_and_genus2(self):
+        loaded = loaded_by("schottky", "partition", "-g", "2",
+                           "--weight-cutoff", "3")
+        assert "voasurf.schottky" in loaded
+        assert not loaded & {"voasurf.cohomology", "voasurf.genus2"}

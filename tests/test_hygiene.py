@@ -1,9 +1,10 @@
-"""Source hygiene: no module of the package or the tests imports a
-name it never uses, no module-level definition lacks a caller in the
-package or the benchmark (bar the few listed in KEPT_FOR_TESTS), no
-defaulted parameter keeps its default at every call, and no record
-field goes unread.  Stdlib ``ast`` scans (and word matching for the
-benchmark's string targets), so it needs no linter."""
+"""Source hygiene: no module of the package or the tests, nor any
+function in them, imports a name it never uses, no module-level
+definition lacks a caller in the package or the benchmark (bar the few
+listed in KEPT_FOR_TESTS), no defaulted parameter keeps its default at
+every call, and no record field goes unread.  Stdlib ``ast`` scans (and
+word matching for the benchmark's string targets), so it needs no
+linter."""
 
 import ast
 import re
@@ -16,26 +17,50 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "voasurf"
 
 
-def unused_imports(path: Path) -> list:
-    """Names bound by module-level imports of ``path`` that nothing in
-    the module reads and ``__all__`` does not export."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _imports(nodes) -> dict:
+    """The name each import among ``nodes`` binds, with its line."""
     bound = {}
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
+    return bound
+
+
+def _own_nodes(fn):
+    """Every node in a function's body but those of functions nested
+    in it, which are scopes of their own."""
+    for child in ast.iter_child_nodes(fn):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _own_nodes(child)
+
+
+def unused_imports(path: Path) -> list:
+    """Names bound by imports of ``path`` that nothing in their scope
+    reads: module-level imports against the whole module and
+    ``__all__``, and each function's own imports against the names
+    that function, nested functions included, reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
             used |= {elt.value for elt in node.value.elts}
-    return sorted(f"{path.name}:{line} {name}"
-                  for name, line in bound.items() if name not in used)
+    unused = [(line, name) for name, line in _imports(tree.body).items()
+              if name not in used]
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            unused += [(line, name)
+                       for name, line in _imports(_own_nodes(fn)).items()
+                       if name not in read]
+    return sorted(f"{path.name}:{line} {name}" for line, name in unused)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
@@ -43,6 +68,20 @@ def unused_imports(path: Path) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def test_unused_function_imports_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import os\n"
+                    "def f():\n"
+                    "    import json\n"
+                    "    from sys import argv, path\n"
+                    "    def g():\n"
+                    "        import re\n"
+                    "        return argv\n"
+                    "    return os.sep, g\n")
+    assert unused_imports(path) == ["sample.py:3 json", "sample.py:4 path",
+                                    "sample.py:6 re"]
 
 
 # Public definitions that only the tests call, each with the reason it
