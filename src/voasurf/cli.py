@@ -45,6 +45,17 @@ DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
 # alone takes 15 s.
 PM_ORDER_BUDGET = 500
 
+# Largest --m that elliptic pm accepts.  Each index above 1 is one more
+# z-derivative pass over every term, so at the order budget's worst
+# split m = 16 takes 6 s on the same machine, and m = 24 takes 9 s.
+PM_INDEX_BUDGET = 16
+
+# Largest --zorder (the mode window half-width) that npoint and residual
+# accept.  Work grows like a power of it with the number of points: at
+# 50, a genus-0 four-point oracle takes 7 s and a genus-1 four-point
+# reduction 2 s; at 100 they take over 60 s and 7 s.
+ZORDER_BUDGET = 50
+
 
 # -- flag grammar ----------------------------------------------------------
 
@@ -137,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = ell_sub.add_parser("pm", parents=[common],
                             help="Weierstrass kernel P_m(z, q)")
     pm.add_argument("--m", type=_positive_int, required=True,
-                    help="kernel index m >= 1")
+                    help=f"kernel index, 1 <= m <= {PM_INDEX_BUDGET}")
     pm.add_argument("--zorder", type=_positive_int, default=6,
                     help="z truncation order (default 6; with --qorder at "
                          f"most {PM_ORDER_BUDGET})")
@@ -156,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     npoint.add_argument("--qorder", type=_positive_int, default=4,
                         help="q truncation order at genus 1 (default 4)")
     npoint.add_argument("--zorder", type=_positive_int, default=4,
-                        help="mode window half-width per point (default 4)")
+                        help="mode window half-width per point (default 4; "
+                             f"at most {ZORDER_BUDGET})")
     path = npoint.add_mutually_exclusive_group()
     path.add_argument("--reduce", dest="path", action="store_const",
                       const="reduce", help="iterate the reduction recursion "
@@ -175,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     residual.add_argument("--direction", type=_insertion, required=True,
                           help="reduction direction as state@point")
     residual.add_argument("--qorder", type=_positive_int, default=4)
-    residual.add_argument("--zorder", type=_positive_int, default=4)
+    residual.add_argument("--zorder", type=_positive_int, default=4,
+                          help="mode window half-width per point (default "
+                               f"4; at most {ZORDER_BUDGET})")
     residual.set_defaults(command="residual")
 
     g2 = groups.add_parser("genus2", help="epsilon-sewn two-torus surface")
@@ -398,11 +412,19 @@ def _run_eisenstein(ns: argparse.Namespace):
             "series": _series_payload(ts, ns.approx)}, 0
 
 
+def _check_budget(flag: str, value: int, kind: str, budget: int,
+                  command: str) -> None:
+    """Refuse a request whose ``flag`` value is over its budget, before
+    any work."""
+    if value > budget:
+        raise ValueError(f"{flag} is {value}, over the {kind} budget "
+                         f"{budget} of {command}")
+
+
 def _run_pm(ns: argparse.Namespace):
-    if ns.zorder + ns.qorder > PM_ORDER_BUDGET:
-        raise ValueError(f"--zorder + --qorder is {ns.zorder + ns.qorder}, "
-                         f"over the order budget {PM_ORDER_BUDGET} of "
-                         "elliptic pm")
+    _check_budget("--m", ns.m, "index", PM_INDEX_BUDGET, "elliptic pm")
+    _check_budget("--zorder + --qorder", ns.zorder + ns.qorder, "order",
+                  PM_ORDER_BUDGET, "elliptic pm")
     from .elliptic import weierstrass_p
 
     ms = weierstrass_p(ns.m, ns.zorder, ns.qorder)
@@ -424,6 +446,7 @@ def _oracle(ns: argparse.Namespace):
 
 
 def _run_npoint(ns: argparse.Namespace):
+    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, "npoint")
     from .reduction import ReductionDirection, unwind_to_partition
     from .voa import render_state
 
@@ -452,6 +475,7 @@ def _run_npoint(ns: argparse.Namespace):
 
 
 def _run_residual(ns: argparse.Namespace):
+    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, "residual")
     from .reduction import ReductionDirection, cocycle_residual
 
     direction = ReductionDirection(ns.direction)

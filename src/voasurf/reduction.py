@@ -18,6 +18,12 @@ table with the resummation 1/(1 - q^{-d}).  The identity
 sum_m v[m] x^m/m! = sum_i C(wt v - 1 + x, i) v(i) at x = -d turns the
 insertion family into Zhu's square-bracket v[m] P_{m+1} term.
 
+Each recursion node collects its shifted, scaled sibling values and
+sums them in one ``sum_shifted`` call.  The genus-1 leaf traces and
+geometric factors are ints, so that recursion does no Fraction
+arithmetic; the reduce steps hand out Fractions.  The oracles add with
+``+`` and share no summation code with the recursions.
+
 Conventions:
 
 * Insertion lists are ordered outermost first.  At genus 0 the value
@@ -48,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .series import MultiSeries, TruncatedSeries
+from .series import MultiSeries, TruncatedSeries, sum_shifted
 from .voa import (
     CENTRAL_CHARGE,
     GradedVector,
@@ -154,6 +160,12 @@ def _check_distinct(insertions):
     points = [ins.point for ins in insertions]
     if len(set(points)) != len(points):
         raise ValueError(f"point symbols must be pairwise distinct: {points}")
+
+
+def _sub_window(window, rest, extra=None) -> dict:
+    """The window of a sibling call on the insertion row ``rest``, with
+    ``extra`` overriding some points' pairs."""
+    return {p: window[p] for _, p in rest} | (extra or {})
 
 
 def _apply_basis_mode(s: tuple, k: int, vec: dict) -> dict:
@@ -304,29 +316,24 @@ def _g0_value(row, uprime, u, window, memo) -> MultiSeries:
     wv = weight(vs)
     lo_z, _ = window[z]
     v = GradedVector.basis_state(vs)
-    out = MultiSeries((), {})
-
-    def sub_window(extra=None):
-        w = {p: window[p] for _, p in rest}
-        if extra:
-            w.update(extra)
-        return w
+    sub = _sub_window(window, rest)
+    terms = []
 
     # v(j) carried through to u, j >= 0
     for j in range(0, wv + max(u.weights())):
         nxt = vertex_mode(v, j, u)
         if nxt.is_zero():
             continue
-        sib = _g0_value(rest, uprime, nxt, sub_window(), memo)
-        out = out + sib.shift(z, -j - 1)
+        sib = _g0_value(rest, uprime, nxt, sub, memo)
+        terms.append((sib, {z: -j - 1}, 1))
 
     # v(j) carried through to u', j < 0
     for j in range(-1, wv - max(uprime.weights()) - 2, -1):
         adj = adjoint_boundary_state(v, j, uprime)
         if adj.is_zero():
             continue
-        sib = _g0_value(rest, adj, u, sub_window(), memo)
-        out = out + sib.shift(z, -j - 1)
+        sib = _g0_value(rest, adj, u, sub, memo)
+        terms.append((sib, {z: -j - 1}, 1))
 
     # commutators against each remaining insertion
     jmax = -lo_z - 1
@@ -336,16 +343,17 @@ def _g0_value(row, uprime, u, window, memo) -> MultiSeries:
             if not repl:
                 continue
             lo_k, hi_k = window[zk]
-            wk = sub_window({zk: (lo_k - (jmax - m), hi_k)})
+            wk = _sub_window(window, rest, {zk: (lo_k - (jmax - m), hi_k)})
             for bs, bc in repl:
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
                 sib = _g0_value(sib_row, uprime, u, wk, memo)
                 if sib.is_zero():
                     continue
                 for j in range(m, jmax + 1):
-                    term = sib.shift(zk, j - m).shift(z, -j - 1)
-                    out = out + term * (bc * comb(j, m))
+                    terms.append((sib, {zk: j - m, z: -j - 1},
+                                  bc * comb(j, m)))
 
+    out = sum_shifted(terms)
     memo[key] = out
     return out
 
@@ -391,15 +399,12 @@ def _front_shift(word) -> int:
     return sum(weight(s) - k - 1 for s, k in word)
 
 
-def _trace_word(word, q_order: int, memo=None,
-                qvar: str = "q") -> MultiSeries:
-    """Tr_V(word q^{L(0)}) as a series in ``qvar``: the word acts inside
-    each weight space when its total shift vanishes, so the coefficient
-    of q^m is an exact finite trace over the basis of V_m."""
-    key = ("tr", word, q_order, qvar)
-    if memo is not None and key in memo:
-        return memo[key]
-    coeffs = {}
+def _trace_counts(word, q_order: int) -> dict:
+    """{m: Tr_{V_m}(word)} as ints for the levels m <= q_order where it
+    is nonzero: the word acts inside each weight space when its total
+    shift vanishes, so each level is an exact finite trace over the
+    integral mode table."""
+    counts = {}
     if _front_shift(word) == 0:
         for m in range(0, q_order + 1):
             t = 0
@@ -411,8 +416,18 @@ def _trace_word(word, q_order: int, memo=None,
                         break
                 t += vec.get(b, 0)
             if t:
-                coeffs[m] = t
-    out = TruncatedSeries(qvar, 0, q_order, coeffs)
+                counts[m] = t
+    return counts
+
+
+def _trace_word(word, q_order: int, memo=None,
+                qvar: str = "q") -> MultiSeries:
+    """Tr_V(word q^{L(0)}) as a series in ``qvar`` with Fraction
+    coefficients."""
+    key = ("tr", word, q_order, qvar)
+    if memo is not None and key in memo:
+        return memo[key]
+    out = TruncatedSeries(qvar, 0, q_order, _trace_counts(word, q_order))
     if memo is not None:
         memo[key] = out
     return out
@@ -483,18 +498,31 @@ def _genus1_box(var_order, window, q_order) -> dict:
 # -- genus 1: the reduction recursion -----------------------------------
 
 
+def _int_q_series(counts, q_order: int) -> MultiSeries:
+    """The q-series sum_m counts[m] q^m on (0, q_order), keeping the int
+    coefficients that the constructor would coerce."""
+    out = MultiSeries(("q",), {"q": (0, q_order)})
+    out.c = {(m,): c for m, c in counts.items()}
+    return out
+
+
 @lru_cache(maxsize=None)
 def _geom_inv(d: int, q_order: int) -> MultiSeries:
-    """1/(1 - q^{-d}) as a q-series with nonnegative exponents."""
-    coeffs = {}
+    """1/(1 - q^{-d}) as a q-series with nonnegative exponents and int
+    coefficients."""
     if d > 0:
-        for i in range(1, q_order // d + 1):
-            coeffs[i * d] = Fraction(-1)
+        counts = dict.fromkeys(range(d, q_order + 1, d), -1)
     else:
-        step = -d
-        for i in range(0, q_order // step + 1):
-            coeffs[i * step] = Fraction(1)
-    return TruncatedSeries("q", 0, q_order, coeffs)
+        counts = dict.fromkeys(range(0, q_order + 1, -d), 1)
+    return _int_q_series(counts, q_order)
+
+
+@lru_cache(maxsize=None)
+def _zhu_binomials(wv: int, i: int, lo: int, hi: int) -> tuple:
+    """The pairs (d, C(wv - 1 - d, i)) for d != 0 in [lo, hi] whose
+    binomial is nonzero."""
+    pairs = ((d, gbinom(wv - 1 - d, i)) for d in range(lo, hi + 1) if d)
+    return tuple((d, c) for d, c in pairs if c)
 
 
 def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
@@ -515,7 +543,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     if key in memo:
         return memo[key]
     if not row:
-        out = _trace_word(front, q_order, memo)
+        out = _int_q_series(_trace_counts(front, q_order), q_order)
         memo[key] = out
         return out
 
@@ -533,18 +561,11 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     wv = weight(vs)
     qz = point_var(1, z)
     lo_z, hi_z = window[z]
-    out = MultiSeries((), {})
-
-    def sub_window(extra=None):
-        w = {p: window[p] for _, p in rest}
-        if extra:
-            w.update(extra)
-        return w
+    sub = _sub_window(window, rest)
 
     # d = 0: o(v) becomes the newest front factor
-    t0 = _g1_value(((vs, wv - 1),) + front, rest, sub_window(),
-                   q_order, memo)
-    out = out + t0.extended_to(t0.vars + (qz,))
+    t0 = _g1_value(((vs, wv - 1),) + front, rest, sub, q_order, memo)
+    terms = [(t0, {qz: 0}, 1)]
 
     # commutators with each remaining insertion: the sibling carries
     # v(i)w at z_k on a box inflated by the largest shift
@@ -552,38 +573,32 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     for k, (ws, zk) in enumerate(rest):
         qk = point_var(1, zk)
         lo_k, hi_k = window[zk]
-        wk = sub_window({zk: (lo_k - shift_max, hi_k + shift_max)})
+        wk = _sub_window(window, rest,
+                         {zk: (lo_k - shift_max, hi_k + shift_max)})
         for i in range(0, wv + weight(ws)):
             for bs, bc in _vertex_mode_basis(vs, i, ws):
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
                 sib = _g1_value(front, sib_row, wk, q_order, memo)
                 if sib.is_zero():
                     continue
-                for d in range(lo_z, hi_z + 1):
-                    c = gbinom(wv - 1 - d, i)
-                    if d == 0 or c == 0:
-                        continue
-                    term = (sib * _geom_inv(d, q_order)) * (c * bc)
-                    out = out + term.shift(qz, d).shift(qk, -d)
+                for d, c in _zhu_binomials(wv, i, lo_z, hi_z):
+                    terms.append((sib * _geom_inv(d, q_order),
+                                  {qz: d, qk: -d}, c * bc))
 
     # commutators with the front word
     for t, (fs, fk) in enumerate(front):
-        for d in range(lo_z, hi_z + 1):
-            if d == 0:
-                continue
-            big_k = wv - 1 - d
-            geom = _geom_inv(d, q_order)
-            for i in range(0, wv + weight(fs)):
-                c = gbinom(big_k, i)
-                if c == 0:
-                    continue
+        for i in range(0, wv + weight(fs)):
+            for d, c in _zhu_binomials(wv, i, lo_z, hi_z):
                 for bs, bc in _vertex_mode_basis(vs, i, fs):
-                    nf = front[:t] + ((bs, big_k + fk - i),) + front[t + 1:]
-                    sib = _g1_value(nf, rest, sub_window(), q_order, memo)
+                    nf = front[:t] + ((bs, wv - 1 - d + fk - i),) \
+                        + front[t + 1:]
+                    sib = _g1_value(nf, rest, sub, q_order, memo)
                     if sib.is_zero():
                         continue
-                    out = out + (sib * geom).shift(qz, d) * (c * bc)
+                    terms.append((sib * _geom_inv(d, q_order), {qz: d},
+                                  c * bc))
 
+    out = sum_shifted(terms)
     memo[key] = out
     return out
 
@@ -599,12 +614,11 @@ def genus1_reduce(direction: ReductionDirection,
     q_order = F.q_order
     lo, hi = F.window
 
-    acc = MultiSeries((), {})
     memo = {}
-    for coef, row in _basis_expansions(insertions):
-        val = _g1_value((), row, {p: F.window for _, p in row}, q_order,
-                        memo)
-        acc = acc + val * coef
+    acc = sum_shifted([
+        (_g1_value((), row, {p: F.window for _, p in row}, q_order, memo),
+         {}, coef)
+        for coef, row in _basis_expansions(insertions)])
 
     var_order = sorted(point_var(1, i.point) for i in insertions)
     acc = acc.extended_to(tuple(var_order) + ("q",))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from operator import add
+from operator import add, itemgetter
 
 
 def rat(x) -> Fraction:
@@ -434,6 +434,55 @@ class MultiSeries:
 
     def __repr__(self):
         return f"MultiSeries({self.vars!r}, {self.window!r}, {len(self.c)} terms)"
+
+
+def sum_shifted(terms) -> MultiSeries:
+    """The sum of scale * series * prod(var**shift) over a list of
+    ``(series, {var: shift}, scale)`` terms, with no intermediate
+    series: one pass over the terms finds the windows, a second adds
+    every kept coefficient into one dict.
+
+    It equals folding ``+`` over the shifted and scaled terms from the
+    empty series, windows included: each variable gets lo = min(0, term
+    lo's) and the least horizon, every term is cut at those horizons,
+    and no zero is stored.  Coefficients keep their type, so int terms
+    with int scales give ints.
+    """
+    window = {}
+    for ms, shifts, _ in terms:
+        for v in set(ms.vars).union(shifts):
+            lo, hi = ms.window.get(v, (0, None))
+            k = shifts.get(v, 0)
+            olo, ohi = window.get(v, (0, None))
+            window[v] = (min(olo, lo + k), _min_hi(ohi, _add_hi(hi, k)))
+    allvars = tuple(sorted(window))
+    his = [window[v][1] for v in allvars]
+    c = {}
+    for ms, shifts, scale in terms:
+        if not scale:
+            continue
+        pos = {v: i for i, v in enumerate(ms.vars)}
+        offs = [shifts.get(v, 0) for v in allvars]
+        own = [_add_hi(ms.window.get(v, (0, None))[1], k)
+               for v, k in zip(allvars, offs)]
+        cut = [(j, h) for j, (h, o) in enumerate(zip(his, own))
+               if h is not None and (o is None or h < o)]
+        # a variable absent from ms reads the 0 appended to each key;
+        # two trailing picks make the getter return a tuple however few
+        # variables there are, and zipping with offs drops them again
+        n = len(ms.vars)
+        get = itemgetter(*[pos.get(v, n) for v in allvars], n, n)
+        for key, val in ms.c.items():
+            key = tuple(map(add, get(key + (0,)), offs))
+            if cut and not all(key[j] <= h for j, h in cut):
+                continue
+            if scale != 1:
+                val = val * scale
+            s = c.get(key)
+            c[key] = val if s is None else s + val
+    out = MultiSeries(allvars, window)
+    out.c = {k: x for k, x in c.items() if x}
+    return out
 
 
 class TruncatedSeries(MultiSeries):

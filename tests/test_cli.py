@@ -16,9 +16,10 @@ import sys
 import pytest
 from fractions import Fraction
 
-from voasurf import elliptic
-from voasurf.cli import (GOLDEN_CASES, PM_ORDER_BUDGET, capture_output,
-                         golden_name, parse_and_dispatch)
+from voasurf import elliptic, reduction
+from voasurf.cli import (GOLDEN_CASES, PM_INDEX_BUDGET, PM_ORDER_BUDGET,
+                         ZORDER_BUDGET, capture_output, golden_name,
+                         parse_and_dispatch)
 from voasurf.elliptic import eisenstein
 from voasurf.genus2 import HALF_POWERS
 from voasurf.schottky import SchottkyData
@@ -131,6 +132,50 @@ class TestExitCodes:
         with pytest.raises(RuntimeError, match="the kernel ran"):
             parse_and_dispatch(["elliptic", "pm", "--m", "2", "--zorder",
                                 str(PM_ORDER_BUDGET - 1), "--qorder", "1"])
+
+    def test_pm_index_budget_refused_before_any_work(self, capsys,
+                                                     monkeypatch):
+        def kernel(*args):
+            raise RuntimeError("the kernel ran")
+
+        monkeypatch.setattr(elliptic, "weierstrass_p", kernel)
+        code, out, err = run(
+            ["elliptic", "pm", "--m", str(PM_INDEX_BUDGET + 1)], capsys)
+        assert code == 1 and out == ""
+        assert f"--m is {PM_INDEX_BUDGET + 1}" in err
+        assert f"index budget {PM_INDEX_BUDGET}" in err
+        with pytest.raises(RuntimeError, match="the kernel ran"):
+            parse_and_dispatch(["elliptic", "pm", "--m",
+                                str(PM_INDEX_BUDGET)])
+
+    @pytest.mark.parametrize("argv,target", [
+        (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2"],
+         "unwind_to_partition"),
+        (["npoint", "--genus", "0", "--insertions", "a@z1,a@z2",
+          "--oracle"], "genus0_direct"),
+        (["residual", "--direction", "a@z"], "cocycle_residual"),
+    ], ids=["npoint", "npoint-oracle", "residual"])
+    def test_zorder_budget_refused_before_any_work(self, argv, target,
+                                                   capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise RuntimeError("the computation ran")
+
+        monkeypatch.setattr(reduction, target, work)
+        code, out, err = run(argv + ["--zorder", str(ZORDER_BUDGET + 1)],
+                             capsys)
+        assert code == 1 and out == ""
+        assert f"--zorder is {ZORDER_BUDGET + 1}" in err
+        assert f"window budget {ZORDER_BUDGET}" in err
+        assert "Traceback" not in err
+        with pytest.raises(RuntimeError, match="the computation ran"):
+            parse_and_dispatch(argv + ["--zorder", str(ZORDER_BUDGET)])
+
+    def test_documented_commands_sit_inside_the_budgets(self):
+        for _, argv in GOLDEN_CASES:
+            flags = dict(zip(argv, argv[1:]))
+            if argv[0] in ("npoint", "residual"):
+                assert int(flags.get("--zorder", 4)) <= ZORDER_BUDGET
+            assert int(flags.get("--m", 1)) <= PM_INDEX_BUDGET
 
     def test_order_conflict_is_domain_error(self, capsys):
         code, out, err = run(

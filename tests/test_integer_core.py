@@ -2,9 +2,10 @@
 
 In the round Fock basis every mode matrix is integral.  These tests pin
 that invariant on the cached table, check that the public GradedVector
-layer still hands out Fractions, and compare the integer graded traces
-with a GradedVector/zero_mode trace written here, independently of the
-kernel in the library.
+layer and the reduction steps still hand out Fractions while the
+genus-1 recursion sums ints inside, and compare the integer graded
+traces with a GradedVector/zero_mode trace written here, independently
+of the kernel in the library.
 """
 
 from fractions import Fraction
@@ -12,7 +13,16 @@ from fractions import Fraction
 import pytest
 
 from voasurf.genus2 import SewingModuli, _double_zero_mode_trace
-from voasurf.reduction import _trace_word
+from voasurf.reduction import (
+    Insertion,
+    ReductionDirection,
+    _geom_inv,
+    _trace_word,
+    genus0_direct,
+    genus0_reduce,
+    genus1_direct,
+    genus1_reduce,
+)
 from voasurf.series import TruncatedSeries
 from voasurf.voa import (
     GradedVector,
@@ -22,6 +32,7 @@ from voasurf.voa import (
     generator,
     heisenberg_mode,
     parse_state,
+    vacuum,
     vertex_mode,
     zero_mode,
 )
@@ -106,6 +117,11 @@ class TestTraceKernel:
         tr = _trace_word((((1,), 1), ((1,), -1)), 4)
         assert tr.c and all(type(c) is Fraction for c in tr.c.values())
 
+    def test_geometric_inverses_carry_ints(self):
+        for d in (-3, -1, 1, 2):
+            geom = _geom_inv(d, 6)
+            assert geom.c and all(type(c) is int for c in geom.c.values())
+
     @pytest.mark.parametrize("v,u", [
         ("a[-2]|1", "a[-1]^2|1 + a[-2]|1"),
         ("omega", "a[-2]|1 - 1/3*a[-1]^2|1"),
@@ -119,3 +135,26 @@ class TestTraceKernel:
             got = _double_zero_mode_trace(v, u, chart, moduli)
             assert got == expected
             assert got.window[var] == (0, order)
+
+
+class TestReductionValues:
+    """The recursion sums ints internally; the values it hands out are
+    Fractions, like every other public series."""
+
+    @staticmethod
+    def step(state, point):
+        return ReductionDirection(Insertion(parse_state(state), point))
+
+    def test_genus1_reduce_coefficients_are_fractions(self):
+        F = genus1_direct((), 4, (-3, 3))
+        for state, point in (("omega", "z3"), ("a", "z2"), ("a", "z1")):
+            F = genus1_reduce(self.step(state, point), F)
+        assert F.value.c
+        assert all(type(c) is Fraction for c in F.value.c.values())
+
+    def test_genus0_reduce_coefficients_are_fractions(self):
+        F = genus0_direct((), vacuum(), vacuum(), (-3, 3))
+        for state, point in (("a", "z2"), ("1/2*a[-2]|1", "z1")):
+            F = genus0_reduce(self.step(state, point), F)
+        assert F.value.c
+        assert all(type(c) is Fraction for c in F.value.c.values())

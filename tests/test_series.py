@@ -10,6 +10,7 @@ from voasurf.series import (
     MultiSeries,
     TruncatedSeries,
     binomial_expand,
+    sum_shifted,
 )
 
 from test_elliptic import expand_exp
@@ -165,10 +166,11 @@ VARS = ("x", "y", "z")
 
 
 @st.composite
-def multiseries(draw, max_terms=5):
-    """A series over a few of VARS, each with a window whose lo may be
-    negative and whose hi may be None; possibly empty or one-term."""
-    variables = sorted(draw(st.sets(st.sampled_from(VARS), max_size=3)))
+def multiseries(draw, max_terms=5, pool=VARS):
+    """A series over a few of the variables in ``pool``, each with a
+    window whose lo may be negative and whose hi may be None; possibly
+    empty or one-term."""
+    variables = sorted(draw(st.sets(st.sampled_from(pool), max_size=3)))
     window = {}
     for v in variables:
         lo = draw(st.integers(-3, 2))
@@ -281,6 +283,75 @@ class TestProductsAgainstTheDoubleLoop:
         spec = {"base": ("x", "y", "z"), "names": {"x": "X", "z": "Z"},
                 "hi": hi}
         assert_same(sewing.clip(a, b, **spec), sewing.clip(a * b, **spec))
+
+
+shifts_strategy = st.dictionaries(st.sampled_from(VARS), st.integers(-3, 3),
+                                  max_size=2)
+scale_strategy = st.one_of(st.integers(-3, 3), rational)
+term_strategy = st.tuples(multiseries(), shifts_strategy, scale_strategy)
+
+
+def fold_shifted(terms):
+    """The left fold of shift, scalar * and + from the empty series."""
+    acc = MultiSeries((), {})
+    for ms, shifts, scale in terms:
+        for v, k in shifts.items():
+            ms = ms.shift(v, k)
+        acc = acc + ms * scale
+    return acc
+
+
+class TestSumShiftedAgainstTheFold:
+    @given(st.lists(term_strategy, max_size=5))
+    @settings(max_examples=50)
+    def test_terms(self, terms):
+        assert_same(sum_shifted(terms), fold_shifted(terms))
+
+    @given(multiseries(pool=("x",)), multiseries(pool=("y", "z")),
+           shifts_strategy, scale_strategy)
+    def test_disjoint_variable_sets(self, a, b, shifts, scale):
+        terms = [(a, {}, 1), (b, shifts, scale)]
+        assert_same(sum_shifted(terms), fold_shifted(terms))
+
+    @given(st.lists(term_strategy, max_size=3))
+    @settings(max_examples=50)
+    def test_empty_series(self, terms):
+        empty = MultiSeries((), {})
+        blank = MultiSeries(("x", "y"), {"x": (-2, 1), "y": (1, None)})
+        for extra in ([], [(empty, {}, 1)], [(blank, {"y": -2}, 3)],
+                      [(empty, {"z": 2}, 1)]):
+            assert_same(sum_shifted(terms + extra),
+                        fold_shifted(terms + extra))
+        assert_same(sum_shifted([]), fold_shifted([]))
+
+    @given(multiseries(), st.lists(term_strategy, max_size=2),
+           shifts_strategy, scale_strategy)
+    @settings(max_examples=50)
+    def test_terms_that_cancel(self, a, others, shifts, scale):
+        terms = [(a, shifts, scale)] + others + [(a, shifts, -scale)]
+        got = sum_shifted(terms)
+        assert_same(got, fold_shifted(terms))
+        if not others:
+            assert got.is_zero()
+
+    @given(multiseries(), st.integers(-3, 3), st.integers(0, 3),
+           shifts_strategy)
+    def test_term_above_another_horizon(self, a, h, up, shifts):
+        low = MultiSeries(("x",), {"x": (h - 2, h)}, {(h,): 1})
+        high = MultiSeries(("x", "y"), {"x": (h, None), "y": (0, None)},
+                           {(h + up, 0): 2, (h + up + 1, 1): 3})
+        terms = [(low, {}, 1), (high, {}, 1), (a, shifts, 2)]
+        got = sum_shifted(terms)
+        assert_same(got, fold_shifted(terms))
+        i = got.vars.index("x")
+        assert all(key[i] <= got.window["x"][1] for key in got.c)
+
+    def test_int_coefficients_stay_ints(self):
+        ms = MultiSeries(("q",), {"q": (0, 3)})
+        ms.c = {(0,): 2, (2,): 5}
+        got = sum_shifted([(ms, {"q": 1, "x": -1}, 3), (ms, {}, -1)])
+        assert got.c == {(0, 0): -2, (1, -1): 6, (2, 0): -5, (3, -1): 15}
+        assert all(type(c) is int for c in got.c.values())
 
 
 class TestMultiSeries:
