@@ -589,9 +589,9 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     for t, (fs, fk) in enumerate(front):
         for i in range(0, wv + weight(fs)):
             for d, c in _zhu_binomials(wv, i, lo_z, hi_z):
+                mode = wv - 1 - d + fk - i
                 for bs, bc in _vertex_mode_basis(vs, i, fs):
-                    nf = front[:t] + ((bs, wv - 1 - d + fk - i),) \
-                        + front[t + 1:]
+                    nf = front[:t] + ((bs, mode),) + front[t + 1:]
                     sib = _g1_value(nf, rest, sub, q_order, memo)
                     if sib.is_zero():
                         continue
