@@ -51,10 +51,27 @@ PM_ORDER_BUDGET = 500
 PM_INDEX_BUDGET = 16
 
 # Largest --zorder (the mode window half-width) that npoint and residual
-# accept.  Work grows like a power of it with the number of points: at
-# 50, a genus-0 four-point oracle takes 7 s and a genus-1 four-point
-# reduction 2 s; at 100 they take over 60 s and 7 s.
+# accept.  Work grows like a power of it with the number of points, which
+# BOX_BUDGET bounds together with it: a genus-0 four-point oracle of
+# currents takes 7 s at 50 and over 60 s at 100.
 ZORDER_BUDGET = 50
+
+# Largest window box (2 zorder + 1)^g that npoint and residual accept,
+# three currents at the window budget.  g counts the generator modes
+# a(-n) of each insertion's longest basis state (a 1, omega 2, the vacuum
+# 1), residual's direction included: the recursions and oracles grow with
+# those, not with the weight.  So 12 generators fit at zorder 1, 6 at 4
+# and 3 from 16.  On the machine above, twelve currents at zorder 1 take
+# 6 s at genus 1 and 9 s in the genus-0 oracle; six take 5 s at zorder
+# 10 and over 20 s at 50, and six omega insertions over 30 s at 4.
+BOX_BUDGET = (2 * ZORDER_BUDGET + 1) ** 3
+
+# Largest --qorder (the q truncation order) that npoint and residual
+# accept.  A genus-1 trace runs over every Fock state up to that weight,
+# p(32) = 8 349 at the top level.  At 32 a genus-1 two-point reduction of
+# currents takes 0.8 s, its oracle 4 s and the omega two-point function
+# 5 s; at 40 they take 3 s, 24 s and 27 s.
+QORDER_BUDGET = 32
 
 
 # -- flag grammar ----------------------------------------------------------
@@ -165,10 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated state@point list; empty for "
                              "the partition function")
     npoint.add_argument("--qorder", type=_positive_int, default=4,
-                        help="q truncation order at genus 1 (default 4)")
+                        help="q truncation order at genus 1 (default 4; "
+                             f"at most {QORDER_BUDGET})")
     npoint.add_argument("--zorder", type=_positive_int, default=4,
                         help="mode window half-width per point (default 4; "
-                             f"at most {ZORDER_BUDGET})")
+                             f"at most {ZORDER_BUDGET}, and (2 zorder + "
+                             f"1)^generators at most {BOX_BUDGET})")
     path = npoint.add_mutually_exclusive_group()
     path.add_argument("--reduce", dest="path", action="store_const",
                       const="reduce", help="iterate the reduction recursion "
@@ -186,10 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: none, the partition function)")
     residual.add_argument("--direction", type=_insertion, required=True,
                           help="reduction direction as state@point")
-    residual.add_argument("--qorder", type=_positive_int, default=4)
+    residual.add_argument("--qorder", type=_positive_int, default=4,
+                          help="q truncation order at genus 1 (default 4; "
+                               f"at most {QORDER_BUDGET})")
     residual.add_argument("--zorder", type=_positive_int, default=4,
                           help="mode window half-width per point (default "
-                               f"4; at most {ZORDER_BUDGET})")
+                               f"4; at most {ZORDER_BUDGET}, and (2 zorder "
+                               f"+ 1)^generators at most {BOX_BUDGET})")
     residual.set_defaults(command="residual")
 
     g2 = groups.add_parser("genus2", help="epsilon-sewn two-torus surface")
@@ -421,6 +443,19 @@ def _check_budget(flag: str, value: int, kind: str, budget: int,
                          f"{budget} of {command}")
 
 
+def _check_correlation_budgets(ns: argparse.Namespace, command: str,
+                               insertions: tuple, flags: str) -> None:
+    """The window, box and q-order budgets of npoint and residual."""
+    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, command)
+    most = 0  # generators whose box (2 zorder + 1)^g fits the budget
+    while (2 * ns.zorder + 1) ** (most + 1) <= BOX_BUDGET:
+        most += 1
+    _check_budget(f"the generator count of {flags} at --zorder {ns.zorder}",
+                  sum(max(1, max(map(len, ins.state.t), default=0))
+                      for ins in insertions), "generator", most, command)
+    _check_budget("--qorder", ns.qorder, "order", QORDER_BUDGET, command)
+
+
 def _run_pm(ns: argparse.Namespace):
     _check_budget("--m", ns.m, "index", PM_INDEX_BUDGET, "elliptic pm")
     _check_budget("--zorder + --qorder", ns.zorder + ns.qorder, "order",
@@ -446,7 +481,7 @@ def _oracle(ns: argparse.Namespace):
 
 
 def _run_npoint(ns: argparse.Namespace):
-    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, "npoint")
+    _check_correlation_budgets(ns, "npoint", ns.insertions, "--insertions")
     from .reduction import ReductionDirection, unwind_to_partition
     from .voa import render_state
 
@@ -475,7 +510,9 @@ def _run_npoint(ns: argparse.Namespace):
 
 
 def _run_residual(ns: argparse.Namespace):
-    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, "residual")
+    _check_correlation_budgets(ns, "residual",
+                               ns.insertions + (ns.direction,),
+                               "--insertions and --direction")
     from .reduction import ReductionDirection, cocycle_residual
 
     direction = ReductionDirection(ns.direction)

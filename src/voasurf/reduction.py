@@ -403,18 +403,25 @@ def _trace_counts(word, q_order: int) -> dict:
     """{m: Tr_{V_m}(word)} as ints for the levels m <= q_order where it
     is nonzero: the word acts inside each weight space when its total
     shift vanishes, so each level is an exact finite trace over the
-    integral mode table."""
+    integral mode table.
+
+    The word acts on a whole level at once, as one block
+    {(origin, state): int} that starts as the identity on V_m; the
+    diagonal is read off once the last mode has acted."""
     counts = {}
     if _front_shift(word) == 0:
         for m in range(0, q_order + 1):
-            t = 0
-            for b in basis(m):
-                vec = {b: 1}
-                for s, k in reversed(word):
-                    vec = _apply_basis_mode(s, k, vec)
-                    if not vec:
-                        break
-                t += vec.get(b, 0)
+            block = {(b, b): 1 for b in basis(m)}
+            for s, k in reversed(word):
+                nxt = {}
+                for (o, st), c in block.items():
+                    for ts, tc in _vertex_mode_basis(s, k, st):
+                        key = (o, ts)
+                        nxt[key] = nxt.get(key, 0) + c * tc
+                block = nxt
+                if not block:
+                    break
+            t = sum(c for (o, st), c in block.items() if o == st)
             if t:
                 counts[m] = t
     return counts

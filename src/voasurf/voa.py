@@ -12,7 +12,12 @@ Everything here is closed-form mode algebra:
   m delta_{m+n,0}.
 * ``vertex_mode`` applies the general mode u(k) of Y(u, z) =
   sum_k u(k) z^(-k-1), built recursively from the normally ordered
-  reconstruction Y(a(-n)w, z) = :(d^(n-1)a(z)/(n-1)!) Y(w, z):.
+  reconstruction Y(a(-n)w, z) = :(d^(n-1)a(z)/(n-1)!) Y(w, z):.  The
+  vacuum and a single generator a(-n)|1> have closed-form rows: u(k) is
+  the one mode C(-m-1, n-1) a(m), m = k - n + 1.  For several
+  generators the creation part of a(-n) runs over a(m) w(k - m - n)
+  down to the m where w(j) would have to remove more than the len(w)
+  largest parts of v, since w(j) is a product of len(w) generator modes.
 * ``square_bracket_mode`` applies the modes v[m] of the cylinder
   vertex operator Y[v, z] = Y(e^(z wt v) v, e^z - 1), given on a fixed
   target by the finite sum v[m] = sum_j c_{m,j} v(j) with c_{m,j} the
@@ -25,7 +30,9 @@ vectors, and the series machinery consumes the resulting coefficients.
 
 Integrality: in the round basis every mode matrix is integral.  The
 table ``_vertex_mode_basis`` of u(k) v on basis states u, v holds
-Python ints only, and the graded traces built on it sum ints.
+Python ints only, and the graded traces built on it sum ints.  Its
+own recursion computes the closed-form rows on the spot (``_row``)
+and does not cache them.
 Both the round and the square-bracket Fock bases are orthogonal for
 the form, with the same norms <lam, lam> (``_norm``).  Fractions enter
 only at the boundaries: the coefficients of a ``GradedVector`` (user
@@ -195,13 +202,38 @@ def heisenberg_mode(m: int, v: GradedVector) -> GradedVector:
     return out
 
 
+def _short_row(u: tuple, k: int, v: tuple) -> tuple:
+    """u(k) v for the vacuum or a single generator u = a(-n)|1>, in
+    closed form: Y(a(-n)|1>, z) = d^(n-1)a(z)/(n-1)!, so u(k) is the
+    one mode C(-m-1, n-1) a(m) with m = k - n + 1."""
+    if u == VACUUM:
+        return ((v, 1),) if k == -1 else ()
+    n = u[0]
+    m = k - n + 1
+    coef = gbinom(-m - 1, n - 1)
+    if not coef or m == 0:
+        return ()
+    if m < 0:
+        return ((tuple(sorted(v + (-m,), reverse=True)), coef),)
+    mult = v.count(m)
+    if not mult:
+        return ()
+    idx = v.index(m)
+    return ((v[:idx] + v[idx + 1:], coef * m * mult),)
+
+
+def _row(u: tuple, k: int, v: tuple) -> tuple:
+    """u(k) v, with the closed-form rows left out of the table."""
+    return _short_row(u, k, v) if len(u) < 2 else _vertex_mode_basis(u, k, v)
+
+
 @lru_cache(maxsize=None)
 def _vertex_mode_basis(u: tuple, k: int, v: tuple):
     """u(k) v on basis states; returns a sorted tuple of (state, int)
     pairs.  Every coefficient of the derivative field and of a(m) on a
     round basis state is an integer, so the table is integral."""
-    if u == VACUUM:
-        return ((v, 1),) if k == -1 else ()
+    if len(u) < 2:
+        return _short_row(u, k, v)
     n, w = u[0], u[1:]
     acc = {}
 
@@ -211,20 +243,19 @@ def _vertex_mode_basis(u: tuple, k: int, v: tuple):
                 s = tuple(sorted(s + (part,), reverse=True))
             acc[s] = acc.get(s, 0) + scale * c
 
-    # creation part of the derivative field, applied after w modes
-    m = -n
-    m_lo = k - n - weight(w) - weight(v) + 1
-    while m >= m_lo:
-        coef = gbinom(-m - 1, n - 1)
-        if coef:
-            add_terms(_vertex_mode_basis(w, k - m - n, v), coef, -m)
-        m -= 1
+    # creation part of the derivative field, applied after w modes; w(j)
+    # is a product of len(w) generator modes, so it removes at most the
+    # len(w) largest parts of v, and w(j) v vanishes unless j <= wt w - 1
+    # plus their sum
+    m_lo = k - n - weight(w) - sum(v[:len(w)]) + 1
+    for m in range(-n, m_lo - 1, -1):
+        add_terms(_row(w, k - m - n, v), gbinom(-m - 1, n - 1), -m)
 
     # annihilation part, applied before w modes: a(m) removes one part
     # m from v with factor m times its multiplicity
     for m in set(v):
         idx = v.index(m)
-        add_terms(_vertex_mode_basis(w, k - m - n, v[:idx] + v[idx + 1:]),
+        add_terms(_row(w, k - m - n, v[:idx] + v[idx + 1:]),
                   gbinom(-m - 1, n - 1) * m * v.count(m))
 
     return tuple(sorted((s, c) for s, c in acc.items() if c))

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from voasurf import elliptic, reduction
 from voasurf.cli import (GOLDEN_CASES, PM_INDEX_BUDGET, PM_ORDER_BUDGET,
-                         ZORDER_BUDGET, capture_output, golden_name,
-                         parse_and_dispatch)
+                         QORDER_BUDGET, ZORDER_BUDGET, capture_output,
+                         golden_name, parse_and_dispatch)
 from voasurf.elliptic import eisenstein
 from voasurf.genus2 import HALF_POWERS
 from voasurf.schottky import SchottkyData
@@ -169,6 +169,62 @@ class TestExitCodes:
         assert "Traceback" not in err
         with pytest.raises(RuntimeError, match="the computation ran"):
             parse_and_dispatch(argv + ["--zorder", str(ZORDER_BUDGET)])
+
+    @pytest.mark.parametrize("argv,target", [
+        (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2"],
+         "unwind_to_partition"),
+        (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2",
+          "--oracle"], "genus1_direct"),
+        (["residual", "--direction", "a@z"], "cocycle_residual"),
+    ], ids=["npoint", "npoint-oracle", "residual"])
+    def test_qorder_budget_refused_before_any_work(self, argv, target,
+                                                   capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise RuntimeError("the computation ran")
+
+        monkeypatch.setattr(reduction, target, work)
+        code, out, err = run(argv + ["--qorder", str(QORDER_BUDGET + 1)],
+                             capsys)
+        assert code == 1 and out == ""
+        assert f"--qorder is {QORDER_BUDGET + 1}" in err
+        assert f"order budget {QORDER_BUDGET}" in err
+        assert "Traceback" not in err
+        with pytest.raises(RuntimeError, match="the computation ran"):
+            parse_and_dispatch(argv + ["--qorder", str(QORDER_BUDGET)])
+
+    @pytest.mark.parametrize("command,target,flags", [
+        (["npoint", "--genus", "1"], "unwind_to_partition", "--insertions"),
+        (["npoint", "--genus", "0", "--oracle"], "genus0_direct",
+         "--insertions"),
+        (["residual", "--direction", "a@w"], "cocycle_residual",
+         "--insertions and --direction"),
+    ], ids=["npoint", "npoint-oracle", "residual"])
+    def test_generator_budget_refused_before_any_work(self, command, target,
+                                                      flags, capsys,
+                                                      monkeypatch):
+        def work(*args, **kwargs):
+            raise RuntimeError("the computation ran")
+
+        def argv(states, zorder):
+            points = ",".join(f"{s}@z{i}" for i, s in enumerate(states))
+            return command + ["--insertions", points, "--zorder", str(zorder)]
+
+        monkeypatch.setattr(reduction, target, work)
+        # six currents at the window budget: 101^6 is over the box budget
+        code, out, err = run(argv(["a"] * 6, ZORDER_BUDGET), capsys)
+        assert code == 1 and out == ""
+        assert (f"the generator count of {flags} at --zorder "
+                f"{ZORDER_BUDGET} is {6 + (command[0] == 'residual')}") in err
+        assert "generator budget 3" in err
+        assert "Traceback" not in err
+        # omega counts two generators, so two of them at zorder 16 are over
+        code, out, err = run(argv(["omega"] * 2, 16), capsys)
+        assert code == 1 and "generator budget 3" in err
+        # at the budget the computation runs: twelve generators fit at
+        # zorder 1 and three at the window budget
+        for states, zorder in ((["omega"] * 5, 1), (["a"] * 2, ZORDER_BUDGET)):
+            with pytest.raises(RuntimeError, match="the computation ran"):
+                parse_and_dispatch(argv(states, zorder))
 
     def test_order_conflict_is_domain_error(self, capsys):
         code, out, err = run(

@@ -5,10 +5,14 @@ that invariant on the cached table, check that the public GradedVector
 layer and the reduction steps still hand out Fractions while the
 genus-1 recursion sums ints inside, and compare the integer graded
 traces with a GradedVector/zero_mode trace written here, independently
-of the kernel in the library.
+of the kernel in the library.  The table rows of states with several
+generators are checked against their normally ordered products, built
+here from ``heisenberg_mode`` alone.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -54,6 +58,56 @@ def oracle_trace(word, q_order):
     return TruncatedSeries("q", 0, q_order, coeffs)
 
 
+def normal_ordered_mode(u, k, v):
+    """u(k) v as a {state: coefficient} dict, for basis states
+    u = a(-n_1)...a(-n_r)|1> and v, from the normally ordered product
+    Y(u, z) = :prod_i d^(n_i-1)a(z)/(n_i-1)!: alone: summed over the
+    generator modes (m_1, ..., m_r) with sum m_i = k + 1 - wt u, each
+    term weighted by prod_i C(-m_i-1, n_i-1), creators left of
+    annihilators, every mode applied by ``heisenberg_mode``.
+
+    The sum runs generator by generator over partial products keyed by
+    (v with the annihilated parts removed, creator parts so far).  An
+    annihilator a(m) must meet a part m of v.  A creator a(-p) has
+    p >= n_i, and the weight of u(k) v bounds p: the generators still to
+    come remove at most as many parts as they are, and the last one
+    fixes p."""
+    top = sum(u) - k - 1 + sum(v)
+    partial = {(v, ()): 1}
+    for i, n in enumerate(u):
+        left = len(u) - 1 - i
+        nxt = {}
+        for (rest, made), c in partial.items():
+            for m in set(rest):
+                c_m = (-1) ** (n - 1) * comb(m + n - 1, n - 1)
+                for r, cr in _annihilated(m, rest):
+                    nxt[r, made] = nxt.get((r, made), 0) + c * c_m * cr
+            p_hi = top - sum(made) - sum(rest[left:])
+            for p in range(n if left else max(n, p_hi), p_hi + 1):
+                key = (rest, tuple(sorted(made + (p,))))
+                nxt[key] = nxt.get(key, 0) + c * comb(p - 1, n - 1)
+        partial = nxt
+    by_creators = {}
+    for (rest, made), c in partial.items():
+        if c and sum(rest) + sum(made) == top:
+            by_creators.setdefault(made, {})[rest] = c
+    out = {}
+    for made, rests in by_creators.items():
+        vec = GradedVector(rests)
+        for p in made:
+            vec = heisenberg_mode(-p, vec)
+        for s, c in vec.t.items():
+            out[s] = out.get(s, 0) + c
+    return {s: c for s, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _annihilated(m, state):
+    """a(m) on a basis state through heisenberg_mode, as int pairs."""
+    vec = heisenberg_mode(m, GradedVector.basis_state(state))
+    return tuple((s, int(c)) for s, c in vec.t.items())
+
+
 def oracle_double_trace(v, u, q_order, var="q"):
     """Tr(o(v) o(u) q^L(0)) through zero_mode, level by level."""
     coeffs = {}
@@ -78,6 +132,13 @@ class TestModeTable:
                 expected = heisenberg_mode(k, GradedVector.basis_state(v))
                 assert dict(_vertex_mode_basis((1,), k, v)) == expected.t
 
+    def test_multi_generator_rows_match_normal_ordered_products(self):
+        for u in (s for m in range(6) for s in basis(m) if len(s) > 1):
+            for v in (s for m in range(8) for s in basis(m)):
+                for k in range(-8, 9):
+                    assert dict(_vertex_mode_basis(u, k, v)) == \
+                        normal_ordered_mode(u, k, v), (u, k, v)
+
     def test_vertex_mode_keeps_fractions(self):
         out = vertex_mode(generator(), -1, generator())
         assert out.t == {(1, 1): Fraction(1)}
@@ -100,6 +161,26 @@ class TestTraceKernel:
     ])
     def test_matches_graded_vector_trace(self, word):
         assert _trace_word(word, 6) == oracle_trace(word, 6)
+
+    @pytest.mark.parametrize("word", [
+        (((2, 1), 2), ((1, 1), 1)),
+        (((3, 1), 3), ((2, 1), 2), ((1, 1), 1)),
+        (((2, 2), 0), ((1, 1, 1), 5), ((2, 1, 1), 3)),
+        (((3, 1), 5), ((2, 1), 3), ((1, 1), -2), ((2, 1), 2)),
+        (((3, 1), 1), ((1, 1, 1), 4), ((1, 1, 1), 2), ((2, 2), 3)),
+    ])
+    def test_matches_graded_vector_trace_at_q_order_8(self, word):
+        assert _trace_word(word, 8) == oracle_trace(word, 8)
+
+    def test_first_mode_killing_whole_levels(self):
+        # (a(-2)^2|1>)(4) lowers the weight by 1 but kills V_1 and V_2
+        # outright, so the trace starts at q^3
+        word = (((2, 1), 1), ((2, 2), 4))
+        for m in (1, 2):
+            assert all(not _vertex_mode_basis((2, 2), 4, b) for b in basis(m))
+        tr = _trace_word(word, 8)
+        assert tr == oracle_trace(word, 8)
+        assert min(e for (e,) in tr.c) == 3
 
     def test_conformal_zero_mode_counts_weight(self):
         # o(a(-1)^2|1>) = 2 L(0), so the trace is 2 sum_m m p(m) q^m
