@@ -39,15 +39,16 @@ from .series import MultiSeries
 DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
 
 # Largest --zorder + --qorder that elliptic pm accepts.  The kernel
-# needs E_k up to k = zorder + m, each to q-order, so work and output
+# needs E_k for m <= k <= zorder + m, each to q-order, so work and output
 # grow with both: on a 2-core machine (Python 3.11) the worst split at
-# the budget, (250, 250), prints 17 MB in 1.5 s, while zorder 1000
-# alone takes 15 s.
+# the budget, (250, 250), prints 17.5 MB in 1.3-1.7 s at m = 1, while
+# zorder 1000 alone takes 16 s.
 PM_ORDER_BUDGET = 500
 
-# Largest --m that elliptic pm accepts.  Each index above 1 is one more
-# z-derivative pass over every term, so at the order budget's worst
-# split m = 16 takes 6 s on the same machine, and m = 24 takes 9 s.
+# Largest --m that elliptic pm accepts.  The closed form builds every
+# term once whatever m is; what still grows with m is the Eisenstein
+# index m + zorder of the last term.  At the order budget's worst split
+# m = 16 and m = 24 both take 1.4-1.8 s on the same machine.
 PM_INDEX_BUDGET = 16
 
 # Largest --zorder (the mode window half-width) that npoint and residual

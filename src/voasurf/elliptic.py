@@ -12,6 +12,12 @@ Conventions (all rational, all truncated explicitly):
 
 * P_1(z, tau) = 1/z - sum_{k>=2} E_k(tau) z^(k-1), and
   P_m = ((-1)^(m-1)/(m-1)!) d_z^(m-1) P_1, so that d_z P_m = -m P_{m+1}.
+  Taking the derivatives term by term gives the closed form
+
+      P_m = z^-m + (-1)^m sum_{k>=max(2,m)} C(k-1, m-1) E_k(tau) z^(k-m),
+
+  which is how ``weierstrass_p`` builds it: through z^zorder it needs
+  E_k only for m <= k <= zorder + m.
 
 * In the annulus |q| < |q_z| < 1 the same kernels have the Laurent form
 
@@ -136,40 +142,23 @@ def onepoint_hafnian(parts, q_order: int, qvar: str) -> MultiSeries:
 
 def weierstrass_p(m: int, z_order: int, q_order: int,
                   zvar: str = "z", qvar: str = "q") -> MultiSeries:
-    """P_m(z, tau) as a Laurent series in z with q-series coefficients."""
+    """P_m(z, tau) as a Laurent series in z with q-series coefficients,
+    through z^z_order, by the closed form of the module docstring; the
+    E_k with k < m die in the derivatives and are never built."""
     if m < 1:
         raise ValueError("P_m needs m >= 1")
-    hi = z_order + m - 1
-    window = {zvar: (-1, hi), qvar: (0, q_order)}
+    window = {zvar: (-m, z_order), qvar: (0, q_order)}
     coeffs = {}
 
     def key(ze, qe):
         return (qe, ze) if qvar < zvar else (ze, qe)
 
-    coeffs[key(-1, 0)] = Fraction(1)
-    for k in range(2, hi + 2):
-        ek = eisenstein(k, q_order, qvar)
-        for (qe,), c in ek.c.items():
-            coeffs[key(k - 1, qe)] = -c
-    p1 = MultiSeries((zvar, qvar), window, coeffs)
-    out = p1
-    for j in range(1, m):
-        # d_z P_j = -j P_{j+1}
-        out = Fraction(-1, j) * _z_derivative(out, zvar)
-    return out
-
-
-def _z_derivative(ms: MultiSeries, var: str) -> MultiSeries:
-    i = ms.vars.index(var)
-    lo, hi = ms.window[var]
-    window = dict(ms.window)
-    window[var] = (lo - 1, None if hi is None else hi - 1)
-    out = MultiSeries(ms.vars, window)
-    for key, val in ms.c.items():
-        e = key[i]
-        if e:
-            out.c[key[:i] + (e - 1,) + key[i + 1:]] = val * e
-    return out
+    coeffs[key(-m, 0)] = Fraction(1)
+    for k in range(max(2, m), z_order + m + 1):
+        scale = (-1) ** m * comb(k - 1, m - 1)
+        for (qe,), c in eisenstein(k, q_order, qvar).c.items():
+            coeffs[key(k - m, qe)] = c * scale
+    return MultiSeries((zvar, qvar), window, coeffs)
 
 
 def weierstrass_p_qz(m: int, qz_window, q_order: int) -> MultiSeries:

@@ -19,6 +19,10 @@ Fock vector is built.  The one-step reduction ``genus2_reduce`` still
 runs over a square-bracket dual basis and traces zero modes level by
 level through the reduction module.
 
+The same-chart Weierstrass kernel keeps only the pole of P_{j+1}(x - y):
+expanded in |x| > |y| it has x-horizon -(j+1), and the regular part, a
+polynomial in x - y, lies above it and is never built.
+
 Infinite matrices are truncated at ``matrix_cutoff`` rows and columns.
 Every entry of the moment matrix at index (m, n) carries se-order
 m + n at least, so with matrix_cutoff >= 2 * eps_order no discarded
@@ -207,33 +211,18 @@ def _pm(m: int, chart: int, var: str, moduli: SewingModuli) -> MultiSeries:
 
 
 def _pm_difference(m: int, chart: int, moduli: SewingModuli) -> MultiSeries:
-    """P_m(x - y, tau_chart) expanded in |x| > |y|.
+    """P_m(x - y, tau_chart) expanded in |x| > |y|, viewed through the
+    window of its pole.
 
-    The pole 1/(x-y)^m becomes a binomial series cut at x^_X_LO;
-    the regular part is a genuine polynomial in x - y.
+    The pole 1/(x-y)^m becomes a binomial series cut at x^_X_LO, with
+    x-horizon -m.  The regular part is a polynomial in x - y whose every
+    term has x-exponent 0 or more, above that horizon, so no term of it
+    could be kept and none is built.
     """
-    base = weierstrass_p(m, _Z_ORDER, _q_order(chart, moduli),
-                         zvar="_z", qvar=_qvar(chart))
-    zi = base.vars.index("_z")
-    qi = base.vars.index(_qvar(chart))
-    out = None
-    for key, c in base.c.items():
-        if not c:
-            continue
-        k = key[zi]
-        qmono = MultiSeries.monomial(
-            {_qvar(chart): key[qi]}, c,
-            window={_qvar(chart): (0, _q_order(chart, moduli))})
-        if k < 0:
-            piece = binomial_expand(-k - 1, _XVAR, _YVAR, _X_LO) * qmono
-        else:
-            # exponent keys are ordered (x, y)
-            poly = {(k - i, i): Fraction((-1) ** i * comb(k, i))
-                    for i in range(k + 1)}
-            piece = MultiSeries((_XVAR, _YVAR),
-                                {_XVAR: (0, None), _YVAR: (0, None)},
-                                poly) * qmono
-        out = piece if out is None else out + piece
+    q_order = _q_order(chart, moduli)
+    qmono = MultiSeries.monomial({_qvar(chart): 0},
+                                 window={_qvar(chart): (0, q_order)})
+    out = binomial_expand(m - 1, _XVAR, _YVAR, _X_LO) * qmono
     return out.extended_to(sorted(set(_EVARS) | {_XVAR, _YVAR}))
 
 

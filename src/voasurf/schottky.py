@@ -424,23 +424,16 @@ def q_column(p: int, data: SchottkyData, y, j: int = 0) -> dict:
 
 def _p_row_formal(p: int, data: SchottkyData, x_lo: int) -> dict:
     """The ptilde row of seed derivatives at a formal x, expanded for
-    |x| larger than every handle point and viewed down to x^x_lo."""
+    |x| larger than every handle point and viewed down to x^x_lo.
+
+    Only the pole survives: the f-part sum_l f_l(x) C(l, n + 2p - 1)
+    b^(l - n - 2p + 1) runs over l <= 2p - 2, where every binomial is 0."""
     row = {}
     for b in data.index_set:
         for n in range(data.matrix_cutoff):
             idx = n + 2 * p - 1
-            ms = _upper_pole("x", data.w(b), -1 - idx, x_lo)
-            fpart = {}
-            for ell in range(2 * p - 1):
-                g = gbinom(ell, idx)
-                if not g:
-                    continue
-                scale = Fraction(g) * data.w(b) ** (ell - idx)
-                for e, c in data.f_poly(ell).items():
-                    if e >= x_lo:
-                        fpart[(e,)] = fpart.get((e,), Fraction(0)) + c * scale
-            ms = ms + MultiSeries(("x",), {"x": (x_lo, None)}, fpart)
-            ms = ms * _sr_monomial(data, {b: idx}, 1)
+            ms = _upper_pole("x", data.w(b), -1 - idx, x_lo) * \
+                _sr_monomial(data, {b: idx}, 1)
             if not ms.is_zero():
                 row[(b, n)] = ms
     return row

@@ -27,6 +27,37 @@ def expand_exp(series, out_var, hi):
     return acc
 
 
+def z_derivative(ms, var):
+    """d/d(var) of a Laurent series, its window shifted down by one."""
+    i = ms.vars.index(var)
+    lo, hi = ms.window[var]
+    out = MultiSeries(ms.vars, {**ms.window, var: (lo - 1, hi - 1)})
+    for key, val in ms.c.items():
+        if key[i]:
+            out.c[key[:i] + (key[i] - 1,) + key[i + 1:]] = val * key[i]
+    return out
+
+
+def derivative_chain_p(m, z_order, q_order, zvar="z", qvar="q"):
+    """P_m as m - 1 derivatives of P_1 = 1/z - sum_k E_k z^(k-1), each
+    scaled by -1/j (d_z P_j = -j P_{j+1}); P_1 is built through
+    z^(z_order + m - 1) so that P_m reaches z^z_order."""
+    hi = z_order + m - 1
+
+    def key(ze, qe):
+        return (qe, ze) if qvar < zvar else (ze, qe)
+
+    coeffs = {key(-1, 0): Fraction(1)}
+    for k in range(2, hi + 2):
+        for (qe,), c in eisenstein(k, q_order, qvar).c.items():
+            coeffs[key(k - 1, qe)] = -c
+    out = MultiSeries((zvar, qvar), {zvar: (-1, hi), qvar: (0, q_order)},
+                      coeffs)
+    for j in range(1, m):
+        out = Fraction(-1, j) * z_derivative(out, zvar)
+    return out
+
+
 def sigma_ref(k, n):
     """Divisor power sum via the complementary divisor (independent
     of the implementation's loop)."""
@@ -127,19 +158,25 @@ class TestWeierstrass:
         assert p2.coefficient({"z": 0, "q": 1}) == 2
         assert p2.coefficient({"z": 2, "q": 0}) == Fraction(3, 720)
 
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_closed_form_equals_derivative_chain(self, m):
+        # variables, windows, coefficients and their type, with the
+        # q variable sorting both before and after the z variable
+        for zvar, qvar in (("z", "q"), ("x", "q1"), ("_z", "q2"), ("z", "a")):
+            for z_order in range(9):
+                for q_order in range(7):
+                    got = weierstrass_p(m, z_order, q_order, zvar, qvar)
+                    want = derivative_chain_p(m, z_order, q_order, zvar, qvar)
+                    assert (got.vars, got.window) == (want.vars, want.window)
+                    assert got.c == want.c
+                    assert all(type(v) is Fraction for v in got.c.values())
+
     def test_derivative_ladder(self):
-        # d_z P_m = -m P_{m+1} for m <= 4
-        for m in range(1, 5):
+        # d_z P_m = -m P_{m+1} for m <= 16
+        for m in range(1, 17):
             pm = weierstrass_p(m, 6, 4)
             pm1 = weierstrass_p(m + 1, 6, 4)
-            i = pm.vars.index("z")
-            der = MultiSeries(pm.vars, {**pm.window,
-                                        "z": (pm.window["z"][0] - 1,
-                                              pm.window["z"][1] - 1)})
-            for key, val in pm.c.items():
-                if key[i]:
-                    der.c[key[:i] + (key[i] - 1,) + key[i + 1:]] = val * key[i]
-            assert der.agrees_with(-m * pm1)
+            assert z_derivative(pm, "z").agrees_with(-m * pm1)
 
     def test_qz_form_q1_slice_matches_z_form(self):
         # the q^1 coefficient is -q_z + q_z^-1 = -(e^z - e^-z)

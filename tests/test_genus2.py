@@ -71,14 +71,17 @@ def y_derivative(ms, var="y"):
     return out
 
 
-def p1_difference_oracle(qvar):
-    """P_1(x - y) expanded in |x| > |y| directly from the z-series."""
-    base = weierstrass_p(1, 6, 6, zvar="_z", qvar=qvar)
+def pm_difference_oracle(m, qvar, q_order):
+    """P_m(x - y) expanded in |x| > |y| directly from the z-series: the
+    pole as a binomial series, every regular term as a polynomial in
+    x - y, all summed with +."""
+    base = weierstrass_p(m, 6, q_order, zvar="_z", qvar=qvar)
     zi = base.vars.index("_z")
     qi = base.vars.index(qvar)
     out = None
     for key, c in base.c.items():
-        qm = MultiSeries.monomial({qvar: key[qi]}, c, window={qvar: (0, 6)})
+        qm = MultiSeries.monomial({qvar: key[qi]}, c,
+                                  window={qvar: (0, q_order)})
         k = key[zi]
         if k < 0:
             piece = binomial_expand(-k - 1, "x", "y", -8) * qm
@@ -314,11 +317,26 @@ class TestPartitionFunction:
 
 
 class TestGenWeierstrass:
+    @pytest.mark.parametrize("moduli", [(4, 4, 2, 4), (6, 3, 3, 6),
+                                        (8, 8, 4, 8)])
+    def test_pm_difference_is_the_summed_expansion(self, moduli):
+        # the pole alone equals pole plus regular part summed with +:
+        # the sum's x-horizon -m discards every regular term
+        moduli = SewingModuli(*moduli)
+        for chart, qvar in ((1, "q1"), (2, "q2")):
+            q_order = moduli.tau1_order if chart == 1 else moduli.tau2_order
+            for m in range(1, 9):
+                got = genus2._pm_difference(m, chart, moduli)
+                want = pm_difference_oracle(m, qvar, q_order)
+                want = want.extended_to(got.vars)
+                assert (got.vars, got.window) == (want.vars, want.window)
+                assert got.c == want.c, (chart, m)
+
     def test_eps0_same_chart_limit(self):
         for chart, qvar in ((1, "q1"), (2, "q2")):
             P = gen_weierstrass(1, 0, chart, chart, MOD)
             lim = P.coefficient_of("se", 0)
-            oracle = p1_difference_oracle(qvar)
+            oracle = pm_difference_oracle(1, qvar, 6)
             oracle = oracle + weierstrass_p(
                 1, 6, 6, zvar="x", qvar=qvar).extended_to(oracle.vars) * \
                 Fraction(-1)

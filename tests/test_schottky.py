@@ -459,6 +459,20 @@ class TestDressedRow:
         for j, e in want.items():
             assert got[j] == e and got[j].window == e.window, j
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_formal_row_has_no_f_part(self, p):
+        # the ptilde row reads the seed's f-part at derivative order
+        # n + 2p - 1, above every f degree l <= 2p - 2, so it is 0
+        f_choice = tuple({-1: F(1, l + 2), l: F(l - 3)}
+                         for l in range(2 * p - 1))
+        data = SchottkyData(2, (3, 1, -2, 6), 2, 6, f_choice=f_choice)
+        x = F(9, 2)
+        for b in data.index_set:
+            assert schottky._f_part(p, data, 0, 0, x, data.w(b))
+            for n in range(data.matrix_cutoff):
+                assert schottky._f_part(p, data, 0, n + 2 * p - 1, x,
+                                        data.w(b)) == 0
+
 
 # -- handle sums -------------------------------------------------------------
 
