@@ -48,16 +48,20 @@ from math import comb, factorial
 from .series import MultiSeries, TruncatedSeries
 
 
-def _tangent_number(h: int) -> int:
-    """T_h of tan x = sum T_h x^(2h-1)/(2h-1)! (1, 2, 16, 272, ...),
-    by the Brent-Harvey integer recurrence over T_1 .. T_h."""
-    t = [0, 1] + [0] * (h - 1)
-    for k in range(2, h + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, h + 1):
-        for j in range(k, h + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[h]
+# T_1, T_2, ... of tan x = sum T_h x^(2h-1)/(2h-1)! so far, and the last
+# column of their Brent-Harvey table after each pass: all the next needs
+_TANGENTS, _LAST_COLUMN = [1], [1]
+
+
+def _grow_tangents():
+    """Append T_n, n = len(_TANGENTS) + 1, as one more column of the
+    Brent-Harvey recurrence t_n <- (n - k) t_(n-1) + (n - k + 2) t_n."""
+    n = len(_TANGENTS) + 1
+    col = [(n - 1) * _LAST_COLUMN[0]]
+    for k, prev in zip(range(2, n + 1), _LAST_COLUMN[1:] + [0]):
+        col.append((n - k) * prev + (n - k + 2) * col[-1])
+    _LAST_COLUMN[:] = col
+    _TANGENTS.append(col[-1])
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +75,9 @@ def bernoulli(n: int) -> Fraction:
     if n % 2:
         return Fraction(0)
     h = n // 2
-    return Fraction((-1) ** (h - 1) * n * _tangent_number(h),
+    while len(_TANGENTS) < h:
+        _grow_tangents()
+    return Fraction((-1) ** (h - 1) * n * _TANGENTS[h - 1],
                     4 ** h * (4 ** h - 1))
 
 

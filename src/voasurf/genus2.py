@@ -15,9 +15,10 @@ series and reported separately by consumers that need it.
 The sewn partition function sums channels over the square-bracket
 Fock basis, each the product of two closed-form (Mason-Tuite Hafnian)
 one-point functions from the elliptic module over the basis norm; no
-Fock vector is built.  The one-step reduction ``genus2_reduce`` still
-runs over a square-bracket dual basis and traces zero modes level by
-level through the reduction module.
+Fock vector is built.  The one-step reduction ``genus2_reduce`` sums
+the same channels in square-bracket coordinates, where v[n] acts as the
+round mode of v's coordinates, and takes its traces with two zero
+modes from Zhu's recursion; no genus-two code traces the Fock space.
 
 The same-chart Weierstrass kernel keeps only the pole of P_{j+1}(x - y):
 expanded in |x| > |y| it has x-horizon -(j+1), and the regular part, a
@@ -37,8 +38,8 @@ from math import comb, factorial
 
 from . import sewing
 from .elliptic import eisenstein, onepoint_hafnian, weierstrass_p
-from .reduction import Insertion, _trace_word, genus1_onepoint
-from .series import MultiSeries, TruncatedSeries, binomial_expand
+from .reduction import Insertion
+from .series import MultiSeries, binomial_expand
 from .sewing import SeriesMatrix, require_integer, row_dot_column, \
     row_times_matrix
 from .sewing import add as kernel_add
@@ -47,10 +48,9 @@ from .voa import (
     VACUUM,
     _norm,
     basis,
-    conformal_vector_tilde,
-    dual_basis,
-    square_bracket_mode,
-    weight,
+    to_square_coords,
+    vertex_mode,
+    virasoro,
 )
 
 _EVARS = ("q1", "q2", "se")
@@ -318,27 +318,6 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
 # -- sewing sums -----------------------------------------------------------
 
 
-def _onepoint_ms(v: GradedVector, chart: int, moduli: SewingModuli):
-    return genus1_onepoint(v, _q_order(chart, moduli),
-                           _qvar(chart)).extended_to(_EVARS)
-
-
-def _double_zero_mode_trace(v: GradedVector, u: GradedVector, chart: int,
-                            moduli: SewingModuli) -> MultiSeries:
-    """Tr(o(v) o(u) q^L(0)) over the Fock space, level by level."""
-    order, qvar = _q_order(chart, moduli), _qvar(chart)
-    ts = TruncatedSeries(qvar, 0, order)
-    for vs, vc in v.t.items():
-        for us, uc in u.t.items():
-            word = ((vs, weight(vs) - 1), (us, weight(us) - 1))
-            ts = ts + _trace_word(word, order, qvar=qvar) * (vc * uc)
-    return ts.extended_to(_EVARS)
-
-
-def _sq_dual_pairs(r: int):
-    return dual_basis(r, bracket="square")
-
-
 def z2_partition(moduli: SewingModuli) -> MultiSeries:
     """The sewn two-torus partition function as a series in q1, q2 and
     se^2 = eps: sum_r sum_{lam |- r} H_lam(q1) H_lam(q2) eps^r / <lam, lam>,
@@ -356,23 +335,61 @@ def z2_partition(moduli: SewingModuli) -> MultiSeries:
 
 
 def sq_weight(v: GradedVector) -> int:
-    """The square-bracket weight of a [L(0)]-homogeneous state."""
-    if v.is_zero():
-        raise ValueError("the zero vector has no weight")
-    w = square_bracket_mode(conformal_vector_tilde(), 1, v)
-    s, c = next(iter(v.t.items()))
-    p = (w.coefficient(s) / c) if not w.is_zero() else Fraction(0)
-    if w != p * v:
-        raise ValueError("state is not homogeneous in square-bracket weight")
-    if p.denominator != 1:
-        raise ValueError("non-integer square-bracket weight")
-    return int(p)
+    """The square-bracket weight of a [L(0)]-homogeneous state: the
+    single weight of its square-bracket coordinates."""
+    weights = GradedVector(to_square_coords(v)).weights()
+    if len(weights) != 1:
+        raise ValueError("state has no single square-bracket weight")
+    return weights[0]
 
 
-def _check_quasi_primary(v: GradedVector):
-    if not square_bracket_mode(conformal_vector_tilde(), 2, v).is_zero():
-        raise ValueError("direction state must be quasi-primary "
-                         "(killed by L[1])")
+def _trace(w: GradedVector, chart: int, moduli: SewingModuli) -> MultiSeries:
+    """Tr(o(w) q^L(0)) on ``chart`` for w in square-bracket coordinates:
+    the sum of the Hafnians of its parts."""
+    out = MultiSeries.constant(0).extended_to(_EVARS)
+    for lam, c in w.t.items():
+        out = out + onepoint_hafnian(lam, _q_order(chart, moduli),
+                                     _qvar(chart)) * c
+    return out
+
+
+def _channel_sums(sq: GradedVector, xmodes, moduli: SewingModuli):
+    """F1, F2 and {m: X(m)} for m in ``xmodes``, the channel sums of
+    ``genus2_reduce`` for the state with square-bracket coordinates sq.
+
+    A channel is a basis state lam of weight r, with eps^r / <lam, lam>,
+    and v[n]lam is sq(n)lam.  The traces with two zero modes follow
+    Zhu's recursion (JAMS 1996), Tr o(v) o(u) q^L(0) = Z(v[-1]u) -
+    sum_{k>=1} E_2k Z(v[2k-1]u), cut where 2k - 1 reaches wt v[-1]u.
+    """
+    zero = MultiSeries.constant(0).extended_to(_EVARS)
+    F = {1: zero, 2: zero}
+    X = {m: zero for m in xmodes}
+    for r in range(moduli.eps_order + 1):
+        odd = range(1, max(sq.weights()) + r, 2)
+        for lam in basis(r):
+            u = GradedVector.basis_state(lam)
+            vu = {n: vertex_mode(sq, n, u) for n in (-1, *odd, *xmodes)}
+            se = partial(_se_monomial, moduli=moduli,
+                         coeff=Fraction(1, _norm(lam)))
+            for chart in (1, 2):
+                # the other chart carries the one-point function of lam
+                h = onepoint_hafnian(lam, _q_order(3 - chart, moduli),
+                                     _qvar(3 - chart))
+                if h.is_zero():
+                    continue
+                t = _trace(vu[-1], chart, moduli)
+                for n in odd:
+                    t = t - _eis(n + 1, chart, moduli) * \
+                        _trace(vu[n], chart, moduli)
+                if not t.is_zero():
+                    F[chart] = F[chart] + t * h * se(2 * r)
+                if chart == 1:
+                    for m in X:
+                        t = _trace(vu[m], 1, moduli)
+                        if not t.is_zero():
+                            X[m] = X[m] + t * h * se(2 * r - m)
+    return F[1], F[2], X
 
 
 def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
@@ -401,32 +418,13 @@ def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
         return Genus2Fn((direction,), scaled.extended_to(
             sorted(set(scaled.vars) | {xvar})))
 
-    _check_quasi_primary(v)
+    # L[1] acts on square-bracket coordinates as L(1) on round ones
+    sq = GradedVector(to_square_coords(v))
+    if not virasoro(1, sq).is_zero():
+        raise ValueError("direction state must be quasi-primary "
+                         "(killed by L[1])")
     p = sq_weight(v)
-
-    zero = MultiSeries.constant(0).extended_to(_EVARS)
-    F1, F2 = zero, zero
-    X = {m: zero for m in range(1, max(2 * p - 2, 1))}
-    for r in range(moduli.eps_order + 1):
-        for u, ubar in _sq_dual_pairs(r):
-            right = _onepoint_ms(ubar, 2, moduli)
-            if not right.is_zero():
-                t = _double_zero_mode_trace(v, u, 1, moduli)
-                if not t.is_zero():
-                    F1 = F1 + t * right * _se_monomial(2 * r, moduli)
-                for m in X:
-                    vm = square_bracket_mode(v, m, u)
-                    if vm.is_zero():
-                        continue
-                    t = _onepoint_ms(vm, 1, moduli)
-                    if not t.is_zero():
-                        X[m] = X[m] + t * right * \
-                            _se_monomial(2 * r - m, moduli)
-            left = _onepoint_ms(u, 1, moduli)
-            if not left.is_zero():
-                t = _double_zero_mode_trace(v, ubar, 2, moduli)
-                if not t.is_zero():
-                    F2 = F2 + left * t * _se_monomial(2 * r, moduli)
+    F1, F2, X = _channel_sums(sq, range(1, max(2 * p - 2, 1)), moduli)
 
     clip = _clip(moduli)
     Q = q_row(p, 1, xvar, moduli)

@@ -644,8 +644,9 @@ def genus1_reduce(direction: ReductionDirection,
 
 def genus1_onepoint(v: GradedVector, q_order: int,
                     qvar: str = "q") -> MultiSeries:
-    """Tr(o(v) q^{L(0)}) as a plain series in ``qvar`` (no c/24 tag);
-    the genus-2 sewing sums consume these wholesale."""
+    """Tr(o(v) q^{L(0)}) in ``qvar`` (no c/24 tag), traced over the Fock
+    basis: the oracle of ``elliptic.onepoint_hafnian``, which the sewing
+    sums use.  No library code calls it; the benchmark tracer names it."""
     out = TruncatedSeries(qvar, 0, int(q_order))
     for s, c in v.t.items():
         word = ((s, weight(s) - 1),)

@@ -611,7 +611,7 @@ def theta(p: int, data: SchottkyData, a: int, x) -> FormVector:
 
 @lru_cache(maxsize=None)
 def _dual_pairs(m: int):
-    return tuple(dual_basis(m, bracket="round"))
+    return tuple(dual_basis(m))
 
 
 @dataclass

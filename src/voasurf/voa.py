@@ -400,17 +400,11 @@ def bilinear_form_sq(x: GradedVector, y: GradedVector, alpha=1) -> Fraction:
     return total
 
 
-def dual_basis(m: int, bracket="round"):
+def dual_basis(m: int):
     """Pairs (v, v / <v, v>) with <v_bar_i, v_j> = delta_ij at weight m,
-    v a round basis state or its ``square_fock`` counterpart: both bases
-    are orthogonal, with the norms ``_norm``."""
-    if bracket == "round":
-        vec = GradedVector.basis_state
-    elif bracket == "square":
-        vec = square_fock
-    else:
-        raise ValueError(f"unknown bracket {bracket!r}")
-    return [(vec(s), vec(s) * Fraction(1, _norm(s))) for s in basis(m)]
+    v a round basis state; the basis is orthogonal with norms ``_norm``."""
+    return [(GradedVector.basis_state(s),
+             GradedVector({s: Fraction(1, _norm(s))})) for s in basis(m)]
 
 
 def adjoint_boundary_state(v: GradedVector, j: int,

@@ -38,9 +38,9 @@ from voasurf.schottky import (SchottkyData, build_kernel, genus_g_npoint,
 from voasurf.schottky import neumann_inverse as handle_neumann
 from voasurf.series import MultiSeries, binomial_expand
 from voasurf.sewing import add as handle_add, identity
-from voasurf.voa import (GradedVector, basis, bilinear_form,
-                         conformal_vector, generator, jacobi_check, vacuum,
-                         vertex_mode, weight)
+from voasurf.voa import (GradedVector, _norm, basis, bilinear_form,
+                         conformal_vector, generator, jacobi_check,
+                         square_fock, vacuum, vertex_mode, weight)
 
 F = Fraction
 A = generator()
@@ -261,8 +261,8 @@ def test_6_genus2_sewing():
     rng = random.Random(7)
 
     def rotated(r):
-        from voasurf.voa import dual_basis
-        pairs = dual_basis(r, bracket="square")
+        pairs = [(square_fock(s), square_fock(s) * F(1, _norm(s)))
+                 for s in basis(r)]
         if not pairs:
             return pairs
         d = len(pairs)

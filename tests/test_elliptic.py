@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from voasurf import elliptic
 from voasurf.elliptic import (
     bernoulli,
     eisenstein,
@@ -91,6 +92,22 @@ class TestEisenstein:
 
     def test_bernoulli_matches_recurrence(self):
         assert [bernoulli(n) for n in range(81)] == bernoulli_ref(80)
+
+    def test_one_tangent_column_per_new_bernoulli_number(self, monkeypatch):
+        # P_1 through z^200 needs B_2 .. B_200, so T_1 .. T_100: each new
+        # T_h adds one column to the table, never a rerun of it
+        monkeypatch.setattr(elliptic, "_TANGENTS", [1])
+        monkeypatch.setattr(elliptic, "_LAST_COLUMN", [1])
+        grown = []
+        grow = elliptic._grow_tangents
+        monkeypatch.setattr(elliptic, "_grow_tangents",
+                            lambda: grown.append(1) or grow())
+        bernoulli.cache_clear()
+        elliptic._eis_coefficients.cache_clear()
+        weierstrass_p(1, 200, 1)
+        assert len(grown) == 99
+        assert elliptic._TANGENTS[:5] == [1, 2, 16, 272, 7936]
+        assert bernoulli(200) == bernoulli_ref(200)[200]
 
     def test_e2_printed(self):
         e2 = eisenstein(2, 3)

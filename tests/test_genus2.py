@@ -47,6 +47,7 @@ from voasurf.series import MultiSeries, binomial_expand
 from voasurf.sewing import row_times_matrix
 from voasurf.voa import (
     GradedVector,
+    _norm,
     basis,
     bilinear_form_sq,
     conformal_vector_tilde,
@@ -252,12 +253,11 @@ class TestPartitionFunction:
         assert e2.coefficient({"q1": 0, "q2": 0}) == Fraction(1, 288)
 
     def test_basis_independence_under_rational_rotation(self):
-        from voasurf.voa import dual_basis
-
         rng = random.Random(7)
 
         def rotated(r):
-            pairs = dual_basis(r, bracket="square")
+            pairs = [(square_fock(s), square_fock(s) * Fraction(1, _norm(s)))
+                     for s in basis(r)]
             if not pairs:
                 return pairs
             d = len(pairs)
@@ -301,8 +301,6 @@ class TestPartitionFunction:
             raise AssertionError("z2_partition built a Fock state or trace")
 
         for module, name in ((voa, "dual_basis"), (voa, "square_fock"),
-                             (genus2, "_sq_dual_pairs"),
-                             (genus2, "_trace_word"),
                              (reduction, "_trace_word")):
             monkeypatch.setattr(module, name, refuse)
         moduli = SewingModuli(8, 8, 6, 12)
@@ -419,6 +417,21 @@ class TestReduce:
         Z2 = z2_partition(MOD)
         with pytest.raises(ValueError):
             genus2_reduce(Insertion(parse_state("a[-2]|1"), "x"), Z2, MOD)
+
+    def test_reduction_never_traces_the_fock_space(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("genus2_reduce traced the Fock space")
+
+        Z2 = z2_partition(MOD)
+        for module, name in ((reduction, "_trace_word"),
+                             (reduction, "_trace_counts"),
+                             (reduction, "genus1_onepoint"),
+                             (voa, "dual_basis")):
+            monkeypatch.setattr(module, name, refuse)
+        assert genus2_reduce(Insertion(generator(), "x"), Z2,
+                             MOD).value.is_zero()
+        out = genus2_reduce(Insertion(conformal_vector_tilde(), "x"), Z2, MOD)
+        assert not out.value.coefficient_of("se", 0).is_zero()
 
     def test_single_step_only(self):
         Z2 = z2_partition(MOD)

@@ -16,7 +16,8 @@ from math import comb
 
 import pytest
 
-from voasurf.genus2 import SewingModuli, _double_zero_mode_trace
+from voasurf.elliptic import onepoint_hafnian
+from voasurf.genus2 import SewingModuli, _channel_sums
 from voasurf.reduction import (
     Insertion,
     ReductionDirection,
@@ -27,15 +28,18 @@ from voasurf.reduction import (
     genus1_direct,
     genus1_reduce,
 )
-from voasurf.series import TruncatedSeries
+from voasurf.series import MultiSeries, TruncatedSeries
 from voasurf.voa import (
     GradedVector,
+    _norm,
     _vertex_mode_basis,
     basis,
     conformal_vector,
     generator,
     heisenberg_mode,
     parse_state,
+    square_fock,
+    to_square_coords,
     vacuum,
     vertex_mode,
     zero_mode,
@@ -203,19 +207,28 @@ class TestTraceKernel:
             geom = _geom_inv(d, 6)
             assert geom.c and all(type(c) is int for c in geom.c.values())
 
-    @pytest.mark.parametrize("v,u", [
-        ("a[-2]|1", "a[-1]^2|1 + a[-2]|1"),
-        ("omega", "a[-2]|1 - 1/3*a[-1]^2|1"),
-        ("omegatilde", "2/5*a[-3]|1 + a[-2]a[-1]|1 - 7*|1"),
-    ])
-    def test_double_zero_mode_trace(self, v, u):
-        v, u = parse_state(v), parse_state(u)
-        moduli = SewingModuli(6, 5, 1, 2)
-        for chart, var, order in ((1, "q1", 6), (2, "q2", 5)):
-            expected = oracle_double_trace(v, u, order, var)
-            got = _double_zero_mode_trace(v, u, chart, moduli)
+    @pytest.mark.parametrize("v", ["a[-2]|1", "omega", "omegatilde"])
+    def test_double_zero_mode_trace(self, v):
+        # the F channel sums of genus2_reduce, Zhu's recursion over
+        # Hafnians, against sum_lam Tr(o(v) o(lam)) H_lam eps^r / <lam, lam>
+        # with the double trace taken level by level here
+        v = parse_state(v)
+        moduli = SewingModuli(6, 5, 3, 6)
+        F1, F2, _ = _channel_sums(GradedVector(to_square_coords(v)), (),
+                                  moduli)
+        orders = {"q1": 6, "q2": 5}
+        for got, var, other in ((F1, "q1", "q2"), (F2, "q2", "q1")):
+            expected = MultiSeries.constant(0)
+            for r in range(moduli.eps_order + 1):
+                for lam in basis(r):
+                    t = oracle_double_trace(v, square_fock(lam), orders[var],
+                                            var)
+                    h = onepoint_hafnian(lam, orders[other], other)
+                    expected = expected + t * h * MultiSeries.monomial(
+                        {"se": 2 * r}, Fraction(1, _norm(lam)))
             assert got == expected
-            assert got.window[var] == (0, order)
+            # o(a(-2)1) = -a(0) is zero on the Fock space: its sums stay empty
+            assert got.is_zero() or got.window[var] == (0, orders[var])
 
 
 class TestReductionValues:

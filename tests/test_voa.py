@@ -9,6 +9,7 @@ from voasurf.voa import (
     A,
     VACUUM,
     GradedVector,
+    _norm,
     adjoint_boundary_state,
     basis,
     bilinear_form,
@@ -196,6 +197,20 @@ class TestSquareBrackets:
             rebuilt = rebuilt + c * square_fock(lam)
         assert rebuilt == v
 
+    @pytest.mark.parametrize("v", [
+        "a", "omega", "omegatilde", "a[-2]|1", "a[-2]a[-1]^2|1",
+        "a[-3]|1 + 1/2*a[-2]a[-1]|1 - 2*a[-1]|1 + 3*|1"])
+    def test_square_modes_are_round_modes_of_square_coordinates(self, v):
+        # a[-l1]...1 -> a(-l1)...1 carries v[n] to V(n), with V the
+        # square-bracket coordinates of v read as a round state
+        v = parse_state(v)
+        V = GradedVector(to_square_coords(v))
+        for lam in (s for r in range(5) for s in basis(r)):
+            for n in range(-3, 7):
+                got = square_bracket_mode(v, n, square_fock(lam))
+                assert GradedVector(to_square_coords(got)) == vertex_mode(
+                    V, n, GradedVector.basis_state(lam)), (lam, n)
+
 
 def defining_form(state, y, alpha):
     """<state, y> from the definition: move each a(-k) of ``state`` to
@@ -268,7 +283,8 @@ class TestBilinearForm:
 
     def test_square_dual_basis_pairing(self):
         for m in range(1, 4):
-            pairs = dual_basis(m, bracket="square")
+            pairs = [(square_fock(s), square_fock(s) * Fraction(1, _norm(s)))
+                     for s in basis(m)]
             for i, (_, dual_i) in enumerate(pairs):
                 for j, (vec_j, _) in enumerate(pairs):
                     assert bilinear_form_sq(dual_i, vec_j) == (1 if i == j else 0)
