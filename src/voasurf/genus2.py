@@ -195,9 +195,9 @@ def neumann_inverse(M: SeriesMatrix, moduli: SewingModuli,
                     rows: SeriesMatrix = None) -> SeriesMatrix:
     """rows (1 - M)^-1, or (1 - M)^-1 itself without rows, terminating
     because every entry of M starts at se-order 1 or higher."""
-    return sewing.neumann_inverse(M, HALF_POWERS, moduli.se_order,
-                                  lambda A, B: kernel_mul(A, B, moduli),
-                                  rows)
+    return sewing.neumann_inverse(
+        M, HALF_POWERS, moduli.se_order,
+        lambda A, B, reach: kernel_mul(A, B, moduli), rows)
 
 
 # -- rows and columns of elliptic data ------------------------------------
@@ -277,7 +277,8 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
     corrections.  The j > 0 cases are the y-derivatives of j = 0, which
     is a separate test, not an assumption.  Either kernel is cut at the
     se-order of ``moduli``, so its eps window claims no more than was
-    summed.
+    summed.  The same-chart tail's reach is the lead's x-horizon: its
+    dot product is cut at x^-(j+1), and no term above it is built.
     """
     if p not in (1, 2):
         raise ValueError("kernels are tabulated for weights p = 1 and 2")
@@ -290,7 +291,8 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
     if y_chart == a:
         lt = lambda_tilde(abar, p, moduli)
         lead = _pm_difference(j + 1, a, moduli)
-        tail = row_dot_column(row_times_matrix(Q, lt, clip), col, clip)
+        tail = row_dot_column(row_times_matrix(Q, lt, clip), col, clip,
+                              caps={_XVAR: -(j + 1)})
         out = lead + tail * Fraction((-1) ** (j + 1))
         if j == 0:
             out = out + _pm(1, a, _XVAR, moduli) * Fraction(-1)

@@ -320,9 +320,11 @@ def _matrix_half_powers(M: SeriesMatrix) -> dict:
     return _half_powers(max(a for a, _ in M.indices))
 
 
-def handle_mul(A: SeriesMatrix, B: SeriesMatrix, hi: int) -> SeriesMatrix:
-    """Matrix product with every entry clipped to sr-order hi."""
-    return sewing.mul(A, B, _clip(_matrix_half_powers(A), hi))
+def handle_mul(A: SeriesMatrix, B: SeriesMatrix, hi: int,
+               reach=None) -> SeriesMatrix:
+    """Matrix product with every entry clipped to sr-order hi, and
+    column j to ``reach[j]``."""
+    return sewing.mul(A, B, _clip(_matrix_half_powers(A), hi), reach)
 
 
 def schottky_R(p: int, data: SchottkyData) -> SeriesMatrix:
@@ -374,13 +376,14 @@ def shifted_columns(R: SeriesMatrix, p: int) -> SeriesMatrix:
     return SeriesMatrix(R.indices, entries)
 
 
-def neumann_inverse(M: SeriesMatrix, hi: int,
-                    rows: SeriesMatrix = None) -> SeriesMatrix:
+def neumann_inverse(M: SeriesMatrix, hi: int, rows: SeriesMatrix = None,
+                    reach: dict = None) -> SeriesMatrix:
     """rows (1 - M)^-1, or (1 - M)^-1 itself without rows, terminating
     because every entry of M carries a strictly positive amplitude
-    order."""
-    return sewing.neumann_inverse(M, _matrix_half_powers(M), hi,
-                                  lambda A, B: handle_mul(A, B, hi), rows)
+    order; ``reach`` as in ``sewing.neumann_inverse``."""
+    return sewing.neumann_inverse(
+        M, _matrix_half_powers(M), hi,
+        lambda A, B, reach: handle_mul(A, B, hi, reach), rows, reach)
 
 
 # -- rows, columns, and the assembled kernels -------------------------------
@@ -470,12 +473,17 @@ def _check_degree(p: int, data: SchottkyData):
 def _tilde_row(p: int, data: SchottkyData, R: SeriesMatrix, row: dict,
                hi: int) -> dict:
     """The dressed row ptilde (1 - R Delta)^-1 of a ptilde row, formal
-    or at a rational point, with every product cut at sr-order hi."""
+    or at a rational point, with every product cut at sr-order hi.
+
+    Its reach at index (b, n) is sr_|b| <= hi - (n + 1): every factor
+    the entry meets next, row (b, n) of R Delta here and of R in
+    ``_dressed_rows``, or the q column, declares sr_|b| lo n + 1 or
+    more, so nothing above that reach could land inside hi."""
     M = shifted_columns(R, p)
     clip = _clip(data.half_powers, hi)
-    start = {(0, j): clip(e) for j, e in row.items()}
+    reach = {(b, n): {data.sr_var(b): hi - (n + 1)} for b, n in M.indices}
     dressed = neumann_inverse(M, hi, SeriesMatrix(M.indices, {
-        k: e for k, e in start.items() if not e.is_zero()}))
+        (0, j): clip(e) for j, e in row.items()}), reach=reach)
     return {j: e for (_, j), e in dressed.entries.items()}
 
 

@@ -19,7 +19,8 @@ every stored coefficient of a result is exact:
     mul:  lo = lo_a + lo_b,       hi = min(hi_a + lo_b, hi_b + lo_a)
     capped mul:                   hi = min(natural hi, cap)
 
-A capped product never builds a term above a cap, and no zero
+A capped product never builds a term above a cap, and one whose window
+is empty (some lo above its hi) builds nothing at all.  No zero
 coefficient is ever stored.
 
 No floating point number appears anywhere in this module.
@@ -287,6 +288,8 @@ class MultiSeries:
             hi = _min_hi(_add_hi(ha, lb), _add_hi(hb, la))
             window[v] = (la + lb, _min_hi(hi, caps.get(v)))
         out = MultiSeries(allvars, window)
+        if any(lo > hi for lo, hi in window.values() if hi is not None):
+            return out  # every term lies at or above lo: none fits
         his = [(i, window[v][1]) for i, v in enumerate(allvars)
                if window[v][1] is not None]
         if len(a.c) > len(b.c):

@@ -18,6 +18,19 @@ capped product, never building a term above the cut.  Intermediate
 rows and matrices may carry odd half-powers; exported quantities must
 land on nonnegative integer powers of the parameters and are renamed
 to them.
+
+A product may also stop at its consumer's reach.  The reach of a row
+entry at index i, in a variable, is the output cap minus the least
+order that any continuation from i adds there: the declared window lo
+of the factor that entry i meets next, every later factor adding order
+0 or more.  Whatever lies above the reach lands above the output cap
+and would be dropped there, so a term above it is never built.  The
+result keeps its window too: an entry cut at reach r, times a factor
+of lo cap - r or more, still has a natural horizon at or above the cap,
+as the uncut entry had, so the cut leaves the product's window as it
+was.  ``caps`` arguments carry a reach as ``{var: cap}``, each
+tightening the clip's own cut, and a ``reach`` maps an index to the
+caps of the row entries there.
 """
 
 from dataclasses import dataclass
@@ -68,28 +81,36 @@ def add(A: SeriesMatrix, B: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(A.indices, entries)
 
 
-def mul(A: SeriesMatrix, B: SeriesMatrix, clip) -> SeriesMatrix:
-    """A B, each row of A times B by ``row_times_matrix``."""
+def mul(A: SeriesMatrix, B: SeriesMatrix, clip, reach=None) -> SeriesMatrix:
+    """A B, each row of A times B by ``row_times_matrix``, the entries
+    of column j cut at ``reach[j]``."""
     _same_indices(A, B)
     return SeriesMatrix(A.indices, {
         (i, j): e for i, row in _rows(A).items()
-        for j, e in row_times_matrix(dict(row), B, clip).items()})
+        for j, e in row_times_matrix(dict(row), B, clip, reach).items()})
 
 
 def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
-                    product, rows: SeriesMatrix = None) -> SeriesMatrix:
+                    product, rows: SeriesMatrix = None,
+                    reach: dict = None) -> SeriesMatrix:
     """rows . (1 - M)^-1 as the terminating geometric sum of the terms
     rows . M^k; ``rows`` None is the identity, giving the full inverse.
 
     Every term of every entry of M must have positive total order in
     the half-power variables ``names``, otherwise the series would not
-    terminate inside the window.  ``product(A, B)`` is the module's
-    matrix product, each entry product capped at ``order`` in each of
-    those variables.  Each term is formed as (rows . M^k) . M, so
-    dressing a few rows takes vector-matrix products only; the columns
-    of ``rows`` are M's indices and its row keys are free.  For rows at
-    nonnegative orders, as every caller's are, the term k has total
-    order k or more, so it vanishes once k exceeds len(names) * order.
+    terminate inside the window.  ``product(A, B, reach=...)`` is the
+    module's matrix product, each entry product capped at ``order`` in
+    each of those variables and column j of the result at ``reach[j]``.
+    Each term is formed as (rows . M^k) . M, so dressing a few rows
+    takes vector-matrix products only; the columns of ``rows`` are M's
+    indices and its row keys are free.  For rows at nonnegative orders,
+    as every caller's are, the term k has total order k or more, so it
+    vanishes once k exceeds len(names) * order.
+
+    A ``reach`` (index -> caps, see the module docstring) cuts the
+    start rows and every term at their consumer's reach.  The entries
+    at index i go on to M's row i as well as to the consumer, so both
+    must add at least cap - reach[i] in each variable it caps.
     """
     for key, e in M.entries.items():
         half = [i for i, v in enumerate(e.vars) if v in names]
@@ -99,48 +120,66 @@ def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
                     f"matrix entry {key} has a term free of the half-power "
                     "variables; the Neumann series would not terminate")
     out = power = identity(M.indices) if rows is None else rows
+    if reach is not None:
+        out = power = SeriesMatrix(power.indices, {
+            (i, j): c for (i, j), e in power.entries.items()
+            if not (c := _capped(e, reach[j])).is_zero()})
     for _ in range(len(names) * order + 1):
-        power = product(power, M)
+        power = product(power, M, reach=reach)
         if power.is_zero():
             break
         out = add(out, power)
     return out
 
 
-def row_times_matrix(row: dict, M: SeriesMatrix, clip) -> dict:
-    """The row vector ``row`` (index -> series) times M, clipped."""
+def _capped(ms: MultiSeries, caps: dict) -> MultiSeries:
+    """ms with each variable of ``caps`` cut at its cap."""
+    ms = ms.extended_to(caps)
+    for v, cap in caps.items():
+        ms = ms.clip(v, ms.window[v][0], cap)
+    return ms
+
+
+def row_times_matrix(row: dict, M: SeriesMatrix, clip, reach=None) -> dict:
+    """The row vector ``row`` (index -> series) times M, clipped, the
+    entry at j cut at ``reach[j]``."""
     rows = _rows(M)
     out = {}
     for i, r in row.items():
         for j, e in rows.get(i, ()):
-            prod = clip(r, e)
+            prod = clip(r, e, None if reach is None else reach[j])
             if prod.is_zero():
                 continue
             out[j] = out[j] + prod if j in out else prod
     return out
 
 
-def row_dot_column(row: dict, col: dict, clip, total=None) -> MultiSeries:
+def row_dot_column(row: dict, col: dict, clip, total=None,
+                   caps=None) -> MultiSeries:
     """``total`` (zero if not given) plus the clipped products of the
-    matching row and column entries, added on in row order."""
+    matching row and column entries, added on in row order, each
+    product cut at ``caps`` too."""
     if total is None:
         total = MultiSeries.constant(0)
     for i, r in row.items():
         c = col.get(i)
         if c is not None:
-            total = total + clip(r, c)
+            total = total + clip(r, c, caps)
     return total
 
 
-def clip(ms: MultiSeries, factor: MultiSeries = None, *, base, names: dict,
-         hi) -> MultiSeries:
+def clip(ms: MultiSeries, factor: MultiSeries = None, caps=None, *, base,
+         names: dict, hi) -> MultiSeries:
     """ms over the variables ``base``, each half-power variable of
     ``names`` cut to [its own lo, hi]; ``hi`` None cuts nothing.  Given
-    a ``factor``, the product ms * factor clipped the same way, formed
-    as one capped product so that no term above hi is built."""
+    a ``factor``, the product ms * factor clipped the same way and at
+    ``caps``, formed as one capped product so that no term above a cut
+    is built."""
     if factor is not None:
-        return ms.__mul__(factor, {v: hi if v in names else None
-                                   for v in base})
+        cut = {v: hi if v in names else None for v in base}
+        for v, cap in (caps or {}).items():
+            cut[v] = cap if cut.get(v) is None else min(cut[v], cap)
+        return ms.__mul__(factor, cut)
     out = ms.extended_to(base)
     for v in names:
         out = out.clip(v, out.window[v][0], hi)

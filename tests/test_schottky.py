@@ -411,9 +411,9 @@ class TestDressedKernel:
         calls = []
         real = schottky.neumann_inverse
 
-        def counting(M, hi, *rows):
+        def counting(M, hi, *rows, **kwargs):
             calls.append(hi)
-            return real(M, hi, *rows)
+            return real(M, hi, *rows, **kwargs)
 
         monkeypatch.setattr(schottky, "neumann_inverse", counting)
         call()
@@ -435,8 +435,10 @@ DATA3S = SchottkyData(3, (3, 1, -2, 6, 10, -7), 1, 3)
 
 class TestDressedRow:
     """The production rows are dressed through neumann_inverse(M, hi,
-    rows), one vector-matrix product per Neumann term; they must equal
-    the row times the full inverse coefficient for coefficient."""
+    rows, reach=...), one vector-matrix product per Neumann term, and
+    stop at their reach sr_|b| <= hi - (n + 1) at index (b, n); they
+    must equal the row times the full inverse, cut at that reach,
+    coefficient for coefficient."""
 
     @pytest.mark.parametrize("p,data", [
         (1, DATA1), (2, DATA1), (1, DATA1F), (1, DATA2), (2, DATA2),
@@ -453,7 +455,12 @@ class TestDressedRow:
         full = neumann_inverse(shifted_columns(R, p), hi)
         clip = partial(sewing.clip, base=data.sr_vars,
                        names=data.half_powers, hi=hi)
-        want = row_times_matrix(row, full, clip)
+        want = {}
+        for (b, n), e in row_times_matrix(row, full, clip).items():
+            var = data.sr_var(b)
+            e = e.clip(var, e.window[var][0], hi - (n + 1))
+            if not e.is_zero():
+                want[(b, n)] = e
         got = schottky._tilde_row(p, data, R, row, hi)
         assert set(got) == set(want)
         for j, e in want.items():
