@@ -272,14 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     spart.add_argument("--weight-cutoff", type=_positive_int, default=3,
                        help="total weight cutoff of the handle sum "
                             "(default 3)")
-    spart.add_argument("--rho-order", type=_positive_int,
-                       help="rho truncation order (default: the weight "
-                            "cutoff)")
     spart.add_argument("--coordinates", type=_int_list,
                        help="fixed points as for schottky psi")
-    spart.add_argument("-N", "--matrix-cutoff", type=_positive_int,
-                       help="moment matrix cutoff (default: twice the rho "
-                            "order)")
     spart.set_defaults(command="schottky partition")
 
     coh = groups.add_parser("cohomology",
@@ -582,15 +576,15 @@ def _run_schottky_partition(ns: argparse.Namespace):
     from .schottky import genus_g_partition
     from .sewing import renamed
 
-    rho_order = ns.rho_order or ns.weight_cutoff
-    cutoff = ns.matrix_cutoff or 2 * rho_order
-    data = _schottky_data(ns, rho_order, cutoff)
-    ms = renamed(genus_g_partition(data, ns.weight_cutoff),
-                 data.half_powers)
+    # the handle sum is cut by weight alone; the payload reports the
+    # surface truncations it is built with
+    cutoff = ns.weight_cutoff
+    data = _schottky_data(ns, cutoff, 2 * cutoff)
+    ms = renamed(genus_g_partition(data, cutoff), data.half_powers)
     return {"command": "schottky partition", "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
-            "weight_cutoff": ns.weight_cutoff, "rho_order": rho_order,
-            "matrix_cutoff": cutoff,
+            "weight_cutoff": cutoff, "rho_order": cutoff,
+            "matrix_cutoff": 2 * cutoff,
             "series": _series_payload(ms, ns.approx)}, 0
 
 

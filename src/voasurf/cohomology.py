@@ -10,8 +10,8 @@ canonical tuples of total weight m, and q_{n,m} counts those tuples.
 A source is therefore a tuple, not a value: the rank path runs tuples
 -> recursion images -> sparse columns -> exact integer elimination,
 and never evaluates the brute-force oracle.  Columns are vectorized
-images on a fixed monomial window; the one dense step left is the
-chain-condition kernel, by Gaussian elimination on its columns.
+images on a fixed monomial window, and the ranks and the
+chain-condition kernel come out of one sparse integer elimination.
 
 All dimension claims are certified within the window only.  A kernel
 vector says "the image vanishes on every monomial we can see"; a
@@ -249,21 +249,6 @@ class CoboundaryMatrix:
         return len(self.columns) - self.rank
 
 
-def _densify(columns) -> list:
-    """The columns as dense rows over their nonzero row support, in
-    sorted monomial order, so kernels never see all-zero rows."""
-    ncols = len(columns)
-    if ncols == 0:
-        return []
-    row_keys = sorted(set().union(*columns))
-    if not row_keys:
-        # no visible constraints at all: one zero row keeps the
-        # column count (and hence kernels) intact
-        return [[Fraction(0)] * ncols]
-    return [[col.get(key, Fraction(0)) for col in columns]
-            for key in row_keys]
-
-
 def target_slice(direction: ReductionDirection,
                  src: GradedSlice) -> GradedSlice:
     return GradedSlice(src.genus, src.n + 1,
@@ -310,9 +295,10 @@ class ChainReport:
     """Kernel of a double reduction step on a slice.
 
     ``kernel`` spans the combinations of basis tuples whose double
-    image vanishes on the window: the certified part of the degenerate
-    set at this level.  Vectors outside it are refuted; vanishing
-    beyond the window is never asserted.
+    image vanishes on the window, as primitive int vectors aligned with
+    the basis: the certified part of the degenerate set at this level.
+    Vectors outside it are refuted; vanishing beyond the window is
+    never asserted.
     """
 
     dir1: ReductionDirection
@@ -363,7 +349,7 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
         g = reduce_step(dir1, fn)
         columns.append({} if g.is_zero()
                        else tgt.vectorize(reduce_step(dir2, g)))
-    kernel = tuple(tuple(v) for v in kernel_basis(_densify(columns)))
+    kernel = tuple(kernel_basis(columns))
     return ChainReport(dir1, dir2, src, tgt, columns, kernel)
 
 
@@ -475,17 +461,11 @@ def _support(v: GradedVector) -> tuple:
 
 
 def xi_sign(xi, v: GradedVector) -> Fraction:
-    """Look up the sign for a state.  ``xi`` may be None (all +1), a
-    dict keyed by state support, or a callable.  Signs attach to the
-    support so that flipping a state does not flip its sign; that is
-    what makes the double mutation close up."""
-    if xi is None:
-        s = 1
-    elif callable(xi):
-        s = xi(v)
-    else:
-        s = xi.get(_support(v), 1)
-    s = Fraction(s)
+    """Look up the sign for a state.  ``xi`` may be None (all +1) or a
+    dict keyed by state support.  Signs attach to the support so that
+    flipping a state does not flip its sign; that is what makes the
+    double mutation close up."""
+    s = Fraction(1 if xi is None else xi.get(_support(v), 1))
     if s * s != 1:
         raise ValueError(f"xi sign must square to 1, got {s}")
     return s

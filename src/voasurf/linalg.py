@@ -1,18 +1,23 @@
-"""Exact linear algebra: sparse integer ranks and dense Fraction RREF.
+"""Exact linear algebra: one sparse fraction-free elimination.
 
-``rank`` takes sparse columns, dicts ``{row_key: rational}``, and
-eliminates fraction-free over the integers without densifying: every
-step is an integer operation invertible over Q, so the rank is exact.
-``row_echelon``, ``kernel_basis`` and ``inverse`` work on dense
-matrices, lists of row lists of Fractions.  Pivoting is deterministic
-everywhere (the first candidate in column order), so ranks, kernels
-and echelon forms are reproducible across runs.
+``rank`` and ``kernel_basis`` take sparse columns, dicts
+``{row_key: rational}``, scale each to integers by the lcm of its
+denominators and share one elimination over the integers,
+``_eliminate``: every step is invertible over Q, so ranks and kernels
+are exact.  Pivoting is deterministic (row keys in sorted order, the
+first holder of a key as the pivot), so results are reproducible.
+
+``row_echelon`` and ``inverse``, dense Fraction Gauss-Jordan, have no
+caller in the package; the tests keep them as independent oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+# the key of a kernel tag entry, (_TAG, column index); never a row key
+_TAG = object()
 
 
 def row_echelon(matrix):
@@ -46,24 +51,27 @@ def _primitive(vec: dict) -> dict:
     return {k: x // g for k, x in vec.items()} if g > 1 else vec
 
 
-def rank(columns) -> int:
-    """Exact rank of sparse rational columns ``{row_key: value}``.
+def _scaled(col: dict) -> tuple:
+    """(den, den * col) for den the lcm of the column's denominators,
+    the scaled column as ints with its zeros dropped."""
+    den = lcm(*(x.denominator for x in col.values()))
+    return den, {k: x.numerator * (den // x.denominator)
+                 for k, x in col.items() if x}
 
-    Each column is scaled by the lcm of its denominators (the rank does
-    not change).  Row keys are taken in sorted order; at each key the
-    first remaining vector holding it is the pivot, and every other
-    holder r becomes (p/g)*r - (a/g)*pivot with g = gcd(p, a), divided
-    by the gcd of its entries.
+
+def _eliminate(vectors, keys) -> tuple:
+    """Fraction-free elimination of primitive integer vectors on
+    ``keys``, taken in order.
+
+    At each key the first remaining vector holding it is the pivot,
+    and every other holder r becomes (p/g)*r - (a/g)*pivot with
+    g = gcd(p, a), divided by the gcd of its entries; a vector that
+    reaches zero is dropped.  Entries under keys outside ``keys`` are
+    carried along.  Returns (pivot count, leftover vectors): the
+    leftovers vanish on every key of ``keys``.
     """
-    vectors = []
-    for col in columns:
-        den = lcm(*(x.denominator for x in col.values()))
-        vec = {k: x.numerator * (den // x.denominator)
-               for k, x in col.items() if x}
-        if vec:
-            vectors.append(_primitive(vec))
     count = 0
-    for key in sorted(set().union(*vectors)):
+    for key in keys:
         pivot = next((v for v in vectors if key in v), None)
         if pivot is None:
             continue
@@ -89,24 +97,33 @@ def rank(columns) -> int:
                 vec = _primitive(vec)
             rest.append(vec)
         vectors = rest
-    return count
+    return count, vectors
 
 
-def kernel_basis(matrix):
-    """Basis of the right kernel, one vector per free column."""
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    ech, pivots, _ = row_echelon(matrix)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -ech[r][f]
-        basis.append(vec)
-    return basis
+def rank(columns) -> int:
+    """Exact rank of sparse rational columns ``{row_key: value}``."""
+    vectors = [_primitive(vec) for _, vec in map(_scaled, columns) if vec]
+    return _eliminate(vectors, sorted(set().union(*vectors)))[0]
+
+
+def kernel_basis(columns) -> list:
+    """Basis of the rational relations among sparse columns, as tuples
+    of ints aligned with the columns, each primitive.
+
+    Column j enters tagged with den_j under (_TAG, j), den_j the scale
+    that makes it integral, so every vector is sum_j c_j * column_j on
+    its row keys and c_j on its tags.  The vectors left once every row
+    key is eliminated are zero on the rows: their tags are the kernel,
+    one vector per column that did not pivot.
+    """
+    vectors = []
+    for j, col in enumerate(columns):
+        den, vec = _scaled(col)
+        vec[_TAG, j] = den
+        vectors.append(_primitive(vec))
+    _, rest = _eliminate(vectors, sorted(set().union(*columns)))
+    return [tuple(vec.get((_TAG, j), 0) for j in range(len(columns)))
+            for vec in rest]
 
 
 def inverse(matrix):
@@ -118,4 +135,3 @@ def inverse(matrix):
     if r < n or pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in ech[:n]]
-

@@ -21,8 +21,10 @@ insertion family into Zhu's square-bracket v[m] P_{m+1} term.
 Each recursion node collects its shifted, scaled sibling values and
 sums them in one ``sum_shifted`` call.  The genus-1 leaf traces and
 geometric factors are ints, so that recursion does no Fraction
-arithmetic; the reduce steps hand out Fractions.  The oracles add with
-``+`` and share no summation code with the recursions.
+arithmetic; the reduce steps hand out Fractions.  The oracles add each
+coefficient straight into one dict (at genus 1, coefficient times the
+int trace count of a word) and share no summation code with the
+recursions.
 
 Conventions:
 
@@ -427,19 +429,6 @@ def _trace_counts(word, q_order: int) -> dict:
     return counts
 
 
-def _trace_word(word, q_order: int, memo=None,
-                qvar: str = "q") -> MultiSeries:
-    """Tr_V(word q^{L(0)}) as a series in ``qvar`` with Fraction
-    coefficients."""
-    key = ("tr", word, q_order, qvar)
-    if memo is not None and key in memo:
-        return memo[key]
-    out = TruncatedSeries(qvar, 0, q_order, _trace_counts(word, q_order))
-    if memo is not None:
-        memo[key] = out
-    return out
-
-
 def genus1_direct(insertions, q_order: int, window) -> CorrelationFn:
     """Tr_V(Y(q_1^{L(0)} v_1, q_1) ... q^{L(0) - c/24}) in the
     variables q_{z_i} and q, by enumerating exponent tuples in the box.
@@ -456,8 +445,10 @@ def genus1_direct(insertions, q_order: int, window) -> CorrelationFn:
     q_order = int(q_order)
 
     var_order = sorted(point_var(1, p) for p in points)
-    acc = {}
-    memo = {}
+    all_vars = tuple(sorted(var_order + ["q"]))
+    qpos = all_vars.index("q")
+    coeffs = {}
+    traces = {}
     for coef, row in _basis_expansions(insertions):
 
         def rec(i, exps, shift):
@@ -466,15 +457,13 @@ def genus1_direct(insertions, q_order: int, window) -> CorrelationFn:
                     return
                 word = tuple((s, weight(s) - e - 1)
                              for (s, _), e in zip(row, exps))
-                tr = _trace_word(word, q_order, memo)
-                if tr.is_zero():
-                    return
+                if word not in traces:
+                    traces[word] = _trace_counts(word, q_order)
                 keyed = dict(zip([point_var(1, p) for _, p in row], exps))
                 key = tuple(keyed[v] for v in var_order)
-                if key in acc:
-                    acc[key] = acc[key] + tr * coef
-                else:
-                    acc[key] = tr * coef
+                for m, t in traces[word].items():
+                    k = key[:qpos] + (m,) + key[qpos:]
+                    coeffs[k] = coeffs.get(k, 0) + coef * t
                 return
             rest = len(row) - i - 1
             for e in range(lo, hi + 1):
@@ -483,13 +472,6 @@ def genus1_direct(insertions, q_order: int, window) -> CorrelationFn:
 
         rec(0, [], 0)
 
-    all_vars = tuple(sorted(var_order + ["q"]))
-    qpos = all_vars.index("q")
-    coeffs = {}
-    for key, tr in acc.items():
-        for (qe,), c in tr.c.items():
-            if c:
-                coeffs[key[:qpos] + (qe,) + key[qpos:]] = c
     value = MultiSeries(all_vars, _genus1_box(var_order, window, q_order),
                         coeffs)
     return CorrelationFn(genus=1, insertions=insertions, value=value,
@@ -647,11 +629,12 @@ def genus1_onepoint(v: GradedVector, q_order: int,
     """Tr(o(v) q^{L(0)}) in ``qvar`` (no c/24 tag), traced over the Fock
     basis: the oracle of ``elliptic.onepoint_hafnian``, which the sewing
     sums use.  No library code calls it; the benchmark tracer names it."""
-    out = TruncatedSeries(qvar, 0, int(q_order))
+    q_order = int(q_order)
+    coeffs = {}
     for s, c in v.t.items():
-        word = ((s, weight(s) - 1),)
-        out = out + _trace_word(word, int(q_order), qvar=qvar) * c
-    return out
+        for m, t in _trace_counts(((s, weight(s) - 1),), q_order).items():
+            coeffs[m] = coeffs.get(m, 0) + c * t
+    return TruncatedSeries(qvar, 0, q_order, coeffs)
 
 
 _GENUS_ERROR = "unwinding is defined at genus 0 and 1"

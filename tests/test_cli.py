@@ -458,6 +458,21 @@ class TestCommandContent:
         assert code == 0
         assert payload["coordinates"] == ["5", "2"]
 
+    def test_schottky_partition_is_cut_by_weight_alone(self, capsys):
+        # the handle sum reads no rho order or matrix cutoff, so neither
+        # is a flag; the payload reports the surface truncations used
+        code, out, err = run(
+            ["schottky", "partition", "-g", "1", "--weight-cutoff", "2"],
+            capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["rho_order"] == 2 and payload["matrix_cutoff"] == 4
+        assert max(t["exponents"][0] for t in payload["series"]["terms"]) == 2
+        for flag in (["--rho-order", "1"], ["-N", "4"]):
+            code, out, err = run(["schottky", "partition", "-g", "1",
+                                  "--weight-cutoff", "2", *flag], capsys)
+            assert code == 2 and "unrecognized arguments" in err
+
     def test_genus2_partition_reports_prefactor_shift(self, capsys):
         code, out, err = run(
             ["genus2", "partition", "--eps-order", "2", "--q1-order", "3",

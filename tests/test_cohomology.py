@@ -13,6 +13,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,30 @@ def oracle_rank(rows):
 def dense_from_columns(columns):
     keys = sorted({k for col in columns for k in col})
     return [[col.get(k, Fraction(0)) for col in columns] for k in keys]
+
+
+def annihilates(vec, columns):
+    acc = {}
+    for c, col in zip(vec, columns):
+        for k, v in col.items():
+            acc[k] = acc.get(k, Fraction(0)) + c * v
+    return all(v == 0 for v in acc.values())
+
+
+def oracle_kernel(columns):
+    """The kernel by dense Gauss-Jordan: one Fraction vector per free
+    column of the reduced echelon form."""
+    n = len(columns)
+    ech, pivots, _ = linalg.row_echelon(
+        dense_from_columns(columns) or [[Fraction(0)] * n])
+    kernel = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -ech[r][f]
+        kernel.append(vec)
+    return kernel
 
 
 def oracle_functions(s):
@@ -215,14 +240,9 @@ class TestCoboundary:
     def test_kernel_vectors_annihilate_columns(self):
         s = GradedSlice(1, 2, 2, window=(-3, 3), q_order=3)
         cb = build_coboundary((A, "w"), s)
-        kernel = linalg.kernel_basis(dense_from_columns(cb.columns))
+        kernel = linalg.kernel_basis(cb.columns)
         assert len(kernel) == cb.kernel_dim
-        for vec in kernel:
-            acc = {}
-            for c, col in zip(vec, cb.columns):
-                for k, v in col.items():
-                    acc[k] = acc.get(k, Fraction(0)) + c * v
-            assert all(v == 0 for v in acc.values())
+        assert all(annihilates(vec, cb.columns) for vec in kernel)
 
     @settings(max_examples=20, deadline=None)
     @given(st.fractions(min_value=-6, max_value=6, max_denominator=4),
@@ -321,6 +341,29 @@ class TestSparseRank:
         dense = dense_from_columns(columns)
         assert linalg.rank(columns) == linalg.row_echelon(dense)[2]
 
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_columns())
+    def test_kernel_basis_primitive_int_relations(self, columns):
+        kernel = linalg.kernel_basis(columns)
+        assert len(kernel) == len(columns) - linalg.rank(columns)
+        for vec in kernel:
+            assert len(vec) == len(columns)
+            assert all(type(x) is int for x in vec)
+            assert gcd(*vec) == 1
+            assert annihilates(vec, columns)
+        assert oracle_rank(kernel) == len(kernel)
+
+    def test_kernel_basis_scales_rational_columns(self):
+        # the relation between a column and its rational multiple needs
+        # the multiple's denominator: 3 * (1/3, 2/3) = (1, 2)
+        cols = [{(0,): 1, (1,): 2},
+                {(0,): Fraction(1, 3), (1,): Fraction(2, 3)},
+                {}]
+        kernel = linalg.kernel_basis(cols)
+        assert sorted([abs(x) for x in v] for v in kernel) == \
+            [[0, 0, 1], [1, 3, 0]]
+        assert linalg.kernel_basis([]) == []
+
     def test_integer_and_rational_entries(self):
         assert linalg.rank([]) == 0
         assert linalg.rank([{}, {(0,): 0}]) == 0
@@ -372,12 +415,47 @@ class TestChainCondition:
         rep = chain_condition_check((A, "w2"), (A, "w1"), s)
         dense = dense_from_columns(rep.columns)
         assert rep.kernel_dim == s.dim - oracle_rank(dense)
-        for vec in rep.kernel:
-            acc = {}
-            for c, col in zip(vec, rep.columns):
-                for k, v in col.items():
-                    acc[k] = acc.get(k, Fraction(0)) + c * v
-            assert all(v == 0 for v in acc.values())
+        assert all(annihilates(vec, rep.columns) for vec in rep.kernel)
+
+    @pytest.mark.parametrize("genus,n,m,window,first,second", [
+        (1, 1, 0, (-3, 3), VAC, VAC),
+        (1, 0, 0, (-4, 4), A, A),
+        (1, 0, 0, (-4, 4), A, OMEGA),
+        (1, 0, 0, (-4, 4), A, VAC),
+        (1, 1, 2, (-2, 2), A, A),
+        (1, 1, 2, (-3, 3), A, A),
+        (1, 1, 2, (-4, 4), A, A),
+        (0, 1, 2, (-3, 3), A, A),
+        (0, 2, 2, (-3, 3), A, A),
+        (0, 2, 2, (-3, 3), A2, OMEGA),
+        (1, 2, 2, (-2, 2), A, A),
+        (1, 1, 3, (-3, 3), A, OMEGA),
+    ])
+    def test_kernel_spans_the_dense_oracle_kernel(self, genus, n, m, window,
+                                                  first, second):
+        s = GradedSlice(genus, n, m, window=window, q_order=3)
+        rep = chain_condition_check((second, "w2"), (first, "w1"), s)
+        oracle = oracle_kernel(rep.columns)
+        assert rep.kernel_dim == len(oracle)
+        assert all(annihilates(vec, rep.columns) for vec in rep.kernel)
+        # same dimension and a joint rank no larger: the same span
+        assert oracle_rank(list(rep.kernel) + oracle) == len(oracle)
+
+    def test_no_dense_echelon_on_any_rank_or_kernel(self, monkeypatch):
+        echelons = []
+        echelon = linalg.row_echelon
+
+        def counted_echelon(matrix):
+            echelons.append(len(matrix))
+            return echelon(matrix)
+
+        monkeypatch.setattr(linalg, "row_echelon", counted_echelon)
+        kw = dict(window=(-3, 3), q_order=3)
+        cohomology_rank(2, 2, 1, (A, "w"), **kw)
+        euler_poincare(2, 3, 1, (A, "w"), **kw)
+        rep = chain_condition_check((A, "w2"), (A, "w1"),
+                                    GradedSlice(1, 1, 2, **kw))
+        assert rep.columns and echelons == []
 
     def test_kernel_window_monotone(self):
         # a larger window can only refute more combinations
@@ -449,21 +527,16 @@ class TestCohomologyRank:
     def test_one_elimination_per_coboundary(self, monkeypatch):
         # ranks and nullities come from one sparse rank elimination per
         # nonempty coboundary, and no kernel vectors are built for a
-        # count (no dense echelon form at all)
-        calls, echelons = [], []
+        # count
+        calls = []
         sparse_rank = cohomology.rank
-        echelon = linalg.row_echelon
 
         def counted(columns):
             calls.append(len(columns))
             return sparse_rank(columns)
 
-        def counted_echelon(matrix):
-            echelons.append(len(matrix))
-            return echelon(matrix)
-
         monkeypatch.setattr(cohomology, "rank", counted)
-        monkeypatch.setattr(linalg, "row_echelon", counted_echelon)
+        monkeypatch.setattr(cohomology, "kernel_basis", None)
         kw = dict(window=(-3, 3), q_order=3)
         cohomology_rank(2, 2, 1, (A, "w"), **kw)
         assert len(calls) == 2 and all(calls)
@@ -473,7 +546,6 @@ class TestCohomologyRank:
         euler_poincare(2, 3, 1, (A, "w"), **kw)
         assert len(calls) == 3
         assert len([n for n in calls if n]) == 2
-        assert echelons == []
 
     def test_boundary_states_thread_through(self):
         # m=0 puts the vacuum at z1; the image <a, Y(a,w)Y(1,z1) 1> is
@@ -608,13 +680,14 @@ class TestClusterMutation:
         with pytest.raises(ValueError):
             cluster_mutate(seed, 1, -1)
         with pytest.raises(ValueError, match="square"):
-            cluster_mutate(seed, 1, 0, xi=lambda v: 2)
+            cluster_mutate(seed, 1, 0, xi={((1,),): 2})
 
     def test_xi_sign_lookup(self):
         assert xi_sign(None, A) == 1
         assert xi_sign({((1,),): -1}, A) == -1
         assert xi_sign({((1,),): -1}, -3 * A) == -1
-        assert xi_sign(lambda v: -1, OMEGA) == -1
+        assert xi_sign({((1,),): -1}, OMEGA) == 1
+        assert xi_sign({((1, 1),): -1}, OMEGA) == -1
 
     def test_describe_direction(self):
         assert describe_direction(direction(A, "z")) == "a[-1]|1@z"

@@ -301,7 +301,7 @@ class TestPartitionFunction:
             raise AssertionError("z2_partition built a Fock state or trace")
 
         for module, name in ((voa, "dual_basis"), (voa, "square_fock"),
-                             (reduction, "_trace_word")):
+                             (reduction, "_trace_counts")):
             monkeypatch.setattr(module, name, refuse)
         moduli = SewingModuli(8, 8, 6, 12)
         z2 = z2_partition(moduli)
@@ -423,8 +423,7 @@ class TestReduce:
             raise AssertionError("genus2_reduce traced the Fock space")
 
         Z2 = z2_partition(MOD)
-        for module, name in ((reduction, "_trace_word"),
-                             (reduction, "_trace_counts"),
+        for module, name in ((reduction, "_trace_counts"),
                              (reduction, "genus1_onepoint"),
                              (voa, "dual_basis")):
             monkeypatch.setattr(module, name, refuse)
