@@ -38,6 +38,12 @@ from .series import MultiSeries
 # when --coordinates is not given.
 DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
 
+# Largest --k that elliptic eisenstein accepts.  The Bernoulli number
+# B_k and the printed digits both grow with k: on a 2-core machine
+# (Python 3.11) --order 1 takes 0.6 s at 1600, 1.2 s at 2000 and 3.6 s at
+# 3000.
+EISENSTEIN_INDEX_BUDGET = 2000
+
 # Largest --zorder + --qorder that elliptic pm accepts.  The kernel
 # needs E_k for m <= k <= zorder + m, each to q-order, so work and output
 # grow with both: on a 2-core machine (Python 3.11) the worst split at
@@ -158,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     eis = ell_sub.add_parser("eisenstein", parents=[common],
                              help="E_k(q) expansion")
     eis.add_argument("--k", type=_positive_int, required=True,
-                     help="Eisenstein index (even, at least 2)")
+                     help="Eisenstein index (even, at least 2; at most "
+                          f"{EISENSTEIN_INDEX_BUDGET})")
     eis.add_argument("--order", type=_positive_int, default=10,
                      help="q truncation order (default 10)")
     eis.set_defaults(command="elliptic eisenstein")
@@ -421,6 +428,8 @@ def _emit(payload: dict, ns: argparse.Namespace):
 
 
 def _run_eisenstein(ns: argparse.Namespace):
+    _check_budget("--k", ns.k, "index", EISENSTEIN_INDEX_BUDGET,
+                  "elliptic eisenstein")
     from .elliptic import eisenstein
 
     ts = eisenstein(ns.k, ns.order)

@@ -19,12 +19,17 @@ sum_m v[m] x^m/m! = sum_i C(wt v - 1 + x, i) v(i) at x = -d turns the
 insertion family into Zhu's square-bracket v[m] P_{m+1} term.
 
 Each recursion node collects its shifted, scaled sibling values and
-sums them in one ``sum_shifted`` call.  The genus-1 leaf traces and
-geometric factors are ints, so that recursion does no Fraction
-arithmetic; the reduce steps hand out Fractions.  The oracles add each
-coefficient straight into one dict (at genus 1, coefficient times the
-int trace count of a word) and share no summation code with the
-recursions.
+sums them in one ``sum_shifted`` call, which also expands each
+1/(1 - q^{-d}) factor in place.  The genus-0 recursion carries its
+boundaries as sparse dicts: u, and u' as its pairing functional
+phi(b) = <u', b>, pulled back through the integral mode table.  No
+step divides, so with integral boundaries both recursions sum ints
+from their int leaves (a pairing at genus 0, a trace count at genus 1)
+up; a rational boundary coefficient stays an exact Fraction.  The
+reduce steps hand out Fractions.  The oracles add each coefficient
+straight into one dict (at genus 0 through the bilinear form, at
+genus 1 coefficient times the int trace count of a word) and share no
+summation code with the recursions.
 
 Conventions:
 
@@ -60,14 +65,13 @@ from .series import MultiSeries, TruncatedSeries, sum_shifted
 from .voa import (
     CENTRAL_CHARGE,
     GradedVector,
+    _norm,
     _vertex_mode_basis,
-    adjoint_boundary_state,
     basis,
     bilinear_form,
     gbinom,
     render_state,
     vacuum,
-    vertex_mode,
     weight,
 )
 
@@ -294,47 +298,71 @@ def _assemble_genus0(insertions, acc, window, uprime, u, operator_word=()):
 # -- genus 0: the reduction recursion -----------------------------------
 
 
-def _g0_value(row, uprime, u, window, memo) -> MultiSeries:
+def _pull_back(s: tuple, k: int, phi: dict) -> dict:
+    """The pairing functional b -> phi(s(k) b) of a sparse functional
+    {state: phi(state)}, read off the integral mode table.  s(k) maps
+    weight wt b to wt b + wt s - k - 1, so b runs over the weights that
+    land on phi's support."""
+    out = {}
+    for w in {weight(t) for t in phi}:
+        for b in basis(w - weight(s) + k + 1):
+            c = sum(tc * phi.get(ts, 0)
+                    for ts, tc in _vertex_mode_basis(s, k, b))
+            if c:
+                out[b] = c
+    return out
+
+
+def _g0_value(row, phi, u, window, memo) -> MultiSeries:
     """The recursion on basis-state insertion rows.
+
+    The boundaries are sparse {state: coefficient} dicts: u itself, and
+    u' as its pairing functional phi(b) = <u', b>, which the orthogonal
+    round basis makes c'_b <b, b>.  Both hold ints unless a boundary
+    coefficient is rational, so on integral boundaries no step divides.
 
     The head operator Y(v, z) = sum_j v(j) z^{-j-1} is split three
     ways: modes carried to u (j >= 0, finitely many by annihilation),
-    modes carried to u' (j < 0, finitely many by the weight of u'),
-    and the commutators picked up while passing each remaining
-    insertion, which resum against the kernel
+    modes carried to u' (j < 0, finitely many by the weight of u'; phi
+    is pulled back through v(j)), and the commutators picked up while
+    passing each remaining insertion, which resum against the kernel
     sum_{j >= m} C(j, m) z^{-j-1} z_k^{j-m}.  Only the kernel tail is
     infinite; it is cut by the window of z, and the partner variable's
     box is inflated downward so the shifts stay exact on the box.
     """
-    if uprime.is_zero() or u.is_zero():
-        return MultiSeries((), {})
+    out = MultiSeries((), {})
+    if not phi or not u:
+        return out
     if not row:
-        return MultiSeries.constant(bilinear_form(uprime, u))
-    key = (row, uprime.key(), u.key(), tuple(sorted(window.items())))
+        val = sum(c * phi.get(s, 0) for s, c in u.items())
+        if val:
+            out.c[()] = val
+        return out
+    key = (row, tuple(sorted(phi.items())), tuple(sorted(u.items())),
+           tuple(sorted(window.items())))
     if key in memo:
         return memo[key]
 
     (vs, z), rest = row[0], row[1:]
     wv = weight(vs)
     lo_z, _ = window[z]
-    v = GradedVector.basis_state(vs)
     sub = _sub_window(window, rest)
     terms = []
 
     # v(j) carried through to u, j >= 0
-    for j in range(0, wv + max(u.weights())):
-        nxt = vertex_mode(v, j, u)
-        if nxt.is_zero():
+    for j in range(0, wv + max(map(weight, u))):
+        nxt = _apply_basis_mode(vs, j, u)
+        if not nxt:
             continue
-        sib = _g0_value(rest, uprime, nxt, sub, memo)
+        sib = _g0_value(rest, phi, nxt, sub, memo)
         terms.append((sib, {z: -j - 1}, 1))
 
     # v(j) carried through to u', j < 0
-    for j in range(-1, wv - max(uprime.weights()) - 2, -1):
-        adj = adjoint_boundary_state(v, j, uprime)
-        if adj.is_zero():
+    for j in range(-1, wv - max(map(weight, phi)) - 2, -1):
+        pulled = _pull_back(vs, j, phi)
+        if not pulled:
             continue
-        sib = _g0_value(rest, adj, u, sub, memo)
+        sib = _g0_value(rest, pulled, u, sub, memo)
         terms.append((sib, {z: -j - 1}, 1))
 
     # commutators against each remaining insertion
@@ -348,7 +376,7 @@ def _g0_value(row, uprime, u, window, memo) -> MultiSeries:
             wk = _sub_window(window, rest, {zk: (lo_k - (jmax - m), hi_k)})
             for bs, bc in repl:
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
-                sib = _g0_value(sib_row, uprime, u, wk, memo)
+                sib = _g0_value(sib_row, phi, u, wk, memo)
                 if sib.is_zero():
                     continue
                 for j in range(m, jmax + 1):
@@ -358,6 +386,11 @@ def _g0_value(row, uprime, u, window, memo) -> MultiSeries:
     out = sum_shifted(terms)
     memo[key] = out
     return out
+
+
+def _exact(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def genus0_reduce(direction: ReductionDirection,
@@ -371,6 +404,8 @@ def genus0_reduce(direction: ReductionDirection,
     insertions = (ins,) + F.insertions
     _check_distinct(insertions)
     uprime, u = F.boundary_states
+    phi = {s: _exact(c * _norm(s)) for s, c in uprime.t.items()}
+    ket = {s: _exact(c) for s, c in u.t.items()}
     # widen the innermost variable so the margin band below the box is
     # exact and usable by the window check
     inner = {i.point: F.window for i in insertions}
@@ -381,8 +416,7 @@ def genus0_reduce(direction: ReductionDirection,
     acc = {}
     memo = {}
     for coef, row in _basis_expansions(insertions):
-        val = _g0_value(row, uprime, u,
-                        {p: inner[p] for _, p in row}, memo)
+        val = _g0_value(row, phi, ket, {p: inner[p] for _, p in row}, memo)
         ext = val.extended_to([p for _, p in row])
         for exps, c in ext.c.items():
             keyed = dict(zip(ext.vars, exps))
@@ -487,25 +521,6 @@ def _genus1_box(var_order, window, q_order) -> dict:
 # -- genus 1: the reduction recursion -----------------------------------
 
 
-def _int_q_series(counts, q_order: int) -> MultiSeries:
-    """The q-series sum_m counts[m] q^m on (0, q_order), keeping the int
-    coefficients that the constructor would coerce."""
-    out = MultiSeries(("q",), {"q": (0, q_order)})
-    out.c = {(m,): c for m, c in counts.items()}
-    return out
-
-
-@lru_cache(maxsize=None)
-def _geom_inv(d: int, q_order: int) -> MultiSeries:
-    """1/(1 - q^{-d}) as a q-series with nonnegative exponents and int
-    coefficients."""
-    if d > 0:
-        counts = dict.fromkeys(range(d, q_order + 1, d), -1)
-    else:
-        counts = dict.fromkeys(range(0, q_order + 1, -d), 1)
-    return _int_q_series(counts, q_order)
-
-
 @lru_cache(maxsize=None)
 def _zhu_binomials(wv: int, i: int, lo: int, hi: int) -> tuple:
     """The pairs (d, C(wv - 1 - d, i)) for d != 0 in [lo, hi] whose
@@ -532,7 +547,9 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     if key in memo:
         return memo[key]
     if not row:
-        out = _int_q_series(_trace_counts(front, q_order), q_order)
+        # the int trace counts, which the constructor would coerce
+        out = MultiSeries(("q",), {"q": (0, q_order)})
+        out.c = {(m,): c for m, c in _trace_counts(front, q_order).items()}
         memo[key] = out
         return out
 
@@ -571,8 +588,8 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
                 if sib.is_zero():
                     continue
                 for d, c in _zhu_binomials(wv, i, lo_z, hi_z):
-                    terms.append((sib * _geom_inv(d, q_order),
-                                  {qz: d, qk: -d}, c * bc))
+                    terms.append((sib, {qz: d, qk: -d}, c * bc,
+                                  (d, q_order)))
 
     # commutators with the front word
     for t, (fs, fk) in enumerate(front):
@@ -584,8 +601,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
                     sib = _g1_value(nf, rest, sub, q_order, memo)
                     if sib.is_zero():
                         continue
-                    terms.append((sib * _geom_inv(d, q_order), {qz: d},
-                                  c * bc))
+                    terms.append((sib, {qz: d}, c * bc, (d, q_order)))
 
     out = sum_shifted(terms)
     memo[key] = out

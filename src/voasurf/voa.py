@@ -34,9 +34,10 @@ Python ints only, and the graded traces built on it sum ints.  Its
 own recursion computes the closed-form rows on the spot (``_row``)
 and does not cache them.
 Both the round and the square-bracket Fock bases are orthogonal for
-the form, with the same norms <lam, lam> (``_norm``).  Fractions enter
-only at the boundaries: the coefficients of a ``GradedVector`` (user
-states and the dual-basis norms 1/<lam, lam>) and the square-bracket
+the form, with the same norms <lam, lam> (``_norm``), which are ints.
+Fractions enter only through the coefficients of a ``GradedVector``
+(user states, and the dual vectors lam/<lam, lam> of ``dual_basis``
+that the Schottky handle sums read) and the square-bracket
 coefficients of ``_cyl_coeff``.
 """
 
@@ -405,23 +406,6 @@ def dual_basis(m: int):
     v a round basis state; the basis is orthogonal with norms ``_norm``."""
     return [(GradedVector.basis_state(s),
              GradedVector({s: Fraction(1, _norm(s))})) for s in basis(m)]
-
-
-def adjoint_boundary_state(v: GradedVector, j: int,
-                           uprime: GradedVector) -> GradedVector:
-    """The state w' with <w', y> = <u', v(j) y> for all y.  The round
-    basis is orthogonal, so the coefficient of w' at a basis state b is
-    <u', v(j) b> / <b, b>."""
-    out = GradedVector()
-    for r in v.weights():
-        vr = v.weight_component(r)
-        for wu in uprime.weights():
-            for b in basis(wu - r + j + 1):
-                y = vertex_mode(vr, j, GradedVector.basis_state(b))
-                c = bilinear_form(uprime, y)
-                if c:
-                    out.accumulate(b, c / _norm(b))
-    return out
 
 
 # -- axiom checks -------------------------------------------------------

@@ -8,7 +8,8 @@ malformed values as well.  Whatever the line, the command must end
 with exit code 0, 1 or 2 and no exception may escape.  The pools stay
 small so that a command runs in milliseconds, and the flags that cost
 most at their defaults (mode windows, orders, trial counts) are always
-given.  ``golden`` and ``--output`` write files and are left out.
+given.  ``golden`` and ``--output`` write files and are left out here;
+``test_input_contract.TestHostileArgv`` runs them in a subprocess.
 """
 
 import io
@@ -50,7 +51,7 @@ def insertions(clean):
 # maps to its value pool, or to None for a switch
 COMMANDS = {
     ("elliptic", "eisenstein"): (
-        {"--k": pool(["2", "4", "6"], ["1", "3", "0", "x"]),
+        {"--k": pool(["2", "4", "6"], ["1", "3", "0", "x", "2002"]),
          "--order": ORDER}, {}),
     ("elliptic", "pm"): (
         {"--m": pool(["1", "2", "3"], ["0", "x"]), "--zorder": ORDER,

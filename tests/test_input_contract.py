@@ -70,6 +70,61 @@ class TestIntegerFlags:
         assert proc.stdout == ""
 
 
+class TestEisensteinBudget:
+    def test_index_over_budget_is_refused(self):
+        proc = run_cli("elliptic", "eisenstein", "--k", "2002",
+                       "--order", "1")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "--k is 2002, over the index budget 2000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_help_states_the_budget(self):
+        proc = run_cli("elliptic", "eisenstein", "--help")
+        assert proc.returncode == 0
+        assert "at most 2000" in proc.stdout
+
+
+# Hostile command lines, the file-writing ones among them, each pointed
+# into the test's own directory: "file" is a regular file there.
+HOSTILE_ARGV = {
+    "no_arguments": [],
+    "unknown_group": ["bogus", "--format", "xml"],
+    "golden_check_missing_dir": ["golden", "--check", "--dir", "{tmp}/none"],
+    "golden_dir_is_a_file": ["golden", "--dir", "{tmp}/file"],
+    "output_in_missing_dir": ["elliptic", "eisenstein", "--k", "2",
+                              "--output", "{tmp}/none/report.json"],
+    "output_is_a_directory": ["elliptic", "eisenstein", "--k", "2",
+                              "--output", "{tmp}"],
+    "eisenstein_over_budget": ["elliptic", "eisenstein", "--k", "3000",
+                               "--order", "1"],
+    "huge_index": ["elliptic", "pm", "--m", "99999999999999999999"],
+    "repeated_point": ["npoint", "--genus", "1", "--insertions",
+                       "a@z1,a@z1", "--output", "{tmp}/out.json"],
+    "direction_on_a_slice_point": ["cohomology", "rank", "-n", "1", "-m",
+                                   "1", "--direction", "a@z1"],
+    "zero_denominator_boundary": ["cohomology", "euler", "-m", "1", "-N",
+                                  "1", "--genus", "0", "--boundary",
+                                  "1/0*a,a"],
+    "rational_coordinate": ["schottky", "psi", "--p", "1", "-g", "2",
+                            "--coordinates", "1/0,1,2,3"],
+}
+
+
+class TestHostileArgv:
+    """The exit-code contract in a fresh interpreter, where a traceback
+    printed anywhere, not only inside ``parse_and_dispatch``, shows."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_ARGV))
+    def test_exit_code_in_contract_without_traceback(self, name, tmp_path):
+        (tmp_path / "file").write_text("")
+        argv = [a.format(tmp=tmp_path) for a in HOSTILE_ARGV[name]]
+        proc = run_cli(*argv)
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestSchottkyCoordinates:
     @pytest.mark.parametrize("coords", [(0, 1), (3, 1, 0, 2), ("0/5", 2)])
     def test_zero_coordinate_rejected(self, coords):

@@ -2,12 +2,13 @@
 
 In the round Fock basis every mode matrix is integral.  These tests pin
 that invariant on the cached table, check that the public GradedVector
-layer and the reduction steps still hand out Fractions while the
-genus-1 recursion sums ints inside, and compare the integer graded
-traces with a GradedVector/zero_mode trace written here, independently
-of the kernel in the library.  The table rows of states with several
+layer and the reduction steps still hand out Fractions while both
+recursions sum ints inside, and compare the integer graded traces with
+a GradedVector/zero_mode trace written here, independently of the
+kernel in the library.  The table rows of states with several
 generators are checked against their normally ordered products, built
-here from ``heisenberg_mode`` alone.
+here from ``heisenberg_mode`` alone, and the genus-0 boundary
+functional's pullback against the bilinear form.
 """
 
 from fractions import Fraction
@@ -21,7 +22,8 @@ from voasurf.genus2 import SewingModuli, _channel_sums
 from voasurf.reduction import (
     Insertion,
     ReductionDirection,
-    _geom_inv,
+    _g0_value,
+    _pull_back,
     _trace_counts,
     genus0_direct,
     genus0_reduce,
@@ -29,12 +31,13 @@ from voasurf.reduction import (
     genus1_onepoint,
     genus1_reduce,
 )
-from voasurf.series import MultiSeries, TruncatedSeries
+from voasurf.series import MultiSeries, TruncatedSeries, sum_shifted
 from voasurf.voa import (
     GradedVector,
     _norm,
     _vertex_mode_basis,
     basis,
+    bilinear_form,
     conformal_vector,
     generator,
     heisenberg_mode,
@@ -45,6 +48,8 @@ from voasurf.voa import (
     vertex_mode,
     zero_mode,
 )
+
+from test_series import geom_inv
 
 LOW_STATES = [s for m in range(5) for s in basis(m)]
 
@@ -213,9 +218,16 @@ class TestTraceKernel:
             assert all(type(c) is Fraction for c in value.c.values())
 
     def test_geometric_inverses_carry_ints(self):
+        # a (d, q_order) entry of sum_shifted expands 1/(1 - q^{-d}) in
+        # ints: on the constant 1 it is the geometric inverse itself
+        one = MultiSeries((), {})
+        one.c = {(): 1}
         for d in (-3, -1, 1, 2):
-            geom = _geom_inv(d, 6)
-            assert geom.c and all(type(c) is int for c in geom.c.values())
+            got = sum_shifted([(one, {}, 1, (d, 6))])
+            want = geom_inv(d, 6)
+            assert (got.vars, got.window) == (want.vars, want.window)
+            assert got.c == want.c
+            assert got.c and all(type(c) is int for c in got.c.values())
 
     @pytest.mark.parametrize("v", ["a[-2]|1", "omega", "omegatilde"])
     def test_double_zero_mode_trace(self, v):
@@ -262,3 +274,39 @@ class TestReductionValues:
             F = genus0_reduce(self.step(state, point), F)
         assert F.value.c
         assert all(type(c) is Fraction for c in F.value.c.values())
+
+
+class TestBoundaryFunctional:
+    """At genus 0 the left boundary u' enters the recursion as its
+    pairing functional phi(b) = <u', b>, an int dict on integral
+    boundaries, pulled back through the integral mode table."""
+
+    def test_pull_back_is_the_adjoint_mode(self):
+        # phi'(b) = <u', v(j) b> for every basis state b up to weight 6
+        for text in ("a[-2]a[-1]|1", "omega", "2/3*a[-2]|1 + a[-1]^2|1",
+                     "a[-3]|1 - 5*a[-1]^3|1"):
+            uprime = parse_state(text)
+            phi = {s: c * _norm(s) for s, c in uprime.t.items()}
+            integral = all(c.denominator == 1 for c in uprime.t.values())
+            if integral:
+                phi = {s: int(c) for s, c in phi.items()}
+            for vs in ((1,), (1, 1), (2, 1)):
+                v = GradedVector.basis_state(vs)
+                for j in range(-4, 3):
+                    pulled = _pull_back(vs, j, phi)
+                    for b in (b for m in range(7) for b in basis(m)):
+                        y = vertex_mode(v, j, GradedVector.basis_state(b))
+                        assert pulled.get(b, 0) == bilinear_form(uprime, y), \
+                            (text, vs, j, b)
+                    assert all(pulled.values())
+                    if integral:
+                        assert all(type(c) is int for c in pulled.values())
+
+    def test_vacuum_boundaries_store_ints(self):
+        row = (((1,), "z1"), ((1, 1), "z2"), ((2,), "z3"))
+        memo = {}
+        window = {"z1": (-3, 3), "z2": (-3, 3), "z3": (-5, 3)}
+        value = _g0_value(row, {(): 1}, {(): 1}, window, memo)
+        assert value.c and len(memo) > 1
+        for ms in memo.values():
+            assert all(type(c) is int for c in ms.c.values())

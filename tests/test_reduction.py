@@ -19,7 +19,6 @@ from voasurf.reduction import (
     Insertion,
     ReductionDirection,
     WindowError,
-    _geom_inv,
     cocycle_residual,
     genus0_direct,
     genus0_reduce,
@@ -37,6 +36,8 @@ from voasurf.voa import (
     parse_state,
     vacuum,
 )
+
+from test_series import geom_inv
 
 A = parse_state("a[-1]|1")
 A2 = parse_state("a[-2]|1")
@@ -165,6 +166,8 @@ BOUNDARY_PAIRS = [
     (A2, A2),
     (parse_state("a[-1]a[-1]|1"), A2),
     (parse_state("a[-2]a[-1]|1"), parse_state("a[-3]|1")),
+    # rational coefficients stay exact Fractions inside the recursion
+    (parse_state("2/3*a[-2]|1 + a[-1]^2|1"), parse_state("1/2*a")),
 ]
 
 INSERTION_ROWS = [
@@ -337,7 +340,7 @@ class TestGenus1Reduce:
     def test_zhu_kernel_slices_are_geometric_inverses(self, box, q_order):
         """The q_z^e slice of P_{m+1} is (-1)^{m+1} e^m/m! / (1 - q^e),
         windows included: the recursion's raw-mode term C(K, i) v(i)w
-        times _geom_inv(d) at d = -e is Zhu's v[m]w P_{m+1} term."""
+        times 1/(1 - q^{-d}) at d = -e is Zhu's v[m]w P_{m+1} term."""
         lo, hi = box
         for m in range(0, 7):
             kernel = weierstrass_p_qz(m + 1, box, q_order)
@@ -345,7 +348,7 @@ class TestGenus1Reduce:
                 if e == 0:
                     continue
                 got = kernel.coefficient_of("qz", e)
-                want = _geom_inv(-e, q_order) * Fraction(
+                want = geom_inv(-e, q_order) * Fraction(
                     (-1) ** (m + 1) * e ** m, factorial(m))
                 assert got == want, (m, e)
                 assert (got.vars, got.window) == (want.vars, want.window)

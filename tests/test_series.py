@@ -291,14 +291,58 @@ scale_strategy = st.one_of(st.integers(-3, 3), rational)
 term_strategy = st.tuples(multiseries(), shifts_strategy, scale_strategy)
 
 
+def geom_inv(d: int, q_order: int) -> MultiSeries:
+    """1/(1 - q^{-d}) as a q-series on (0, q_order) with int
+    coefficients: the factor that a ``(d, q_order)`` term entry of
+    ``sum_shifted`` stands for."""
+    out = MultiSeries(("q",), {"q": (0, q_order)})
+    if d > 0:
+        out.c = {(e,): -1 for e in range(d, q_order + 1, d)}
+    else:
+        out.c = {(e,): 1 for e in range(0, q_order + 1, -d)}
+    return out
+
+
 def fold_shifted(terms):
-    """The left fold of shift, scalar * and + from the empty series."""
+    """The left fold of the geometric product, shift, scalar * and +
+    from the empty series."""
     acc = MultiSeries((), {})
-    for ms, shifts, scale in terms:
+    for ms, shifts, scale, *geom in terms:
+        if geom:
+            ms = ms * geom_inv(*geom[0])
         for v, k in shifts.items():
             ms = ms.shift(v, k)
         acc = acc + ms * scale
     return acc
+
+
+def int_series(variables, window, coeffs) -> MultiSeries:
+    """A series holding the int coefficients that the constructor would
+    coerce to Fractions."""
+    out = MultiSeries(variables, window)
+    out.c = dict(coeffs)
+    return out
+
+
+Q_VARS = ("q", "x")
+geometric_strategy = st.tuples(st.integers(-3, 3).filter(bool),
+                               st.integers(0, 5))
+geometric_term_strategy = st.tuples(
+    multiseries(pool=Q_VARS),
+    st.dictionaries(st.sampled_from(Q_VARS), st.integers(-3, 3), max_size=2),
+    scale_strategy, geometric_strategy)
+
+# siblings of a geometric term: no q at all, q from 0 with and without a
+# horizon, and q support starting above 0
+GEOMETRIC_SIBLINGS = {
+    "no_q": int_series(("x",), {"x": (-2, 3)}, {(-2,): 3, (1,): -1}),
+    "q_exact": int_series(("q", "x"), {"q": (0, None), "x": (-1, 1)},
+                          {(0, 1): 2, (1, -1): 5}),
+    "q_horizon": int_series(("q",), {"q": (0, 4)},
+                            {(0,): 1, (2,): -2, (4,): 7}),
+    "q_above_0": int_series(("q", "x"), {"q": (2, 7), "x": (0, 0)},
+                            {(2, 0): 4, (3, 0): -3, (7, 0): 1}),
+}
 
 
 class TestSumShiftedAgainstTheFold:
@@ -352,6 +396,35 @@ class TestSumShiftedAgainstTheFold:
         got = sum_shifted([(ms, {"q": 1, "x": -1}, 3), (ms, {}, -1)])
         assert got.c == {(0, 0): -2, (1, -1): 6, (2, 0): -5, (3, -1): 15}
         assert all(type(c) is int for c in got.c.values())
+
+    @given(st.lists(st.one_of(term_strategy, geometric_term_strategy),
+                    max_size=4))
+    @settings(max_examples=80)
+    def test_geometric_terms(self, terms):
+        assert_same(sum_shifted(terms), fold_shifted(terms))
+
+    @pytest.mark.parametrize("sibling", sorted(GEOMETRIC_SIBLINGS))
+    @pytest.mark.parametrize("q_order", [0, 1, 5])
+    @pytest.mark.parametrize("d", [-3, -1, 1, 2])
+    def test_geometric_term_equals_the_product(self, d, q_order, sibling):
+        sib = GEOMETRIC_SIBLINGS[sibling]
+        other = int_series(("q", "y"), {"q": (0, 9), "y": (0, 1)},
+                           {(1, 0): 1, (3, 1): -4})
+        for terms in ([(sib, {}, 1, (d, q_order))],
+                      [(sib, {"x": d, "y": -d}, 3, (d, q_order)),
+                       (other, {"y": 1}, -2)],
+                      [(sib, {"q": 1}, -1, (d, q_order)),
+                       (sib, {}, 2, (-d, q_order))]):
+            got = sum_shifted(terms)
+            assert_same(got, fold_shifted(terms))
+            assert all(type(c) is int for c in got.c.values())
+        # the fold's scalar product makes Fractions; the product itself
+        # keeps the ints, and one unscaled term holds its coefficients
+        got = sum_shifted([(sib, {}, 1, (d, q_order))])
+        want = sib * geom_inv(d, q_order)
+        assert got.vars == want.vars
+        assert {k: (type(c), c) for k, c in got.c.items()} == \
+            {k: (type(c), c) for k, c in want.c.items()}
 
 
 class TestMultiSeries:

@@ -10,7 +10,6 @@ from voasurf.voa import (
     VACUUM,
     GradedVector,
     _norm,
-    adjoint_boundary_state,
     basis,
     bilinear_form,
     bilinear_form_sq,
@@ -288,20 +287,6 @@ class TestBilinearForm:
             for i, (_, dual_i) in enumerate(pairs):
                 for j, (vec_j, _) in enumerate(pairs):
                     assert bilinear_form_sq(dual_i, vec_j) == (1 if i == j else 0)
-
-    def test_adjoint_boundary_state(self):
-        uprime = parse_state("a[-2]a[-1]|1")
-        v = conformal_vector()
-        for j in (-1, -2, 0, 1):
-            w = adjoint_boundary_state(v, j, uprime)
-            s = 3 - (2 - j - 1)
-            if s < 0:
-                assert w.is_zero()
-                continue
-            for y_state in basis(s):
-                y = GradedVector.basis_state(y_state)
-                assert bilinear_form(w, y) == \
-                    bilinear_form(uprime, vertex_mode(v, j, y))
 
 
 class TestParsing:
