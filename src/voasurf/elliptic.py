@@ -29,8 +29,8 @@ Conventions (all rational, all truncated explicitly):
   so never multiply two of these in the same q_z variable.  The
   genus-1 reduction does not build this form: it applies each q_z^n
   slice as a raw-mode commutator times 1/(1 - q^n) (see
-  ``reduction``); the tests hold it as the oracle for Zhu's kernel,
-  and the benchmark tracer still times it.
+  ``reduction``); the tests hold it as the oracle for Zhu's kernel.
+  The benchmark tracer only names it; that target reads 0 everywhere.
 
 * The genus-1 one-point function of a square-bracket Fock state
   a[-k1]...a[-kn]1 is Z(q) times a Hafnian of Eisenstein series

@@ -3,10 +3,11 @@
 The moduli are two nomes q1, q2 and a sewing parameter eps.  The
 kernel matrices that mediate between the tori carry half-integer
 eps-weights, so eps is tracked through its square root, the variable
-"se" with se^2 = eps (``HALF_POWERS``).  The matrix arithmetic, the
-Neumann inverse, the se-clip of every product and the integer-eps check
-on exported quantities live in the sewing module; this one holds the
-genus-two mathematics.
+"se" with se^2 = eps (``HALF_POWERS``).  Every se^e is an exact
+monomial with se lo e, and the se horizon comes from the clip alone.
+The matrix arithmetic, the Neumann inverse, the se-clip of every
+product and the integer-eps check on exported quantities live in the
+sewing module; this one holds the genus-two mathematics.
 
 Trace normalization follows the one-point helpers of the reduction
 module: the overall (q1 q2)^(-c/24) prefactor is left off the stored
@@ -117,11 +118,6 @@ def _eis(k: int, chart: int, moduli: SewingModuli) -> MultiSeries:
     return ek.extended_to(_EVARS)
 
 
-def _se_monomial(e: int, moduli: SewingModuli, coeff=1) -> MultiSeries:
-    return MultiSeries.monomial(
-        {"se": e}, coeff, window={"se": (min(e, 0), moduli.se_order)})
-
-
 def _clip(moduli: SewingModuli):
     """The clip of every kernel product: over (q1, q2, se), se cut at
     the se-order of ``moduli``."""
@@ -138,7 +134,7 @@ def lambda_entry(a: int, m: int, n: int, moduli: SewingModuli) -> MultiSeries:
     if k % 2 or k > moduli.se_order:
         return MultiSeries.constant(0).extended_to(_EVARS)
     coeff = Fraction((-1) ** (n + 1) * comb(k - 1, n))
-    return _eis(k, a, moduli) * _se_monomial(k, moduli, coeff)
+    return _eis(k, a, moduli) * MultiSeries.monomial({"se": k}, coeff)
 
 
 def lambda_matrix(a: int, moduli: SewingModuli) -> SeriesMatrix:
@@ -159,7 +155,7 @@ def s_conjugated_a_entry(a: int, m: int, n: int,
         return MultiSeries.constant(0).extended_to(_EVARS)
     coeff = Fraction((-1) ** (m + 1) * factorial(k - 1),
                      n * factorial(m - 1) * factorial(n - 1))
-    return _eis(k, a, moduli) * _se_monomial(k, moduli, coeff)
+    return _eis(k, a, moduli) * MultiSeries.monomial({"se": k}, coeff)
 
 
 def lambda_tilde(a: int, p: int, moduli: SewingModuli) -> SeriesMatrix:
@@ -186,18 +182,20 @@ def kernel_identity(size: int) -> SeriesMatrix:
     return sewing.identity(range(1, size + 1))
 
 
-def kernel_mul(A: SeriesMatrix, B: SeriesMatrix,
-               moduli: SewingModuli) -> SeriesMatrix:
-    return sewing.mul(A, B, _clip(moduli))
+def kernel_mul(A: SeriesMatrix, B: SeriesMatrix, moduli: SewingModuli,
+               reach=None) -> SeriesMatrix:
+    """A B clipped, column j cut at ``reach[j]``."""
+    return sewing.mul(A, B, _clip(moduli), reach)
 
 
 def neumann_inverse(M: SeriesMatrix, moduli: SewingModuli,
-                    rows: SeriesMatrix = None) -> SeriesMatrix:
+                    rows: SeriesMatrix = None, reach=None) -> SeriesMatrix:
     """rows (1 - M)^-1, or (1 - M)^-1 itself without rows, terminating
-    because every entry of M starts at se-order 1 or higher."""
+    because every entry of M starts at se-order 1 or higher; ``reach``
+    as in ``sewing.neumann_inverse``."""
     return sewing.neumann_inverse(
         M, HALF_POWERS, moduli.se_order,
-        lambda A, B, reach: kernel_mul(A, B, moduli), rows)
+        lambda A, B, reach: kernel_mul(A, B, moduli, reach), rows, reach)
 
 
 # -- rows and columns of elliptic data ------------------------------------
@@ -229,30 +227,28 @@ def _pm_difference(m: int, chart: int, moduli: SewingModuli) -> MultiSeries:
 def r_row(x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     """R(x; m) = eps^(m/2) P_{m+1}(x, tau_a), components 1..N."""
     out = {}
-    for m in range(1, moduli.matrix_cutoff + 1):
-        if m > moduli.se_order:
-            break
+    for m in range(1, min(moduli.matrix_cutoff, moduli.se_order) + 1):
         out[m] = _pm(m + 1, x_chart, xvar, moduli) * \
-            _se_monomial(m, moduli)
+            MultiSeries.monomial({"se": m})
     return out
 
 
 def p_column(j: int, y_chart: int, moduli: SewingModuli) -> dict:
     """PP_{j+1}(y; m) = eps^(m/2) C(m+j-1, j) (P_{j+m}(y) - d_{j0} E_m)."""
     out = {}
-    for m in range(1, moduli.matrix_cutoff + 1):
-        if m > moduli.se_order:
-            break
+    for m in range(1, min(moduli.matrix_cutoff, moduli.se_order) + 1):
         body = _pm(j + m, y_chart, _YVAR, moduli)
         if j == 0:
             body = body + _eis(m, y_chart, moduli) * Fraction(-1)
-        out[m] = body * _se_monomial(m, moduli, comb(m + j - 1, j))
+        out[m] = body * MultiSeries.monomial({"se": m}, comb(m + j - 1, j))
     return out
 
 
 def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     """Q(p; x) = R(x) Delta (1 - Ltilde_abar Ltilde_a)^-1 for x on
-    chart a."""
+    chart a, entry n cut at its reach se <= se_order - n: every factor
+    it meets next (PP(y; n), se Q(1) in ``genus2_reduce``, row n of
+    Ltilde, Lambda and their mixed sum) declares se lo n or more."""
     abar = 3 - x_chart
     clip = _clip(moduli)
     R = r_row(x_chart, xvar, moduli)
@@ -261,8 +257,9 @@ def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
                if n + 2 * p - 2 in R}
     prod = kernel_mul(lambda_tilde(abar, p, moduli),
                       lambda_tilde(x_chart, p, moduli), moduli)
-    dressed = neumann_inverse(prod, moduli,
-                              SeriesMatrix(prod.indices, shifted))
+    dressed = neumann_inverse(
+        prod, moduli, SeriesMatrix(prod.indices, shifted),
+        reach={n: {"se": moduli.se_order - n} for n in prod.indices})
     return {n: e for (_, n), e in dressed.entries.items()}
 
 
@@ -308,7 +305,7 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
     if j == 0 and p != 1 and 2 * p - 2 <= moduli.se_order:
         psign = Fraction((-1) ** (p + 1))
         out = out + _pm(2 * p - 1, a, _XVAR, moduli) * \
-            _se_monomial(2 * p - 2, moduli, psign)
+            MultiSeries.monomial({"se": 2 * p - 2}, psign)
         corr = row_times_matrix(
             row_times_matrix(Q, lambda_tilde(abar, p, moduli), clip),
             lambda_matrix(a, moduli), clip).get(2 * p - 2)
@@ -332,8 +329,8 @@ def z2_partition(moduli: SewingModuli) -> MultiSeries:
         for lam in basis(r):
             out = out + onepoint_hafnian(lam, moduli.tau1_order, "q1") * \
                 onepoint_hafnian(lam, moduli.tau2_order, "q2") * \
-                _se_monomial(2 * r, moduli, Fraction(1, _norm(lam)))
-    return require_integer(out, HALF_POWERS)
+                MultiSeries.monomial({"se": 2 * r}, Fraction(1, _norm(lam)))
+    return require_integer(_clip(moduli)(out), HALF_POWERS)
 
 
 def sq_weight(v: GradedVector) -> int:
@@ -372,8 +369,7 @@ def _channel_sums(sq: GradedVector, xmodes, moduli: SewingModuli):
         for lam in basis(r):
             u = GradedVector.basis_state(lam)
             vu = {n: vertex_mode(sq, n, u) for n in (-1, *odd, *xmodes)}
-            se = partial(_se_monomial, moduli=moduli,
-                         coeff=Fraction(1, _norm(lam)))
+            se = partial(MultiSeries.monomial, coeff=Fraction(1, _norm(lam)))
             for chart in (1, 2):
                 # the other chart carries the one-point function of lam
                 h = onepoint_hafnian(lam, _q_order(3 - chart, moduli),
@@ -385,12 +381,12 @@ def _channel_sums(sq: GradedVector, xmodes, moduli: SewingModuli):
                     t = t - _eis(n + 1, chart, moduli) * \
                         _trace(vu[n], chart, moduli)
                 if not t.is_zero():
-                    F[chart] = F[chart] + t * h * se(2 * r)
+                    F[chart] = F[chart] + t * h * se({"se": 2 * r})
                 if chart == 1:
                     for m in X:
                         t = _trace(vu[m], 1, moduli)
                         if not t.is_zero():
-                            X[m] = X[m] + t * h * se(2 * r - m)
+                            X[m] = X[m] + t * h * se({"se": 2 * r - m})
     return F[1], F[2], X
 
 
@@ -432,13 +428,12 @@ def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
     Q = q_row(p, 1, xvar, moduli)
     lt2 = lambda_tilde(2, p, moduli)
     f1_tail = row_times_matrix(Q, lt2, clip).get(1)
+    se = MultiSeries.monomial({"se": 1})
     out = F1
     if f1_tail is not None:
-        f1 = f1_tail * _se_monomial(1, moduli)
-        out = out + clip(f1, F1)
+        out = out + clip(f1_tail * se, F1)
     if 1 in Q:
-        f2 = Q[1] * _se_monomial(1, moduli, Fraction((-1) ** p))
-        out = out + clip(f2, F2)
+        out = out + clip(Q[1] * se * (-1) ** p, F2)
     if X:
         row = dict(r_row(1, xvar, moduli))
         mixed = kernel_add(

@@ -30,7 +30,8 @@ of lo cap - r or more, still has a natural horizon at or above the cap,
 as the uncut entry had, so the cut leaves the product's window as it
 was.  ``caps`` arguments carry a reach as ``{var: cap}``, each
 tightening the clip's own cut, and a ``reach`` maps an index to the
-caps of the row entries there.
+caps of the row entries there.  Both surfaces pass one: genus two for
+its row Q(p; x), Schottky for its dressed rows.
 """
 
 from dataclasses import dataclass
@@ -108,9 +109,10 @@ def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
     vanishes once k exceeds len(names) * order.
 
     A ``reach`` (index -> caps, see the module docstring) cuts the
-    start rows and every term at their consumer's reach.  The entries
-    at index i go on to M's row i as well as to the consumer, so both
-    must add at least cap - reach[i] in each variable it caps.
+    start rows and every term at their consumer's reach; a start row
+    the cut empties stays, with its window.  The entries at index i go
+    on to M's row i as well as to the consumer, so both must add at
+    least cap - reach[i] in each variable it caps.
     """
     for key, e in M.entries.items():
         half = [i for i, v in enumerate(e.vars) if v in names]
@@ -122,8 +124,8 @@ def neumann_inverse(M: SeriesMatrix, names: dict, order: int,
     out = power = identity(M.indices) if rows is None else rows
     if reach is not None:
         out = power = SeriesMatrix(power.indices, {
-            (i, j): c for (i, j), e in power.entries.items()
-            if not (c := _capped(e, reach[j])).is_zero()})
+            key: _capped(e, reach[key[1]])
+            for key, e in power.entries.items()})
     for _ in range(len(names) * order + 1):
         power = product(power, M, reach=reach)
         if power.is_zero():

@@ -141,10 +141,6 @@ class GradedVector:
 
     __hash__ = None
 
-    def key(self):
-        """Canonical hashable form, used as a cache key downstream."""
-        return tuple(sorted(self.t.items()))
-
     def coefficient(self, state) -> Fraction:
         return self.t.get(tuple(state), Fraction(0))
 
@@ -438,6 +434,7 @@ def jacobi_check(u: GradedVector, v: GradedVector, w: GradedVector,
 # -- parsing and rendering ----------------------------------------------
 
 _FACTOR = re.compile(r"a\[(-\d+)\](?:\^(\d+))?")
+MODE_LIMIT = 1000
 
 _SHORTHAND = {
     "1": vacuum,
@@ -453,7 +450,10 @@ def parse_state(text: str) -> GradedVector:
 
     Shorthands: ``1``/``vac`` (vacuum), ``a``, ``omega``,
     ``omegatilde``.  Rational prefactors attach with ``*``.  Every
-    factor must be a creation mode a[-n] with n >= 1.
+    factor must be a creation mode a[-n] with n >= 1.  A term of more
+    than ``MODE_LIMIT`` = 1000 modes, exponents counted, is refused
+    before its modes are listed; no budgeted command accepts more than
+    twelve.
     """
     text = text.replace(" ", "")
     if not text:
@@ -503,7 +503,10 @@ def parse_state(text: str) -> GradedVector:
             if k < 1:
                 raise ValueError(
                     f"a[{m.group(1)}] is not a creation mode a[-n], n >= 1")
-            parts.extend([k] * int(m.group(2) or 1))
+            count = int(m.group(2) or 1)
+            if len(parts) + count > MODE_LIMIT:
+                raise ValueError(f"{term!r} has more than {MODE_LIMIT} modes")
+            parts.extend([k] * count)
             pos = m.end()
         state = tuple(sorted(parts, reverse=True))
         out = out + GradedVector({state: sign * coeff})

@@ -7,6 +7,7 @@ The CLI runs in a subprocess here, so an exception escaping
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -38,6 +39,17 @@ class TestStateLiterals:
 
     def test_creation_modes_still_parse(self):
         assert parse_state("a[-10]a[-1]^2|1").t == {(10, 1, 1): 1}
+
+    @pytest.mark.parametrize("text", ["a[-1]^1001|1",
+                                      "a[-2]^600a[-1]^401|1",
+                                      "a + a[-1]^99999999999|1"])
+    def test_mode_count_over_the_limit_refused(self, text):
+        with pytest.raises(ValueError, match="more than 1000 modes"):
+            parse_state(text)
+
+    def test_mode_count_at_the_limit_parses(self):
+        assert parse_state("a[-2]^600a[-1]^400|1").t == \
+            {(2,) * 600 + (1,) * 400: 1}
 
     @pytest.mark.parametrize("literal,message", [
         ("1/0*a@z1", "zero denominator"),
@@ -109,6 +121,8 @@ HOSTILE_ARGV = {
                                   "1/0*a,a"],
     "rational_coordinate": ["schottky", "psi", "--p", "1", "-g", "2",
                             "--coordinates", "1/0,1,2,3"],
+    "huge_exponent": ["npoint", "--genus", "0", "--insertions",
+                      "a[-1]^99999999|1@z1"],
 }
 
 
@@ -122,6 +136,14 @@ class TestHostileArgv:
         argv = [a.format(tmp=tmp_path) for a in HOSTILE_ARGV[name]]
         proc = run_cli(*argv)
         assert proc.returncode in (0, 1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_exponent_refused_before_expansion(self):
+        # the literal is refused before its 10^8 modes are listed
+        start = time.monotonic()
+        proc = run_cli(*HOSTILE_ARGV["huge_exponent"])
+        assert time.monotonic() - start < 2
+        assert proc.returncode in (1, 2)
         assert "Traceback" not in proc.stderr
 
 

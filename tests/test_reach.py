@@ -2,19 +2,32 @@
 
 Each capped sum is compared with a test-local oracle that builds the
 same sum uncapped: the same-chart genus-two kernel with its full tail
-dot product, and the Schottky kernels with the dressed row from a plain
-Neumann loop.  They must agree exactly, in variables, windows,
-coefficients and coefficient types.  Spies on ``MultiSeries.__mul__``
-pin that the capped products never store a term above their reach.
+dot product, the genus-two kernels and reduction with Q(p; x) as the
+uncut row times the full inverse, and the Schottky kernels with the
+dressed row from a plain Neumann loop.  They must agree exactly, in
+variables, windows, coefficients and coefficient types.  Spies on
+``MultiSeries.__mul__`` pin that the capped products never store a term
+above their reach.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
 from voasurf import genus2, schottky, sewing
-from voasurf.genus2 import SewingModuli, gen_weierstrass
+from voasurf.genus2 import (
+    SewingModuli,
+    gen_weierstrass,
+    genus2_reduce,
+    lambda_entry,
+    lambda_tilde,
+    p_column,
+    r_row,
+    s_conjugated_a_entry,
+    z2_partition,
+)
+from voasurf.reduction import Insertion
 from voasurf.schottky import (
     SchottkyData,
     build_kernel,
@@ -27,7 +40,16 @@ from voasurf.schottky import (
 )
 from voasurf.series import MultiSeries
 from voasurf.sewing import row_dot_column, row_times_matrix
-from voasurf.voa import conformal_vector, generator, heisenberg_mode
+from voasurf.voa import (
+    _norm,
+    basis,
+    conformal_vector,
+    conformal_vector_tilde,
+    generator,
+    heisenberg_mode,
+    vacuum,
+)
+from voasurf.elliptic import onepoint_hafnian
 
 F = Fraction
 
@@ -100,6 +122,136 @@ def test_same_chart_tail_never_builds_above_the_horizon(monkeypatch, j):
     for out in tails:
         i = out.vars.index("x")
         assert all(k[i] <= -(j + 1) for k in out.c)
+
+
+# -- genus two: the dressed row Q(p; x) --------------------------------------
+
+
+def sharp_se_lo(ms: MultiSeries) -> bool:
+    i = ms.vars.index("se")
+    return ms.window["se"][0] == min(k[i] for k in ms.c)
+
+
+@pytest.mark.parametrize("orders", [(4, 4, 2, 4), (6, 6, 3, 6)], ids=str)
+def test_building_blocks_declare_sharp_se_bounds(orders):
+    # as Schottky's amplitude monomials do, so a row entry at index n
+    # meets factors that declare se lo n or more
+    moduli = SewingModuli(*orders)
+    N = moduli.matrix_cutoff
+    blocks = []
+    for a in (1, 2):
+        for p in (1, 2):
+            blocks += lambda_tilde(a, p, moduli).entries.values()
+        blocks += r_row(a, "x", moduli).values()
+        for j in range(3):
+            blocks += p_column(j, a, moduli).values()
+        for m in range(1, N + 1):
+            for n in range(1, N + 1):
+                blocks += [lambda_entry(a, m, n, moduli),
+                           s_conjugated_a_entry(a, m, n, moduli)]
+    blocks = [b for b in blocks if not b.is_zero()]
+    assert len(blocks) > 40
+    for b in blocks:
+        assert sharp_se_lo(b), b.window
+
+
+@lru_cache(maxsize=None)
+def _full_inverse_row(p: int, a: int, xvar: str, moduli: SewingModuli):
+    clip = genus2._clip(moduli)
+    M = genus2.kernel_mul(lambda_tilde(3 - a, p, moduli),
+                          lambda_tilde(a, p, moduli), moduli)
+    R = r_row(a, xvar, moduli)
+    row = {n: clip(R[n + 2 * p - 2])
+           for n in range(1, moduli.matrix_cutoff + 1)
+           if n + 2 * p - 2 in R}
+    return row_times_matrix(row, genus2.neumann_inverse(M, moduli), clip)
+
+
+def full_inverse_q_row(p: int, a: int, xvar: str, moduli: SewingModuli):
+    """Q(p; x) as the uncut row R(x) Delta times the full inverse
+    (1 - Ltilde_abar Ltilde_a)^-1: no reach anywhere."""
+    return dict(_full_inverse_row(p, a, xvar, moduli))
+
+
+GRID = [(4, 4, 2, 4), (6, 6, 3, 6), (8, 8, 4, 8)]
+REDUCE_GRID = [(4, 4, 2, 4), (8, 8, 4, 8), (8, 8, 6, 12)]
+
+
+@pytest.mark.parametrize("orders", GRID, ids=str)
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("charts", [(1, 1), (1, 2), (2, 1), (2, 2)], ids=str)
+@pytest.mark.parametrize("j", range(4))
+def test_kernel_equals_full_inverse_row(monkeypatch, orders, p, charts, j):
+    moduli = SewingModuli(*orders)
+    got = gen_weierstrass(p, j, *charts, moduli)
+    monkeypatch.setattr(genus2, "q_row", full_inverse_q_row)
+    assert exact(got) == exact(gen_weierstrass(p, j, *charts, moduli))
+
+
+@lru_cache(maxsize=None)
+def _partition(moduli: SewingModuli):
+    return z2_partition(moduli)
+
+
+@pytest.mark.parametrize("orders", REDUCE_GRID, ids=str)
+@pytest.mark.parametrize("state", ["a", "omegatilde", "vacuum", "3 vacuum"])
+def test_reduction_equals_full_inverse_row(monkeypatch, orders, state):
+    moduli = SewingModuli(*orders)
+    v = {"a": generator, "omegatilde": conformal_vector_tilde,
+         "vacuum": vacuum, "3 vacuum": lambda: vacuum() * 3}[state]()
+    Z = _partition(moduli)
+    got = genus2_reduce(Insertion(v, "x"), Z, moduli).value
+    monkeypatch.setattr(genus2, "q_row", full_inverse_q_row)
+    want = genus2_reduce(Insertion(v, "x"), Z, moduli).value
+    assert exact(got) == exact(want)
+
+
+@pytest.mark.parametrize("orders", REDUCE_GRID, ids=str)
+def test_partition_keeps_its_se_window(orders):
+    # the channel sum with every se monomial declared on (0, se_order)
+    moduli = SewingModuli(*orders)
+    want = MultiSeries.constant(0).extended_to(("q1", "q2", "se"))
+    for r in range(moduli.eps_order + 1):
+        for lam in basis(r):
+            want = want + onepoint_hafnian(lam, moduli.tau1_order, "q1") * \
+                onepoint_hafnian(lam, moduli.tau2_order, "q2") * \
+                MultiSeries.monomial({"se": 2 * r}, F(1, _norm(lam)),
+                                     window={"se": (0, moduli.se_order)})
+    got = _partition(moduli)
+    assert got.window["se"] == (0, moduli.se_order)
+    assert exact(got) == exact(want)
+
+
+@pytest.mark.parametrize("orders,p,a", [
+    ((6, 6, 3, 6), 1, 1), ((8, 8, 4, 8), 1, 2), ((8, 8, 6, 12), 2, 1)],
+    ids=str)
+def test_q_row_never_builds_above_its_reach(monkeypatch, orders, p, a):
+    moduli = SewingModuli(*orders)
+    dressed = []
+    real = genus2.neumann_inverse
+
+    def recording(M, *args, **kwargs):
+        start = len(products.seen)
+        out = real(M, *args, **kwargs)
+        dressed.append((M, out, products.seen[start:]))
+        return out
+
+    monkeypatch.setattr(genus2, "neumann_inverse", recording)
+    products = Products(monkeypatch)
+    genus2.q_row(p, a, "x", moduli)
+    (M, out, seen), = dressed
+    index = {id(e): n for (_, n), e in M.entries.items()}
+
+    def within_reach(ms, n):
+        i = ms.vars.index("se")
+        return all(k[i] <= moduli.se_order - n for k in ms.c)
+
+    steps = [(index[id(e)], prod) for _, e, prod in seen if id(e) in index]
+    assert steps
+    for n, prod in steps:
+        assert within_reach(prod, n), n
+    for (_, n), e in out.entries.items():
+        assert within_reach(e, n), n
 
 
 # -- Schottky: the dressed row -----------------------------------------------

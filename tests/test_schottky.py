@@ -462,9 +462,14 @@ class TestDressedRow:
             if not e.is_zero():
                 want[(b, n)] = e
         got = schottky._tilde_row(p, data, R, row, hi)
-        assert set(got) == set(want)
-        for j, e in want.items():
-            assert got[j] == e and got[j].window == e.window, j
+        assert set(want) <= set(got)
+        for j, e in got.items():
+            if j in want:
+                assert (e.vars, e.window, e.c) == \
+                    (want[j].vars, want[j].window, want[j].c), j
+            else:
+                # a start row capped empty keeps its window label
+                assert e.is_zero(), j
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_formal_row_has_no_f_part(self, p):
