@@ -80,6 +80,12 @@ BOX_BUDGET = (2 * ZORDER_BUDGET + 1) ** 3
 # 5 s; at 40 they take 3 s, 24 s and 27 s.
 QORDER_BUDGET = 32
 
+# Largest --rho-order that schottky psi accepts.  The moment matrix
+# cutoff defaults to twice the order, and the Neumann sum runs to it: at
+# genus 2 in a fresh process on the machine above, --p 1 takes 2.6 s at
+# 7, 5.0 s at 8 and 8.2 s at 9.
+RHO_ORDER_BUDGET = 7
+
 
 # -- flag grammar ----------------------------------------------------------
 
@@ -260,10 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     psi = sch_sub.add_parser("psi", parents=[common],
                              help="dressed kernel Psi_p expansion")
     psi.add_argument("--p", type=_positive_int, required=True,
-                     help="kernel weight")
+                     help="kernel weight, at most 3: the expansion's fixed "
+                          "y window 0..4 must cover the degrees 0..2p-2 "
+                          "of the seed's f-part")
     psi.add_argument("-g", "--genus", type=_positive_int, required=True)
     psi.add_argument("--rho-order", type=_positive_int, default=2,
-                     help="rho truncation order per handle (default 2)")
+                     help="rho truncation order per handle (default 2; at "
+                          f"most {RHO_ORDER_BUDGET})")
     psi.add_argument("--coordinates", type=_int_list,
                      help="comma-separated fixed points w_-1,w_1,...,"
                           "w_-g,w_g (defaults: genus 1 -> 3,1; genus 2 -> "
@@ -569,6 +578,8 @@ def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
 
 
 def _run_schottky_psi(ns: argparse.Namespace):
+    _check_budget("--rho-order", ns.rho_order, "order", RHO_ORDER_BUDGET,
+                  "schottky psi")
     from .schottky import psi_full
     from .sewing import renamed
 

@@ -237,7 +237,6 @@ class CoboundaryMatrix:
     """
 
     source: GradedSlice
-    target: GradedSlice
     columns: list
 
     @cached_property
@@ -287,7 +286,7 @@ def build_coboundary(direction_family, src: GradedSlice,
             for k, v in image.items():
                 acc[k] = acc.get(k, 0) + v
         columns.append({k: v for k, v in acc.items() if v})
-    return CoboundaryMatrix(src, tgt, columns)
+    return CoboundaryMatrix(src, columns)
 
 
 @dataclass
@@ -304,7 +303,6 @@ class ChainReport:
     dir1: ReductionDirection
     dir2: ReductionDirection
     source: GradedSlice
-    target: GradedSlice
     columns: list
     kernel: tuple
 
@@ -350,7 +348,7 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
         columns.append({} if g.is_zero()
                        else tgt.vectorize(reduce_step(dir2, g)))
     kernel = tuple(kernel_basis(columns))
-    return ChainReport(dir1, dir2, src, tgt, columns, kernel)
+    return ChainReport(dir1, dir2, src, columns, kernel)
 
 
 class RankResult(NamedTuple):

@@ -640,17 +640,16 @@ def genus1_reduce(direction: ReductionDirection,
 # -- partition functions, residuals, unwinding ---------------------------
 
 
-def genus1_onepoint(v: GradedVector, q_order: int,
-                    qvar: str = "q") -> MultiSeries:
-    """Tr(o(v) q^{L(0)}) in ``qvar`` (no c/24 tag), traced over the Fock
-    basis: the oracle of ``elliptic.onepoint_hafnian``, which the sewing
-    sums use.  No library code calls it; the benchmark tracer names it."""
+def genus1_onepoint(v: GradedVector, q_order: int) -> MultiSeries:
+    """Tr(o(v) q^{L(0)}) in q (no c/24 tag), traced over the Fock basis:
+    the oracle of ``elliptic.onepoint_hafnian``, which the sewing sums
+    use.  No library code calls it; the benchmark tracer names it."""
     q_order = int(q_order)
     coeffs = {}
     for s, c in v.t.items():
         for m, t in _trace_counts(((s, weight(s) - 1),), q_order).items():
             coeffs[m] = coeffs.get(m, 0) + c * t
-    return TruncatedSeries(qvar, 0, q_order, coeffs)
+    return TruncatedSeries("q", 0, q_order, coeffs)
 
 
 _GENUS_ERROR = "unwinding is defined at genus 0 and 1"
@@ -673,16 +672,14 @@ def cocycle_residual(direction: ReductionDirection,
     return reduce_step(direction, F).value
 
 
-def unwind_to_partition(directions, genus: int, *, uprime=None, u=None,
-                        window=(-8, 8), q_order: int = 6) -> CorrelationFn:
+def unwind_to_partition(directions, genus: int, *, window=(-8, 8),
+                        q_order: int = 6) -> CorrelationFn:
     """Apply reduction steps in order starting from the partition
     function (the zero-insertion oracle value), recording the operator
     word and flagging every step whose output is identically zero on
     the box (a degenerate direction)."""
     if genus == 0:
-        uprime = vacuum() if uprime is None else uprime
-        u = vacuum() if u is None else u
-        F = genus0_direct((), uprime, u, window)
+        F = genus0_direct((), vacuum(), vacuum(), window)
     elif genus == 1:
         F = genus1_direct((), q_order, window)
     else:

@@ -23,6 +23,11 @@ lower bound, so the product horizons stay tight enough to certify
 results through rho_order without ever expanding past the matrix
 cutoff.
 
+The formal kernel ``psi_full(p, data)`` is expanded on one fixed window:
+x exponents from -6 up (``_X_LO``), y exponents 0 through 4
+(``_Y_HI``).  The y horizon must cover the seed's f-part, which reaches
+y^(2p - 2), so p is at most 3 there (``_P_MAX``).
+
 Genus-zero values are computed by pairing free-field legs: the vertex
 operator of a basis monomial is a normally ordered product of
 derivative currents, so a vacuum correlation value is a sum over
@@ -215,6 +220,12 @@ def _clip(half_powers: dict, hi: int):
 
 # -- the kernel seed and its derivatives -----------------------------------
 
+# the fixed window of the formal kernel psi_full: the x cut of its pole
+# expansion, and the y horizon, which caps p at _P_MAX
+_X_LO = -6
+_Y_HI = 4
+_P_MAX = _Y_HI // 2 + 1
+
 
 def _f_deriv(poly: dict, m: int, x: Fraction) -> Fraction:
     """Normalized m-th derivative of a Laurent polynomial at x."""
@@ -339,20 +350,13 @@ def schottky_R(p: int, data: SchottkyData) -> SeriesMatrix:
     entries = {}
     for a in data.index_set:
         for b in data.index_set:
+            seed = _f_part if b == -a else _psi0_deriv
             for m in range(N):
                 for n in range(N):
-                    if b == -a:
-                        val = sign * _f_part(p, data, m, n, data.w(-a),
-                                             data.w(-a))
-                        ms = _sr_monomial(data, {a: m + n + 1}, val)
-                    else:
-                        val = sign * _psi0_deriv(p, data, m, n,
-                                                 data.w(-a), data.w(b))
-                        ms = _sr_monomial(data, {a: m + 1}, val)
-                        if val:
-                            ms = ms.shift(data.sr_var(b), n)
-                    if not ms.is_zero():
-                        entries[((a, m), (b, n))] = ms
+                    val = sign * seed(p, data, m, n, data.w(-a), data.w(b))
+                    if val:
+                        entries[((a, m), (b, n))] = _sr_monomial(
+                            data, {a: m + 1}, val).shift(data.sr_var(b), n)
     return SeriesMatrix(handle_indices(data), entries)
 
 
@@ -509,37 +513,23 @@ def _psi_value(p: int, data: SchottkyData, row: dict, j: int,
                                seed.extended_to(data.sr_vars)))
 
 
-@dataclass
-class SchottkyKernel:
-    """The assembled kernel package for one degree p: the seed and the
-    dressed kernel, with its differential-form type carried as
-    metadata."""
-
-    psi0: MultiSeries
-    psi: MultiSeries
-    form: str
-
-
-def build_kernel(p: int, data: SchottkyData, x_lo: int = -6,
-                 y_hi: int = 4) -> SchottkyKernel:
+def psi_full(p: int, data: SchottkyData) -> MultiSeries:
     """Assemble psi = psi0 + ptilde (1 - R Delta)^-1 q as a formal
-    expansion in |x| > |y| with the amplitude corrections attached."""
+    expansion in |x| > |y| with the amplitude corrections attached, on
+    the fixed window of the module docstring."""
     _check_degree(p, data)
-    if y_hi < 2 * p - 2:
-        raise ValueError("y horizon must cover the f-polynomial degrees")
+    if p > _P_MAX:
+        raise ValueError(f"kernel degree p = {p} is above {_P_MAX}, the "
+                         f"most the formal kernel's y window 0..{_Y_HI} "
+                         f"covers")
     hi = 2 * data.rho_order
     clip = _clip(data.half_powers, hi)
-    seed = psi0(p, data.f_choice, {"x": (x_lo, None), "y": (0, y_hi)})
+    seed = psi0(p, data.f_choice, {"x": (_X_LO, None), "y": (0, _Y_HI)})
     row = _tilde_row(p, data, schottky_R(p, data),
-                     _p_row_formal(p, data, x_lo), hi)
-    psi = clip(row_dot_column(row, _q_column_formal(p, data, y_hi), clip,
+                     _p_row_formal(p, data, _X_LO), hi)
+    psi = clip(row_dot_column(row, _q_column_formal(p, data, _Y_HI), clip,
                               seed.extended_to(("x", "y") + data.sr_vars)))
-    require_integer(psi, data.half_powers)
-    return SchottkyKernel(seed, psi, form=f"dx^{p} dy^{1 - p}")
-
-
-def psi_full(p: int, data: SchottkyData) -> MultiSeries:
-    return build_kernel(p, data).psi
+    return require_integer(psi, data.half_powers)
 
 
 def psi_deriv_value(p: int, data: SchottkyData, j: int, x, y) -> MultiSeries:
@@ -556,15 +546,6 @@ def psi_deriv_value(p: int, data: SchottkyData, j: int, x, y) -> MultiSeries:
 
 
 # -- the theta vector -------------------------------------------------------
-
-
-@dataclass
-class FormVector:
-    """Indexed kernel components plus the differential-form type they
-    carry; the type is metadata, never a computed object."""
-
-    components: dict
-    form: str
 
 
 def _chi(data: SchottkyData, row: dict, a: int, ell: int) -> MultiSeries:
@@ -602,16 +583,17 @@ def chi(p: int, data: SchottkyData, a: int, ell: int, x) -> MultiSeries:
     return _chi(data, row, a, ell)
 
 
-def theta(p: int, data: SchottkyData, a: int, x) -> FormVector:
+def theta(p: int, data: SchottkyData, a: int, x) -> dict:
     """The chi combination that couples a positive handle to its
-    partner.  Components may legitimately carry negative half powers
-    of the amplitude; those cancel only in the pairing with the handle
-    sums, which is why the integer-rho check does not apply here."""
+    partner, a dx^p form, as its components by index ell.  Components
+    may legitimately carry negative half powers of the amplitude; those
+    cancel only in the pairing with the handle sums, which is why the
+    integer-rho check does not apply here."""
     if a < 1 or a > data.genus:
         raise ValueError("theta is indexed by positive handles")
     _check_degree(p, data)
     row = _dressed_rows(p, data, x, 2 * data.rho_order)[1]
-    return FormVector(_theta(p, data, row, a), form=f"dx^{p}")
+    return _theta(p, data, row, a)
 
 
 # -- handle sums: partition, n-point, and the reduction step ----------------

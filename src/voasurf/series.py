@@ -1,12 +1,14 @@
 """Exact truncated Laurent series over the rationals.
 
-Everything downstream (vertex algebra modes, elliptic kernels, the
-reduction engines) is built on one series type defined here:
-``MultiSeries``, a sparse Laurent series in finitely many ordered
-variables, with exponent tuples as keys and one window per variable.
-A one-variable series is a ``MultiSeries`` over that variable;
-``TruncatedSeries(var, lo, hi, coeffs)`` builds one from a map
-exponent -> rational.
+The elliptic kernels, the reduction engines and the sewn surfaces are
+built on one series type defined here: ``MultiSeries``, a sparse
+Laurent series in finitely many ordered variables, with exponent
+tuples as keys and one window per variable.  A one-variable series is
+a ``MultiSeries`` over that variable; ``TruncatedSeries(var, lo, hi,
+coeffs)`` builds one from a map exponent -> rational.  The ring
+operations are sums, products and exact shifts; there is no
+exponential, power or inverse, since no caller needs one (the vertex
+algebra modes use no series at all).
 
 Window semantics.  ``lo`` is a support bound: the series is guaranteed
 to have no terms below ``lo``.  ``hi`` is a knowledge horizon: terms
@@ -29,7 +31,7 @@ No floating point number appears anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from operator import add, itemgetter
 
 
@@ -139,13 +141,6 @@ class MultiSeries:
             window = {v: (e, None) for v, e in exps.items()}
         key = tuple(exps[v] for v in sorted(exps))
         return MultiSeries(tuple(exps), window, {key: rat(coeff)})
-
-    @staticmethod
-    def exponential(var: str, scale, hi: int) -> "MultiSeries":
-        """exp(scale * var) truncated at order ``hi``."""
-        s = rat(scale)
-        return MultiSeries((var,), {var: (0, hi)},
-                           {(k,): s ** k / factorial(k) for k in range(hi + 1)})
 
     # -- alignment -----------------------------------------------------
 
@@ -303,60 +298,6 @@ class MultiSeries:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        """Binary exponentiation; a negative power inverts first, so it
-        needs a one-variable series."""
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = MultiSeries.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def inverse(self, hi=None) -> "MultiSeries":
-        """Multiplicative inverse of a one-variable series.
-
-        The leading stored term c * var**m must be present and nonzero.
-        If the series is exact (its horizon is None) and has more than
-        one term, a finite output horizon ``hi`` must be supplied since
-        the inverse is an infinite series.
-        """
-        if len(self.vars) != 1:
-            raise ValueError("inverse needs a one-variable series")
-        if not self.c:
-            raise ZeroDivisionError("inverse of zero series")
-        var = self.vars[0]
-        own_hi = self.window[var][1]
-        (m,) = min(self.c)
-        lead = self.c[(m,)]
-        rest = {e - m: v / lead for (e,), v in self.c.items() if e != m}
-        if own_hi is None:
-            if not rest:
-                return MultiSeries.monomial({var: -m}, 1 / lead)
-            if hi is None:
-                raise ValueError("exact non-monomial series: give a horizon for the inverse")
-            order = hi + m
-        else:
-            # relative knowledge of the unit part is own_hi - m
-            order = own_hi - m if hi is None else hi + m
-            if hi is not None and hi > own_hi - 2 * m:
-                raise ValueError("requested horizon exceeds what the input determines")
-        # invert 1 + t by the geometric series, t = rest
-        minus_t = MultiSeries((var,), {var: (0, None)},
-                              {(e,): -v for e, v in rest.items()})
-        out = power = MultiSeries((var,), {var: (0, order)}, {(0,): 1})
-        for _ in range(order):
-            power = power * minus_t
-            if power.is_zero():
-                break
-            out = out + power
-        return out.shift(var, -m) * (1 / lead)
 
     # -- reshaping -------------------------------------------------------
 

@@ -21,12 +21,16 @@ Everything here is closed-form mode algebra:
 * ``square_bracket_mode`` applies the modes v[m] of the cylinder
   vertex operator Y[v, z] = Y(e^(z wt v) v, e^z - 1), given on a fixed
   target by the finite sum v[m] = sum_j c_{m,j} v(j) with c_{m,j} the
-  z^(-m-1) coefficient of e^(wt(v) z) (e^z - 1)^(-j-1).
+  z^(-m-1) coefficient of e^(wt(v) z) (e^z - 1)^(-j-1).  Substituting
+  w = e^z - 1 in the residue gives the closed form
+  c_{m,j} = [w^(j-m)] (1+w)^(wt(v)-1) (log(1+w)/w)^m (``_cyl_coeff``).
 * ``bilinear_form`` is the invariant pairing normalized by
-  <|1>, |1>> = 1 with adjoint a(k)^+ = -alpha^k a(-k).
+  <|1>, |1>> = 1 with adjoint a(k)^+ = -a(-k).
 
-The module is deliberately free of series objects: modes act on graded
-vectors, and the series machinery consumes the resulting coefficients.
+The module is free of series objects and imports nothing from
+``series``: modes act on graded vectors, the cylinder coefficients are
+finite sums of rationals, and the series machinery consumes the
+resulting coefficients.
 
 Integrality: in the round basis every mode matrix is integral.  The
 table ``_vertex_mode_basis`` of u(k) v on basis states u, v holds
@@ -47,8 +51,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-
-from .series import MultiSeries
 
 VACUUM = ()
 A = (1,)
@@ -288,20 +290,19 @@ def virasoro(n: int, v: GradedVector) -> GradedVector:
 
 @lru_cache(maxsize=None)
 def _cyl_coeff(r: int, j: int, m: int) -> Fraction:
-    """Coefficient of z^(-m-1) in e^(r z) (e^z - 1)^(-j-1)."""
-    target = -m - 1
-    if target < -j - 1:
+    """Coefficient of z^(-m-1) in e^(r z) (e^z - 1)^(-j-1).
+
+    As a residue in w = e^z - 1 it is [w^(j-m)] (1+w)^(r-1) g(w) with
+    g = (log(1+w)/w)^m, zero for j < m.  The power g of the unit series
+    f_i = (-1)^i/(i+1) comes from J.C.P. Miller's recurrence g_0 = 1,
+    g_k = (1/k) sum_{i=1..k} ((m+1) i - k) f_i g_{k-i}."""
+    if j < m:
         return Fraction(0)
-    rel = target + j + 1  # relative order above the leading z^(-j-1)
-    if j >= 0:
-        em1 = (MultiSeries.exponential("z", 1, rel + j + 2) - 1).clip("z", 1, None)
-        base = (em1 ** (j + 1)).inverse(hi=target)
-    else:
-        # here target >= -j-1 >= 0, so plain positive powers suffice
-        em1 = (MultiSeries.exponential("z", 1, target + 1) - 1).clip("z", 1, None)
-        base = em1 ** (-j - 1)
-    full = MultiSeries.exponential("z", r, max(rel, 0)) * base
-    return full.coefficient({"z": target})
+    g = [Fraction(1)]
+    for k in range(1, j - m + 1):
+        g.append(sum(((m + 1) * i - k) * Fraction((-1) ** i, i + 1)
+                     * g[k - i] for i in range(1, k + 1)) / k)
+    return sum(gbinom(r - 1, j - m - i) * gi for i, gi in enumerate(g))
 
 
 def square_bracket_mode(v: GradedVector, m: int, target: GradedVector) -> GradedVector:
@@ -359,41 +360,33 @@ def to_square_coords(v: GradedVector) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _norm(state: tuple, alpha=1):
-    """<lam, lam> = prod_k (-k alpha^-k)^(m_k) m_k!, with m_k the
-    multiplicity of the part k; an int at alpha = 1."""
+def _norm(state: tuple) -> int:
+    """<lam, lam> = prod_k (-k)^(m_k) m_k!, with m_k the multiplicity
+    of the part k."""
     n = 1
     for k in set(state):
         m = state.count(k)
         n *= (-k) ** m * factorial(m)
-    return n if alpha == 1 else n / Fraction(alpha) ** weight(state)
+    return n
 
 
-def bilinear_form(x: GradedVector, y: GradedVector, alpha=1) -> Fraction:
-    """The invariant pairing with <|1>,|1>> = 1 and a(k)^+ = -alpha^k a(-k);
+def bilinear_form(x: GradedVector, y: GradedVector) -> Fraction:
+    """The invariant pairing with <|1>,|1>> = 1 and a(k)^+ = -a(-k);
     the round basis is orthogonal, so it is a sum of norms."""
-    alpha = Fraction(alpha)
-    return sum((c * y.t[s] * _norm(s, alpha)
-                for s, c in x.t.items() if s in y.t), Fraction(0))
+    return sum((c * y.t[s] * _norm(s) for s, c in x.t.items() if s in y.t),
+               Fraction(0))
 
 
-def bilinear_form_sq(x: GradedVector, y: GradedVector, alpha=1) -> Fraction:
+def bilinear_form_sq(x: GradedVector, y: GradedVector) -> Fraction:
     """The square-bracket pairing: strip a[-k] factors by the adjoint
-    a[k]^+ = -alpha^k a[-k], pairing vacua at the end."""
-    alpha = Fraction(alpha)
+    a[k]^+ = -a[-k], pairing vacua at the end."""
     a = generator()
     total = Fraction(0)
     for lam, c in to_square_coords(x).items():
-        val = Fraction(1)
         target = y
         for k in lam:
-            val *= -(alpha ** -k)
             target = square_bracket_mode(a, k, target)
-            if target.is_zero():
-                val = Fraction(0)
-                break
-        if val:
-            total += c * val * target.coefficient(VACUUM)
+        total += c * (-1) ** len(lam) * target.coefficient(VACUUM)
     return total
 
 

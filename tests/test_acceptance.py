@@ -30,10 +30,9 @@ from voasurf.genus2 import (KernelMatrix, SewingModuli, gen_weierstrass,
 from voasurf.linalg import inverse as mat_inverse
 from voasurf.reduction import (Insertion, ReductionDirection,
                                cocycle_residual, genus0_direct,
-                               genus1_direct, genus1_onepoint,
-                               unwind_to_partition)
-from voasurf.schottky import (SchottkyData, build_kernel, genus_g_npoint,
-                              genus_g_reduce, handle_indices, handle_mul,
+                               genus1_direct, unwind_to_partition)
+from voasurf.schottky import (SchottkyData, genus_g_npoint, genus_g_reduce,
+                              handle_indices, handle_mul, psi0, psi_full,
                               schottky_R, shifted_columns)
 from voasurf.schottky import neumann_inverse as handle_neumann
 from voasurf.series import MultiSeries, binomial_expand
@@ -41,6 +40,8 @@ from voasurf.sewing import add as handle_add, identity
 from voasurf.voa import (GradedVector, _norm, basis, bilinear_form,
                          conformal_vector, generator, jacobi_check,
                          square_fock, vacuum, vertex_mode, weight)
+
+from test_genus2 import onepoint
 
 F = Fraction
 A = generator()
@@ -150,25 +151,20 @@ def test_4_voa_axiom_suite():
             u, v, w = combo
             assert jacobi_check(u, v, w, (-2, 3, -2, 3)), combo
 
-    for alpha in (F(1), F(5, 3)):
-        for u, wt_u in ((A, 1), (OMEGA, 2)):
-            for mx in range(5):
-                for x_state in basis(mx):
-                    x = GradedVector.basis_state(x_state)
-                    for n in range(-2, 4):
-                        my = wt_u + mx - n - 1
-                        if my < 0 or my > 6:
-                            continue
-                        for y_state in basis(my):
-                            y = GradedVector.basis_state(y_state)
-                            lhs = bilinear_form(vertex_mode(u, n, x), y,
-                                                alpha)
-                            rhs = (-1) ** wt_u * \
-                                alpha ** (n + 1 - wt_u) * \
-                                bilinear_form(
-                                    x, vertex_mode(u, 2 * wt_u - n - 2, y),
-                                    alpha)
-                            assert lhs == rhs, (u, n, x_state, y_state)
+    for u, wt_u in ((A, 1), (OMEGA, 2)):
+        for mx in range(5):
+            for x_state in basis(mx):
+                x = GradedVector.basis_state(x_state)
+                for n in range(-2, 4):
+                    my = wt_u + mx - n - 1
+                    if my < 0 or my > 6:
+                        continue
+                    for y_state in basis(my):
+                        y = GradedVector.basis_state(y_state)
+                        lhs = bilinear_form(vertex_mode(u, n, x), y)
+                        rhs = (-1) ** wt_u * bilinear_form(
+                            x, vertex_mode(u, 2 * wt_u - n - 2, y))
+                        assert lhs == rhs, (u, n, x_state, y_state)
 
 
 def _bernoulli(k):
@@ -290,8 +286,8 @@ def test_6_genus2_sewing():
     turned = MultiSeries.constant(0).extended_to(("q1", "q2", "se"))
     for r in range(mod.eps_order + 1):
         for u, ubar in rotated(r):
-            turned = turned + genus1_onepoint(u, mod.tau1_order, "q1") * \
-                genus1_onepoint(ubar, mod.tau2_order, "q2") * \
+            turned = turned + onepoint(u, mod.tau1_order, "q1") * \
+                onepoint(ubar, mod.tau2_order, "q2") * \
                 MultiSeries.monomial({"se": 2 * r},
                                      window={"se": (0, mod.se_order)})
     assert _same_series(turned.coefficient_of("se", 4),
@@ -358,11 +354,11 @@ def test_7_schottky_layer():
             assert prod.entry(*key).agrees_with(ident.entry(*key))
 
     for p, data in ((1, D1), (2, D2)):
-        kern = build_kernel(p, data, x_lo=-5, y_hi=3)
-        sliced = kern.psi
+        sliced = psi_full(p, data)
         for v in data.sr_vars:
             sliced = sliced.coefficient_of(v, 0)
-        assert sliced.agrees_with(kern.psi0)
+        assert sliced.agrees_with(
+            psi0(p, data.f_choice, {"x": (-6, None), "y": (0, 4)}))
 
     for data in (D1, D2):
         base1 = genus_g_npoint([(A, F(7))], data)

@@ -31,6 +31,7 @@ from voasurf.cohomology import (
     euler_poincare,
     involution_check,
     make_seed,
+    target_slice,
     weighted_tuples,
     xi_sign,
 )
@@ -205,7 +206,7 @@ class TestCoboundary:
     def test_vacuum_direction_is_inclusion_genus1(self):
         s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
         cb = build_coboundary((VAC, "z"), s)
-        i = cb.target.var_order.index("q_z")
+        i = target_slice(direction(VAC, "z"), s).var_order.index("q_z")
         for col, fn in zip(cb.columns, oracle_functions(s)):
             src = s.vectorize(fn)
             assert col == {k[:i] + (0,) + k[i:]: v for k, v in src.items()}
@@ -253,7 +254,7 @@ class TestCoboundary:
         mixed = al * A2 + be * AA
         if mixed.is_zero():
             return
-        img = cb.target.vectorize(
+        img = target_slice(direction(A, "w"), s).vectorize(
             _reduce(s, direction(A, "w"), (Insertion(mixed, "z1"),)))
         want = {}
         for c, col in zip((al, be), cb.columns):
@@ -288,7 +289,7 @@ class TestCoboundary:
         with pytest.raises(WindowError):
             s.build(s.insertions(s.basis[0]))
         cb = build_coboundary((A, "w"), s)
-        tgt = cb.target
+        tgt = target_slice(direction(A, "w"), s)
         lo, hi = window
         for states, col in zip(s.basis, cb.columns):
             insertions = (Insertion(A, "w"),) + s.insertions(states)

@@ -43,7 +43,7 @@ from voasurf.reduction import (
     genus1_onepoint,
     genus1_direct,
 )
-from voasurf.series import MultiSeries, binomial_expand
+from voasurf.series import MultiSeries, TruncatedSeries, binomial_expand
 from voasurf.sewing import row_times_matrix
 from voasurf.voa import (
     GradedVector,
@@ -59,6 +59,12 @@ from voasurf.voa import (
 
 MOD = SewingModuli(6, 6, 2, 4)
 EV = ("q1", "q2", "se")
+
+
+def onepoint(v, q_order, qvar):
+    """The genus-1 trace oracle read in the variable ``qvar``."""
+    return TruncatedSeries(qvar, 0, q_order, {
+        e: c for (e,), c in genus1_onepoint(v, q_order).c.items()})
 
 
 def y_derivative(ms, var="y"):
@@ -268,11 +274,11 @@ class TestPartitionFunction:
         ginv = mat_inverse([[bilinear_form_sq(u, v) for v in vecs] for u in vecs])
         oracle = MultiSeries.constant(0).extended_to(("q1", "q2"))
         for i, bi in enumerate(vecs):
-            ti = genus1_onepoint(bi, 6, "q1")
+            ti = onepoint(bi, 6, "q1")
             for j, bj in enumerate(vecs):
                 if not ginv[i][j]:
                     continue
-                tj = genus1_onepoint(bj, 6, "q2")
+                tj = onepoint(bj, 6, "q2")
                 oracle = oracle + (ti.extended_to(("q1", "q2")) *
                                    tj.extended_to(("q1", "q2"))) * ginv[i][j]
         assert e2.agrees_with(oracle)
@@ -316,8 +322,8 @@ class TestPartitionFunction:
         turned = MultiSeries.constant(0).extended_to(EV)
         for r in range(MOD.eps_order + 1):
             for u, ubar in rotated(r):
-                t1 = genus1_onepoint(u, MOD.tau1_order, "q1").extended_to(EV)
-                t2 = genus1_onepoint(ubar, MOD.tau2_order, "q2")
+                t1 = onepoint(u, MOD.tau1_order, "q1").extended_to(EV)
+                t2 = onepoint(ubar, MOD.tau2_order, "q2")
                 turned = turned + t1 * t2 * MultiSeries.monomial(
                     {"se": 2 * r}, window={"se": (0, MOD.se_order)})
         z2 = z2_partition(MOD)

@@ -1,10 +1,12 @@
 """Source hygiene: no module of the package or the tests, nor any
 function in them, imports a name it never uses, no module-level
 definition lacks a caller in the package or the benchmark (bar the few
-listed in KEPT_FOR_TESTS), no defaulted parameter keeps its default at
-every call, and no record field goes unread.  Stdlib ``ast`` scans (and
-word matching for the benchmark's string targets), so it needs no
-linter."""
+functions listed in KEPT_FOR_TESTS), no defaulted parameter keeps its
+default at every call in the package and the benchmark, and no record
+field goes unread there.  The tests never count as callers, setters or
+readers: an option or a field that only a test uses is not part of the
+library.  Stdlib ``ast`` scans (and word matching for the benchmark's
+string targets), so it needs no linter."""
 
 import ast
 import re
@@ -84,8 +86,9 @@ def test_unused_function_imports_are_found(tmp_path):
                                     "sample.py:6 re"]
 
 
-# Public definitions that only the tests call, each with the reason it
-# stays in the package.
+# Public functions that only the tests call, each with the reason it
+# stays in the package.  The one allowlist: it spares functions only,
+# never a class, a defaulted parameter or a record field.
 KEPT_FOR_TESTS = {
     "bilinear_form_sq": "reference oracle for the square-bracket pairing",
     "jacobi_check": "reference oracle: the Jacobi identity of the VOA axioms",
@@ -151,7 +154,8 @@ def dead_definitions() -> tuple:
                     for name, line in named[path.stem]) or (
                     public and node.name in in_bench):
                 continue
-            if node.name in KEPT_FOR_TESTS:
+            if node.name in KEPT_FOR_TESTS and not isinstance(
+                    node, ast.ClassDef):
                 kept.add(node.name)
             else:
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
@@ -165,9 +169,9 @@ def test_every_definition_has_a_caller():
     assert kept == set(KEPT_FOR_TESTS)
 
 
-def _trees(*tops):
+def _trees(root: Path, *tops):
     for top in tops:
-        for path in sorted((ROOT / top).rglob("*.py")):
+        for path in sorted((root / top).rglob("*.py")):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
@@ -213,17 +217,18 @@ def _sets(call: ast.Call, name: str, index) -> bool:
     return index is not None and len(call.args) > index
 
 
-def unset_parameters() -> list:
-    """Defaulted parameters of package functions that no call in the
-    package, the tests or the benchmark sets; calls match by bare or
-    attribute name, and a class call counts as a call of __init__."""
+def unset_parameters(root: Path) -> list:
+    """Defaulted parameters of functions under ``root``/src that no
+    call in src or bench sets (a test's call does not count); calls
+    match by bare or attribute name, and a class call counts as a call
+    of __init__."""
     calls = defaultdict(list)
-    for _, tree in _trees("src", "tests", "bench"):
+    for _, tree in _trees(root, "src", "bench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls[_name(node)].append(node)
     unset = []
-    for path, tree in _trees("src"):
+    for path, tree in _trees(root, "src"):
         for cls, fn in _functions(tree):
             static = any(_name(d) == "staticmethod"
                          for d in fn.decorator_list)
@@ -238,18 +243,19 @@ def unset_parameters() -> list:
 
 
 def test_every_defaulted_parameter_is_set():
-    assert unset_parameters() == []
+    assert unset_parameters(ROOT) == []
 
 
-def unread_fields() -> list:
-    """Fields of package dataclasses and NamedTuples that nothing in
-    the package, the tests or the benchmark reads as ``.field``."""
-    read = {node.attr for _, tree in _trees("src", "tests", "bench")
+def unread_fields(root: Path) -> list:
+    """Fields of dataclasses and NamedTuples under ``root``/src that
+    nothing in src or bench reads as ``.field`` (a test's read does
+    not count)."""
+    read = {node.attr for _, tree in _trees(root, "src", "bench")
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     unread = []
-    for path, tree in _trees("src"):
+    for path, tree in _trees(root, "src"):
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef) or not (
                     any(_name(d) == "dataclass" for d in cls.decorator_list)
@@ -264,4 +270,26 @@ def unread_fields() -> list:
 
 
 def test_every_record_field_is_read():
-    assert unread_fields() == []
+    assert unread_fields(ROOT) == []
+
+
+def test_test_only_options_and_fields_are_found(tmp_path):
+    for top, text in {
+            "src": "from dataclasses import dataclass\n"
+                   "\n"
+                   "@dataclass\n"
+                   "class Rec:\n"
+                   "    kept: int\n"
+                   "    tested: int\n"
+                   "\n"
+                   "def f(x, scale=1, shift=0):\n"
+                   "    return Rec(x * scale + shift, x).kept\n",
+            "bench": "from mod import f\n"
+                     "f(2, scale=3)\n",
+            "tests": "from mod import Rec, f\n"
+                     "assert f(2, shift=1) == 3\n"
+                     "assert Rec(1, 2).tested == 2\n"}.items():
+        (tmp_path / top).mkdir()
+        (tmp_path / top / "mod.py").write_text(text)
+    assert unset_parameters(tmp_path) == ["mod.py:8 f(shift=)"]
+    assert unread_fields(tmp_path) == ["mod.py:6 Rec.tested"]

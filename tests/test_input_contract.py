@@ -123,6 +123,9 @@ HOSTILE_ARGV = {
                             "--coordinates", "1/0,1,2,3"],
     "huge_exponent": ["npoint", "--genus", "0", "--insertions",
                       "a[-1]^99999999|1@z1"],
+    "schottky_rho_order_over_budget": ["schottky", "psi", "--p", "1", "-g",
+                                       "2", "--rho-order", "8"],
+    "schottky_p_above_window": ["schottky", "psi", "--p", "4", "-g", "1"],
 }
 
 
@@ -145,6 +148,29 @@ class TestHostileArgv:
         assert time.monotonic() - start < 2
         assert proc.returncode in (1, 2)
         assert "Traceback" not in proc.stderr
+
+
+class TestSchottkyPsiLimits:
+    @pytest.mark.parametrize("name,message", [
+        ("schottky_rho_order_over_budget",
+         "--rho-order is 8, over the order budget 7 of schottky psi"),
+        ("schottky_p_above_window", "kernel degree p = 4 is above 3"),
+    ])
+    def test_refused_before_any_work(self, name, message):
+        start = time.monotonic()
+        proc = run_cli(*HOSTILE_ARGV[name])
+        assert time.monotonic() - start < 2
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_help_states_the_limits(self):
+        proc = run_cli("schottky", "psi", "--help")
+        assert proc.returncode == 0
+        text = " ".join(proc.stdout.split())
+        assert "kernel weight, at most 3" in text
+        assert "at most 7" in text
 
 
 class TestSchottkyCoordinates:

@@ -30,11 +30,11 @@ from voasurf.genus2 import (
 from voasurf.reduction import Insertion
 from voasurf.schottky import (
     SchottkyData,
-    build_kernel,
     chi,
     genus_g_npoint,
     genus_g_reduce,
     psi_deriv_value,
+    psi_full,
     shifted_columns,
     theta,
 )
@@ -281,13 +281,14 @@ G3 = SchottkyData(3, (3, 1, -2, 6, 10, -7), 1, 3)
 A = generator()
 WEIGHT3 = heisenberg_mode(-1, heisenberg_mode(-1, generator()))
 
+# the build_kernel cases assemble the formal kernel, psi_full
 SCHOTTKY_CALLS = {
-    "build_kernel-g1-p1": lambda: build_kernel(1, G1).psi,
-    "build_kernel-g1f-p2": lambda: build_kernel(2, G1F, -9, 6).psi,
-    "build_kernel-g2-p1": lambda: build_kernel(1, G2).psi,
-    "build_kernel-g2-p2": lambda: build_kernel(2, G2, -9, 6).psi,
-    "build_kernel-g2-p3": lambda: build_kernel(3, G2P3).psi,
-    "build_kernel-g3-p2": lambda: build_kernel(2, G3).psi,
+    "build_kernel-g1-p1": lambda: psi_full(1, G1),
+    "build_kernel-g1f-p2": lambda: psi_full(2, G1F),
+    "build_kernel-g2-p1": lambda: psi_full(1, G2),
+    "build_kernel-g2-p2": lambda: psi_full(2, G2),
+    "build_kernel-g2-p3": lambda: psi_full(3, G2P3),
+    "build_kernel-g3-p2": lambda: psi_full(2, G3),
     "psi_deriv_value-g2-p2": lambda: psi_deriv_value(2, G2, 1, F(19, 2),
                                                      F(-11, 3)),
     "psi_deriv_value-g3-p1": lambda: psi_deriv_value(1, G3, 0, F(19, 2),
@@ -295,8 +296,7 @@ SCHOTTKY_CALLS = {
     "chi-g1f-p2": lambda: [chi(2, G1F, a, ell, F(19, 2))
                            for a in (1, -1) for ell in range(3)],
     "chi-g2-p1": lambda: [chi(1, G2, a, 0, F(5, 2)) for a in (1, -1, 2, -2)],
-    "theta-g2-p2": lambda: [theta(2, G2, a, F(19, 2)).components
-                            for a in (1, 2)],
+    "theta-g2-p2": lambda: [theta(2, G2, a, F(19, 2)) for a in (1, 2)],
     "genus_g_reduce-g1-omega": lambda: genus_g_reduce(
         (conformal_vector(), F(-5, 2)), genus_g_npoint([(A, F(7))], G1F),
         G1F).value,
@@ -325,7 +325,7 @@ def test_schottky_kernels_equal_uncapped_rows(monkeypatch, call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: build_kernel(2, G2, -9, 6),
+    lambda: psi_full(2, G2),  # the formal kernel build
     lambda: chi(1, G2, -2, 0, F(5, 2))], ids=["build_kernel", "chi"])
 def test_dressed_row_never_builds_above_its_reach(monkeypatch, call):
     dressed = []

@@ -439,6 +439,9 @@ class TestResidualsAndUnwinding:
         assert not out.is_zero()
 
     def test_empty_unwind_is_the_partition_function(self):
-        out = unwind_to_partition([], genus=0, uprime=A, u=A)
-        assert out.value.coefficient({}) == bilinear_form(A, A)
+        out = unwind_to_partition([], genus=0)
+        assert out.value.coefficient({}) == bilinear_form(vacuum(), vacuum())
+        assert out.degenerate_steps == ()
+        out = unwind_to_partition([], genus=1, q_order=5)
+        assert out.value == genus1_direct((), 5, (-8, 8)).value
         assert out.degenerate_steps == ()

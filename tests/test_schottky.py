@@ -33,7 +33,6 @@ from voasurf.voa import (
 )
 from voasurf.schottky import (
     SchottkyData,
-    build_kernel,
     chi,
     genus0_rational_value,
     genus_g_npoint,
@@ -241,6 +240,41 @@ class TestMomentMatrix:
         e = R.entry((1, 0), (2, 1))
         assert sorted(e.c) == [(1, 1)]  # sr1^1 sr2^1
 
+    @pytest.mark.parametrize("p,data", [
+        (1, DATA1), (1, DATA1F), (2, DATA2), (1, DATA3),
+        (2, SchottkyData(2, (3, 1, -2, 6), 2, 4, f_choice=(
+            {-1: F(1, 2), 0: F(3)}, {1: F(-2)}, {-2: F(1, 3)}))),
+        (2, SchottkyData(3, (3, 1, -2, 6, 10, -7), 1, 3, f_choice=(
+            {0: 2}, {-1: F(5, 7)}, {2: 1})))])
+    def test_entries_branch_by_branch(self, p, data):
+        # the pair b = -a keeps the pole-free f-part; every other pair
+        # the whole seed; each entry is the one monomial
+        # sr_a^(m+1) sr_b^n with that sharp lower bound per variable
+        sign = F((-1) ** p)
+        want = {}
+        for a in data.index_set:
+            for b in data.index_set:
+                for m in range(data.matrix_cutoff):
+                    for n in range(data.matrix_cutoff):
+                        x, y = data.w(-a), data.w(b)
+                        val = sign * (schottky._f_part(p, data, m, n, x, y)
+                                      if b == -a else
+                                      schottky._psi0_deriv(p, data, m, n,
+                                                           x, y))
+                        exps = {data.sr_var(a): m + 1}
+                        exps[data.sr_var(b)] = exps.get(data.sr_var(b),
+                                                        0) + n
+                        if val:
+                            want[((a, m), (b, n))] = MultiSeries.monomial(
+                                exps, val)
+        R = schottky_R(p, data)
+        assert R.entries.keys() == want.keys()
+        for key, e in R.entries.items():
+            assert (e.vars, e.window, e.c) == (want[key].vars,
+                                               want[key].window,
+                                               want[key].c), key
+            assert all(type(v) is F for v in e.c.values())
+
 
 # -- Neumann inversion -------------------------------------------------------
 
@@ -331,22 +365,36 @@ class TestNeumann:
 class TestDressedKernel:
     @pytest.mark.parametrize("p,data", [(1, DATA1), (1, DATA1F), (2, DATA2)])
     def test_amplitude_free_slice_is_the_seed(self, p, data):
-        kern = build_kernel(p, data, x_lo=-5, y_hi=3)
-        sliced = kern.psi
+        psi = psi_full(p, data)
+        seed = psi0(p, data.f_choice, {"x": (-6, None), "y": (0, 4)})
+        sliced = psi
         for v in data.sr_vars:
             sliced = sliced.coefficient_of(v, 0)
-        assert sliced.agrees_with(kern.psi0)
-        assert not kern.psi.agrees_with(
-            kern.psi0.extended_to(kern.psi.vars))
+        assert sliced.agrees_with(seed)
+        assert not psi.agrees_with(seed.extended_to(psi.vars))
 
     def test_psi_full_matches_package(self):
-        assert psi_full(1, DATA1F).agrees_with(
-            build_kernel(1, DATA1F, x_lo=-5, y_hi=3).psi)
-
-    def test_form_tags(self):
-        kern = build_kernel(2, DATA2)
-        assert kern.form == "dx^2 dy^-1"
-        assert theta(2, DATA1, 1, F(5)).form == "dx^2"
+        # psi_full against a dense assembly of the package's formal
+        # ptilde row, the geometric sum of R Delta and the q column
+        for p, data in ((1, DATA1F), (2, DATA2)):
+            hi = 2 * data.rho_order
+            idx = handle_indices(data)
+            neu = dense_geometric_sum(p, data, hi)
+            row = schottky._p_row_formal(p, data, -6)
+            col = schottky._q_column_formal(p, data, 4)
+            svars = ("x", "y") + data.sr_vars
+            total = psi0(p, data.f_choice,
+                         {"x": (-6, None), "y": (0, 4)}).extended_to(svars)
+            for i, ki in enumerate(idx):
+                for j, kj in enumerate(idx):
+                    if ki in row and kj in col:
+                        term = (row[ki] * neu[i][j] * col[kj]).extended_to(
+                            svars)
+                        for v in data.sr_vars:
+                            term = term.clip(v, term.window[v][0], hi)
+                        total = total + term
+            got = psi_full(p, data)
+            assert got.agrees_with(total) and got.window == total.window
 
     def test_value_seed_slices(self):
         x, y = F(9), F(2)
@@ -401,7 +449,7 @@ class TestDressedKernel:
     @pytest.mark.parametrize("call", [
         lambda: theta(2, DATA1, 1, F(5)),
         lambda: chi(2, DATA1, -1, 0, F(5)),
-        lambda: build_kernel(1, DATA1F),
+        lambda: psi_full(1, DATA1F),  # the formal kernel build
         lambda: psi_deriv_value(2, DATA2, 1, F(9), F(2)),
         lambda: genus_g_reduce((OMEGA, F(5)),
                                genus_g_npoint([(A, F(7))], DATA1), DATA1),
@@ -421,8 +469,8 @@ class TestDressedKernel:
 
     def test_theta_components_and_negative_powers(self):
         th = theta(2, DATA1, 1, F(5))
-        assert sorted(th.components) == [0, 1, 2]
-        t2 = th.components[2]
+        assert sorted(th) == [0, 1, 2]
+        t2 = th[2]
         # the partner term carries sr1^(2(p-1-l)) = sr1^-2
         assert t2.window["sr1"][0] < 0
         assert t2.coefficient({"sr1": -2}) == (F(5) - F(3)) ** -1

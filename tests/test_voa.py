@@ -1,6 +1,7 @@
 """Heisenberg VOA tests: modes, axioms, square brackets, the form."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from voasurf.voa import (
     A,
     VACUUM,
     GradedVector,
+    _cyl_coeff,
     _norm,
     basis,
     bilinear_form,
@@ -134,7 +136,61 @@ class TestJacobi:
                             GradedVector.basis_state((2,)), (-1, 4, -1, 4))
 
 
+def _list_mul(f, g):
+    """The product of two power series given as coefficient lists,
+    truncated at the shorter length."""
+    n = min(len(f), len(g))
+    return [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def laurent_cyl_coeffs(j, m, rs):
+    """[z^(-m-1)] e^(r z) (e^z - 1)^(-j-1) for each r in ``rs``, from
+    plain coefficient lists: e^z - 1 = z u(z) with u(0) = 1, so the
+    coefficient is [z^(j-m)] e^(r z) u(z)^(-j-1)."""
+    n = j - m
+    if n < 0:
+        return [Fraction(0)] * len(rs)
+    u = [Fraction(1, factorial(k + 1)) for k in range(n + 1)]
+    if j + 1 > 0:
+        inv = [Fraction(1)]
+        for k in range(1, n + 1):
+            inv.append(-sum(u[i] * inv[k - i] for i in range(1, k + 1)))
+        u = inv
+    power = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(abs(j + 1)):
+        power = _list_mul(power, u)
+    return [sum(Fraction(r) ** k / factorial(k) * power[n - k]
+                for k in range(n + 1)) for r in rs]
+
+
 class TestSquareBrackets:
+    def test_cylinder_coefficients_against_laurent_lists(self):
+        rs = range(7)
+        for m in range(-8, 8):
+            for j in range(-9, 12):
+                want = laurent_cyl_coeffs(j, m, rs)
+                assert [_cyl_coeff(r, j, m) for r in rs] == want, (j, m)
+
+    def test_square_fock_is_the_round_expansion(self):
+        # a[-l] v = sum_j c_{-l,j} a(j) v with c at wt a = 1; a(j) kills
+        # v once j exceeds its weight
+        memo = {VACUUM: vacuum()}
+
+        def expand(lam):
+            if lam not in memo:
+                rest = expand(lam[1:])
+                out = GradedVector()
+                for j in range(-lam[0], weight(lam[1:]) + 1):
+                    (c,) = laurent_cyl_coeffs(j, -lam[0], (1,))
+                    if c:
+                        out = out + c * heisenberg_mode(j, rest)
+                memo[lam] = out
+            return memo[lam]
+
+        for w in range(9):
+            for lam in basis(w):
+                assert square_fock(lam) == expand(lam), lam
+
     def test_a_bracket_minus_one_on_vacuum(self):
         assert square_bracket_mode(generator(), -1, vacuum()) == generator()
 
@@ -211,44 +267,40 @@ class TestSquareBrackets:
                     V, n, GradedVector.basis_state(lam)), (lam, n)
 
 
-def defining_form(state, y, alpha):
+def defining_form(state, y):
     """<state, y> from the definition: move each a(-k) of ``state`` to
-    the right as its adjoint -alpha^(-k) a(k), pairing vacua at the end."""
+    the right as its adjoint -a(k), pairing vacua at the end."""
     if state == VACUUM:
         return y.coefficient(VACUUM)
     k, rest = state[0], state[1:]
-    return -(alpha ** -k) * defining_form(rest, heisenberg_mode(k, y), alpha)
+    return -defining_form(rest, heisenberg_mode(k, y))
 
 
 class TestBilinearForm:
     def test_generator_norm(self):
         assert bilinear_form(generator(), generator()) == -1
-        assert bilinear_form(generator(), generator(), alpha=3) == Fraction(-1, 3)
 
     def test_weight_two_gram(self):
         vecs = [GradedVector.basis_state(s) for s in basis(2)]
-        gram = [[bilinear_form(u, v, alpha=2) for v in vecs] for u in vecs]
+        gram = [[bilinear_form(u, v) for v in vecs] for u in vecs]
         # basis order: (2,), (1,1)
-        assert gram == [[Fraction(-2, 4), 0], [0, Fraction(2, 4)]]
+        assert gram == [[-2, 0], [0, 2]]
 
-    @pytest.mark.parametrize("alpha", [1, 2, Fraction(1, 3), -1],
-                             ids=["1", "2", "1_3", "-1"])
-    def test_norms_match_definition(self, alpha):
+    def test_norms_match_definition(self):
         """Both Fock bases are orthogonal with the closed-form norms that
         ``bilinear_form`` sums: the round Gram matrix built from the
-        adjoint a(k)^+ = -alpha^k a(-k), and the square pairing of the
+        adjoint a(k)^+ = -a(-k), and the square pairing of the
         square-bracket states, agree with it entry by entry."""
-        alpha = Fraction(alpha)
         for m in range(6):
             states = basis(m)
             rounds = [GradedVector.basis_state(s) for s in states]
             squares = [square_fock(s) for s in states]
             for i, s in enumerate(states):
                 for j in range(len(states)):
-                    entry = bilinear_form(rounds[i], rounds[j], alpha)
-                    assert entry == defining_form(s, rounds[j], alpha)
+                    entry = bilinear_form(rounds[i], rounds[j])
+                    assert entry == defining_form(s, rounds[j])
                     assert (entry != 0) == (i == j)
-                    assert bilinear_form_sq(squares[i], squares[j], alpha) == entry
+                    assert bilinear_form_sq(squares[i], squares[j]) == entry
 
     @given(states, states)
     @settings(max_examples=40)
@@ -260,17 +312,16 @@ class TestBilinearForm:
 
     def test_invariance_quasiprimary(self):
         # <u(n)x, y> = <x, u_adj(n) y> with
-        # u_adj(n) = (-1)^wt(u) alpha^(n+1-wt u) u(2 wt u - n - 2)
-        alpha = Fraction(5, 3)
+        # u_adj(n) = (-1)^wt(u) u(2 wt u - n - 2)
         for u, wt_u in [(generator(), 1), (conformal_vector(), 2)]:
             for x_state in basis(3):
                 for y_state in basis(3 + wt_u - 2):  # pick n = 1
                     n = 1
                     x = GradedVector.basis_state(x_state)
                     y = GradedVector.basis_state(y_state)
-                    lhs = bilinear_form(vertex_mode(u, n, x), y, alpha)
-                    rhs = (-1) ** wt_u * alpha ** (n + 1 - wt_u) * bilinear_form(
-                        x, vertex_mode(u, 2 * wt_u - n - 2, y), alpha)
+                    lhs = bilinear_form(vertex_mode(u, n, x), y)
+                    rhs = (-1) ** wt_u * bilinear_form(
+                        x, vertex_mode(u, 2 * wt_u - n - 2, y))
                     assert lhs == rhs
 
     def test_dual_basis_pairing(self):
