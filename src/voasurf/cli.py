@@ -86,6 +86,14 @@ QORDER_BUDGET = 32
 # 7, 5.0 s at 8 and 8.2 s at 9.
 RHO_ORDER_BUDGET = 7
 
+# Largest channel count (p(0) + ... + p(cutoff))^g that schottky
+# partition accepts: its handle sum visits one dual-basis channel per
+# handle and weight.  In fresh processes on the machine above, g = 2 at
+# cutoff 7 (2025 channels) takes 4.2 s, g = 3 at 4 (1728) 4.9 s and g = 5
+# at 2 (1024) 5.0 s; g = 4 at 3 (2401) takes 11.9 s, g = 2 at 8 (4489)
+# 15 s, and g = 2 at 9 (9409) runs past 30 s.
+CHANNEL_BUDGET = 2025
+
 
 # -- flag grammar ----------------------------------------------------------
 
@@ -239,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     g2p.add_argument("--q2-order", type=_positive_int, default=6)
     g2p.add_argument("-N", "--matrix-cutoff", type=_positive_int, default=8,
                      help="moment matrix cutoff, at least twice the epsilon "
-                          "order (default 8)")
+                          "order (default 8); the Hafnian channel sum "
+                          "builds no matrix, so no coefficient depends on it")
     g2p.set_defaults(command="genus2 partition")
 
     g2w = g2_sub.add_parser("pweier", parents=[common],
@@ -279,15 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
                           "3,1,-2,6)")
     psi.add_argument("-N", "--matrix-cutoff", type=_positive_int,
                      help="moment matrix cutoff (default: max of twice the "
-                          "rho order and 2p-1)")
+                          "rho order and 2p-1; at most "
+                          f"{2 * RHO_ORDER_BUDGET}, the largest default: "
+                          "a larger cutoff changes no coefficient)")
     psi.set_defaults(command="schottky psi")
 
     spart = sch_sub.add_parser("partition", parents=[common],
                                help="genus-g partition handle sum")
     spart.add_argument("-g", "--genus", type=_positive_int, required=True)
     spart.add_argument("--weight-cutoff", type=_positive_int, default=3,
-                       help="total weight cutoff of the handle sum "
-                            "(default 3)")
+                       help="weight cutoff per handle of the handle sum "
+                            "(default 3; the channel count (p(0) + ... + "
+                            "p(cutoff))^genus, p the partition numbers, at "
+                            f"most {CHANNEL_BUDGET})")
     spart.add_argument("--coordinates", type=_int_list,
                        help="fixed points as for schottky psi")
     spart.set_defaults(command="schottky partition")
@@ -480,29 +493,16 @@ def _run_pm(ns: argparse.Namespace):
             "series": _series_payload(ms, ns.approx)}, 0
 
 
-def _oracle(ns: argparse.Namespace):
-    """The brute-force correlation function of ``--insertions`` between
-    vacua (genus 0) or traced (genus 1); no insertions give the
-    partition function."""
-    from .reduction import genus0_direct, genus1_direct
-    from .voa import vacuum
-
-    window = (-ns.zorder, ns.zorder)
-    if ns.genus == 0:
-        return genus0_direct(ns.insertions, vacuum(), vacuum(), window)
-    return genus1_direct(ns.insertions, ns.qorder, window)
-
-
 def _run_npoint(ns: argparse.Namespace):
     _check_correlation_budgets(ns, "npoint", ns.insertions, "--insertions")
-    from .reduction import ReductionDirection, unwind_to_partition
+    from .reduction import ReductionDirection, direct, unwind_to_partition
     from .voa import render_state
 
     genus = ns.genus
     window = (-ns.zorder, ns.zorder)
     q_order = ns.qorder
     if ns.path == "oracle":
-        F = _oracle(ns)
+        F = direct(genus, ns.insertions, window, q_order)
     else:
         directions = tuple(ReductionDirection(i)
                            for i in reversed(ns.insertions))
@@ -526,10 +526,11 @@ def _run_residual(ns: argparse.Namespace):
     _check_correlation_budgets(ns, "residual",
                                ns.insertions + (ns.direction,),
                                "--insertions and --direction")
-    from .reduction import ReductionDirection, cocycle_residual
+    from .reduction import ReductionDirection, cocycle_residual, direct
 
     direction = ReductionDirection(ns.direction)
-    res = cocycle_residual(direction, _oracle(ns))
+    res = cocycle_residual(direction, direct(
+        ns.genus, ns.insertions, (-ns.zorder, ns.zorder), ns.qorder))
     return {"command": "residual", "genus": ns.genus,
             "direction": str(direction.insertion),
             "insertions": [str(i) for i in ns.insertions],
@@ -580,6 +581,9 @@ def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
 def _run_schottky_psi(ns: argparse.Namespace):
     _check_budget("--rho-order", ns.rho_order, "order", RHO_ORDER_BUDGET,
                   "schottky psi")
+    if ns.matrix_cutoff is not None:
+        _check_budget("-N", ns.matrix_cutoff, "cutoff",
+                      2 * RHO_ORDER_BUDGET, "schottky psi")
     from .schottky import psi_full
     from .sewing import renamed
 
@@ -595,11 +599,20 @@ def _run_schottky_psi(ns: argparse.Namespace):
 def _run_schottky_partition(ns: argparse.Namespace):
     from .schottky import genus_g_partition
     from .sewing import renamed
+    from .voa import basis
 
     # the handle sum is cut by weight alone; the payload reports the
     # surface truncations it is built with
     cutoff = ns.weight_cutoff
     data = _schottky_data(ns, cutoff, 2 * cutoff)
+    per_handle = 0  # p(0) + ... + p(m); stops once over budget
+    for m in range(cutoff + 1):
+        per_handle += len(basis(m))
+        if per_handle ** data.genus > CHANNEL_BUDGET:
+            raise ValueError(
+                f"the channel count (p(0) + ... + p({cutoff}))^{data.genus} "
+                f"is over the channel budget {CHANNEL_BUDGET} of schottky "
+                "partition")
     ms = renamed(genus_g_partition(data, cutoff), data.half_powers)
     return {"command": "schottky partition", "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],

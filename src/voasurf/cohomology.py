@@ -20,10 +20,11 @@ shrink a reported kernel, never grow it.
 
 The direction of the coboundary is the one parameter the theory
 leaves open.  Every operation here takes it explicitly, either as a
-single direction or as a finite family, and a family can enter as the
-sum of its per-direction matrices (one operator, the convention the
-cluster construction uses) or stacked (simultaneous conditions, one
-block row per direction).  ``build_coboundary`` is the one place that
+single direction (a ``ReductionDirection`` or an ``Insertion``) or as a
+family (a list or tuple of them), and a family can enter as the sum of
+its per-direction matrices (one operator, the convention the cluster
+construction uses) or stacked (simultaneous conditions, one block row
+per direction).  ``build_coboundary`` is the one place that
 turns a slice into coboundary columns; the ranks and the Euler ledger
 read theirs off the matrices it returns.
 """
@@ -38,13 +39,12 @@ from .reduction import (
     CorrelationFn,
     Insertion,
     ReductionDirection,
-    genus0_direct,
-    genus1_direct,
+    direct,
     point_var,
     reduce_step,
     window_pair,
 )
-from .voa import GradedVector, basis, render_state, vacuum
+from .voa import GradedVector, basis, vacuum
 
 DEFAULT_WINDOW = (-4, 4)
 DEFAULT_Q_ORDER = 4
@@ -69,16 +69,15 @@ def weighted_tuples(n: int, m: int) -> tuple:
     return tuple(out)
 
 
-def as_direction(d, default_point: str = "w") -> ReductionDirection:
-    """Coerce a state, (state, point) pair or insertion to a direction."""
+def as_direction(d) -> ReductionDirection:
+    """A direction from a ReductionDirection or an Insertion, the two
+    shapes a direction takes."""
     if isinstance(d, ReductionDirection):
         return d
     if isinstance(d, Insertion):
         return ReductionDirection(d)
-    if isinstance(d, GradedVector):
-        return ReductionDirection(Insertion(d, default_point))
-    state, point = d
-    return ReductionDirection(Insertion(state, str(point)))
+    raise TypeError("a direction is a ReductionDirection or an Insertion, "
+                    f"got {type(d).__name__}")
 
 
 def direction_weight(direction: ReductionDirection) -> int:
@@ -97,11 +96,11 @@ def _direction_family(family, combine: str):
     must name how the family acts, 'sum' or 'stack'."""
     if combine not in ("sum", "stack"):
         raise ValueError("combine must be 'sum' or 'stack'")
-    if isinstance(family, (ReductionDirection, Insertion, GradedVector)):
+    if isinstance(family, (ReductionDirection, Insertion)):
         family = [family]
-    elif isinstance(family, tuple) and len(family) == 2 and \
-            isinstance(family[0], GradedVector):
-        family = [family]
+    elif not isinstance(family, (list, tuple)):
+        raise TypeError("a direction family is a direction or a list or "
+                        f"tuple of directions, got {type(family).__name__}")
     dirs = [as_direction(d) for d in family]
     if not dirs:
         raise ValueError("empty direction family")
@@ -124,9 +123,9 @@ class GradedSlice:
 
     ``basis`` is the canonical tuple list and ``sources`` the matching
     value-free coboundary sources; ``build`` evaluates the brute-force
-    oracle of a tuple, which only checks and seeds ever need.  Genus 0
-    carries boundary states, vacuum by default; genus 1 carries the
-    q-order.
+    oracle of a tuple through ``reduction.direct``, which only checks
+    and seeds ever need.  Genus 0 carries boundary states, vacuum by
+    default; genus 1 carries the q-order.
     """
 
     def __init__(self, genus: int, n: int, m: int, *, points=None,
@@ -179,9 +178,8 @@ class GradedSlice:
     def build(self, insertions) -> CorrelationFn:
         """The correlation function of an explicit insertion tuple on
         this slice's window (the tuple need not come from ``basis``)."""
-        if self.genus == 0:
-            return genus0_direct(insertions, *self.boundary, self.window)
-        return genus1_direct(insertions, self.q_order, self.window)
+        return direct(self.genus, insertions, self.window, self.q_order,
+                      self.boundary)
 
     @cached_property
     def var_order(self) -> tuple:
@@ -209,15 +207,6 @@ class GradedSlice:
         if ext.vars != self.var_order:
             raise ValueError(f"unexpected variables {ext.vars}")
         return {k: v for k, v in ext.c.items() if v}
-
-    def describe(self) -> dict:
-        out = {"genus": self.genus, "n": self.n, "m": self.m,
-               "points": list(self.points), "window": list(self.window)}
-        if self.genus == 1:
-            out["q_order"] = self.q_order
-        else:
-            out["boundary"] = [render_state(v) for v in self.boundary]
-        return out
 
 
 def _check_fresh(direction: ReductionDirection, points) -> None:
@@ -300,8 +289,6 @@ class ChainReport:
     never asserted.
     """
 
-    dir1: ReductionDirection
-    dir2: ReductionDirection
     source: GradedSlice
     columns: list
     kernel: tuple
@@ -309,22 +296,6 @@ class ChainReport:
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel)
-
-    @property
-    def refuted_dim(self) -> int:
-        return self.source.dim - self.kernel_dim
-
-    def describe(self) -> dict:
-        return {
-            "dir1": describe_direction(self.dir1),
-            "dir2": describe_direction(self.dir2),
-            "source": self.source.describe(),
-            "q": self.source.dim,
-            "kernel_dim": self.kernel_dim,
-            "refuted_dim": self.refuted_dim,
-            "kernel": [[str(x) for x in vec] for vec in self.kernel],
-            "certified": "within window",
-        }
 
 
 def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
@@ -336,8 +307,8 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     there.  Zero is judged on the window, in line with every other
     claim this module makes.
     """
-    dir1 = as_direction(dir1, default_point="w1")
-    dir2 = as_direction(dir2, default_point="w2")
+    dir1 = as_direction(dir1)
+    dir2 = as_direction(dir2)
     _check_fresh(dir1, src.points)
     _check_fresh(dir2, src.points + (dir1.insertion.point,))
     mid = target_slice(dir1, src)
@@ -348,7 +319,7 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
         columns.append({} if g.is_zero()
                        else tgt.vectorize(reduce_step(dir2, g)))
     kernel = tuple(kernel_basis(columns))
-    return ChainReport(dir1, dir2, src, columns, kernel)
+    return ChainReport(src, columns, kernel)
 
 
 class RankResult(NamedTuple):

@@ -3,7 +3,8 @@
 Two computation paths exist for each genus and they are kept
 deliberately independent.  The *direct* functions enumerate mode
 tuples against the definition (matrix elements on the sphere, graded
-traces on the torus) and serve as brute-force oracles.  The *reduce*
+traces on the torus) and serve as brute-force oracles; ``direct`` picks
+the one of a genus, as ``reduce_step`` picks the recursion.  The *reduce*
 functions peel off one insertion at a time: the leftmost vertex
 operator is split into a zero-mode part, boundary parts, and
 commutator parts against the remaining insertions, and the resulting
@@ -120,7 +121,6 @@ class CorrelationFn:
     window: tuple
     boundary_states: tuple = None
     q_order: int = None
-    operator_word: tuple = ()
     degenerate_steps: tuple = ()
 
     @property
@@ -256,7 +256,7 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
     return _assemble_genus0(insertions, acc, window, uprime, u)
 
 
-def _assemble_genus0(insertions, acc, window, uprime, u, operator_word=()):
+def _assemble_genus0(insertions, acc, window, uprime, u):
     """Window-check the accumulated coefficients and build the result.
 
     Raises WindowError when nonzero data falls on an intrinsically
@@ -292,7 +292,7 @@ def _assemble_genus0(insertions, acc, window, uprime, u, operator_word=()):
                         coeffs)
     return CorrelationFn(
         genus=0, insertions=insertions, value=value, window=window,
-        boundary_states=(uprime, u), operator_word=operator_word)
+        boundary_states=(uprime, u))
 
 
 # -- genus 0: the reduction recursion -----------------------------------
@@ -423,9 +423,7 @@ def genus0_reduce(direction: ReductionDirection,
             key = tuple(keyed[p] for _, p in row)
             acc[key] = acc.get(key, Fraction(0)) + coef * c
 
-    word = (f"H({ins})",) + F.operator_word
-    return _assemble_genus0(insertions, acc, F.window, uprime, u,
-                            operator_word=word)
+    return _assemble_genus0(insertions, acc, F.window, uprime, u)
 
 
 # -- genus 1: brute-force oracle ----------------------------------------
@@ -627,14 +625,12 @@ def genus1_reduce(direction: ReductionDirection,
 
     var_order = sorted(point_var(1, i.point) for i in insertions)
     acc = acc.extended_to(tuple(var_order) + ("q",))
-    for qv in var_order:
-        acc = acc.cut_below(qv, lo).clip(qv, lo, hi)
+    box = [i for i, v in enumerate(acc.vars) if v != "q"]
     value = MultiSeries(acc.vars, _genus1_box(var_order, F.window, q_order),
-                        dict(acc.c))
-    word = (f"H({ins})",) + F.operator_word
+                        {k: c for k, c in acc.c.items()
+                         if all(lo <= k[i] <= hi for i in box)})
     return CorrelationFn(genus=1, insertions=insertions, value=value,
-                         window=F.window, q_order=q_order,
-                         operator_word=word)
+                         window=F.window, q_order=q_order)
 
 
 # -- partition functions, residuals, unwinding ---------------------------
@@ -653,6 +649,19 @@ def genus1_onepoint(v: GradedVector, q_order: int) -> MultiSeries:
 
 
 _GENUS_ERROR = "unwinding is defined at genus 0 and 1"
+
+
+def direct(genus: int, insertions, window, q_order,
+           boundary=None) -> CorrelationFn:
+    """The brute-force value of the insertions by genus: between the
+    boundary states (u', u) at genus 0, vacua unless given, and traced
+    to q_order at genus 1."""
+    if genus == 0:
+        uprime, u = boundary or (vacuum(), vacuum())
+        return genus0_direct(insertions, uprime, u, window)
+    if genus == 1:
+        return genus1_direct(insertions, q_order, window)
+    raise ValueError(_GENUS_ERROR)
 
 
 def reduce_step(direction: ReductionDirection,
@@ -675,15 +684,10 @@ def cocycle_residual(direction: ReductionDirection,
 def unwind_to_partition(directions, genus: int, *, window=(-8, 8),
                         q_order: int = 6) -> CorrelationFn:
     """Apply reduction steps in order starting from the partition
-    function (the zero-insertion oracle value), recording the operator
-    word and flagging every step whose output is identically zero on
-    the box (a degenerate direction)."""
-    if genus == 0:
-        F = genus0_direct((), vacuum(), vacuum(), window)
-    elif genus == 1:
-        F = genus1_direct((), q_order, window)
-    else:
-        raise ValueError(_GENUS_ERROR)
+    function (the zero-insertion oracle value), flagging every step
+    whose output is identically zero on the box (a degenerate
+    direction)."""
+    F = direct(genus, (), window, q_order)
     degenerate = []
     for i, d in enumerate(directions):
         F = reduce_step(d, F)

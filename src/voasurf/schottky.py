@@ -23,10 +23,14 @@ lower bound, so the product horizons stay tight enough to certify
 results through rho_order without ever expanding past the matrix
 cutoff.
 
-The formal kernel ``psi_full(p, data)`` is expanded on one fixed window:
-x exponents from -6 up (``_X_LO``), y exponents 0 through 4
-(``_Y_HI``).  The y horizon must cover the seed's f-part, which reaches
-y^(2p - 2), so p is at most 3 there (``_P_MAX``).
+Seed derivative rows and columns have one builder each, ``p_row`` and
+``q_column``, at a rational point or at a formal one, ``Formal(var,
+cut)``.  A formal x is expanded for |x| above every handle point and
+viewed down to x^cut; a formal y is expanded for |y| below them and
+known through y^cut.  The formal kernel ``psi_full(p, data)`` builds
+its row at ``Formal("x", -6)`` (``_X_LO``) and its column at
+``Formal("y", 4)`` (``_Y_HI``).  The y horizon must cover the seed's
+f-part, which reaches y^(2p - 2), so p is at most 3 there (``_P_MAX``).
 
 Genus-zero values are computed by pairing free-field legs: the vertex
 operator of a basis monomial is a normally ordered product of
@@ -41,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 from . import sewing
 from .series import MultiSeries, rat
@@ -227,6 +232,26 @@ _Y_HI = 4
 _P_MAX = _Y_HI // 2 + 1
 
 
+class Formal(NamedTuple):
+    """A formal point.  As x it is expanded for |x| above every handle
+    point and viewed down to x^cut; as y, for |y| below them and known
+    through y^cut."""
+
+    var: str
+    cut: int
+
+
+def _point(z, data: SchottkyData):
+    """A formal point as it is, or a rational one off the handle
+    points."""
+    if isinstance(z, Formal):
+        return z
+    z = rat(z)
+    if z in data.coordinates:
+        raise ValueError("evaluation point collides with a handle point")
+    return z
+
+
 def _f_deriv(poly: dict, m: int, x: Fraction) -> Fraction:
     """Normalized m-th derivative of a Laurent polynomial at x."""
     total = Fraction(0)
@@ -237,52 +262,43 @@ def _f_deriv(poly: dict, m: int, x: Fraction) -> Fraction:
     return total
 
 
-def _f_part(p: int, data: SchottkyData, m: int, n: int,
-            x: Fraction, y: Fraction) -> Fraction:
+def _f_part(p: int, data: SchottkyData, m: int, n: int, x, y):
     """The f-part sum_l f_l^(m)(x) C(l, n) y^(l-n) of the normalized
-    mixed seed derivative.  At x = y it is what survives of the seed
-    between a point and its own partner, where the pole term must not
-    be counted."""
+    mixed seed derivative, l from n (the binomial vanishes below) to
+    2p - 2.  At x = y it is what survives of the seed between a point
+    and its own partner, where the pole term must not be counted.  At a
+    formal y each y^(l-n) is a monomial known through y^cut.  x is
+    formal only in ptilde entries, n >= 2p - 1, where the sum is
+    empty."""
     total = Fraction(0)
-    for ell in range(2 * p - 1):
-        b = gbinom(ell, n)
-        if b:
-            total += _f_deriv(data.f_poly(ell), m, x) * b * y ** (ell - n)
+    for ell in range(n, 2 * p - 1):
+        e = ell - n
+        power = y ** e if not isinstance(y, Formal) else MultiSeries(
+            (y.var,), {y.var: (0, y.cut)}, {(e,): 1} if e <= y.cut else {})
+        total += _f_deriv(data.f_poly(ell), m, x) * gbinom(ell, n) * power
     return total
 
 
-def _psi0_deriv(p: int, data: SchottkyData, m: int, n: int,
-                x: Fraction, y: Fraction) -> Fraction:
-    """Normalized mixed derivative of the kernel seed at a rational
-    point pair off the diagonal."""
-    pole = Fraction((-1) ** m * gbinom(m + n, m)) * (x - y) ** (-1 - m - n)
+def _pole(x, y, k: int):
+    """(x - y)^k: exact at two rational points, expanded for |x| > |y|
+    down to x^cut at a formal x, and for |y| < |x| through y^cut at a
+    formal y."""
+    if isinstance(x, Formal):
+        return MultiSeries((x.var,), {x.var: (x.cut, None)}, {
+            (k - t,): gbinom(k, t) * (-y) ** t
+            for t in range(k - x.cut + 1)})
+    if isinstance(y, Formal):
+        return MultiSeries((y.var,), {y.var: (0, y.cut)}, {
+            (t,): gbinom(k, t) * x ** (k - t) * (-1) ** t
+            for t in range(y.cut + 1)})
+    return (x - y) ** k
+
+
+def _psi0_deriv(p: int, data: SchottkyData, m: int, n: int, x, y):
+    """Normalized mixed derivative of the kernel seed off the diagonal:
+    a rational at two rational points, a series in the formal one."""
+    pole = _pole(x, y, -1 - m - n) * ((-1) ** m * gbinom(m + n, m))
     return pole + _f_part(p, data, m, n, x, y)
-
-
-def _upper_pole(var: str, c: Fraction, k: int, lo: int) -> MultiSeries:
-    """(var - c)^k expanded for |var| > |c|, viewed down to var^lo."""
-    coeffs = {}
-    t = 0
-    while k - t >= lo:
-        b = gbinom(k, t)
-        if b:
-            coeffs[(k - t,)] = Fraction(b) * (-c) ** t
-        t += 1
-        if k >= 0 and t > k:
-            break
-    return MultiSeries((var,), {var: (lo, None)}, coeffs)
-
-
-def _lower_pole(c: Fraction, var: str, k: int, hi: int) -> MultiSeries:
-    """(c - var)^k expanded for |var| < |c|, known through var^hi."""
-    coeffs = {}
-    for t in range(hi + 1):
-        b = gbinom(k, t)
-        if b:
-            coeffs[(t,)] = Fraction(b) * c ** (k - t) * Fraction(-1) ** t
-        if k >= 0 and t >= k:
-            break
-    return MultiSeries((var,), {var: (0, hi)}, coeffs)
 
 
 def psi0(p: int, f_choice, window) -> MultiSeries:
@@ -394,18 +410,16 @@ def neumann_inverse(M: SeriesMatrix, hi: int, rows: SeriesMatrix = None,
 
 
 def p_row(p: int, data: SchottkyData, x, tilde=False) -> dict:
-    """Row vector of seed derivatives at rational x against every
-    handle point; tilde shifts the derivative order by 2p - 1, which
-    is the composition with the half-order pairing."""
-    x = rat(x)
+    """Row vector of seed derivatives at x, rational or formal, against
+    every handle point; tilde shifts the derivative order by 2p - 1,
+    which is the composition with the half-order pairing."""
+    x = _point(x, data)
     row = {}
     for b in data.index_set:
-        if x == data.w(b):
-            raise ValueError("evaluation point collides with a handle point")
         for n in range(data.matrix_cutoff):
             idx = n + (2 * p - 1 if tilde else 0)
-            val = _psi0_deriv(p, data, 0, idx, x, data.w(b))
-            ms = _sr_monomial(data, {b: idx}, val)
+            ms = _sr_monomial(data, {b: idx}, 1) * _psi0_deriv(
+                p, data, 0, idx, x, data.w(b))
             if not ms.is_zero():
                 row[(b, n)] = ms
     return row
@@ -413,55 +427,15 @@ def p_row(p: int, data: SchottkyData, x, tilde=False) -> dict:
 
 def q_column(p: int, data: SchottkyData, y, j: int = 0) -> dict:
     """Column vector of seed derivatives from every paired handle
-    point to rational y, with an extra normalized y-derivative of
-    order j."""
-    y = rat(y)
-    sign = Fraction((-1) ** p)
-    col = {}
-    for a in data.index_set:
-        if y == data.w(-a):
-            raise ValueError("evaluation point collides with a handle point")
-        for m in range(data.matrix_cutoff):
-            val = sign * _psi0_deriv(p, data, m, j, data.w(-a), y)
-            ms = _sr_monomial(data, {a: m + 1}, val)
-            if not ms.is_zero():
-                col[(a, m)] = ms
-    return col
-
-
-def _p_row_formal(p: int, data: SchottkyData, x_lo: int) -> dict:
-    """The ptilde row of seed derivatives at a formal x, expanded for
-    |x| larger than every handle point and viewed down to x^x_lo.
-
-    Only the pole survives: the f-part sum_l f_l(x) C(l, n + 2p - 1)
-    b^(l - n - 2p + 1) runs over l <= 2p - 2, where every binomial is 0."""
-    row = {}
-    for b in data.index_set:
-        for n in range(data.matrix_cutoff):
-            idx = n + 2 * p - 1
-            ms = _upper_pole("x", data.w(b), -1 - idx, x_lo) * \
-                _sr_monomial(data, {b: idx}, 1)
-            if not ms.is_zero():
-                row[(b, n)] = ms
-    return row
-
-
-def _q_column_formal(p: int, data: SchottkyData, y_hi: int) -> dict:
+    point to y, rational or formal, with an extra normalized
+    y-derivative of order j."""
+    y = _point(y, data)
     sign = Fraction((-1) ** p)
     col = {}
     for a in data.index_set:
         for m in range(data.matrix_cutoff):
-            pole = _lower_pole(data.w(-a), "y", -1 - m, y_hi)
-            pole = pole * Fraction((-1) ** m)
-            fpart = {}
-            for ell in range(2 * p - 1):
-                if ell > y_hi:
-                    continue
-                c = _f_deriv(data.f_poly(ell), m, data.w(-a))
-                if c:
-                    fpart[(ell,)] = c
-            ms = pole + MultiSeries(("y",), {"y": (0, y_hi)}, fpart)
-            ms = ms * _sr_monomial(data, {a: m + 1}, sign)
+            ms = _sr_monomial(data, {a: m + 1}, sign) * _psi0_deriv(
+                p, data, m, j, data.w(-a), y)
             if not ms.is_zero():
                 col[(a, m)] = ms
     return col
@@ -515,8 +489,9 @@ def _psi_value(p: int, data: SchottkyData, row: dict, j: int,
 
 def psi_full(p: int, data: SchottkyData) -> MultiSeries:
     """Assemble psi = psi0 + ptilde (1 - R Delta)^-1 q as a formal
-    expansion in |x| > |y| with the amplitude corrections attached, on
-    the fixed window of the module docstring."""
+    expansion in |x| > |y| with the amplitude corrections attached: the
+    ptilde row at the formal x and the q column at the formal y of the
+    module docstring."""
     _check_degree(p, data)
     if p > _P_MAX:
         raise ValueError(f"kernel degree p = {p} is above {_P_MAX}, the "
@@ -526,9 +501,10 @@ def psi_full(p: int, data: SchottkyData) -> MultiSeries:
     clip = _clip(data.half_powers, hi)
     seed = psi0(p, data.f_choice, {"x": (_X_LO, None), "y": (0, _Y_HI)})
     row = _tilde_row(p, data, schottky_R(p, data),
-                     _p_row_formal(p, data, _X_LO), hi)
-    psi = clip(row_dot_column(row, _q_column_formal(p, data, _Y_HI), clip,
-                              seed.extended_to(("x", "y") + data.sr_vars)))
+                     p_row(p, data, Formal("x", _X_LO), tilde=True), hi)
+    psi = clip(row_dot_column(row, q_column(p, data, Formal("y", _Y_HI)),
+                              clip, seed.extended_to(("x", "y")
+                                                     + data.sr_vars)))
     return require_integer(psi, data.half_powers)
 
 

@@ -336,20 +336,6 @@ class MultiSeries:
                  if new_hi is None or k[i] <= new_hi}
         return out
 
-    def cut_below(self, var: str, lo: int) -> "MultiSeries":
-        """Discard terms with var exponent below ``lo``.
-
-        Unlike ``clip`` this deliberately throws support away; the
-        resulting lo is a viewing cut for Laurent data whose true
-        support extends further down (kernel expansions, torus traces).
-        """
-        i = self.vars.index(var)
-        window = dict(self.window)
-        window[var] = (max(lo, self.window[var][0]), self.window[var][1])
-        out = MultiSeries(self.vars, window)
-        out.c = {k: v for k, v in self.c.items() if k[i] >= lo}
-        return out
-
     def drop_zero_var(self, var: str) -> "MultiSeries":
         """Remove a variable that appears only with exponent zero."""
         i = self.vars.index(var)

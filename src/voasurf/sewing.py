@@ -47,10 +47,6 @@ class SeriesMatrix:
     indices: tuple
     entries: dict
 
-    def entry(self, i, j) -> MultiSeries:
-        e = self.entries.get((i, j))
-        return e if e is not None else MultiSeries.constant(0)
-
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.entries.values())
 

@@ -46,6 +46,7 @@ from test_genus2 import onepoint
 F = Fraction
 A = generator()
 OMEGA = conformal_vector()
+ZERO = MultiSeries.constant(0)  # an absent matrix entry
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11]
 
 _SINGLES = [GradedVector.basis_state(s) for w in range(7) for s in basis(w)]
@@ -351,7 +352,8 @@ def test_7_schottky_layer():
                           neu, hi)
         ident = identity(handle_indices(data))
         for key in set(prod.entries) | set(ident.entries):
-            assert prod.entry(*key).agrees_with(ident.entry(*key))
+            assert prod.entries.get(key, ZERO).agrees_with(
+                ident.entries.get(key, ZERO))
 
     for p, data in ((1, D1), (2, D2)):
         sliced = psi_full(p, data)
@@ -384,7 +386,7 @@ def test_8_cohomology_identities():
     for genus in (0, 1):
         for m in range(4):
             for N in range(4):
-                result = euler_poincare(m, N, genus, (A, "w"),
+                result = euler_poincare(m, N, genus, Insertion(A, "w"),
                                         window=(-3, 3), q_order=3)
                 assert result.total == 0, (genus, m, N)
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or the tests, nor any
 function in them, imports a name it never uses, no module-level
 definition lacks a caller in the package or the benchmark (bar the few
-functions listed in KEPT_FOR_TESTS), no defaulted parameter keeps its
+functions listed in KEPT_FOR_TESTS), no method or property goes unread
+there, no defaulted parameter keeps its
 default at every call in the package and the benchmark, and no record
 field goes unread there.  The tests never count as callers, setters or
 readers: an option or a field that only a test uses is not part of the
@@ -167,6 +168,7 @@ def test_every_definition_has_a_caller():
     assert dead == []
     # no stale exception: each kept name is a definition no caller has
     assert kept == set(KEPT_FOR_TESTS)
+    assert dead_methods(ROOT) == []
 
 
 def _trees(root: Path, *tops):
@@ -215,6 +217,34 @@ def _sets(call: ast.Call, name: str, index) -> bool:
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
     return index is not None and len(call.args) > index
+
+
+def dead_methods(root: Path) -> list:
+    """Methods and properties (dunders aside) of the classes under
+    ``root``/src whose name nothing in src or bench reads as an
+    attribute outside the method's own body (a test's read does not
+    count)."""
+    reads = defaultdict(list)
+    for path, tree in _trees(root, "src", "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                reads[node.attr].append((path, node.lineno))
+    dead = []
+    for path, tree in _trees(root, "src"):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)
+                                  ) or fn.name.startswith("__"):
+                    continue
+                body = range(fn.lineno, fn.end_lineno + 1)
+                if all(p == path and line in body
+                       for p, line in reads[fn.name]):
+                    dead.append(f"{path.name}:{fn.lineno} "
+                                f"{cls.name}.{fn.name}")
+    return dead
 
 
 def unset_parameters(root: Path) -> list:
@@ -293,3 +323,37 @@ def test_test_only_options_and_fields_are_found(tmp_path):
         (tmp_path / top / "mod.py").write_text(text)
     assert unset_parameters(tmp_path) == ["mod.py:8 f(shift=)"]
     assert unread_fields(tmp_path) == ["mod.py:6 Rec.tested"]
+
+
+def test_test_only_methods_are_found(tmp_path):
+    for top, text in {
+            "src": "class Box:\n"
+                   "    def __len__(self):\n"
+                   "        return 0\n"
+                   "\n"
+                   "    @property\n"
+                   "    def size(self):\n"
+                   "        return self.size_of(self)\n"
+                   "\n"
+                   "    @property\n"
+                   "    def label(self):\n"
+                   "        return 'box'\n"
+                   "\n"
+                   "    @staticmethod\n"
+                   "    def size_of(box):\n"
+                   "        return len(box)\n"
+                   "\n"
+                   "    def walk(self, n):\n"
+                   "        return self.walk(n - 1) if n else self.size\n"
+                   "\n"
+                   "    def tested(self):\n"
+                   "        return 1\n",
+            "bench": "from mod import Box\n"
+                     "print(Box().label)\n",
+            "tests": "from mod import Box\n"
+                     "assert Box().tested() == 1\n"}.items():
+        (tmp_path / top).mkdir()
+        (tmp_path / top / "mod.py").write_text(text)
+    # walk reads itself only inside its own body, which is no caller
+    assert dead_methods(tmp_path) == ["mod.py:17 Box.walk",
+                                      "mod.py:20 Box.tested"]

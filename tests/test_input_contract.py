@@ -12,6 +12,7 @@ import time
 import pytest
 
 from voasurf.cohomology import cohomology_rank, euler_poincare
+from voasurf.reduction import Insertion
 from voasurf.schottky import SchottkyData
 from voasurf.voa import generator, parse_state
 
@@ -126,6 +127,10 @@ HOSTILE_ARGV = {
     "schottky_rho_order_over_budget": ["schottky", "psi", "--p", "1", "-g",
                                        "2", "--rho-order", "8"],
     "schottky_p_above_window": ["schottky", "psi", "--p", "4", "-g", "1"],
+    "schottky_cutoff_over_budget": ["schottky", "psi", "--p", "1", "-g", "2",
+                                    "-N", "120"],
+    "schottky_channels_over_budget": ["schottky", "partition", "-g", "2",
+                                      "--weight-cutoff", "9"],
 }
 
 
@@ -155,6 +160,11 @@ class TestSchottkyPsiLimits:
         ("schottky_rho_order_over_budget",
          "--rho-order is 8, over the order budget 7 of schottky psi"),
         ("schottky_p_above_window", "kernel degree p = 4 is above 3"),
+        ("schottky_cutoff_over_budget",
+         "-N is 120, over the cutoff budget 14 of schottky psi"),
+        ("schottky_channels_over_budget",
+         "the channel count (p(0) + ... + p(9))^2 is over the channel "
+         "budget 2025 of schottky partition"),
     ])
     def test_refused_before_any_work(self, name, message):
         start = time.monotonic()
@@ -171,6 +181,10 @@ class TestSchottkyPsiLimits:
         text = " ".join(proc.stdout.split())
         assert "kernel weight, at most 3" in text
         assert "at most 7" in text
+        assert "at most 14" in text
+        proc = run_cli("schottky", "partition", "--help")
+        assert proc.returncode == 0
+        assert "at most 2025" in " ".join(proc.stdout.split())
 
 
 class TestSchottkyCoordinates:
@@ -196,13 +210,15 @@ class TestBoundaryStates:
     def test_genus0_needs_two_states(self, count):
         boundary = (generator(),) * count
         with pytest.raises(ValueError, match="two states"):
-            cohomology_rank(1, 1, 0, (generator(), "w"), boundary=boundary)
+            cohomology_rank(1, 1, 0, Insertion(generator(), "w"),
+                            boundary=boundary)
         with pytest.raises(ValueError, match="two states"):
-            euler_poincare(1, 1, 0, (generator(), "w"), boundary=boundary)
+            euler_poincare(1, 1, 0, Insertion(generator(), "w"),
+                           boundary=boundary)
 
     def test_genus1_refuses_a_boundary(self):
         with pytest.raises(ValueError, match="only at genus 0"):
-            cohomology_rank(1, 1, 1, (generator(), "w"),
+            cohomology_rank(1, 1, 1, Insertion(generator(), "w"),
                             boundary=(generator(), generator()))
 
     @pytest.mark.parametrize("argv", [
