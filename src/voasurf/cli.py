@@ -83,7 +83,13 @@ QORDER_BUDGET = 32
 # Largest --rho-order that schottky psi accepts.  The moment matrix
 # cutoff defaults to twice the order, and the Neumann sum runs to it: at
 # genus 2 in a fresh process on the machine above, --p 1 takes 2.6 s at
-# 7, 5.0 s at 8 and 8.2 s at 9.
+# 7, 5.0 s at 8 and 8.2 s at 9.  The work also grows with the genus, so
+# the genus times the rho powers per handle (the order + 1) is held to
+# its genus-2 value 2 * (RHO_ORDER_BUDGET + 1) = 16.  In fresh processes
+# on a 2-core VM, --p 1 takes 4.3 s at -g 3 --rho-order 4 (15), 8.7 s at
+# -g 4 --rho-order 3 (16), 4.0 s at -g 5 --rho-order 2 (15) and 2.5 s at
+# -g 8 --rho-order 1 (16); refused are -g 3 --rho-order 5 (18), 12.3 s,
+# and -g 7 --rho-order 2 (21), past 40 s.
 RHO_ORDER_BUDGET = 7
 
 # Largest channel count (p(0) + ... + p(cutoff))^g that schottky
@@ -281,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     psi.add_argument("-g", "--genus", type=_positive_int, required=True)
     psi.add_argument("--rho-order", type=_positive_int, default=2,
                      help="rho truncation order per handle (default 2; at "
-                          f"most {RHO_ORDER_BUDGET})")
+                          f"most {RHO_ORDER_BUDGET}, and the genus times "
+                          f"(the order + 1) at most "
+                          f"{2 * (RHO_ORDER_BUDGET + 1)})")
     psi.add_argument("--coordinates", type=_int_list,
                      help="comma-separated fixed points w_-1,w_1,...,"
                           "w_-g,w_g (defaults: genus 1 -> 3,1; genus 2 -> "
@@ -581,6 +589,9 @@ def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
 def _run_schottky_psi(ns: argparse.Namespace):
     _check_budget("--rho-order", ns.rho_order, "order", RHO_ORDER_BUDGET,
                   "schottky psi")
+    _check_budget("the genus times (--rho-order + 1)",
+                  ns.genus * (ns.rho_order + 1), "order",
+                  2 * (RHO_ORDER_BUDGET + 1), "schottky psi")
     if ns.matrix_cutoff is not None:
         _check_budget("-N", ns.matrix_cutoff, "cutoff",
                       2 * RHO_ORDER_BUDGET, "schottky psi")

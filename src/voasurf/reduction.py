@@ -32,6 +32,16 @@ straight into one dict (at genus 0 through the bilinear form, at
 genus 1 coefficient times the int trace count of a word) and share no
 summation code with the recursions.
 
+Both recursions skip what the automorphism theta: a -> -a kills.  It
+acts on a basis state s by (-1)^len(s) and commutes with every mode, so
+a node whose parts have odd total length is zero: at genus 1 the front
+word and the row, at genus 0 the row and the one parity of each
+boundary's states.  Every mode-table step keeps a boundary's parity
+uniform and the total unchanged, so an odd root costs one call.  A
+genus-0 boundary of mixed parity (1 + a, say) leaves the total open and
+is never pruned.  The oracles do not use the rule, so every comparison
+with them still checks it.
+
 Conventions:
 
 * Insertion lists are ordered outermost first.  At genus 0 the value
@@ -184,6 +194,21 @@ def _apply_basis_mode(s: tuple, k: int, vec: dict) -> dict:
     return {ts: c for ts, c in out.items() if c}
 
 
+def _theta_odd(parts, *boundaries) -> bool:
+    """Whether a -> -a kills a recursion node (see the module
+    docstring): whether the states of ``parts``, (state, _) pairs, and
+    of each sparse {state: coefficient} boundary have odd total length.
+    A boundary counts by the one parity of its states; one of mixed
+    parity leaves the total open, and the node is kept."""
+    total = sum(len(s) for s, _ in parts)
+    for b in boundaries:
+        parity = {len(s) % 2 for s in b}
+        if len(parity) != 1:
+            return False
+        total += parity.pop()
+    return total % 2 == 1
+
+
 # -- genus 0: brute-force oracle ----------------------------------------
 
 
@@ -203,6 +228,9 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
     lo, hi = window
 
     acc = {}
+    # keys in the sorted order of the point symbols, which
+    # _assemble_genus0 takes
+    order = sorted(range(len(insertions)), key=lambda i: insertions[i].point)
     wts_uprime = set(uprime.weights())
     wts_u = u.weights()
     for coef, row in _basis_expansions(insertions):
@@ -229,7 +257,7 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
             if i < 0:
                 val = coef * bilinear_form(uprime, GradedVector(vec))
                 if val:
-                    key = tuple(exps)
+                    key = tuple([exps[j] for j in order])
                     acc[key] = acc.get(key, Fraction(0)) + val
                 return
             s, _ = row[i]
@@ -252,12 +280,19 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
                 rec(i - 1, nxt, [exp] + exps)
 
         rec(n - 1, u.t, [])
+    # rec's closure holds rec itself; unbinding it frees what the closure
+    # captured on return, not at the next cyclic garbage collection
+    rec = None
 
     return _assemble_genus0(insertions, acc, window, uprime, u)
 
 
 def _assemble_genus0(insertions, acc, window, uprime, u):
     """Window-check the accumulated coefficients and build the result.
+
+    ``acc`` keys its exponent tuples in the sorted order of the point
+    symbols, the variable order of the value; its coefficients may be
+    ints, which the series constructor makes Fractions.
 
     Raises WindowError when nonzero data falls on an intrinsically
     finite side: anywhere outside the box for a single insertion,
@@ -266,8 +301,8 @@ def _assemble_genus0(insertions, acc, window, uprime, u):
     """
     points = [ins.point for ins in insertions]
     var_order = sorted(points)
-    head = points[0] if points else None
-    tail = points[-1] if points else None
+    head = var_order.index(points[0]) if points else None
+    tail = var_order.index(points[-1]) if points else None
     strict = len(points) == 1
     lo, hi = window
 
@@ -275,19 +310,18 @@ def _assemble_genus0(insertions, acc, window, uprime, u):
     for key, val in acc.items():
         if val == 0:
             continue
-        exps = dict(zip(points, key))
         if not all(lo <= e <= hi for e in key):
             if strict:
                 raise WindowError(
-                    f"window too small: support at {exps}")
-            if exps[head] > hi:
-                raise WindowError(
-                    f"window too small: {head} needs exponent {exps[head]}")
-            if lo - _MARGIN <= exps[tail] < lo:
-                raise WindowError(
-                    f"window too small: {tail} needs exponent {exps[tail]}")
+                    f"window too small: support at {dict(zip(points, key))}")
+            if key[head] > hi:
+                raise WindowError(f"window too small: {points[0]} needs "
+                                  f"exponent {key[head]}")
+            if lo - _MARGIN <= key[tail] < lo:
+                raise WindowError(f"window too small: {points[-1]} needs "
+                                  f"exponent {key[tail]}")
             continue
-        coeffs[tuple(exps[p] for p in var_order)] = val
+        coeffs[key] = val
     value = MultiSeries(tuple(var_order), dict.fromkeys(var_order, window),
                         coeffs)
     return CorrelationFn(
@@ -337,6 +371,8 @@ def _g0_value(row, phi, u, window, memo) -> MultiSeries:
         val = sum(c * phi.get(s, 0) for s, c in u.items())
         if val:
             out.c[()] = val
+        return out
+    if _theta_odd(row, phi, u):
         return out
     key = (row, tuple(sorted(phi.items())), tuple(sorted(u.items())),
            tuple(sorted(window.items())))
@@ -417,11 +453,10 @@ def genus0_reduce(direction: ReductionDirection,
     memo = {}
     for coef, row in _basis_expansions(insertions):
         val = _g0_value(row, phi, ket, {p: inner[p] for _, p in row}, memo)
-        ext = val.extended_to([p for _, p in row])
-        for exps, c in ext.c.items():
-            keyed = dict(zip(ext.vars, exps))
-            key = tuple(keyed[p] for _, p in row)
-            acc[key] = acc.get(key, Fraction(0)) + coef * c
+        coef = _exact(coef)
+        # extended_to orders the exponents as the sorted point symbols
+        for key, c in val.extended_to([p for _, p in row]).c.items():
+            acc[key] = acc.get(key, 0) + coef * c
 
     return _assemble_genus0(insertions, acc, F.window, uprime, u)
 
@@ -503,6 +538,7 @@ def genus1_direct(insertions, q_order: int, window) -> CorrelationFn:
                     rec(i + 1, exps + [e], shift + e)
 
         rec(0, [], 0)
+    rec = None  # the self-reference, as in genus0_direct
 
     value = MultiSeries(all_vars, _genus1_box(var_order, window, q_order),
                         coeffs)
@@ -541,6 +577,8 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     P_{m+1}(u) = ((-1)^{m+1}/m!) sum_{n != 0} n^m q_u^n / (1 - q^n)
     at n = -d.
     """
+    if _theta_odd(front + row):
+        return MultiSeries((), {})
     key = (front, row, tuple(sorted(window.items())), q_order)
     if key in memo:
         return memo[key]

@@ -126,6 +126,10 @@ HOSTILE_ARGV = {
                       "a[-1]^99999999|1@z1"],
     "schottky_rho_order_over_budget": ["schottky", "psi", "--p", "1", "-g",
                                        "2", "--rho-order", "8"],
+    "schottky_genus_rho_order_over_budget": ["schottky", "psi", "--p", "1",
+                                             "-g", "3", "--rho-order", "5",
+                                             "--coordinates",
+                                             "3,1,-2,6,10,-7"],
     "schottky_p_above_window": ["schottky", "psi", "--p", "4", "-g", "1"],
     "schottky_cutoff_over_budget": ["schottky", "psi", "--p", "1", "-g", "2",
                                     "-N", "120"],
@@ -159,6 +163,9 @@ class TestSchottkyPsiLimits:
     @pytest.mark.parametrize("name,message", [
         ("schottky_rho_order_over_budget",
          "--rho-order is 8, over the order budget 7 of schottky psi"),
+        ("schottky_genus_rho_order_over_budget",
+         "the genus times (--rho-order + 1) is 18, over the order budget "
+         "16 of schottky psi"),
         ("schottky_p_above_window", "kernel degree p = 4 is above 3"),
         ("schottky_cutoff_over_budget",
          "-N is 120, over the cutoff budget 14 of schottky psi"),
@@ -180,7 +187,8 @@ class TestSchottkyPsiLimits:
         assert proc.returncode == 0
         text = " ".join(proc.stdout.split())
         assert "kernel weight, at most 3" in text
-        assert "at most 7" in text
+        assert ("at most 7, and the genus times (the order + 1) at most 16"
+                in text)
         assert "at most 14" in text
         proc = run_cli("schottky", "partition", "--help")
         assert proc.returncode == 0

@@ -14,17 +14,21 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voasurf import reduction
 from voasurf.elliptic import weierstrass_p_qz
 from voasurf.reduction import (
+    CorrelationFn,
     Insertion,
     ReductionDirection,
     WindowError,
     cocycle_residual,
+    direct,
     genus0_direct,
     genus0_reduce,
     genus1_direct,
     genus1_onepoint,
     genus1_reduce,
+    reduce_step,
     unwind_to_partition,
 )
 from voasurf.series import MultiSeries, binomial_expand
@@ -444,3 +448,85 @@ class TestResidualsAndUnwinding:
         out = unwind_to_partition([], genus=1, q_order=5)
         assert out.value == genus1_direct((), 5, (-8, 8)).value
         assert out.degenerate_steps == ()
+
+
+# -- the a -> -a rule in the recursions -----------------------------------
+
+
+def _outcome(step, d, F):
+    """A reduce step's output in vars, windows, coefficients with their
+    types, or its WindowError text."""
+    try:
+        v = step(d, F).value
+    except WindowError as e:
+        return str(e)
+    return v.vars, v.window, {k: (type(c), c) for k, c in v.c.items()}
+
+
+class TestParityPruning:
+    """The recursions skip every node whose total parity under
+    a -> -a is odd; the oracles never do, so they still check it."""
+
+    RATIONAL = parse_state("1/2*a[-2]|1 + a[-1]^2|1")
+    MIXED = parse_state("1 + a")
+
+    def test_pruning_changes_no_output(self, monkeypatch):
+        states = [A, OMEGA, self.RATIONAL, self.MIXED]
+        boundaries = [(vacuum(), vacuum()), (A, A), (vacuum(), self.MIXED),
+                      (self.RATIONAL, A)]
+        cases = []
+        for window in ((-1, 1), (-2, 2)):
+            for s in states:
+                for src in [()] + [(ins(t, "z2"),) for t in states] + [
+                        (ins(t, "z2"), ins(A, "z3")) for t in states]:
+                    for b in boundaries:
+                        cases.append((genus0_reduce, direction(s, "z1"),
+                                      CorrelationFn(0, src, None, window,
+                                                    boundary_states=b)))
+                    cases.append((genus1_reduce, direction(s, "z1"),
+                                  CorrelationFn(1, src, None, window,
+                                                q_order=2)))
+        pruned = [_outcome(*case) for case in cases]
+        monkeypatch.setattr(reduction, "_theta_odd", lambda *a: False)
+        assert pruned == [_outcome(*case) for case in cases]
+        assert any(isinstance(o, str) for o in pruned)
+        assert any(not isinstance(o, str) and o[2] for o in pruned)
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        inner = getattr(reduction, name)
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(reduction, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_odd_root_is_one_call(self, monkeypatch, genus):
+        name = "_g0_value" if genus == 0 else "_g1_value"
+        calls = self.count_calls(monkeypatch, name)
+        src = (ins(A, "z2"), ins(A2, "z3"))
+        F = CorrelationFn(genus, src, None, (-3, 3),
+                          boundary_states=(vacuum(), vacuum()), q_order=3)
+        out = reduce_step(direction(A, "z1"), F)
+        assert len(calls) == 1 and out.is_zero()
+        assert direct(genus, out.insertions, (-3, 3), 3).is_zero()
+        # an even root walks its subtree
+        F.insertions = (ins(A, "z2"),)
+        assert not reduce_step(direction(A, "z1"), F).is_zero()
+        assert len(calls) > 2
+
+    def test_mixed_boundary_is_not_pruned(self, monkeypatch):
+        # <1, Y(a, z)(1 + a)> = z^-2: only the odd part of u survives
+        calls = self.count_calls(monkeypatch, "_g0_value")
+        boundary = (vacuum(), self.MIXED)
+        F = genus0_reduce(direction(A, "z1"),
+                          CorrelationFn(0, (), None, (-3, 3),
+                                        boundary_states=boundary))
+        assert F.value.coefficient({"z1": -2}) == 1
+        assert len(calls) > 1
+        want = direct(0, F.insertions, (-3, 3), None, boundary)
+        assert F.value == want.value
