@@ -34,13 +34,15 @@ summation code with the recursions.
 
 Both recursions skip what the automorphism theta: a -> -a kills.  It
 acts on a basis state s by (-1)^len(s) and commutes with every mode, so
-a node whose parts have odd total length is zero: at genus 1 the front
-word and the row, at genus 0 the row and the one parity of each
-boundary's states.  Every mode-table step keeps a boundary's parity
-uniform and the total unchanged, so an odd root costs one call.  A
-genus-0 boundary of mixed parity (1 + a, say) leaves the total open and
-is never pruned.  The oracles do not use the rule, so every comparison
-with them still checks it.
+a node whose parts have odd total length is zero.  Every mode-table
+step keeps a boundary's parity uniform and the total unchanged.  At
+genus 1 there is no boundary, so only a root can be odd, and
+``genus1_reduce`` checks each root's row once, before the recursion.
+At genus 0 each node checks its row and the one parity of each
+boundary's states, so an odd root costs one call; a boundary of mixed
+parity (1 + a, say) leaves the total open and that node is not pruned.
+The oracles do not use the rule, so every comparison with them still
+checks it.
 
 Conventions:
 
@@ -77,7 +79,7 @@ from .voa import (
     CENTRAL_CHARGE,
     GradedVector,
     _norm,
-    _vertex_mode_basis,
+    _rows_of,
     basis,
     bilinear_form,
     gbinom,
@@ -188,8 +190,9 @@ def _apply_basis_mode(s: tuple, k: int, vec: dict) -> dict:
     """The mode s(k) of a basis state s on a sparse {state: coeff}
     vector, read off the integral mode table."""
     out = {}
+    rows = _rows_of(s)
     for vs, vc in vec.items():
-        for ts, tc in _vertex_mode_basis(s, k, vs):
+        for ts, tc in rows(s, k, vs):
             out[ts] = out.get(ts, 0) + vc * tc
     return {ts: c for ts, c in out.items() if c}
 
@@ -338,10 +341,10 @@ def _pull_back(s: tuple, k: int, phi: dict) -> dict:
     weight wt b to wt b + wt s - k - 1, so b runs over the weights that
     land on phi's support."""
     out = {}
+    rows = _rows_of(s)
     for w in {weight(t) for t in phi}:
         for b in basis(w - weight(s) + k + 1):
-            c = sum(tc * phi.get(ts, 0)
-                    for ts, tc in _vertex_mode_basis(s, k, b))
+            c = sum(tc * phi.get(ts, 0) for ts, tc in rows(s, k, b))
             if c:
                 out[b] = c
     return out
@@ -381,6 +384,7 @@ def _g0_value(row, phi, u, window, memo) -> MultiSeries:
 
     (vs, z), rest = row[0], row[1:]
     wv = weight(vs)
+    v_rows = _rows_of(vs)
     lo_z, _ = window[z]
     sub = _sub_window(window, rest)
     terms = []
@@ -405,7 +409,7 @@ def _g0_value(row, phi, u, window, memo) -> MultiSeries:
     jmax = -lo_z - 1
     for k, (ws, zk) in enumerate(rest):
         for m in range(0, min(wv + weight(ws), jmax + 1)):
-            repl = _vertex_mode_basis(vs, m, ws)
+            repl = v_rows(vs, m, ws)
             if not repl:
                 continue
             lo_k, hi_k = window[zk]
@@ -474,25 +478,45 @@ def _trace_counts(word, q_order: int) -> dict:
     shift vanishes, so each level is an exact finite trace over the
     integral mode table.
 
-    The word acts on a whole level at once, as one block
-    {(origin, state): int} that starts as the identity on V_m; the
-    diagonal is read off once the last mode has acted."""
+    Tr_{V_m}(AB) = Tr_{V_m'}(BA), so the word is first turned cyclically
+    to start (act first) where its intermediate weight is lowest, at
+    m + low.  A level with m + low < 0 is zero without any work, and
+    every other level starts from its smallest weight space.  The word
+    acts on a whole level at once, as one block {(origin, state): int}
+    that starts as the identity on V_{m + low}; the last mode only reads
+    the diagonal, so its block is never built."""
+    if not word:
+        return {m: len(basis(m)) for m in range(0, q_order + 1)}
+    acting = word[::-1]
+    low = start = shift = 0
+    for i, (s, k) in enumerate(acting):
+        shift += weight(s) - k - 1
+        if shift < low:
+            low, start = shift, i + 1
+    if shift:
+        return {}
+    *modes, (last_rows, s_last, k_last) = [
+        (_rows_of(s), s, k) for s, k in acting[start:] + acting[:start]]
     counts = {}
-    if _front_shift(word) == 0:
-        for m in range(0, q_order + 1):
-            block = {(b, b): 1 for b in basis(m)}
-            for s, k in reversed(word):
-                nxt = {}
-                for (o, st), c in block.items():
-                    for ts, tc in _vertex_mode_basis(s, k, st):
-                        key = (o, ts)
-                        nxt[key] = nxt.get(key, 0) + c * tc
-                block = nxt
-                if not block:
+    for m in range(max(0, -low), q_order + 1):
+        block = {(b, b): 1 for b in basis(m + low)}
+        for rows, s, k in modes:
+            nxt = {}
+            for (o, st), c in block.items():
+                for ts, tc in rows(s, k, st):
+                    key = (o, ts)
+                    nxt[key] = nxt.get(key, 0) + c * tc
+            block = nxt
+            if not block:
+                break
+        t = 0
+        for (o, st), c in block.items():
+            for ts, tc in last_rows(s_last, k_last, st):
+                if ts == o:
+                    t += c * tc
                     break
-            t = sum(c for (o, st), c in block.items() if o == st)
-            if t:
-                counts[m] = t
+        if t:
+            counts[m] = t
     return counts
 
 
@@ -577,8 +601,6 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     P_{m+1}(u) = ((-1)^{m+1}/m!) sum_{n != 0} n^m q_u^n / (1 - q^n)
     at n = -d.
     """
-    if _theta_odd(front + row):
-        return MultiSeries((), {})
     key = (front, row, tuple(sorted(window.items())), q_order)
     if key in memo:
         return memo[key]
@@ -601,6 +623,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
 
     (vs, z), rest = row[0], row[1:]
     wv = weight(vs)
+    v_rows = _rows_of(vs)
     qz = point_var(1, z)
     lo_z, hi_z = window[z]
     sub = _sub_window(window, rest)
@@ -618,7 +641,7 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
         wk = _sub_window(window, rest,
                          {zk: (lo_k - shift_max, hi_k + shift_max)})
         for i in range(0, wv + weight(ws)):
-            for bs, bc in _vertex_mode_basis(vs, i, ws):
+            for bs, bc in v_rows(vs, i, ws):
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
                 sib = _g1_value(front, sib_row, wk, q_order, memo)
                 if sib.is_zero():
@@ -630,9 +653,12 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     # commutators with the front word
     for t, (fs, fk) in enumerate(front):
         for i in range(0, wv + weight(fs)):
+            repl = v_rows(vs, i, fs)
+            if not repl:
+                continue
             for d, c in _zhu_binomials(wv, i, lo_z, hi_z):
                 mode = wv - 1 - d + fk - i
-                for bs, bc in _vertex_mode_basis(vs, i, fs):
+                for bs, bc in repl:
                     nf = front[:t] + ((bs, mode),) + front[t + 1:]
                     sib = _g1_value(nf, rest, sub, q_order, memo)
                     if sib.is_zero():
@@ -656,17 +682,23 @@ def genus1_reduce(direction: ReductionDirection,
     lo, hi = F.window
 
     memo = {}
+    # every step keeps the parity of the root, so only a root can be odd
     acc = sum_shifted([
         (_g1_value((), row, {p: F.window for _, p in row}, q_order, memo),
          {}, coef)
-        for coef, row in _basis_expansions(insertions)])
+        for coef, row in _basis_expansions(insertions)
+        if not _theta_odd(row)])
 
     var_order = sorted(point_var(1, i.point) for i in insertions)
     acc = acc.extended_to(tuple(var_order) + ("q",))
-    box = [i for i, v in enumerate(acc.vars) if v != "q"]
+    # cut to the box only the variables whose window reaches outside it
+    coeffs = acc.c
+    for i, v in enumerate(acc.vars):
+        vlo, vhi = acc.window[v]
+        if v != "q" and (vlo < lo or vhi is None or vhi > hi):
+            coeffs = {k: c for k, c in coeffs.items() if lo <= k[i] <= hi}
     value = MultiSeries(acc.vars, _genus1_box(var_order, F.window, q_order),
-                        {k: c for k, c in acc.c.items()
-                         if all(lo <= k[i] <= hi for i in box)})
+                        coeffs)
     return CorrelationFn(genus=1, insertions=insertions, value=value,
                          window=F.window, q_order=q_order)
 

@@ -34,9 +34,11 @@ resulting coefficients.
 
 Integrality: in the round basis every mode matrix is integral.  The
 table ``_vertex_mode_basis`` of u(k) v on basis states u, v holds
-Python ints only, and the graded traces built on it sum ints.  Its
-own recursion computes the closed-form rows on the spot (``_row``)
-and does not cache them.
+Python ints only, and the graded traces built on it sum ints.  Every
+reader, its own recursion and the traces included, picks a state's
+rows through ``_rows_of``: the closed-form rows of the vacuum and of a
+single generator are computed on the spot and never cached, so the
+table holds the rows of states with several generators only.
 Both the round and the square-bracket Fock bases are orthogonal for
 the form, with the same norms <lam, lam> (``_norm``), which are ints.
 Fractions enter only through the coefficients of a ``GradedVector``
@@ -201,6 +203,23 @@ def heisenberg_mode(m: int, v: GradedVector) -> GradedVector:
     return out
 
 
+@lru_cache(maxsize=None)
+def _derivative_coeff(m: int, n: int) -> int:
+    """C(-m-1, n-1): the coefficient of a(m) in u(m + n - 1) for the
+    single generator u = a(-n)|1>."""
+    return gbinom(-m - 1, n - 1)
+
+
+def _insert(v: tuple, part: int) -> tuple:
+    """The descending tuple v with ``part`` added in its place."""
+    i = 0
+    for x in v:
+        if x <= part:
+            break
+        i += 1
+    return v[:i] + (part,) + v[i:]
+
+
 def _short_row(u: tuple, k: int, v: tuple) -> tuple:
     """u(k) v for the vacuum or a single generator u = a(-n)|1>, in
     closed form: Y(a(-n)|1>, z) = d^(n-1)a(z)/(n-1)!, so u(k) is the
@@ -209,38 +228,35 @@ def _short_row(u: tuple, k: int, v: tuple) -> tuple:
         return ((v, 1),) if k == -1 else ()
     n = u[0]
     m = k - n + 1
-    coef = gbinom(-m - 1, n - 1)
-    if not coef or m == 0:
-        return ()
     if m < 0:
-        return ((tuple(sorted(v + (-m,), reverse=True)), coef),)
-    mult = v.count(m)
-    if not mult:
+        coef = _derivative_coeff(m, n)
+        return ((_insert(v, -m), coef),) if coef else ()
+    if m == 0 or m not in v:
         return ()
     idx = v.index(m)
-    return ((v[:idx] + v[idx + 1:], coef * m * mult),)
+    return ((v[:idx] + v[idx + 1:], _derivative_coeff(m, n) * m * v.count(m)),)
 
 
-def _row(u: tuple, k: int, v: tuple) -> tuple:
-    """u(k) v, with the closed-form rows left out of the table."""
-    return _short_row(u, k, v) if len(u) < 2 else _vertex_mode_basis(u, k, v)
+def _rows_of(u: tuple):
+    """The function (u, k, v) -> u(k) v for the state u: the closed form
+    for the vacuum and a single generator, else the table.  Callers
+    pick it once per state and apply it to many k and v."""
+    return _short_row if len(u) < 2 else _vertex_mode_basis
 
 
 @lru_cache(maxsize=None)
 def _vertex_mode_basis(u: tuple, k: int, v: tuple):
     """u(k) v on basis states; returns a sorted tuple of (state, int)
     pairs.  Every coefficient of the derivative field and of a(m) on a
-    round basis state is an integer, so the table is integral."""
+    round basis state is an integer, so the table is integral.  The
+    library reads it through ``_rows_of``, so it holds the rows of
+    states with several generators only; a direct call on the vacuum
+    or a single generator gets the closed form."""
     if len(u) < 2:
         return _short_row(u, k, v)
     n, w = u[0], u[1:]
+    sub = _rows_of(w)
     acc = {}
-
-    def add_terms(pairs, scale, part=None):
-        for s, c in pairs:
-            if part is not None:
-                s = tuple(sorted(s + (part,), reverse=True))
-            acc[s] = acc.get(s, 0) + scale * c
 
     # creation part of the derivative field, applied after w modes; w(j)
     # is a product of len(w) generator modes, so it removes at most the
@@ -248,14 +264,23 @@ def _vertex_mode_basis(u: tuple, k: int, v: tuple):
     # plus their sum
     m_lo = k - n - weight(w) - sum(v[:len(w)]) + 1
     for m in range(-n, m_lo - 1, -1):
-        add_terms(_row(w, k - m - n, v), gbinom(-m - 1, n - 1), -m)
+        pairs = sub(w, k - m - n, v)
+        if pairs:
+            coef = _derivative_coeff(m, n)
+            for s, c in pairs:
+                s = _insert(s, -m)
+                acc[s] = acc.get(s, 0) + coef * c
 
     # annihilation part, applied before w modes: a(m) removes one part
-    # m from v with factor m times its multiplicity
-    for m in set(v):
-        idx = v.index(m)
-        add_terms(_row(w, k - m - n, v[:idx] + v[idx + 1:]),
-                  gbinom(-m - 1, n - 1) * m * v.count(m))
+    # m from v with factor m times its multiplicity, once per distinct m
+    for i, m in enumerate(v):
+        if i and v[i - 1] == m:
+            continue
+        pairs = sub(w, k - m - n, v[:i] + v[i + 1:])
+        if pairs:
+            coef = _derivative_coeff(m, n) * m * v.count(m)
+            for s, c in pairs:
+                acc[s] = acc.get(s, 0) + coef * c
 
     return tuple(sorted((s, c) for s, c in acc.items() if c))
 
@@ -264,8 +289,9 @@ def vertex_mode(u: GradedVector, k: int, v: GradedVector) -> GradedVector:
     """The mode u(k) of Y(u, z) = sum u(k) z^(-k-1), bilinear in u, v."""
     out = GradedVector()
     for us, uc in u.t.items():
+        rows = _rows_of(us)
         for vs, vc in v.t.items():
-            for s, c in _vertex_mode_basis(us, k, vs):
+            for s, c in rows(us, k, vs):
                 out.accumulate(s, uc * vc * c)
     return out
 

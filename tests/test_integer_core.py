@@ -20,6 +20,7 @@ import pytest
 from voasurf.elliptic import onepoint_hafnian
 from voasurf.genus2 import SewingModuli, _channel_sums
 from voasurf.reduction import (
+    CorrelationFn,
     Insertion,
     ReductionDirection,
     _g0_value,
@@ -151,6 +152,19 @@ class TestModeTable:
                     assert dict(_vertex_mode_basis(u, k, v)) == \
                         normal_ordered_mode(u, k, v), (u, k, v)
 
+    def test_generator_insertions_leave_the_table_empty(self):
+        # rows of the vacuum and of a single generator are closed forms
+        # read on the spot, so tracing and reducing a@z1, a@z2 caches none
+        _vertex_mode_basis.cache_clear()
+        ins = (Insertion(parse_state("a"), "z1"),
+               Insertion(parse_state("a"), "z2"))
+        direct = genus1_direct(ins, 12, (-3, 3))
+        reduced = genus1_reduce(ReductionDirection(ins[0]),
+                                CorrelationFn(1, ins[1:], None, (-3, 3),
+                                              q_order=12))
+        assert _vertex_mode_basis.cache_info().currsize == 0
+        assert direct.value.c and reduced.value == direct.value
+
     def test_vertex_mode_keeps_fractions(self):
         out = vertex_mode(generator(), -1, generator())
         assert out.t == {(1, 1): Fraction(1)}
@@ -183,6 +197,27 @@ class TestTraceKernel:
     ])
     def test_matches_graded_vector_trace_at_q_order_8(self, word):
         assert _trace_counts(word, 8) == oracle_trace(word, 8)
+
+    @pytest.mark.parametrize("word", [
+        # acting right to left, the weight rises by 2 and falls back
+        (((2, 1), 3), ((1,), 1), ((1, 1), -1)),
+        # +1, -2, +1: the lowest weight is reached just before the last
+        # mode acts, so the turned word starts with that mode
+        (((1, 1), 0), ((2,), 3), ((1,), -1)),
+    ])
+    def test_turned_word_matches_graded_vector_trace(self, word):
+        assert _trace_counts(word, 7) == oracle_trace(word, 7)
+
+    def test_word_dipping_below_zero_skips_low_levels(self):
+        # -1, -2, +1, +2 dips 3 below its start: levels 0-2 vanish
+        word = (((1, 1), -1), ((1,), -1), ((2, 1), 4), ((1,), 1))
+        tr = _trace_counts(word, 7)
+        assert tr == oracle_trace(word, 7)
+        assert tr and min(tr) >= 3
+
+    def test_empty_word_counts_the_basis(self):
+        assert _trace_counts((), 7) == oracle_trace((), 7) == {
+            m: len(basis(m)) for m in range(8)}
 
     def test_first_mode_killing_whole_levels(self):
         # (a(-2)^2|1>)(4) lowers the weight by 1 but kills V_1 and V_2

@@ -506,13 +506,17 @@ class TestParityPruning:
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_odd_root_is_one_call(self, monkeypatch, genus):
+        # one parity check either way; genus 1 checks its roots before
+        # the recursion, genus 0 on entering each node
         name = "_g0_value" if genus == 0 else "_g1_value"
         calls = self.count_calls(monkeypatch, name)
+        checks = self.count_calls(monkeypatch, "_theta_odd")
         src = (ins(A, "z2"), ins(A2, "z3"))
         F = CorrelationFn(genus, src, None, (-3, 3),
                           boundary_states=(vacuum(), vacuum()), q_order=3)
         out = reduce_step(direction(A, "z1"), F)
-        assert len(calls) == 1 and out.is_zero()
+        assert len(checks) == 1 and out.is_zero()
+        assert len(calls) == (1 if genus == 0 else 0)
         assert direct(genus, out.insertions, (-3, 3), 3).is_zero()
         # an even root walks its subtree
         F.insertions = (ins(A, "z2"),)
