@@ -19,18 +19,25 @@ table with the resummation 1/(1 - q^{-d}).  The identity
 sum_m v[m] x^m/m! = sum_i C(wt v - 1 + x, i) v(i) at x = -d turns the
 insertion family into Zhu's square-bracket v[m] P_{m+1} term.
 
-Each recursion node collects its shifted, scaled sibling values and
-sums them in one ``sum_shifted`` call, which also expands each
-1/(1 - q^{-d}) factor in place.  The genus-0 recursion carries its
-boundaries as sparse dicts: u, and u' as its pairing functional
-phi(b) = <u', b>, pulled back through the integral mode table.  No
-step divides, so with integral boundaries both recursions sum ints
-from their int leaves (a pairing at genus 0, a trace count at genus 1)
-up; a rational boundary coefficient stays an exact Fraction.  The
-reduce steps hand out Fractions.  The oracles add each coefficient
-straight into one dict (at genus 0 through the bilinear form, at
-genus 1 coefficient times the int trace count of a word) and share no
-summation code with the recursions.
+A recursion node value is a plain {exponent tuple: coefficient} dict,
+keyed in one variable order per reduce call: the sorted points at
+genus 0, q and then the sorted q_z at genus 1, with exponent 0 for a
+point outside the node's row.  Each node adds its shifted, scaled
+siblings straight into one dict; at genus 1 it then expands each
+1/(1 - q^{-d}) factor in place, up to q^q_order.  Node values carry no
+window, since no horizon inside a recursion ever cuts a term (every
+one is open but q's, which is q_order); the step builds its
+``MultiSeries`` once, from the root values.
+
+The genus-0 recursion carries its boundaries as sparse dicts: u, and
+u' as its pairing functional phi(b) = <u', b>, pulled back through the
+integral mode table.  No step divides, so with integral boundaries
+both recursions sum ints from their int leaves (a pairing at genus 0,
+a trace count at genus 1) up; a rational boundary coefficient stays an
+exact Fraction.  The reduce steps hand out Fractions.  The oracles
+add each coefficient straight into one dict (at genus 0 through the
+bilinear form, at genus 1 coefficient times the int trace count of a
+word) and share no summation code with the recursions.
 
 Both recursions skip what the automorphism theta: a -> -a kills.  It
 acts on a basis state s by (-1)^len(s) and commutes with every mode, so
@@ -73,8 +80,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
-from .series import MultiSeries, TruncatedSeries, sum_shifted
+from .series import MultiSeries, TruncatedSeries
 from .voa import (
     CENTRAL_CHARGE,
     GradedVector,
@@ -184,6 +192,23 @@ def _sub_window(window, rest, extra=None) -> dict:
     """The window of a sibling call on the insertion row ``rest``, with
     ``extra`` overriding some points' pairs."""
     return {p: window[p] for _, p in rest} | (extra or {})
+
+
+def _add_shifted(acc: dict, sib: dict, pos, terms) -> None:
+    """Add scale * sib, its exponents moved by {var: shift}, into the
+    node dict ``acc`` for each (shifts, scale) of ``terms``, with
+    ``pos`` placing each variable in the keys: term after term, each in
+    sib's key order.  A key that cancels keeps its 0 until the node
+    drops the zeros; sib itself, often memoized, is only read."""
+    for shifts, scale in terms:
+        offs = [0] * len(pos)
+        for v, k in shifts.items():
+            offs[pos[v]] = k
+        for key, val in sib.items():
+            key = tuple(map(add, key, offs))
+            val = val * scale
+            s = acc.get(key)
+            acc[key] = val if s is None else s + val
 
 
 def _apply_basis_mode(s: tuple, k: int, vec: dict) -> dict:
@@ -350,8 +375,9 @@ def _pull_back(s: tuple, k: int, phi: dict) -> dict:
     return out
 
 
-def _g0_value(row, phi, u, window, memo) -> MultiSeries:
-    """The recursion on basis-state insertion rows.
+def _g0_value(row, phi, u, window, memo, pos) -> dict:
+    """The recursion on basis-state insertion rows, as a node dict keyed
+    in the point order ``pos`` (see the module docstring).
 
     The boundaries are sparse {state: coefficient} dicts: u itself, and
     u' as its pairing functional phi(b) = <u', b>, which the orthogonal
@@ -367,16 +393,13 @@ def _g0_value(row, phi, u, window, memo) -> MultiSeries:
     infinite; it is cut by the window of z, and the partner variable's
     box is inflated downward so the shifts stay exact on the box.
     """
-    out = MultiSeries((), {})
     if not phi or not u:
-        return out
+        return {}
     if not row:
         val = sum(c * phi.get(s, 0) for s, c in u.items())
-        if val:
-            out.c[()] = val
-        return out
+        return {(0,) * len(pos): val} if val else {}
     if _theta_odd(row, phi, u):
-        return out
+        return {}
     key = (row, tuple(sorted(phi.items())), tuple(sorted(u.items())),
            tuple(sorted(window.items())))
     if key in memo:
@@ -387,25 +410,24 @@ def _g0_value(row, phi, u, window, memo) -> MultiSeries:
     v_rows = _rows_of(vs)
     lo_z, _ = window[z]
     sub = _sub_window(window, rest)
-    terms = []
+    acc = {}
 
     # v(j) carried through to u, j >= 0
     for j in range(0, wv + max(map(weight, u))):
         nxt = _apply_basis_mode(vs, j, u)
-        if not nxt:
-            continue
-        sib = _g0_value(rest, phi, nxt, sub, memo)
-        terms.append((sib, {z: -j - 1}, 1))
+        if nxt:
+            _add_shifted(acc, _g0_value(rest, phi, nxt, sub, memo, pos),
+                         pos, [({z: -j - 1}, 1)])
 
     # v(j) carried through to u', j < 0
     for j in range(-1, wv - max(map(weight, phi)) - 2, -1):
         pulled = _pull_back(vs, j, phi)
-        if not pulled:
-            continue
-        sib = _g0_value(rest, pulled, u, sub, memo)
-        terms.append((sib, {z: -j - 1}, 1))
+        if pulled:
+            _add_shifted(acc, _g0_value(rest, pulled, u, sub, memo, pos),
+                         pos, [({z: -j - 1}, 1)])
 
-    # commutators against each remaining insertion
+    # commutators against each remaining insertion, each sibling summed
+    # over the kernel tail j = m..jmax
     jmax = -lo_z - 1
     for k, (ws, zk) in enumerate(rest):
         for m in range(0, min(wv + weight(ws), jmax + 1)):
@@ -416,14 +438,13 @@ def _g0_value(row, phi, u, window, memo) -> MultiSeries:
             wk = _sub_window(window, rest, {zk: (lo_k - (jmax - m), hi_k)})
             for bs, bc in repl:
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
-                sib = _g0_value(sib_row, phi, u, wk, memo)
-                if sib.is_zero():
-                    continue
-                for j in range(m, jmax + 1):
-                    terms.append((sib, {zk: j - m, z: -j - 1},
-                                  bc * comb(j, m)))
+                sib = _g0_value(sib_row, phi, u, wk, memo, pos)
+                if sib:
+                    _add_shifted(acc, sib, pos, [
+                        ({zk: j - m, z: -j - 1}, bc * comb(j, m))
+                        for j in range(m, jmax + 1)])
 
-    out = sum_shifted(terms)
+    out = {k: c for k, c in acc.items() if c}
     memo[key] = out
     return out
 
@@ -453,14 +474,15 @@ def genus0_reduce(direction: ReductionDirection,
         lo, hi = F.window
         inner[insertions[-1].point] = (lo - _MARGIN, hi)
 
+    # node keys order the exponents as the sorted point symbols, which
+    # _assemble_genus0 takes
+    pos = {p: i for i, p in enumerate(sorted(inner))}
     acc = {}
     memo = {}
     for coef, row in _basis_expansions(insertions):
-        val = _g0_value(row, phi, ket, {p: inner[p] for _, p in row}, memo)
-        coef = _exact(coef)
-        # extended_to orders the exponents as the sorted point symbols
-        for key, c in val.extended_to([p for _, p in row]).c.items():
-            acc[key] = acc.get(key, 0) + coef * c
+        val = _g0_value(row, phi, ket, {p: inner[p] for _, p in row}, memo,
+                        pos)
+        _add_shifted(acc, val, pos, [({}, _exact(coef))])
 
     return _assemble_genus0(insertions, acc, F.window, uprime, u)
 
@@ -587,8 +609,10 @@ def _zhu_binomials(wv: int, i: int, lo: int, hi: int) -> tuple:
     return tuple((d, c) for d, c in pairs if c)
 
 
-def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
-    """Trace recursion on (front word, dressed insertion row).
+def _g1_value(front, row, window, q_order, memo, pos) -> dict:
+    """Trace recursion on (front word, dressed insertion row), as a
+    node dict keyed in the variable order ``pos``: q first, then the
+    sorted q_z (see the module docstring).
 
     The head mode v(wt v - 1 - d) at q_z-exponent d is cycled around
     the trace; the factor 1/(1 - q^{-d}) resums the cycling for d != 0
@@ -605,9 +629,9 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     if key in memo:
         return memo[key]
     if not row:
-        # the int trace counts, which the constructor would coerce
-        out = MultiSeries(("q",), {"q": (0, q_order)})
-        out.c = {(m,): c for m, c in _trace_counts(front, q_order).items()}
+        zeros = (0,) * (len(pos) - 1)
+        out = {(m,) + zeros: c
+               for m, c in _trace_counts(front, q_order).items()}
         memo[key] = out
         return out
 
@@ -617,9 +641,8 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     lo_sum = sum(window[p][0] for _, p in row)
     hi_sum = sum(window[p][1] for _, p in row)
     if not lo_sum <= -fshift <= hi_sum:
-        out = MultiSeries((), {})
-        memo[key] = out
-        return out
+        memo[key] = {}
+        return {}
 
     (vs, z), rest = row[0], row[1:]
     wv = weight(vs)
@@ -628,9 +651,13 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
     lo_z, hi_z = window[z]
     sub = _sub_window(window, rest)
 
-    # d = 0: o(v) becomes the newest front factor
-    t0 = _g1_value(((vs, wv - 1),) + front, rest, sub, q_order, memo)
-    terms = [(t0, {qz: 0}, 1)]
+    # d = 0: o(v) becomes the newest front factor; the sum starts from a
+    # copy of its value, which the memo holds
+    acc = dict(_g1_value(((vs, wv - 1),) + front, rest, sub, q_order, memo,
+                         pos))
+    # the commutator terms of each d, summed before 1/(1 - q^{-d})
+    # expands them
+    by_d = {}
 
     # commutators with each remaining insertion: the sibling carries
     # v(i)w at z_k on a box inflated by the largest shift
@@ -643,12 +670,12 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
         for i in range(0, wv + weight(ws)):
             for bs, bc in v_rows(vs, i, ws):
                 sib_row = rest[:k] + ((bs, zk),) + rest[k + 1:]
-                sib = _g1_value(front, sib_row, wk, q_order, memo)
-                if sib.is_zero():
+                sib = _g1_value(front, sib_row, wk, q_order, memo, pos)
+                if not sib:
                     continue
                 for d, c in _zhu_binomials(wv, i, lo_z, hi_z):
-                    terms.append((sib, {qz: d, qk: -d}, c * bc,
-                                  (d, q_order)))
+                    _add_shifted(by_d.setdefault(d, {}), sib, pos,
+                                 [({qz: d, qk: -d}, c * bc)])
 
     # commutators with the front word
     for t, (fs, fk) in enumerate(front):
@@ -660,14 +687,34 @@ def _g1_value(front, row, window, q_order, memo) -> MultiSeries:
                 mode = wv - 1 - d + fk - i
                 for bs, bc in repl:
                     nf = front[:t] + ((bs, mode),) + front[t + 1:]
-                    sib = _g1_value(nf, rest, sub, q_order, memo)
-                    if sib.is_zero():
-                        continue
-                    terms.append((sib, {qz: d}, c * bc, (d, q_order)))
+                    sib = _g1_value(nf, rest, sub, q_order, memo, pos)
+                    if sib:
+                        _add_shifted(by_d.setdefault(d, {}), sib, pos,
+                                     [({qz: d}, c * bc)])
 
-    out = sum_shifted(terms)
+    _expand_geometric(acc, by_d, q_order)
+    out = {k: c for k, c in acc.items() if c}
     memo[key] = out
     return out
+
+
+def _expand_geometric(acc: dict, by_d: dict, q_order: int) -> None:
+    """Add each node dict of ``by_d`` = {d: dict}, d != 0, times
+    1/(1 - q^{-d}) into ``acc``, up to q^q_order, with q the first
+    exponent of every key: a coefficient x at q^e adds -x at q^{e+d},
+    q^{e+2d}, ... for d > 0 and +x at q^e, q^{e-d}, ... for d < 0."""
+    for d, terms in by_d.items():
+        first, step = (d, d) if d > 0 else (0, -d)
+        for key, val in terms.items():
+            if not val:
+                continue
+            if d > 0:
+                val = -val
+            tail = key[1:]
+            for e in range(key[0] + first, q_order + 1, step):
+                k = (e,) + tail
+                s = acc.get(k)
+                acc[k] = val if s is None else s + val
 
 
 def genus1_reduce(direction: ReductionDirection,
@@ -681,24 +728,25 @@ def genus1_reduce(direction: ReductionDirection,
     q_order = F.q_order
     lo, hi = F.window
 
-    memo = {}
-    # every step keeps the parity of the root, so only a root can be odd
-    acc = sum_shifted([
-        (_g1_value((), row, {p: F.window for _, p in row}, q_order, memo),
-         {}, coef)
-        for coef, row in _basis_expansions(insertions)
-        if not _theta_odd(row)])
-
+    # q sorts before every q_z, so the node keys are in the value's order
     var_order = sorted(point_var(1, i.point) for i in insertions)
-    acc = acc.extended_to(tuple(var_order) + ("q",))
-    # cut to the box only the variables whose window reaches outside it
-    coeffs = acc.c
-    for i, v in enumerate(acc.vars):
-        vlo, vhi = acc.window[v]
-        if v != "q" and (vlo < lo or vhi is None or vhi > hi):
-            coeffs = {k: c for k, c in coeffs.items() if lo <= k[i] <= hi}
-    value = MultiSeries(acc.vars, _genus1_box(var_order, F.window, q_order),
-                        coeffs)
+    pos = {v: i for i, v in enumerate(["q"] + var_order)}
+    acc = {}
+    memo = {}
+    for coef, row in _basis_expansions(insertions):
+        # every step keeps the parity of the root, so only a root can be odd
+        if _theta_odd(row):
+            continue
+        val = _g1_value((), row, {p: F.window for _, p in row}, q_order,
+                        memo, pos)
+        _add_shifted(acc, val, pos, [({}, _exact(coef))])
+
+    # the recursion reaches q_z exponents outside the box; cut them
+    coeffs = acc
+    for i in range(1, len(pos)):
+        coeffs = {k: c for k, c in coeffs.items() if lo <= k[i] <= hi}
+    value = MultiSeries(["q"] + var_order,
+                        _genus1_box(var_order, F.window, q_order), coeffs)
     return CorrelationFn(genus=1, insertions=insertions, value=value,
                          window=F.window, q_order=q_order)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import add, itemgetter
+from operator import add
 
 
 def rat(x) -> Fraction:
@@ -364,91 +364,6 @@ class MultiSeries:
 
     def __repr__(self):
         return f"MultiSeries({self.vars!r}, {self.window!r}, {len(self.c)} terms)"
-
-
-def sum_shifted(terms) -> MultiSeries:
-    """The sum of scale * series * prod(var**shift) over a list of
-    ``(series, {var: shift}, scale)`` terms, with no intermediate
-    series: one pass over the terms finds the windows, a second adds
-    every kept coefficient into one dict.
-
-    It equals folding ``+`` over the shifted and scaled terms from the
-    empty series, windows included: each variable gets lo = min(0, term
-    lo's) and the least horizon, every term is cut at those horizons,
-    and no zero is stored.  Coefficients keep their type, so int terms
-    with int scales give ints.
-
-    A term may carry a fourth entry ``(d, q_order)``, d != 0: its series
-    is then multiplied by 1/(1 - q^{-d}) in the variable ``q``, expanded
-    in the powers q^{kd} (d > 0, k >= 1, coefficient -1) or q^{-kd}
-    (d < 0, k >= 0, coefficient 1).  The expansion stands for the
-    product with that q-series on (0, q_order), window included: q gets
-    lo = the series' q lo (0 when it has no q) and hi = min(its q hi,
-    q_order + lo).  The terms that share a d are summed first and
-    expanded once, after the other terms.
-    """
-    window = {}
-    for ms, shifts, _, *geom in terms:
-        own = ms.window
-        if geom:
-            lo, hi = own.get("q", (0, None))
-            own = own | {"q": (lo, _min_hi(hi, geom[0][1] + lo))}
-        for v in set(own).union(shifts):
-            lo, hi = own.get(v, (0, None))
-            k = shifts.get(v, 0)
-            olo, ohi = window.get(v, (0, None))
-            window[v] = (min(olo, lo + k), _min_hi(ohi, _add_hi(hi, k)))
-    allvars = tuple(sorted(window))
-    his = [window[v][1] for v in allvars]
-    c = {}
-    # the terms of each geometric factor d, summed before it is expanded
-    by_factor = {}
-    for ms, shifts, scale, *geom in terms:
-        if not scale:
-            continue
-        pos = {v: i for i, v in enumerate(ms.vars)}
-        offs = [shifts.get(v, 0) for v in allvars]
-        own = [_add_hi(ms.window.get(v, (0, None))[1], k)
-               for v, k in zip(allvars, offs)]
-        cut = [(j, h) for j, (h, o) in enumerate(zip(his, own))
-               if h is not None and (o is None or h < o)]
-        acc = c
-        if geom:
-            # q is cut while expanding, at the sum's horizon, which lies
-            # at or below the product's own
-            cut = [(j, h) for j, h in cut if allvars[j] != "q"]
-            acc = by_factor.setdefault(geom[0][0], {})
-        # a variable absent from ms reads the 0 appended to each key;
-        # two trailing picks make the getter return a tuple however few
-        # variables there are, and zipping with offs drops them again
-        n = len(ms.vars)
-        get = itemgetter(*[pos.get(v, n) for v in allvars], n, n)
-        for key, val in ms.c.items():
-            key = tuple(map(add, get(key + (0,)), offs))
-            if cut and not all(key[j] <= h for j, h in cut):
-                continue
-            if scale != 1:
-                val = val * scale
-            s = acc.get(key)
-            acc[key] = val if s is None else s + val
-    if by_factor:
-        qj = allvars.index("q")
-        top = his[qj]
-        for d, acc in by_factor.items():
-            first = d if d > 0 else 0
-            for key, val in acc.items():
-                if not val:
-                    continue
-                if d > 0:
-                    val = -val
-                head, tail = key[:qj], key[qj + 1:]
-                for e in range(key[qj] + first, top + 1, abs(d)):
-                    k = head + (e,) + tail
-                    s = c.get(k)
-                    c[k] = val if s is None else s + val
-    out = MultiSeries(allvars, window)
-    out.c = {k: x for k, x in c.items() if x}
-    return out
 
 
 class TruncatedSeries(MultiSeries):

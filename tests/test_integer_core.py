@@ -23,6 +23,7 @@ from voasurf.reduction import (
     CorrelationFn,
     Insertion,
     ReductionDirection,
+    _expand_geometric,
     _g0_value,
     _pull_back,
     _trace_counts,
@@ -32,7 +33,7 @@ from voasurf.reduction import (
     genus1_onepoint,
     genus1_reduce,
 )
-from voasurf.series import MultiSeries, TruncatedSeries, sum_shifted
+from voasurf.series import MultiSeries, TruncatedSeries
 from voasurf.voa import (
     GradedVector,
     _norm,
@@ -253,16 +254,14 @@ class TestTraceKernel:
             assert all(type(c) is Fraction for c in value.c.values())
 
     def test_geometric_inverses_carry_ints(self):
-        # a (d, q_order) entry of sum_shifted expands 1/(1 - q^{-d}) in
-        # ints: on the constant 1 it is the geometric inverse itself
-        one = MultiSeries((), {})
-        one.c = {(): 1}
+        # the genus-1 recursion expands 1/(1 - q^{-d}) in ints: on the
+        # constant 1, a node keyed by q alone, it is the geometric
+        # inverse itself
         for d in (-3, -1, 1, 2):
-            got = sum_shifted([(one, {}, 1, (d, 6))])
-            want = geom_inv(d, 6)
-            assert (got.vars, got.window) == (want.vars, want.window)
-            assert got.c == want.c
-            assert got.c and all(type(c) is int for c in got.c.values())
+            got = {}
+            _expand_geometric(got, {d: {(0,): 1}}, 6)
+            assert got == geom_inv(d, 6).c
+            assert got and all(type(c) is int for c in got.values())
 
     @pytest.mark.parametrize("v", ["a[-2]|1", "omega", "omegatilde"])
     def test_double_zero_mode_trace(self, v):
@@ -341,7 +340,8 @@ class TestBoundaryFunctional:
         row = (((1,), "z1"), ((1, 1), "z2"), ((2,), "z3"))
         memo = {}
         window = {"z1": (-3, 3), "z2": (-3, 3), "z3": (-5, 3)}
-        value = _g0_value(row, {(): 1}, {(): 1}, window, memo)
-        assert value.c and len(memo) > 1
-        for ms in memo.values():
-            assert all(type(c) is int for c in ms.c.values())
+        pos = {"z1": 0, "z2": 1, "z3": 2}
+        value = _g0_value(row, {(): 1}, {(): 1}, window, memo, pos)
+        assert value and len(memo) > 1
+        for node in memo.values():
+            assert all(type(c) is int for c in node.values())

@@ -241,6 +241,45 @@ class TestGenus0Reduce:
                     assert F.value.agrees_with(direct.value)
 
 
+class TestReduceStepAgainstDirect:
+    """``reduce_step`` and ``direct`` end in the same window check, so
+    they agree in vars, windows and coefficients or in its text."""
+
+    MIXED = parse_state("1 + a")
+
+    @pytest.mark.parametrize("boundary", [
+        (vacuum(), MIXED), (MIXED, MIXED), (MIXED, parse_state("1/2*a"))])
+    def test_mixed_boundaries(self, boundary):
+        for row in ([(A, "z1"), (A, "z2")], [(OMEGA, "z1"), (A, "z2")],
+                    [(A, "z1"), (A2, "z2"), (A, "z3")]):
+            insertions = tuple(ins(s, p) for s, p in row)
+            F = CorrelationFn(0, insertions[1:], None, (-6, 3),
+                              boundary_states=boundary)
+            got = reduce_step(ReductionDirection(insertions[0]), F).value
+            want = direct(0, insertions, (-6, 3), None, boundary).value
+            assert want.c and (got.vars, got.window, got.c) == \
+                (want.vars, want.window, want.c), (boundary, row)
+
+    @pytest.mark.parametrize("fresh, boundary, rest, window, text", [
+        # one insertion: its whole support must fit in the box
+        (A, (A, vacuum()), (), (1, 5), "support at {'z1': 0}"),
+        # the outermost variable is bounded above
+        (A, (parse_state("a[-2]a[-1]|1"), vacuum()), (ins(A, "z2"),),
+         (-8, 0), "z1 needs exponent 1"),
+        # the innermost one below: a(1) a(-1)|1> sits at z2^-2
+        (vacuum(), (vacuum(), MIXED), (ins(A, "z2"),), (-1, 1),
+         "z2 needs exponent -2"),
+    ])
+    def test_window_errors(self, fresh, boundary, rest, window, text):
+        F = CorrelationFn(0, rest, None, window, boundary_states=boundary)
+        with pytest.raises(WindowError) as got:
+            reduce_step(direction(fresh, "z1"), F)
+        with pytest.raises(WindowError) as want:
+            direct(0, (ins(fresh, "z1"),) + rest, window, None, boundary)
+        assert str(got.value) == str(want.value) == \
+            "window too small: " + text
+
+
 # -- genus 1, direct evaluation against closed forms ---------------------
 
 

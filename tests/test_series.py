@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voasurf import sewing
-from voasurf.series import (
-    MultiSeries,
-    TruncatedSeries,
-    binomial_expand,
-    sum_shifted,
-)
+from voasurf.reduction import _add_shifted, _expand_geometric
+from voasurf.series import MultiSeries, TruncatedSeries, binomial_expand
 
 from test_elliptic import expand_exp
 
@@ -130,11 +126,11 @@ VARS = ("x", "y", "z")
 
 
 @st.composite
-def multiseries(draw, max_terms=5, pool=VARS):
-    """A series over a few of the variables in ``pool``, each with a
+def multiseries(draw, max_terms=5):
+    """A series over a few of the variables in VARS, each with a
     window whose lo may be negative and whose hi may be None; possibly
     empty or one-term."""
-    variables = sorted(draw(st.sets(st.sampled_from(pool), max_size=3)))
+    variables = sorted(draw(st.sets(st.sampled_from(VARS), max_size=3)))
     window = {}
     for v in variables:
         lo = draw(st.integers(-3, 2))
@@ -249,16 +245,10 @@ class TestProductsAgainstTheDoubleLoop:
         assert_same(sewing.clip(a, b, **spec), sewing.clip(a * b, **spec))
 
 
-shifts_strategy = st.dictionaries(st.sampled_from(VARS), st.integers(-3, 3),
-                                  max_size=2)
-scale_strategy = st.one_of(st.integers(-3, 3), rational)
-term_strategy = st.tuples(multiseries(), shifts_strategy, scale_strategy)
-
-
 def geom_inv(d: int, q_order: int) -> MultiSeries:
     """1/(1 - q^{-d}) as a q-series on (0, q_order) with int
-    coefficients: the factor that a ``(d, q_order)`` term entry of
-    ``sum_shifted`` stands for."""
+    coefficients: the factor that the genus-1 recursion expands in
+    place for a commutator term at q_z-exponent d."""
     out = MultiSeries(("q",), {"q": (0, q_order)})
     if d > 0:
         out.c = {(e,): -1 for e in range(d, q_order + 1, d)}
@@ -280,115 +270,170 @@ def fold_shifted(terms):
     return acc
 
 
-def int_series(variables, window, coeffs) -> MultiSeries:
-    """A series holding the int coefficients that the constructor would
-    coerce to Fractions."""
-    out = MultiSeries(variables, window)
-    out.c = dict(coeffs)
+# A recursion node value: a dict over exponent tuples in one variable
+# order, q first, with q in 0..Q and no window; x and y stand for q_z
+# variables, and a variable outside the node's row has exponent 0.
+NODE_VARS = ("q", "x", "y")
+NODE_POS = {v: i for i, v in enumerate(NODE_VARS)}
+Q = 5
+
+
+@st.composite
+def node_dict(draw, pool=("x", "y")):
+    """A node value whose x and y exponents vary only for the
+    variables in ``pool``; it stores no zero, as no node does."""
+    keys = st.tuples(st.integers(0, Q), *(
+        st.integers(-3, 3) if v in pool else st.just(0)
+        for v in NODE_VARS[1:]))
+    coeffs = st.one_of(st.integers(-9, 9), rational).filter(bool)
+    return draw(st.dictionaries(keys, coeffs, max_size=5))
+
+
+shifts_strategy = st.dictionaries(st.sampled_from(("x", "y")),
+                                  st.integers(-3, 3), max_size=2)
+scale_strategy = st.one_of(st.integers(-3, 3), rational)
+term_strategy = st.tuples(node_dict(), shifts_strategy, scale_strategy)
+geometric_term_strategy = st.tuples(node_dict(), shifts_strategy,
+                                    scale_strategy,
+                                    st.integers(-3, 3).filter(bool))
+
+
+def node_series(sib: dict, q_order=Q) -> MultiSeries:
+    """A node value as a series with q on (0, q_order) and open x and y
+    horizons, which cut nothing; its coefficients keep their types."""
+    out = MultiSeries(NODE_VARS, {"q": (0, q_order), "x": (-9, None),
+                                  "y": (-9, None)})
+    out.c = dict(sib)
     return out
 
 
-Q_VARS = ("q", "x")
-geometric_strategy = st.tuples(st.integers(-3, 3).filter(bool),
-                               st.integers(0, 5))
-geometric_term_strategy = st.tuples(
-    multiseries(pool=Q_VARS),
-    st.dictionaries(st.sampled_from(Q_VARS), st.integers(-3, 3), max_size=2),
-    scale_strategy, geometric_strategy)
+def node_sum(terms, q_order=Q) -> dict:
+    """The node sum of (node dict, {var: shift}, scale[, d]) terms as a
+    recursion node forms it: plain terms straight into the node, the
+    terms of each d into one group, which is expanded by
+    1/(1 - q^{-d}) afterwards; then the zeros dropped.  The siblings,
+    memoized in a recursion, must come out unchanged."""
+    siblings = [dict(sib) for sib, *_ in terms]
+    acc, by_d = {}, {}
+    for sib, shifts, scale, *d in terms:
+        into = by_d.setdefault(d[0], {}) if d else acc
+        _add_shifted(into, sib, NODE_POS, [(shifts, scale)])
+    _expand_geometric(acc, by_d, q_order)
+    assert [sib for sib, *_ in terms] == siblings
+    return {k: c for k, c in acc.items() if c}
 
-# siblings of a geometric term: no q at all, q from 0 with and without a
-# horizon, and q support starting above 0
+
+def folded(terms, q_order=Q) -> dict:
+    """The same sum by ``fold_shifted`` over the node series, keyed in
+    the node variable order."""
+    out = fold_shifted([(node_series(sib, q_order), shifts, scale,
+                         *[(e, q_order) for e in d])
+                        for sib, shifts, scale, *d in terms])
+    pos = [out.vars.index(v) if v in out.vars else None for v in NODE_VARS]
+    return {tuple(0 if i is None else key[i] for i in pos): c
+            for key, c in out.c.items()}
+
+
+# siblings of a geometric term, by their q support: none (q^0 only),
+# from 0, up to the horizon, and starting above 0
 GEOMETRIC_SIBLINGS = {
-    "no_q": int_series(("x",), {"x": (-2, 3)}, {(-2,): 3, (1,): -1}),
-    "q_exact": int_series(("q", "x"), {"q": (0, None), "x": (-1, 1)},
-                          {(0, 1): 2, (1, -1): 5}),
-    "q_horizon": int_series(("q",), {"q": (0, 4)},
-                            {(0,): 1, (2,): -2, (4,): 7}),
-    "q_above_0": int_series(("q", "x"), {"q": (2, 7), "x": (0, 0)},
-                            {(2, 0): 4, (3, 0): -3, (7, 0): 1}),
+    "no_q": {(0, -2, 0): 3, (0, 1, 0): -1},
+    "q_exact": {(0, 1, 0): 2, (1, -1, 0): 5},
+    "q_horizon": {(0, 0, 0): 1, (2, 0, 0): -2, (5, 0, 0): 7},
+    "q_above_0": {(2, 0, 1): 4, (3, 0, 1): -3, (5, 0, 1): 1},
 }
 
 
 class TestSumShiftedAgainstTheFold:
+    """The recursion nodes' shifted sum, ``reduction._add_shifted``
+    with the geometric expansion ``reduction._expand_geometric``,
+    against the fold of series operations, on keys and coefficients."""
+
     @given(st.lists(term_strategy, max_size=5))
     @settings(max_examples=50)
     def test_terms(self, terms):
-        assert_same(sum_shifted(terms), fold_shifted(terms))
+        assert node_sum(terms) == folded(terms)
 
-    @given(multiseries(pool=("x",)), multiseries(pool=("y", "z")),
-           shifts_strategy, scale_strategy)
+    @given(node_dict(pool=("x",)), node_dict(pool=("y",)), shifts_strategy,
+           scale_strategy)
     def test_disjoint_variable_sets(self, a, b, shifts, scale):
         terms = [(a, {}, 1), (b, shifts, scale)]
-        assert_same(sum_shifted(terms), fold_shifted(terms))
+        assert node_sum(terms) == folded(terms)
 
     @given(st.lists(term_strategy, max_size=3))
     @settings(max_examples=50)
     def test_empty_series(self, terms):
-        empty = MultiSeries((), {})
-        blank = MultiSeries(("x", "y"), {"x": (-2, 1), "y": (1, None)})
-        for extra in ([], [(empty, {}, 1)], [(blank, {"y": -2}, 3)],
-                      [(empty, {"z": 2}, 1)]):
-            assert_same(sum_shifted(terms + extra),
-                        fold_shifted(terms + extra))
-        assert_same(sum_shifted([]), fold_shifted([]))
+        for extra in ([], [({}, {}, 1)], [({}, {"y": -2}, 3)],
+                      [({}, {"x": 2}, 1, -1)]):
+            assert node_sum(terms + extra) == folded(terms + extra)
+        assert node_sum([]) == folded([]) == {}
+        acc = {}
+        _expand_geometric(acc, {}, Q)
+        assert acc == {}
 
-    @given(multiseries(), st.lists(term_strategy, max_size=2),
-           shifts_strategy, scale_strategy)
+    @given(node_dict(), st.lists(st.one_of(term_strategy,
+                                           geometric_term_strategy),
+                                 max_size=2),
+           shifts_strategy, scale_strategy, st.integers(-3, 3))
     @settings(max_examples=50)
-    def test_terms_that_cancel(self, a, others, shifts, scale):
-        terms = [(a, shifts, scale)] + others + [(a, shifts, -scale)]
-        got = sum_shifted(terms)
-        assert_same(got, fold_shifted(terms))
+    def test_terms_that_cancel(self, a, others, shifts, scale, d):
+        geom = (d,) if d else ()
+        terms = [(a, shifts, scale, *geom)] + others + [
+            (a, shifts, -scale, *geom)]
+        got = node_sum(terms)
+        assert got == folded(terms)
         if not others:
-            assert got.is_zero()
+            assert got == {}
 
-    @given(multiseries(), st.integers(-3, 3), st.integers(0, 3),
-           shifts_strategy)
-    def test_term_above_another_horizon(self, a, h, up, shifts):
-        low = MultiSeries(("x",), {"x": (h - 2, h)}, {(h,): 1})
-        high = MultiSeries(("x", "y"), {"x": (h, None), "y": (0, None)},
-                           {(h + up, 0): 2, (h + up + 1, 1): 3})
-        terms = [(low, {}, 1), (high, {}, 1), (a, shifts, 2)]
-        got = sum_shifted(terms)
-        assert_same(got, fold_shifted(terms))
-        i = got.vars.index("x")
-        assert all(key[i] <= got.window["x"][1] for key in got.c)
+    def test_term_above_another_horizon(self):
+        # a term at the q horizon expands to itself (d < 0) or to
+        # nothing (d > 0): no expansion passes q_order
+        for d in (-3, -1, 1, 2):
+            for q_order in (0, 1, 5):
+                top = {(q_order, 1, 0): 2, (0, 0, -1): 1}
+                terms = [(top, {}, 1, d), (top, {"y": 1}, -1, d)]
+                got = node_sum(terms, q_order)
+                assert got == folded(terms, q_order)
+                assert all(key[0] <= q_order for key in got)
+                assert (got.get((q_order, 1, 0)) == 2) == (d < 0)
 
     def test_int_coefficients_stay_ints(self):
-        ms = MultiSeries(("q",), {"q": (0, 3)})
-        ms.c = {(0,): 2, (2,): 5}
-        got = sum_shifted([(ms, {"q": 1, "x": -1}, 3), (ms, {}, -1)])
-        assert got.c == {(0, 0): -2, (1, -1): 6, (2, 0): -5, (3, -1): 15}
-        assert all(type(c) is int for c in got.c.values())
+        sib = {(0, 0, 0): 2, (2, 0, 0): 5}
+        got = node_sum([(sib, {"x": 1, "y": -1}, 3), (sib, {}, -1),
+                        (sib, {"x": 1}, 2, -2), (sib, {"x": 1}, 1, -2)],
+                       3)
+        # the group d = -2 is 3 * sib at x^1, times 1 + q^2 up to q^3
+        assert got == {(0, 1, -1): 6, (2, 1, -1): 15, (0, 0, 0): -2,
+                       (2, 0, 0): -5, (0, 1, 0): 6, (2, 1, 0): 21}
+        assert all(type(c) is int for c in got.values())
 
     @given(st.lists(st.one_of(term_strategy, geometric_term_strategy),
                     max_size=4))
     @settings(max_examples=80)
     def test_geometric_terms(self, terms):
-        assert_same(sum_shifted(terms), fold_shifted(terms))
+        assert node_sum(terms) == folded(terms)
 
     @pytest.mark.parametrize("sibling", sorted(GEOMETRIC_SIBLINGS))
     @pytest.mark.parametrize("q_order", [0, 1, 5])
     @pytest.mark.parametrize("d", [-3, -1, 1, 2])
     def test_geometric_term_equals_the_product(self, d, q_order, sibling):
-        sib = GEOMETRIC_SIBLINGS[sibling]
-        other = int_series(("q", "y"), {"q": (0, 9), "y": (0, 1)},
-                           {(1, 0): 1, (3, 1): -4})
-        for terms in ([(sib, {}, 1, (d, q_order))],
-                      [(sib, {"x": d, "y": -d}, 3, (d, q_order)),
-                       (other, {"y": 1}, -2)],
-                      [(sib, {"q": 1}, -1, (d, q_order)),
-                       (sib, {}, 2, (-d, q_order))]):
-            got = sum_shifted(terms)
-            assert_same(got, fold_shifted(terms))
-            assert all(type(c) is int for c in got.c.values())
-        # the fold's scalar product makes Fractions; the product itself
-        # keeps the ints, and one unscaled term holds its coefficients
-        got = sum_shifted([(sib, {}, 1, (d, q_order))])
-        want = sib * geom_inv(d, q_order)
-        assert got.vars == want.vars
-        assert {k: (type(c), c) for k, c in got.c.items()} == \
-            {k: (type(c), c) for k, c in want.c.items()}
+        def below(node):  # a node keeps no term above its q horizon
+            return {k: c for k, c in node.items() if k[0] <= q_order}
+
+        sib = below(GEOMETRIC_SIBLINGS[sibling])
+        other = below({(1, 0, 0): 1, (0, 0, 1): -4})
+        for terms in ([(sib, {}, 1, d)],
+                      [(sib, {"x": d, "y": -d}, 3, d), (other, {"y": 1}, -2),
+                       (other, {"x": 1}, 1, d)],
+                      [(sib, {"x": 1}, -1, d), (sib, {}, 2, -d)]):
+            got = node_sum(terms, q_order)
+            assert got == folded(terms, q_order)
+            assert all(type(c) is int for c in got.values())
+        # one unscaled term holds the product's coefficients and types
+        got = node_sum([(sib, {}, 1, d)], q_order)
+        want = (node_series(sib, q_order) * geom_inv(d, q_order)).c
+        assert {k: (type(c), c) for k, c in got.items()} == \
+            {k: (type(c), c) for k, c in want.items()}
 
 
 class TestMultiSeries:
