@@ -643,7 +643,7 @@ def _direction_args(ns: argparse.Namespace):
 
 
 def _run_cohomology_rank(ns: argparse.Namespace):
-    from .cohomology import cohomology_rank, describe_direction
+    from .cohomology import cohomology_rank
 
     family, window = _direction_args(ns)
     result = cohomology_rank(ns.n, ns.m, ns.genus, family, window=window,
@@ -651,7 +651,7 @@ def _run_cohomology_rank(ns: argparse.Namespace):
                              combine=ns.combine)
     return {"command": "cohomology rank", "genus": ns.genus,
             "n": ns.n, "m": ns.m,
-            "direction": [describe_direction(d) for d in family],
+            "direction": [str(d.insertion) for d in family],
             "combine": ns.combine,
             "window": list(window), "qorder": ns.qorder,
             "q": result.q, "p": result.p,
@@ -661,7 +661,7 @@ def _run_cohomology_rank(ns: argparse.Namespace):
 
 
 def _run_cohomology_euler(ns: argparse.Namespace):
-    from .cohomology import describe_direction, euler_poincare
+    from .cohomology import euler_poincare
 
     family, window = _direction_args(ns)
     result = euler_poincare(ns.m, ns.levels, ns.genus, family,
@@ -669,7 +669,7 @@ def _run_cohomology_euler(ns: argparse.Namespace):
                             boundary=ns.boundary, combine=ns.combine)
     return {"command": "cohomology euler", "genus": ns.genus,
             "m": ns.m, "N": ns.levels,
-            "direction": [describe_direction(d) for d in family],
+            "direction": [str(d.insertion) for d in family],
             "combine": ns.combine,
             "window": list(window), "qorder": ns.qorder,
             "total": result.total,

@@ -9,8 +9,11 @@ chain space at level n and weight m is the free vector space on the
 canonical tuples of total weight m, and q_{n,m} counts those tuples.
 A source is therefore a tuple, not a value: the rank path runs tuples
 -> recursion images -> sparse columns -> exact integer elimination,
-and never evaluates the brute-force oracle.  Columns are vectorized
-images on a fixed monomial window, and the ranks and the
+and never evaluates the brute-force oracle.  A column is the
+coefficient dict of one reduction step's value, keyed by its exponent
+tuples: every step on one slice prepends the same anchored fresh point
+to the same points on the same window and q-order, so the images share
+one sorted variable tuple and store no zero.  The ranks and the
 chain-condition kernel come out of one sparse integer elimination.
 
 All dimension claims are certified within the window only.  A kernel
@@ -114,18 +117,13 @@ def _direction_family(family, combine: str):
     return tuple(dirs), ws.pop()
 
 
-def describe_direction(direction: ReductionDirection) -> str:
-    return str(direction.insertion)
-
-
 class GradedSlice:
     """The weight-m slice of the level-n chain space.
 
     ``basis`` is the canonical tuple list and ``sources`` the matching
-    value-free coboundary sources; ``build`` evaluates the brute-force
-    oracle of a tuple through ``reduction.direct``, which only checks
-    and seeds ever need.  Genus 0 carries boundary states, vacuum by
-    default; genus 1 carries the q-order.
+    value-free coboundary sources, which is all a reduction step reads.
+    Genus 0 carries boundary states, vacuum by default; genus 1
+    carries the q-order.
     """
 
     def __init__(self, genus: int, n: int, m: int, *, points=None,
@@ -175,39 +173,6 @@ class GradedSlice:
             yield CorrelationFn(self.genus, self.insertions(states), None,
                                 self.window, self.boundary, self.q_order)
 
-    def build(self, insertions) -> CorrelationFn:
-        """The correlation function of an explicit insertion tuple on
-        this slice's window (the tuple need not come from ``basis``)."""
-        return direct(self.genus, insertions, self.window, self.q_order,
-                      self.boundary)
-
-    @cached_property
-    def var_order(self) -> tuple:
-        vs = [point_var(self.genus, p) for p in self.points]
-        if self.genus == 1:
-            vs.append("q")
-        return tuple(sorted(vs))
-
-    def vectorize(self, fn: CorrelationFn) -> dict:
-        """Exact coefficient vector of a correlation function on this
-        slice's monomial window, keyed by exponent tuples aligned with
-        ``var_order``.  Injective on what the window shows; equality
-        of vectors is equality of the functions on the window, nothing
-        more."""
-        if fn.genus != self.genus:
-            raise ValueError("genus mismatch in vectorization")
-        if {i.point for i in fn.insertions} != set(self.points):
-            raise ValueError("inconsistent windows: point sets differ")
-        if fn.window != self.window:
-            raise ValueError(f"inconsistent windows: {fn.window} vs "
-                             f"{self.window}")
-        if self.genus == 1 and fn.q_order != self.q_order:
-            raise ValueError("inconsistent windows: q-order differs")
-        ext = fn.value.extended_to(self.var_order)
-        if ext.vars != self.var_order:
-            raise ValueError(f"unexpected variables {ext.vars}")
-        return {k: v for k, v in ext.c.items() if v}
-
 
 def _check_fresh(direction: ReductionDirection, points) -> None:
     if direction.insertion.point in points:
@@ -220,8 +185,8 @@ class CoboundaryMatrix:
     """The reduction step of a direction family on a slice, one column
     per basis tuple.
 
-    Columns are sparse monomial vectors on the target slice's window
-    (keys tagged by the member index when the family is stacked), and
+    Columns are the coefficient dicts of the reduction images (keys
+    tagged by the member index when the family is stacked), and
     ``rank`` eliminates on them directly.
     """
 
@@ -237,15 +202,6 @@ class CoboundaryMatrix:
         return len(self.columns) - self.rank
 
 
-def target_slice(direction: ReductionDirection,
-                 src: GradedSlice) -> GradedSlice:
-    return GradedSlice(src.genus, src.n + 1,
-                       src.m + direction_weight(direction),
-                       points=(direction.insertion.point,) + src.points,
-                       window=src.window, q_order=src.q_order,
-                       boundary=src.boundary)
-
-
 def build_coboundary(direction_family, src: GradedSlice,
                      combine="sum") -> CoboundaryMatrix:
     """The matrix of the reduction step on a graded slice.
@@ -253,19 +209,18 @@ def build_coboundary(direction_family, src: GradedSlice,
     A single direction or a family; the family acts as the entrywise
     sum of its members' images (one operator) or stacked, one block of
     rows per member with keys tagged by the member index.  Members
-    share the anchored point and weight, hence one target slice.
-    The sources are the slice's value-free tuples, so no oracle runs
-    and no source-side window check applies.  Exact on the target
-    slice's window; window problems inside the reduction (an
+    share the anchored point and weight, so their images share one
+    variable tuple.  The sources are the slice's value-free tuples, so
+    no oracle runs and no source-side window check applies.  Exact on
+    the slice's window; window problems inside the reduction (an
     intrinsically finite direction that does not fit the target box)
     propagate as WindowError rather than being absorbed.
     """
     family, _ = _direction_family(direction_family, combine)
     _check_fresh(family[0], src.points)
-    tgt = target_slice(family[0], src)
     columns = []
     for fn in src.sources():
-        images = [tgt.vectorize(reduce_step(d, fn)) for d in family]
+        images = [reduce_step(d, fn).value.c for d in family]
         if combine == "stack":
             columns.append({(i,) + k: v for i, image in enumerate(images)
                             for k, v in image.items()})
@@ -311,13 +266,14 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     dir2 = as_direction(dir2)
     _check_fresh(dir1, src.points)
     _check_fresh(dir2, src.points + (dir1.insertion.point,))
-    mid = target_slice(dir1, src)
-    tgt = target_slice(dir2, mid)
+    # refuse a zero or inhomogeneous direction, as a family would
+    direction_weight(dir1)
+    direction_weight(dir2)
     columns = []
     for fn in src.sources():
         g = reduce_step(dir1, fn)
         columns.append({} if g.is_zero()
-                       else tgt.vectorize(reduce_step(dir2, g)))
+                       else dict(reduce_step(dir2, g).value.c))
     kernel = tuple(kernel_basis(columns))
     return ChainReport(src, columns, kernel)
 
@@ -419,10 +375,11 @@ class ClusterSeed:
 def make_seed(states, genus: int, *, window=DEFAULT_WINDOW,
               q_order=None) -> ClusterSeed:
     states = tuple(states)
-    src = GradedSlice(genus, len(states), 0, points=canonical_points(
-        len(states)), window=window, q_order=q_order)
-    ins = tuple(Insertion(v, p) for v, p in zip(states, src.points))
-    return ClusterSeed(states, src.points, src.build(ins))
+    points = canonical_points(len(states))
+    if genus == 1 and q_order is None:
+        q_order = DEFAULT_Q_ORDER
+    ins = tuple(Insertion(v, p) for v, p in zip(states, points))
+    return ClusterSeed(states, points, direct(genus, ins, window, q_order))
 
 
 def _support(v: GradedVector) -> tuple:

@@ -769,14 +769,12 @@ def genus1_onepoint(v: GradedVector, q_order: int) -> MultiSeries:
 _GENUS_ERROR = "unwinding is defined at genus 0 and 1"
 
 
-def direct(genus: int, insertions, window, q_order,
-           boundary=None) -> CorrelationFn:
-    """The brute-force value of the insertions by genus: between the
-    boundary states (u', u) at genus 0, vacua unless given, and traced
-    to q_order at genus 1."""
+def direct(genus: int, insertions, window, q_order) -> CorrelationFn:
+    """The brute-force value of the insertions by genus: between vacua
+    at genus 0 (``genus0_direct`` takes other boundary states), and
+    traced to q_order at genus 1."""
     if genus == 0:
-        uprime, u = boundary or (vacuum(), vacuum())
-        return genus0_direct(insertions, uprime, u, window)
+        return genus0_direct(insertions, vacuum(), vacuum(), window)
     if genus == 1:
         return genus1_direct(insertions, q_order, window)
     raise ValueError(_GENUS_ERROR)

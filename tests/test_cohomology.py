@@ -9,7 +9,6 @@ is recomputed from the raw ledger by telescoping instead of trusting
 the returned total.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -26,11 +25,9 @@ from voasurf.cohomology import (
     chain_condition_check,
     cluster_mutate,
     cohomology_rank,
-    describe_direction,
     euler_poincare,
     involution_check,
     make_seed,
-    target_slice,
     weighted_tuples,
     xi_sign,
 )
@@ -39,11 +36,12 @@ from voasurf.reduction import (
     Insertion,
     ReductionDirection,
     WindowError,
+    direct,
     genus0_direct,
     genus1_onepoint,
     reduce_step,
 )
-from voasurf.series import MultiSeries, binomial_expand
+from voasurf.series import binomial_expand
 from voasurf.voa import GradedVector, basis, parse_state, vacuum
 
 A = parse_state("a")
@@ -117,9 +115,17 @@ def oracle_kernel(columns):
     return kernel
 
 
+def oracle(s, insertions):
+    """The brute-force correlation function of an insertion tuple on
+    the slice's window, between the slice's boundary states at genus 0."""
+    if s.genus == 0:
+        return genus0_direct(insertions, *s.boundary, s.window)
+    return direct(s.genus, insertions, s.window, s.q_order)
+
+
 def oracle_functions(s):
     """The brute-force correlation function of every basis tuple."""
-    return [s.build(s.insertions(t)) for t in s.basis]
+    return [oracle(s, s.insertions(t)) for t in s.basis]
 
 
 # -- slices ---------------------------------------------------------------
@@ -145,30 +151,21 @@ class TestSlices:
         assert canonical_points(3) == ("z1", "z2", "z3")
 
     def test_vectorize_matches_value(self):
+        # a value's coefficient dict is its vector: keyed in the sorted
+        # variables, with no stored zero
         s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
         for fn in oracle_functions(s):
-            vec = s.vectorize(fn)
-            ext = fn.value.extended_to(s.var_order)
-            assert vec == {k: v for k, v in ext.c.items() if v}
+            assert fn.value.vars == ("q", "q_z1")
+            assert all(fn.value.c.values())
 
     def test_vectorize_distinguishes_functions(self):
         # one-point of a[-2]|1 vanishes (odd number of modes in the
         # trace), one-point of a[-1]^2|1 does not
         s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
-        vecs = [s.vectorize(fn) for fn in oracle_functions(s)]
+        vecs = [fn.value.c for fn in oracle_functions(s)]
         assert s.basis == (((2,),), ((1, 1),))
         assert vecs[0] == {}
         assert vecs[1] != {}
-
-    def test_vectorize_rejects_wrong_window(self):
-        a = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
-        b = GradedSlice(1, 1, 2, window=(-4, 4), q_order=3)
-        fn = oracle_functions(a)[0]
-        with pytest.raises(ValueError, match="inconsistent windows"):
-            b.vectorize(fn)
-        c = GradedSlice(1, 1, 2, window=(-3, 3), q_order=4)
-        with pytest.raises(ValueError, match="q-order"):
-            c.vectorize(fn)
 
     def test_inverted_window_is_refused(self):
         # an inverted window shows an empty box, which used to pass
@@ -205,15 +202,16 @@ class TestCoboundary:
     def test_vacuum_direction_is_inclusion_genus1(self):
         s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
         cb = build_coboundary(Insertion(VAC, "z"), s)
-        i = target_slice(direction(VAC, "z"), s).var_order.index("q_z")
+        image = reduce_step(direction(VAC, "z"), next(s.sources()))
+        i = image.value.vars.index("q_z")
         for col, fn in zip(cb.columns, oracle_functions(s)):
-            src = s.vectorize(fn)
-            assert col == {k[:i] + (0,) + k[i:]: v for k, v in src.items()}
+            assert col == {k[:i] + (0,) + k[i:]: v
+                           for k, v in fn.value.c.items()}
 
     def test_vacuum_direction_is_inclusion_genus0(self):
         # <a, Y(a,z1) 1> is the constant -1 under the invariant form
         s = GradedSlice(0, 1, 1, window=(-4, 4), boundary=(A, VAC))
-        assert s.vectorize(oracle_functions(s)[0]) == {(0,): Fraction(-1)}
+        assert oracle_functions(s)[0].value.c == {(0,): Fraction(-1)}
         cb = build_coboundary(Insertion(VAC, "z"), s)
         assert cb.columns[0] == {(0, 0): Fraction(-1)}
 
@@ -253,13 +251,34 @@ class TestCoboundary:
         mixed = al * A2 + be * AA
         if mixed.is_zero():
             return
-        img = target_slice(direction(A, "w"), s).vectorize(
-            _reduce(s, direction(A, "w"), (Insertion(mixed, "z1"),)))
+        img = _reduce(s, direction(A, "w"),
+                      (Insertion(mixed, "z1"),)).value.c
         want = {}
         for c, col in zip((al, be), cb.columns):
             for k, v in col.items():
                 want[k] = want.get(k, Fraction(0)) + c * v
         assert img == {k: v for k, v in want.items() if v}
+
+    @pytest.mark.parametrize("slice_kw,family", [
+        (dict(genus=0, n=2, m=2, boundary=(VAC, parse_state("1 + a"))),
+         [Insertion(A, "w")]),
+        (dict(genus=1, n=2, m=2, q_order=3), [Insertion(A, "w")]),
+        (dict(genus=1, n=1, m=2, q_order=3),
+         [Insertion(A2, "w"), Insertion(AA, "w")]),
+    ])
+    def test_images_share_one_variable_tuple(self, slice_kw, family):
+        # the columns are the images' own coefficient dicts, so every
+        # image of one slice must key them alike and store no zero
+        s = GradedSlice(window=(-3, 3), **slice_kw)
+        images = [reduce_step(ReductionDirection(d), fn).value
+                  for fn in s.sources() for d in family]
+        assert len({v.vars for v in images}) == 1
+        assert all(all(v.c.values()) for v in images)
+        assert any(v.c for v in images)
+        stacked = build_coboundary(family, s, "stack").columns
+        assert stacked == [{(i,) + k: c for i, v in enumerate(
+            images[j:j + len(family)]) for k, c in v.c.items()}
+            for j in range(0, len(images), len(family))]
 
     def test_window_insufficiency_propagates(self):
         s = GradedSlice(0, 0, 0, window=(0, 0), boundary=(A, A))
@@ -286,25 +305,20 @@ class TestCoboundary:
         # (n+1)-point oracle on a window 6 wider, cut to the box
         s = GradedSlice(0, 1, 2, window=window, boundary=(VAC, A))
         with pytest.raises(WindowError):
-            s.build(s.insertions(s.basis[0]))
+            oracle(s, s.insertions(s.basis[0]))
         cb = build_coboundary(Insertion(A, "w"), s)
-        tgt = target_slice(direction(A, "w"), s)
         lo, hi = window
         for states, col in zip(s.basis, cb.columns):
             insertions = (Insertion(A, "w"),) + s.insertions(states)
             wide = genus0_direct(insertions, *s.boundary, (lo - 6, hi + 6))
-            value = MultiSeries(wide.value.vars,
-                                dict.fromkeys(wide.value.vars, window),
-                                {k: c for k, c in wide.value.c.items()
-                                 if all(lo <= e <= hi for e in k)})
-            cut = dataclasses.replace(wide, value=value, window=window)
-            assert col == tgt.vectorize(cut)
+            assert col == {k: c for k, c in wide.value.c.items()
+                           if all(lo <= e <= hi for e in k)}
         # the wider box shows a nonzero column, so the check has teeth
         assert any(cb.columns) == (window == (-2, 2))
 
 
 def _reduce(src, d, insertions):
-    return reduce_step(d, src.build(insertions))
+    return reduce_step(d, oracle(src, insertions))
 
 
 # -- sparse integer rank --------------------------------------------------
@@ -461,6 +475,16 @@ class TestChainCondition:
         rep = chain_condition_check(Insertion(A, "w2"), Insertion(A, "w1"),
                                     GradedSlice(1, 1, 2, **kw))
         assert rep.columns and echelons == []
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_direction_must_be_nonzero_and_homogeneous(self, first):
+        s = GradedSlice(1, 1, 1, window=(-3, 3), q_order=3)
+        for bad, text in ((A + OMEGA, "homogeneous"),
+                          (GradedVector(), "nonzero")):
+            dirs = (Insertion(A, "w2"), Insertion(bad, "w1")) if first \
+                else (Insertion(bad, "w2"), Insertion(A, "w1"))
+            with pytest.raises(ValueError, match=text):
+                chain_condition_check(*dirs, s)
 
     def test_kernel_window_monotone(self):
         # a larger window can only refute more combinations
@@ -697,6 +721,3 @@ class TestClusterMutation:
         assert xi_sign({((1,),): -1}, -3 * A) == -1
         assert xi_sign({((1,),): -1}, OMEGA) == 1
         assert xi_sign({((1, 1),): -1}, OMEGA) == -1
-
-    def test_describe_direction(self):
-        assert describe_direction(direction(A, "z")) == "a[-1]|1@z"

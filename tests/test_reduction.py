@@ -45,6 +45,7 @@ from test_series import geom_inv
 
 A = parse_state("a[-1]|1")
 A2 = parse_state("a[-2]|1")
+AA = parse_state("a[-1]^2|1")
 OMEGA = parse_state("omega")
 
 # partition numbers p(0), p(1), ...
@@ -242,7 +243,7 @@ class TestGenus0Reduce:
 
 
 class TestReduceStepAgainstDirect:
-    """``reduce_step`` and ``direct`` end in the same window check, so
+    """``reduce_step`` and ``genus0_direct`` end in the same window check, so
     they agree in vars, windows and coefficients or in its text."""
 
     MIXED = parse_state("1 + a")
@@ -256,7 +257,7 @@ class TestReduceStepAgainstDirect:
             F = CorrelationFn(0, insertions[1:], None, (-6, 3),
                               boundary_states=boundary)
             got = reduce_step(ReductionDirection(insertions[0]), F).value
-            want = direct(0, insertions, (-6, 3), None, boundary).value
+            want = genus0_direct(insertions, *boundary, (-6, 3)).value
             assert want.c and (got.vars, got.window, got.c) == \
                 (want.vars, want.window, want.c), (boundary, row)
 
@@ -275,7 +276,7 @@ class TestReduceStepAgainstDirect:
         with pytest.raises(WindowError) as got:
             reduce_step(direction(fresh, "z1"), F)
         with pytest.raises(WindowError) as want:
-            direct(0, (ins(fresh, "z1"),) + rest, window, None, boundary)
+            genus0_direct((ins(fresh, "z1"),) + rest, *boundary, window)
         assert str(got.value) == str(want.value) == \
             "window too small: " + text
 
@@ -377,6 +378,39 @@ class TestGenus1Reduce:
                           genus1_direct((), 5, (-2, 2))))
         assert F.value.agrees_with(direct.value)
         assert not direct.is_zero()
+
+    def test_grading_prune_fires_and_changes_nothing(self, monkeypatch):
+        # a node whose insertion exponents cannot cancel its front
+        # word's weight shift returns the empty dict without a child
+        stack, fired = [], []
+        inner = reduction._g1_value
+
+        def spy(front, row, window, q_order, memo, pos):
+            lo = sum(window[p][0] for _, p in row)
+            hi = sum(window[p][1] for _, p in row)
+            shift = reduction._front_shift(front)
+            key = (front, row, tuple(sorted(window.items())), q_order)
+            unreachable = row and key not in memo and \
+                not lo <= -shift <= hi
+            if stack:
+                stack[-1] += 1
+            stack.append(0)
+            out = inner(front, row, window, q_order, memo, pos)
+            children = stack.pop()
+            if unreachable and children == 0:
+                assert out == {} and memo[key] == {}
+                fired.append(row)
+            return out
+
+        monkeypatch.setattr(reduction, "_g1_value", spy)
+        src = (ins(A, "z1"), ins(AA, "z2"), ins(AA, "z3"))
+        F = CorrelationFn(1, src, None, (-2, 2), q_order=2)
+        got = reduce_step(direction(A, "w"), F)
+        assert len(fired) == 4
+        want = genus1_direct((ins(A, "w"),) + src, 2, (-2, 2))
+        assert not want.is_zero()
+        assert (got.value.vars, got.value.window, got.value.c) == \
+            (want.value.vars, want.value.window, want.value.c)
 
     @pytest.mark.parametrize("q_order", [0, 3, 8])
     @pytest.mark.parametrize("box", [(-4, 4), (-6, 3), (-2, 5)])
@@ -571,5 +605,5 @@ class TestParityPruning:
                                         boundary_states=boundary))
         assert F.value.coefficient({"z1": -2}) == 1
         assert len(calls) > 1
-        want = direct(0, F.insertions, (-3, 3), None, boundary)
+        want = genus0_direct(F.insertions, *boundary, (-3, 3))
         assert F.value == want.value
