@@ -684,8 +684,7 @@ def _random_state(rng):
 
     from .voa import GradedVector, basis, vacuum
 
-    coeffs = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2),
-              Fraction(3, 7))
+    coeffs = (1, -1, Fraction(1, 2), -2, Fraction(3, 7))
     v = GradedVector({})
     for _ in range(rng.randint(1, 2)):
         w = rng.randint(0, 3)

@@ -33,7 +33,6 @@ read theirs off the matrices it returns.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,6 +46,7 @@ from .reduction import (
     reduce_step,
     window_pair,
 )
+from .series import rat
 from .voa import GradedVector, basis, vacuum
 
 DEFAULT_WINDOW = (-4, 4)
@@ -386,12 +386,12 @@ def _support(v: GradedVector) -> tuple:
     return tuple(sorted(v.t))
 
 
-def xi_sign(xi, v: GradedVector) -> Fraction:
+def xi_sign(xi, v: GradedVector):
     """Look up the sign for a state.  ``xi`` may be None (all +1) or a
     dict keyed by state support.  Signs attach to the support so that
     flipping a state does not flip its sign; that is what makes the
     double mutation close up."""
-    s = Fraction(1 if xi is None else xi.get(_support(v), 1))
+    s = rat(1 if xi is None else xi.get(_support(v), 1))
     if s * s != 1:
         raise ValueError(f"xi sign must square to 1, got {s}")
     return s

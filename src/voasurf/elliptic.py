@@ -65,15 +65,15 @@ def _grow_tangents():
 
 
 @lru_cache(maxsize=None)
-def bernoulli(n: int) -> Fraction:
+def bernoulli(n: int):
     """B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30), from integer
     tangent numbers: B_2h = (-1)^(h-1) 2h T_h / (4^h (4^h - 1))."""
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return Fraction(-1, 2)
     if n % 2:
-        return Fraction(0)
+        return 0
     h = n // 2
     while len(_TANGENTS) < h:
         _grow_tangents()
@@ -91,7 +91,7 @@ def _eis_coefficients(k: int, q_order: int) -> tuple:
         for n in range(d, q_order + 1, d):
             sigma[n] += power
     scale = factorial(k - 1)
-    return (-bernoulli(k) / factorial(k),
+    return (Fraction(-bernoulli(k), factorial(k)),
             *(Fraction(2 * s, scale) for s in sigma[1:]))
 
 
@@ -159,7 +159,7 @@ def weierstrass_p(m: int, z_order: int, q_order: int,
     def key(ze, qe):
         return (qe, ze) if qvar < zvar else (ze, qe)
 
-    coeffs[key(-m, 0)] = Fraction(1)
+    coeffs[key(-m, 0)] = 1
     for k in range(max(2, m), z_order + m + 1):
         scale = (-1) ** m * comb(k - 1, m - 1)
         for (qe,), c in eisenstein(k, q_order, qvar).c.items():

@@ -133,7 +133,7 @@ def lambda_entry(a: int, m: int, n: int, moduli: SewingModuli) -> MultiSeries:
     k = m + n
     if k % 2 or k > moduli.se_order:
         return MultiSeries.constant(0).extended_to(_EVARS)
-    coeff = Fraction((-1) ** (n + 1) * comb(k - 1, n))
+    coeff = (-1) ** (n + 1) * comb(k - 1, n)
     return _eis(k, a, moduli) * MultiSeries.monomial({"se": k}, coeff)
 
 
@@ -239,7 +239,7 @@ def p_column(j: int, y_chart: int, moduli: SewingModuli) -> dict:
     for m in range(1, min(moduli.matrix_cutoff, moduli.se_order) + 1):
         body = _pm(j + m, y_chart, _YVAR, moduli)
         if j == 0:
-            body = body + _eis(m, y_chart, moduli) * Fraction(-1)
+            body = body - _eis(m, y_chart, moduli)
         out[m] = body * MultiSeries.monomial({"se": m}, comb(m + j - 1, j))
     return out
 
@@ -290,20 +290,20 @@ def gen_weierstrass(p: int, j: int, x_chart: int, y_chart: int,
         lead = _pm_difference(j + 1, a, moduli)
         tail = row_dot_column(row_times_matrix(Q, lt, clip), col, clip,
                               caps={_XVAR: -(j + 1)})
-        out = lead + tail * Fraction((-1) ** (j + 1))
+        out = lead + tail * (-1) ** (j + 1)
         if j == 0:
-            out = out + _pm(1, a, _XVAR, moduli) * Fraction(-1)
+            out = out - _pm(1, a, _XVAR, moduli)
             if p != 1:
                 corr = row_times_matrix(Q, lambda_matrix(abar, moduli),
                                         clip).get(2 * p - 2)
                 if corr is not None:
-                    out = out + corr * Fraction(-1)
+                    out = out - corr
         out = clip(out)
         return out.extended_to(sorted(set(out.vars) | {_YVAR}))
-    sign = Fraction((-1) ** (p + 1) * (-1) ** j)
+    sign = (-1) ** (p + 1 + j)
     out = row_dot_column(Q, col, clip) * sign
     if j == 0 and p != 1 and 2 * p - 2 <= moduli.se_order:
-        psign = Fraction((-1) ** (p + 1))
+        psign = (-1) ** (p + 1)
         out = out + _pm(2 * p - 1, a, _XVAR, moduli) * \
             MultiSeries.monomial({"se": 2 * p - 2}, psign)
         corr = row_times_matrix(

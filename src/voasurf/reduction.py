@@ -34,7 +34,8 @@ u' as its pairing functional phi(b) = <u', b>, pulled back through the
 integral mode table.  No step divides, so with integral boundaries
 both recursions sum ints from their int leaves (a pairing at genus 0,
 a trace count at genus 1) up; a rational boundary coefficient stays an
-exact Fraction.  The reduce steps hand out Fractions.  The oracles
+exact Fraction.  The reduce steps hand out what ``series.rat`` makes
+of each sum: an int where it is integral, else a Fraction.  The oracles
 add each coefficient straight into one dict (at genus 0 through the
 bilinear form, at genus 1 coefficient times the int trace count of a
 word) and share no summation code with the recursions.
@@ -82,7 +83,7 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-from .series import MultiSeries, TruncatedSeries
+from .series import MultiSeries, TruncatedSeries, rat
 from .voa import (
     CENTRAL_CHARGE,
     GradedVector,
@@ -144,9 +145,9 @@ class CorrelationFn:
     degenerate_steps: tuple = ()
 
     @property
-    def q_shift(self) -> Fraction:
+    def q_shift(self):
         """0 at genus 0, -c/24 at genus 1."""
-        return -CENTRAL_CHARGE / 24 if self.genus == 1 else Fraction(0)
+        return Fraction(-CENTRAL_CHARGE, 24) if self.genus == 1 else 0
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
@@ -171,13 +172,14 @@ def window_pair(window) -> tuple:
 
 def _basis_expansions(insertions):
     """Multilinear expansion over the Fock basis: yields pairs
-    (coefficient, tuple of (basis_state, point))."""
-    combos = [(Fraction(1), ())]
+    (coefficient, tuple of (basis_state, point)), each coefficient a
+    product kept an int where it is integral."""
+    combos = [(1, ())]
     for ins in insertions:
         nxt = []
         for coef, row in combos:
             for s, c in ins.state.t.items():
-                nxt.append((coef * c, row + ((s, ins.point),)))
+                nxt.append((rat(coef * c), row + ((s, ins.point),)))
         combos = nxt
     return combos
 
@@ -286,7 +288,7 @@ def genus0_direct(insertions, uprime: GradedVector, u: GradedVector,
                 val = coef * bilinear_form(uprime, GradedVector(vec))
                 if val:
                     key = tuple([exps[j] for j in order])
-                    acc[key] = acc.get(key, Fraction(0)) + val
+                    acc[key] = acc.get(key, 0) + val
                 return
             s, _ = row[i]
             wts_vec = {weight(t) for t in vec}
@@ -319,8 +321,8 @@ def _assemble_genus0(insertions, acc, window, uprime, u):
     """Window-check the accumulated coefficients and build the result.
 
     ``acc`` keys its exponent tuples in the sorted order of the point
-    symbols, the variable order of the value; its coefficients may be
-    ints, which the series constructor makes Fractions.
+    symbols, the variable order of the value; the series constructor
+    keeps an integral coefficient an int.
 
     Raises WindowError when nonzero data falls on an intrinsically
     finite side: anywhere outside the box for a single insertion,
@@ -449,11 +451,6 @@ def _g0_value(row, phi, u, window, memo, pos) -> dict:
     return out
 
 
-def _exact(c):
-    """c as an int when it is integral, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def genus0_reduce(direction: ReductionDirection,
                   F: CorrelationFn) -> CorrelationFn:
     """One reduction step at genus 0: prepend the fresh insertion and
@@ -465,8 +462,7 @@ def genus0_reduce(direction: ReductionDirection,
     insertions = (ins,) + F.insertions
     _check_distinct(insertions)
     uprime, u = F.boundary_states
-    phi = {s: _exact(c * _norm(s)) for s, c in uprime.t.items()}
-    ket = {s: _exact(c) for s, c in u.t.items()}
+    phi = {s: rat(c * _norm(s)) for s, c in uprime.t.items()}
     # widen the innermost variable so the margin band below the box is
     # exact and usable by the window check
     inner = {i.point: F.window for i in insertions}
@@ -480,9 +476,9 @@ def genus0_reduce(direction: ReductionDirection,
     acc = {}
     memo = {}
     for coef, row in _basis_expansions(insertions):
-        val = _g0_value(row, phi, ket, {p: inner[p] for _, p in row}, memo,
+        val = _g0_value(row, phi, u.t, {p: inner[p] for _, p in row}, memo,
                         pos)
-        _add_shifted(acc, val, pos, [({}, _exact(coef))])
+        _add_shifted(acc, val, pos, [({}, coef)])
 
     return _assemble_genus0(insertions, acc, F.window, uprime, u)
 
@@ -739,7 +735,7 @@ def genus1_reduce(direction: ReductionDirection,
             continue
         val = _g1_value((), row, {p: F.window for _, p in row}, q_order,
                         memo, pos)
-        _add_shifted(acc, val, pos, [({}, _exact(coef))])
+        _add_shifted(acc, val, pos, [({}, coef)])
 
     # the recursion reaches q_z exponents outside the box; cut them
     coeffs = acc

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from . import sewing
@@ -57,6 +57,11 @@ from .voa import VACUUM, dual_basis, gbinom, vertex_mode, virasoro
 # -- genus-zero values at rational points ---------------------------------
 
 
+def _rational(x) -> Fraction:
+    """A point through ``rat``, kept a Fraction for negative powers."""
+    return Fraction(rat(x))
+
+
 def _pair_weight(k: int, kp: int) -> Fraction:
     """Contraction of the (k-1)-th and (kp-1)-th normalized current
     derivatives, without the (z - w)^-(k+kp) factor."""
@@ -65,15 +70,15 @@ def _pair_weight(k: int, kp: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _matchings(legs: tuple, points: tuple) -> Fraction:
+def _matchings(legs: tuple, points: tuple):
     """The sum over complete matchings of the legs (point, derivative)
     that pair distinct points.  Memoized: the same leftover legs recur
     across the matchings of one monomial and across the channels of a
     handle sum."""
     if not legs:
-        return Fraction(1)
+        return 1
     i, k = legs[0]
-    total = Fraction(0)
+    total = 0
     for t in range(1, len(legs)):
         j, kp = legs[t]
         if j == i:
@@ -86,14 +91,14 @@ def _matchings(legs: tuple, points: tuple) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _monomial_value(monomials: tuple, points: tuple) -> Fraction:
+def _monomial_value(monomials: tuple, points: tuple):
     legs = tuple((i, k) for i, parts in enumerate(monomials) for k in parts)
     if len(legs) % 2:
-        return Fraction(0)
+        return 0
     return _matchings(legs, points)
 
 
-def genus0_rational_value(states, points) -> Fraction:
+def genus0_rational_value(states, points):
     """The genus-zero correlation value of Fock states at distinct
     rational points.
 
@@ -101,16 +106,14 @@ def genus0_rational_value(states, points) -> Fraction:
     of the reduction module converge to, evaluated off the diagonals,
     which is exactly the form the handle sums need.
     """
-    pts = tuple(rat(x) for x in points)
+    pts = tuple(map(_rational, points))
     if len(set(pts)) != len(pts):
         raise ValueError("insertion points must be pairwise distinct")
     if len(pts) != len(states):
         raise ValueError("one point per state")
-    total = Fraction(0)
+    total = 0
     for combo in product(*(tuple(s.t.items()) for s in states)):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
+        coeff = prod(c for _, c in combo)
         if coeff:
             total += coeff * _monomial_value(tuple(st for st, _ in combo), pts)
     return total
@@ -127,9 +130,7 @@ def _clean_f(f_choice) -> tuple:
         items = f.items() if isinstance(f, dict) else f
         poly = {}
         for e, c in items:
-            c = rat(c)
-            if c:
-                poly[int(e)] = poly.get(int(e), Fraction(0)) + c
+            poly[int(e)] = poly.get(int(e), 0) + rat(c)
         cleaned.append(tuple(sorted((e, c) for e, c in poly.items() if c)))
     return tuple(cleaned)
 
@@ -152,7 +153,7 @@ class SchottkyData:
             raise ValueError("genus must be at least 1")
         if self.rho_order < 1:
             raise ValueError("rho_order must be at least 1")
-        coords = tuple(rat(c) for c in self.coordinates)
+        coords = tuple(map(_rational, self.coordinates))
         if len(coords) != 2 * self.genus:
             raise ValueError("need exactly 2*genus coordinates")
         if len(set(coords)) != len(coords):
@@ -246,15 +247,15 @@ def _point(z, data: SchottkyData):
     points."""
     if isinstance(z, Formal):
         return z
-    z = rat(z)
+    z = _rational(z)
     if z in data.coordinates:
         raise ValueError("evaluation point collides with a handle point")
     return z
 
 
-def _f_deriv(poly: dict, m: int, x: Fraction) -> Fraction:
+def _f_deriv(poly: dict, m: int, x: Fraction):
     """Normalized m-th derivative of a Laurent polynomial at x."""
-    total = Fraction(0)
+    total = 0
     for e, c in poly.items():
         b = gbinom(e, m)
         if b:
@@ -270,7 +271,7 @@ def _f_part(p: int, data: SchottkyData, m: int, n: int, x, y):
     formal y each y^(l-n) is a monomial known through y^cut.  x is
     formal only in ptilde entries, n >= 2p - 1, where the sum is
     empty."""
-    total = Fraction(0)
+    total = 0
     for ell in range(n, 2 * p - 1):
         e = ell - n
         power = y ** e if not isinstance(y, Formal) else MultiSeries(
@@ -320,7 +321,7 @@ def psi0(p: int, f_choice, window) -> MultiSeries:
             break
         if x_hi is not None and e > x_hi:
             continue
-        coeffs[(e, k)] = Fraction(1)
+        coeffs[(e, k)] = 1
     for ell, poly in enumerate(fs):
         if not y_lo <= ell <= y_hi:
             continue
@@ -328,7 +329,7 @@ def psi0(p: int, f_choice, window) -> MultiSeries:
             if e < x_lo or (x_hi is not None and e > x_hi):
                 continue
             key = (e, ell)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
+            coeffs[key] = coeffs.get(key, 0) + c
     return MultiSeries(("x", "y"), {"x": (x_lo, x_hi), "y": (y_lo, y_hi)},
                        coeffs)
 
@@ -362,7 +363,7 @@ def schottky_R(p: int, data: SchottkyData) -> SeriesMatrix:
     if p < 1:
         raise ValueError("kernel degree p must be at least 1")
     N = data.matrix_cutoff
-    sign = Fraction((-1) ** p)
+    sign = (-1) ** p
     entries = {}
     for a in data.index_set:
         for b in data.index_set:
@@ -430,7 +431,7 @@ def q_column(p: int, data: SchottkyData, y, j: int = 0) -> dict:
     point to y, rational or formal, with an extra normalized
     y-derivative of order j."""
     y = _point(y, data)
-    sign = Fraction((-1) ** p)
+    sign = (-1) ** p
     col = {}
     for a in data.index_set:
         for m in range(data.matrix_cutoff):
@@ -511,7 +512,7 @@ def psi_full(p: int, data: SchottkyData) -> MultiSeries:
 def psi_deriv_value(p: int, data: SchottkyData, j: int, x, y) -> MultiSeries:
     """The j-th normalized y-derivative of the dressed kernel at a
     rational point pair."""
-    x, y = rat(x), rat(y)
+    x, y = _rational(x), _rational(y)
     if x == y:
         raise ValueError("kernel evaluation needs x != y")
     _check_degree(p, data)
@@ -541,7 +542,7 @@ def _theta(p: int, data: SchottkyData, row: dict, a: int) -> dict:
     """The theta components of positive handle a from the chi row: each
     chi of the handle plus the partner's mirrored chi, shifted by
     sr_a^(2(p - 1 - ell))."""
-    sign = Fraction((-1) ** p)
+    sign = (-1) ** p
     var = data.sr_var(a)
     return {ell: _chi(data, row, a, ell)
             + _chi(data, row, -a, 2 * p - 2 - ell).shift(
@@ -604,7 +605,7 @@ def _handle_sum(data: SchottkyData, insertions, caps: dict,
     """
     g = data.genus
     ins_states = [s for s, _ in insertions]
-    ins_points = [rat(y) for _, y in insertions]
+    ins_points = [_rational(y) for _, y in insertions]
     for y in ins_points:
         if y in data.coordinates:
             raise ValueError("insertion point collides with a handle point")
@@ -632,7 +633,7 @@ def _handle_sum(data: SchottkyData, insertions, caps: dict,
             val = genus0_rational_value(states, points)
             if val:
                 key = tuple(2 * m for m in weights)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + val
+                coeffs[key] = coeffs.get(key, 0) + val
     return MultiSeries(data.sr_vars, window, coeffs)
 
 
@@ -642,7 +643,7 @@ def genus_g_npoint(insertions, data: SchottkyData,
     (GradedVector, rational point) pair and the channel weight per
     handle runs to ``weight_cap`` (by default the amplitude order)."""
     cap = data.rho_order if weight_cap is None else weight_cap
-    ins = tuple((s, rat(y)) for s, y in insertions)
+    ins = tuple((s, _rational(y)) for s, y in insertions)
     pts = [y for _, y in ins]
     if len(set(pts)) != len(pts):
         raise ValueError("insertion points must be pairwise distinct")
@@ -669,7 +670,7 @@ def genus_g_reduce(direction, F: SchottkyFn, data: SchottkyData) -> SchottkyFn:
     n-point data, through the theta pairing on each handle and the
     dressed kernel against each old insertion."""
     u, y = direction
-    y = rat(y)
+    y = _rational(y)
     if F.data != data:
         raise ValueError("function and surface data disagree")
     if u.is_zero():

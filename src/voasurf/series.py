@@ -25,7 +25,10 @@ A capped product never builds a term above a cap, and one whose window
 is empty (some lo above its hi) builds nothing at all.  No zero
 coefficient is ever stored.
 
-No floating point number appears anywhere in this module.
+Coefficients.  The constructor passes every coefficient through
+``rat``, the one rule for its type: an int where it is integral, a
+Fraction where it is not, and a float refused.  Arithmetic stores what
+its operands give.  No floating point number appears in this module.
 """
 
 from __future__ import annotations
@@ -35,14 +38,17 @@ from math import comb
 from operator import add
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
+def rat(x):
+    """The one rule for a coefficient's type: an int, a Fraction or a
+    string like ``"3/4"`` comes out as an int when it is integral and
+    as a Fraction when it is not; a bool comes out as its int, and a
+    float, or anything else, is refused."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -140,7 +146,7 @@ class MultiSeries:
         if window is None:
             window = {v: (e, None) for v, e in exps.items()}
         key = tuple(exps[v] for v in sorted(exps))
-        return MultiSeries(tuple(exps), window, {key: rat(coeff)})
+        return MultiSeries(tuple(exps), window, {key: coeff})
 
     # -- alignment -----------------------------------------------------
 
@@ -171,18 +177,18 @@ class MultiSeries:
     def is_zero(self) -> bool:
         return not self.c
 
-    def coefficient(self, exps: dict) -> Fraction:
+    def coefficient(self, exps: dict):
         """Exact coefficient of the given monomial (vars not named get 0)."""
         for v, e in exps.items():
             if v not in self.window:
                 if e != 0:
-                    return Fraction(0)
+                    return 0
                 continue
             lo, hi = self.window[v]
             if hi is not None and e > hi:
                 raise ValueError(f"exponent {e} of {v} above horizon {hi}")
         key = tuple(exps.get(v, 0) for v in self.vars)
-        return self.c.get(key, Fraction(0))
+        return self.c.get(key, 0)
 
     def coefficient_of(self, var: str, e: int) -> "MultiSeries":
         """Extract the coefficient of var**e as a series in the rest."""
@@ -258,8 +264,6 @@ class MultiSeries:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiSeries.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -389,8 +393,8 @@ def binomial_expand(m: int, outer: str, inner: str, outer_lo: int) -> MultiSerie
     coeffs = {}
     j = 0
     while -m - 1 - j >= outer_lo:
-        val = Fraction(comb(m + j, m))
-        coeffs[(-m - 1 - j, j) if outer < inner else (j, -m - 1 - j)] = val
+        coeffs[(-m - 1 - j, j) if outer < inner else (j, -m - 1 - j)] = \
+            comb(m + j, m)
         j += 1
     jmax = -m - 1 - outer_lo
     return MultiSeries((outer, inner),

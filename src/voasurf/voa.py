@@ -27,7 +27,7 @@ Everything here is closed-form mode algebra:
 * ``bilinear_form`` is the invariant pairing normalized by
   <|1>, |1>> = 1 with adjoint a(k)^+ = -a(-k).
 
-The module is free of series objects and imports nothing from
+The module is free of series objects and takes only ``rat`` from
 ``series``: modes act on graded vectors, the cylinder coefficients are
 finite sums of rationals, and the series machinery consumes the
 resulting coefficients.
@@ -41,10 +41,10 @@ single generator are computed on the spot and never cached, so the
 table holds the rows of states with several generators only.
 Both the round and the square-bracket Fock bases are orthogonal for
 the form, with the same norms <lam, lam> (``_norm``), which are ints.
-Fractions enter only through the coefficients of a ``GradedVector``
-(user states, and the dual vectors lam/<lam, lam> of ``dual_basis``
-that the Schottky handle sums read) and the square-bracket
-coefficients of ``_cyl_coeff``.
+A ``GradedVector`` stores its coefficients through ``rat``: ints, and
+Fractions only where a value is not integral (user states, the duals
+lam/<lam, lam> of ``dual_basis`` that the Schottky handle sums read,
+the square-bracket coefficients of ``_cyl_coeff``).
 """
 
 from __future__ import annotations
@@ -54,10 +54,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .series import rat
+
 VACUUM = ()
 A = (1,)
 
-CENTRAL_CHARGE = Fraction(1)
+CENTRAL_CHARGE = 1
 
 
 def weight(state: tuple) -> int:
@@ -95,7 +97,8 @@ def gbinom(a: int, k: int) -> int:
 
 
 class GradedVector:
-    """A finite rational linear combination of Fock basis states."""
+    """A finite rational linear combination of Fock basis states, each
+    coefficient stored through ``rat``."""
 
     __slots__ = ("t",)
 
@@ -103,20 +106,17 @@ class GradedVector:
         self.t = {}
         if terms:
             for state, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c:
-                    self.t[tuple(state)] = self.t.get(tuple(state), Fraction(0)) + c
-            self.t = {s: c for s, c in self.t.items() if c}
+                self.accumulate(tuple(state), rat(c))
 
     @classmethod
     def basis_state(cls, state) -> "GradedVector":
-        return cls({tuple(state): Fraction(1)})
+        return cls({tuple(state): 1})
 
     def is_zero(self) -> bool:
         return not self.t
 
     def accumulate(self, state, c):
-        c = self.t.get(state, Fraction(0)) + c
+        c = rat(self.t.get(state, 0) + c)
         if c:
             self.t[state] = c
         else:
@@ -132,7 +132,7 @@ class GradedVector:
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = rat(scalar)
         return GradedVector({s: c * scalar for s, c in self.t.items()} if scalar else None)
 
     __rmul__ = __mul__
@@ -145,8 +145,8 @@ class GradedVector:
 
     __hash__ = None
 
-    def coefficient(self, state) -> Fraction:
-        return self.t.get(tuple(state), Fraction(0))
+    def coefficient(self, state):
+        return self.t.get(tuple(state), 0)
 
     def weights(self):
         return sorted({weight(s) for s in self.t})
@@ -180,7 +180,8 @@ def conformal_vector() -> GradedVector:
 
 def conformal_vector_tilde() -> GradedVector:
     """The cylinder conformal vector omega - (c/24)|1>."""
-    return GradedVector({(1, 1): Fraction(1, 2), VACUUM: -CENTRAL_CHARGE / 24})
+    return GradedVector({(1, 1): Fraction(1, 2),
+                         VACUUM: Fraction(-CENTRAL_CHARGE, 24)})
 
 
 # -- mode actions ------------------------------------------------------
@@ -315,7 +316,7 @@ def virasoro(n: int, v: GradedVector) -> GradedVector:
 
 
 @lru_cache(maxsize=None)
-def _cyl_coeff(r: int, j: int, m: int) -> Fraction:
+def _cyl_coeff(r: int, j: int, m: int):
     """Coefficient of z^(-m-1) in e^(r z) (e^z - 1)^(-j-1).
 
     As a residue in w = e^z - 1 it is [w^(j-m)] (1+w)^(r-1) g(w) with
@@ -323,8 +324,8 @@ def _cyl_coeff(r: int, j: int, m: int) -> Fraction:
     f_i = (-1)^i/(i+1) comes from J.C.P. Miller's recurrence g_0 = 1,
     g_k = (1/k) sum_{i=1..k} ((m+1) i - k) f_i g_{k-i}."""
     if j < m:
-        return Fraction(0)
-    g = [Fraction(1)]
+        return 0
+    g = [1]
     for k in range(1, j - m + 1):
         g.append(sum(((m + 1) * i - k) * Fraction((-1) ** i, i + 1)
                      * g[k - i] for i in range(1, k + 1)) / k)
@@ -377,7 +378,7 @@ def to_square_coords(v: GradedVector) -> dict:
         for lam in basis(top):
             c = rest.coefficient(lam)
             if c:
-                coords[lam] = coords.get(lam, Fraction(0)) + c
+                coords[lam] = coords.get(lam, 0) + c
                 rest = rest - c * square_fock(lam)
     return coords
 
@@ -396,18 +397,17 @@ def _norm(state: tuple) -> int:
     return n
 
 
-def bilinear_form(x: GradedVector, y: GradedVector) -> Fraction:
+def bilinear_form(x: GradedVector, y: GradedVector):
     """The invariant pairing with <|1>,|1>> = 1 and a(k)^+ = -a(-k);
     the round basis is orthogonal, so it is a sum of norms."""
-    return sum((c * y.t[s] * _norm(s) for s, c in x.t.items() if s in y.t),
-               Fraction(0))
+    return sum(c * y.t[s] * _norm(s) for s, c in x.t.items() if s in y.t)
 
 
-def bilinear_form_sq(x: GradedVector, y: GradedVector) -> Fraction:
+def bilinear_form_sq(x: GradedVector, y: GradedVector):
     """The square-bracket pairing: strip a[-k] factors by the adjoint
     a[k]^+ = -a[-k], pairing vacua at the end."""
     a = generator()
-    total = Fraction(0)
+    total = 0
     for lam, c in to_square_coords(x).items():
         target = y
         for k in lam:
@@ -494,16 +494,14 @@ def parse_state(text: str) -> GradedVector:
     terms.append(current)
     out = GradedVector()
     for term in terms:
-        sign = Fraction(1)
+        sign = -1 if term[0] == "-" else 1
         if term[0] in "+-":
-            if term[0] == "-":
-                sign = Fraction(-1)
             term = term[1:]
-        coeff = Fraction(1)
+        coeff = 1
         if "*" in term:
             pre, term = term.split("*", 1)
             try:
-                coeff = Fraction(pre)
+                coeff = rat(pre)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in coefficient {pre!r}")
         if term in _SHORTHAND:

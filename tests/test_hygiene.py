@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package or the tests, nor any
-function in them, imports a name it never uses, no module-level
+function in them, imports a name it never uses, no package module wraps
+an int literal or a (-1) ** k sign in a one-argument ``Fraction``,
+no module-level
 definition lacks a caller in the package or the benchmark (bar the few
 functions listed in KEPT_FOR_TESTS), no method or property goes unread
 there, no defaulted parameter keeps its
@@ -85,6 +87,55 @@ def test_unused_function_imports_are_found(tmp_path):
                     "    return os.sep, g\n")
     assert unused_imports(path) == ["sample.py:3 json", "sample.py:4 path",
                                     "sample.py:6 re"]
+
+
+def _int_literal(node) -> bool:
+    """An int literal, negated or not."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _sign_power(node) -> bool:
+    """A (-1) ** k power, alone or as a factor of a product."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return _sign_power(node.left) or _sign_power(node.right)
+    base = node.left
+    return isinstance(node.op, ast.Pow) and _int_literal(base) and (
+        isinstance(base, ast.UnaryOp) and base.operand.value == 1
+        or isinstance(base, ast.Constant) and base.value == -1)
+
+
+def integral_fractions(path: Path) -> list:
+    """One-argument ``Fraction(...)`` calls in ``path`` on an int
+    literal, a negated one, or a (-1) ** k sign: ``series.rat`` keeps an
+    integral value an int, so such a wrapper only makes a Fraction of
+    an integer."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node) == "Fraction"
+            and len(node.args) == 1 and not node.keywords
+            and (_int_literal(node.args[0]) or _sign_power(node.args[0]))]
+
+
+def test_no_integer_is_wrapped_in_a_fraction():
+    assert [hit for path in sorted(SRC.glob("*.py"))
+            for hit in integral_fractions(path)] == []
+
+
+def test_integer_fractions_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from fractions import Fraction\n"
+                    "a = Fraction(1)\n"
+                    "b = Fraction(-3)\n"
+                    "c = Fraction((-1) ** k)\n"
+                    "d = Fraction(n * (-1) ** (k + 1) * m)\n"
+                    "e = Fraction(1, 2), Fraction(x), Fraction((-1) ** k, 2)\n"
+                    "f = Fraction(2 ** k), Fraction(True), Fraction('3')\n")
+    assert integral_fractions(path) == ["sample.py:2", "sample.py:3",
+                                        "sample.py:4", "sample.py:5"]
 
 
 # Public functions that only the tests call, each with the reason it

@@ -2,8 +2,9 @@
 
 In the round Fock basis every mode matrix is integral.  These tests pin
 that invariant on the cached table, check that the public GradedVector
-layer and the reduction steps still hand out Fractions while both
-recursions sum ints inside, and compare the integer graded traces with
+layer, the oracles and the reduction steps hand out coefficients in the
+form ``series.rat`` gives (an int when integral, else a Fraction) while
+both recursions sum ints inside, and compare the integer graded traces with
 a GradedVector/zero_mode trace written here, independently of the
 kernel in the library.  The table rows of states with several
 generators are checked against their normally ordered products, built
@@ -51,6 +52,7 @@ from voasurf.voa import (
     zero_mode,
 )
 
+from test_coefficient_types import canonical
 from test_series import geom_inv
 
 LOW_STATES = [s for m in range(5) for s in basis(m)]
@@ -166,13 +168,17 @@ class TestModeTable:
         assert _vertex_mode_basis.cache_info().currsize == 0
         assert direct.value.c and reduced.value == direct.value
 
-    def test_vertex_mode_keeps_fractions(self):
+    def test_vertex_mode_coefficients_are_canonical(self):
         out = vertex_mode(generator(), -1, generator())
         assert out.t == {(1, 1): Fraction(1)}
-        assert all(type(c) is Fraction for c in out.t.values())
+        assert all(canonical(c) for c in out.t.values())
+        # omega carries a half, but L(0) on a[-2]|1 is integral
         half = vertex_mode(conformal_vector(), 1, parse_state("a[-2]|1"))
         assert half.t == {(2,): Fraction(2)}
-        assert all(type(c) is Fraction for c in half.t.values())
+        assert all(canonical(c) for c in half.t.values())
+        third = vertex_mode(parse_state("1/3*a"), -1, generator())
+        assert third.t == {(1, 1): Fraction(1, 3)}
+        assert all(canonical(c) for c in third.t.values())
 
 
 class TestTraceKernel:
@@ -244,14 +250,15 @@ class TestTraceKernel:
         tr = _trace_counts((((1,), 1), ((1,), -1)), 4)
         assert tr and all(type(c) is int for c in tr.values())
 
-    def test_coefficients_leave_as_fractions(self):
-        # the oracles add int trace counts; their series hold Fractions
+    def test_oracle_coefficients_are_canonical(self):
+        # the oracles add int trace counts; their series hold ints where
+        # the sum is integral, Fractions where omega's half survives
         ins = (Insertion(parse_state("a"), "z1"),
                Insertion(parse_state("a"), "z2"))
         for value in (genus1_direct(ins, 4, (-2, 2)).value,
                       genus1_onepoint(parse_state("omega"), 4)):
             assert value.c
-            assert all(type(c) is Fraction for c in value.c.values())
+            assert all(canonical(c) for c in value.c.values())
 
     def test_geometric_inverses_carry_ints(self):
         # the genus-1 recursion expands 1/(1 - q^{-d}) in ints: on the
@@ -288,26 +295,27 @@ class TestTraceKernel:
 
 
 class TestReductionValues:
-    """The recursion sums ints internally; the values it hands out are
-    Fractions, like every other public series."""
+    """The recursion sums ints internally; the values it hands out go
+    through ``series.rat``, like every other public series: an int
+    where a coefficient is integral, else a Fraction."""
 
     @staticmethod
     def step(state, point):
         return ReductionDirection(Insertion(parse_state(state), point))
 
-    def test_genus1_reduce_coefficients_are_fractions(self):
+    def test_genus1_reduce_coefficients_are_canonical(self):
         F = genus1_direct((), 4, (-3, 3))
         for state, point in (("omega", "z3"), ("a", "z2"), ("a", "z1")):
             F = genus1_reduce(self.step(state, point), F)
         assert F.value.c
-        assert all(type(c) is Fraction for c in F.value.c.values())
+        assert all(canonical(c) for c in F.value.c.values())
 
-    def test_genus0_reduce_coefficients_are_fractions(self):
+    def test_genus0_reduce_coefficients_are_canonical(self):
         F = genus0_direct((), vacuum(), vacuum(), (-3, 3))
         for state, point in (("a", "z2"), ("1/2*a[-2]|1", "z1")):
             F = genus0_reduce(self.step(state, point), F)
         assert F.value.c
-        assert all(type(c) is Fraction for c in F.value.c.values())
+        assert all(canonical(c) for c in F.value.c.values())
 
 
 class TestBoundaryFunctional:

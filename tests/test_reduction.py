@@ -290,7 +290,7 @@ class TestGenus1Direct:
         q = Z.value
         for m, pm in enumerate(PARTITIONS[:9]):
             assert q.coefficient({"q": m}) == pm
-        assert Z.q_shift == -CENTRAL_CHARGE / 24
+        assert Z.q_shift == Fraction(-CENTRAL_CHARGE, 24)
 
     def test_one_point_current_vanishes(self):
         F = genus1_direct([ins(A, "z1")], 6, (-3, 3))
@@ -466,7 +466,7 @@ class TestWindows:
         G = genus1_reduce(direction(A, "z1"), genus1_direct((), 3, (-2, 1)))
         assert G.window == (-2, 1)
         assert G.value.window == {"q": (0, 3), "q_z1": (-2, 1)}
-        assert G.q_shift == -CENTRAL_CHARGE / 24
+        assert G.q_shift == Fraction(-CENTRAL_CHARGE, 24)
 
 
 # -- residuals and unwinding ---------------------------------------------
