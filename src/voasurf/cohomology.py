@@ -32,7 +32,6 @@ turns a slice into coboundary columns; the ranks and the Euler ledger
 read theirs off the matrices it returns.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -99,6 +98,7 @@ def _direction_family(family, combine: str):
     must name how the family acts, 'sum' or 'stack'."""
     if combine not in ("sum", "stack"):
         raise ValueError("combine must be 'sum' or 'stack'")
+    # a direction is a NamedTuple, so it must be told from a family first
     if isinstance(family, (ReductionDirection, Insertion)):
         family = [family]
     elif not isinstance(family, (list, tuple)):
@@ -180,22 +180,18 @@ def _check_fresh(direction: ReductionDirection, points) -> None:
                          "collides with a slice point")
 
 
-@dataclass
-class CoboundaryMatrix:
+class CoboundaryMatrix(NamedTuple):
     """The reduction step of a direction family on a slice, one column
     per basis tuple.
 
     Columns are the coefficient dicts of the reduction images (keys
     tagged by the member index when the family is stacked), and
-    ``rank`` eliminates on them directly.
+    ``rank`` is their rank, eliminated on them directly.
     """
 
     source: GradedSlice
     columns: list
-
-    @cached_property
-    def rank(self) -> int:
-        return rank(self.columns)
+    rank: int
 
     @property
     def kernel_dim(self) -> int:
@@ -230,11 +226,10 @@ def build_coboundary(direction_family, src: GradedSlice,
             for k, v in image.items():
                 acc[k] = acc.get(k, 0) + v
         columns.append({k: v for k, v in acc.items() if v})
-    return CoboundaryMatrix(src, columns)
+    return CoboundaryMatrix(src, columns, rank(columns))
 
 
-@dataclass
-class ChainReport:
+class ChainReport(NamedTuple):
     """Kernel of a double reduction step on a slice.
 
     ``kernel`` spans the combinations of basis tuples whose double
@@ -359,8 +354,7 @@ def euler_poincare(m: int, N: int, genus: int, direction_family, *,
 # -- cluster mutation (vacuum-direction setting) --------------------------
 
 
-@dataclass
-class ClusterSeed:
+class ClusterSeed(NamedTuple):
     """A seed (states, marked points, correlation function).
 
     The operator tuple of the abstract seed is determined by the
@@ -435,8 +429,7 @@ def _strip_constant_vars(fn: CorrelationFn, keep_points) -> "MultiSeries":
     return value
 
 
-@dataclass
-class ClusterSetting:
+class ClusterSetting(NamedTuple):
     seed: ClusterSeed
     direction: int
     m: int

@@ -32,14 +32,13 @@ entry can reach the kept se-window.  That inequality is enforced on
 the moduli, not assumed.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import sewing
 from .elliptic import eisenstein, onepoint_hafnian, weierstrass_p
-from .reduction import Insertion
 from .series import MultiSeries, binomial_expand
 from .sewing import SeriesMatrix, require_integer, row_dot_column, \
     row_times_matrix
@@ -63,23 +62,28 @@ _Z_ORDER = 6
 _X_LO = -8
 
 
-@dataclass(frozen=True)
-class SewingModuli:
-    """Expansion orders for the two nomes, the eps-truncation, and the
-    matrix cutoff N."""
-
+class _ModuliFields(NamedTuple):
     tau1_order: int
     tau2_order: int
     eps_order: int
     matrix_cutoff: int
 
-    def __post_init__(self):
+
+class SewingModuli(_ModuliFields):
+    """Expansion orders for the two nomes, the eps-truncation, and the
+    matrix cutoff N."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.tau1_order < 0 or self.tau2_order < 0 or self.eps_order < 0:
             raise ValueError("expansion orders must be nonnegative")
         if self.matrix_cutoff < 2 * self.eps_order:
             raise ValueError(
                 "matrix_cutoff must be at least 2 * eps_order; entries at "
                 "index (m, n) start at se-order m + n")
+        return self
 
     @property
     def se_order(self) -> int:
@@ -91,8 +95,7 @@ def KernelMatrix(size: int, entries: dict) -> SeriesMatrix:
     return SeriesMatrix(tuple(range(1, size + 1)), entries)
 
 
-@dataclass
-class Genus2Fn:
+class Genus2Fn(NamedTuple):
     """A genus-two n-point function on the sewn surface."""
 
     insertions: tuple
@@ -390,9 +393,10 @@ def _channel_sums(sq: GradedVector, xmodes, moduli: SewingModuli):
     return F[1], F[2], X
 
 
-def genus2_reduce(direction: Insertion, F, moduli: SewingModuli) -> Genus2Fn:
+def genus2_reduce(direction, F, moduli: SewingModuli) -> Genus2Fn:
     """One reduction step on the sewn surface, for a fresh insertion on
-    chart 1 and F the partition function.
+    chart 1 and F the partition function; ``direction`` is that
+    insertion, a ``reduction.Insertion``.
 
     The output is f1 F1 + f2 F2 + sum_m f3(m) X(m): F1 and F2 carry the
     new state's zero mode inside the chart-1 or chart-2 trace next to

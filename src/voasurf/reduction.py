@@ -77,11 +77,11 @@ Conventions:
   kernel shifts cannot drag unseen terms into the requested box.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .series import MultiSeries, TruncatedSeries, rat
 from .voa import (
@@ -104,8 +104,7 @@ class WindowError(ValueError):
     """A requested window cuts into an intrinsically finite direction."""
 
 
-@dataclass(frozen=True)
-class Insertion:
+class Insertion(NamedTuple):
     """A state attached to a point symbol."""
 
     state: GradedVector
@@ -115,15 +114,13 @@ class Insertion:
         return f"{render_state(self.state)}@{self.point}"
 
 
-@dataclass(frozen=True)
-class ReductionDirection:
+class ReductionDirection(NamedTuple):
     """The fresh insertion x_{n+1} along which a reduction step runs."""
 
     insertion: Insertion
 
 
-@dataclass
-class CorrelationFn:
+class CorrelationFn(NamedTuple):
     """An n-point function together with the data that determines it.
 
     ``value`` is exact on the box where every point variable's exponent
@@ -805,5 +802,4 @@ def unwind_to_partition(directions, genus: int, *, window=(-8, 8),
         F = reduce_step(d, F)
         if F.is_zero():
             degenerate.append(i)
-    F.degenerate_steps = tuple(degenerate)
-    return F
+    return F._replace(degenerate_steps=tuple(degenerate))

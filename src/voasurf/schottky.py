@@ -40,7 +40,6 @@ form is what lets handle sums be evaluated at rational points instead
 of in yet another formal variable.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -135,20 +134,26 @@ def _clean_f(f_choice) -> tuple:
     return tuple(cleaned)
 
 
-@dataclass(frozen=True)
-class SchottkyData:
-    """Handle data: 2g rational coordinates in the order
-    (w_{-1}, w_1, w_{-2}, w_2, ...), the amplitude truncation, the
-    moment matrix cutoff, and an optional tuple of Laurent polynomials
-    f_l (index l = 0, 1, ...) deforming the degree-p kernel seed."""
-
+class _HandleFields(NamedTuple):
     genus: int
     coordinates: tuple
     rho_order: int
     matrix_cutoff: int
     f_choice: tuple = ()
 
-    def __post_init__(self):
+
+class SchottkyData(_HandleFields):
+    """Handle data: 2g rational coordinates in the order
+    (w_{-1}, w_1, w_{-2}, w_2, ...), the amplitude truncation, the
+    moment matrix cutoff, and an optional tuple of Laurent polynomials
+    f_l (index l = 0, 1, ...) deforming the degree-p kernel seed.
+    Construction checks the data and stores the coordinates as
+    Fractions and ``f_choice`` in the canonical form of ``_clean_f``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.genus < 1:
             raise ValueError("genus must be at least 1")
         if self.rho_order < 1:
@@ -166,8 +171,8 @@ class SchottkyData:
                 "matrix_cutoff must be at least 2 * rho_order; row m of the "
                 "moment matrix carries amplitude order (m + 1)/2 and the "
                 "Neumann sums must reach the full window")
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "f_choice", _clean_f(self.f_choice))
+        return self._replace(coordinates=coords,
+                             f_choice=_clean_f(self.f_choice))
 
     @property
     def index_set(self) -> tuple:
@@ -581,8 +586,7 @@ def _dual_pairs(m: int):
     return tuple(dual_basis(m))
 
 
-@dataclass
-class SchottkyFn:
+class SchottkyFn(NamedTuple):
     """A genus-g correlation value: rational-point insertions and the
     amplitude expansion of the handle sum."""
 

@@ -27,8 +27,10 @@ coefficient is ever stored.
 
 Coefficients.  The constructor passes every coefficient through
 ``rat``, the one rule for its type: an int where it is integral, a
-Fraction where it is not, and a float refused.  Arithmetic stores what
-its operands give.  No floating point number appears in this module.
+Fraction where it is not, and a float refused.  A scalar operand of a
+sum, difference or product goes through it as well.  Arithmetic stores
+what its operands give.  No floating point number appears in this
+module.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ class MultiSeries:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiSeries):
             other = MultiSeries.constant(other)
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
         a, b = self.extended_to(allvars), other.extended_to(allvars)
@@ -272,7 +274,7 @@ class MultiSeries:
     def __mul__(self, other, caps=None):
         """The product; ``caps`` maps variables to a cap on the result's
         horizon (None caps nothing), and the result covers them too."""
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiSeries):
             s = rat(other)
             out = MultiSeries(self.vars, self.window)
             if s != 0:

@@ -34,13 +34,12 @@ caps of the row entries there.  Both surfaces pass one: genus two for
 its row Q(p; x), Schottky for its dressed rows.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import MultiSeries
 
 
-@dataclass
-class SeriesMatrix:
+class SeriesMatrix(NamedTuple):
     """A truncated matrix of series over an ordered index set; absent
     entries are zero."""
 

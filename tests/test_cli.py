@@ -526,3 +526,20 @@ class TestImportIsolation:
                            "--weight-cutoff", "3")
         assert "voasurf.schottky" in loaded
         assert not loaded & {"voasurf.cohomology", "voasurf.genus2"}
+
+    @pytest.mark.parametrize("argv", [
+        ("genus2", "partition", "--eps-order", "2", "--q1-order", "2",
+         "--q2-order", "2", "-N", "4"),
+        ("genus2", "pweier", "--p", "1", "--eps-order", "1",
+         "--q1-order", "2", "--q2-order", "2")], ids=["partition", "pweier"])
+    def test_genus2_skips_the_reduction_layer(self, argv):
+        loaded = loaded_by(*argv)
+        assert "voasurf.genus2" in loaded
+        assert not loaded & {"voasurf.reduction", "voasurf.cohomology"}
+
+    # dataclasses alone also loads inspect, ast, dis and tokenize, a
+    # cost every command would pay at start-up
+    @pytest.mark.parametrize("name,argv", GOLDEN_CASES,
+                             ids=[n for n, _ in GOLDEN_CASES])
+    def test_no_command_loads_dataclasses_or_inspect(self, name, argv):
+        assert not loaded_by(*argv) & {"dataclasses", "inspect"}

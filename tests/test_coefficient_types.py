@@ -3,9 +3,10 @@
 An int, or an integral Fraction or string, comes out as an int; a
 non-integral rational as a Fraction; a bool as its int; a float is
 refused.  ``MultiSeries`` and ``GradedVector`` store their coefficients
-through it.  The registry below runs each public producer of
-coefficients once on small inputs: none hands out a float or a bool,
-and on integral inputs at genus 0 and 1 every coefficient is an int.
+through it, and take a scalar operand through it.  The registry below
+runs each public producer of coefficients once on small inputs: none
+hands out a float or a bool, and on integral inputs at genus 0 and 1
+every coefficient is an int.
 """
 
 from fractions import Fraction
@@ -93,6 +94,26 @@ class TestGradedVectorCoercion:
         assert v.t == {(1,): 1, (2,): 2, (1, 1): Fraction(2, 3)}
         assert all(canonical(c) for c in v.t.values())
         assert all(canonical(c) for c in (v * Fraction(3, 2)).t.values())
+
+
+class TestMultiSeriesCoercion:
+    """A non-series operand of +, - and * goes through ``rat``, as a
+    constructor coefficient does."""
+
+    @pytest.mark.parametrize("op", [
+        lambda s: s * 0.5, lambda s: 0.5 * s, lambda s: s + 0.5,
+        lambda s: 0.5 + s, lambda s: s - 0.5, lambda s: 0.5 - s],
+        ids=["mul", "rmul", "add", "radd", "sub", "rsub"])
+    def test_float_operand_is_refused(self, op):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            op(MultiSeries.constant(1))
+
+    def test_exact_operands_are_canonical(self):
+        one = MultiSeries.constant(1)
+        assert (one * Fraction(4, 2)).c == {(): 2}
+        assert (one + "1/2").c == {(): Fraction(3, 2)}
+        assert (Fraction(1, 2) - one).c == {(): Fraction(-1, 2)}
+        assert all(canonical(c) for c in (one * True + 1).c.values())
 
 
 def _step(state, point):

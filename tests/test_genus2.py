@@ -105,9 +105,19 @@ def pm_difference_oracle(m, qvar, q_order):
 
 class TestModuliAndMatrices:
     def test_cutoff_invariant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 \\* eps_order"):
             SewingModuli(4, 4, 3, 5)
-        assert SewingModuli(4, 4, 3, 6).se_order == 6
+        # both checks fail; the orders are checked first
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SewingModuli(4, 4, -1, -3)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SewingModuli(tau1_order=-1, tau2_order=4, eps_order=3,
+                         matrix_cutoff=6)
+        moduli = SewingModuli(tau1_order=4, tau2_order=4, eps_order=3,
+                              matrix_cutoff=6)
+        assert moduli == SewingModuli(4, 4, 3, 6)
+        assert hash(moduli) == hash(SewingModuli(4, 4, 3, 6))
+        assert moduli.se_order == 6
 
     def test_lambda_leading_entries(self):
         L = lambda_matrix(1, MOD)

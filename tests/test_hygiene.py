@@ -357,6 +357,7 @@ def test_every_record_field_is_read():
 def test_test_only_options_and_fields_are_found(tmp_path):
     for top, text in {
             "src": "from dataclasses import dataclass\n"
+                   "from typing import NamedTuple\n"
                    "\n"
                    "@dataclass\n"
                    "class Rec:\n"
@@ -364,16 +365,45 @@ def test_test_only_options_and_fields_are_found(tmp_path):
                    "    tested: int\n"
                    "\n"
                    "def f(x, scale=1, shift=0):\n"
-                   "    return Rec(x * scale + shift, x).kept\n",
-            "bench": "from mod import f\n"
-                     "f(2, scale=3)\n",
-            "tests": "from mod import Rec, f\n"
+                   "    return Rec(x * scale + shift, x).kept\n"
+                   "\n"
+                   "class Pair(NamedTuple):\n"
+                   "    left: int\n"
+                   "    right: int = 0\n"
+                   "\n"
+                   "class _SpanFields(NamedTuple):\n"
+                   "    lo: int\n"
+                   "    hi: int\n"
+                   "    label: str = ''\n"
+                   "\n"
+                   "class Span(_SpanFields):\n"
+                   "    __slots__ = ()\n"
+                   "\n"
+                   "    def __new__(cls, *args, **kwargs):\n"
+                   "        self = super().__new__(cls, *args, **kwargs)\n"
+                   "        if self.lo > self.hi:\n"
+                   "            raise ValueError('inverted span')\n"
+                   "        return self\n"
+                   "\n"
+                   "def width(x):\n"
+                   "    return Span(0, x).hi - Pair(x).left\n",
+            "bench": "from mod import f, width\n"
+                     "f(2, scale=3)\n"
+                     "width(2)\n",
+            "tests": "from mod import Pair, Rec, Span, f\n"
                      "assert f(2, shift=1) == 3\n"
-                     "assert Rec(1, 2).tested == 2\n"}.items():
+                     "assert Rec(1, 2).tested == 2\n"
+                     "assert Pair(1, 2).right == 2\n"
+                     "assert Span(0, 1, 'x').label == 'x'\n"}.items():
         (tmp_path / top).mkdir()
         (tmp_path / top / "mod.py").write_text(text)
-    assert unset_parameters(tmp_path) == ["mod.py:8 f(shift=)"]
-    assert unread_fields(tmp_path) == ["mod.py:6 Rec.tested"]
+    assert unset_parameters(tmp_path) == ["mod.py:9 f(shift=)"]
+    # a field read only inside the validating __new__ still counts as
+    # read; one declared on the NamedTuple base and read by no library
+    # code is found like a dataclass field
+    assert unread_fields(tmp_path) == ["mod.py:7 Rec.tested",
+                                       "mod.py:14 Pair.right",
+                                       "mod.py:19 _SpanFields.label"]
 
 
 def test_test_only_methods_are_found(tmp_path):

@@ -592,7 +592,7 @@ class TestParityPruning:
         assert len(calls) == (1 if genus == 0 else 0)
         assert direct(genus, out.insertions, (-3, 3), 3).is_zero()
         # an even root walks its subtree
-        F.insertions = (ins(A, "z2"),)
+        F = F._replace(insertions=(ins(A, "z2"),))
         assert not reduce_step(direction(A, "z1"), F).is_zero()
         assert len(calls) > 2
 

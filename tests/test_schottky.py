@@ -198,14 +198,28 @@ DATA3 = SchottkyData(3, (3, 1, -2, 6, 10, -7), 2, 4)
 
 class TestMomentMatrix:
     def test_data_validation(self):
-        with pytest.raises(ValueError):
-            SchottkyData(0, (), 1, 2)
-        with pytest.raises(ValueError):
-            SchottkyData(1, (1, 1), 1, 2)
-        with pytest.raises(ValueError):
-            SchottkyData(1, (2, 1, 3, 4), 1, 2)
-        with pytest.raises(ValueError):
-            SchottkyData(1, (2, 1), 2, 3)
+        # each case fails the named check first, in the order it runs
+        for args, text in [
+                ((0, (), 0, 0), "genus must be at least 1"),
+                ((1, (), 0, 0), "rho_order must be at least 1"),
+                ((1, (2, 1, 3, 4), 1, 1), "need exactly 2\\*genus"),
+                ((1, (1, 1), 1, 1), "pairwise distinct"),
+                ((1, (0, 1), 1, 1), "must be nonzero"),
+                ((1, (2, 1), 2, 3), "at least 2 \\* rho_order")]:
+            with pytest.raises(ValueError, match=text):
+                SchottkyData(*args)
+
+    def test_data_is_stored_in_canonical_form(self):
+        data = SchottkyData(genus=1, coordinates=("3", 1), rho_order=1,
+                            matrix_cutoff=2,
+                            f_choice=({0: 1, 1: 0, -1: F(2, 4)},))
+        assert data.coordinates == (3, 1)
+        assert all(type(w) is F for w in data.coordinates)
+        assert data.f_choice == (((-1, F(1, 2)), (0, 1)),)
+        assert data == SchottkyData(1, (3, 1), 1, 2, (((-1, "1/2"), (0, 1)),))
+        assert hash(data) == hash(SchottkyData(1, (3, 1), 1, 2,
+                                               ({-1: F(1, 2), 0: 1},)))
+        assert SchottkyData(1, (3, 1), 1, 2).f_choice == ()
 
     def test_paired_entries_vanish_without_f(self):
         R = schottky_R(1, DATA1)
