@@ -503,7 +503,7 @@ def _run_pm(ns: argparse.Namespace):
 
 def _run_npoint(ns: argparse.Namespace):
     _check_correlation_budgets(ns, "npoint", ns.insertions, "--insertions")
-    from .reduction import ReductionDirection, direct, unwind_to_partition
+    from .reduction import direct, unwind_to_partition
     from .voa import render_state
 
     genus = ns.genus
@@ -512,10 +512,8 @@ def _run_npoint(ns: argparse.Namespace):
     if ns.path == "oracle":
         F = direct(genus, ns.insertions, window, q_order)
     else:
-        directions = tuple(ReductionDirection(i)
-                           for i in reversed(ns.insertions))
-        F = unwind_to_partition(directions, genus, window=window,
-                                q_order=q_order)
+        F = unwind_to_partition(tuple(reversed(ns.insertions)), genus,
+                                window=window, q_order=q_order)
     payload = {"command": "npoint", "genus": genus,
                "path": ns.path,
                "insertions": [str(i) for i in ns.insertions],
@@ -534,13 +532,12 @@ def _run_residual(ns: argparse.Namespace):
     _check_correlation_budgets(ns, "residual",
                                ns.insertions + (ns.direction,),
                                "--insertions and --direction")
-    from .reduction import ReductionDirection, cocycle_residual, direct
+    from .reduction import direct, reduce_step
 
-    direction = ReductionDirection(ns.direction)
-    res = cocycle_residual(direction, direct(
-        ns.genus, ns.insertions, (-ns.zorder, ns.zorder), ns.qorder))
+    res = reduce_step(ns.direction, direct(
+        ns.genus, ns.insertions, (-ns.zorder, ns.zorder), ns.qorder)).value
     return {"command": "residual", "genus": ns.genus,
-            "direction": str(direction.insertion),
+            "direction": str(ns.direction),
             "insertions": [str(i) for i in ns.insertions],
             "is_zero": res.is_zero(),
             "residual": _series_payload(res, ns.approx)}, 0
@@ -651,7 +648,7 @@ def _run_cohomology_rank(ns: argparse.Namespace):
                              combine=ns.combine)
     return {"command": "cohomology rank", "genus": ns.genus,
             "n": ns.n, "m": ns.m,
-            "direction": [str(d.insertion) for d in family],
+            "direction": [str(d) for d in family],
             "combine": ns.combine,
             "window": list(window), "qorder": ns.qorder,
             "q": result.q, "p": result.p,
@@ -669,7 +666,7 @@ def _run_cohomology_euler(ns: argparse.Namespace):
                             boundary=ns.boundary, combine=ns.combine)
     return {"command": "cohomology euler", "genus": ns.genus,
             "m": ns.m, "N": ns.levels,
-            "direction": [str(d.insertion) for d in family],
+            "direction": [str(d) for d in family],
             "combine": ns.combine,
             "window": list(window), "qorder": ns.qorder,
             "total": result.total,

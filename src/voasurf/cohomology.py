@@ -23,23 +23,22 @@ shrink a reported kernel, never grow it.
 
 The direction of the coboundary is the one parameter the theory
 leaves open.  Every operation here takes it explicitly, either as a
-single direction (a ``ReductionDirection`` or an ``Insertion``) or as a
-family (a list or tuple of them), and a family can enter as the sum of
-its per-direction matrices (one operator, the convention the cluster
-construction uses) or stacked (simultaneous conditions, one block row
-per direction).  ``build_coboundary`` is the one place that
+single direction (an ``Insertion``: the fresh state at its point) or
+as a family (a list or tuple of them), and a family can enter as the
+sum of its per-direction matrices (one operator, the convention the
+cluster construction uses) or stacked (simultaneous conditions, one
+block row per direction).  ``build_coboundary`` is the one place that
 turns a slice into coboundary columns; the ranks and the Euler ledger
-read theirs off the matrices it returns.
+read theirs off the matrices it returns.  A summed family's p below
+zero is refused: the chain property fails there on every window.
 """
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .linalg import kernel_basis, rank
 from .reduction import (
     CorrelationFn,
     Insertion,
-    ReductionDirection,
     direct,
     point_var,
     reduce_step,
@@ -71,19 +70,15 @@ def weighted_tuples(n: int, m: int) -> tuple:
     return tuple(out)
 
 
-def as_direction(d) -> ReductionDirection:
-    """A direction from a ReductionDirection or an Insertion, the two
-    shapes a direction takes."""
-    if isinstance(d, ReductionDirection):
-        return d
-    if isinstance(d, Insertion):
-        return ReductionDirection(d)
-    raise TypeError("a direction is a ReductionDirection or an Insertion, "
-                    f"got {type(d).__name__}")
+def _check_directions(dirs) -> None:
+    for d in dirs:
+        if not isinstance(d, Insertion):
+            raise TypeError(
+                f"a direction is an Insertion, got {type(d).__name__}")
 
 
-def direction_weight(direction: ReductionDirection) -> int:
-    state = direction.insertion.state
+def direction_weight(direction: Insertion) -> int:
+    state = direction.state
     if state.is_zero():
         raise ValueError("direction state must be nonzero")
     if not state.is_homogeneous():
@@ -99,84 +94,73 @@ def _direction_family(family, combine: str):
     if combine not in ("sum", "stack"):
         raise ValueError("combine must be 'sum' or 'stack'")
     # a direction is a NamedTuple, so it must be told from a family first
-    if isinstance(family, (ReductionDirection, Insertion)):
+    if isinstance(family, Insertion):
         family = [family]
     elif not isinstance(family, (list, tuple)):
         raise TypeError("a direction family is a direction or a list or "
                         f"tuple of directions, got {type(family).__name__}")
-    dirs = [as_direction(d) for d in family]
-    if not dirs:
+    _check_directions(family)
+    if not family:
         raise ValueError("empty direction family")
-    anchor = dirs[0].insertion.point
-    dirs = [d if d.insertion.point == anchor else
-            ReductionDirection(Insertion(d.insertion.state, anchor))
-            for d in dirs]
+    dirs = tuple(d._replace(point=family[0].point) for d in family)
     ws = {direction_weight(d) for d in dirs}
     if len(ws) > 1:
         raise ValueError(f"direction family mixes state weights {sorted(ws)}")
-    return tuple(dirs), ws.pop()
+    return dirs, ws.pop()
 
 
-class GradedSlice:
+class GradedSlice(NamedTuple):
     """The weight-m slice of the level-n chain space.
 
-    ``basis`` is the canonical tuple list and ``sources`` the matching
-    value-free coboundary sources, which is all a reduction step reads.
-    Genus 0 carries boundary states, vacuum by default; genus 1
-    carries the q-order.
+    ``basis`` is the canonical tuple list at ``points``, and ``blank``
+    the value-free CorrelationFn with no insertions that carries the
+    rest of what a reduction step reads: genus, window, the boundary
+    states at genus 0 (vacuum by default) and the q-order at genus 1.
     """
 
-    def __init__(self, genus: int, n: int, m: int, *, points=None,
-                 window=DEFAULT_WINDOW, q_order=None, boundary=None):
-        if genus not in (0, 1):
-            raise ValueError("graded slices exist at genus 0 and 1")
-        self.genus = genus
-        self.n = int(n)
-        self.m = int(m)
-        if self.n < 0:
-            raise ValueError("level n must be >= 0")
-        self.points = canonical_points(self.n) if points is None \
-            else tuple(points)
-        if len(self.points) != self.n:
-            raise ValueError("need one point symbol per insertion")
-        self.window = window_pair(window)
-        self.q_order = DEFAULT_Q_ORDER if genus == 1 and q_order is None \
-            else (int(q_order) if q_order is not None else None)
-        if genus == 0:
-            self.boundary = (vacuum(), vacuum()) if boundary is None \
-                else tuple(boundary)
-            if len(self.boundary) != 2:
-                raise ValueError("the genus-0 boundary is two states "
-                                 f"(u', u), got {len(self.boundary)}")
-        elif boundary is not None:
-            raise ValueError("boundary states exist only at genus 0")
-        else:
-            self.boundary = None
-
-    @cached_property
-    def basis(self) -> tuple:
-        return weighted_tuples(self.n, self.m)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def insertions(self, states) -> tuple:
-        return tuple(Insertion(GradedVector.basis_state(s), p)
-                     for s, p in zip(states, self.points))
-
-    def sources(self):
-        """One value-free CorrelationFn per basis tuple: what a
-        reduction step reads (insertions, window, boundary, q-order)
-        and no oracle value."""
-        for states in self.basis:
-            yield CorrelationFn(self.genus, self.insertions(states), None,
-                                self.window, self.boundary, self.q_order)
+    points: tuple
+    basis: tuple
+    blank: CorrelationFn
 
 
-def _check_fresh(direction: ReductionDirection, points) -> None:
-    if direction.insertion.point in points:
-        raise ValueError(f"direction point {direction.insertion.point!r} "
+def graded_slice(genus: int, n: int, m: int, *, window=DEFAULT_WINDOW,
+                 q_order=None, boundary=None) -> GradedSlice:
+    if genus not in (0, 1):
+        raise ValueError("graded slices exist at genus 0 and 1")
+    n, m = int(n), int(m)
+    if n < 0:
+        raise ValueError("level n must be >= 0")
+    window = window_pair(window)
+    if genus == 1 and q_order is None:
+        q_order = DEFAULT_Q_ORDER
+    elif q_order is not None:
+        q_order = int(q_order)
+    if genus == 0:
+        boundary = (vacuum(), vacuum()) if boundary is None \
+            else tuple(boundary)
+        if len(boundary) != 2:
+            raise ValueError("the genus-0 boundary is two states "
+                             f"(u', u), got {len(boundary)}")
+    elif boundary is not None:
+        raise ValueError("boundary states exist only at genus 0")
+    return GradedSlice(canonical_points(n), weighted_tuples(n, m),
+                       CorrelationFn(genus, (), None, window, boundary,
+                                     q_order))
+
+
+def sources(src: GradedSlice):
+    """One value-free CorrelationFn per basis tuple, built as it is
+    read: the slice's blank with the tuple's insertions, and no oracle
+    value."""
+    for states in src.basis:
+        yield src.blank._replace(insertions=tuple(
+            Insertion(GradedVector.basis_state(s), p)
+            for s, p in zip(states, src.points)))
+
+
+def _check_fresh(direction: Insertion, points) -> None:
+    if direction.point in points:
+        raise ValueError(f"direction point {direction.point!r} "
                          "collides with a slice point")
 
 
@@ -189,7 +173,6 @@ class CoboundaryMatrix(NamedTuple):
     ``rank`` is their rank, eliminated on them directly.
     """
 
-    source: GradedSlice
     columns: list
     rank: int
 
@@ -215,7 +198,7 @@ def build_coboundary(direction_family, src: GradedSlice,
     family, _ = _direction_family(direction_family, combine)
     _check_fresh(family[0], src.points)
     columns = []
-    for fn in src.sources():
+    for fn in sources(src):
         images = [reduce_step(d, fn).value.c for d in family]
         if combine == "stack":
             columns.append({(i,) + k: v for i, image in enumerate(images)
@@ -226,7 +209,7 @@ def build_coboundary(direction_family, src: GradedSlice,
             for k, v in image.items():
                 acc[k] = acc.get(k, 0) + v
         columns.append({k: v for k, v in acc.items() if v})
-    return CoboundaryMatrix(src, columns, rank(columns))
+    return CoboundaryMatrix(columns, rank(columns))
 
 
 class ChainReport(NamedTuple):
@@ -239,7 +222,6 @@ class ChainReport(NamedTuple):
     never asserted.
     """
 
-    source: GradedSlice
     columns: list
     kernel: tuple
 
@@ -257,20 +239,32 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     there.  Zero is judged on the window, in line with every other
     claim this module makes.
     """
-    dir1 = as_direction(dir1)
-    dir2 = as_direction(dir2)
+    _check_directions((dir1, dir2))
     _check_fresh(dir1, src.points)
-    _check_fresh(dir2, src.points + (dir1.insertion.point,))
+    _check_fresh(dir2, src.points + (dir1.point,))
     # refuse a zero or inhomogeneous direction, as a family would
     direction_weight(dir1)
     direction_weight(dir2)
     columns = []
-    for fn in src.sources():
+    for fn in sources(src):
         g = reduce_step(dir1, fn)
         columns.append({} if g.is_zero()
                        else dict(reduce_step(dir2, g).value.c))
     kernel = tuple(kernel_basis(columns))
-    return ChainReport(src, columns, kernel)
+    return ChainReport(columns, kernel)
+
+
+def _cohomology_dim(n: int, kernel: int, image_in: int, combine: str) -> int:
+    """p at level n.  For one operator (a summed family) p < 0 means the
+    incoming image does not fit in the kernel, on any window, since the
+    kernel only shrinks and the image rank never falls.  A stacked
+    rank, of C_{n-1} -> C_n^k, can exceed the kernel while every
+    member's image lies in it, so a stacked p is reported as it is."""
+    if kernel < image_in and combine == "sum":
+        raise ValueError(f"at level {n} the kernel {kernel} is smaller than "
+                         f"the incoming image rank {image_in}: the chain "
+                         "property fails there")
+    return kernel - image_in
 
 
 class RankResult(NamedTuple):
@@ -296,12 +290,13 @@ def cohomology_rank(n: int, m: int, genus: int, direction_family, *,
     """
     family, w = _direction_family(direction_family, combine)
     kw = dict(window=window, q_order=q_order, boundary=boundary)
-    up = build_coboundary(family, GradedSlice(genus, n, m, **kw), combine)
+    up = build_coboundary(family, graded_slice(genus, n, m, **kw), combine)
     im_below = 0
     if n > 0:
-        below = GradedSlice(genus, n - 1, m - w, **kw)
+        below = graded_slice(genus, n - 1, m - w, **kw)
         im_below = build_coboundary(family, below, combine).rank
-    return RankResult(q=up.source.dim, p=up.kernel_dim - im_below,
+    return RankResult(q=len(up.columns),
+                      p=_cohomology_dim(n, up.kernel_dim, im_below, combine),
                       kernel_rank=up.kernel_dim, image_rank=up.rank)
 
 
@@ -327,24 +322,26 @@ def euler_poincare(m: int, N: int, genus: int, direction_family, *,
     N = int(N)
     if N < 0:
         raise ValueError("N must be >= 0")
-    levels = [GradedSlice(genus, k, m + k * w, **kw) for k in range(N + 1)]
-    # no coboundary leaves the top level, so check its points here
-    _check_fresh(family[0], levels[-1].points)
-    ranks = []
-    for k in range(N):
-        cb = build_coboundary(family, levels[k], combine)
-        ranks.append((cb.rank, cb.kernel_dim))
-    ranks.append((0, levels[N].dim))  # image into level N+1 := 0
+    # a slice's refusals do not depend on its level, so level 0 makes
+    # them all; no coboundary leaves the top level, so check its points
+    level = graded_slice(genus, 0, m, **kw)
+    _check_fresh(family[0], canonical_points(N))
+    ranks = []  # (q, image out); no slice or column outlives its level
+    for k in range(N + 1):
+        if k:
+            level = graded_slice(genus, k, m + k * w, **kw)
+        # the image into level N+1 is declared 0
+        im = build_coboundary(family, level, combine).rank if k < N else 0
+        ranks.append((len(level.basis), im))
     ledger = []
     total = 0
     im_below = 0
-    for k in range(N + 1):
-        im, ker = ranks[k]
-        q = levels[k].dim
-        p = ker - im_below
+    for k, (q, im) in enumerate(ranks):
+        ker = q - im
+        p = _cohomology_dim(k, ker, im_below, combine)
         term = (-1) ** k * (q - p)
         total += term
-        ledger.append({"n": k, "weight": levels[k].m, "q": q, "p": p,
+        ledger.append({"n": k, "weight": m + k * w, "q": q, "p": p,
                        "kernel": ker, "image_out": im,
                        "image_in": im_below, "term": term})
         im_below = im
@@ -416,8 +413,7 @@ def cluster_mutate(seed: ClusterSeed, direction: int, m: int, *,
     states = list(seed.states)
     states[k - 1] = xi_sign(xi, states[k - 1]) * states[k - 1]
     used = {ins.point for ins in seed.fn.insertions} | set(seed.points)
-    d = ReductionDirection(Insertion(vacuum(), _fresh_point(used)))
-    fn = reduce_step(d, seed.fn)
+    fn = reduce_step(Insertion(vacuum(), _fresh_point(used)), seed.fn)
     return ClusterSeed(tuple(states), seed.points, fn)
 
 

@@ -114,10 +114,11 @@ class Insertion(NamedTuple):
         return f"{render_state(self.state)}@{self.point}"
 
 
-class ReductionDirection(NamedTuple):
-    """The fresh insertion x_{n+1} along which a reduction step runs."""
-
-    insertion: Insertion
+def ReductionDirection(insertion: Insertion) -> Insertion:
+    """A direction is the fresh Insertion x_{n+1} itself; this identity
+    stays only for ``bench/jobs.py``, its only caller, which wraps each
+    direction in it."""
+    return insertion
 
 
 class CorrelationFn(NamedTuple):
@@ -448,15 +449,13 @@ def _g0_value(row, phi, u, window, memo, pos) -> dict:
     return out
 
 
-def genus0_reduce(direction: ReductionDirection,
-                  F: CorrelationFn) -> CorrelationFn:
+def genus0_reduce(direction: Insertion, F: CorrelationFn) -> CorrelationFn:
     """One reduction step at genus 0: prepend the fresh insertion and
     rebuild the value by the recursion (never from F.value, which the
     recursion must reproduce on its own)."""
     if F.genus != 0:
         raise ValueError("genus0_reduce needs a genus-0 correlation function")
-    ins = direction.insertion
-    insertions = (ins,) + F.insertions
+    insertions = (direction,) + F.insertions
     _check_distinct(insertions)
     uprime, u = F.boundary_states
     phi = {s: rat(c * _norm(s)) for s, c in uprime.t.items()}
@@ -710,13 +709,11 @@ def _expand_geometric(acc: dict, by_d: dict, q_order: int) -> None:
                 acc[k] = val if s is None else s + val
 
 
-def genus1_reduce(direction: ReductionDirection,
-                  F: CorrelationFn) -> CorrelationFn:
+def genus1_reduce(direction: Insertion, F: CorrelationFn) -> CorrelationFn:
     """One reduction step at genus 1; the fresh point goes outermost."""
     if F.genus != 1:
         raise ValueError("genus1_reduce needs a genus-1 correlation function")
-    ins = direction.insertion
-    insertions = (ins,) + F.insertions
+    insertions = (direction,) + F.insertions
     _check_distinct(insertions)
     q_order = F.q_order
     lo, hi = F.window
@@ -744,7 +741,7 @@ def genus1_reduce(direction: ReductionDirection,
                          window=F.window, q_order=q_order)
 
 
-# -- partition functions, residuals, unwinding ---------------------------
+# -- partition functions, reduction steps, unwinding ---------------------
 
 
 def genus1_onepoint(v: GradedVector, q_order: int) -> MultiSeries:
@@ -773,21 +770,13 @@ def direct(genus: int, insertions, window, q_order) -> CorrelationFn:
     raise ValueError(_GENUS_ERROR)
 
 
-def reduce_step(direction: ReductionDirection,
-                F: CorrelationFn) -> CorrelationFn:
+def reduce_step(direction: Insertion, F: CorrelationFn) -> CorrelationFn:
     """One reduction step, by the recursion of F's genus."""
     if F.genus == 0:
         return genus0_reduce(direction, F)
     if F.genus == 1:
         return genus1_reduce(direction, F)
     raise ValueError(_GENUS_ERROR)
-
-
-def cocycle_residual(direction: ReductionDirection,
-                     F: CorrelationFn) -> MultiSeries:
-    """H(x_{n+1}) F: identically zero on the box iff F is a cocycle in
-    this direction."""
-    return reduce_step(direction, F).value
 
 
 def unwind_to_partition(directions, genus: int, *, window=(-8, 8),

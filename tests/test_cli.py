@@ -153,7 +153,7 @@ class TestExitCodes:
          "unwind_to_partition"),
         (["npoint", "--genus", "0", "--insertions", "a@z1,a@z2",
           "--oracle"], "genus0_direct"),
-        (["residual", "--direction", "a@z"], "cocycle_residual"),
+        (["residual", "--direction", "a@z"], "reduce_step"),
     ], ids=["npoint", "npoint-oracle", "residual"])
     def test_zorder_budget_refused_before_any_work(self, argv, target,
                                                    capsys, monkeypatch):
@@ -175,7 +175,7 @@ class TestExitCodes:
          "unwind_to_partition"),
         (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2",
           "--oracle"], "genus1_direct"),
-        (["residual", "--direction", "a@z"], "cocycle_residual"),
+        (["residual", "--direction", "a@z"], "reduce_step"),
     ], ids=["npoint", "npoint-oracle", "residual"])
     def test_qorder_budget_refused_before_any_work(self, argv, target,
                                                    capsys, monkeypatch):
@@ -196,7 +196,7 @@ class TestExitCodes:
         (["npoint", "--genus", "1"], "unwind_to_partition", "--insertions"),
         (["npoint", "--genus", "0", "--oracle"], "genus0_direct",
          "--insertions"),
-        (["residual", "--direction", "a@w"], "cocycle_residual",
+        (["residual", "--direction", "a@w"], "reduce_step",
          "--insertions and --direction"),
     ], ids=["npoint", "npoint-oracle", "residual"])
     def test_generator_budget_refused_before_any_work(self, command, target,
@@ -406,6 +406,19 @@ class TestCommandContent:
         payload = json.loads(out)
         assert payload["total"] == 0
         assert len(payload["ledger"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--genus", "0", "-n", "1", "-m", "0"],
+        ["euler", "--genus", "0", "-m", "0", "-N", "3"],
+        ["euler", "--genus", "1", "-m", "0", "-N", "4"],
+    ], ids=["rank-g0", "euler-g0", "euler-g1"])
+    def test_negative_p_exits_1(self, argv, capsys):
+        code, out, err = run(["cohomology"] + argv + ["--direction", "1@w"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert "at level 1 the kernel 0 is smaller than the incoming " \
+            "image rank 1: the chain property fails there" in err
+        assert "Traceback" not in err
 
     def test_rank_direction_family_stack(self, capsys):
         code, out, err = run(

@@ -22,7 +22,6 @@ from voasurf.genus2 import (
 )
 from voasurf.reduction import (
     Insertion,
-    ReductionDirection,
     genus0_direct,
     genus0_reduce,
     genus1_direct,
@@ -116,10 +115,6 @@ class TestMultiSeriesCoercion:
         assert all(canonical(c) for c in (one * True + 1).c.values())
 
 
-def _step(state, point):
-    return ReductionDirection(Insertion(state, point))
-
-
 _A = generator()
 _A2 = parse_state("a[-2]|1")
 # integral states at four points, outermost first
@@ -136,8 +131,8 @@ def _reduced(genus):
     else:
         F = genus1_direct((), 4, (-3, 3))
         step = genus1_reduce
-    for state, point in reversed(_ROW):
-        F = step(_step(state, point), F)
+    for ins in reversed(_INS):
+        F = step(ins, F)
     return F.value
 
 

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from voasurf.cohomology import (
     ClusterSetting,
-    GradedSlice,
     RankResult,
     build_coboundary,
     canonical_points,
@@ -26,15 +25,16 @@ from voasurf.cohomology import (
     cluster_mutate,
     cohomology_rank,
     euler_poincare,
+    graded_slice,
     involution_check,
     make_seed,
+    sources,
     weighted_tuples,
     xi_sign,
 )
 from voasurf import cohomology, linalg
 from voasurf.reduction import (
     Insertion,
-    ReductionDirection,
     WindowError,
     direct,
     genus0_direct,
@@ -52,10 +52,6 @@ VAC = vacuum()
 
 # p(0)..p(6)
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11]
-
-
-def direction(state, point):
-    return ReductionDirection(Insertion(state, point))
 
 
 def oracle_rank(rows):
@@ -118,14 +114,15 @@ def oracle_kernel(columns):
 def oracle(s, insertions):
     """The brute-force correlation function of an insertion tuple on
     the slice's window, between the slice's boundary states at genus 0."""
-    if s.genus == 0:
-        return genus0_direct(insertions, *s.boundary, s.window)
-    return direct(s.genus, insertions, s.window, s.q_order)
+    blank = s.blank
+    if blank.genus == 0:
+        return genus0_direct(insertions, *blank.boundary_states, blank.window)
+    return direct(blank.genus, insertions, blank.window, blank.q_order)
 
 
 def oracle_functions(s):
     """The brute-force correlation function of every basis tuple."""
-    return [oracle(s, s.insertions(t)) for t in s.basis]
+    return [oracle(s, fn.insertions) for fn in sources(s)]
 
 
 # -- slices ---------------------------------------------------------------
@@ -153,7 +150,7 @@ class TestSlices:
     def test_vectorize_matches_value(self):
         # a value's coefficient dict is its vector: keyed in the sorted
         # variables, with no stored zero
-        s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 2, window=(-3, 3), q_order=3)
         for fn in oracle_functions(s):
             assert fn.value.vars == ("q", "q_z1")
             assert all(fn.value.c.values())
@@ -161,7 +158,7 @@ class TestSlices:
     def test_vectorize_distinguishes_functions(self):
         # one-point of a[-2]|1 vanishes (odd number of modes in the
         # trace), one-point of a[-1]^2|1 does not
-        s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 2, window=(-3, 3), q_order=3)
         vecs = [fn.value.c for fn in oracle_functions(s)]
         assert s.basis == (((2,),), ((1, 1),))
         assert vecs[0] == {}
@@ -171,18 +168,51 @@ class TestSlices:
         # an inverted window shows an empty box, which used to pass
         # through every slice as a silently wrong rank
         with pytest.raises(ValueError, match="inverted window"):
-            GradedSlice(1, 1, 2, window=(3, -3), q_order=3)
+            graded_slice(1, 1, 2, window=(3, -3), q_order=3)
         with pytest.raises(ValueError, match="inverted window"):
             cohomology_rank(1, 2, 1, Insertion(A, "w"), window=(3, -3),
                             q_order=3)
 
     def test_slice_validation(self):
         with pytest.raises(ValueError):
-            GradedSlice(2, 1, 1)
+            graded_slice(2, 1, 1)
         with pytest.raises(ValueError):
-            GradedSlice(0, -1, 0)
-        with pytest.raises(ValueError):
-            GradedSlice(0, 2, 1, points=("z1",))
+            graded_slice(0, -1, 0)
+
+    @pytest.mark.parametrize("call,text", [
+        (lambda: graded_slice(2, -1, 0, window=(3, -3)),
+         "graded slices exist at genus 0 and 1"),
+        (lambda: graded_slice(0, -1, 0, window=(3, -3)),
+         "level n must be >= 0"),
+        (lambda: graded_slice(0, 1, 0, window=(3, -3), boundary=(A,)),
+         "inverted window"),
+        (lambda: graded_slice(0, 1, 0, boundary=(A,)),
+         r"the genus-0 boundary is two states \(u', u\), got 1"),
+        (lambda: graded_slice(1, 1, 0, boundary=(A, A)),
+         "boundary states exist only at genus 0"),
+        # the fresh point is checked on a slice with no basis tuples,
+        # and on the top level of a ladder after its slice refusals
+        (lambda: build_coboundary(Insertion(A, "z1"),
+                                  graded_slice(1, 1, -1)), "collides"),
+        (lambda: euler_poincare(0, 2, 1, Insertion(A, "z2")), "collides"),
+        (lambda: euler_poincare(0, 2, 2, Insertion(A, "z2")),
+         "graded slices exist at genus 0 and 1"),
+    ])
+    def test_slice_refusals_in_order(self, call, text):
+        with pytest.raises(ValueError, match=text):
+            call()
+
+    def test_sources_are_built_as_they_are_read(self):
+        # the slice stores one value-free blank; each source is that
+        # blank with one basis tuple's insertions, made on demand
+        s = graded_slice(1, 2, 1, window=(-3, 3), q_order=3)
+        assert s.basis == weighted_tuples(2, 1)
+        assert s.blank == (1, (), None, (-3, 3), None, 3, ())
+        gen = sources(s)
+        assert iter(gen) is gen
+        assert [[(i.state.t, i.point) for i in fn.insertions]
+                for fn in gen] == [[({(): 1}, "z1"), ({(1,): 1}, "z2")],
+                                   [({(1,): 1}, "z1"), ({(): 1}, "z2")]]
 
 
 # -- coboundary matrices --------------------------------------------------
@@ -192,7 +222,7 @@ class TestCoboundary:
     def test_partition_cocycle_direction_a(self):
         # trace oracle: Tr o(a) q^{L(0)} is identically zero
         assert genus1_onepoint(A, 6).is_zero()
-        s = GradedSlice(1, 0, 0, q_order=6)
+        s = graded_slice(1, 0, 0, q_order=6)
         cb = build_coboundary(Insertion(A, "z"), s)
         assert cb.columns == [{}]
         assert cb.rank == 0
@@ -200,9 +230,9 @@ class TestCoboundary:
         assert cb.kernel_dim == 1
 
     def test_vacuum_direction_is_inclusion_genus1(self):
-        s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 2, window=(-3, 3), q_order=3)
         cb = build_coboundary(Insertion(VAC, "z"), s)
-        image = reduce_step(direction(VAC, "z"), next(s.sources()))
+        image = reduce_step(Insertion(VAC, "z"), next(sources(s)))
         i = image.value.vars.index("q_z")
         for col, fn in zip(cb.columns, oracle_functions(s)):
             assert col == {k[:i] + (0,) + k[i:]: v
@@ -210,7 +240,7 @@ class TestCoboundary:
 
     def test_vacuum_direction_is_inclusion_genus0(self):
         # <a, Y(a,z1) 1> is the constant -1 under the invariant form
-        s = GradedSlice(0, 1, 1, window=(-4, 4), boundary=(A, VAC))
+        s = graded_slice(0, 1, 1, window=(-4, 4), boundary=(A, VAC))
         assert oracle_functions(s)[0].value.c == {(0,): Fraction(-1)}
         cb = build_coboundary(Insertion(VAC, "z"), s)
         assert cb.columns[0] == {(0, 0): Fraction(-1)}
@@ -218,7 +248,7 @@ class TestCoboundary:
     def test_sphere_kernel_coefficients(self):
         # the column for a@z1 between vacua is the expansion of
         # 1/(z - z1)^2, coefficients j + 1
-        s = GradedSlice(0, 1, 1, window=(-4, 4))
+        s = graded_slice(0, 1, 1, window=(-4, 4))
         cb = build_coboundary(Insertion(A, "z"), s)
         oracle = binomial_expand(1, "z", "z1", -4)
         expected = {k: v for k, v in oracle.c.items() if v}
@@ -226,17 +256,17 @@ class TestCoboundary:
         assert cb.columns[0] == {(-2, 0): 1, (-3, 1): 2, (-4, 2): 3}
 
     def test_matrix_shape_and_rank_oracle(self):
-        s = GradedSlice(1, 2, 2, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 2, 2, window=(-3, 3), q_order=3)
         cb = build_coboundary(Insertion(A, "w"), s)
-        assert len(cb.columns) == s.dim == 5
+        assert len(cb.columns) == len(s.basis) == 5
         dense = dense_from_columns(cb.columns)
         assert len(dense) == len(set().union(*cb.columns))
-        assert all(len(row) == s.dim for row in dense)
+        assert all(len(row) == len(s.basis) for row in dense)
         assert cb.rank == oracle_rank(dense)
-        assert cb.rank + cb.kernel_dim == s.dim
+        assert cb.rank + cb.kernel_dim == len(s.basis)
 
     def test_kernel_vectors_annihilate_columns(self):
-        s = GradedSlice(1, 2, 2, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 2, 2, window=(-3, 3), q_order=3)
         cb = build_coboundary(Insertion(A, "w"), s)
         kernel = linalg.kernel_basis(cb.columns)
         assert len(kernel) == cb.kernel_dim
@@ -246,12 +276,12 @@ class TestCoboundary:
     @given(st.fractions(min_value=-6, max_value=6, max_denominator=4),
            st.fractions(min_value=-6, max_value=6, max_denominator=4))
     def test_coboundary_linear_in_state(self, al, be):
-        s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 2, window=(-3, 3), q_order=3)
         cb = build_coboundary(Insertion(A, "w"), s)
         mixed = al * A2 + be * AA
         if mixed.is_zero():
             return
-        img = _reduce(s, direction(A, "w"),
+        img = _reduce(s, Insertion(A, "w"),
                       (Insertion(mixed, "z1"),)).value.c
         want = {}
         for c, col in zip((al, be), cb.columns):
@@ -269,9 +299,9 @@ class TestCoboundary:
     def test_images_share_one_variable_tuple(self, slice_kw, family):
         # the columns are the images' own coefficient dicts, so every
         # image of one slice must key them alike and store no zero
-        s = GradedSlice(window=(-3, 3), **slice_kw)
-        images = [reduce_step(ReductionDirection(d), fn).value
-                  for fn in s.sources() for d in family]
+        s = graded_slice(window=(-3, 3), **slice_kw)
+        images = [reduce_step(d, fn).value
+                  for fn in sources(s) for d in family]
         assert len({v.vars for v in images}) == 1
         assert all(all(v.c.values()) for v in images)
         assert any(v.c for v in images)
@@ -281,17 +311,17 @@ class TestCoboundary:
             for j in range(0, len(images), len(family))]
 
     def test_window_insufficiency_propagates(self):
-        s = GradedSlice(0, 0, 0, window=(0, 0), boundary=(A, A))
+        s = graded_slice(0, 0, 0, window=(0, 0), boundary=(A, A))
         with pytest.raises(WindowError):
             build_coboundary(Insertion(OMEGA, "w"), s)
 
     def test_fresh_point_collision_raises(self):
-        s = GradedSlice(1, 1, 1, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 1, window=(-3, 3), q_order=3)
         with pytest.raises(ValueError, match="collides"):
             build_coboundary(Insertion(A, "z1"), s)
 
     def test_direction_must_be_homogeneous(self):
-        s = GradedSlice(1, 0, 0, q_order=3)
+        s = graded_slice(1, 0, 0, q_order=3)
         with pytest.raises(ValueError, match="homogeneous"):
             build_coboundary(Insertion(A + OMEGA, "z"), s)
         with pytest.raises(ValueError, match="nonzero"):
@@ -303,14 +333,15 @@ class TestCoboundary:
         # support reaches z1^-3), but a source is a tuple and carries
         # no value, so the coboundary still builds; each column is the
         # (n+1)-point oracle on a window 6 wider, cut to the box
-        s = GradedSlice(0, 1, 2, window=window, boundary=(VAC, A))
+        s = graded_slice(0, 1, 2, window=window, boundary=(VAC, A))
         with pytest.raises(WindowError):
-            oracle(s, s.insertions(s.basis[0]))
+            oracle(s, next(sources(s)).insertions)
         cb = build_coboundary(Insertion(A, "w"), s)
         lo, hi = window
-        for states, col in zip(s.basis, cb.columns):
-            insertions = (Insertion(A, "w"),) + s.insertions(states)
-            wide = genus0_direct(insertions, *s.boundary, (lo - 6, hi + 6))
+        for fn, col in zip(sources(s), cb.columns):
+            insertions = (Insertion(A, "w"),) + fn.insertions
+            wide = genus0_direct(insertions, *s.blank.boundary_states,
+                                 (lo - 6, hi + 6))
             assert col == {k: c for k, c in wide.value.c.items()
                            if all(lo <= e <= hi for e in k)}
         # the wider box shows a nonzero column, so the check has teeth
@@ -404,7 +435,7 @@ class TestSparseRank:
         (dict(genus=1, n=2, m=3, q_order=3), Insertion(OMEGA, "w"), "sum"),
     ])
     def test_coboundary_rank_matches_oracle(self, slice_kw, family, combine):
-        s = GradedSlice(window=(-3, 3), **slice_kw)
+        s = graded_slice(window=(-3, 3), **slice_kw)
         cb = build_coboundary(family, s, combine)
         assert cb.rank == oracle_rank(dense_from_columns(cb.columns))
 
@@ -414,13 +445,13 @@ class TestSparseRank:
 
 class TestChainCondition:
     def test_double_vacuum_composite_keeps_independence(self):
-        s = GradedSlice(1, 1, 0, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 0, window=(-3, 3), q_order=3)
         rep = chain_condition_check(Insertion(VAC, "w2"),
                                     Insertion(VAC, "w1"), s)
-        assert rep.kernel_dim == 0 and s.dim == 1
+        assert rep.kernel_dim == 0 and len(s.basis) == 1
 
     def test_partition_annihilated_after_first_step(self):
-        s = GradedSlice(1, 0, 0, q_order=4)
+        s = graded_slice(1, 0, 0, q_order=4)
         assert build_coboundary(Insertion(A, "w1"), s).columns == [{}]
         for second in (A, OMEGA, VAC):
             rep = chain_condition_check(Insertion(second, "w2"),
@@ -429,10 +460,10 @@ class TestChainCondition:
             assert rep.kernel == ((Fraction(1),),)
 
     def test_weight2_kernel_matches_elimination_oracle(self):
-        s = GradedSlice(1, 1, 2, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 2, window=(-3, 3), q_order=3)
         rep = chain_condition_check(Insertion(A, "w2"), Insertion(A, "w1"), s)
         dense = dense_from_columns(rep.columns)
-        assert rep.kernel_dim == s.dim - oracle_rank(dense)
+        assert rep.kernel_dim == len(s.basis) - oracle_rank(dense)
         assert all(annihilates(vec, rep.columns) for vec in rep.kernel)
 
     @pytest.mark.parametrize("genus,n,m,window,first,second", [
@@ -451,7 +482,7 @@ class TestChainCondition:
     ])
     def test_kernel_spans_the_dense_oracle_kernel(self, genus, n, m, window,
                                                   first, second):
-        s = GradedSlice(genus, n, m, window=window, q_order=3)
+        s = graded_slice(genus, n, m, window=window, q_order=3)
         rep = chain_condition_check(Insertion(second, "w2"),
                                     Insertion(first, "w1"), s)
         oracle = oracle_kernel(rep.columns)
@@ -473,12 +504,12 @@ class TestChainCondition:
         cohomology_rank(2, 2, 1, Insertion(A, "w"), **kw)
         euler_poincare(2, 3, 1, Insertion(A, "w"), **kw)
         rep = chain_condition_check(Insertion(A, "w2"), Insertion(A, "w1"),
-                                    GradedSlice(1, 1, 2, **kw))
+                                    graded_slice(1, 1, 2, **kw))
         assert rep.columns and echelons == []
 
     @pytest.mark.parametrize("first", [True, False])
     def test_direction_must_be_nonzero_and_homogeneous(self, first):
-        s = GradedSlice(1, 1, 1, window=(-3, 3), q_order=3)
+        s = graded_slice(1, 1, 1, window=(-3, 3), q_order=3)
         for bad, text in ((A + OMEGA, "homogeneous"),
                           (GradedVector(), "nonzero")):
             dirs = (Insertion(A, "w2"), Insertion(bad, "w1")) if first \
@@ -490,7 +521,7 @@ class TestChainCondition:
         # a larger window can only refute more combinations
         dims = []
         for w in ((-2, 2), (-3, 3), (-4, 4)):
-            s = GradedSlice(1, 1, 2, window=w, q_order=3)
+            s = graded_slice(1, 1, 2, window=w, q_order=3)
             rep = chain_condition_check(Insertion(A, "w2"),
                                         Insertion(A, "w1"), s)
             dims.append(rep.kernel_dim)
@@ -600,7 +631,7 @@ class TestCohomologyRank:
                     euler_poincare(1, 2, genus, Insertion(A, "w"), **kw),
                     chain_condition_check(Insertion(A, "w2"),
                                           Insertion(A, "w1"),
-                                          GradedSlice(genus, 1, 2, **kw)
+                                          graded_slice(genus, 1, 2, **kw)
                                           ).kernel)
 
         def refuse(*args):
@@ -653,6 +684,45 @@ class TestEulerPoincare:
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             euler_poincare(1, -1, 1, Insertion(A, "w"))
+
+
+# -- the chain property ---------------------------------------------------
+
+
+# the vacuum direction at weight 0: the incoming image has rank 1 and
+# the kernel is empty, so p would read -1 at the named level
+NEGATIVE_P = [
+    (lambda: cohomology_rank(1, 0, 0, Insertion(VAC, "w")), 1),
+    (lambda: euler_poincare(0, 3, 0, Insertion(VAC, "w")), 1),
+    (lambda: euler_poincare(0, 4, 1, Insertion(VAC, "w")), 1),
+]
+
+
+class TestNegativeDimension:
+    @pytest.mark.parametrize("call,level", NEGATIVE_P,
+                             ids=["rank-g0", "euler-g0", "euler-g1"])
+    def test_negative_p_is_refused(self, call, level):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == (
+            f"at level {level} the kernel 0 is smaller than the incoming "
+            "image rank 1: the chain property fails there")
+
+    def test_the_refusal_is_certain_on_every_window(self):
+        # a larger window only shrinks the kernel and never lowers the
+        # image rank, so a wider box refuses the same level
+        for half in (2, 4, 6):
+            with pytest.raises(ValueError, match="at level 1 the kernel 0"):
+                cohomology_rank(1, 0, 0, Insertion(VAC, "w"),
+                                window=(-half, half))
+
+    def test_stacked_family_reports_its_p(self):
+        # a stacked rank counts C_{n-1} -> C_n^k, so a p below zero is
+        # no chain failure there and is reported as it comes
+        rr = cohomology_rank(2, 2, 1, [Insertion(A2, "w"),
+                                       Insertion(AA, "w")],
+                             combine="stack")
+        assert rr == RankResult(q=5, p=-1, kernel_rank=0, image_rank=5)
 
 
 # -- cluster mutation -----------------------------------------------------

@@ -260,11 +260,51 @@ def _defaulted(fn, bound: bool) -> list:
     return out
 
 
-def _sets(call: ast.Call, name: str, index) -> bool:
+def _literal_keys(node):
+    """The keys of ``dict(k=...)`` or of a dict literal with string
+    keys, else None."""
+    if isinstance(node, ast.Call) and _name(node) == "dict" \
+            and not node.args and all(k.arg for k in node.keywords):
+        return {k.arg for k in node.keywords}
+    if isinstance(node, ast.Dict) and all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str)
+            for k in node.keys):
+        return {k.value for k in node.keys}
+    return None
+
+
+def _unpacked_keys(fn) -> dict:
+    """The keys each local name of ``fn`` can carry into a ``**``
+    operand: only for a name bound once, to a literal ``_literal_keys``
+    reads, and otherwise only unpacked."""
+    nodes = list(_own_nodes(fn))
+    unpacked = {id(k.value) for node in nodes if isinstance(node, ast.Call)
+                for k in node.keywords if k.arg is None}
+    uses = defaultdict(int)
+    keys = {}
+    for node in nodes:
+        if isinstance(node, ast.Name) and id(node) not in unpacked:
+            uses[node.id] += 1
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            found = _literal_keys(node.value)
+            if found is not None:
+                keys[node.targets[0].id] = found
+    return {name: k for name, k in keys.items() if uses[name] == 1}
+
+
+def _sets(call: ast.Call, name: str, index, known) -> bool:
     """Whether the call can set the parameter: by keyword, by enough
-    positional arguments, or through * or ** unpacking."""
-    if any(k.arg in (None, name) for k in call.keywords):
-        return True
+    positional arguments, or through * or ** unpacking; a ** operand
+    with keys in ``known`` (see ``_unpacked_keys``) sets only those."""
+    for k in call.keywords:
+        if k.arg == name:
+            return True
+        if k.arg is None:
+            keys = known.get(k.value.id) \
+                if isinstance(k.value, ast.Name) else None
+            if keys is None or name in keys:
+                return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
     return index is not None and len(call.args) > index
@@ -305,9 +345,12 @@ def unset_parameters(root: Path) -> list:
     of __init__."""
     calls = defaultdict(list)
     for _, tree in _trees(root, "src", "bench"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                calls[_name(node)].append(node)
+        scopes = [(tree, {})] + [(fn, _unpacked_keys(fn))
+                                 for _, fn in _functions(tree)]
+        for scope, known in scopes:
+            for node in _own_nodes(scope):
+                if isinstance(node, ast.Call):
+                    calls[_name(node)].append((node, known))
     unset = []
     for path, tree in _trees(root, "src"):
         for cls, fn in _functions(tree):
@@ -318,7 +361,8 @@ def unset_parameters(root: Path) -> list:
                 names.add(cls.name)
             found = [c for n in names for c in calls[n]]
             for name, index in _defaulted(fn, cls is not None and not static):
-                if not any(_sets(c, name, index) for c in found):
+                if not any(_sets(c, name, index, known)
+                           for c, known in found):
                     unset.append(f"{path.name}:{fn.lineno} {fn.name}({name}=)")
     return unset
 
@@ -386,10 +430,22 @@ def test_test_only_options_and_fields_are_found(tmp_path):
                    "        return self\n"
                    "\n"
                    "def width(x):\n"
-                   "    return Span(0, x).hi - Pair(x).left\n",
-            "bench": "from mod import f, width\n"
+                   "    return Span(0, x).hi - Pair(x).left\n"
+                   "\n"
+                   "def g(x, scale=1, shift=0, label=''):\n"
+                   "    return x * scale + shift\n"
+                   "\n"
+                   "def h(x, scale=1, label=''):\n"
+                   "    return x * scale\n"
+                   "\n"
+                   "def both(x, **opts):\n"
+                   "    kw = dict(scale=2)\n"
+                   "    lit = {'shift': 1}\n"
+                   "    return g(x, **kw) + g(x, **lit) + h(x, **opts)\n",
+            "bench": "from mod import both, f, width\n"
                      "f(2, scale=3)\n"
-                     "width(2)\n",
+                     "width(2)\n"
+                     "both(2)\n",
             "tests": "from mod import Pair, Rec, Span, f\n"
                      "assert f(2, shift=1) == 3\n"
                      "assert Rec(1, 2).tested == 2\n"
@@ -397,7 +453,10 @@ def test_test_only_options_and_fields_are_found(tmp_path):
                      "assert Span(0, 1, 'x').label == 'x'\n"}.items():
         (tmp_path / top).mkdir()
         (tmp_path / top / "mod.py").write_text(text)
-    assert unset_parameters(tmp_path) == ["mod.py:9 f(shift=)"]
+    # a ** operand bound to a dict literal sets only its keys; any
+    # other ** operand can set every keyword
+    assert unset_parameters(tmp_path) == ["mod.py:9 f(shift=)",
+                                          "mod.py:33 g(label=)"]
     # a field read only inside the validating __new__ still counts as
     # read; one declared on the NamedTuple base and read by no library
     # code is found like a dataclass field

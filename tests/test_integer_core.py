@@ -23,7 +23,6 @@ from voasurf.genus2 import SewingModuli, _channel_sums
 from voasurf.reduction import (
     CorrelationFn,
     Insertion,
-    ReductionDirection,
     _expand_geometric,
     _g0_value,
     _pull_back,
@@ -162,7 +161,7 @@ class TestModeTable:
         ins = (Insertion(parse_state("a"), "z1"),
                Insertion(parse_state("a"), "z2"))
         direct = genus1_direct(ins, 12, (-3, 3))
-        reduced = genus1_reduce(ReductionDirection(ins[0]),
+        reduced = genus1_reduce(ins[0],
                                 CorrelationFn(1, ins[1:], None, (-3, 3),
                                               q_order=12))
         assert _vertex_mode_basis.cache_info().currsize == 0
@@ -301,7 +300,7 @@ class TestReductionValues:
 
     @staticmethod
     def step(state, point):
-        return ReductionDirection(Insertion(parse_state(state), point))
+        return Insertion(parse_state(state), point)
 
     def test_genus1_reduce_coefficients_are_canonical(self):
         F = genus1_direct((), 4, (-3, 3))

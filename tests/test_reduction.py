@@ -19,9 +19,7 @@ from voasurf.elliptic import weierstrass_p_qz
 from voasurf.reduction import (
     CorrelationFn,
     Insertion,
-    ReductionDirection,
     WindowError,
-    cocycle_residual,
     direct,
     genus0_direct,
     genus0_reduce,
@@ -54,10 +52,6 @@ PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
 
 def ins(state, point):
     return Insertion(state, point)
-
-
-def direction(state, point):
-    return ReductionDirection(Insertion(state, point))
 
 
 # -- genus 0, direct evaluation against closed forms ---------------------
@@ -196,7 +190,7 @@ class TestGenus0Reduce:
                                        uprime, u, (-6, 3))
                 F = genus0_direct((), uprime, u, (-6, 3))
                 for s, p in reversed(row):
-                    F = genus0_reduce(direction(s, p), F)
+                    F = genus0_reduce(ins(s, p), F)
                 got = F.value.extended_to(direct.value.vars)
                 for key, want in direct.value.c.items():
                     assert got.coefficient(
@@ -209,7 +203,7 @@ class TestGenus0Reduce:
         # the stored value.
         F0 = genus0_direct((), A, vacuum(), (-4, 4))
         assert F0.is_zero()
-        F1 = genus0_reduce(direction(A, "z1"), F0)
+        F1 = genus0_reduce(ins(A, "z1"), F0)
         assert F1.value.coefficient({"z1": 0}) == -1
 
     def test_zero_mode_alone_is_not_the_step(self):
@@ -217,13 +211,13 @@ class TestGenus0Reduce:
         zero-mode-only step would produce the constant -1; the actual
         one-point function is -z^{-2}."""
         F0 = genus0_direct((), A, A, (-4, 4))
-        res = cocycle_residual(direction(OMEGA, "z1"), F0)
+        res = reduce_step(ins(OMEGA, "z1"), F0).value
         assert res.coefficient({"z1": 0}) == 0
         assert res.coefficient({"z1": -2}) == -1
 
     def test_zero_mode_direction_kills_the_vacuum_partition(self):
         F0 = genus0_direct((), vacuum(), vacuum(), (-4, 4))
-        assert cocycle_residual(direction(A, "z1"), F0).is_zero()
+        assert reduce_step(ins(A, "z1"), F0).value.is_zero()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3))
@@ -237,7 +231,7 @@ class TestGenus0Reduce:
                     direct = genus0_direct([ins(sv, "z1")], sup, su,
                                            (-6, 6))
                     F = genus0_reduce(
-                        direction(sv, "z1"),
+                        ins(sv, "z1"),
                         genus0_direct((), sup, su, (-6, 6)))
                     assert F.value.agrees_with(direct.value)
 
@@ -256,7 +250,7 @@ class TestReduceStepAgainstDirect:
             insertions = tuple(ins(s, p) for s, p in row)
             F = CorrelationFn(0, insertions[1:], None, (-6, 3),
                               boundary_states=boundary)
-            got = reduce_step(ReductionDirection(insertions[0]), F).value
+            got = reduce_step(insertions[0], F).value
             want = genus0_direct(insertions, *boundary, (-6, 3)).value
             assert want.c and (got.vars, got.window, got.c) == \
                 (want.vars, want.window, want.c), (boundary, row)
@@ -274,7 +268,7 @@ class TestReduceStepAgainstDirect:
     def test_window_errors(self, fresh, boundary, rest, window, text):
         F = CorrelationFn(0, rest, None, window, boundary_states=boundary)
         with pytest.raises(WindowError) as got:
-            reduce_step(direction(fresh, "z1"), F)
+            reduce_step(ins(fresh, "z1"), F)
         with pytest.raises(WindowError) as want:
             genus0_direct((ins(fresh, "z1"),) + rest, *boundary, window)
         assert str(got.value) == str(want.value) == \
@@ -365,7 +359,7 @@ class TestGenus1Reduce:
                                    (-wdw, wdw))
             F = genus1_direct((), qo, (-wdw, wdw))
             for s, p in reversed(row):
-                F = genus1_reduce(direction(s, p), F)
+                F = genus1_reduce(ins(s, p), F)
             assert F.value.agrees_with(direct.value), row
             assert F.q_shift == direct.q_shift
 
@@ -373,8 +367,8 @@ class TestGenus1Reduce:
         v = parse_state("a[-2]a[-1]|1")
         direct = genus1_direct([ins(v, "z1"), ins(v, "z2")], 5, (-2, 2))
         F = genus1_reduce(
-            direction(v, "z1"),
-            genus1_reduce(direction(v, "z2"),
+            ins(v, "z1"),
+            genus1_reduce(ins(v, "z2"),
                           genus1_direct((), 5, (-2, 2))))
         assert F.value.agrees_with(direct.value)
         assert not direct.is_zero()
@@ -405,7 +399,7 @@ class TestGenus1Reduce:
         monkeypatch.setattr(reduction, "_g1_value", spy)
         src = (ins(A, "z1"), ins(AA, "z2"), ins(AA, "z3"))
         F = CorrelationFn(1, src, None, (-2, 2), q_order=2)
-        got = reduce_step(direction(A, "w"), F)
+        got = reduce_step(ins(A, "w"), F)
         assert len(fired) == 4
         want = genus1_direct((ins(A, "w"),) + src, 2, (-2, 2))
         assert not want.is_zero()
@@ -440,9 +434,9 @@ WINDOW_ENTRY_POINTS = {
     "genus1_direct": lambda w: genus1_direct(
         [ins(A, "z1"), ins(A, "z2")], 3, w),
     "unwind_genus0": lambda w: unwind_to_partition(
-        [direction(A, "z1")], genus=0, window=w),
+        [ins(A, "z1")], genus=0, window=w),
     "unwind_genus1": lambda w: unwind_to_partition(
-        [direction(A, "z1")], genus=1, window=w, q_order=3),
+        [ins(A, "z1")], genus=1, window=w, q_order=3),
 }
 
 
@@ -459,11 +453,11 @@ class TestWindows:
 
     def test_every_point_and_the_fresh_one_share_the_window(self):
         F = genus0_direct([ins(A, "z2")], A, vacuum(), (-3, 2))
-        out = genus0_reduce(direction(A, "z1"), F)
+        out = genus0_reduce(ins(A, "z1"), F)
         assert out.window == (-3, 2)
         assert out.value.window == {"z1": (-3, 2), "z2": (-3, 2)}
         assert out.q_shift == 0
-        G = genus1_reduce(direction(A, "z1"), genus1_direct((), 3, (-2, 1)))
+        G = genus1_reduce(ins(A, "z1"), genus1_direct((), 3, (-2, 1)))
         assert G.window == (-2, 1)
         assert G.value.window == {"q": (0, 3), "q_z1": (-2, 1)}
         assert G.q_shift == Fraction(-CENTRAL_CHARGE, 24)
@@ -475,28 +469,28 @@ class TestWindows:
 class TestResidualsAndUnwinding:
     def test_partition_is_a_cocycle_along_the_current(self):
         Z = genus1_direct((), 6, (-8, 8))
-        assert cocycle_residual(direction(A, "z1"), Z).is_zero()
+        assert reduce_step(ins(A, "z1"), Z).value.is_zero()
 
     def test_partition_is_not_a_cocycle_along_the_stress_tensor(self):
         Z = genus1_direct((), 7, (-8, 8))
-        res = cocycle_residual(direction(OMEGA, "z1"), Z)
+        res = reduce_step(ins(OMEGA, "z1"), Z).value
         q = res.coefficient_of("q_z1", 0)
         for m in range(8):
             assert q.coefficient({"q": m}) == m * PARTITIONS[m]
 
     def test_vacuum_direction_reproduces_the_function(self):
         F0 = genus0_direct((), A, A, (-4, 4))
-        res = cocycle_residual(direction(vacuum(), "z1"), F0)
+        res = reduce_step(ins(vacuum(), "z1"), F0).value
         assert res.coefficient({"z1": 0}) == -1
         assert sum(1 for v in res.c.values() if v) == 1
 
         Z = genus1_direct((), 6, (-8, 8))
-        res = cocycle_residual(direction(vacuum(), "z1"), Z)
+        res = reduce_step(ins(vacuum(), "z1"), Z).value
         assert res.coefficient_of("q_z1", 0).agrees_with(Z.value)
 
     def test_unwind_flags_degenerate_steps(self):
         out = unwind_to_partition(
-            [direction(A, "z2"), direction(A, "z1")], genus=0,
+            [ins(A, "z2"), ins(A, "z1")], genus=0,
             window=(-6, 4))
         assert out.degenerate_steps == (0,)
         direct = genus0_direct([ins(A, "z1"), ins(A, "z2")],
@@ -506,7 +500,7 @@ class TestResidualsAndUnwinding:
 
     def test_unwind_at_genus_one(self):
         out = unwind_to_partition(
-            [direction(A, "z1"), direction(A, "z2")], genus=1,
+            [ins(A, "z1"), ins(A, "z2")], genus=1,
             q_order=5, window=(-2, 2))
         assert out.degenerate_steps == (0,)
         direct = genus1_direct([ins(A, "z2"), ins(A, "z1")], 5,
@@ -553,10 +547,10 @@ class TestParityPruning:
                 for src in [()] + [(ins(t, "z2"),) for t in states] + [
                         (ins(t, "z2"), ins(A, "z3")) for t in states]:
                     for b in boundaries:
-                        cases.append((genus0_reduce, direction(s, "z1"),
+                        cases.append((genus0_reduce, ins(s, "z1"),
                                       CorrelationFn(0, src, None, window,
                                                     boundary_states=b)))
-                    cases.append((genus1_reduce, direction(s, "z1"),
+                    cases.append((genus1_reduce, ins(s, "z1"),
                                   CorrelationFn(1, src, None, window,
                                                 q_order=2)))
         pruned = [_outcome(*case) for case in cases]
@@ -587,20 +581,20 @@ class TestParityPruning:
         src = (ins(A, "z2"), ins(A2, "z3"))
         F = CorrelationFn(genus, src, None, (-3, 3),
                           boundary_states=(vacuum(), vacuum()), q_order=3)
-        out = reduce_step(direction(A, "z1"), F)
+        out = reduce_step(ins(A, "z1"), F)
         assert len(checks) == 1 and out.is_zero()
         assert len(calls) == (1 if genus == 0 else 0)
         assert direct(genus, out.insertions, (-3, 3), 3).is_zero()
         # an even root walks its subtree
         F = F._replace(insertions=(ins(A, "z2"),))
-        assert not reduce_step(direction(A, "z1"), F).is_zero()
+        assert not reduce_step(ins(A, "z1"), F).is_zero()
         assert len(calls) > 2
 
     def test_mixed_boundary_is_not_pruned(self, monkeypatch):
         # <1, Y(a, z)(1 + a)> = z^-2: only the odd part of u survives
         calls = self.count_calls(monkeypatch, "_g0_value")
         boundary = (vacuum(), self.MIXED)
-        F = genus0_reduce(direction(A, "z1"),
+        F = genus0_reduce(ins(A, "z1"),
                           CorrelationFn(0, (), None, (-3, 3),
                                         boundary_states=boundary))
         assert F.value.coefficient({"z1": -2}) == 1
