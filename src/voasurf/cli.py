@@ -58,9 +58,11 @@ PM_ORDER_BUDGET = 500
 PM_INDEX_BUDGET = 16
 
 # Largest --zorder (the mode window half-width) that npoint and residual
-# accept.  Work grows like a power of it with the number of points, which
-# BOX_BUDGET bounds together with it: a genus-0 four-point oracle of
-# currents takes 7 s at 50 and over 60 s at 100.
+# accept, and the largest --window of cohomology rank and euler.  Work
+# grows like a power of it with the number of points, which BOX_BUDGET
+# bounds together with it: a genus-0 four-point oracle of currents takes
+# 7 s at 50 and over 60 s at 100.  A genus-1 rank at n = m = 3 takes
+# 1.2 s at 50 and runs past 30 s at 400.
 ZORDER_BUDGET = 50
 
 # Largest window box (2 zorder + 1)^g that npoint and residual accept,
@@ -73,11 +75,11 @@ ZORDER_BUDGET = 50
 # 10 and over 20 s at 50, and six omega insertions over 30 s at 4.
 BOX_BUDGET = (2 * ZORDER_BUDGET + 1) ** 3
 
-# Largest --qorder (the q truncation order) that npoint and residual
-# accept.  A genus-1 trace runs over every Fock state up to that weight,
-# p(32) = 8 349 at the top level.  At 32 a genus-1 two-point reduction of
-# currents takes 0.8 s, its oracle 4 s and the omega two-point function
-# 5 s; at 40 they take 3 s, 24 s and 27 s.
+# Largest --qorder (the q truncation order) that npoint, residual and
+# the cohomology commands accept.  A genus-1 trace runs over every Fock
+# state up to that weight, p(32) = 8 349 at the top level.  At 32 a
+# genus-1 two-point reduction of currents takes 0.8 s, its oracle 4 s and
+# the omega two-point function 5 s; at 40 they take 3 s, 24 s and 27 s.
 QORDER_BUDGET = 32
 
 # Largest --rho-order that schottky psi accepts.  The moment matrix
@@ -315,6 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     coh = groups.add_parser("cohomology",
                             help="reduction cohomology of graded slices")
+    direction_help = ("reduction direction state@point; a repeated "
+                      "--direction adds its state at the first one's point")
+    window_help = ("mode window half-width (default 4; at most "
+                   f"{ZORDER_BUDGET})")
+    qorder_help = f"q truncation order (default 4; at most {QORDER_BUDGET})"
     coh_sub = coh.add_subparsers(dest="sub", metavar="SUBCOMMAND",
                                  required=True)
     rank = coh_sub.add_parser("rank", parents=[common],
@@ -326,14 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("-m", type=_nonneg_int, required=True,
                       help="total weight of the slice")
     rank.add_argument("--direction", type=_insertion, action="append",
-                      required=True,
-                      help="reduction direction state@point; repeat for a "
-                           "family")
-    rank.add_argument("--combine", choices=("sum", "stack"), default="sum",
-                      help="how a direction family acts (default sum)")
+                      required=True, help=direction_help)
     rank.add_argument("--window", type=_positive_int, default=4,
-                      help="mode window half-width (default 4)")
-    rank.add_argument("--qorder", type=_positive_int, default=4)
+                      help=window_help)
+    rank.add_argument("--qorder", type=_positive_int, default=4,
+                      help=qorder_help)
     rank.add_argument("--boundary", type=_state_list,
                       help="two comma-separated boundary states at genus 0")
     rank.set_defaults(command="cohomology rank")
@@ -347,10 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     euler.add_argument("-N", type=_nonneg_int, required=True, dest="levels",
                        help="top chain level of the ladder")
     euler.add_argument("--direction", type=_insertion, action="append",
-                       help="reduction direction (default a@w)")
-    euler.add_argument("--combine", choices=("sum", "stack"), default="sum")
-    euler.add_argument("--window", type=_positive_int, default=4)
-    euler.add_argument("--qorder", type=_positive_int, default=4)
+                       help=f"{direction_help} (default a@w)")
+    euler.add_argument("--window", type=_positive_int, default=4,
+                       help=window_help)
+    euler.add_argument("--qorder", type=_positive_int, default=4,
+                       help=qorder_help)
     euler.add_argument("--boundary", type=_state_list,
                        help="two comma-separated boundary states at genus 0")
     euler.set_defaults(command="cohomology euler")
@@ -630,26 +635,32 @@ def _run_schottky_partition(ns: argparse.Namespace):
 
 
 def _direction_args(ns: argparse.Namespace):
-    """The direction family as the computation uses it (every member
-    moved to the first member's point) and the mode window."""
-    from .cohomology import _direction_family
+    """The --direction members at the first one's point, the direction
+    they act as (the step is linear in the state, so their sum) and the
+    mode window; a window or q-order over its budget is refused first."""
+    _check_budget("--window", ns.window, "window", ZORDER_BUDGET, ns.command)
+    _check_budget("--qorder", ns.qorder, "order", QORDER_BUDGET, ns.command)
+    from .cohomology import direction_weight
 
-    family, _ = _direction_family(ns.direction or [_insertion("a@w")],
-                                  ns.combine)
-    return family, (-ns.window, ns.window)
+    first, *rest = ns.direction or [_insertion("a@w")]
+    members = [first] + [d._replace(point=first.point) for d in rest]
+    for d in members:  # a member is refused as a lone direction would be
+        direction_weight(d)
+    direction = first._replace(state=sum((d.state for d in rest),
+                                         first.state))
+    return members, direction, (-ns.window, ns.window)
 
 
 def _run_cohomology_rank(ns: argparse.Namespace):
     from .cohomology import cohomology_rank
 
-    family, window = _direction_args(ns)
-    result = cohomology_rank(ns.n, ns.m, ns.genus, family, window=window,
-                             q_order=ns.qorder, boundary=ns.boundary,
-                             combine=ns.combine)
+    members, direction, window = _direction_args(ns)
+    result = cohomology_rank(ns.n, ns.m, ns.genus, direction, window=window,
+                             q_order=ns.qorder, boundary=ns.boundary)
     return {"command": "cohomology rank", "genus": ns.genus,
             "n": ns.n, "m": ns.m,
-            "direction": [str(d) for d in family],
-            "combine": ns.combine,
+            "direction": [str(d) for d in members],
+            "combine": "sum",  # always, so that reports read as before
             "window": list(window), "qorder": ns.qorder,
             "q": result.q, "p": result.p,
             "kernel_rank": result.kernel_rank,
@@ -660,14 +671,14 @@ def _run_cohomology_rank(ns: argparse.Namespace):
 def _run_cohomology_euler(ns: argparse.Namespace):
     from .cohomology import euler_poincare
 
-    family, window = _direction_args(ns)
-    result = euler_poincare(ns.m, ns.levels, ns.genus, family,
+    members, direction, window = _direction_args(ns)
+    result = euler_poincare(ns.m, ns.levels, ns.genus, direction,
                             window=window, q_order=ns.qorder,
-                            boundary=ns.boundary, combine=ns.combine)
+                            boundary=ns.boundary)
     return {"command": "cohomology euler", "genus": ns.genus,
             "m": ns.m, "N": ns.levels,
-            "direction": [str(d) for d in family],
-            "combine": ns.combine,
+            "direction": [str(d) for d in members],
+            "combine": "sum",  # as in cohomology rank
             "window": list(window), "qorder": ns.qorder,
             "total": result.total,
             "ledger": [dict(row) for row in result.ledger],

@@ -22,15 +22,16 @@ non-kernel vector is refuted outright.  Growing the window can only
 shrink a reported kernel, never grow it.
 
 The direction of the coboundary is the one parameter the theory
-leaves open.  Every operation here takes it explicitly, either as a
-single direction (an ``Insertion``: the fresh state at its point) or
-as a family (a list or tuple of them), and a family can enter as the
-sum of its per-direction matrices (one operator, the convention the
-cluster construction uses) or stacked (simultaneous conditions, one
-block row per direction).  ``build_coboundary`` is the one place that
+leaves open.  Every operation here takes it explicitly, as one
+``Insertion``: the fresh state at its point.  The step is linear in
+that state, so a sum of directions at one point is the one direction
+whose state is their sum.  ``build_coboundary`` is the one place that
 turns a slice into coboundary columns; the ranks and the Euler ledger
-read theirs off the matrices it returns.  A summed family's p below
-zero is refused: the chain property fails there on every window.
+read theirs off the matrices it returns.  A p below zero is refused:
+the chain property fails there on every window.  Simultaneous
+conditions in several directions are the columns of one
+``build_coboundary`` per direction, their keys tagged by the
+direction, joined under one ``linalg.rank``.
 """
 
 from typing import NamedTuple
@@ -70,14 +71,10 @@ def weighted_tuples(n: int, m: int) -> tuple:
     return tuple(out)
 
 
-def _check_directions(dirs) -> None:
-    for d in dirs:
-        if not isinstance(d, Insertion):
-            raise TypeError(
-                f"a direction is an Insertion, got {type(d).__name__}")
-
-
 def direction_weight(direction: Insertion) -> int:
+    if not isinstance(direction, Insertion):
+        raise TypeError(
+            f"a direction is an Insertion, got {type(direction).__name__}")
     state = direction.state
     if state.is_zero():
         raise ValueError("direction state must be nonzero")
@@ -85,28 +82,6 @@ def direction_weight(direction: Insertion) -> int:
         raise ValueError("direction state must be homogeneous to target "
                          "a single weight slice")
     return state.weights()[0]
-
-
-def _direction_family(family, combine: str):
-    """Normalize to a nonempty tuple of directions sharing one fresh
-    point symbol (the first member's) and one state weight; ``combine``
-    must name how the family acts, 'sum' or 'stack'."""
-    if combine not in ("sum", "stack"):
-        raise ValueError("combine must be 'sum' or 'stack'")
-    # a direction is a NamedTuple, so it must be told from a family first
-    if isinstance(family, Insertion):
-        family = [family]
-    elif not isinstance(family, (list, tuple)):
-        raise TypeError("a direction family is a direction or a list or "
-                        f"tuple of directions, got {type(family).__name__}")
-    _check_directions(family)
-    if not family:
-        raise ValueError("empty direction family")
-    dirs = tuple(d._replace(point=family[0].point) for d in family)
-    ws = {direction_weight(d) for d in dirs}
-    if len(ws) > 1:
-        raise ValueError(f"direction family mixes state weights {sorted(ws)}")
-    return dirs, ws.pop()
 
 
 class GradedSlice(NamedTuple):
@@ -165,11 +140,10 @@ def _check_fresh(direction: Insertion, points) -> None:
 
 
 class CoboundaryMatrix(NamedTuple):
-    """The reduction step of a direction family on a slice, one column
-    per basis tuple.
+    """The reduction step in one direction on a slice, one column per
+    basis tuple.
 
-    Columns are the coefficient dicts of the reduction images (keys
-    tagged by the member index when the family is stacked), and
+    Columns are the coefficient dicts of the reduction images, and
     ``rank`` is their rank, eliminated on them directly.
     """
 
@@ -181,34 +155,19 @@ class CoboundaryMatrix(NamedTuple):
         return len(self.columns) - self.rank
 
 
-def build_coboundary(direction_family, src: GradedSlice,
-                     combine="sum") -> CoboundaryMatrix:
+def build_coboundary(direction: Insertion,
+                     src: GradedSlice) -> CoboundaryMatrix:
     """The matrix of the reduction step on a graded slice.
 
-    A single direction or a family; the family acts as the entrywise
-    sum of its members' images (one operator) or stacked, one block of
-    rows per member with keys tagged by the member index.  Members
-    share the anchored point and weight, so their images share one
-    variable tuple.  The sources are the slice's value-free tuples, so
-    no oracle runs and no source-side window check applies.  Exact on
-    the slice's window; window problems inside the reduction (an
-    intrinsically finite direction that does not fit the target box)
-    propagate as WindowError rather than being absorbed.
+    The sources are the slice's value-free tuples, so no oracle runs
+    and no source-side window check applies.  Exact on the slice's
+    window; window problems inside the reduction (an intrinsically
+    finite direction that does not fit the target box) propagate as
+    WindowError rather than being absorbed.
     """
-    family, _ = _direction_family(direction_family, combine)
-    _check_fresh(family[0], src.points)
-    columns = []
-    for fn in sources(src):
-        images = [reduce_step(d, fn).value.c for d in family]
-        if combine == "stack":
-            columns.append({(i,) + k: v for i, image in enumerate(images)
-                            for k, v in image.items()})
-            continue
-        acc = {}
-        for image in images:
-            for k, v in image.items():
-                acc[k] = acc.get(k, 0) + v
-        columns.append({k: v for k, v in acc.items() if v})
+    direction_weight(direction)
+    _check_fresh(direction, src.points)
+    columns = [reduce_step(direction, fn).value.c for fn in sources(src)]
     return CoboundaryMatrix(columns, rank(columns))
 
 
@@ -239,12 +198,10 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     there.  Zero is judged on the window, in line with every other
     claim this module makes.
     """
-    _check_directions((dir1, dir2))
-    _check_fresh(dir1, src.points)
-    _check_fresh(dir2, src.points + (dir1.point,))
-    # refuse a zero or inhomogeneous direction, as a family would
     direction_weight(dir1)
     direction_weight(dir2)
+    _check_fresh(dir1, src.points)
+    _check_fresh(dir2, src.points + (dir1.point,))
     columns = []
     for fn in sources(src):
         g = reduce_step(dir1, fn)
@@ -254,13 +211,11 @@ def chain_condition_check(dir2, dir1, src: GradedSlice) -> ChainReport:
     return ChainReport(columns, kernel)
 
 
-def _cohomology_dim(n: int, kernel: int, image_in: int, combine: str) -> int:
-    """p at level n.  For one operator (a summed family) p < 0 means the
-    incoming image does not fit in the kernel, on any window, since the
-    kernel only shrinks and the image rank never falls.  A stacked
-    rank, of C_{n-1} -> C_n^k, can exceed the kernel while every
-    member's image lies in it, so a stacked p is reported as it is."""
-    if kernel < image_in and combine == "sum":
+def _cohomology_dim(n: int, kernel: int, image_in: int) -> int:
+    """p at level n.  p < 0 means the incoming image does not fit in
+    the kernel, on any window, since the kernel only shrinks and the
+    image rank never falls."""
+    if kernel < image_in:
         raise ValueError(f"at level {n} the kernel {kernel} is smaller than "
                          f"the incoming image rank {image_in}: the chain "
                          "property fails there")
@@ -278,25 +233,25 @@ class RankResult(NamedTuple):
     image_rank: int
 
 
-def cohomology_rank(n: int, m: int, genus: int, direction_family, *,
-                    window=DEFAULT_WINDOW, q_order=None, boundary=None,
-                    combine="sum") -> RankResult:
+def cohomology_rank(n: int, m: int, genus: int, direction: Insertion, *,
+                    window=DEFAULT_WINDOW, q_order=None,
+                    boundary=None) -> RankResult:
     """Rank data of the reduction complex at level n, weight m.
 
     The level-(n-1) slice feeding the image sits at weight m minus the
-    family weight, so its coboundary lands exactly on this slice.  All
+    direction weight, so its coboundary lands exactly on this slice.  All
     four numbers are certified within the window: a larger window can
     move p, never q.
     """
-    family, w = _direction_family(direction_family, combine)
+    w = direction_weight(direction)
     kw = dict(window=window, q_order=q_order, boundary=boundary)
-    up = build_coboundary(family, graded_slice(genus, n, m, **kw), combine)
+    up = build_coboundary(direction, graded_slice(genus, n, m, **kw))
     im_below = 0
     if n > 0:
         below = graded_slice(genus, n - 1, m - w, **kw)
-        im_below = build_coboundary(family, below, combine).rank
+        im_below = build_coboundary(direction, below).rank
     return RankResult(q=len(up.columns),
-                      p=_cohomology_dim(n, up.kernel_dim, im_below, combine),
+                      p=_cohomology_dim(n, up.kernel_dim, im_below),
                       kernel_rank=up.kernel_dim, image_rank=up.rank)
 
 
@@ -305,19 +260,19 @@ class EulerResult(NamedTuple):
     ledger: tuple
 
 
-def euler_poincare(m: int, N: int, genus: int, direction_family, *,
-                   window=DEFAULT_WINDOW, q_order=None, boundary=None,
-                   combine="sum") -> EulerResult:
+def euler_poincare(m: int, N: int, genus: int, direction: Insertion, *,
+                   window=DEFAULT_WINDOW, q_order=None,
+                   boundary=None) -> EulerResult:
     """Alternating sum of q_{n} - p_{n} over the ladder 0..N.
 
-    The ladder anchors weight m at level 0 and climbs by the family
+    The ladder anchors weight m at level 0 and climbs by the direction
     weight per level so consecutive coboundaries actually compose.  At
     the top the image into level N+1 is declared zero, closing the
     telescope; the returned total is then forced to vanish by rank
     plus nullity at every level, and computing it from the actual
     matrices is the regression.
     """
-    family, w = _direction_family(direction_family, combine)
+    w = direction_weight(direction)
     kw = dict(window=window, q_order=q_order, boundary=boundary)
     N = int(N)
     if N < 0:
@@ -325,20 +280,20 @@ def euler_poincare(m: int, N: int, genus: int, direction_family, *,
     # a slice's refusals do not depend on its level, so level 0 makes
     # them all; no coboundary leaves the top level, so check its points
     level = graded_slice(genus, 0, m, **kw)
-    _check_fresh(family[0], canonical_points(N))
+    _check_fresh(direction, canonical_points(N))
     ranks = []  # (q, image out); no slice or column outlives its level
     for k in range(N + 1):
         if k:
             level = graded_slice(genus, k, m + k * w, **kw)
         # the image into level N+1 is declared 0
-        im = build_coboundary(family, level, combine).rank if k < N else 0
+        im = build_coboundary(direction, level).rank if k < N else 0
         ranks.append((len(level.basis), im))
     ledger = []
     total = 0
     im_below = 0
     for k, (q, im) in enumerate(ranks):
         ker = q - im
-        p = _cohomology_dim(k, ker, im_below, combine)
+        p = _cohomology_dim(k, ker, im_below)
         term = (-1) ** k * (q - p)
         total += term
         ledger.append({"n": k, "weight": m + k * w, "q": q, "p": p,

@@ -148,41 +148,51 @@ class TestExitCodes:
             parse_and_dispatch(["elliptic", "pm", "--m",
                                 str(PM_INDEX_BUDGET)])
 
-    @pytest.mark.parametrize("argv,target", [
+    @pytest.mark.parametrize("argv,flag,target", [
         (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2"],
-         "unwind_to_partition"),
+         "--zorder", "reduction.unwind_to_partition"),
         (["npoint", "--genus", "0", "--insertions", "a@z1,a@z2",
-          "--oracle"], "genus0_direct"),
-        (["residual", "--direction", "a@z"], "reduce_step"),
-    ], ids=["npoint", "npoint-oracle", "residual"])
-    def test_zorder_budget_refused_before_any_work(self, argv, target,
+          "--oracle"], "--zorder", "reduction.genus0_direct"),
+        (["residual", "--direction", "a@z"], "--zorder",
+         "reduction.reduce_step"),
+        (["cohomology", "rank", "-n", "3", "-m", "3", "--direction", "a@w"],
+         "--window", "cohomology.cohomology_rank"),
+        (["cohomology", "euler", "-m", "2", "-N", "3"], "--window",
+         "cohomology.euler_poincare"),
+    ], ids=["npoint", "npoint-oracle", "residual", "cohomology-rank",
+            "cohomology-euler"])
+    def test_zorder_budget_refused_before_any_work(self, argv, flag, target,
                                                    capsys, monkeypatch):
         def work(*args, **kwargs):
             raise RuntimeError("the computation ran")
 
-        monkeypatch.setattr(reduction, target, work)
-        code, out, err = run(argv + ["--zorder", str(ZORDER_BUDGET + 1)],
-                             capsys)
+        monkeypatch.setattr(f"voasurf.{target}", work)
+        code, out, err = run(argv + [flag, str(ZORDER_BUDGET + 1)], capsys)
         assert code == 1 and out == ""
-        assert f"--zorder is {ZORDER_BUDGET + 1}" in err
+        assert f"{flag} is {ZORDER_BUDGET + 1}" in err
         assert f"window budget {ZORDER_BUDGET}" in err
         assert "Traceback" not in err
         with pytest.raises(RuntimeError, match="the computation ran"):
-            parse_and_dispatch(argv + ["--zorder", str(ZORDER_BUDGET)])
+            parse_and_dispatch(argv + [flag, str(ZORDER_BUDGET)])
 
     @pytest.mark.parametrize("argv,target", [
         (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2"],
-         "unwind_to_partition"),
+         "reduction.unwind_to_partition"),
         (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2",
-          "--oracle"], "genus1_direct"),
-        (["residual", "--direction", "a@z"], "reduce_step"),
-    ], ids=["npoint", "npoint-oracle", "residual"])
+          "--oracle"], "reduction.genus1_direct"),
+        (["residual", "--direction", "a@z"], "reduction.reduce_step"),
+        (["cohomology", "rank", "-n", "3", "-m", "3", "--direction", "a@w"],
+         "cohomology.cohomology_rank"),
+        (["cohomology", "euler", "-m", "2", "-N", "3"],
+         "cohomology.euler_poincare"),
+    ], ids=["npoint", "npoint-oracle", "residual", "cohomology-rank",
+            "cohomology-euler"])
     def test_qorder_budget_refused_before_any_work(self, argv, target,
                                                    capsys, monkeypatch):
         def work(*args, **kwargs):
             raise RuntimeError("the computation ran")
 
-        monkeypatch.setattr(reduction, target, work)
+        monkeypatch.setattr(f"voasurf.{target}", work)
         code, out, err = run(argv + ["--qorder", str(QORDER_BUDGET + 1)],
                              capsys)
         assert code == 1 and out == ""
@@ -420,14 +430,16 @@ class TestCommandContent:
             "image rank 1: the chain property fails there" in err
         assert "Traceback" not in err
 
-    def test_rank_direction_family_stack(self, capsys):
-        code, out, err = run(
-            ["cohomology", "rank", "-n", "1", "-m", "1", "--direction",
-             "a@w", "--direction", "2*a@w", "--combine", "stack",
-             "--window", "3", "--qorder", "3"], capsys)
-        payload = json.loads(out)
-        assert code == 0
-        assert len(payload["direction"]) == 2
+    def test_repeated_directions_act_as_their_sum(self, capsys):
+        # each member alone reports a p at level 2; their sum, the one
+        # direction the command uses, has none there
+        argv = ["cohomology", "rank", "--genus", "1", "-n", "2", "-m", "2"]
+        for member in ("a[-2]|1@w", "a[-1]^2|1@w"):
+            assert run(argv + ["--direction", member], capsys)[0] == 0
+        code, out, err = run(argv + ["--direction", "a[-2]|1@w",
+                                     "--direction", "a[-1]^2|1@w"], capsys)
+        assert code == 1 and out == ""
+        assert "at level 2 the kernel 0 is smaller" in err
 
     def test_rank_reports_the_directions_it_used(self, capsys):
         # a family shares its first member's point; the report must

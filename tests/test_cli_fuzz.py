@@ -35,7 +35,6 @@ STATE = pool(["a", "omega", "omegatilde", "vac", "a[-2]|1", "a[-1]^2|1",
 POINT = pool(["z1", "z2", "w"], ["", "@"])
 COORDINATES = pool(["3,1", "3,1,-2,6", "5,2"], ["0,1", "1,1", "1/2,3", "x"])
 BOUNDARY = pool(["a,a", "vac,vac", "a[-2]|1,a"], ["a", "b,a"])
-COMBINE = pool(["sum", "stack"], ["direct"])
 CUTOFF = pool(["4"], ["1", "x"])
 
 
@@ -79,11 +78,10 @@ COMMANDS = {
     ("cohomology", "rank"): (
         {"-n": SMALL, "-m": SMALL, "--direction": insertion,
          "--window": ORDER, "--qorder": ORDER},
-        {"--genus": GENUS, "--combine": COMBINE, "--boundary": BOUNDARY}),
+        {"--genus": GENUS, "--boundary": BOUNDARY}),
     ("cohomology", "euler"): (
         {"-m": SMALL, "-N": SMALL, "--window": ORDER, "--qorder": ORDER},
-        {"--genus": GENUS, "--direction": insertion, "--combine": COMBINE,
-         "--boundary": BOUNDARY}),
+        {"--genus": GENUS, "--direction": insertion, "--boundary": BOUNDARY}),
     ("cluster", "check"): (
         {"--trials": ORDER}, {"--seed": SMALL, "--genus": GENUS}),
 }

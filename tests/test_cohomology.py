@@ -11,6 +11,7 @@ the returned total.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -289,26 +290,22 @@ class TestCoboundary:
                 want[k] = want.get(k, Fraction(0)) + c * v
         assert img == {k: v for k, v in want.items() if v}
 
-    @pytest.mark.parametrize("slice_kw,family", [
+    @pytest.mark.parametrize("slice_kw,direction", [
         (dict(genus=0, n=2, m=2, boundary=(VAC, parse_state("1 + a"))),
-         [Insertion(A, "w")]),
-        (dict(genus=1, n=2, m=2, q_order=3), [Insertion(A, "w")]),
-        (dict(genus=1, n=1, m=2, q_order=3),
-         [Insertion(A2, "w"), Insertion(AA, "w")]),
+         Insertion(A, "w")),
+        (dict(genus=1, n=2, m=2, q_order=3), Insertion(A, "w")),
+        (dict(genus=1, n=1, m=2, q_order=3), Insertion(A2 + AA, "w")),
     ])
-    def test_images_share_one_variable_tuple(self, slice_kw, family):
+    def test_images_share_one_variable_tuple(self, slice_kw, direction):
         # the columns are the images' own coefficient dicts, so every
         # image of one slice must key them alike and store no zero
         s = graded_slice(window=(-3, 3), **slice_kw)
-        images = [reduce_step(d, fn).value
-                  for fn in sources(s) for d in family]
+        images = [reduce_step(direction, fn).value for fn in sources(s)]
         assert len({v.vars for v in images}) == 1
         assert all(all(v.c.values()) for v in images)
         assert any(v.c for v in images)
-        stacked = build_coboundary(family, s, "stack").columns
-        assert stacked == [{(i,) + k: c for i, v in enumerate(
-            images[j:j + len(family)]) for k, c in v.c.items()}
-            for j in range(0, len(images), len(family))]
+        assert build_coboundary(direction, s).columns == \
+            [v.c for v in images]
 
     def test_window_insufficiency_propagates(self):
         s = graded_slice(0, 0, 0, window=(0, 0), boundary=(A, A))
@@ -419,24 +416,20 @@ class TestSparseRank:
                 {(1,): Fraction(-5, 7)}]
         assert linalg.rank(cols) == 2
 
-    @pytest.mark.parametrize("slice_kw,family,combine", [
-        (dict(genus=0, n=2, m=2), Insertion(A, "w"), "sum"),
-        (dict(genus=0, n=3, m=3), Insertion(A, "w"), "sum"),
-        (dict(genus=0, n=2, m=3),
-         [Insertion(A2, "w"), Insertion(AA, "w")], "stack"),
-        (dict(genus=0, n=2, m=2, boundary=(A, A)), Insertion(A, "w"), "sum"),
-        (dict(genus=0, n=2, m=1, boundary=(A2, A)),
-         [Insertion(A2, "w"), Insertion(AA, "w")], "stack"),
-        (dict(genus=1, n=2, m=2, q_order=3), Insertion(A, "w"), "sum"),
-        (dict(genus=1, n=1, m=3, q_order=3),
-         [Insertion(A2, "w"), Insertion(AA, "w")], "sum"),
-        (dict(genus=1, n=2, m=2, q_order=3),
-         [Insertion(A2, "w"), Insertion(AA, "w")], "stack"),
-        (dict(genus=1, n=2, m=3, q_order=3), Insertion(OMEGA, "w"), "sum"),
+    @pytest.mark.parametrize("slice_kw,direction", [
+        (dict(genus=0, n=2, m=2), Insertion(A, "w")),
+        (dict(genus=0, n=3, m=3), Insertion(A, "w")),
+        (dict(genus=0, n=2, m=3), Insertion(A2 + AA, "w")),
+        (dict(genus=0, n=2, m=2, boundary=(A, A)), Insertion(A, "w")),
+        (dict(genus=0, n=2, m=1, boundary=(A2, A)), Insertion(A2 + AA, "w")),
+        (dict(genus=1, n=2, m=2, q_order=3), Insertion(A, "w")),
+        (dict(genus=1, n=1, m=3, q_order=3), Insertion(A2 + AA, "w")),
+        (dict(genus=1, n=2, m=2, q_order=3), Insertion(A2 + AA, "w")),
+        (dict(genus=1, n=2, m=3, q_order=3), Insertion(OMEGA, "w")),
     ])
-    def test_coboundary_rank_matches_oracle(self, slice_kw, family, combine):
+    def test_coboundary_rank_matches_oracle(self, slice_kw, direction):
         s = graded_slice(window=(-3, 3), **slice_kw)
-        cb = build_coboundary(family, s, combine)
+        cb = build_coboundary(direction, s)
         assert cb.rank == oracle_rank(dense_from_columns(cb.columns))
 
 
@@ -550,39 +543,6 @@ class TestCohomologyRank:
         rr = cohomology_rank(1, 1, 1, Insertion(A, "z"),
                              window=(-3, 3), q_order=3)
         assert rr == RankResult(q=1, p=0, kernel_rank=0, image_rank=1)
-
-    def test_combine_modes_agree_for_single_direction(self):
-        a = cohomology_rank(1, 2, 1, Insertion(A, "w"),
-                            window=(-3, 3), q_order=3,
-                            combine="sum")
-        b = cohomology_rank(1, 2, 1, Insertion(A, "w"),
-                            window=(-3, 3), q_order=3,
-                            combine="stack")
-        assert a == b
-
-    def test_family_modes(self):
-        fam = [Insertion(A, "w"), Insertion(parse_state("2*a"), "w")]
-        summed = cohomology_rank(1, 2, 1, fam, window=(-3, 3), q_order=3,
-                                 combine="sum")
-        stacked = cohomology_rank(1, 2, 1, fam, window=(-3, 3), q_order=3,
-                                  combine="stack")
-        # 2a + a insertions never cancel, and stacking two multiples
-        # imposes the same conditions as one
-        single = cohomology_rank(1, 2, 1, Insertion(A, "w"),
-                                 window=(-3, 3), q_order=3)
-        assert stacked == single
-        assert summed.q == stacked.q
-        with pytest.raises(ValueError, match="mixes state weights"):
-            cohomology_rank(1, 2, 1,
-                            [Insertion(A, "w"), Insertion(OMEGA, "w")])
-        with pytest.raises(ValueError, match="combine"):
-            cohomology_rank(1, 2, 1, Insertion(A, "w"), combine="direct")
-        # rejected even where no column is built: an empty slice, and
-        # a ladder with no coboundary
-        with pytest.raises(ValueError, match="combine"):
-            cohomology_rank(1, -1, 1, Insertion(A, "w"), combine="bogus")
-        with pytest.raises(ValueError, match="combine"):
-            euler_poincare(0, 0, 1, Insertion(A, "w"), combine="bogus")
 
     def test_one_elimination_per_coboundary(self, monkeypatch):
         # ranks and nullities come from one sparse rank elimination per
@@ -708,6 +668,30 @@ class TestNegativeDimension:
             f"at level {level} the kernel 0 is smaller than the incoming "
             "image rank 1: the chain property fails there")
 
+    def test_no_reported_p_is_negative(self):
+        # even directions break the chain property on many slices: there
+        # the level is refused by name, and every p reported is >= 0
+        refusals = []
+        for text in ("1", "a", "a[-2]|1", "a[-1]^2|1", "omega",
+                     "a[-3]a[-1]|1", "a[-2]|1 + a[-1]^2|1"):
+            d = Insertion(parse_state(text), "w")
+            for genus in (0, 1):
+                for n, m in product(range(3), range(4)):
+                    try:
+                        assert cohomology_rank(n, m, genus, d).p >= 0
+                    except ValueError as exc:
+                        refusals.append((str(exc), [n]))
+                for m, N in product(range(2), range(3)):
+                    try:
+                        ledger = euler_poincare(m, N, genus, d).ledger
+                        assert min(row["p"] for row in ledger) >= 0
+                    except ValueError as exc:
+                        refusals.append((str(exc), range(1, N + 1)))
+        assert len(refusals) == 10
+        for text, levels in refusals:
+            assert any(text.startswith(f"at level {k} the kernel ")
+                       for k in levels), text
+
     def test_the_refusal_is_certain_on_every_window(self):
         # a larger window only shrinks the kernel and never lowers the
         # image rank, so a wider box refuses the same level
@@ -715,14 +699,6 @@ class TestNegativeDimension:
             with pytest.raises(ValueError, match="at level 1 the kernel 0"):
                 cohomology_rank(1, 0, 0, Insertion(VAC, "w"),
                                 window=(-half, half))
-
-    def test_stacked_family_reports_its_p(self):
-        # a stacked rank counts C_{n-1} -> C_n^k, so a p below zero is
-        # no chain failure there and is reported as it comes
-        rr = cohomology_rank(2, 2, 1, [Insertion(A2, "w"),
-                                       Insertion(AA, "w")],
-                             combine="stack")
-        assert rr == RankResult(q=5, p=-1, kernel_rank=0, image_rank=5)
 
 
 # -- cluster mutation -----------------------------------------------------

@@ -275,6 +275,36 @@ class TestReduceStepAgainstDirect:
             "window too small: " + text
 
 
+class TestLinearity:
+    """The step is linear in the fresh state, so directions summed at
+    one point act as the one direction whose state is their sum."""
+
+    @pytest.mark.parametrize("F", [
+        CorrelationFn(0, (ins(A, "z1"), ins(A2, "z2")), None, (-6, 3),
+                      boundary_states=(vacuum(), vacuum())),
+        CorrelationFn(0, (ins(AA, "z1"),), None, (-6, 3),
+                      boundary_states=(parse_state("1 + a"), A)),
+        CorrelationFn(1, (ins(A, "z1"), ins(AA, "z2")), None, (-4, 4),
+                      q_order=3),
+    ], ids=["g0-vacuum", "g0-boundary", "g1"])
+    @pytest.mark.parametrize("s1,s2", [
+        (A2, AA),
+        (A2 + AA, -AA),
+        (A2 + AA, -(A2 + AA)),
+    ], ids=["mixed-parity", "sum-a2", "cancelling"])
+    def test_step_of_a_sum_is_the_sum_of_steps(self, F, s1, s2):
+        one, two = (reduce_step(ins(s, "w"), F).value for s in (s1, s2))
+        both = reduce_step(ins(s1 + s2, "w"), F).value
+        assert one.c or two.c
+        assert (both.vars, both.window) == (one.vars, one.window) == \
+            (two.vars, two.window)
+        want = {k: one.c.get(k, 0) + two.c.get(k, 0)
+                for k in one.c.keys() | two.c.keys()}
+        assert both.c == {k: v for k, v in want.items() if v}
+        if (s1 + s2).is_zero():
+            assert both.is_zero()
+
+
 # -- genus 1, direct evaluation against closed forms ---------------------
 
 
