@@ -162,6 +162,7 @@ def _int_list(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flag groups that several commands share, each declared once
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
@@ -171,6 +172,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add float display fields next to the exact "
                              "values")
 
+    orders = argparse.ArgumentParser(add_help=False)  # npoint, residual
+    orders.add_argument("--qorder", type=_positive_int, default=4,
+                        help="q truncation order at genus 1 (default 4; at "
+                             f"most {QORDER_BUDGET})")
+    orders.add_argument("--zorder", type=_positive_int, default=4,
+                        help="mode window half-width per point (default 4; "
+                             f"at most {ZORDER_BUDGET}, and (2 zorder + "
+                             f"1)^generators at most {BOX_BUDGET})")
+
+    slice_flags = argparse.ArgumentParser(add_help=False)  # rank, euler
+    slice_flags.add_argument("--genus", type=int, choices=(0, 1), default=1)
+    slice_flags.add_argument("--window", type=_positive_int, default=4,
+                             help="mode window half-width (default 4; at "
+                                  f"most {ZORDER_BUDGET})")
+    slice_flags.add_argument("--qorder", type=_positive_int, default=4,
+                             help="q truncation order (default 4; at most "
+                                  f"{QORDER_BUDGET})")
+    slice_flags.add_argument("--boundary", type=_state_list,
+                             help="two comma-separated boundary states at "
+                                  "genus 0")
+
+    surface = argparse.ArgumentParser(add_help=False)  # schottky
+    surface.add_argument("-g", "--genus", type=_positive_int, required=True)
+    surface.add_argument("--coordinates", type=_int_list,
+                         help="comma-separated fixed points w_-1,w_1,...,"
+                              "w_-g,w_g (defaults: genus 1 -> 3,1; genus 2 "
+                              "-> 3,1,-2,6)")
+
     parser = argparse.ArgumentParser(
         prog="voasurf",
         description="Exact correlation function computations for the rank "
@@ -179,21 +208,27 @@ def build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", metavar="COMMAND",
                                    required=True)
 
-    ell = groups.add_parser("elliptic", help="Eisenstein series and "
-                            "Weierstrass kernels")
-    ell_sub = ell.add_subparsers(dest="sub", metavar="SUBCOMMAND",
-                                 required=True)
-    eis = ell_sub.add_parser("eisenstein", parents=[common],
-                             help="E_k(q) expansion")
+    def group(name, help):
+        return groups.add_parser(name, help=help).add_subparsers(
+            dest="sub", metavar="SUBCOMMAND", required=True)
+
+    def command(subparsers, name, run, help, *shared):
+        """Register one command: its name, its handler and the flag
+        groups it shares.  The report names it by its parser path."""
+        sub = subparsers.add_parser(name, parents=[common, *shared],
+                                    help=help)
+        sub.set_defaults(run=run)
+        return sub
+
+    ell = group("elliptic", "Eisenstein series and Weierstrass kernels")
+    eis = command(ell, "eisenstein", _run_eisenstein, "E_k(q) expansion")
     eis.add_argument("--k", type=_positive_int, required=True,
                      help="Eisenstein index (even, at least 2; at most "
                           f"{EISENSTEIN_INDEX_BUDGET})")
     eis.add_argument("--order", type=_positive_int, default=10,
                      help="q truncation order (default 10)")
-    eis.set_defaults(command="elliptic eisenstein")
 
-    pm = ell_sub.add_parser("pm", parents=[common],
-                            help="Weierstrass kernel P_m(z, q)")
+    pm = command(ell, "pm", _run_pm, "Weierstrass kernel P_m(z, q)")
     pm.add_argument("--m", type=_positive_int, required=True,
                     help=f"kernel index, 1 <= m <= {PM_INDEX_BUDGET}")
     pm.add_argument("--zorder", type=_positive_int, default=6,
@@ -202,53 +237,36 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--qorder", type=_positive_int, default=8,
                     help="q truncation order (default 8; with --zorder at "
                          f"most {PM_ORDER_BUDGET})")
-    pm.set_defaults(command="elliptic pm")
 
-    npoint = groups.add_parser(
-        "npoint", parents=[common],
-        help="n-point function at genus 0 or 1")
+    npoint = command(groups, "npoint", _run_npoint,
+                     "n-point function at genus 0 or 1", orders)
     npoint.add_argument("--genus", type=int, choices=(0, 1), required=True)
     npoint.add_argument("--insertions", type=_insertion_list, default=(),
                         help="comma-separated state@point list; empty for "
                              "the partition function")
-    npoint.add_argument("--qorder", type=_positive_int, default=4,
-                        help="q truncation order at genus 1 (default 4; "
-                             f"at most {QORDER_BUDGET})")
-    npoint.add_argument("--zorder", type=_positive_int, default=4,
-                        help="mode window half-width per point (default 4; "
-                             f"at most {ZORDER_BUDGET}, and (2 zorder + "
-                             f"1)^generators at most {BOX_BUDGET})")
     path = npoint.add_mutually_exclusive_group()
     path.add_argument("--reduce", dest="path", action="store_const",
                       const="reduce", help="iterate the reduction recursion "
                       "from the partition function (default)")
     path.add_argument("--oracle", dest="path", action="store_const",
                       const="oracle", help="brute-force mode expansion")
-    npoint.set_defaults(command="npoint", path="reduce")
+    npoint.set_defaults(path="reduce")
 
-    residual = groups.add_parser(
-        "residual", parents=[common],
-        help="reduction residual of a correlation function in one direction")
+    residual = command(groups, "residual", _run_residual,
+                       "reduction residual of a correlation function in one "
+                       "direction", orders)
     residual.add_argument("--genus", type=int, choices=(0, 1), default=1)
     residual.add_argument("--insertions", type=_insertion_list, default=(),
                           help="base correlation function insertions "
                                "(default: none, the partition function)")
     residual.add_argument("--direction", type=_insertion, required=True,
                           help="reduction direction as state@point")
-    residual.add_argument("--qorder", type=_positive_int, default=4,
-                          help="q truncation order at genus 1 (default 4; "
-                               f"at most {QORDER_BUDGET})")
-    residual.add_argument("--zorder", type=_positive_int, default=4,
-                          help="mode window half-width per point (default "
-                               f"4; at most {ZORDER_BUDGET}, and (2 zorder "
-                               f"+ 1)^generators at most {BOX_BUDGET})")
-    residual.set_defaults(command="residual")
 
-    g2 = groups.add_parser("genus2", help="epsilon-sewn two-torus surface")
-    g2_sub = g2.add_subparsers(dest="sub", metavar="SUBCOMMAND",
-                               required=True)
-    g2p = g2_sub.add_parser("partition", parents=[common],
-                            help="genus-2 partition function expansion")
+    # the two genus-2 commands default their orders differently, so each
+    # declares its own: parents share Action objects, defaults included
+    g2 = group("genus2", "epsilon-sewn two-torus surface")
+    g2p = command(g2, "partition", _run_g2_partition,
+                  "genus-2 partition function expansion")
     g2p.add_argument("--eps-order", type=_positive_int, default=4,
                      help="epsilon truncation order (default 4)")
     g2p.add_argument("--q1-order", type=_positive_int, default=6)
@@ -257,10 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="moment matrix cutoff, at least twice the epsilon "
                           "order (default 8); the Hafnian channel sum "
                           "builds no matrix, so no coefficient depends on it")
-    g2p.set_defaults(command="genus2 partition")
 
-    g2w = g2_sub.add_parser("pweier", parents=[common],
-                            help="generalized Weierstrass kernel")
+    g2w = command(g2, "pweier", _run_g2_pweier,
+                  "generalized Weierstrass kernel")
     g2w.add_argument("--p", type=_positive_int, required=True,
                      help="kernel weight (1 or 2)")
     g2w.add_argument("--j", type=_nonneg_int, default=0,
@@ -275,116 +292,73 @@ def build_parser() -> argparse.ArgumentParser:
     g2w.add_argument("-N", "--matrix-cutoff", type=_positive_int,
                      help="moment matrix cutoff (default: twice the epsilon "
                           "order)")
-    g2w.set_defaults(command="genus2 pweier")
 
-    sch = groups.add_parser("schottky", help="genus-g Schottky surface")
-    sch_sub = sch.add_subparsers(dest="sub", metavar="SUBCOMMAND",
-                                 required=True)
-    psi = sch_sub.add_parser("psi", parents=[common],
-                             help="dressed kernel Psi_p expansion")
+    sch = group("schottky", "genus-g Schottky surface")
+    psi = command(sch, "psi", _run_schottky_psi,
+                  "dressed kernel Psi_p expansion", surface)
     psi.add_argument("--p", type=_positive_int, required=True,
                      help="kernel weight, at most 3: the expansion's fixed "
                           "y window 0..4 must cover the degrees 0..2p-2 "
                           "of the seed's f-part")
-    psi.add_argument("-g", "--genus", type=_positive_int, required=True)
     psi.add_argument("--rho-order", type=_positive_int, default=2,
                      help="rho truncation order per handle (default 2; at "
                           f"most {RHO_ORDER_BUDGET}, and the genus times "
                           f"(the order + 1) at most "
                           f"{2 * (RHO_ORDER_BUDGET + 1)})")
-    psi.add_argument("--coordinates", type=_int_list,
-                     help="comma-separated fixed points w_-1,w_1,...,"
-                          "w_-g,w_g (defaults: genus 1 -> 3,1; genus 2 -> "
-                          "3,1,-2,6)")
     psi.add_argument("-N", "--matrix-cutoff", type=_positive_int,
                      help="moment matrix cutoff (default: max of twice the "
                           "rho order and 2p-1; at most "
                           f"{2 * RHO_ORDER_BUDGET}, the largest default: "
                           "a larger cutoff changes no coefficient)")
-    psi.set_defaults(command="schottky psi")
 
-    spart = sch_sub.add_parser("partition", parents=[common],
-                               help="genus-g partition handle sum")
-    spart.add_argument("-g", "--genus", type=_positive_int, required=True)
+    spart = command(sch, "partition", _run_schottky_partition,
+                    "genus-g partition handle sum", surface)
     spart.add_argument("--weight-cutoff", type=_positive_int, default=3,
                        help="weight cutoff per handle of the handle sum "
                             "(default 3; the channel count (p(0) + ... + "
                             "p(cutoff))^genus, p the partition numbers, at "
                             f"most {CHANNEL_BUDGET})")
-    spart.add_argument("--coordinates", type=_int_list,
-                       help="fixed points as for schottky psi")
-    spart.set_defaults(command="schottky partition")
 
-    coh = groups.add_parser("cohomology",
-                            help="reduction cohomology of graded slices")
+    coh = group("cohomology", "reduction cohomology of graded slices")
     direction_help = ("reduction direction state@point; a repeated "
                       "--direction adds its state at the first one's point")
-    window_help = ("mode window half-width (default 4; at most "
-                   f"{ZORDER_BUDGET})")
-    qorder_help = f"q truncation order (default 4; at most {QORDER_BUDGET})"
-    coh_sub = coh.add_subparsers(dest="sub", metavar="SUBCOMMAND",
-                                 required=True)
-    rank = coh_sub.add_parser("rank", parents=[common],
-                              help="chain, kernel, image and cohomology "
-                                   "ranks of one slice")
-    rank.add_argument("--genus", type=int, choices=(0, 1), default=1)
+    rank = command(coh, "rank", _run_cohomology_rank,
+                   "chain, kernel, image and cohomology ranks of one slice",
+                   slice_flags)
     rank.add_argument("-n", type=_nonneg_int, required=True,
                       help="number of insertion slots")
     rank.add_argument("-m", type=_nonneg_int, required=True,
                       help="total weight of the slice")
     rank.add_argument("--direction", type=_insertion, action="append",
                       required=True, help=direction_help)
-    rank.add_argument("--window", type=_positive_int, default=4,
-                      help=window_help)
-    rank.add_argument("--qorder", type=_positive_int, default=4,
-                      help=qorder_help)
-    rank.add_argument("--boundary", type=_state_list,
-                      help="two comma-separated boundary states at genus 0")
-    rank.set_defaults(command="cohomology rank")
 
-    euler = coh_sub.add_parser("euler", parents=[common],
-                               help="Euler-Poincare ledger over a weight "
-                                    "ladder")
-    euler.add_argument("--genus", type=int, choices=(0, 1), default=1)
+    euler = command(coh, "euler", _run_cohomology_euler,
+                    "Euler-Poincare ledger over a weight ladder", slice_flags)
     euler.add_argument("-m", type=_nonneg_int, required=True,
                        help="weight of the level-0 slice")
     euler.add_argument("-N", type=_nonneg_int, required=True, dest="levels",
                        help="top chain level of the ladder")
     euler.add_argument("--direction", type=_insertion, action="append",
                        help=f"{direction_help} (default a@w)")
-    euler.add_argument("--window", type=_positive_int, default=4,
-                       help=window_help)
-    euler.add_argument("--qorder", type=_positive_int, default=4,
-                       help=qorder_help)
-    euler.add_argument("--boundary", type=_state_list,
-                       help="two comma-separated boundary states at genus 0")
-    euler.set_defaults(command="cohomology euler")
 
-    cluster = groups.add_parser("cluster",
-                                help="cluster seed mutation checks")
-    cluster_sub = cluster.add_subparsers(dest="sub", metavar="SUBCOMMAND",
-                                         required=True)
-    check = cluster_sub.add_parser(
-        "check", parents=[common],
-        help="run a deterministic batch of double-mutation involution "
-             "trials")
+    cluster = group("cluster", "cluster seed mutation checks")
+    check = command(cluster, "check", _run_cluster_check,
+                    "run a deterministic batch of double-mutation involution "
+                    "trials")
     check.add_argument("--trials", type=_positive_int, default=60)
     check.add_argument("--seed", type=_nonneg_int, default=7,
                        help="random generator seed (default 7)")
     check.add_argument("--genus", type=int, choices=(0, 1),
                        help="restrict trials to one genus (default: both)")
-    check.set_defaults(command="cluster check")
 
-    golden = groups.add_parser(
-        "golden", parents=[common],
-        help="write or check the golden regression files for every "
-             "documented example command")
+    golden = command(groups, "golden", _run_golden,
+                     "write or check the golden regression files for every "
+                     "documented example command")
     golden.add_argument("--dir", default="tests/golden", metavar="PATH",
                         help="golden file directory (default tests/golden)")
     golden.add_argument("--check", action="store_true",
                         help="compare against the stored files instead of "
                              "rewriting them; exit 1 on any drift")
-    golden.set_defaults(command="golden")
 
     return parser
 
@@ -463,12 +437,11 @@ def _emit(payload: dict, ns: argparse.Namespace):
 
 
 def _run_eisenstein(ns: argparse.Namespace):
-    _check_budget("--k", ns.k, "index", EISENSTEIN_INDEX_BUDGET,
-                  "elliptic eisenstein")
+    _check_budget("--k", ns.k, "index", EISENSTEIN_INDEX_BUDGET, ns.command)
     from .elliptic import eisenstein
 
     ts = eisenstein(ns.k, ns.order)
-    return {"command": "elliptic eisenstein", "k": ns.k, "order": ns.order,
+    return {"command": ns.command, "k": ns.k, "order": ns.order,
             "pretty": ts.pretty(sep=""),
             "series": _series_payload(ts, ns.approx)}, 0
 
@@ -482,32 +455,32 @@ def _check_budget(flag: str, value: int, kind: str, budget: int,
                          f"{budget} of {command}")
 
 
-def _check_correlation_budgets(ns: argparse.Namespace, command: str,
-                               insertions: tuple, flags: str) -> None:
+def _check_correlation_budgets(ns: argparse.Namespace, insertions: tuple,
+                               flags: str) -> None:
     """The window, box and q-order budgets of npoint and residual."""
-    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, command)
+    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, ns.command)
     most = 0  # generators whose box (2 zorder + 1)^g fits the budget
     while (2 * ns.zorder + 1) ** (most + 1) <= BOX_BUDGET:
         most += 1
     _check_budget(f"the generator count of {flags} at --zorder {ns.zorder}",
                   sum(max(1, max(map(len, ins.state.t), default=0))
-                      for ins in insertions), "generator", most, command)
-    _check_budget("--qorder", ns.qorder, "order", QORDER_BUDGET, command)
+                      for ins in insertions), "generator", most, ns.command)
+    _check_budget("--qorder", ns.qorder, "order", QORDER_BUDGET, ns.command)
 
 
 def _run_pm(ns: argparse.Namespace):
-    _check_budget("--m", ns.m, "index", PM_INDEX_BUDGET, "elliptic pm")
+    _check_budget("--m", ns.m, "index", PM_INDEX_BUDGET, ns.command)
     _check_budget("--zorder + --qorder", ns.zorder + ns.qorder, "order",
-                  PM_ORDER_BUDGET, "elliptic pm")
+                  PM_ORDER_BUDGET, ns.command)
     from .elliptic import weierstrass_p
 
     ms = weierstrass_p(ns.m, ns.zorder, ns.qorder)
-    return {"command": "elliptic pm", "m": ns.m,
+    return {"command": ns.command, "m": ns.m,
             "series": _series_payload(ms, ns.approx)}, 0
 
 
 def _run_npoint(ns: argparse.Namespace):
-    _check_correlation_budgets(ns, "npoint", ns.insertions, "--insertions")
+    _check_correlation_budgets(ns, ns.insertions, "--insertions")
     from .reduction import direct, unwind_to_partition
     from .voa import render_state
 
@@ -519,7 +492,7 @@ def _run_npoint(ns: argparse.Namespace):
     else:
         F = unwind_to_partition(tuple(reversed(ns.insertions)), genus,
                                 window=window, q_order=q_order)
-    payload = {"command": "npoint", "genus": genus,
+    payload = {"command": ns.command, "genus": genus,
                "path": ns.path,
                "insertions": [str(i) for i in ns.insertions],
                "value": _series_payload(F.value, ns.approx)}
@@ -534,14 +507,18 @@ def _run_npoint(ns: argparse.Namespace):
 
 
 def _run_residual(ns: argparse.Namespace):
-    _check_correlation_budgets(ns, "residual",
-                               ns.insertions + (ns.direction,),
+    _check_correlation_budgets(ns, ns.insertions + (ns.direction,),
                                "--insertions and --direction")
-    from .reduction import direct, reduce_step
+    from .reduction import CorrelationFn, reduce_step
+    from .voa import vacuum
 
-    res = reduce_step(ns.direction, direct(
-        ns.genus, ns.insertions, (-ns.zorder, ns.zorder), ns.qorder)).value
-    return {"command": "residual", "genus": ns.genus,
+    # a step rebuilds its image from the insertions alone, so its input
+    # carries no value, only vacuum boundaries at genus 0
+    boundary = (vacuum(), vacuum()) if ns.genus == 0 else None
+    res = reduce_step(ns.direction, CorrelationFn(
+        ns.genus, ns.insertions, None, (-ns.zorder, ns.zorder), boundary,
+        ns.qorder)).value
+    return {"command": ns.command, "genus": ns.genus,
             "direction": str(ns.direction),
             "insertions": [str(i) for i in ns.insertions],
             "is_zero": res.is_zero(),
@@ -555,7 +532,7 @@ def _run_g2_partition(ns: argparse.Namespace):
     moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order,
                           ns.matrix_cutoff)
     ms = renamed(z2_partition(moduli), HALF_POWERS)
-    return {"command": "genus2 partition", "eps_order": ns.eps_order,
+    return {"command": ns.command, "eps_order": ns.eps_order,
             "matrix_cutoff": ns.matrix_cutoff,
             "q_shift": {"q1": "-1/24", "q2": "-1/24"},
             "series": _series_payload(ms, ns.approx)}, 0
@@ -570,7 +547,7 @@ def _run_g2_pweier(ns: argparse.Namespace):
     x_chart, y_chart = ns.charts
     ms = renamed(gen_weierstrass(ns.p, ns.j, x_chart, y_chart, moduli),
                  HALF_POWERS)
-    return {"command": "genus2 pweier", "p": ns.p, "j": ns.j,
+    return {"command": ns.command, "p": ns.p, "j": ns.j,
             "charts": [x_chart, y_chart],
             "eps_order": ns.eps_order, "matrix_cutoff": cutoff,
             "series": _series_payload(ms, ns.approx)}, 0
@@ -590,20 +567,20 @@ def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
 
 def _run_schottky_psi(ns: argparse.Namespace):
     _check_budget("--rho-order", ns.rho_order, "order", RHO_ORDER_BUDGET,
-                  "schottky psi")
+                  ns.command)
     _check_budget("the genus times (--rho-order + 1)",
                   ns.genus * (ns.rho_order + 1), "order",
-                  2 * (RHO_ORDER_BUDGET + 1), "schottky psi")
+                  2 * (RHO_ORDER_BUDGET + 1), ns.command)
     if ns.matrix_cutoff is not None:
         _check_budget("-N", ns.matrix_cutoff, "cutoff",
-                      2 * RHO_ORDER_BUDGET, "schottky psi")
+                      2 * RHO_ORDER_BUDGET, ns.command)
     from .schottky import psi_full
     from .sewing import renamed
 
     cutoff = ns.matrix_cutoff or max(2 * ns.rho_order, 2 * ns.p - 1)
     data = _schottky_data(ns, ns.rho_order, cutoff)
     ms = renamed(psi_full(ns.p, data), data.half_powers)
-    return {"command": "schottky psi", "p": ns.p, "genus": data.genus,
+    return {"command": ns.command, "p": ns.p, "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
             "rho_order": ns.rho_order, "matrix_cutoff": cutoff,
             "series": _series_payload(ms, ns.approx)}, 0
@@ -624,10 +601,9 @@ def _run_schottky_partition(ns: argparse.Namespace):
         if per_handle ** data.genus > CHANNEL_BUDGET:
             raise ValueError(
                 f"the channel count (p(0) + ... + p({cutoff}))^{data.genus} "
-                f"is over the channel budget {CHANNEL_BUDGET} of schottky "
-                "partition")
+                f"is over the channel budget {CHANNEL_BUDGET} of {ns.command}")
     ms = renamed(genus_g_partition(data, cutoff), data.half_powers)
-    return {"command": "schottky partition", "genus": data.genus,
+    return {"command": ns.command, "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
             "weight_cutoff": cutoff, "rho_order": cutoff,
             "matrix_cutoff": 2 * cutoff,
@@ -635,9 +611,10 @@ def _run_schottky_partition(ns: argparse.Namespace):
 
 
 def _direction_args(ns: argparse.Namespace):
-    """The --direction members at the first one's point, the direction
-    they act as (the step is linear in the state, so their sum) and the
-    mode window; a window or q-order over its budget is refused first."""
+    """The direction that the --direction members act as (the step is
+    linear in the state, so their sum at the first one's point), the mode
+    window and the report fields that rank and euler share; a window or
+    q-order over its budget is refused first."""
     _check_budget("--window", ns.window, "window", ZORDER_BUDGET, ns.command)
     _check_budget("--qorder", ns.qorder, "order", QORDER_BUDGET, ns.command)
     from .cohomology import direction_weight
@@ -648,41 +625,35 @@ def _direction_args(ns: argparse.Namespace):
         direction_weight(d)
     direction = first._replace(state=sum((d.state for d in rest),
                                          first.state))
-    return members, direction, (-ns.window, ns.window)
+    window = (-ns.window, ns.window)
+    return direction, window, {
+        "command": ns.command, "genus": ns.genus,
+        "direction": [str(d) for d in members],
+        "combine": "sum",  # always, so that reports read as before
+        "window": list(window), "qorder": ns.qorder,
+        "certified": "within window"}
 
 
 def _run_cohomology_rank(ns: argparse.Namespace):
     from .cohomology import cohomology_rank
 
-    members, direction, window = _direction_args(ns)
+    direction, window, payload = _direction_args(ns)
     result = cohomology_rank(ns.n, ns.m, ns.genus, direction, window=window,
                              q_order=ns.qorder, boundary=ns.boundary)
-    return {"command": "cohomology rank", "genus": ns.genus,
-            "n": ns.n, "m": ns.m,
-            "direction": [str(d) for d in members],
-            "combine": "sum",  # always, so that reports read as before
-            "window": list(window), "qorder": ns.qorder,
-            "q": result.q, "p": result.p,
-            "kernel_rank": result.kernel_rank,
-            "image_rank": result.image_rank,
-            "certified": "within window"}, 0
+    return payload | {"n": ns.n, "m": ns.m, "q": result.q, "p": result.p,
+                      "kernel_rank": result.kernel_rank,
+                      "image_rank": result.image_rank}, 0
 
 
 def _run_cohomology_euler(ns: argparse.Namespace):
     from .cohomology import euler_poincare
 
-    members, direction, window = _direction_args(ns)
+    direction, window, payload = _direction_args(ns)
     result = euler_poincare(ns.m, ns.levels, ns.genus, direction,
                             window=window, q_order=ns.qorder,
                             boundary=ns.boundary)
-    return {"command": "cohomology euler", "genus": ns.genus,
-            "m": ns.m, "N": ns.levels,
-            "direction": [str(d) for d in members],
-            "combine": "sum",  # as in cohomology rank
-            "window": list(window), "qorder": ns.qorder,
-            "total": result.total,
-            "ledger": [dict(row) for row in result.ledger],
-            "certified": "within window"}, 0
+    return payload | {"m": ns.m, "N": ns.levels, "total": result.total,
+                      "ledger": [dict(row) for row in result.ledger]}, 0
 
 
 def _random_state(rng):
@@ -736,7 +707,7 @@ def _run_cluster_check(ns: argparse.Namespace):
                            "states": [render_state(v) for v in states],
                            "xi": "support signs" if xi else "trivial",
                            "ok": ok})
-    payload = {"command": "cluster check", "trials": ns.trials,
+    payload = {"command": ns.command, "trials": ns.trials,
                "seed": ns.seed, "failures": failures,
                "involutive": failures == 0, "sample": sample}
     return payload, 0 if failures == 0 else 1
@@ -814,27 +785,11 @@ def _run_golden(ns: argparse.Namespace):
             os.makedirs(directory, exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(text)
-    payload = {"command": "golden",
+    payload = {"command": ns.command,
                "mode": "check" if checking else "write",
                "directory": directory, "files": files,
                "drifted": drifted}
     return payload, 0 if not drifted else 1
-
-
-_HANDLERS = {
-    "elliptic eisenstein": _run_eisenstein,
-    "elliptic pm": _run_pm,
-    "npoint": _run_npoint,
-    "residual": _run_residual,
-    "genus2 partition": _run_g2_partition,
-    "genus2 pweier": _run_g2_pweier,
-    "schottky psi": _run_schottky_psi,
-    "schottky partition": _run_schottky_partition,
-    "cohomology rank": _run_cohomology_rank,
-    "cohomology euler": _run_cohomology_euler,
-    "cluster check": _run_cluster_check,
-    "golden": _run_golden,
-}
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
@@ -848,6 +803,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         ns = parser.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if not exc.code else 2
+    # a command is named by its parser path, as in the reports
+    ns.command = f"{ns.group} {ns.sub}" if "sub" in ns else ns.group
     # Exact values print in full: the interpreter's cap on int/str
     # conversion (Python 3.11 and later) is lifted while the command
     # runs and renders.
@@ -856,7 +813,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        payload, code = _HANDLERS[ns.command](ns)
+        payload, code = ns.run(ns)
         _emit(payload, ns)
         return code
     except (ValueError, AssertionError, OSError) as exc:

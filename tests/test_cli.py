@@ -409,6 +409,22 @@ class TestCommandContent:
         assert terms[(-3, 1)] == "2"
         assert terms[(-4, 2)] == "3"
 
+    @pytest.mark.parametrize("genus", ["0", "1"])
+    def test_residual_runs_no_oracle(self, genus, capsys, monkeypatch):
+        # a reduction step rebuilds its image from the insertions, so
+        # residual hands it no brute-force value
+        def oracle(*args):
+            raise AssertionError("residual ran a brute-force oracle")
+
+        monkeypatch.setattr(reduction, "genus0_direct", oracle)
+        monkeypatch.setattr(reduction, "genus1_direct", oracle)
+        code, out, err = run(
+            ["residual", "--genus", genus, "--insertions", "a@z1,omega@z2",
+             "--direction", "a@w", "--qorder", "2", "--zorder", "2"],
+            capsys)
+        assert code == 0, err
+        assert json.loads(out)["is_zero"] is False
+
     def test_euler_total_vanishes(self, capsys):
         code, out, err = run(
             ["cohomology", "euler", "-m", "1", "-N", "2", "--genus", "0",
