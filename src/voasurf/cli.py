@@ -44,6 +44,15 @@ DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
 # 3000.
 EISENSTEIN_INDEX_BUDGET = 2000
 
+# Largest --order that elliptic eisenstein accepts, and the largest --k
+# times --order: the sieve and the printed terms grow linearly with the
+# order, and each term's digits with k.  In fresh processes on a 2-core
+# VM, --k 4 --order 100000 takes 1.4 s (149 MiB), --k 2000 --order 200
+# 1.0-1.5 s and --k 2 --order 200000 2.8 s, while --k 400 --order
+# 100000 runs past 20 s.
+EISENSTEIN_ORDER_BUDGET = 100000
+EISENSTEIN_TERMS_BUDGET = 4 * EISENSTEIN_ORDER_BUDGET
+
 # Largest --zorder + --qorder that elliptic pm accepts.  The kernel
 # needs E_k for m <= k <= zorder + m, each to q-order, so work and output
 # grow with both: on a 2-core machine (Python 3.11) the worst split at
@@ -96,11 +105,21 @@ RHO_ORDER_BUDGET = 7
 
 # Largest channel count (p(0) + ... + p(cutoff))^g that schottky
 # partition accepts: its handle sum visits one dual-basis channel per
-# handle and weight.  In fresh processes on the machine above, g = 2 at
-# cutoff 7 (2025 channels) takes 4.2 s, g = 3 at 4 (1728) 4.9 s and g = 5
-# at 2 (1024) 5.0 s; g = 4 at 3 (2401) takes 11.9 s, g = 2 at 8 (4489)
-# 15 s, and g = 2 at 9 (9409) runs past 30 s.
-CHANNEL_BUDGET = 2025
+# handle and weight, and sums each genus-zero value over integer Wick
+# matchings.  The matchings of one value grow with its 2g points, so
+# above genus CHANNEL_GENUS the count is weighted by g / CHANNEL_GENUS.
+# In fresh processes on a 2-core VM, g = 2 at cutoff 8 (4489 channels)
+# takes 1.1 s, g = 1 at 21 (3506) 0.4 s, g = 4 at 3 (2401) 0.8 s and
+# g = 10 at 1 (1024, weighted 2560) 0.7 s; refused are g = 2 at 9
+# (9409), g = 6 at 2 (4096, weighted 6144), 2.4 s, and g = 12 at 1
+# (4096, weighted 12288), 7.2 s.
+CHANNEL_BUDGET = 4489
+CHANNEL_GENUS = 4
+
+# Largest --trials that cluster check accepts: each trial builds and
+# mutates one seed, so the batch grows linearly, 2.2-2.8 s at the budget
+# on the machine above.
+TRIALS_BUDGET = 2000
 
 
 # -- flag grammar ----------------------------------------------------------
@@ -226,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Eisenstein index (even, at least 2; at most "
                           f"{EISENSTEIN_INDEX_BUDGET})")
     eis.add_argument("--order", type=_positive_int, default=10,
-                     help="q truncation order (default 10)")
+                     help="q truncation order (default 10; at most "
+                          f"{EISENSTEIN_ORDER_BUDGET}, and --k times the "
+                          f"order at most {EISENSTEIN_TERMS_BUDGET})")
 
     pm = command(ell, "pm", _run_pm, "Weierstrass kernel P_m(z, q)")
     pm.add_argument("--m", type=_positive_int, required=True,
@@ -317,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weight cutoff per handle of the handle sum "
                             "(default 3; the channel count (p(0) + ... + "
                             "p(cutoff))^genus, p the partition numbers, at "
-                            f"most {CHANNEL_BUDGET})")
+                            f"most {CHANNEL_BUDGET}, times genus/"
+                            f"{CHANNEL_GENUS} above genus {CHANNEL_GENUS})")
 
     coh = group("cohomology", "reduction cohomology of graded slices")
     direction_help = ("reduction direction state@point; a repeated "
@@ -345,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = command(cluster, "check", _run_cluster_check,
                     "run a deterministic batch of double-mutation involution "
                     "trials")
-    check.add_argument("--trials", type=_positive_int, default=60)
+    check.add_argument("--trials", type=_positive_int, default=60,
+                       help=f"number of trials (default 60; at most "
+                            f"{TRIALS_BUDGET})")
     check.add_argument("--seed", type=_nonneg_int, default=7,
                        help="random generator seed (default 7)")
     check.add_argument("--genus", type=int, choices=(0, 1),
@@ -438,6 +462,10 @@ def _emit(payload: dict, ns: argparse.Namespace):
 
 def _run_eisenstein(ns: argparse.Namespace):
     _check_budget("--k", ns.k, "index", EISENSTEIN_INDEX_BUDGET, ns.command)
+    _check_budget("--order", ns.order, "order", EISENSTEIN_ORDER_BUDGET,
+                  ns.command)
+    _check_budget("--k times --order", ns.k * ns.order, "term",
+                  EISENSTEIN_TERMS_BUDGET, ns.command)
     from .elliptic import eisenstein
 
     ts = eisenstein(ns.k, ns.order)
@@ -598,10 +626,14 @@ def _run_schottky_partition(ns: argparse.Namespace):
     per_handle = 0  # p(0) + ... + p(m); stops once over budget
     for m in range(cutoff + 1):
         per_handle += len(basis(m))
-        if per_handle ** data.genus > CHANNEL_BUDGET:
+        if (per_handle ** data.genus * max(data.genus, CHANNEL_GENUS)
+                > CHANNEL_BUDGET * CHANNEL_GENUS):
+            weighted = (f" times {data.genus}/{CHANNEL_GENUS}"
+                        if data.genus > CHANNEL_GENUS else "")
             raise ValueError(
-                f"the channel count (p(0) + ... + p({cutoff}))^{data.genus} "
-                f"is over the channel budget {CHANNEL_BUDGET} of {ns.command}")
+                f"the channel count (p(0) + ... + p({cutoff}))^{data.genus}"
+                f"{weighted} is over the channel budget {CHANNEL_BUDGET} of "
+                f"{ns.command}")
     ms = renamed(genus_g_partition(data, cutoff), data.half_powers)
     return {"command": ns.command, "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
@@ -675,6 +707,7 @@ def _random_state(rng):
 
 
 def _run_cluster_check(ns: argparse.Namespace):
+    _check_budget("--trials", ns.trials, "trial", TRIALS_BUDGET, ns.command)
     import random
 
     from .cohomology import ClusterSetting, involution_check, make_seed

@@ -25,6 +25,13 @@ The same-chart Weierstrass kernel keeps only the pole of P_{j+1}(x - y):
 expanded in |x| > |y| it has x-horizon -(j+1), and the regular part, a
 polynomial in x - y, lies above it and is never built.
 
+The objects that depend on the moduli alone are built once per
+process and shared: ``lambda_tilde``, the dressed row ``q_row``, the
+column ``p_column`` and the elliptic function ``_pm`` are memoized on
+their arguments, since a batch of kernels and reductions on one surface
+asks for the same few of them again and again.  Their callers only read
+them; no caller mutates a memoized matrix, row or series.
+
 Infinite matrices are truncated at ``matrix_cutoff`` rows and columns.
 Every entry of the moment matrix at index (m, n) carries se-order
 m + n at least, so with matrix_cutoff >= 2 * eps_order no discarded
@@ -33,7 +40,7 @@ the moduli, not assumed.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -161,6 +168,7 @@ def s_conjugated_a_entry(a: int, m: int, n: int,
     return _eis(k, a, moduli) * MultiSeries.monomial({"se": k}, coeff)
 
 
+@lru_cache(maxsize=None)
 def lambda_tilde(a: int, p: int, moduli: SewingModuli) -> SeriesMatrix:
     """Lambda_a Delta, i.e. entry (m, n) -> Lambda_a(m, n + 2p - 2)."""
     N = moduli.matrix_cutoff
@@ -204,6 +212,7 @@ def neumann_inverse(M: SeriesMatrix, moduli: SewingModuli,
 # -- rows and columns of elliptic data ------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _pm(m: int, chart: int, var: str, moduli: SewingModuli) -> MultiSeries:
     """P_m(z, tau_chart) in the point variable ``var``."""
     ms = weierstrass_p(m, _Z_ORDER, _q_order(chart, moduli),
@@ -236,6 +245,7 @@ def r_row(x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def p_column(j: int, y_chart: int, moduli: SewingModuli) -> dict:
     """PP_{j+1}(y; m) = eps^(m/2) C(m+j-1, j) (P_{j+m}(y) - d_{j0} E_m)."""
     out = {}
@@ -247,6 +257,7 @@ def p_column(j: int, y_chart: int, moduli: SewingModuli) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def q_row(p: int, x_chart: int, xvar: str, moduli: SewingModuli) -> dict:
     """Q(p; x) = R(x) Delta (1 - Ltilde_abar Ltilde_a)^-1 for x on
     chart a, entry n cut at its reach se <= se_order - n: every factor

@@ -38,12 +38,21 @@ derivative currents, so a vacuum correlation value is a sum over
 complete cross-point matchings of derivative propagators.  That closed
 form is what lets handle sums be evaluated at rational points instead
 of in yet another formal variable.
+
+The matching sums run in ints.  For one points tuple, with d the
+points' common denominator, n_i = d w_i and L = lcm |n_i - n_j|, a pair
+of legs (i, k), (j, k') weighs an integer times (L / (n_i - n_j))^(k +
+k'), so a complete matching weighs (d / L)^K times an integer, K the
+sum of every leg's k, and the integer sum is scaled once.  Memoized for
+the life of the process: the int table and d / L of each points tuple
+together with one dict of matching sums keyed on the legs alone
+(``_wick``), the pair weights and the dual bases of the channels.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from . import sewing
@@ -61,40 +70,66 @@ def _rational(x) -> Fraction:
     return Fraction(rat(x))
 
 
-def _pair_weight(k: int, kp: int) -> Fraction:
+@lru_cache(maxsize=None)
+def _pair_weight(k: int, kp: int) -> int:
     """Contraction of the (k-1)-th and (kp-1)-th normalized current
-    derivatives, without the (z - w)^-(k+kp) factor."""
-    return Fraction((-1) ** (k - 1) * factorial(k + kp - 1),
-                    factorial(k - 1) * factorial(kp - 1))
+    derivatives, without the (z - w)^-(k+kp) factor: an integer."""
+    return ((-1) ** (k - 1) * factorial(k + kp - 1)
+            // (factorial(k - 1) * factorial(kp - 1)))
+
+
+class _Wick(NamedTuple):
+    """The integer form of one points tuple: with d the points' common
+    denominator, n_i = d w_i and L = lcm |n_i - n_j|, the table
+    ``t[i][j]`` = L / (n_i - n_j), the scale d / L, and the matching
+    memo keyed on the legs alone."""
+
+    t: tuple
+    scale: Fraction
+    memo: dict
 
 
 @lru_cache(maxsize=None)
-def _matchings(legs: tuple, points: tuple):
+def _wick(points: tuple) -> _Wick:
+    d = lcm(*(w.denominator for w in points))
+    n = [int(w * d) for w in points]
+    L = lcm(*(a - b for a in n for b in n if a != b))
+    return _Wick(tuple(tuple(L // (a - b) if a != b else 0 for b in n)
+                       for a in n), Fraction(d, L), {(): 1})
+
+
+def _matchings(legs: tuple, wick: _Wick) -> int:
     """The sum over complete matchings of the legs (point, derivative)
-    that pair distinct points.  Memoized: the same leftover legs recur
-    across the matchings of one monomial and across the channels of a
-    handle sum."""
-    if not legs:
-        return 1
+    that pair distinct points, each pair (i, k), (j, kp) weighing
+    ``_pair_weight(k, kp)`` t[i][j]^(k + kp): an integer, memoized in
+    ``wick.memo``, since the same leftover legs recur across the
+    matchings of one monomial and across the channels of a handle
+    sum."""
+    total = wick.memo.get(legs)
+    if total is not None:
+        return total
     i, k = legs[0]
+    row = wick.t[i]
     total = 0
-    for t in range(1, len(legs)):
-        j, kp = legs[t]
-        if j == i:
-            continue
-        rest = legs[1:t] + legs[t + 1:]
-        total += (_pair_weight(k, kp)
-                  / (points[i] - points[j]) ** (k + kp)
-                  * _matchings(rest, points))
+    for s in range(1, len(legs)):
+        j, kp = legs[s]
+        if j != i:
+            total += (_pair_weight(k, kp) * row[j] ** (k + kp)
+                      * _matchings(legs[1:s] + legs[s + 1:], wick))
+    wick.memo[legs] = total
     return total
 
 
-@lru_cache(maxsize=None)
-def _monomial_value(monomials: tuple, points: tuple):
+def _monomial_value(monomials: tuple, wick: _Wick):
+    """The matching sum of one basis monomial per point: each matching
+    weighs (d / L)^K times its integer weight, K the sum of every leg's
+    derivative order, so the integer sum is scaled once."""
     legs = tuple((i, k) for i, parts in enumerate(monomials) for k in parts)
     if len(legs) % 2:
         return 0
-    return _matchings(legs, points)
+    total = _matchings(legs, wick)
+    K = sum(k for _, k in legs)
+    return total * wick.scale ** K if K else total
 
 
 def genus0_rational_value(states, points):
@@ -110,11 +145,13 @@ def genus0_rational_value(states, points):
         raise ValueError("insertion points must be pairwise distinct")
     if len(pts) != len(states):
         raise ValueError("one point per state")
+    wick = _wick(pts)
     total = 0
     for combo in product(*(tuple(s.t.items()) for s in states)):
         coeff = prod(c for _, c in combo)
         if coeff:
-            total += coeff * _monomial_value(tuple(st for st, _ in combo), pts)
+            total += coeff * _monomial_value(tuple(st for st, _ in combo),
+                                             wick)
     return total
 
 

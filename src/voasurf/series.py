@@ -275,9 +275,12 @@ class MultiSeries:
         """The product; ``caps`` maps variables to a cap on the result's
         horizon (None caps nothing), and the result covers them too."""
         if not isinstance(other, MultiSeries):
-            s = rat(other)
+            s = rat(other)  # an int when integral, so +-1 keeps v's type
             out = MultiSeries(self.vars, self.window)
-            if s != 0:
+            if s in (1, -1):
+                out.c = dict(self.c) if s == 1 else {
+                    k: -v for k, v in self.c.items()}
+            elif s != 0:
                 out.c = {k: v * s for k, v in self.c.items()}
             return out
         caps = caps or {}
@@ -289,17 +292,25 @@ class MultiSeries:
             hi = _min_hi(_add_hi(ha, lb), _add_hi(hb, la))
             window[v] = (la + lb, _min_hi(hi, caps.get(v)))
         out = MultiSeries(allvars, window)
-        if any(lo > hi for lo, hi in window.values() if hi is not None):
+        if not a.c or not b.c or any(
+                lo > hi for lo, hi in window.values() if hi is not None):
             return out  # every term lies at or above lo: none fits
-        his = [(i, window[v][1]) for i, v in enumerate(allvars)
-               if window[v][1] is not None]
         if len(a.c) > len(b.c):
             a, b = b, a
+        his = [(i, window[v][1]) for i, v in enumerate(allvars)
+               if window[v][1] is not None]
+        top = list(map(max, zip(*b.c))) if his else ()  # b's, per variable
         for k1, v1 in a.c.items():
-            # one left term scales and shifts b, its keys staying distinct
-            room = [(i, h - k1[i]) for i, h in his]
-            terms = {tuple(map(add, k1, k2)): v1 * v2 for k2, v2 in b.c.items()
-                     if all(k2[i] <= r for i, r in room)}
+            # one left term scales and shifts b, its keys staying distinct;
+            # only a variable whose room is below b's top exponent cuts,
+            # and an int +-1 copies or negates (v1 * v2 has v2's type)
+            room = [(i, h - k1[i]) for i, h in his if top[i] > h - k1[i]]
+            kept = b.c.items() if not room else [
+                (k2, v2) for k2, v2 in b.c.items()
+                if all(k2[i] <= r for i, r in room)]
+            unit = type(v1) is int and v1 in (1, -1)
+            terms = {tuple(map(add, k1, k2)): (v2 if v1 == 1 else -v2)
+                     if unit else v1 * v2 for k2, v2 in kept}
             out.c = _merge(out.c, terms) if out.c else terms
         return out
 

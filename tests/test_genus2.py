@@ -427,6 +427,55 @@ class TestGenWeierstrass:
                             assert k.agrees_with(deeper), (p, j, charts, e)
 
 
+MEMOIZED = ("q_row", "lambda_tilde", "p_column", "_pm")
+
+
+def exact(value):
+    """A memoized value as plain data: a series as its variables,
+    windows and typed coefficients, a row or column entry by entry, a
+    matrix with its indices."""
+    if isinstance(value, MultiSeries):
+        return value.vars, value.window, typed(value)
+    if isinstance(value, dict):
+        return {k: exact(e) for k, e in value.items()}
+    return value.indices, exact(value.entries)
+
+
+class TestMemoizedMaps:
+    """The moduli-only rows, columns and matrices are built once and
+    shared; no caller may change them."""
+
+    def test_shared_values_equal_a_fresh_build(self):
+        moduli = SewingModuli(4, 4, 2, 4)
+        for name in MEMOIZED:
+            getattr(genus2, name).cache_clear()
+        for p in (1, 2):
+            for charts in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                for j in range(3):
+                    gen_weierstrass(p, j, *charts, moduli)
+        Z2 = z2_partition(moduli)
+        for v in (generator(), conformal_vector_tilde()):
+            genus2_reduce(Insertion(v, "x"), Z2, moduli)
+        # each map was read again after its first build
+        assert all(getattr(genus2, name).cache_info().hits
+                   for name in MEMOIZED)
+        calls = {
+            "q_row": [(p, a, "x", moduli) for p in (1, 2) for a in (1, 2)],
+            "lambda_tilde": [(a, p, moduli) for a in (1, 2) for p in (1, 2)],
+            "p_column": [(j, a, moduli) for j in range(3) for a in (1, 2)],
+            "_pm": [(m, a, var, moduli) for m in range(1, 6)
+                    for a in (1, 2) for var in ("x", "y")],
+        }
+        shared = {name: [exact(getattr(genus2, name)(*args))
+                         for args in calls[name]] for name in MEMOIZED}
+        for name in MEMOIZED:
+            getattr(genus2, name).cache_clear()
+        for name in MEMOIZED:
+            fresh = [exact(getattr(genus2, name)(*args))
+                     for args in calls[name]]
+            assert fresh == shared[name], name
+
+
 class TestReduce:
     def test_vacuum_direction_is_the_identity(self):
         Z2 = z2_partition(MOD)

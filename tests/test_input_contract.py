@@ -93,10 +93,47 @@ class TestEisensteinBudget:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("k,order,message", [
+        ("4", "100001", "--order is 100001, over the order budget 100000"),
+        ("12", "40000",
+         "--k times --order is 480000, over the term budget 400000"),
+        ("2000", "201",
+         "--k times --order is 402000, over the term budget 400000"),
+    ])
+    def test_order_over_budget_is_refused(self, k, order, message):
+        start = time.monotonic()
+        proc = run_cli("elliptic", "eisenstein", "--k", k, "--order", order)
+        assert time.monotonic() - start < 2
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_help_states_the_budget(self):
         proc = run_cli("elliptic", "eisenstein", "--help")
         assert proc.returncode == 0
-        assert "at most 2000" in proc.stdout
+        text = " ".join(proc.stdout.split())
+        assert "at most 2000" in text
+        assert ("at most 100000, and --k times the order at most 400000"
+                in text)
+
+
+class TestClusterTrialsBudget:
+    def test_trials_over_budget_are_refused(self):
+        start = time.monotonic()
+        proc = run_cli("cluster", "check", "--trials", "100000000")
+        assert time.monotonic() - start < 2
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert ("--trials is 100000000, over the trial budget 2000 of "
+                "cluster check") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_help_states_the_budget(self):
+        proc = run_cli("cluster", "check", "--help")
+        assert proc.returncode == 0
+        assert "at most 2000" in " ".join(proc.stdout.split())
 
 
 # Hostile command lines, the file-writing ones among them, each pointed
@@ -135,6 +172,13 @@ HOSTILE_ARGV = {
                                     "-N", "120"],
     "schottky_channels_over_budget": ["schottky", "partition", "-g", "2",
                                       "--weight-cutoff", "9"],
+    "schottky_channels_weighted_over_budget": [
+        "schottky", "partition", "-g", "12", "--weight-cutoff", "1",
+        "--coordinates", ",".join(str(w) for w in range(1, 25))],
+    "eisenstein_order_over_budget": ["elliptic", "eisenstein", "--k", "4",
+                                     "--order", "2000000"],
+    "cluster_trials_over_budget": ["cluster", "check", "--trials",
+                                   "100000000"],
 }
 
 
@@ -171,7 +215,10 @@ class TestSchottkyPsiLimits:
          "-N is 120, over the cutoff budget 14 of schottky psi"),
         ("schottky_channels_over_budget",
          "the channel count (p(0) + ... + p(9))^2 is over the channel "
-         "budget 2025 of schottky partition"),
+         "budget 4489 of schottky partition"),
+        ("schottky_channels_weighted_over_budget",
+         "the channel count (p(0) + ... + p(1))^12 times 12/4 is over the "
+         "channel budget 4489 of schottky partition"),
     ])
     def test_refused_before_any_work(self, name, message):
         start = time.monotonic()
@@ -192,7 +239,8 @@ class TestSchottkyPsiLimits:
         assert "at most 14" in text
         proc = run_cli("schottky", "partition", "--help")
         assert proc.returncode == 0
-        assert "at most 2025" in " ".join(proc.stdout.split())
+        assert ("at most 4489, times genus/4 above genus 4"
+                in " ".join(proc.stdout.split()))
 
 
 class TestSchottkyCoordinates:

@@ -238,6 +238,7 @@ def test_q_row_never_builds_above_its_reach(monkeypatch, orders, p, a):
 
     monkeypatch.setattr(genus2, "neumann_inverse", recording)
     products = Products(monkeypatch)
+    genus2.q_row.cache_clear()  # a memoized row would dress nothing here
     genus2.q_row(p, a, "x", moduli)
     (M, out, seen), = dressed
     index = {id(e): n for (_, n), e in M.entries.items()}

@@ -12,8 +12,11 @@ amplitudes, which is the identity the whole construction exists to
 realize.
 """
 
+import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +161,117 @@ class TestGenus0Values:
                 rhs += (y - yk) ** (-1 - j) * genus0_rational_value(
                     mod, [p for _, p in ins])
         assert lhs == rhs
+
+
+# -- the integer matching sums against the Fraction recursion ---------------
+
+
+def fraction_pair_weight(k, kp):
+    return Fraction((-1) ** (k - 1) * factorial(k + kp - 1),
+                    factorial(k - 1) * factorial(kp - 1))
+
+
+@lru_cache(maxsize=None)
+def fraction_matchings(legs, points):
+    """The matching sum with one Fraction propagator per pair: the
+    recursion the integer sums replace."""
+    if not legs:
+        return 1
+    i, k = legs[0]
+    total = 0
+    for t in range(1, len(legs)):
+        j, kp = legs[t]
+        if j == i:
+            continue
+        rest = legs[1:t] + legs[t + 1:]
+        total += (fraction_pair_weight(k, kp)
+                  / (points[i] - points[j]) ** (k + kp)
+                  * fraction_matchings(rest, points))
+    return total
+
+
+def fraction_genus0_value(states, points):
+    pts = tuple(Fraction(p) for p in points)
+    total = 0
+    for combo in product(*(tuple(s.t.items()) for s in states)):
+        coeff = prod(c for _, c in combo)
+        legs = tuple((i, k) for i, (parts, _) in enumerate(combo)
+                     for k in parts)
+        if coeff and len(legs) % 2 == 0:
+            total += coeff * fraction_matchings(legs, pts)
+    return total
+
+
+def random_states(rng, n):
+    """n random Fock states of weight at most 4, some of them sums of
+    two basis monomials with rational coefficients."""
+    out = []
+    for _ in range(n):
+        v = GradedVector({})
+        for _ in range(rng.randint(1, 2)):
+            part = rng.choice([lam for w in range(1, 5) for lam in basis(w)])
+            v = v + GradedVector.basis_state(part) * F(rng.randint(-5, 5),
+                                                       rng.randint(1, 3))
+        out.append(v if not v.is_zero() else A)
+    return out
+
+
+class TestIntegerMatchings:
+    """``genus0_rational_value`` sums its matchings in ints and scales
+    once; each case must equal the Fraction recursion exactly."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rational_points(self, seed):
+        # a negative point and a non-integral one among 2 to 5
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+        pts = {F(-rng.randint(1, 30), rng.randint(1, 7)),
+               F(2 * rng.randint(-9, 9) + 1, 2)}
+        while len(pts) < n:
+            pts.add(F(rng.randint(-30, 30), rng.randint(1, 7)))
+        pts = sorted(pts, key=lambda _: rng.random())
+        states = random_states(rng, n)
+        assert genus0_rational_value(states, pts) == \
+            fraction_genus0_value(states, pts)
+
+    @pytest.mark.parametrize("pts", [
+        [F(-3), F(-1), F(1), F(3)],               # equal differences
+        [F(-1, 2), F(0), F(1, 2), F(1)],
+        [F(-7, 3), F(-4, 3), F(-1, 3), F(2, 3), F(5, 3)],
+    ], ids=["integers", "halves", "thirds"])
+    def test_equal_pairwise_differences(self, pts):
+        rng = random.Random(len(pts))
+        for _ in range(4):
+            states = random_states(rng, len(pts))
+            assert genus0_rational_value(states, pts) == \
+                fraction_genus0_value(states, pts)
+
+    def test_odd_leg_counts(self):
+        # weight-odd monomials: the odd ones vanish, the even ones mix
+        pts = [F(-5, 2), F(1, 3), F(4)]
+        cases = [[A, A, state(2)], [A, state(1, 1), A],
+                 [state(1, 2), state(3), A + state(1, 1)]]
+        for states in cases:
+            assert genus0_rational_value(states, pts) == \
+                fraction_genus0_value(states, pts)
+        assert genus0_rational_value(cases[0], pts) == 0
+        assert fraction_genus0_value(cases[2], pts) != 0
+
+    @pytest.mark.parametrize("genus,cutoff,coords", [
+        (2, 5, (3, 1, -2, 6)),
+        (3, 3, (3, 1, -2, 6, 10, -7)),
+    ], ids=["g2", "g3"])
+    def test_partition_equals_fraction_sums(self, monkeypatch, genus, cutoff,
+                                            coords):
+        data = SchottkyData(genus, coords, cutoff, 2 * cutoff)
+        got = genus_g_partition(data, cutoff)
+        monkeypatch.setattr(schottky, "genus0_rational_value",
+                            fraction_genus0_value)
+        want = genus_g_partition(data, cutoff)
+        assert got.vars == want.vars and got.window == want.window
+        assert {k: (type(c), c) for k, c in got.c.items()} == \
+            {k: (type(c), c) for k, c in want.c.items()}
+        assert len(got.c) > 10
 
 
 # -- the kernel seed ---------------------------------------------------------

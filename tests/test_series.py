@@ -1,13 +1,15 @@
 """Series substrate tests: windows, ring laws, printing."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from voasurf import sewing
 from voasurf.reduction import _add_shifted, _expand_geometric
-from voasurf.series import MultiSeries, TruncatedSeries, binomial_expand
+from voasurf.series import (MultiSeries, TruncatedSeries, _merge,
+                            binomial_expand, rat)
 
 from test_elliptic import expand_exp
 
@@ -243,6 +245,101 @@ class TestProductsAgainstTheDoubleLoop:
         spec = {"base": ("x", "y", "z"), "names": {"x": "X", "z": "Z"},
                 "hi": hi}
         assert_same(sewing.clip(a, b, **spec), sewing.clip(a * b, **spec))
+
+
+# -- the product's shortcuts against its generic loop ------------------------
+
+
+def generic_mul(self, other, caps=None):
+    """``MultiSeries.__mul__`` without its shortcuts: every scalar
+    multiplies, and every left term filters b at every capped
+    variable and multiplies each coefficient."""
+    if not isinstance(other, MultiSeries):
+        s = rat(other)
+        out = MultiSeries(self.vars, self.window)
+        if s != 0:
+            out.c = {k: v * s for k, v in self.c.items()}
+        return out
+    caps = caps or {}
+    allvars = tuple(sorted(set(self.vars) | set(other.vars) | set(caps)))
+    a, b = self.extended_to(allvars), other.extended_to(allvars)
+    window = {}
+    for v in allvars:
+        (la, ha), (lb, hb) = a.window[v], b.window[v]
+        hi = _min_hi(None if ha is None else ha + lb,
+                     None if hb is None else hb + la)
+        window[v] = (la + lb, _min_hi(hi, caps.get(v)))
+    out = MultiSeries(allvars, window)
+    if any(lo > hi for lo, hi in window.values() if hi is not None):
+        return out
+    his = [(i, window[v][1]) for i, v in enumerate(allvars)
+           if window[v][1] is not None]
+    if len(a.c) > len(b.c):
+        a, b = b, a
+    for k1, v1 in a.c.items():
+        room = [(i, h - k1[i]) for i, h in his]
+        terms = {tuple(map(add, k1, k2)): v1 * v2 for k2, v2 in b.c.items()
+                 if all(k2[i] <= r for i, r in room)}
+        out.c = _merge(out.c, terms) if out.c else terms
+    return out
+
+
+# int +-1, other ints, integral Fractions (which arithmetic still makes)
+# and proper fractions
+typed = st.one_of(st.sampled_from([1, -1, 1, -1, 2, -3]),
+                  st.integers(-3, 3).filter(bool).map(Fraction),
+                  st.sampled_from([Fraction(1), Fraction(-1)]),
+                  rational.filter(bool))
+
+
+@st.composite
+def typed_series(draw, max_terms=4):
+    """A ``multiseries`` whose coefficients keep the type drawn, an
+    integral Fraction included: possibly empty or one-term."""
+    ms = draw(multiseries(max_terms=max_terms))
+    ms.c = {k: draw(typed) for k in ms.c}
+    return ms
+
+
+def exact(ms):
+    return ms.vars, ms.window, {k: (type(c), c) for k, c in ms.c.items()}
+
+
+class TestProductShortcuts:
+    @given(typed_series(), typed_series(), caps_strategy)
+    @settings(max_examples=300)
+    def test_products(self, a, b, caps):
+        assert exact(a.__mul__(b, caps)) == exact(generic_mul(a, b, caps))
+
+    @given(typed_series(max_terms=1), typed_series(), st.integers(-2, 2))
+    @settings(max_examples=200)
+    def test_one_term_factors_with_caps_that_cut(self, a, b, delta):
+        natural = (a * b).window
+        caps = {v: hi + delta for v, (lo, hi) in natural.items()
+                if hi is not None}
+        for x, y in ((a, b), (b, a)):
+            assert exact(x.__mul__(y, caps)) == exact(generic_mul(x, y, caps))
+
+    @given(typed_series(), st.one_of(
+        typed, st.sampled_from([0, Fraction(0), Fraction(2, 2)])))
+    def test_scalars(self, a, s):
+        assert exact(a * s) == exact(generic_mul(a, s))
+        assert exact(s * a) == exact(generic_mul(a, s))
+
+    def test_cases_reach_every_shortcut(self):
+        one = MultiSeries.monomial({"x": 1})
+        minus = MultiSeries.monomial({"x": 0}, -1)
+        b = MultiSeries(("x",), {"x": (0, 4)},
+                        {(0,): Fraction(1, 2), (3,): 2})
+        b.c[(4,)] = Fraction(3)
+        empty = MultiSeries(("x",), {"x": (0, None)})
+        for x, y, caps in ((one, b, None), (minus, b, None),
+                           (one, b, {"x": 3}), (empty, b, None),
+                           (b, empty, {"x": 2})):
+            assert exact(x.__mul__(y, caps)) == exact(generic_mul(x, y, caps))
+        assert type((minus * b).c[(4,)]) is Fraction
+        for s in (1, -1, Fraction(-1), Fraction(1, 1)):
+            assert exact(b * s) == exact(generic_mul(b, s))
 
 
 def geom_inv(d: int, q_order: int) -> MultiSeries:
