@@ -17,16 +17,18 @@ variable.  Insertions are written ``state@point`` with states in the
 partition literal syntax understood by ``parse_state``, for example
 ``a[-2]a[-1]^2|1@z1`` or ``1/2*a@z``; lists are comma separated.
 
-Exit codes: 0 on success, 1 when a module rejects the request (window
-too small, order constraints violated, an order over a stated budget,
-a failed batch check), 2 on flag grammar errors.  Exact values print
-in full, however many digits they have.
+Exit codes: 0 on success, 1 when the estimated work is over the one
+budget (``BUDGET_S``, checked before any work) or a module rejects the
+request (window too small, order constraints violated, a failed batch
+check), 2 on flag grammar errors.  Exact values print in full, however
+many digits they have.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -38,88 +40,8 @@ from .series import MultiSeries
 # when --coordinates is not given.
 DEFAULT_COORDINATES = {1: (3, 1), 2: (3, 1, -2, 6)}
 
-# Largest --k that elliptic eisenstein accepts.  The Bernoulli number
-# B_k and the printed digits both grow with k: on a 2-core machine
-# (Python 3.11) --order 1 takes 0.6 s at 1600, 1.2 s at 2000 and 3.6 s at
-# 3000.
-EISENSTEIN_INDEX_BUDGET = 2000
-
-# Largest --order that elliptic eisenstein accepts, and the largest --k
-# times --order: the sieve and the printed terms grow linearly with the
-# order, and each term's digits with k.  In fresh processes on a 2-core
-# VM, --k 4 --order 100000 takes 1.4 s (149 MiB), --k 2000 --order 200
-# 1.0-1.5 s and --k 2 --order 200000 2.8 s, while --k 400 --order
-# 100000 runs past 20 s.
-EISENSTEIN_ORDER_BUDGET = 100000
-EISENSTEIN_TERMS_BUDGET = 4 * EISENSTEIN_ORDER_BUDGET
-
-# Largest --zorder + --qorder that elliptic pm accepts.  The kernel
-# needs E_k for m <= k <= zorder + m, each to q-order, so work and output
-# grow with both: on a 2-core machine (Python 3.11) the worst split at
-# the budget, (250, 250), prints 17.5 MB in 1.3-1.7 s at m = 1, and
-# (499, 1) takes 0.14-0.19 s, its B_k read off one growing tangent table.
-PM_ORDER_BUDGET = 500
-
-# Largest --m that elliptic pm accepts.  The closed form builds every
-# term once whatever m is; what still grows with m is the Eisenstein
-# index m + zorder of the last term.  At the order budget's worst split
-# m = 16 and m = 24 both take 1.4-1.8 s on the same machine.
-PM_INDEX_BUDGET = 16
-
-# Largest --zorder (the mode window half-width) that npoint and residual
-# accept, and the largest --window of cohomology rank and euler.  Work
-# grows like a power of it with the number of points, which BOX_BUDGET
-# bounds together with it: a genus-0 four-point oracle of currents takes
-# 7 s at 50 and over 60 s at 100.  A genus-1 rank at n = m = 3 takes
-# 1.2 s at 50 and runs past 30 s at 400.
-ZORDER_BUDGET = 50
-
-# Largest window box (2 zorder + 1)^g that npoint and residual accept,
-# three currents at the window budget.  g counts the generator modes
-# a(-n) of each insertion's longest basis state (a 1, omega 2, the vacuum
-# 1), residual's direction included: the recursions and oracles grow with
-# those, not with the weight.  So 12 generators fit at zorder 1, 6 at 4
-# and 3 from 16.  On the machine above, twelve currents at zorder 1 take
-# 6 s at genus 1 and 9 s in the genus-0 oracle; six take 5 s at zorder
-# 10 and over 20 s at 50, and six omega insertions over 30 s at 4.
-BOX_BUDGET = (2 * ZORDER_BUDGET + 1) ** 3
-
-# Largest --qorder (the q truncation order) that npoint, residual and
-# the cohomology commands accept.  A genus-1 trace runs over every Fock
-# state up to that weight, p(32) = 8 349 at the top level.  At 32 a
-# genus-1 two-point reduction of currents takes 0.8 s, its oracle 4 s and
-# the omega two-point function 5 s; at 40 they take 3 s, 24 s and 27 s.
-QORDER_BUDGET = 32
-
-# Largest --rho-order that schottky psi accepts.  The moment matrix
-# cutoff defaults to twice the order, and the Neumann sum runs to it: at
-# genus 2 in a fresh process on the machine above, --p 1 takes 2.6 s at
-# 7, 5.0 s at 8 and 8.2 s at 9.  The work also grows with the genus, so
-# the genus times the rho powers per handle (the order + 1) is held to
-# its genus-2 value 2 * (RHO_ORDER_BUDGET + 1) = 16.  In fresh processes
-# on a 2-core VM, --p 1 takes 4.3 s at -g 3 --rho-order 4 (15), 8.7 s at
-# -g 4 --rho-order 3 (16), 4.0 s at -g 5 --rho-order 2 (15) and 2.5 s at
-# -g 8 --rho-order 1 (16); refused are -g 3 --rho-order 5 (18), 12.3 s,
-# and -g 7 --rho-order 2 (21), past 40 s.
-RHO_ORDER_BUDGET = 7
-
-# Largest channel count (p(0) + ... + p(cutoff))^g that schottky
-# partition accepts: its handle sum visits one dual-basis channel per
-# handle and weight, and sums each genus-zero value over integer Wick
-# matchings.  The matchings of one value grow with its 2g points, so
-# above genus CHANNEL_GENUS the count is weighted by g / CHANNEL_GENUS.
-# In fresh processes on a 2-core VM, g = 2 at cutoff 8 (4489 channels)
-# takes 1.1 s, g = 1 at 21 (3506) 0.4 s, g = 4 at 3 (2401) 0.8 s and
-# g = 10 at 1 (1024, weighted 2560) 0.7 s; refused are g = 2 at 9
-# (9409), g = 6 at 2 (4096, weighted 6144), 2.4 s, and g = 12 at 1
-# (4096, weighted 12288), 7.2 s.
-CHANNEL_BUDGET = 4489
-CHANNEL_GENUS = 4
-
-# Largest --trials that cluster check accepts: each trial builds and
-# mutates one seed, so the batch grows linearly, 2.2-2.8 s at the budget
-# on the machine above.
-TRIALS_BUDGET = 2000
+# The one budget: a command estimated (see the cost rule) over it exits 1
+BUDGET_S = 10.0
 
 
 # -- flag grammar ----------------------------------------------------------
@@ -193,21 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     orders = argparse.ArgumentParser(add_help=False)  # npoint, residual
     orders.add_argument("--qorder", type=_positive_int, default=4,
-                        help="q truncation order at genus 1 (default 4; at "
-                             f"most {QORDER_BUDGET})")
+                        help="q truncation order at genus 1 (default 4)")
     orders.add_argument("--zorder", type=_positive_int, default=4,
-                        help="mode window half-width per point (default 4; "
-                             f"at most {ZORDER_BUDGET}, and (2 zorder + "
-                             f"1)^generators at most {BOX_BUDGET})")
+                        help="mode window half-width per point (default 4)")
 
     slice_flags = argparse.ArgumentParser(add_help=False)  # rank, euler
     slice_flags.add_argument("--genus", type=int, choices=(0, 1), default=1)
     slice_flags.add_argument("--window", type=_positive_int, default=4,
-                             help="mode window half-width (default 4; at "
-                                  f"most {ZORDER_BUDGET})")
+                             help="mode window half-width (default 4)")
     slice_flags.add_argument("--qorder", type=_positive_int, default=4,
-                             help="q truncation order (default 4; at most "
-                                  f"{QORDER_BUDGET})")
+                             help="q truncation order (default 4)")
     slice_flags.add_argument("--boundary", type=_state_list,
                              help="two comma-separated boundary states at "
                                   "genus 0")
@@ -219,8 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "w_-g,w_g (defaults: genus 1 -> 3,1; genus 2 "
                               "-> 3,1,-2,6)")
 
+    rule = (f"Every command but golden estimates its work from its flags and "
+            f"exits 1, before any work, when that is over {BUDGET_S:g} s.")
     parser = argparse.ArgumentParser(
-        prog="voasurf",
+        prog="voasurf", epilog=rule,
         description="Exact correlation function computations for the rank "
                     "one Heisenberg vertex operator algebra on genus 0, 1, "
                     "2 and Schottky surfaces.")
@@ -231,35 +150,32 @@ def build_parser() -> argparse.ArgumentParser:
         return groups.add_parser(name, help=help).add_subparsers(
             dest="sub", metavar="SUBCOMMAND", required=True)
 
-    def command(subparsers, name, run, help, *shared):
-        """Register one command: its name, its handler and the flag
-        groups it shares.  The report names it by its parser path."""
+    def command(subparsers, name, run, cost, help, *shared):
+        """Register one command: its name, handler, cost (None for none)
+        and shared flag groups.  The report names it by its parser path."""
         sub = subparsers.add_parser(name, parents=[common, *shared],
-                                    help=help)
-        sub.set_defaults(run=run)
+                                    help=help, epilog=rule)
+        sub.set_defaults(run=run, cost=cost)
         return sub
 
     ell = group("elliptic", "Eisenstein series and Weierstrass kernels")
-    eis = command(ell, "eisenstein", _run_eisenstein, "E_k(q) expansion")
+    eis = command(ell, "eisenstein", _run_eisenstein, _eisenstein_cost,
+                  "E_k(q) expansion")
     eis.add_argument("--k", type=_positive_int, required=True,
-                     help="Eisenstein index (even, at least 2; at most "
-                          f"{EISENSTEIN_INDEX_BUDGET})")
+                     help="Eisenstein index (even, at least 2)")
     eis.add_argument("--order", type=_positive_int, default=10,
-                     help="q truncation order (default 10; at most "
-                          f"{EISENSTEIN_ORDER_BUDGET}, and --k times the "
-                          f"order at most {EISENSTEIN_TERMS_BUDGET})")
+                     help="q truncation order (default 10)")
 
-    pm = command(ell, "pm", _run_pm, "Weierstrass kernel P_m(z, q)")
+    pm = command(ell, "pm", _run_pm, _eisenstein_cost,
+                 "Weierstrass kernel P_m(z, q)")
     pm.add_argument("--m", type=_positive_int, required=True,
-                    help=f"kernel index, 1 <= m <= {PM_INDEX_BUDGET}")
+                    help="kernel index, at least 1")
     pm.add_argument("--zorder", type=_positive_int, default=6,
-                    help="z truncation order (default 6; with --qorder at "
-                         f"most {PM_ORDER_BUDGET})")
+                    help="z truncation order (default 6)")
     pm.add_argument("--qorder", type=_positive_int, default=8,
-                    help="q truncation order (default 8; with --zorder at "
-                         f"most {PM_ORDER_BUDGET})")
+                    help="q truncation order (default 8)")
 
-    npoint = command(groups, "npoint", _run_npoint,
+    npoint = command(groups, "npoint", _run_npoint, _correlation_cost,
                      "n-point function at genus 0 or 1", orders)
     npoint.add_argument("--genus", type=int, choices=(0, 1), required=True)
     npoint.add_argument("--insertions", type=_insertion_list, default=(),
@@ -273,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                       const="oracle", help="brute-force mode expansion")
     npoint.set_defaults(path="reduce")
 
-    residual = command(groups, "residual", _run_residual,
+    residual = command(groups, "residual", _run_residual, _correlation_cost,
                        "reduction residual of a correlation function in one "
                        "direction", orders)
     residual.add_argument("--genus", type=int, choices=(0, 1), default=1)
@@ -286,7 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the two genus-2 commands default their orders differently, so each
     # declares its own: parents share Action objects, defaults included
     g2 = group("genus2", "epsilon-sewn two-torus surface")
+    # Hafnian channels p(0) + ... + p(eps order): two one-point series, a
+    # product, a sum of eps order + 10 terms; -N builds nothing to cost
     g2p = command(g2, "partition", _run_g2_partition,
+                  lambda ns: 1.5e-7 * _states(ns.eps_order, 1.5e-7) * (
+                      ns.eps_order + 10) * ((ns.q1_order + 1) ** 2 + (
+                          ns.q2_order + 1) ** 2 + (ns.q1_order + 1) * (
+                              ns.q2_order + 1)),
                   "genus-2 partition function expansion")
     g2p.add_argument("--eps-order", type=_positive_int, default=4,
                      help="epsilon truncation order (default 4)")
@@ -297,7 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "order (default 8); the Hafnian channel sum "
                           "builds no matrix, so no coefficient depends on it")
 
+    # kernel matrix products over eps orders, each entry a q1, q2 series
+    # whose products go as the larger order squared times the smaller
     g2w = command(g2, "pweier", _run_g2_pweier,
+                  lambda ns: 9.6e-7 * float(ns.eps_order + 1) ** 4 * max(
+                      ns.q1_order + 1, ns.q2_order + 1) ** 2 * min(
+                          ns.q1_order + 1, ns.q2_order + 1),
                   "generalized Weierstrass kernel")
     g2w.add_argument("--p", type=_positive_int, required=True,
                      help="kernel weight (1 or 2)")
@@ -315,36 +242,35 @@ def build_parser() -> argparse.ArgumentParser:
                           "order)")
 
     sch = group("schottky", "genus-g Schottky surface")
-    psi = command(sch, "psi", _run_schottky_psi,
+    # Neumann products of the (2 genus cutoff)-square moment matrix, each
+    # entry up to (rho order + 1)^genus rho monomials
+    psi = command(sch, "psi", _run_schottky_psi, lambda ns: 1.6e-5 * float(
+        2 * ns.genus * (ns.matrix_cutoff or max(2 * ns.rho_order,
+                                                 2 * ns.p - 1))) ** 2
+        * float(ns.rho_order + 1) ** ns.genus,
                   "dressed kernel Psi_p expansion", surface)
     psi.add_argument("--p", type=_positive_int, required=True,
                      help="kernel weight, at most 3: the expansion's fixed "
                           "y window 0..4 must cover the degrees 0..2p-2 "
                           "of the seed's f-part")
     psi.add_argument("--rho-order", type=_positive_int, default=2,
-                     help="rho truncation order per handle (default 2; at "
-                          f"most {RHO_ORDER_BUDGET}, and the genus times "
-                          f"(the order + 1) at most "
-                          f"{2 * (RHO_ORDER_BUDGET + 1)})")
+                     help="rho truncation order per handle (default 2)")
     psi.add_argument("-N", "--matrix-cutoff", type=_positive_int,
                      help="moment matrix cutoff (default: max of twice the "
-                          "rho order and 2p-1; at most "
-                          f"{2 * RHO_ORDER_BUDGET}, the largest default: "
-                          "a larger cutoff changes no coefficient)")
+                          "rho order and 2p-1; a larger cutoff changes no "
+                          "coefficient)")
 
     spart = command(sch, "partition", _run_schottky_partition,
-                    "genus-g partition handle sum", surface)
+                    _schottky_partition_cost, "genus-g partition handle sum",
+                    surface)
     spart.add_argument("--weight-cutoff", type=_positive_int, default=3,
                        help="weight cutoff per handle of the handle sum "
-                            "(default 3; the channel count (p(0) + ... + "
-                            "p(cutoff))^genus, p the partition numbers, at "
-                            f"most {CHANNEL_BUDGET}, times genus/"
-                            f"{CHANNEL_GENUS} above genus {CHANNEL_GENUS})")
+                            "(default 3)")
 
     coh = group("cohomology", "reduction cohomology of graded slices")
     direction_help = ("reduction direction state@point; a repeated "
                       "--direction adds its state at the first one's point")
-    rank = command(coh, "rank", _run_cohomology_rank,
+    rank = command(coh, "rank", _run_cohomology_rank, _ladder_cost,
                    "chain, kernel, image and cohomology ranks of one slice",
                    slice_flags)
     rank.add_argument("-n", type=_nonneg_int, required=True,
@@ -354,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--direction", type=_insertion, action="append",
                       required=True, help=direction_help)
 
-    euler = command(coh, "euler", _run_cohomology_euler,
+    euler = command(coh, "euler", _run_cohomology_euler, _ladder_cost,
                     "Euler-Poincare ledger over a weight ladder", slice_flags)
     euler.add_argument("-m", type=_nonneg_int, required=True,
                        help="weight of the level-0 slice")
@@ -365,17 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = group("cluster", "cluster seed mutation checks")
     check = command(cluster, "check", _run_cluster_check,
-                    "run a deterministic batch of double-mutation involution "
-                    "trials")
+                    lambda ns: 1e-3 * ns.trials, "run a deterministic "
+                    "batch of double-mutation involution trials")
     check.add_argument("--trials", type=_positive_int, default=60,
-                       help=f"number of trials (default 60; at most "
-                            f"{TRIALS_BUDGET})")
+                       help="number of trials (default 60)")
     check.add_argument("--seed", type=_nonneg_int, default=7,
                        help="random generator seed (default 7)")
     check.add_argument("--genus", type=int, choices=(0, 1),
                        help="restrict trials to one genus (default: both)")
 
-    golden = command(groups, "golden", _run_golden,
+    golden = command(groups, "golden", _run_golden, None,
                      "write or check the golden regression files for every "
                      "documented example command")
     golden.add_argument("--dir", default="tests/golden", metavar="PATH",
@@ -385,6 +310,128 @@ def build_parser() -> argparse.ArgumentParser:
                              "rewriting them; exit 1 on any drift")
 
     return parser
+
+
+# -- the cost rule ---------------------------------------------------------
+# Every command but golden registers a cost(ns) next to its handler: the
+# seconds its dominant loop takes on a 2-core machine (Python 3.11, fresh
+# process), a rate times the counts that loop visits, each rate about 1.3
+# times the largest seconds per count of README.md's calibration rows.
+# No basis is listed and no layer loads; a count that stops, or a float
+# that overflows, is past any budget.
+
+
+def _partition_counts(top: int, most: float) -> list:
+    """p(0) ... p(top), the Fock basis sizes by weight, by Euler's
+    pentagonal recurrence; OverflowError once a count passes ``most``."""
+    p = [1]
+    while len(p) <= top and p[-1] <= most:
+        n, k, total = len(p), 1, 0
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    if p[-1] > most:
+        raise OverflowError
+    return p
+
+
+def _states(top: int, rate: float) -> int:
+    """p(0) + ... + p(top), for work of ``rate`` seconds per state."""
+    return sum(_partition_counts(top, BUDGET_S / rate))
+
+
+def _eisenstein_cost(ns) -> float:
+    """E_low ... E_top to q^order (E_k, or m ... m + zorder for P_m): the
+    tangent table to B_top, (top/2)^2 / 2 cells of log2(top!) bits, and
+    per coefficient a fixed cost plus a gcd in its k log2(k + order) bits."""
+    low, top, order = ((ns.k, ns.k, ns.order) if ns.sub == "eisenstein"
+                       else (ns.m, ns.m + ns.zorder, ns.qorder))
+    table = (top / 2) ** 2 / 2 * top * math.log2(top + 1) / 30
+    squares = (top ** 3 - (low - 1) ** 3) / 3  # k^2 summed over low..top
+    gcds = squares * (math.log2(top + order) / 20) ** 2
+    return 4.9e-9 * (table + (order + 1) * ((top - low + 1) * 7300 + gcds))
+
+
+def _generators(insertions) -> list:
+    """Each insertion's modes a(-n): its longest basis state, at least 1."""
+    return [max(1, max(map(len, ins.state.t), default=0))
+            for ins in insertions]
+
+
+def _correlation_cost(ns) -> float:
+    """Recursion nodes fill the generators' window box at each q level (a
+    sixteenth of one at genus 0), and leaves trace the Fock states up to
+    the q-order; the oracle traces one mode word per box point there, and
+    loops the window and its sentinel slices over each point."""
+    rate, width = 4.6e-6, 2.0 * ns.zorder + 1
+    gens = _generators(ns.insertions + (
+        (ns.direction,) if ns.group == "residual" else ()))
+    traces = _states(ns.qorder, rate) if ns.genus else 1
+    if ns.group == "npoint" and ns.path == "oracle":
+        words = (width + 1 - ns.genus) ** max(len(gens) - 1, 0) * math.prod(
+            g * g for g in gens)
+        loops = (width + 4) ** len(gens) / (5 * math.factorial(len(gens)))
+        return rate * (words * traces + loops)
+    levels = ns.qorder + 1 if ns.genus else 1 / 16
+    return rate * (width ** max(sum(gens) - 1, 0) * levels + 2 * width * max(
+        levels, 1) + sum(gens) * sum(g * g for g in gens) * traces * ns.genus)
+
+
+def _schottky_partition_cost(ns) -> float:
+    """Channels (p(0) + ... + p(cutoff))^genus, each a Wick sum over 2 genus
+    points and 2 genus cutoff legs, in ints the size of the lcm of the
+    coordinate differences."""
+    rate, g, cutoff = 4e-6, ns.genus, ns.weight_cutoff
+    seconds = rate * float(_states(cutoff, rate)) ** g * 4 * g * g * cutoff
+    if seconds > BUDGET_S:  # the coordinates can only add to it
+        return seconds
+    points = (ns.coordinates or DEFAULT_COORDINATES.get(g, ()))[:2 * g]
+    spread = math.lcm(*(abs(a - b) for a in points for b in points if a != b))
+    return seconds * (1 + spread.bit_length() / 100)
+
+
+def _ladder_cost(ns) -> float:
+    """rank and euler, per slice (points k, weight, coboundary built):
+    listing the tuples, and per tuple one reduction step over (k + 1)^2
+    direction generators^2 (weight + 1) window^2 cells at each q level."""
+    rate, width = 1.8e-7, 2 * ns.window + 1
+    most, work = BUDGET_S / rate, 0.0
+    directions = ns.direction or ()  # a@w by default: weight 1, 1 generator
+    gens, w = max(_generators(directions), default=1), max(
+        (w for d in directions for w in d.state.weights()), default=1)
+    if ns.sub == "rank":
+        levels = [(ns.n, ns.m, True), (ns.n - 1, ns.m - w, True)]
+    else:  # lazily: the ladder stops once the work is over the budget
+        levels = ((k, ns.m + k * w, k < ns.levels)
+                  for k in range(ns.levels + 1))
+    traces = _states(ns.qorder, rate) if ns.genus else 0
+    for k, weight, step in levels:
+        if min(k, weight) < 0:
+            continue
+        if step and (k + 1) ** 2 * width ** 2 > most:
+            raise OverflowError  # before counting k-tuples
+        p = _partition_counts(weight, most)
+        tuples = [1] + [0] * weight  # k-tuples of basis states by weight
+        for _ in range(k):
+            tuples = [sum(c * p[j - i] for i, c in enumerate(tuples[:j + 1]))
+                      for j in range(weight + 1)]
+            if tuples[-1] > most:
+                raise OverflowError
+        count = tuples[-1]
+        work += 2 * (count + sum(p)) * (weight + 1)
+        if step:
+            cells = (k + 1) ** 2 * gens * gens * (weight + 1) * width ** 2
+            # leaves trace modes of states up to the weight on the Fock
+            # states up to the q-order: past 4 each weight doubles them
+            work += count * (cells * (ns.qorder + 1) + 22 * traces * 2 ** max(
+                0, min(weight, ns.qorder) - 4) if ns.genus else cells)
+        if work > most:
+            raise OverflowError
+    return rate * work
 
 
 # -- serialization ---------------------------------------------------------
@@ -461,54 +508,21 @@ def _emit(payload: dict, ns: argparse.Namespace):
 
 
 def _run_eisenstein(ns: argparse.Namespace):
-    _check_budget("--k", ns.k, "index", EISENSTEIN_INDEX_BUDGET, ns.command)
-    _check_budget("--order", ns.order, "order", EISENSTEIN_ORDER_BUDGET,
-                  ns.command)
-    _check_budget("--k times --order", ns.k * ns.order, "term",
-                  EISENSTEIN_TERMS_BUDGET, ns.command)
     from .elliptic import eisenstein
 
     ts = eisenstein(ns.k, ns.order)
-    return {"command": ns.command, "k": ns.k, "order": ns.order,
-            "pretty": ts.pretty(sep=""),
+    return {"k": ns.k, "order": ns.order, "pretty": ts.pretty(sep=""),
             "series": _series_payload(ts, ns.approx)}, 0
 
 
-def _check_budget(flag: str, value: int, kind: str, budget: int,
-                  command: str) -> None:
-    """Refuse a request whose ``flag`` value is over its budget, before
-    any work."""
-    if value > budget:
-        raise ValueError(f"{flag} is {value}, over the {kind} budget "
-                         f"{budget} of {command}")
-
-
-def _check_correlation_budgets(ns: argparse.Namespace, insertions: tuple,
-                               flags: str) -> None:
-    """The window, box and q-order budgets of npoint and residual."""
-    _check_budget("--zorder", ns.zorder, "window", ZORDER_BUDGET, ns.command)
-    most = 0  # generators whose box (2 zorder + 1)^g fits the budget
-    while (2 * ns.zorder + 1) ** (most + 1) <= BOX_BUDGET:
-        most += 1
-    _check_budget(f"the generator count of {flags} at --zorder {ns.zorder}",
-                  sum(max(1, max(map(len, ins.state.t), default=0))
-                      for ins in insertions), "generator", most, ns.command)
-    _check_budget("--qorder", ns.qorder, "order", QORDER_BUDGET, ns.command)
-
-
 def _run_pm(ns: argparse.Namespace):
-    _check_budget("--m", ns.m, "index", PM_INDEX_BUDGET, ns.command)
-    _check_budget("--zorder + --qorder", ns.zorder + ns.qorder, "order",
-                  PM_ORDER_BUDGET, ns.command)
     from .elliptic import weierstrass_p
 
     ms = weierstrass_p(ns.m, ns.zorder, ns.qorder)
-    return {"command": ns.command, "m": ns.m,
-            "series": _series_payload(ms, ns.approx)}, 0
+    return {"m": ns.m, "series": _series_payload(ms, ns.approx)}, 0
 
 
 def _run_npoint(ns: argparse.Namespace):
-    _check_correlation_budgets(ns, ns.insertions, "--insertions")
     from .reduction import direct, unwind_to_partition
     from .voa import render_state
 
@@ -520,8 +534,7 @@ def _run_npoint(ns: argparse.Namespace):
     else:
         F = unwind_to_partition(tuple(reversed(ns.insertions)), genus,
                                 window=window, q_order=q_order)
-    payload = {"command": ns.command, "genus": genus,
-               "path": ns.path,
+    payload = {"genus": genus, "path": ns.path,
                "insertions": [str(i) for i in ns.insertions],
                "value": _series_payload(F.value, ns.approx)}
     if genus == 0:
@@ -535,8 +548,6 @@ def _run_npoint(ns: argparse.Namespace):
 
 
 def _run_residual(ns: argparse.Namespace):
-    _check_correlation_budgets(ns, ns.insertions + (ns.direction,),
-                               "--insertions and --direction")
     from .reduction import CorrelationFn, reduce_step
     from .voa import vacuum
 
@@ -546,8 +557,7 @@ def _run_residual(ns: argparse.Namespace):
     res = reduce_step(ns.direction, CorrelationFn(
         ns.genus, ns.insertions, None, (-ns.zorder, ns.zorder), boundary,
         ns.qorder)).value
-    return {"command": ns.command, "genus": ns.genus,
-            "direction": str(ns.direction),
+    return {"genus": ns.genus, "direction": str(ns.direction),
             "insertions": [str(i) for i in ns.insertions],
             "is_zero": res.is_zero(),
             "residual": _series_payload(res, ns.approx)}, 0
@@ -560,7 +570,7 @@ def _run_g2_partition(ns: argparse.Namespace):
     moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order,
                           ns.matrix_cutoff)
     ms = renamed(z2_partition(moduli), HALF_POWERS)
-    return {"command": ns.command, "eps_order": ns.eps_order,
+    return {"eps_order": ns.eps_order,
             "matrix_cutoff": ns.matrix_cutoff,
             "q_shift": {"q1": "-1/24", "q2": "-1/24"},
             "series": _series_payload(ms, ns.approx)}, 0
@@ -575,7 +585,7 @@ def _run_g2_pweier(ns: argparse.Namespace):
     x_chart, y_chart = ns.charts
     ms = renamed(gen_weierstrass(ns.p, ns.j, x_chart, y_chart, moduli),
                  HALF_POWERS)
-    return {"command": ns.command, "p": ns.p, "j": ns.j,
+    return {"p": ns.p, "j": ns.j,
             "charts": [x_chart, y_chart],
             "eps_order": ns.eps_order, "matrix_cutoff": cutoff,
             "series": _series_payload(ms, ns.approx)}, 0
@@ -594,21 +604,13 @@ def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
 
 
 def _run_schottky_psi(ns: argparse.Namespace):
-    _check_budget("--rho-order", ns.rho_order, "order", RHO_ORDER_BUDGET,
-                  ns.command)
-    _check_budget("the genus times (--rho-order + 1)",
-                  ns.genus * (ns.rho_order + 1), "order",
-                  2 * (RHO_ORDER_BUDGET + 1), ns.command)
-    if ns.matrix_cutoff is not None:
-        _check_budget("-N", ns.matrix_cutoff, "cutoff",
-                      2 * RHO_ORDER_BUDGET, ns.command)
     from .schottky import psi_full
     from .sewing import renamed
 
     cutoff = ns.matrix_cutoff or max(2 * ns.rho_order, 2 * ns.p - 1)
     data = _schottky_data(ns, ns.rho_order, cutoff)
     ms = renamed(psi_full(ns.p, data), data.half_powers)
-    return {"command": ns.command, "p": ns.p, "genus": data.genus,
+    return {"p": ns.p, "genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
             "rho_order": ns.rho_order, "matrix_cutoff": cutoff,
             "series": _series_payload(ms, ns.approx)}, 0
@@ -617,25 +619,13 @@ def _run_schottky_psi(ns: argparse.Namespace):
 def _run_schottky_partition(ns: argparse.Namespace):
     from .schottky import genus_g_partition
     from .sewing import renamed
-    from .voa import basis
 
     # the handle sum is cut by weight alone; the payload reports the
     # surface truncations it is built with
     cutoff = ns.weight_cutoff
     data = _schottky_data(ns, cutoff, 2 * cutoff)
-    per_handle = 0  # p(0) + ... + p(m); stops once over budget
-    for m in range(cutoff + 1):
-        per_handle += len(basis(m))
-        if (per_handle ** data.genus * max(data.genus, CHANNEL_GENUS)
-                > CHANNEL_BUDGET * CHANNEL_GENUS):
-            weighted = (f" times {data.genus}/{CHANNEL_GENUS}"
-                        if data.genus > CHANNEL_GENUS else "")
-            raise ValueError(
-                f"the channel count (p(0) + ... + p({cutoff}))^{data.genus}"
-                f"{weighted} is over the channel budget {CHANNEL_BUDGET} of "
-                f"{ns.command}")
     ms = renamed(genus_g_partition(data, cutoff), data.half_powers)
-    return {"command": ns.command, "genus": data.genus,
+    return {"genus": data.genus,
             "coordinates": [str(w) for w in data.coordinates],
             "weight_cutoff": cutoff, "rho_order": cutoff,
             "matrix_cutoff": 2 * cutoff,
@@ -645,10 +635,7 @@ def _run_schottky_partition(ns: argparse.Namespace):
 def _direction_args(ns: argparse.Namespace):
     """The direction that the --direction members act as (the step is
     linear in the state, so their sum at the first one's point), the mode
-    window and the report fields that rank and euler share; a window or
-    q-order over its budget is refused first."""
-    _check_budget("--window", ns.window, "window", ZORDER_BUDGET, ns.command)
-    _check_budget("--qorder", ns.qorder, "order", QORDER_BUDGET, ns.command)
+    window and the report fields that rank and euler share."""
     from .cohomology import direction_weight
 
     first, *rest = ns.direction or [_insertion("a@w")]
@@ -659,7 +646,7 @@ def _direction_args(ns: argparse.Namespace):
                                          first.state))
     window = (-ns.window, ns.window)
     return direction, window, {
-        "command": ns.command, "genus": ns.genus,
+        "genus": ns.genus,
         "direction": [str(d) for d in members],
         "combine": "sum",  # always, so that reports read as before
         "window": list(window), "qorder": ns.qorder,
@@ -707,7 +694,6 @@ def _random_state(rng):
 
 
 def _run_cluster_check(ns: argparse.Namespace):
-    _check_budget("--trials", ns.trials, "trial", TRIALS_BUDGET, ns.command)
     import random
 
     from .cohomology import ClusterSetting, involution_check, make_seed
@@ -740,7 +726,7 @@ def _run_cluster_check(ns: argparse.Namespace):
                            "states": [render_state(v) for v in states],
                            "xi": "support signs" if xi else "trivial",
                            "ok": ok})
-    payload = {"command": ns.command, "trials": ns.trials,
+    payload = {"trials": ns.trials,
                "seed": ns.seed, "failures": failures,
                "involutive": failures == 0, "sample": sample}
     return payload, 0 if failures == 0 else 1
@@ -818,11 +804,19 @@ def _run_golden(ns: argparse.Namespace):
             os.makedirs(directory, exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(text)
-    payload = {"command": ns.command,
-               "mode": "check" if checking else "write",
+    payload = {"mode": "check" if checking else "write",
                "directory": directory, "files": files,
                "drifted": drifted}
     return payload, 0 if not drifted else 1
+
+
+def estimate(ns: argparse.Namespace) -> float:
+    """The seconds of work the parsed command is estimated to take; inf
+    when a count stopped, or a float overflowed, past any budget."""
+    try:
+        return ns.cost(ns) if ns.cost else 0.0
+    except OverflowError:
+        return math.inf
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
@@ -846,8 +840,13 @@ def parse_and_dispatch(argv: list[str]) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
+        seconds = estimate(ns)  # the one cost rule, before any work
+        if seconds > BUDGET_S:
+            about = "far" if seconds == math.inf else f"{seconds:.3g} s,"
+            raise ValueError(f"the estimated work of {ns.command} is "
+                             f"{about} over the budget of {BUDGET_S:g} s")
         payload, code = ns.run(ns)
-        _emit(payload, ns)
+        _emit(payload | {"command": ns.command}, ns)
         return code
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,14 +12,16 @@ import json
 import os
 import subprocess
 import sys
+import timeit
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from voasurf import elliptic, reduction
-from voasurf.cli import (GOLDEN_CASES, PM_INDEX_BUDGET, PM_ORDER_BUDGET,
-                         QORDER_BUDGET, ZORDER_BUDGET, capture_output,
-                         golden_name, parse_and_dispatch)
+from voasurf.cli import (BUDGET_S, GOLDEN_CASES, build_parser,
+                         capture_output, estimate, golden_name,
+                         parse_and_dispatch)
 from voasurf.elliptic import eisenstein
 from voasurf.genus2 import HALF_POWERS
 from voasurf.schottky import SchottkyData
@@ -125,55 +127,57 @@ class TestExitCodes:
 
         monkeypatch.setattr(elliptic, "weierstrass_p", kernel)
         code, out, err = run(
-            ["elliptic", "pm", "--m", "2", "--zorder", str(PM_ORDER_BUDGET),
+            ["elliptic", "pm", "--m", "2", "--zorder", "100000",
              "--qorder", "1"], capsys)
         assert code == 1 and out == ""
-        assert f"order budget {PM_ORDER_BUDGET}" in err
+        assert "the estimated work of elliptic pm is" in err
+        assert "over the budget of 10 s" in err
+        # the worst split of the old per-flag caps runs, as a CI row does
         with pytest.raises(RuntimeError, match="the kernel ran"):
-            parse_and_dispatch(["elliptic", "pm", "--m", "2", "--zorder",
-                                str(PM_ORDER_BUDGET - 1), "--qorder", "1"])
+            parse_and_dispatch(["elliptic", "pm", "--m", "16", "--zorder",
+                                "250", "--qorder", "250"])
 
     def test_pm_index_budget_refused_before_any_work(self, capsys,
                                                      monkeypatch):
         def kernel(*args):
             raise RuntimeError("the kernel ran")
 
+        # the index moves the last Eisenstein index m + zorder, and B_k
+        # with it
         monkeypatch.setattr(elliptic, "weierstrass_p", kernel)
-        code, out, err = run(
-            ["elliptic", "pm", "--m", str(PM_INDEX_BUDGET + 1)], capsys)
+        code, out, err = run(["elliptic", "pm", "--m", "5000"], capsys)
         assert code == 1 and out == ""
-        assert f"--m is {PM_INDEX_BUDGET + 1}" in err
-        assert f"index budget {PM_INDEX_BUDGET}" in err
+        assert "the estimated work of elliptic pm is" in err
         with pytest.raises(RuntimeError, match="the kernel ran"):
-            parse_and_dispatch(["elliptic", "pm", "--m",
-                                str(PM_INDEX_BUDGET)])
+            parse_and_dispatch(["elliptic", "pm", "--m", "150", "--zorder",
+                                "1", "--qorder", "150"])
 
-    @pytest.mark.parametrize("argv,flag,target", [
+    @pytest.mark.parametrize("argv,flag,within,target", [
         (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2"],
-         "--zorder", "reduction.unwind_to_partition"),
+         "--zorder", 50, "reduction.unwind_to_partition"),
         (["npoint", "--genus", "0", "--insertions", "a@z1,a@z2",
-          "--oracle"], "--zorder", "reduction.genus0_direct"),
-        (["residual", "--direction", "a@z"], "--zorder",
+          "--oracle"], "--zorder", 50, "reduction.genus0_direct"),
+        (["residual", "--direction", "a@z"], "--zorder", 50,
          "reduction.reduce_step"),
         (["cohomology", "rank", "-n", "3", "-m", "3", "--direction", "a@w"],
-         "--window", "cohomology.cohomology_rank"),
-        (["cohomology", "euler", "-m", "2", "-N", "3"], "--window",
+         "--window", 20, "cohomology.cohomology_rank"),
+        (["cohomology", "euler", "-m", "2", "-N", "3"], "--window", 20,
          "cohomology.euler_poincare"),
     ], ids=["npoint", "npoint-oracle", "residual", "cohomology-rank",
             "cohomology-euler"])
-    def test_zorder_budget_refused_before_any_work(self, argv, flag, target,
-                                                   capsys, monkeypatch):
+    def test_zorder_budget_refused_before_any_work(self, argv, flag, within,
+                                                   target, capsys,
+                                                   monkeypatch):
         def work(*args, **kwargs):
             raise RuntimeError("the computation ran")
 
         monkeypatch.setattr(f"voasurf.{target}", work)
-        code, out, err = run(argv + [flag, str(ZORDER_BUDGET + 1)], capsys)
+        code, out, err = run(argv + [flag, "1000000"], capsys)
         assert code == 1 and out == ""
-        assert f"{flag} is {ZORDER_BUDGET + 1}" in err
-        assert f"window budget {ZORDER_BUDGET}" in err
+        assert "over the budget of 10 s" in err
         assert "Traceback" not in err
         with pytest.raises(RuntimeError, match="the computation ran"):
-            parse_and_dispatch(argv + [flag, str(ZORDER_BUDGET)])
+            parse_and_dispatch(argv + [flag, str(within)])
 
     @pytest.mark.parametrize("argv,target", [
         (["npoint", "--genus", "1", "--insertions", "a@z1,a@z2"],
@@ -193,25 +197,20 @@ class TestExitCodes:
             raise RuntimeError("the computation ran")
 
         monkeypatch.setattr(f"voasurf.{target}", work)
-        code, out, err = run(argv + ["--qorder", str(QORDER_BUDGET + 1)],
-                             capsys)
+        code, out, err = run(argv + ["--qorder", "200"], capsys)
         assert code == 1 and out == ""
-        assert f"--qorder is {QORDER_BUDGET + 1}" in err
-        assert f"order budget {QORDER_BUDGET}" in err
+        assert "over the budget of 10 s" in err
         assert "Traceback" not in err
         with pytest.raises(RuntimeError, match="the computation ran"):
-            parse_and_dispatch(argv + ["--qorder", str(QORDER_BUDGET)])
+            parse_and_dispatch(argv + ["--qorder", "32"])
 
-    @pytest.mark.parametrize("command,target,flags", [
-        (["npoint", "--genus", "1"], "unwind_to_partition", "--insertions"),
-        (["npoint", "--genus", "0", "--oracle"], "genus0_direct",
-         "--insertions"),
-        (["residual", "--direction", "a@w"], "reduce_step",
-         "--insertions and --direction"),
+    @pytest.mark.parametrize("command,target", [
+        (["npoint", "--genus", "1"], "unwind_to_partition"),
+        (["npoint", "--genus", "0", "--oracle"], "genus0_direct"),
+        (["residual", "--direction", "a@w"], "reduce_step"),
     ], ids=["npoint", "npoint-oracle", "residual"])
     def test_generator_budget_refused_before_any_work(self, command, target,
-                                                      flags, capsys,
-                                                      monkeypatch):
+                                                      capsys, monkeypatch):
         def work(*args, **kwargs):
             raise RuntimeError("the computation ran")
 
@@ -220,19 +219,14 @@ class TestExitCodes:
             return command + ["--insertions", points, "--zorder", str(zorder)]
 
         monkeypatch.setattr(reduction, target, work)
-        # six currents at the window budget: 101^6 is over the box budget
-        code, out, err = run(argv(["a"] * 6, ZORDER_BUDGET), capsys)
+        # the window box grows like a power of the width with the points
+        code, out, err = run(argv(["a"] * 6, 50), capsys)
         assert code == 1 and out == ""
-        assert (f"the generator count of {flags} at --zorder "
-                f"{ZORDER_BUDGET} is {6 + (command[0] == 'residual')}") in err
-        assert "generator budget 3" in err
+        assert "over the budget of 10 s" in err
         assert "Traceback" not in err
-        # omega counts two generators, so two of them at zorder 16 are over
-        code, out, err = run(argv(["omega"] * 2, 16), capsys)
-        assert code == 1 and "generator budget 3" in err
-        # at the budget the computation runs: twelve generators fit at
-        # zorder 1 and three at the window budget
-        for states, zorder in ((["omega"] * 5, 1), (["a"] * 2, ZORDER_BUDGET)):
+        # within it the computation runs: two currents at zorder 50, and
+        # ten generators (five omega) at zorder 1
+        for states, zorder in ((["a"] * 2, 50), (["omega"] * 5, 1)):
             with pytest.raises(RuntimeError, match="the computation ran"):
                 parse_and_dispatch(argv(states, zorder))
 
@@ -255,6 +249,162 @@ class TestExitCodes:
         code, out, err = run(
             ["golden", "--check", "--dir", "/nonexistent/golden"], capsys)
         assert code == 1
+
+
+PARSER = build_parser()
+
+
+def estimated(argv) -> float:
+    """The estimate of one command line, parsed as the CLI parses it."""
+    return estimate(PARSER.parse_args(list(argv)))
+
+
+def rows(*lines):
+    return [line.split() for line in lines]
+
+
+# The CI rows that run to completion, each under its timeout in
+# .github/workflows/tests.yml, and the admitted rows of README.md's
+# calibration table.
+ADMITTED = rows(
+    "schottky partition -g 2 --weight-cutoff 5",
+    "schottky partition -g 2 --weight-cutoff 7",
+    "schottky partition -g 2 --weight-cutoff 8",
+    "schottky partition -g 2 --weight-cutoff 9",
+    "schottky psi --p 1 -g 2 --rho-order 7",
+    "schottky psi --p 1 -g 2 --rho-order 8",
+    "schottky psi --p 1 -g 4 --rho-order 3 "
+    "--coordinates 3,1,-2,6,10,-7,11,-13",
+    "elliptic eisenstein --k 4 --order 20000",
+    "elliptic eisenstein --k 1200 --order 1",
+    "elliptic eisenstein --k 1600 --order 1",
+    "elliptic eisenstein --k 3000 --order 1",
+    "elliptic pm --m 16 --zorder 250 --qorder 250",
+    "elliptic pm --m 1 --zorder 499 --qorder 1",
+    "elliptic pm --m 150 --zorder 1 --qorder 150",
+    "npoint --genus 1 --insertions a@z1,a@z2 --qorder 32",
+    "npoint --genus 1 --insertions a@z1,a@z2 --qorder 32 --oracle",
+    "npoint --genus 1 --insertions a@z1,a@z2,a@z3,a@z4 --zorder 4 --qorder 32",
+    "residual --genus 1 --insertions a@z1,a@z2,a@z3 --direction a@w "
+    "--qorder 16 --zorder 10",
+    "cohomology rank --genus 0 -n 5 -m 6 --direction a@z",
+    "cohomology euler -m 3 -N 4",
+    "cohomology euler -m 2 -N 5",
+    "cohomology euler -m 0 -N 4 --direction omega@w",
+    "genus2 pweier --p 1 --j 0 --charts 1 2 --eps-order 6 --q1-order 8 "
+    "--q2-order 8",
+    "genus2 partition --eps-order 14 --q1-order 10 --q2-order 10 -N 28",
+    "genus2 partition --eps-order 20 --q1-order 14 --q2-order 14 -N 40")
+
+# Requests that run past the budget (measured to completion, or stopped
+# past 10 s), and the CI rows that must exit 1.
+OVER = rows(
+    "cohomology euler -m 60 -N 1",
+    "cohomology euler -m 0 -N 40",
+    "cohomology euler -m 0 -N 7",
+    "genus2 partition --eps-order 40 --q1-order 30 --q2-order 30 -N 80",
+    "npoint --genus 1 --insertions omega@z1,omega@z2 --qorder 32 --oracle",
+    "npoint --genus 1 --insertions a@z1,a@z2,a@z3,a@z4,a@z5,a@z6 --zorder 4 "
+    "--qorder 32",
+    "npoint --genus 0 --insertions a@z1,a@z2 --zorder 3000 --oracle",
+    "schottky partition -g 10 --weight-cutoff 1 --coordinates 17,31,59,97,"
+    "173,307,547,971,1733,3089,5507,9817,17491,31177,55579,99079,176573,"
+    "314747,561019,1000003",
+    "schottky partition -g 12 --weight-cutoff 1 --coordinates "
+    + ",".join(map(str, range(1, 25))),
+    "schottky psi --p 1 -g 3 --rho-order 5 --coordinates 3,1,-2,6,10,-7",
+    "schottky psi --p 1 -g 2 -N 120",
+    "elliptic eisenstein --k 4 --order 2000000",
+    "elliptic eisenstein --k 400 --order 100000",
+    "elliptic pm --m 2 --zorder 100000 --qorder 1",
+    "npoint --genus 1 --insertions a@z1,a@z2 --zorder 1000000",
+    "npoint --genus 1 --insertions a@z1,a@z2 --qorder 60",
+    "npoint --genus 1 --insertions a@z1,a@z2,a@z3,a@z4,a@z5,a@z6 --zorder 50",
+    "cohomology rank -n 1 -m 1 --direction a@w --qorder 200",
+    "cohomology rank --genus 1 -n 3 -m 3 --direction a@w --window 400",
+    "cluster check --trials 100000000")
+
+# The numeric flags of each command with a cost, each with its least
+# value, after fixed flags drawn per example.
+STATES = ("a", "omega", "a[-2]|1", "a[-1]^2|1", "1")
+NUMERIC = {
+    ("elliptic", "eisenstein"): {"--k": 1, "--order": 1},
+    ("elliptic", "pm"): {"--m": 1, "--zorder": 1, "--qorder": 1},
+    ("npoint",): {"--zorder": 1, "--qorder": 1},
+    ("residual",): {"--zorder": 1, "--qorder": 1},
+    ("genus2", "partition"): {"--eps-order": 1, "--q1-order": 1,
+                              "--q2-order": 1, "-N": 1},
+    ("genus2", "pweier"): {"--p": 1, "--j": 0, "--eps-order": 1,
+                           "--q1-order": 1, "--q2-order": 1, "-N": 1},
+    ("schottky", "psi"): {"--p": 1, "-g": 1, "--rho-order": 1, "-N": 1},
+    ("schottky", "partition"): {"-g": 1, "--weight-cutoff": 1},
+    ("cohomology", "rank"): {"-n": 0, "-m": 0, "--window": 1,
+                             "--qorder": 1},
+    ("cohomology", "euler"): {"-m": 0, "-N": 0, "--window": 1,
+                              "--qorder": 1},
+    ("cluster", "check"): {"--trials": 1, "--seed": 0},
+}
+
+
+@st.composite
+def fixed_flags(draw, path):
+    """The non-numeric flags of one example of ``path``."""
+    genus = ["--genus", draw(st.sampled_from(["0", "1"]))]
+    points = [f"{draw(st.sampled_from(STATES))}@z{i}"
+              for i in range(draw(st.integers(0, 4)))]
+    direction = ["--direction", draw(st.sampled_from(STATES)) + "@w"]
+    if path in (("npoint",), ("residual",)):
+        extra = ["--insertions", ",".join(points)]
+        if path == ("residual",):
+            extra += direction
+        elif draw(st.booleans()):
+            extra.append("--oracle")
+        return genus + extra
+    if path[0] == "cohomology":
+        return genus + direction
+    return []
+
+
+class TestCostRule:
+    """The estimates alone: no request here runs."""
+
+    @pytest.mark.parametrize(
+        "argv", [list(a) for _, a in GOLDEN_CASES] + ADMITTED,
+        ids=[n for n, _ in GOLDEN_CASES] + [" ".join(a) for a in ADMITTED])
+    def test_documented_and_ci_rows_are_within_budget(self, argv):
+        assert estimated(argv) <= BUDGET_S
+
+    @pytest.mark.parametrize("argv", OVER, ids=[" ".join(a) for a in OVER])
+    def test_long_requests_are_over_budget(self, argv):
+        assert estimated(argv) > BUDGET_S
+
+    def test_golden_has_no_cost(self):
+        assert estimated(["golden", "--check"]) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_estimate_is_nondecreasing_in_every_numeric_flag(self, data):
+        path = data.draw(st.sampled_from(sorted(NUMERIC)))
+        fixed = data.draw(fixed_flags(path))
+        values = {flag: data.draw(st.one_of(st.integers(low, 12),
+                                            st.integers(low, 10 ** 9)))
+                  for flag, low in NUMERIC[path].items()}
+        flag = data.draw(st.sampled_from(sorted(values)))
+        bumped = values | {flag: values[flag] + data.draw(
+            st.integers(1, 10 ** 9))}
+        seconds = []
+        for chosen in (values, bumped):
+            ns = PARSER.parse_args(list(path) + fixed + [
+                x for f, v in chosen.items() for x in (f, str(v))])
+            # the best of three runs, so that a pause of the machine or
+            # of the collector does not count
+            assert min(timeit.repeat(lambda: estimate(ns), number=1,
+                                     repeat=3)) < 0.05, ns
+            seconds.append(estimate(ns))
+        # past the budget a count may stop early: only the refusal has
+        # to persist there
+        low, high = seconds
+        assert high >= low or min(low, high) > BUDGET_S, (path, flag)
 
 
 class TestSerialization:

@@ -50,7 +50,7 @@ def insertions(clean):
 # maps to its value pool, or to None for a switch
 COMMANDS = {
     ("elliptic", "eisenstein"): (
-        {"--k": pool(["2", "4", "6"], ["1", "3", "0", "x", "2002"]),
+        {"--k": pool(["2", "4", "6"], ["1", "3", "0", "x", "99999"]),
          "--order": ORDER}, {}),
     ("elliptic", "pm"): (
         {"--m": pool(["1", "2", "3"], ["0", "x"]), "--zorder": ORDER,

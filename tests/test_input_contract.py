@@ -5,6 +5,7 @@ The CLI runs in a subprocess here, so an exception escaping
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -83,57 +84,54 @@ class TestIntegerFlags:
         assert proc.stdout == ""
 
 
+# The one refusal message of the cost rule, with the estimate in seconds
+# or "far" when counting stopped past any budget.
+def refusal(command: str) -> str:
+    return (rf"^error: the estimated work of {command} is "
+            rf"(far|[0-9.e+]+ s,) over the budget of 10 s\n$")
+
+
+def assert_refused(proc, command: str, started: float):
+    assert time.monotonic() - started < 1
+    assert proc.returncode == 1
+    assert re.match(refusal(command), proc.stderr), proc.stderr
+    assert proc.stdout == ""
+
+
+def assert_help_states_the_rule(*command):
+    proc = run_cli(*command, "--help")
+    assert proc.returncode == 0
+    assert ("estimates its work from its flags and exits 1, before any "
+            "work, when that is over 10 s") in " ".join(proc.stdout.split())
+
+
 class TestEisensteinBudget:
     def test_index_over_budget_is_refused(self):
-        proc = run_cli("elliptic", "eisenstein", "--k", "2002",
+        start = time.monotonic()
+        proc = run_cli("elliptic", "eisenstein", "--k", "10000",
                        "--order", "1")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
-        assert "--k is 2002, over the index budget 2000" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert_refused(proc, "elliptic eisenstein", start)
 
-    @pytest.mark.parametrize("k,order,message", [
-        ("4", "100001", "--order is 100001, over the order budget 100000"),
-        ("12", "40000",
-         "--k times --order is 480000, over the term budget 400000"),
-        ("2000", "201",
-         "--k times --order is 402000, over the term budget 400000"),
-    ])
-    def test_order_over_budget_is_refused(self, k, order, message):
+    @pytest.mark.parametrize("k,order", [("4", "2000000"),
+                                         ("400", "100000"),
+                                         ("2000", "20000")])
+    def test_order_over_budget_is_refused(self, k, order):
         start = time.monotonic()
         proc = run_cli("elliptic", "eisenstein", "--k", k, "--order", order)
-        assert time.monotonic() - start < 2
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:") and message in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert_refused(proc, "elliptic eisenstein", start)
 
     def test_help_states_the_budget(self):
-        proc = run_cli("elliptic", "eisenstein", "--help")
-        assert proc.returncode == 0
-        text = " ".join(proc.stdout.split())
-        assert "at most 2000" in text
-        assert ("at most 100000, and --k times the order at most 400000"
-                in text)
+        assert_help_states_the_rule("elliptic", "eisenstein")
 
 
 class TestClusterTrialsBudget:
     def test_trials_over_budget_are_refused(self):
         start = time.monotonic()
         proc = run_cli("cluster", "check", "--trials", "100000000")
-        assert time.monotonic() - start < 2
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
-        assert ("--trials is 100000000, over the trial budget 2000 of "
-                "cluster check") in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert_refused(proc, "cluster check", start)
 
     def test_help_states_the_budget(self):
-        proc = run_cli("cluster", "check", "--help")
-        assert proc.returncode == 0
-        assert "at most 2000" in " ".join(proc.stdout.split())
+        assert_help_states_the_rule("cluster", "check")
 
 
 # Hostile command lines, the file-writing ones among them, each pointed
@@ -147,7 +145,7 @@ HOSTILE_ARGV = {
                               "--output", "{tmp}/none/report.json"],
     "output_is_a_directory": ["elliptic", "eisenstein", "--k", "2",
                               "--output", "{tmp}"],
-    "eisenstein_over_budget": ["elliptic", "eisenstein", "--k", "3000",
+    "eisenstein_over_budget": ["elliptic", "eisenstein", "--k", "10000",
                                "--order", "1"],
     "huge_index": ["elliptic", "pm", "--m", "99999999999999999999"],
     "repeated_point": ["npoint", "--genus", "1", "--insertions",
@@ -162,7 +160,7 @@ HOSTILE_ARGV = {
     "huge_exponent": ["npoint", "--genus", "0", "--insertions",
                       "a[-1]^99999999|1@z1"],
     "schottky_rho_order_over_budget": ["schottky", "psi", "--p", "1", "-g",
-                                       "2", "--rho-order", "8"],
+                                       "2", "--rho-order", "12"],
     "schottky_genus_rho_order_over_budget": ["schottky", "psi", "--p", "1",
                                              "-g", "3", "--rho-order", "5",
                                              "--coordinates",
@@ -171,7 +169,7 @@ HOSTILE_ARGV = {
     "schottky_cutoff_over_budget": ["schottky", "psi", "--p", "1", "-g", "2",
                                     "-N", "120"],
     "schottky_channels_over_budget": ["schottky", "partition", "-g", "2",
-                                      "--weight-cutoff", "9"],
+                                      "--weight-cutoff", "11"],
     "schottky_channels_weighted_over_budget": [
         "schottky", "partition", "-g", "12", "--weight-cutoff", "1",
         "--coordinates", ",".join(str(w) for w in range(1, 25))],
@@ -179,6 +177,24 @@ HOSTILE_ARGV = {
                                      "--order", "2000000"],
     "cluster_trials_over_budget": ["cluster", "check", "--trials",
                                    "100000000"],
+    # joint requests that every per-flag cap of the past let through
+    "euler_weight_over_budget": ["cohomology", "euler", "-m", "60",
+                                 "-N", "1"],
+    "euler_levels_over_budget": ["cohomology", "euler", "-m", "0",
+                                 "-N", "40"],
+    "genus2_orders_over_budget": ["genus2", "partition", "--eps-order", "40",
+                                  "--q1-order", "30", "--q2-order", "30",
+                                  "-N", "80"],
+    "npoint_composite_oracle_over_budget": [
+        "npoint", "--genus", "1", "--insertions", "omega@z1,omega@z2",
+        "--qorder", "32", "--oracle"],
+    "npoint_box_and_levels_over_budget": [
+        "npoint", "--genus", "1", "--insertions",
+        "a@z1,a@z2,a@z3,a@z4,a@z5,a@z6", "--zorder", "4", "--qorder", "32"],
+    "schottky_coordinate_size_over_budget": [
+        "schottky", "partition", "-g", "10", "--weight-cutoff", "1",
+        "--coordinates", "17,31,59,97,173,307,547,971,1733,3089,5507,9817,"
+        "17491,31177,55579,99079,176573,314747,561019,1000003"],
 }
 
 
@@ -205,42 +221,45 @@ class TestHostileArgv:
 
 class TestSchottkyPsiLimits:
     @pytest.mark.parametrize("name,message", [
-        ("schottky_rho_order_over_budget",
-         "--rho-order is 8, over the order budget 7 of schottky psi"),
-        ("schottky_genus_rho_order_over_budget",
-         "the genus times (--rho-order + 1) is 18, over the order budget "
-         "16 of schottky psi"),
-        ("schottky_p_above_window", "kernel degree p = 4 is above 3"),
-        ("schottky_cutoff_over_budget",
-         "-N is 120, over the cutoff budget 14 of schottky psi"),
-        ("schottky_channels_over_budget",
-         "the channel count (p(0) + ... + p(9))^2 is over the channel "
-         "budget 4489 of schottky partition"),
+        ("schottky_rho_order_over_budget", refusal("schottky psi")),
+        ("schottky_genus_rho_order_over_budget", refusal("schottky psi")),
+        ("schottky_p_above_window", "^error: kernel degree p = 4 is above 3"),
+        ("schottky_cutoff_over_budget", refusal("schottky psi")),
+        ("schottky_channels_over_budget", refusal("schottky partition")),
         ("schottky_channels_weighted_over_budget",
-         "the channel count (p(0) + ... + p(1))^12 times 12/4 is over the "
-         "channel budget 4489 of schottky partition"),
+         refusal("schottky partition")),
     ])
     def test_refused_before_any_work(self, name, message):
         start = time.monotonic()
         proc = run_cli(*HOSTILE_ARGV[name])
-        assert time.monotonic() - start < 2
+        assert time.monotonic() - start < 1
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error:") and message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert re.match(message, proc.stderr), proc.stderr
         assert proc.stdout == ""
 
     def test_help_states_the_limits(self):
         proc = run_cli("schottky", "psi", "--help")
         assert proc.returncode == 0
-        text = " ".join(proc.stdout.split())
-        assert "kernel weight, at most 3" in text
-        assert ("at most 7, and the genus times (the order + 1) at most 16"
-                in text)
-        assert "at most 14" in text
-        proc = run_cli("schottky", "partition", "--help")
-        assert proc.returncode == 0
-        assert ("at most 4489, times genus/4 above genus 4"
-                in " ".join(proc.stdout.split()))
+        assert "kernel weight, at most 3" in " ".join(proc.stdout.split())
+        assert_help_states_the_rule("schottky", "psi")
+        assert_help_states_the_rule("schottky", "partition")
+
+
+class TestCostRule:
+    """Every request over the budget, the joint ones that per-flag caps
+    let through among them, is refused by its estimate in a fresh
+    process, in under a second and with the one message."""
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in HOSTILE_ARGV if n.endswith("_over_budget")))
+    def test_refused_in_under_a_second(self, name):
+        argv = HOSTILE_ARGV[name]
+        command = " ".join(argv[:1 if argv[0] == "npoint" else 2])
+        start = time.monotonic()
+        assert_refused(run_cli(*argv), command, start)
+
+    def test_top_level_help_states_the_rule(self):
+        assert_help_states_the_rule()
 
 
 class TestSchottkyCoordinates:
