@@ -27,6 +27,7 @@ many digits they have.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -151,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
             dest="sub", metavar="SUBCOMMAND", required=True)
 
     def command(subparsers, name, run, cost, help, *shared):
-        """Register one command: its name, handler, cost (None for none)
-        and shared flag groups.  The report names it by its parser path."""
+        """Register one command with its handler, cost and flag groups."""
         sub = subparsers.add_parser(name, parents=[common, *shared],
                                     help=help, epilog=rule)
         sub.set_defaults(run=run, cost=cost)
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     eis.add_argument("--order", type=_positive_int, default=10,
                      help="q truncation order (default 10)")
 
-    pm = command(ell, "pm", _run_pm, _eisenstein_cost,
+    pm = command(ell, "pm", _run_pm, _pm_cost,
                  "Weierstrass kernel P_m(z, q)")
     pm.add_argument("--m", type=_positive_int, required=True,
                     help="kernel index, at least 1")
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--qorder", type=_positive_int, default=8,
                     help="q truncation order (default 8)")
 
-    npoint = command(groups, "npoint", _run_npoint, _correlation_cost,
+    npoint = command(groups, "npoint", _run_npoint, _npoint_cost,
                      "n-point function at genus 0 or 1", orders)
     npoint.add_argument("--genus", type=int, choices=(0, 1), required=True)
     npoint.add_argument("--insertions", type=_insertion_list, default=(),
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                       const="oracle", help="brute-force mode expansion")
     npoint.set_defaults(path="reduce")
 
-    residual = command(groups, "residual", _run_residual, _correlation_cost,
+    residual = command(groups, "residual", _run_residual, _residual_cost,
                        "reduction residual of a correlation function in one "
                        "direction", orders)
     residual.add_argument("--genus", type=int, choices=(0, 1), default=1)
@@ -202,13 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the two genus-2 commands default their orders differently, so each
     # declares its own: parents share Action objects, defaults included
     g2 = group("genus2", "epsilon-sewn two-torus surface")
-    # Hafnian channels p(0) + ... + p(eps order): two one-point series, a
-    # product, a sum of eps order + 10 terms; -N builds nothing to cost
-    g2p = command(g2, "partition", _run_g2_partition,
-                  lambda ns: 1.5e-7 * _states(ns.eps_order, 1.5e-7) * (
-                      ns.eps_order + 10) * ((ns.q1_order + 1) ** 2 + (
-                          ns.q2_order + 1) ** 2 + (ns.q1_order + 1) * (
-                              ns.q2_order + 1)),
+    g2p = command(g2, "partition", _run_g2_partition, _g2_partition_cost,
                   "genus-2 partition function expansion")
     g2p.add_argument("--eps-order", type=_positive_int, default=4,
                      help="epsilon truncation order (default 4)")
@@ -219,12 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "order (default 8); the Hafnian channel sum "
                           "builds no matrix, so no coefficient depends on it")
 
-    # kernel matrix products over eps orders, each entry a q1, q2 series
-    # whose products go as the larger order squared times the smaller
-    g2w = command(g2, "pweier", _run_g2_pweier,
-                  lambda ns: 9.6e-7 * float(ns.eps_order + 1) ** 4 * max(
-                      ns.q1_order + 1, ns.q2_order + 1) ** 2 * min(
-                          ns.q1_order + 1, ns.q2_order + 1),
+    g2w = command(g2, "pweier", _run_g2_pweier, _g2_pweier_cost,
                   "generalized Weierstrass kernel")
     g2w.add_argument("--p", type=_positive_int, required=True,
                      help="kernel weight (1 or 2)")
@@ -242,12 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "order)")
 
     sch = group("schottky", "genus-g Schottky surface")
-    # Neumann products of the (2 genus cutoff)-square moment matrix, each
-    # entry up to (rho order + 1)^genus rho monomials
-    psi = command(sch, "psi", _run_schottky_psi, lambda ns: 1.6e-5 * float(
-        2 * ns.genus * (ns.matrix_cutoff or max(2 * ns.rho_order,
-                                                 2 * ns.p - 1))) ** 2
-        * float(ns.rho_order + 1) ** ns.genus,
+    psi = command(sch, "psi", _run_schottky_psi, _psi_cost,
                   "dressed kernel Psi_p expansion", surface)
     psi.add_argument("--p", type=_positive_int, required=True,
                      help="kernel weight, at most 3: the expansion's fixed "
@@ -270,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     coh = group("cohomology", "reduction cohomology of graded slices")
     direction_help = ("reduction direction state@point; a repeated "
                       "--direction adds its state at the first one's point")
-    rank = command(coh, "rank", _run_cohomology_rank, _ladder_cost,
+    rank = command(coh, "rank", _run_cohomology_rank, _rank_cost,
                    "chain, kernel, image and cohomology ranks of one slice",
                    slice_flags)
     rank.add_argument("-n", type=_nonneg_int, required=True,
@@ -280,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--direction", type=_insertion, action="append",
                       required=True, help=direction_help)
 
-    euler = command(coh, "euler", _run_cohomology_euler, _ladder_cost,
+    euler = command(coh, "euler", _run_cohomology_euler, _euler_cost,
                     "Euler-Poincare ledger over a weight ladder", slice_flags)
     euler.add_argument("-m", type=_nonneg_int, required=True,
                        help="weight of the level-0 slice")
@@ -290,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"{direction_help} (default a@w)")
 
     cluster = group("cluster", "cluster seed mutation checks")
-    check = command(cluster, "check", _run_cluster_check,
-                    lambda ns: 1e-3 * ns.trials, "run a deterministic "
+    check = command(cluster, "check", _run_cluster_check, _cluster_cost,
+                    "run a deterministic "
                     "batch of double-mutation involution trials")
     check.add_argument("--trials", type=_positive_int, default=60,
                        help="number of trials (default 60)")
@@ -313,28 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- the cost rule ---------------------------------------------------------
-# Every command but golden registers a cost(ns) next to its handler: the
-# seconds its dominant loop takes on a 2-core machine (Python 3.11, fresh
-# process), a rate times the counts that loop visits, each rate about 1.3
-# times the largest seconds per count of README.md's calibration rows.
-# No basis is listed and no layer loads; a count that stops, or a float
-# that overflows, is past any budget.
+# Every command but golden registers a cost(ns): the seconds its dominant
+# loop takes on a 2-core machine (Python 3.11, fresh process), one rate, at
+# least 1.2 times the largest seconds per count of its rows in README.md's
+# calibration table, times the counts the loop visits.  A term beside the
+# product names the row that needs it.
 
 
 def _partition_counts(top: int, most: float) -> list:
-    """p(0) ... p(top), the Fock basis sizes by weight, by Euler's
-    pentagonal recurrence; OverflowError once a count passes ``most``."""
-    p = [1]
-    while len(p) <= top and p[-1] <= most:
-        n, k, total = len(p), 1, 0
-        while k * (3 * k - 1) // 2 <= n:
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= n:
-                total += sign * p[n - k * (3 * k + 1) // 2]
-            k += 1
-        p.append(total)
-    if p[-1] > most:
+    """p(0) ... p(top) by the parts recurrence, never a basis; past any
+    budget here from p(100) on, so OverflowError once one passes most."""
+    p = [1] + [0] * min(top, 100)
+    for k in range(1, len(p)):
+        for n in range(k, len(p)):
+            p[n] += p[n - k]
+    if p[-1] > most or top > 100:
         raise OverflowError
     return p
 
@@ -344,102 +321,157 @@ def _states(top: int, rate: float) -> int:
     return sum(_partition_counts(top, BUDGET_S / rate))
 
 
-def _eisenstein_cost(ns) -> float:
-    """E_low ... E_top to q^order (E_k, or m ... m + zorder for P_m): the
-    tangent table to B_top, (top/2)^2 / 2 cells of log2(top!) bits, and
-    per coefficient a fixed cost plus a gcd in its k log2(k + order) bits."""
-    low, top, order = ((ns.k, ns.k, ns.order) if ns.sub == "eisenstein"
-                       else (ns.m, ns.m + ns.zorder, ns.qorder))
-    table = (top / 2) ** 2 / 2 * top * math.log2(top + 1) / 30
-    squares = (top ** 3 - (low - 1) ** 3) / 3  # k^2 summed over low..top
-    gcds = squares * (math.log2(top + order) / 20) ** 2
-    return 4.9e-9 * (table + (order + 1) * ((top - low + 1) * 7300 + gcds))
-
-
 def _generators(insertions) -> list:
     """Each insertion's modes a(-n): its longest basis state, at least 1."""
     return [max(1, max(map(len, ins.state.t), default=0))
             for ins in insertions]
 
 
-def _correlation_cost(ns) -> float:
-    """Recursion nodes fill the generators' window box at each q level (a
-    sixteenth of one at genus 0), and leaves trace the Fock states up to
-    the q-order; the oracle traces one mode word per box point there, and
-    loops the window and its sentinel slices over each point."""
-    rate, width = 4.6e-6, 2.0 * ns.zorder + 1
-    gens = _generators(ns.insertions + (
-        (ns.direction,) if ns.group == "residual" else ()))
-    traces = _states(ns.qorder, rate) if ns.genus else 1
-    if ns.group == "npoint" and ns.path == "oracle":
-        words = (width + 1 - ns.genus) ** max(len(gens) - 1, 0) * math.prod(
-            g * g for g in gens)
-        loops = (width + 4) ** len(gens) / (5 * math.factorial(len(gens)))
-        return rate * (words * traces + loops)
-    levels = ns.qorder + 1 if ns.genus else 1 / 16
-    return rate * (width ** max(sum(gens) - 1, 0) * levels + 2 * width * max(
-        levels, 1) + sum(gens) * sum(g * g for g in gens) * traces * ns.genus)
+def _eisenstein_seconds(low: int, top: int, order: int) -> float:
+    """E_k, k even in low ... top, to q^order, in 64-bit words: the
+    tangent table to B_top, top^2/8 cells of top log2(top) bits; per
+    coefficient, a gcd and rendering quadratic in its k log2(k + order)
+    bits past 27 words of overhead (row ``--k 4 --order 200000``), each
+    word worth four of the table's (row ``--k 2000 --order 2000``)."""
+    words = math.log2(top + order) / 64  # per unit of k
+    a, b = 27 + low * words, 27 + top * words  # (a^2 + ab + b^2)/3: mean
+    terms = (order + 1) * ((top - low) // 2 + 1) * (a * a + a * b + b * b) / 3
+    return 7.7e-9 * (top ** 3 * words / 8 + 4 * terms)
+
+
+def _eisenstein_cost(ns) -> float:
+    return _eisenstein_seconds(ns.k, ns.k, ns.order)
+
+
+def _pm_cost(ns) -> float:  # P_m to z^zorder needs E_m ... E_(m + zorder)
+    return _eisenstein_seconds(ns.m, ns.m + ns.zorder, ns.qorder)
+
+
+def _recursion_seconds(insertions, ns) -> float:
+    """A step on ``insertions`` (npoint's last dominates), g generators:
+    each pair, and the direction, sums over the window, (2 zorder +
+    1)^max(g/2, 1) nodes per point and q level (row ``npoint a@z1,...,
+    a@z4 --zorder 50``); leaves trace the Fock states to the q-order,
+    doubling per generator (row ``npoint a@z0,omega@z1 --qorder 40``)."""
+    rate, g = 4.9e-6, sum(_generators(insertions))
+    states = _states(ns.qorder, rate) if ns.genus else 0
+    nodes = (2 * ns.zorder + 1.0) ** max(g / 2, 1) * (len(insertions) + 1)
+    return rate * (nodes * (ns.qorder + 1 if ns.genus else 1)
+                   + states * 2.0 ** g)
+
+
+def _npoint_cost(ns) -> float:
+    """The oracle traces a mode word per point of the window box over the
+    Fock states to the q-order at genus 1, tripling per generator (row
+    ``omega@z1,omega@z2 --qorder 32 --oracle``); at genus 0 it visits
+    (2 zorder + 5)^n mode tuples, window and margin, doubling per
+    generator past one a point (row ``a@z1,a@z2 --zorder 3000``)."""
+    if ns.path == "reduce":
+        return _recursion_seconds(ns.insertions, ns)
+    rate, n, width = 5.8e-7, len(ns.insertions), 2 * ns.zorder + 1.0
+    g = sum(_generators(ns.insertions))
+    if ns.genus:
+        return rate * width ** (n - 1) * _states(ns.qorder, rate) * 3.0 ** g
+    return rate * (width + 4) ** n * 2.0 ** (g - n)
+
+
+def _residual_cost(ns) -> float:
+    return _recursion_seconds(ns.insertions + (ns.direction,), ns)
+
+
+def _g2_partition_cost(ns) -> float:
+    """Per Hafnian channel, p(0) + ... + p(eps order), a (q1 + 1)(q2 + 1)
+    term product added to a sum of eps order + 1, and two one-point
+    series worth 39 more (row ``--eps-order 2 --q1-order 400``)."""
+    rate = 2.4e-7
+    terms = (ns.q1_order + 1) * (ns.q2_order + 1) * (ns.eps_order + 40)
+    return rate * _states(ns.eps_order, rate) * terms
+
+
+def _g2_pweier_cost(ns) -> float:
+    """(eps order + 1)^4 kernel products, each as the larger q order
+    squared times the smaller; N^2 Lambda-tilde entries, 20 products
+    each (row ``pweier --p 1 -N 600``); E_k, j < k <= j + 2 eps + 6."""
+    eps, (low, high) = ns.eps_order, sorted((ns.q1_order, ns.q2_order))
+    size = ns.matrix_cutoff or 2 * eps
+    products = (eps + 1.0) ** 4 * (high + 1) ** 2 * (low + 1)
+    return 1.04e-6 * (products + 20 * size * size) + _eisenstein_seconds(
+        ns.j + 1, ns.j + 2 * eps + 6, high)
+
+
+def _psi_cost(ns) -> float:
+    """Neumann products of the (2 genus cutoff)-square moment matrix,
+    each entry up to (rho order + 1)^genus rho monomials."""
+    cutoff = ns.matrix_cutoff or max(2 * ns.rho_order, 2 * ns.p - 1)
+    return 1.6e-5 * float(2 * ns.genus * cutoff) ** 2 * float(
+        ns.rho_order + 1) ** ns.genus
 
 
 def _schottky_partition_cost(ns) -> float:
-    """Channels (p(0) + ... + p(cutoff))^genus, each a Wick sum over 2 genus
-    points and 2 genus cutoff legs, in ints the size of the lcm of the
-    coordinate differences."""
-    rate, g, cutoff = 4e-6, ns.genus, ns.weight_cutoff
+    """Channels (p(0) + ... + p(cutoff))^genus, each a Wick sum over 2 g
+    points and 2 g cutoff legs in ints the size of the lcm of coordinate
+    differences, 1% more per bit (row ``partition -g 10`` at 10^6)."""
+    rate, g, cutoff, spread = 4e-6, ns.genus, ns.weight_cutoff, 1
     seconds = rate * float(_states(cutoff, rate)) ** g * 4 * g * g * cutoff
-    if seconds > BUDGET_S:  # the coordinates can only add to it
-        return seconds
     points = (ns.coordinates or DEFAULT_COORDINATES.get(g, ()))[:2 * g]
-    spread = math.lcm(*(abs(a - b) for a in points for b in points if a != b))
+    for a, b in itertools.combinations(points, 2):  # until over budget
+        if seconds * (1 + spread.bit_length() / 100) <= BUDGET_S:
+            spread = math.lcm(spread, a - b or 1)
     return seconds * (1 + spread.bit_length() / 100)
 
 
-def _ladder_cost(ns) -> float:
-    """rank and euler, per slice (points k, weight, coboundary built):
-    listing the tuples, and per tuple one reduction step over (k + 1)^2
-    direction generators^2 (weight + 1) window^2 cells at each q level."""
-    rate, width = 1.8e-7, 2 * ns.window + 1
-    most, work = BUDGET_S / rate, 0.0
-    directions = ns.direction or ()  # a@w by default: weight 1, 1 generator
-    gens, w = max(_generators(directions), default=1), max(
-        (w for d in directions for w in d.state.weights()), default=1)
-    if ns.sub == "rank":
-        levels = [(ns.n, ns.m, True), (ns.n - 1, ns.m - w, True)]
-    else:  # lazily: the ladder stops once the work is over the budget
-        levels = ((k, ns.m + k * w, k < ns.levels)
-                  for k in range(ns.levels + 1))
-    traces = _states(ns.qorder, rate) if ns.genus else 0
-    for k, weight, step in levels:
+def _ladder_seconds(ns, levels) -> float:
+    """Slices (points k, weight, coboundary built) of ``levels(w)``, w the
+    direction weight, t the weight less one if weight + w is odd (trace
+    parity prunes those).  Per basis tuple: listing, weight + 1 (row
+    ``euler -m 60 -N 1``); its step, (k + 1)(2 window + 1)^2 cells per q
+    level, 2.25-fold per t (row ``rank -n 3 -m 5 --window 20``), each a
+    fiftieth of a trace.  Memoized traces: the S Fock states to the
+    q-order once, 3.5-fold per t of the top slice (row ``rank -n 1 -m 5
+    --qorder 24``); all times direction generators; stops over budget."""
+    rate, members = 4.6e-6, ns.direction or ()
+    gens = max(_generators(members), default=1)
+    states = _states(ns.qorder, rate) if ns.genus else 0
+    cells = (2 * ns.window + 1) ** 2 * (ns.qorder + 1 if ns.genus else 1)
+    most, work, top = BUDGET_S / rate, states, 0
+    w = max((x for d in members for x in d.state.weights()), default=1)
+    for k, weight, built in levels(w):
         if min(k, weight) < 0:
             continue
-        if step and (k + 1) ** 2 * width ** 2 > most:
-            raise OverflowError  # before counting k-tuples
-        p = _partition_counts(weight, most)
+        t, p = weight - (weight + w) % 2, _partition_counts(weight, most)
+        each = weight + 1 + built * gens * cells * (k + 1) * 2.25 ** t / 50
+        top = max(top, built * min(t, ns.qorder))
         tuples = [1] + [0] * weight  # k-tuples of basis states by weight
-        for _ in range(k):
+        for _ in range(k if weight else 0):
             tuples = [sum(c * p[j - i] for i, c in enumerate(tuples[:j + 1]))
                       for j in range(weight + 1)]
-            if tuples[-1] > most:
-                raise OverflowError
-        count = tuples[-1]
-        work += 2 * (count + sum(p)) * (weight + 1)
-        if step:
-            cells = (k + 1) ** 2 * gens * gens * (weight + 1) * width ** 2
-            # leaves trace modes of states up to the weight on the Fock
-            # states up to the q-order: past 4 each weight doubles them
-            work += count * (cells * (ns.qorder + 1) + 22 * traces * 2 ** max(
-                0, min(weight, ns.qorder) - 4) if ns.genus else cells)
+            if tuples[-1] * each > most:
+                break
+        work += tuples[-1] * each
         if work > most:
-            raise OverflowError
-    return rate * work
+            break
+    return rate * (work + states * gens * 3.5 ** top)
+
+
+def _rank_cost(ns) -> float:
+    return _ladder_seconds(ns, lambda w: ((ns.n, ns.m, 1),
+                                          (ns.n - 1, ns.m - w, 1)))
+
+
+def _euler_cost(ns) -> float:  # the top level builds no coboundary
+    return _ladder_seconds(ns, lambda w: ((k, ns.m + k * w, k < ns.levels)
+                                          for k in range(ns.levels + 1)))
+
+
+def _cluster_cost(ns) -> float:  # row ``cluster check --trials 2000``
+    return 1e-3 * ns.trials
 
 
 # -- serialization ---------------------------------------------------------
 
 
 def _series_payload(s: MultiSeries, approx: bool) -> dict:
-    """The JSON shape of a series: variables, windows and the nonzero
-    terms in exponent order."""
+    """The JSON shape of a series: variables, windows, the nonzero terms."""
     terms = []
     for key in sorted(k for k, c in s.c.items() if c):
         entry = {"exponents": list(key), "value": str(s.c[key])}
@@ -473,30 +505,21 @@ def _csv_text(payload: dict) -> str:
                    and {"variables", "terms"} <= set(payload[k])]
     if len(series_keys) == 1:
         body = payload[series_keys[0]]
-        with_approx = any("approx" in t for t in body["terms"])
-        header = list(body["variables"]) + ["value"]
-        if with_approx:
-            header.append("approx")
-        writer.writerow(header)
+        extra = ["approx"] if any("approx" in t for t in body["terms"]) else []
+        writer.writerow(list(body["variables"]) + ["value"] + extra)
         for term in body["terms"]:
-            row = list(term["exponents"]) + [term["value"]]
-            if with_approx:
-                row.append(term["approx"])
-            writer.writerow(row)
+            writer.writerow(list(term["exponents"]) + [term["value"]]
+                            + [term[k] for k in extra])
     else:
-        writer.writerow(["key", "value"])
-        rows = []
+        rows = [("key", "value")]
         _flatten(payload, "", rows)
-        for key, value in rows:
-            writer.writerow([key, value])
+        writer.writerows(rows)
     return buf.getvalue()
 
 
 def _emit(payload: dict, ns: argparse.Namespace):
-    if ns.format == "csv":
-        text = _csv_text(payload)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = (_csv_text(payload) if ns.format == "csv"
+            else json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if ns.output:
         with open(ns.output, "w") as fh:
             fh.write(text)
@@ -526,9 +549,7 @@ def _run_npoint(ns: argparse.Namespace):
     from .reduction import direct, unwind_to_partition
     from .voa import render_state
 
-    genus = ns.genus
-    window = (-ns.zorder, ns.zorder)
-    q_order = ns.qorder
+    genus, window, q_order = ns.genus, (-ns.zorder, ns.zorder), ns.qorder
     if ns.path == "oracle":
         F = direct(genus, ns.insertions, window, q_order)
     else:
@@ -540,8 +561,7 @@ def _run_npoint(ns: argparse.Namespace):
     if genus == 0:
         payload["boundary"] = [render_state(s) for s in F.boundary_states]
     else:
-        payload["qorder"] = q_order
-        payload["q_shift"] = str(F.q_shift)
+        payload |= {"qorder": q_order, "q_shift": str(F.q_shift)}
     if ns.path == "reduce":
         payload["degenerate_steps"] = list(F.degenerate_steps)
     return payload, 0
@@ -570,8 +590,7 @@ def _run_g2_partition(ns: argparse.Namespace):
     moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order,
                           ns.matrix_cutoff)
     ms = renamed(z2_partition(moduli), HALF_POWERS)
-    return {"eps_order": ns.eps_order,
-            "matrix_cutoff": ns.matrix_cutoff,
+    return {"eps_order": ns.eps_order, "matrix_cutoff": ns.matrix_cutoff,
             "q_shift": {"q1": "-1/24", "q2": "-1/24"},
             "series": _series_payload(ms, ns.approx)}, 0
 
@@ -585,8 +604,7 @@ def _run_g2_pweier(ns: argparse.Namespace):
     x_chart, y_chart = ns.charts
     ms = renamed(gen_weierstrass(ns.p, ns.j, x_chart, y_chart, moduli),
                  HALF_POWERS)
-    return {"p": ns.p, "j": ns.j,
-            "charts": [x_chart, y_chart],
+    return {"p": ns.p, "j": ns.j, "charts": [x_chart, y_chart],
             "eps_order": ns.eps_order, "matrix_cutoff": cutoff,
             "series": _series_payload(ms, ns.approx)}, 0
 
@@ -594,12 +612,10 @@ def _run_g2_pweier(ns: argparse.Namespace):
 def _schottky_data(ns: argparse.Namespace, rho_order: int, cutoff: int):
     from .schottky import SchottkyData
 
-    coordinates = ns.coordinates
+    coordinates = ns.coordinates or DEFAULT_COORDINATES.get(ns.genus)
     if coordinates is None:
-        coordinates = DEFAULT_COORDINATES.get(ns.genus)
-        if coordinates is None:
-            raise ValueError(f"no default coordinates at genus {ns.genus}; "
-                             "pass --coordinates")
+        raise ValueError(f"no default coordinates at genus {ns.genus}; "
+                         "pass --coordinates")
     return SchottkyData(ns.genus, coordinates, rho_order, cutoff)
 
 
@@ -646,8 +662,7 @@ def _direction_args(ns: argparse.Namespace):
                                          first.state))
     window = (-ns.window, ns.window)
     return direction, window, {
-        "genus": ns.genus,
-        "direction": [str(d) for d in members],
+        "genus": ns.genus, "direction": [str(d) for d in members],
         "combine": "sum",  # always, so that reports read as before
         "window": list(window), "qorder": ns.qorder,
         "certified": "within window"}
@@ -676,8 +691,7 @@ def _run_cohomology_euler(ns: argparse.Namespace):
 
 
 def _random_state(rng):
-    """A random state of weight at most 3 drawn from ``rng``, a
-    ``random.Random``."""
+    """A random state of weight at most 3 drawn from the random.Random."""
     from fractions import Fraction
 
     from .voa import GradedVector, basis, vacuum
@@ -688,9 +702,7 @@ def _random_state(rng):
         w = rng.randint(0, 3)
         part = rng.choice(basis(w))
         v = v + GradedVector.basis_state(part) * rng.choice(coeffs)
-    if v.is_zero():
-        v = vacuum()
-    return v
+    return vacuum() if v.is_zero() else v
 
 
 def _run_cluster_check(ns: argparse.Namespace):
@@ -701,8 +713,7 @@ def _run_cluster_check(ns: argparse.Namespace):
 
     rng = random.Random(ns.seed)
     genera = (ns.genus,) if ns.genus is not None else (0, 1)
-    failures = 0
-    sample = []
+    failures, sample = 0, []
     # A small window keeps the batch quick; involutivity is coefficient
     # by coefficient, so any window that admits the seed exercises it.
     window, q_order = (-2, 2), 2
@@ -719,17 +730,14 @@ def _run_cluster_check(ns: argparse.Namespace):
             supports = sorted({tuple(sorted(v.t)) for v in states})
             xi = {s: rng.choice((1, -1)) for s in supports}
         ok = involution_check(ClusterSetting(seed, slot, grade, xi=xi))
-        if not ok:
-            failures += 1
+        failures += not ok
         if len(sample) < 5 or not ok:
             sample.append({"genus": genus, "m": grade, "slot": slot,
                            "states": [render_state(v) for v in states],
                            "xi": "support signs" if xi else "trivial",
                            "ok": ok})
-    payload = {"trials": ns.trials,
-               "seed": ns.seed, "failures": failures,
-               "involutive": failures == 0, "sample": sample}
-    return payload, 0 if failures == 0 else 1
+    return {"trials": ns.trials, "seed": ns.seed, "failures": failures,
+            "involutive": failures == 0, "sample": sample}, int(failures > 0)
 
 
 # Every example command from the module documentation, frozen as a
@@ -773,8 +781,7 @@ def golden_name(name: str) -> str:
 
 
 def capture_output(argv) -> str:
-    """Run one command and return its stdout text; the command must
-    succeed."""
+    """Run one command and return its stdout; the command must succeed."""
     import io
 
     buffer = io.StringIO()
@@ -789,30 +796,23 @@ def capture_output(argv) -> str:
 
 
 def _run_golden(ns: argparse.Namespace):
-    directory = ns.dir
-    checking = ns.check
-    drifted, files = [], []
-    for name, argv in GOLDEN_CASES:
-        text = capture_output(argv)
-        path = os.path.join(directory, golden_name(name))
-        files.append(golden_name(name))
-        if checking:
+    drifted, files = [], [golden_name(name) for name, _ in GOLDEN_CASES]
+    for file, (_, argv) in zip(files, GOLDEN_CASES):
+        text, path = capture_output(argv), os.path.join(ns.dir, file)
+        if ns.check:
             with open(path) as fh:
                 if fh.read() != text:
-                    drifted.append(golden_name(name))
+                    drifted.append(file)
         else:
-            os.makedirs(directory, exist_ok=True)
+            os.makedirs(ns.dir, exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(text)
-    payload = {"mode": "check" if checking else "write",
-               "directory": directory, "files": files,
-               "drifted": drifted}
-    return payload, 0 if not drifted else 1
+    return {"mode": "check" if ns.check else "write", "directory": ns.dir,
+            "files": files, "drifted": drifted}, int(bool(drifted))
 
 
 def estimate(ns: argparse.Namespace) -> float:
-    """The seconds of work the parsed command is estimated to take; inf
-    when a count stopped, or a float overflowed, past any budget."""
+    """The parsed command's estimated seconds; inf once a count overflows."""
     try:
         return ns.cost(ns) if ns.cost else 0.0
     except OverflowError:

@@ -9,6 +9,7 @@ layers a command loads.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -160,8 +161,8 @@ class TestExitCodes:
         (["residual", "--direction", "a@z"], "--zorder", 50,
          "reduction.reduce_step"),
         (["cohomology", "rank", "-n", "3", "-m", "3", "--direction", "a@w"],
-         "--window", 20, "cohomology.cohomology_rank"),
-        (["cohomology", "euler", "-m", "2", "-N", "3"], "--window", 20,
+         "--window", 50, "cohomology.cohomology_rank"),
+        (["cohomology", "euler", "-m", "2", "-N", "3"], "--window", 50,
          "cohomology.euler_poincare"),
     ], ids=["npoint", "npoint-oracle", "residual", "cohomology-rank",
             "cohomology-euler"])
@@ -288,11 +289,16 @@ ADMITTED = rows(
     "residual --genus 1 --insertions a@z1,a@z2,a@z3 --direction a@w "
     "--qorder 16 --zorder 10",
     "cohomology rank --genus 0 -n 5 -m 6 --direction a@z",
+    "cohomology rank --genus 1 -n 3 -m 3 --direction a@w --window 50",
+    "cohomology rank -n 3 -m 3 --direction a@w --qorder 32",
+    "cohomology euler -m 2 -N 3 --qorder 32",
     "cohomology euler -m 3 -N 4",
     "cohomology euler -m 2 -N 5",
     "cohomology euler -m 0 -N 4 --direction omega@w",
     "genus2 pweier --p 1 --j 0 --charts 1 2 --eps-order 6 --q1-order 8 "
     "--q2-order 8",
+    "genus2 pweier --p 1 -N 300",
+    "genus2 pweier --p 1 --j 2000",
     "genus2 partition --eps-order 14 --q1-order 10 --q2-order 10 -N 28",
     "genus2 partition --eps-order 20 --q1-order 14 --q2-order 14 -N 40")
 
@@ -322,6 +328,12 @@ OVER = rows(
     "npoint --genus 1 --insertions a@z1,a@z2,a@z3,a@z4,a@z5,a@z6 --zorder 50",
     "cohomology rank -n 1 -m 1 --direction a@w --qorder 200",
     "cohomology rank --genus 1 -n 3 -m 3 --direction a@w --window 400",
+    "cohomology rank --genus 1 -n 3 -m 5 --direction a@w --window 20",
+    "cohomology rank -n 1 -m 5 --direction a@w --qorder 32",
+    "cohomology rank -n 1 -m 6 --direction a@w --qorder 32",
+    "genus2 pweier --p 1 -N 5000",
+    "genus2 pweier --p 2 -N 5000",
+    "genus2 pweier --p 1 --j 100000",
     "cluster check --trials 100000000")
 
 # The numeric flags of each command with a cost, each with its least
@@ -380,6 +392,14 @@ class TestCostRule:
 
     def test_golden_has_no_cost(self):
         assert estimated(["golden", "--check"]) == 0
+
+    def test_only_an_overflowed_count_reads_far(self):
+        # a ladder that stops once over the budget reports what it counted
+        wide = ["cohomology", "rank", "--genus", "1", "-n", "3", "-m", "3",
+                "--direction", "a@w", "--window", "400"]
+        assert BUDGET_S < estimated(wide) < math.inf
+        assert estimated(["cohomology", "euler", "-m", str(10 ** 9), "-N",
+                          "1"]) == math.inf
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

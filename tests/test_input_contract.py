@@ -191,6 +191,14 @@ HOSTILE_ARGV = {
     "npoint_box_and_levels_over_budget": [
         "npoint", "--genus", "1", "--insertions",
         "a@z1,a@z2,a@z3,a@z4,a@z5,a@z6", "--zorder", "4", "--qorder", "32"],
+    "genus2_cutoff_over_budget": ["genus2", "pweier", "--p", "1", "-N",
+                                  "5000"],
+    "genus2_derivative_over_budget": ["genus2", "pweier", "--p", "1", "--j",
+                                      "100000"],
+    "schottky_huge_coordinates_over_budget": [
+        "schottky", "partition", "-g", "11", "--weight-cutoff", "1",
+        "--coordinates", ",".join(str(10 ** 3999 + 7919 * i * i + i)
+                                  for i in range(1, 23))],
     "schottky_coordinate_size_over_budget": [
         "schottky", "partition", "-g", "10", "--weight-cutoff", "1",
         "--coordinates", "17,31,59,97,173,307,547,971,1733,3089,5507,9817,"
