@@ -81,9 +81,7 @@ def _insertion(text: str):
 
 
 def _insertion_list(text: str) -> tuple:
-    if not text.strip():
-        return ()
-    return tuple(_insertion(part) for part in text.split(","))
+    return tuple(map(_insertion, text.split(","))) if text.strip() else ()
 
 
 def _state_list(text: str) -> tuple:
@@ -298,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- the cost rule ---------------------------------------------------------
 # Every command but golden registers a cost(ns): the seconds its dominant
-# loop takes on a 2-core machine (Python 3.11, fresh process), one rate, at
-# least 1.2 times the largest seconds per count of its rows in README.md's
-# calibration table, times the counts the loop visits.  A term beside the
-# product names the row that needs it.
+# loop takes on a 2-core machine (Python 3.11, fresh process), one rate
+# times the counts the loop visits, the rate at least 1.2 times the
+# largest seconds per count of its rows in README.md's calibration table.
+# A term beside the product names the row that needs it.
 
 
 def _partition_counts(top: int, most: float) -> list:
@@ -336,7 +334,7 @@ def _eisenstein_seconds(low: int, top: int, order: int) -> float:
     words = math.log2(top + order) / 64  # per unit of k
     a, b = 27 + low * words, 27 + top * words  # (a^2 + ab + b^2)/3: mean
     terms = (order + 1) * ((top - low) // 2 + 1) * (a * a + a * b + b * b) / 3
-    return 7.7e-9 * (top ** 3 * words / 8 + 4 * terms)
+    return 7.8e-9 * (top ** 3 * words / 8 + 4 * terms)
 
 
 def _eisenstein_cost(ns) -> float:
@@ -349,30 +347,33 @@ def _pm_cost(ns) -> float:  # P_m to z^zorder needs E_m ... E_(m + zorder)
 
 def _recursion_seconds(insertions, ns) -> float:
     """A step on ``insertions`` (npoint's last dominates), g generators:
-    each pair, and the direction, sums over the window, (2 zorder +
-    1)^max(g/2, 1) nodes per point and q level (row ``npoint a@z1,...,
-    a@z4 --zorder 50``); leaves trace the Fock states to the q-order,
-    doubling per generator (row ``npoint a@z0,omega@z1 --qorder 40``)."""
-    rate, g = 4.9e-6, sum(_generators(insertions))
+    each past the first, or the direction alone, sums over the window,
+    (2 zorder + 1)^max(g - 1, 1) nodes a point and q level, and leaves
+    trace the Fock states to the q-order, 3-fold per insertion, 1 +
+    q/3-fold per generator past one of the heaviest state (row ``npoint
+    a[-1]^4|1@z0 --qorder 24``)."""
+    rate, gens = 1.15e-6, _generators(insertions)
     states = _states(ns.qorder, rate) if ns.genus else 0
-    nodes = (2 * ns.zorder + 1.0) ** max(g / 2, 1) * (len(insertions) + 1)
+    nodes = (2 * ns.zorder + 1.0) ** max(sum(gens) - 1, 1) * (len(gens) + 1)
+    heavy = (1 + ns.qorder / 3) ** (max(gens, default=1) - 1)
     return rate * (nodes * (ns.qorder + 1 if ns.genus else 1)
-                   + states * 2.0 ** g)
+                   + states * 3.0 ** len(gens) * heavy)
 
 
 def _npoint_cost(ns) -> float:
-    """The oracle traces a mode word per point of the window box over the
-    Fock states to the q-order at genus 1, tripling per generator (row
-    ``omega@z1,omega@z2 --qorder 32 --oracle``); at genus 0 it visits
-    (2 zorder + 5)^n mode tuples, window and margin, doubling per
-    generator past one a point (row ``a@z1,a@z2 --zorder 3000``)."""
+    """The oracle: at genus 1, per window-box point a word of n modes
+    traced over the Fock states to the q-order, 1 + q/2-fold per generator
+    past one of the heaviest (row ``a[-1]^3|1@z0 --qorder 32 --oracle``);
+    at genus 0, (2 zorder + 5)^n mode tuples, 2-fold per generator past
+    one a point, a twentieth of a word each (row ``--zorder 3000``)."""
     if ns.path == "reduce":
         return _recursion_seconds(ns.insertions, ns)
-    rate, n, width = 5.8e-7, len(ns.insertions), 2 * ns.zorder + 1.0
-    g = sum(_generators(ns.insertions))
+    rate, gens = 6.2e-6, _generators(ns.insertions)
+    n, width = len(gens), 2 * ns.zorder + 1.0
     if ns.genus:
-        return rate * width ** (n - 1) * _states(ns.qorder, rate) * 3.0 ** g
-    return rate * (width + 4) ** n * 2.0 ** (g - n)
+        heavy = max(n, 1) * (1 + ns.qorder / 2) ** (max(gens, default=1) - 1)
+        return rate * width ** max(n - 1, 0) * _states(ns.qorder, rate) * heavy
+    return rate * (width + 4) ** n * 2.0 ** (sum(gens) - n) / 20
 
 
 def _residual_cost(ns) -> float:
@@ -383,7 +384,7 @@ def _g2_partition_cost(ns) -> float:
     """Per Hafnian channel, p(0) + ... + p(eps order), a (q1 + 1)(q2 + 1)
     term product added to a sum of eps order + 1, and two one-point
     series worth 39 more (row ``--eps-order 2 --q1-order 400``)."""
-    rate = 2.4e-7
+    rate = 2.5e-7
     terms = (ns.q1_order + 1) * (ns.q2_order + 1) * (ns.eps_order + 40)
     return rate * _states(ns.eps_order, rate) * terms
 
@@ -422,14 +423,14 @@ def _schottky_partition_cost(ns) -> float:
 
 def _ladder_seconds(ns, levels) -> float:
     """Slices (points k, weight, coboundary built) of ``levels(w)``, w the
-    direction weight, t the weight less one if weight + w is odd (trace
-    parity prunes those).  Per basis tuple: listing, weight + 1 (row
-    ``euler -m 60 -N 1``); its step, (k + 1)(2 window + 1)^2 cells per q
-    level, 2.25-fold per t (row ``rank -n 3 -m 5 --window 20``), each a
-    fiftieth of a trace.  Memoized traces: the S Fock states to the
-    q-order once, 3.5-fold per t of the top slice (row ``rank -n 1 -m 5
-    --qorder 24``); all times direction generators; stops over budget."""
-    rate, members = 4.6e-6, ns.direction or ()
+    direction weight, t the weight less one if weight + w is odd (parity
+    prunes traces).  Per basis tuple: weight + 1 to list (row ``euler -m
+    60 -N 1``), (k + 1)(2 window + 1)^2 step cells per q level at 2.5^t/50
+    (row ``rank -n 3 -m 5 --window 20``) and 0.7 per Fock state to the
+    q-order (row ``rank -n 8 -m 2 --qorder 40``); memoized traces, once,
+    3.5^t per state at the top slice (row ``rank -n 1 -m 5 --qorder 24``).
+    All times direction generators (cells: their root); stops over budget."""
+    rate, members = 3.3e-6, ns.direction or ()
     gens = max(_generators(members), default=1)
     states = _states(ns.qorder, rate) if ns.genus else 0
     cells = (2 * ns.window + 1) ** 2 * (ns.qorder + 1 if ns.genus else 1)
@@ -439,7 +440,8 @@ def _ladder_seconds(ns, levels) -> float:
         if min(k, weight) < 0:
             continue
         t, p = weight - (weight + w) % 2, _partition_counts(weight, most)
-        each = weight + 1 + built * gens * cells * (k + 1) * 2.25 ** t / 50
+        each = weight + 1 + built * (gens ** 0.5 * cells * (k + 1) * 2.5 ** t
+                                     / 50 + 0.7 * states)
         top = max(top, built * min(t, ns.qorder))
         tuples = [1] + [0] * weight  # k-tuples of basis states by weight
         for _ in range(k if weight else 0):
@@ -447,7 +449,7 @@ def _ladder_seconds(ns, levels) -> float:
                       for j in range(weight + 1)]
             if tuples[-1] * each > most:
                 break
-        work += tuples[-1] * each
+        work += max(tuples[-1], 1) * each  # at least the slice's setup
         if work > most:
             break
     return rate * (work + states * gens * 3.5 ** top)
@@ -601,10 +603,8 @@ def _run_g2_pweier(ns: argparse.Namespace):
 
     cutoff = ns.matrix_cutoff or 2 * ns.eps_order
     moduli = SewingModuli(ns.q1_order, ns.q2_order, ns.eps_order, cutoff)
-    x_chart, y_chart = ns.charts
-    ms = renamed(gen_weierstrass(ns.p, ns.j, x_chart, y_chart, moduli),
-                 HALF_POWERS)
-    return {"p": ns.p, "j": ns.j, "charts": [x_chart, y_chart],
+    ms = renamed(gen_weierstrass(ns.p, ns.j, *ns.charts, moduli), HALF_POWERS)
+    return {"p": ns.p, "j": ns.j, "charts": list(ns.charts),
             "eps_order": ns.eps_order, "matrix_cutoff": cutoff,
             "series": _series_payload(ms, ns.approx)}, 0
 

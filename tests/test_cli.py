@@ -334,6 +334,16 @@ OVER = rows(
     "genus2 pweier --p 1 -N 5000",
     "genus2 pweier --p 2 -N 5000",
     "genus2 pweier --p 1 --j 100000",
+    "cohomology rank --genus 1 -n 8 -m 2 --direction a@w --window 2 "
+    "--qorder 40",
+    "npoint --genus 1 --insertions a[-1]^2|1@z0 --qorder 44",
+    "npoint --genus 1 --insertions a[-1]^3|1@z0 --qorder 32 --oracle",
+    "npoint --genus 1 --insertions a@z0,omega@z1 --qorder 32 --oracle",
+    "residual --genus 1 --insertions a[-1]^2|1@z0,a[-2]|1@z1,a[-2]|1@z2 "
+    "--direction omega@w --zorder 8 --qorder 24",
+    "residual --genus 1 --insertions a[-1]^2|1@z0,omega@z1,omega@z2,"
+    "a[-3]|1@z3,a[-1]^2|1@z4,a[-3]|1@z5 --zorder 2 --qorder 4 "
+    "--direction omega@w",
     "cluster check --trials 100000000")
 
 # The numeric flags of each command with a cost, each with its least
