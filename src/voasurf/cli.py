@@ -332,7 +332,7 @@ def _eisenstein_seconds(low: int, top: int, order: int) -> float:
     bits past 27 words of overhead (row ``--k 4 --order 200000``), each
     word worth four of the table's (row ``--k 2000 --order 2000``)."""
     words = math.log2(top + order) / 64  # per unit of k
-    a, b = 27 + low * words, 27 + top * words  # (a^2 + ab + b^2)/3: mean
+    a, b = 27 + low * words, 27 + top * words  # mean square: a^2 + ab + b^2
     terms = (order + 1) * ((top - low) // 2 + 1) * (a * a + a * b + b * b) / 3
     return 7.8e-9 * (top ** 3 * words / 8 + 4 * terms)
 
